@@ -116,7 +116,6 @@ class RunConfig:
     cutoff: int = 6
     particles: int = 4
     tol: float = 1e-12
-    exact: bool = False
     weight_variant: str = "squared-q"
     output_format: str = "text"
     output_path: str | None = None
@@ -148,9 +147,6 @@ class RunConfig:
         if self.inject_corruption and self.modes < 2:
             raise ConfigError("the negative control needs at least 2 modes")
 
-    def params_for(self, q: float) -> DeformationParams:
-        return DeformationParams(q)
-
     @property
     def variant(self) -> coherent.WeightVariant:
         return coherent.WeightVariant(self.weight_variant.replace("-", "_"))
@@ -163,7 +159,6 @@ class RunConfig:
             "cutoff": self.cutoff,
             "N": self.particles,
             "tol": self.tol,
-            "exact": self.exact,
             "weight_variant": self.weight_variant,
             "format": self.output_format,
             "out": self.output_path,
@@ -187,7 +182,7 @@ def _elapsed_ms(start: float) -> int:
 def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     records = []
     for q in config.q_values:
-        params = config.params_for(q)
+        params = DeformationParams(q)
         cfg = fock.FockSpaceConfig(config.modes, config.cutoff, params)
         lowers = None
         if config.inject_corruption:
@@ -214,7 +209,7 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     records = []
     extra = []
     for q in config.q_values:
-        params = config.params_for(q)
+        params = DeformationParams(q)
         if config.x is not None:
             if abs(config.x) >= params.radius:
                 records.append(
@@ -272,7 +267,7 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 def run_jackson(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     records = []
     for q in config.q_values:
-        params = config.params_for(q)
+        params = DeformationParams(q)
         for n in range(config.particles + 1):
             start = time.perf_counter()
             value = jackson_moment(params, n, rel_tol=min(config.tol * 1e-2, 1e-12))
@@ -303,7 +298,7 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     build_tail = min(1e-20, config.tol**2 * 1e-2)
     records = []
     for q in config.q_values:
-        params = config.params_for(q)
+        params = DeformationParams(q)
         try:
             if config.z is not None:
                 cutoff = coherent.suggest_cutoff(params, config.z, build_tail)
@@ -341,7 +336,7 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                 CheckRecord(
                     name="coherent_normalization",
                     params={"q": q, "point": point},
-                    passed=deviation <= 1e-10 + state.tail_mass,
+                    passed=deviation <= config.tol + state.tail_mass,
                     deviation=deviation,
                     millis=_elapsed_ms(start),
                 )
@@ -360,7 +355,7 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                 )
         start = time.perf_counter()
         comp_cfg = fock.FockSpaceConfig(1, config.cutoff, params)
-        comp = coherent.check_completeness(comp_cfg, tol=1e-10, variant=config.variant)
+        comp = coherent.check_completeness(comp_cfg, tol=config.tol, variant=config.variant)
         records.append(
             CheckRecord(
                 name="coherent_completeness",
@@ -391,7 +386,7 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         raise ConfigError("exchange checks need N >= 2")
     records = []
     for q in config.q_values:
-        params = config.params_for(q)
+        params = DeformationParams(q)
         for size in range(2, config.particles + 1):
             start = time.perf_counter()
             worst = 0.0
@@ -466,7 +461,7 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         word = _parse_word(config.word, config.modes)
         law_exponent = 2 * qsym.inversion_count(word.letters)
         for q in config.q_values:
-            params = config.params_for(q)
+            params = DeformationParams(q)
             start = time.perf_counter()
             value = qsym.fundamental_norm(word, params)
             law = params.q**law_exponent
@@ -485,7 +480,7 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     rng = np.random.default_rng(config.seed)
     samples = 25
     for q in config.q_values:
-        params = config.params_for(q)
+        params = DeformationParams(q)
         start = time.perf_counter()
         worst = 0.0
         for _ in range(samples):
@@ -642,9 +637,6 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tol", type=float, default=None, help="tolerance for the headline residual"
-    )
-    parser.add_argument(
-        "--exact", action="store_true", help="prefer exact polynomial routes"
     )
     parser.add_argument(
         "--weight-variant",
@@ -812,7 +804,6 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         cutoff=ns.cutoff if ns.cutoff is not None else ns.default_cutoff,
         particles=ns.particles if ns.particles is not None else ns.default_particles,
         tol=ns.tol if ns.tol is not None else ns.default_tol,
-        exact=ns.exact,
         weight_variant=ns.weight_variant,
         output_format=ns.output_format,
         output_path=ns.output_path,

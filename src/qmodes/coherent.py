@@ -23,7 +23,9 @@ the resolution of unity over radial Jackson integration reduces per mode to
 
 where the weight exponent beta is 2 for the ``squared_q`` variant and 1 for
 the ``paper_q`` variant; the check adjudicates which variant actually
-satisfies the identity (squared_q does).
+satisfies the identity (squared_q does).  Both variants go through the one
+moment kernel ``qcore.jackson_moment``; the target [m]! comes independently
+from ``qcore.q_factorial``.
 """
 
 import cmath
@@ -38,7 +40,7 @@ from . import fock
 from .qcore import (
     DeformationParams,
     DomainError,
-    jackson_integral,
+    jackson_moment,
     q_exp_reciprocal,
     q_factorial,
     q_number,
@@ -284,27 +286,10 @@ class CompletenessReport:
         return self.alternate_variant
 
 
-def _diagonal_deviations(
-    params: DeformationParams, cutoff: int, variant: WeightVariant, terms: int
-) -> tuple[float, ...]:
-    scale = params.q_sq if variant is WeightVariant.SQUARED_Q else params.q
-    deviations = []
-    for m in range(max(1, cutoff - 1)):
-        integral = jackson_integral(
-            params,
-            lambda x: x**m * q_exp_reciprocal(params, scale * x, rel_tol=1e-16).real,
-            params.radius,
-            terms,
-        )
-        deviations.append(abs(integral / q_factorial(params, m) - 1.0))
-    return tuple(deviations)
-
-
 def check_completeness(
     cfg: fock.FockSpaceConfig,
     tol: float = 1e-10,
     variant: WeightVariant = WeightVariant.SQUARED_Q,
-    terms: int | None = None,
 ) -> CompletenessReport:
     """Certify the resolution of unity through its per-mode radial reduction.
 
@@ -313,23 +298,27 @@ def check_completeness(
     moments of the reciprocal q-exponential: with the ``squared_q`` weight
     each diagonal entry integrates to one; the ``paper_q`` weight misses by
     an order-one factor and is reported for adjudication.  Occupation levels
-    up to cutoff - 2 are checked for each mode; the reduction is identical
-    across modes, which keeps the cost independent of the mode count.
+    up to cutoff - 2 are checked; the reduction is identical across modes,
+    so the cost does not depend on the mode count.
     """
-    if cfg.modes > 2:
-        raise ValueError("completeness checks are limited to modes <= 2 (cost control)")
     variant = WeightVariant(variant)
     params = cfg.params
-    if terms is None:
-        # geometric grid: q^{2k} radius^{m+1} below 1e-16 of the [m]! target
-        terms = max(64, int(math.ceil(60.0 / -math.log10(params.q_sq))) + cfg.cutoff * 4)
-    primary = _diagonal_deviations(params, cfg.cutoff, variant, terms)
+    levels = range(max(1, cfg.cutoff - 1))
+
+    def deviations(weight: WeightVariant) -> tuple[float, ...]:
+        beta = 2 if weight is WeightVariant.SQUARED_Q else 1
+        return tuple(
+            abs(jackson_moment(params, m, beta) / q_factorial(params, m) - 1.0)
+            for m in levels
+        )
+
+    primary = deviations(variant)
     other = (
         WeightVariant.PAPER_Q
         if variant is WeightVariant.SQUARED_Q
         else WeightVariant.SQUARED_Q
     )
-    alternate = _diagonal_deviations(params, cfg.cutoff, other, terms)
+    alternate = deviations(other)
     return CompletenessReport(
         variant=variant,
         q=params.q,

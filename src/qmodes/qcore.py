@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 __all__ = [
     "DomainError",
     "SingularityError",
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
+
+# Cap on grid points plus product factors in one Jackson moment (8 MB per array).
+MAX_JACKSON_POINTS = 1_000_000
 
 
 class DomainError(ValueError):
@@ -294,15 +299,16 @@ def q_exp_reciprocal(
 
 def jackson_integral(
     params: DeformationParams,
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray | float],
     upper: float,
     terms: int,
 ) -> float:
     """Jackson integral of f over [0, upper] on the base-q^2 grid.
 
-    upper * (1 - q^2) * sum_{k < terms} q^{2k} f(upper * q^{2k}).  The upper
-    endpoint must equal ``params.radius``: that is the only interval the
-    downstream identities use, and the contract keeps it explicit.
+    upper * (1 - q^2) * sum_{k < terms} q^{2k} f(upper * q^{2k}).  ``f`` is
+    called once, on the array of grid points; a scalar result is broadcast.
+    The upper endpoint must equal ``params.radius``: that is the only interval
+    the downstream identities use, and the contract keeps it explicit.
     """
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
@@ -310,47 +316,58 @@ def jackson_integral(
         raise DomainError(
             f"upper must equal the convergence radius {params.radius!r}, got {upper!r}"
         )
-    weight = 1.0
-    samples = []
-    for _ in range(terms):
-        y = f(upper * weight)
-        y = float(y)
-        if not math.isfinite(y):
-            raise ValueError(f"integrand returned non-finite value {y!r}")
-        samples.append(weight * y)
-        weight *= params.q_sq
-    return upper * (1.0 - params.q_sq) * math.fsum(samples)
+    steps = params.q_sq ** np.arange(terms)
+    values = np.broadcast_to(np.asarray(f(upper * steps), dtype=float), steps.shape)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("integrand returned a non-finite value on the grid")
+    return upper * (1.0 - params.q_sq) * math.fsum(steps * values)
 
 
 def jackson_moment(
     params: DeformationParams,
     n: int,
-    rel_tol: float = 1e-12,
-    max_terms: int = 100_000,
+    beta: float = 2,
+    rel_tol: float = 1e-15,
 ) -> float:
-    """Jackson integral of x^n / exp_q(q^2 x) over [0, radius].
+    """Jackson integral of x^n / exp_q(q^beta x) over [0, radius].
 
-    The reciprocal q-exponential is evaluated through the product form.  The
-    grid sum has nonnegative terms, so it is accumulated until the rigorous
-    geometric tail estimate drops below ``rel_tol`` of the running value.
+    On the grid x_k = radius * q^{2k} the weight has the closed form
+    1 / exp_q(q^beta x_k) = prod_{j >= k} (1 - q^{2j+beta}), so every weight
+    is one suffix product of a single factor array.  The K grid points and
+    the J factors past the grid are fixed up front by rigorous bounds, each
+    held to rel_tol / 2:
+
+    - grid: the points k >= K sum to at most
+      radius^n q^{2K(n+1)} / (1 - q^{2(n+1)}), measured against the lower
+      bound radius^n q^{2k'(n+1)} / 2 of the point k' from which every weight
+      is >= 1/2 (by prod (1 - a_j) >= 1 - sum a_j);
+    - product: the factors j >= K + J change each weight by a relative
+      q^{2J+beta} / (1 - q^2) at most.
+
+    ``beta`` must be positive: 2 is the ``squared_q`` weight, 1 the
+    ``paper_q`` one.  A request that needs more than MAX_JACKSON_POINTS grid
+    points and factors raises DomainError, with the estimate, before
+    anything is allocated.
     """
     if n < 0 or n != int(n):
         raise DomainError(f"moment order must be a nonnegative integer, got {n!r}")
-    upper = params.radius
-    weight = 1.0
-    samples: list[float] = []
-    running = 0.0
-    for k in range(max_terms):
-        x = upper * weight
-        y = weight * x**n * q_exp_reciprocal(params, params.q_sq * x, rel_tol=1e-16).real
-        samples.append(y)
-        running += y
-        weight *= params.q_sq
-        # remaining grid terms are bounded by upper * q^{2(k+1)} * x_{k+1}^n
-        tail = upper * weight * (upper * weight) ** n
-        if k >= 4 and tail <= rel_tol * max(running, 1e-300):
-            break
-    return upper * (1.0 - params.q_sq) * math.fsum(samples)
+    if not beta > 0.0:
+        raise DomainError(f"weight shift beta must be positive, got {beta!r}")
+    q_sq, log_q_sq = params.q_sq, math.log(params.q_sq)
+    shift = beta * math.log(params.q)
+    half_from = max(0, math.ceil((math.log((1.0 - q_sq) / 2.0) - shift) / log_q_sq))
+    level = (n + 1) * log_q_sq
+    grid = half_from + max(1, math.ceil(math.log(rel_tol * -math.expm1(level) / 4.0) / level))
+    extra = max(0, math.ceil((math.log(rel_tol * (1.0 - q_sq) / 2.0) - shift) / log_q_sq))
+    if grid + extra > MAX_JACKSON_POINTS:
+        raise DomainError(
+            f"moment {n} at q={params.q} needs {grid} grid points and {extra} more "
+            f"product factors, above the cap of {MAX_JACKSON_POINTS}"
+        )
+    # powers of q_sq itself, so the weights sit on the same grid as the steps
+    factors = 1.0 - q_sq ** np.arange(grid + extra) * params.q**beta
+    weights = np.cumprod(factors[::-1])[::-1][:grid]
+    return jackson_integral(params, lambda x: x**n * weights, params.radius, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from qmodes.cli import (
     strip_timing,
 )
 from qmodes.fock import RELATION_FAMILIES
+from qmodes.qcore import MAX_JACKSON_POINTS
 
 CORRUPTION_SENSITIVE = {
     "annihilator_annihilator_swap",
@@ -80,6 +81,28 @@ def test_zero_points_rejected(capsys):
     code, _, err = run_cli(["qexp", "eval", "--points", "0"], capsys)
     assert code == 2
     assert "points" in err
+
+
+def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
+    code, out, err = run_cli(["jackson", "moments", "--q", "0.9999999", "--N", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err
+    assert "grid points" in err and str(MAX_JACKSON_POINTS) in err
+
+
+def test_removed_exact_flag_is_rejected(capsys):
+    assert run_cli(["qsym", "identity", "--N", "2", "--exact"], capsys)[0] == 2
+
+
+def test_coherent_verdicts_follow_tol(capsys):
+    argv = ["coherent", "check", "--q", "0.5", "--modes", "1", "--points", "1"]
+    code, out, _ = run_cli(argv + ["--tol", "1e-20", "--format", "json"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    (completeness,) = [c for c in report["checks"] if c["name"] == "coherent_completeness"]
+    assert not completeness["pass"]
+    assert completeness["deviation"] > 1e-20
 
 
 # ---------------------------------------------------------------------------

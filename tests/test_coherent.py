@@ -243,10 +243,12 @@ def test_completeness_rejects_plain_weight():
     assert report.max_deviation == pytest.approx(0.39, abs=0.05)
 
 
-def test_completeness_mode_guard():
-    cfg = FockSpaceConfig(3, 4, DeformationParams(0.5))
-    with pytest.raises(ValueError):
-        check_completeness(cfg)
+def test_completeness_does_not_depend_on_mode_count():
+    params = DeformationParams(0.5)
+    single = check_completeness(FockSpaceConfig(1, 4, params))
+    triple = check_completeness(FockSpaceConfig(3, 4, params))
+    assert triple.deviations == single.deviations
+    assert triple.alternate_max_deviation == single.alternate_max_deviation
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,17 @@ comparisons isolate floating-point evaluation error from modeling error.
 """
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmodes.qcore import (
     DeformationParams,
+    MAX_JACKSON_POINTS,
     DomainError,
     SingularityError,
     disk_samples,
@@ -259,3 +263,63 @@ def test_jackson_moment_domain():
     params = DeformationParams(0.5)
     with pytest.raises(DomainError):
         jackson_moment(params, -1)
+    for beta in (0, -1):
+        with pytest.raises(DomainError):
+            jackson_moment(params, 2, beta=beta)
+
+
+def test_jackson_moment_refuses_oversized_grid_before_allocating():
+    params = DeformationParams(0.9999999)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match=str(MAX_JACKSON_POINTS)):
+            jackson_moment(params, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 100_000
+
+
+# ---------------------------------------------------------------------------
+# high-precision oracle: mpmath at 40 digits on the library's own q and q^2
+
+ORACLE_Q = (0.3, 0.5, 0.9, 0.99)
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_reciprocal_matches_mpmath_pochhammer(q):
+    params = DeformationParams(q)
+    with mp.workdps(40):
+        q_sq = mp.mpf(params.q_sq)
+        for fraction in (-1.0, 0.25, 0.9):
+            x = fraction * params.radius
+            oracle = mp.qp((1 - q_sq) * mp.mpf(x), q_sq)
+            value = q_exp_reciprocal(params, x)
+            assert value.imag == 0.0
+            assert abs(value.real / oracle - 1) < 1e-13
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_jackson_moments_match_mpmath_grid_sum(q):
+    params = DeformationParams(q)
+    with mp.workdps(40):
+        q_sq = mp.mpf(params.q_sq)
+        radius = 1 / (1 - q_sq)
+        # q^{2 size} / (1 - q^2) < 1e-40: every dropped grid term and product
+        # factor is below the working precision
+        size = math.ceil(math.log(1e-40 * (1.0 - params.q_sq)) / math.log(params.q_sq))
+        steps = [q_sq**k for k in range(2 * size)]
+        for beta in (1, 2):
+            shift = mp.mpf(params.q) ** beta
+            weights = [mp.mpf(1)] * (2 * size + 1)
+            for j in range(2 * size - 1, -1, -1):
+                weights[j] = weights[j + 1] * (1 - steps[j] * shift)
+            assert abs(weights[0] / mp.qp(shift, q_sq) - 1) < mp.mpf(10) ** -35
+            for n in range(7):
+                oracle = (1 - q_sq) * radius ** (n + 1) * mp.fsum(
+                    steps[k] ** (n + 1) * weights[k] for k in range(size)
+                )
+                value = jackson_moment(params, n, beta=beta)
+                assert abs(value / oracle - 1) < 1e-13, (beta, n)
