@@ -367,7 +367,18 @@ def jackson_moment(
     # powers of q_sq itself, so the weights sit on the same grid as the steps
     factors = 1.0 - q_sq ** np.arange(grid + extra) * params.q**beta
     weights = np.cumprod(factors[::-1])[::-1][:grid]
-    return jackson_integral(params, lambda x: x**n * weights, params.radius, grid)
+    # Near q = 1 at large n, x^n overflows on the first grid points while
+    # their weight underflows.  (x / radius)^n <= 1 cannot overflow, and a
+    # weight that underflows belongs to a term below 1e-308; radius^n comes
+    # back in logs, at a relative cost of about |log moment| ulp.
+    radius = params.radius
+    scaled = jackson_integral(params, lambda x: (x / radius) ** n * weights, radius, grid)
+    try:
+        return math.exp(math.log(scaled) + n * math.log(radius))
+    except (ValueError, OverflowError):
+        raise DomainError(
+            f"moment {n} at q={params.q} lies outside the float range"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

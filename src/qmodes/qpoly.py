@@ -11,6 +11,7 @@ a failed divisibility claim surfaces as an error instead of a rounded
 answer.
 """
 
+import functools
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -49,6 +50,17 @@ class QPolynomial:
             if value != 0:
                 clean[int(exponent)] = value
         self._coeffs = clean
+
+    @classmethod
+    def _canonical(cls, coeffs: dict[int, Fraction]) -> "QPolynomial":
+        """Wrap a dict that is already canonical (Fraction values, no zeros)."""
+        poly = object.__new__(cls)
+        poly._coeffs = coeffs
+        return poly
+
+    def _shifted(self, exponent: int) -> "QPolynomial":
+        """Product with the monomial q^exponent, without coefficient arithmetic."""
+        return QPolynomial._canonical({e + exponent: c for e, c in self._coeffs.items()})
 
     # -- construction -------------------------------------------------
 
@@ -104,19 +116,19 @@ class QPolynomial:
             return NotImplemented
         merged = dict(self._coeffs)
         for exponent, coefficient in other._coeffs.items():
-            merged[exponent] = merged.get(exponent, Fraction(0)) + coefficient
-        return QPolynomial(merged)
+            merged[exponent] = merged.get(exponent, 0) + coefficient
+        return QPolynomial._canonical({e: c for e, c in merged.items() if c})
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
             return NotImplemented
         merged = dict(self._coeffs)
         for exponent, coefficient in other._coeffs.items():
-            merged[exponent] = merged.get(exponent, Fraction(0)) - coefficient
-        return QPolynomial(merged)
+            merged[exponent] = merged.get(exponent, 0) - coefficient
+        return QPolynomial._canonical({e: c for e, c in merged.items() if c})
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial({e: -c for e, c in self._coeffs.items()})
+        return QPolynomial._canonical({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other: "QPolynomial | Rational") -> "QPolynomial":
         if isinstance(other, (int, Fraction)):
@@ -127,8 +139,8 @@ class QPolynomial:
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 exponent = e1 + e2
-                product[exponent] = product.get(exponent, Fraction(0)) + c1 * c2
-        return QPolynomial(product)
+                product[exponent] = product.get(exponent, 0) + c1 * c2
+        return QPolynomial._canonical({e: c for e, c in product.items() if c})
 
     __rmul__ = __mul__
 
@@ -152,15 +164,15 @@ class QPolynomial:
             r_deg = max(remainder)
             factor = remainder[r_deg] / d_lead
             shift = r_deg - d_deg
-            quotient[shift] = quotient.get(shift, Fraction(0)) + factor
+            quotient[shift] = factor  # nonzero, and each shift comes up once
             for e, c in other._coeffs.items():
                 target = e + shift
-                updated = remainder.get(target, Fraction(0)) - factor * c
+                updated = remainder.get(target, 0) - factor * c
                 if updated == 0:
                     remainder.pop(target, None)
                 else:
                     remainder[target] = updated
-        return QPolynomial(quotient), QPolynomial(remainder)
+        return QPolynomial._canonical(quotient), QPolynomial._canonical(remainder)
 
     def divide_exact(self, other: "QPolynomial") -> "QPolynomial":
         """Exact division; raises ValueError when ``other`` does not divide self."""
@@ -266,16 +278,28 @@ def poly_q_number(n: int) -> QPolynomial:
     """Bracket of a nonnegative integer as the polynomial 1 + q^2 + ... + q^{2(n-1)}."""
     if n < 0 or n != int(n):
         raise ValueError(f"bracket index must be a nonnegative integer, got {n!r}")
-    return QPolynomial({2 * k: 1 for k in range(int(n))})
+    return _bracket(int(n))
 
 
 def poly_q_factorial(n: int) -> QPolynomial:
     """Product [1][2]...[n] as an exact polynomial."""
     if n < 0 or n != int(n):
         raise ValueError(f"factorial index must be a nonnegative integer, got {n!r}")
+    return _factorial(int(n))
+
+
+# Brackets and factorials are rebuilt for every multinomial and insertion
+# sum; QPolynomial is immutable, so one shared instance per index serves all.
+@functools.lru_cache(maxsize=128)
+def _bracket(n: int) -> QPolynomial:
+    return QPolynomial({2 * k: 1 for k in range(n)})
+
+
+@functools.lru_cache(maxsize=128)
+def _factorial(n: int) -> QPolynomial:
     result = QPolynomial.one()
-    for k in range(1, int(n) + 1):
-        result = result * poly_q_number(k)
+    for k in range(1, n + 1):
+        result = result * _bracket(k)
     return result
 
 
@@ -320,11 +344,11 @@ def poly_insertion_sum(counts: Sequence[int], slot: int) -> QPolynomial:
     prefix = 0
     for j, c in enumerate(counts, start=1):
         if j < slot:
-            term = QPolynomial.monomial(2 * prefix) * poly_q_number(c)
+            term = poly_q_number(c)._shifted(2 * prefix)
         elif j == slot:
-            term = QPolynomial.monomial(2 * prefix) * poly_q_number(c + 1)
+            term = poly_q_number(c + 1)._shifted(2 * prefix)
         else:
-            term = QPolynomial.monomial(2 * (prefix + 1)) * poly_q_number(c)
+            term = poly_q_number(c)._shifted(2 * (prefix + 1))
         total = total + term
         prefix += c
     return total

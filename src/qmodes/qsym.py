@@ -20,9 +20,10 @@ exchange relation (at q -> 1 it degenerates to the plain bosonic swap
 invariance).
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,8 +36,6 @@ __all__ = [
     "Word",
     "inversion_count",
     "sign_compare",
-    "multiset_arrangements",
-    "tensor_index",
     "q_symmetrize",
     "bosonic_symmetrize",
     "fundamental_norm",
@@ -120,45 +119,37 @@ def sign_compare(i: int, j: int) -> int:
     return 0
 
 
-def multiset_arrangements(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct arrangements of the multiset with the given letter counts.
+@functools.lru_cache(maxsize=256)
+def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor index and inversion count of every arrangement of a multiset.
 
-    Yields words (tuples of 1-based letters) in lexicographic order; for a
-    multiset with multiplicities n_k the number of results is the plain
-    multinomial N! / prod n_k!, not N! -- repeated letters are never
-    enumerated twice.
+    ``counts[l]`` is the multiplicity of letter l + 1, and there is one slot
+    per mode, so the words live in the len(counts)^N tensor space.  The rows
+    are built by extending every prefix by one position at a time: appending
+    letter l raises the inversion count by the number of letters already
+    placed that are greater than l.  Each prefix emits its extensions in
+    letter order, so the rows come out in ascending tensor index, and the
+    work and memory are O(multinomial) rows, never O(n^N).  The all-zero
+    shape has one row, the empty arrangement.  Results are cached per shape
+    and read-only, because every caller shares them.
     """
-    counts = [int(c) for c in counts]
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts!r}")
-    total = sum(counts)
-    if total == 0:
-        return
-    prefix: list[int] = []
-
-    def emit() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for letter in range(1, len(counts) + 1):
-            if counts[letter - 1] > 0:
-                counts[letter - 1] -= 1
-                prefix.append(letter)
-                yield from emit()
-                prefix.pop()
-                counts[letter - 1] += 1
-
-    yield from emit()
-
-
-def tensor_index(letters: Sequence[int], n_modes: int) -> int:
-    """Flat index of a tensor basis word (position 1 most significant)."""
-    index = 0
-    for letter in letters:
-        if not 1 <= letter <= n_modes:
-            raise ValueError(f"letter {letter} outside 1..{n_modes}")
-        index = index * n_modes + (letter - 1)
-    return index
+    n_modes = len(counts)
+    # multiplicities are bounded by MAX_PARTICLES, far below the int8 range
+    total = np.array(counts, dtype=np.int8)
+    left = total[np.newaxis, :]  # letters still to place, per prefix
+    index = np.zeros(1, dtype=np.int64)
+    inversions = np.zeros(1, dtype=np.int64)
+    for _ in range(sum(counts)):
+        used = total - left
+        greater = np.cumsum(used[:, ::-1], axis=1, dtype=np.int8)[:, ::-1] - used
+        rows, letters = np.nonzero(left)  # row-major: each prefix in letter order
+        index = index[rows] * n_modes + letters
+        inversions = inversions[rows] + greater[rows, letters]
+        left = left[rows]
+        left[np.arange(rows.size), letters] -= 1
+    index.flags.writeable = False
+    inversions.flags.writeable = False
+    return index, inversions
 
 
 def _check_bounds(word: Word) -> None:
@@ -186,11 +177,13 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
         prefactor *= q_factorial(params, c)
     prefactor = math.sqrt(prefactor / q_factorial(params, word.size))
     base = q ** inversion_count(word.letters) * prefactor
+    # one Python pow per inversion count: numpy's float power can differ from
+    # it in the last bit, and the states must equal the reference sum exactly
+    max_inversions = word.size * (word.size - 1) // 2
+    weights = np.array([base * q**k for k in range(max_inversions + 1)])
+    index, inversions = _arrangements(word.counts)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
-    for arrangement in multiset_arrangements(word.counts):
-        vector[tensor_index(arrangement, word.n_modes)] = (
-            base * q ** inversion_count(arrangement)
-        )
+    vector[index] = weights[inversions]
     return vector
 
 
@@ -198,8 +191,7 @@ def bosonic_symmetrize(word: Word) -> np.ndarray:
     """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
     _check_bounds(word)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
-    for arrangement in multiset_arrangements(word.counts):
-        vector[tensor_index(arrangement, word.n_modes)] = 1.0
+    vector[_arrangements(word.counts)[0]] = 1.0
     return vector / np.linalg.norm(vector)
 
 
@@ -296,11 +288,8 @@ def norm_identity_exact(counts: Sequence[int]):
         )
     if len(counts) > MAX_MODES:
         raise ValueError(f"{len(counts)} slots exceed the enumeration bound {MAX_MODES}")
-    exponent_tally: dict[int, int] = {}
-    for arrangement in multiset_arrangements(counts):
-        e = 2 * inversion_count(arrangement)
-        exponent_tally[e] = exponent_tally.get(e, 0) + 1
-    if not exponent_tally:  # all counts zero: empty sum vs [0]-style convention
-        exponent_tally = {0: 1}
-    arrangement_sum = QPolynomial(exponent_tally)
+    tally = np.bincount(_arrangements(counts)[1])
+    arrangement_sum = QPolynomial(
+        {2 * inversions: int(number) for inversions, number in enumerate(tally) if number}
+    )
     return arrangement_sum, poly_q_multinomial(counts)

@@ -1,0 +1,81 @@
+"""Reference enumeration of multiset arrangements, kept for the tests.
+
+``qmodes.qsym`` builds every arrangement class with one vectorised kernel.
+The routines here are the plain recursive route it replaced: one word at a
+time, with O(N^2) inversions per word.  The tests compare the kernel against
+them on small shapes.
+"""
+
+import math
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from qmodes.qcore import DeformationParams, q_factorial
+from qmodes.qsym import Word, inversion_count
+
+
+def multiset_arrangements(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Distinct arrangements of the multiset with the given letter counts.
+
+    Yields words (tuples of 1-based letters) in lexicographic order; for a
+    multiset with multiplicities n_k the number of results is the plain
+    multinomial N! / prod n_k!, not N! -- repeated letters are never
+    enumerated twice.
+    """
+    counts = [int(c) for c in counts]
+    if any(c < 0 for c in counts):
+        raise ValueError(f"counts must be nonnegative, got {counts!r}")
+    total = sum(counts)
+    if total == 0:
+        return
+    prefix: list[int] = []
+
+    def emit() -> Iterator[tuple[int, ...]]:
+        if len(prefix) == total:
+            yield tuple(prefix)
+            return
+        for letter in range(1, len(counts) + 1):
+            if counts[letter - 1] > 0:
+                counts[letter - 1] -= 1
+                prefix.append(letter)
+                yield from emit()
+                prefix.pop()
+                counts[letter - 1] += 1
+
+    yield from emit()
+
+
+def tensor_index(letters: Sequence[int], n_modes: int) -> int:
+    """Flat index of a tensor basis word (position 1 most significant)."""
+    index = 0
+    for letter in letters:
+        if not 1 <= letter <= n_modes:
+            raise ValueError(f"letter {letter} outside 1..{n_modes}")
+        index = index * n_modes + (letter - 1)
+    return index
+
+
+def reference_q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
+    """q-symmetrized state summed word by word over the recursive enumeration."""
+    q = params.q
+    prefactor = 1.0
+    for c in word.counts:
+        prefactor *= q_factorial(params, c)
+    prefactor = math.sqrt(prefactor / q_factorial(params, word.size))
+    base = q ** inversion_count(word.letters) * prefactor
+    vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
+    for arrangement in multiset_arrangements(word.counts):
+        vector[tensor_index(arrangement, word.n_modes)] = (
+            base * q ** inversion_count(arrangement)
+        )
+    return vector
+
+
+def reference_tally(counts: Sequence[int]) -> dict[int, int]:
+    """Number of arrangements per inversion count; the empty word counts once."""
+    tally: dict[int, int] = {}
+    for arrangement in multiset_arrangements(counts):
+        inversions = inversion_count(arrangement)
+        tally[inversions] = tally.get(inversions, 0) + 1
+    return tally or {0: 1}

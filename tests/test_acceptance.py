@@ -46,13 +46,12 @@ from qmodes.qsym import (
     bosonic_symmetrize,
     fundamental_norm,
     inversion_count,
-    multiset_arrangements,
     norm_identity_exact,
     q_symmetrize,
     sign_compare,
-    tensor_index,
     transposition_op,
 )
+from qsym_oracle import multiset_arrangements
 
 Q_GRID = (0.3, 0.5, 0.9)
 

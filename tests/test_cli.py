@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -21,7 +22,7 @@ from qmodes.cli import (
     strip_timing,
 )
 from qmodes.fock import RELATION_FAMILIES
-from qmodes.qcore import MAX_JACKSON_POINTS
+from qmodes.qcore import MAX_JACKSON_POINTS, DeformationParams, jackson_moment, q_factorial
 
 CORRUPTION_SENSITIVE = {
     "annihilator_annihilator_swap",
@@ -89,6 +90,23 @@ def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
     assert out == ""
     assert "configuration error" in err
     assert "grid points" in err and str(MAX_JACKSON_POINTS) in err
+
+
+def test_large_moments_near_q_one_stay_in_the_float_range(capsys):
+    # x^120 overflows on the first grid points while their weight underflows;
+    # the moment itself, [120]! ~ 5.8e195 at q = 0.999, is representable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["jackson", "moments", "--q", "0.999", "--N", "120", "--format", "json"], capsys
+        )
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 121 and all(check["pass"] for check in checks)
+    params = DeformationParams(0.999)
+    value = jackson_moment(params, 120, rel_tol=1e-14)
+    assert 5.8e195 < value < 5.9e195
+    assert abs(value / q_factorial(params, 120) - 1.0) < 1e-12
 
 
 def test_removed_exact_flag_is_rejected(capsys):

@@ -266,6 +266,9 @@ def test_jackson_moment_domain():
     for beta in (0, -1):
         with pytest.raises(DomainError):
             jackson_moment(params, 2, beta=beta)
+    # [200]! at q = 0.999 exceeds the largest double
+    with pytest.raises(DomainError, match="float range"):
+        jackson_moment(DeformationParams(0.999), 200)
 
 
 def test_jackson_moment_refuses_oversized_grid_before_allocating():

@@ -1,6 +1,7 @@
 """Tests for tensor words, q-symmetrization, and the exchange relations."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,19 +10,25 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from qmodes.qcore import DeformationParams, q_factorial
+from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
     ExchangeReport,
     Word,
+    _arrangements,
     bosonic_symmetrize,
     exchange_check,
     fundamental_norm,
     inversion_count,
-    multiset_arrangements,
     norm_identity_exact,
     q_symmetrize,
     sign_compare,
-    tensor_index,
     transposition_op,
+)
+from qsym_oracle import (
+    multiset_arrangements,
+    reference_q_symmetrize,
+    reference_tally,
+    tensor_index,
 )
 
 Q_GRID = (0.3, 0.5, 0.9)
@@ -108,6 +115,73 @@ def test_tensor_index_is_big_endian():
     assert tensor_index((3, 3), 3) == 8
     with pytest.raises(ValueError):
         tensor_index((0, 1), 3)
+
+
+# ---------------------------------------------------------------------------
+# the arrangement kernel against the recursive reference enumeration
+
+KERNEL_SHAPES = ((1,), (2,), (1, 1), (0, 3), (2, 0, 1), (0, 0, 2, 1), (1, 2, 0, 2), (1,) * 6)
+
+
+@pytest.mark.parametrize("counts", KERNEL_SHAPES)
+def test_kernel_rows_match_the_reference_enumeration(counts):
+    index, inversions = _arrangements(counts)
+    reference = list(multiset_arrangements(counts))
+    assert index.tolist() == [tensor_index(u, len(counts)) for u in reference]
+    assert inversions.tolist() == [inversion_count(u) for u in reference]
+
+
+def test_kernel_gives_the_empty_arrangement_for_the_zero_shape():
+    index, inversions = _arrangements((0, 0, 0))
+    assert index.tolist() == [0]
+    assert inversions.tolist() == [0]
+
+
+def test_q_symmetrize_equals_the_reference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for trial in range(240):
+        n_modes = int(rng.integers(1, 5))
+        size = int(rng.integers(1, 7))
+        letters = tuple(int(v) for v in rng.integers(1, n_modes + 1, size=size))
+        word = Word(letters, n_modes)
+        params = DeformationParams(float(rng.uniform(0.05, 0.999)))
+        assert np.array_equal(
+            q_symmetrize(word, params), reference_q_symmetrize(word, params)
+        ), (letters, n_modes, params.q)
+
+
+@pytest.mark.parametrize("counts", KERNEL_SHAPES + ((0, 0), (3, 1, 2), (2, 2, 2)))
+def test_norm_identity_tally_matches_the_reference(counts):
+    arrangement_sum, _ = norm_identity_exact(counts)
+    expected = {2 * inversions: n for inversions, n in reference_tally(counts).items()}
+    assert arrangement_sum == QPolynomial(expected)
+
+
+def test_cached_kernel_arrays_are_read_only():
+    index, inversions = _arrangements((2, 1, 1))
+    assert _arrangements((2, 1, 1))[0] is index
+    for array in (index, inversions):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_kernel_memory_follows_the_class_not_the_tensor_space():
+    # (3, 2, 2, 2) has 9! / (3! 2! 2! 2!) = 7560 rows out of 4^9 = 262144
+    # words.  The last extension step holds about nine int64 arrays of one
+    # entry per row (the row and letter of each extension, old and new tensor
+    # indices and inversions, and their temporaries) plus a few rows of int8
+    # letter counts: some 70 bytes a row, 0.5 MB.  A table over the whole
+    # tensor space would need 2.1 MB for its int64 index alone.
+    counts, rows = (3, 2, 2, 2), 7560
+    tracemalloc.start()
+    try:
+        index, _ = _arrangements.__wrapped__(counts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.size == rows
+    assert peak < 100 * rows < 8 * 4**9
 
 
 # ---------------------------------------------------------------------------
