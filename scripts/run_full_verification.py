@@ -56,6 +56,11 @@ def main() -> int:
         start = time.perf_counter()
         code = qmodes_main(argv + ["--format", "json", "--out", str(report_path)])
         elapsed = time.perf_counter() - start
+        if code == 2:
+            # refused before it wrote a report; a file there is from an earlier run
+            print(f"{name:18s} {'FAILED':8s} configuration error (exit 2)  {elapsed:6.2f}s")
+            overall_ok = False
+            continue
         report = json.loads(report_path.read_text())
         checks = report["checks"]
         failed = sum(1 for check in checks if not check["pass"])

@@ -24,6 +24,7 @@ configuration or out-of-bounds request.
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -36,11 +37,13 @@ from . import __version__, coherent, fock, qsym
 from .qcore import (
     DeformationParams,
     DomainError,
+    check_budget,
     disk_samples,
     jackson_moment,
     q_exp,
     q_exp_via_product,
     q_factorial,
+    size_estimate,
 )
 from .qpoly import poly_insertion_sum, poly_q_number
 
@@ -299,24 +302,22 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     records = []
     for q in config.q_values:
         params = DeformationParams(q)
-        try:
-            if config.z is not None:
+        if config.z is not None:
+            try:
                 cutoff = coherent.suggest_cutoff(params, config.z, build_tail)
-                cfg = fock.FockSpaceConfig(len(config.z), cutoff, params)
-                specs = [coherent.CoherentSpec(config.z, cfg)]
-            else:
-                specs = coherent.spec_grid(
-                    params, config.modes, config.points, tail_tol=build_tail
+            except DomainError as exc:
+                records.append(
+                    CheckRecord(
+                        name="coherent_domain",
+                        params={"q": q, "detail": str(exc)},
+                        passed=False,
+                    )
                 )
-        except DomainError as exc:
-            records.append(
-                CheckRecord(
-                    name="coherent_domain",
-                    params={"q": q, "detail": str(exc)},
-                    passed=False,
-                )
-            )
-            continue
+                continue
+            cfg = fock.FockSpaceConfig(len(config.z), cutoff, params)
+            specs = [coherent.CoherentSpec(config.z, cfg)]
+        else:
+            specs = coherent.spec_grid(params, config.modes, config.points, tail_tol=build_tail)
         for point, spec in enumerate(specs):
             start = time.perf_counter()
             try:
@@ -384,6 +385,12 @@ def _parse_word(text: str, modes: int) -> qsym.Word:
 def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     if config.particles < 2:
         raise ConfigError("exchange checks need N >= 2")
+    n, N = config.modes, config.particles
+    top = size_estimate(N * math.log(n))
+    # per q: (N-1)(2 n^N + N) checks of ~40 us + 10 ns/entry + 200 ns/letter pair; bytes: N-1
+    # stored transpositions (16 per entry), one being squared (80), the arrangement cache (32)
+    work = len(config.q_values) * (N - 1) * (2 * top + N) * (40_000 + 10 * top + 200 * N**2)
+    check_budget(f"qsym exchange up to N={N} over {n} modes", (16 * N + 96) * top, work)
     records = []
     for q in config.q_values:
         params = DeformationParams(q)
@@ -521,6 +528,13 @@ def _count_vectors(slots: int, total: int, exact_total: bool = False):
 
 
 def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
+    n, N = config.modes, config.particles
+    top = size_estimate(N * math.log(n))
+    classes = size_estimate(math.lgamma(N + n + 1) - math.lgamma(N + 1) - math.lgamma(n + 1))
+    # 2 n^N + N arrangement rows (~300 ns per row and mode, 64 B/entry with the cache), and
+    # one exact division per class (~0.5 ms + 100 ns * N^4)
+    work = 300 * n * (2 * top + N) + classes * (500_000 + 100 * N**4)
+    check_budget(f"qsym identity up to N={N} over {n} modes", 64 * top, work)
     records = []
     for total in range(config.particles + 1):
         start = time.perf_counter()
@@ -544,6 +558,11 @@ def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
 
 def run_qsym_appendix(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
+    n, N = config.modes, config.particles
+    classes = size_estimate(math.lgamma(N + n + 1) - math.lgamma(N + 1) - math.lgamma(n + 1))
+    # n insertion sums per count vector of ~40 us + 0.6 us * n * N; a few n * N-term polynomials
+    work = n * classes * (40_000 + 600 * n * N)
+    check_budget(f"qsym appendix up to N={N} over {n} modes", 200 * n * N, work)
     records = []
     for total in range(config.particles + 1):
         start = time.perf_counter()
@@ -829,16 +848,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = config_from_namespace(namespace)
         config.validate()
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         records, extra = namespace.handler(config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, DomainError) as exc:
-        # out-of-bounds requests refused by the library layers
+    except (ValueError, OverflowError) as exc:
+        # ConfigError, DomainError (budget refusals too), factorials past the float range
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     report = assemble_report(config, records)
@@ -847,8 +859,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         rendered = "".join(line + "\n" for line in extra) + render_text(report)
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"configuration error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0 if all(record.passed for record in records) else 1

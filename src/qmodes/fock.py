@@ -19,6 +19,7 @@ Operators are scipy CSR matrices; a plain text coordinate-list export is
 provided for cross-tool diffing.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -26,10 +27,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .qcore import DeformationParams, q_number
+from .qcore import DeformationParams, check_budget, q_number, size_estimate
 
 __all__ = [
-    "MAX_DIMENSION",
     "FockSpaceConfig",
     "RelationReport",
     "occupation_table",
@@ -46,8 +46,6 @@ __all__ = [
     "RELATION_FAMILIES",
     "coordinate_text",
 ]
-
-MAX_DIMENSION = 10_000_000
 
 RELATION_FAMILIES = (
     "creator_creator_swap",
@@ -74,10 +72,11 @@ class FockSpaceConfig:
             raise ValueError(f"modes must be >= 1, got {self.modes}")
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.cutoff**self.modes > MAX_DIMENSION:
-            raise ValueError(
-                f"dimension {self.cutoff}^{self.modes} exceeds the guard of {MAX_DIMENSION}"
-            )
+        # verify_algebra, the heaviest user: its operator lists take ~80 B per state and mode,
+        # products and slices ~300 B per state; work is ~1 us per state and pair of modes
+        dim = size_estimate(self.modes * math.log(self.cutoff))
+        nbytes, work = (300 + 80 * self.modes) * dim, 1000 * self.modes**2 * dim
+        check_budget(f"the {self.cutoff}^{self.modes} Fock space", nbytes, work)
 
     @property
     def dimension(self) -> int:

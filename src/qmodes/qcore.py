@@ -38,12 +38,14 @@ __all__ = [
     "jackson_integral",
     "jackson_moment",
     "disk_samples",
+    "check_budget",
+    "size_estimate",
 ]
 
 _POLE_TOL = 1e-12
 
-# Cap on grid points plus product factors in one Jackson moment (8 MB per array).
-MAX_JACKSON_POINTS = 1_000_000
+BYTE_BUDGET = 2**30  # predicted peak bytes of one request
+WORK_BUDGET = 3e11  # steps of ~1 ns each, as the call sites cost them: ~5 minutes on 2 cores
 
 
 class DomainError(ValueError):
@@ -116,6 +118,20 @@ def q_multinomial(params: DeformationParams, counts: Sequence[int]) -> float:
     if not math.isfinite(value):
         raise OverflowError(f"bracket multinomial overflows for counts={counts}")
     return value
+
+
+def check_budget(request: str, nbytes: float, work: float) -> None:
+    """Refuse a request whose predicted peak bytes or work pass the budget."""
+    if nbytes > BYTE_BUDGET or work > WORK_BUDGET:
+        raise DomainError(
+            f"{request} needs about {nbytes:.3g} bytes and {work:.3g} steps of work, "
+            f"above the budget of {BYTE_BUDGET:.3g} bytes and {WORK_BUDGET:.3g} steps"
+        )
+
+
+def size_estimate(log_size: float) -> float:
+    """exp(log_size), saturating: a size such as n^N far past the budget never overflows."""
+    return math.exp(min(log_size, 709.0))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +361,8 @@ def jackson_moment(
       q^{2J+beta} / (1 - q^2) at most.
 
     ``beta`` must be positive: 2 is the ``squared_q`` weight, 1 the
-    ``paper_q`` one.  A request that needs more than MAX_JACKSON_POINTS grid
-    points and factors raises DomainError, with the estimate, before
-    anything is allocated.
+    ``paper_q`` one.  A request past the budget raises DomainError, with the
+    estimate, before anything is allocated.
     """
     if n < 0 or n != int(n):
         raise DomainError(f"moment order must be a nonnegative integer, got {n!r}")
@@ -359,11 +374,9 @@ def jackson_moment(
     level = (n + 1) * log_q_sq
     grid = half_from + max(1, math.ceil(math.log(rel_tol * -math.expm1(level) / 4.0) / level))
     extra = max(0, math.ceil((math.log(rel_tol * (1.0 - q_sq) / 2.0) - shift) / log_q_sq))
-    if grid + extra > MAX_JACKSON_POINTS:
-        raise DomainError(
-            f"moment {n} at q={params.q} needs {grid} grid points and {extra} more "
-            f"product factors, above the cap of {MAX_JACKSON_POINTS}"
-        )
+    # two float arrays over all factors and four over the grid; fsum takes ~1.5 us per point
+    request = f"moment {n} at q={params.q} ({grid} grid points, {extra} more product factors)"
+    check_budget(request, 16 * (grid + extra) + 32 * grid, 1500 * grid + 20 * extra)
     # powers of q_sq itself, so the weights sit on the same grid as the steps
     factors = 1.0 - q_sq ** np.arange(grid + extra) * params.q**beta
     weights = np.cumprod(factors[::-1])[::-1][:grid]

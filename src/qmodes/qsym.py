@@ -28,11 +28,9 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .qcore import DeformationParams, q_factorial
+from .qcore import DeformationParams, check_budget, q_factorial, size_estimate
 
 __all__ = [
-    "MAX_PARTICLES",
-    "MAX_MODES",
     "Word",
     "inversion_count",
     "sign_compare",
@@ -44,11 +42,6 @@ __all__ = [
     "transposition_op",
     "norm_identity_exact",
 ]
-
-# Enumeration bounds: distinct arrangements grow multinomially, so the
-# symmetrizer refuses word shapes beyond these limits instead of hanging.
-MAX_PARTICLES = 10
-MAX_MODES = 6
 
 
 @dataclass(frozen=True)
@@ -134,14 +127,15 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     and read-only, because every caller shares them.
     """
     n_modes = len(counts)
-    # multiplicities are bounded by MAX_PARTICLES, far below the int8 range
-    total = np.array(counts, dtype=np.int8)
+    # the narrowest signed type that holds every multiplicity
+    dtype = np.min_scalar_type(-sum(counts))
+    total = np.array(counts, dtype=dtype)
     left = total[np.newaxis, :]  # letters still to place, per prefix
     index = np.zeros(1, dtype=np.int64)
     inversions = np.zeros(1, dtype=np.int64)
     for _ in range(sum(counts)):
         used = total - left
-        greater = np.cumsum(used[:, ::-1], axis=1, dtype=np.int8)[:, ::-1] - used
+        greater = np.cumsum(used[:, ::-1], axis=1, dtype=dtype)[:, ::-1] - used
         rows, letters = np.nonzero(left)  # row-major: each prefix in letter order
         index = index[rows] * n_modes + letters
         inversions = inversions[rows] + greater[rows, letters]
@@ -152,15 +146,21 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return index, inversions
 
 
-def _check_bounds(word: Word) -> None:
-    if word.size > MAX_PARTICLES:
-        raise ValueError(
-            f"word length {word.size} exceeds the enumeration bound {MAX_PARTICLES}"
-        )
-    if word.n_modes > MAX_MODES:
-        raise ValueError(
-            f"n_modes {word.n_modes} exceeds the enumeration bound {MAX_MODES}"
-        )
+def _check_space(request: str, n_modes: int, size: int, entry_bytes: int, steps: float = 0) -> None:
+    """Refuse a request on the n^N tensor space past the budget, keeping indices in int64."""
+    dim = size_estimate(size * math.log(n_modes))
+    # the caller's bytes per entry; ~120 ns of work per entry (transposition_op, the slowest)
+    request = f"{request} on the {n_modes}^{size} tensor space"
+    check_budget(request, entry_bytes * dim, 120 * dim + steps)
+
+
+@functools.lru_cache(maxsize=256)
+def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:
+    """sqrt(prod [n_k]! / [N]!), which depends only on q and the letter counts."""
+    prefactor = 1.0
+    for c in counts:
+        prefactor *= q_factorial(params, c)
+    return math.sqrt(prefactor / q_factorial(params, sum(counts)))
 
 
 def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
@@ -170,13 +170,10 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     each arrangement u carries the weight q^{R(word)} q^{R(u)} and the whole
     sum is scaled by sqrt(prod [n_k]! / [N]!).
     """
-    _check_bounds(word)
+    # the dense vector and its class rows; weights and inversions ~200 ns per letter pair
+    _check_space("q_symmetrize", word.n_modes, word.size, 16, 200 * word.size**2)
     q = params.q
-    prefactor = 1.0
-    for c in word.counts:
-        prefactor *= q_factorial(params, c)
-    prefactor = math.sqrt(prefactor / q_factorial(params, word.size))
-    base = q ** inversion_count(word.letters) * prefactor
+    base = q ** inversion_count(word.letters) * _prefactor(params, word.counts)
     # one Python pow per inversion count: numpy's float power can differ from
     # it in the last bit, and the states must equal the reference sum exactly
     max_inversions = word.size * (word.size - 1) // 2
@@ -189,7 +186,7 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
 
 def bosonic_symmetrize(word: Word) -> np.ndarray:
     """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
-    _check_bounds(word)
+    _check_space("bosonic_symmetrize", word.n_modes, word.size, 24)  # vector, copy, rows
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
     vector[_arrangements(word.counts)[0]] = 1.0
     return vector / np.linalg.norm(vector)
@@ -247,12 +244,9 @@ def transposition_op(
     """
     if size < 1 or n_modes < 1:
         raise ValueError("size and n_modes must be >= 1")
-    if size > MAX_PARTICLES or n_modes > MAX_MODES:
-        raise ValueError(
-            f"requested space {n_modes}^{size} exceeds the enumeration bounds"
-        )
     if not 1 <= k < size:
         raise ValueError(f"positions must satisfy 1 <= k < {size}, got {k}")
+    _check_space("transposition_op", n_modes, size, 80)  # six index arrays, CSR build
     dim = n_modes**size
     index = np.arange(dim)
     stride_right = n_modes ** (size - k - 1)  # position k+1
@@ -282,12 +276,8 @@ def norm_identity_exact(counts: Sequence[int]):
         raise ValueError("counts must be a nonempty sequence")
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be nonnegative, got {counts!r}")
-    if sum(counts) > MAX_PARTICLES:
-        raise ValueError(
-            f"total count {sum(counts)} exceeds the enumeration bound {MAX_PARTICLES}"
-        )
-    if len(counts) > MAX_MODES:
-        raise ValueError(f"{len(counts)} slots exceed the enumeration bound {MAX_MODES}")
+    # one class's rows and their build; the exact division, caches cold, takes ~1 us * N^4
+    _check_space("norm_identity_exact", len(counts), sum(counts), 16, 1000 * sum(counts) ** 4)
     tally = np.bincount(_arrangements(counts)[1])
     arrangement_sum = QPolynomial(
         {2 * inversions: int(number) for inversions, number in enumerate(tally) if number}

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -22,7 +24,7 @@ from qmodes.cli import (
     strip_timing,
 )
 from qmodes.fock import RELATION_FAMILIES
-from qmodes.qcore import MAX_JACKSON_POINTS, DeformationParams, jackson_moment, q_factorial
+from qmodes.qcore import DeformationParams, DomainError, jackson_moment, q_factorial
 
 CORRUPTION_SENSITIVE = {
     "annihilator_annihilator_swap",
@@ -89,7 +91,55 @@ def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
     assert code == 2
     assert out == ""
     assert "configuration error" in err
-    assert "grid points" in err and str(MAX_JACKSON_POINTS) in err
+    assert "grid points" in err and "above the budget" in err
+
+
+# The estimates put each of these far past the budget.  Only the handler is
+# traced: building the argparse parser alone allocates ~95 kB.
+OVER_BUDGET = [
+    ["qsym", "exchange", "--modes", "6", "--N", "10"],
+    ["qsym", "appendix", "--modes", "6", "--N", "40"],
+    ["verify", "algebra", "--modes", "2", "--cutoff", "3000"],
+    ["coherent", "check", "--q", "0.5", "--modes", "3", "--points", "1"],
+    ["jackson", "moments", "--q", "0.9999999", "--N", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET, ids=lambda argv: " ".join(argv[:2]))
+def test_over_budget_requests_are_refused_before_allocating(argv, capsys):
+    namespace = build_parser().parse_args(argv)
+    config = config_from_namespace(namespace)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match="needs about .* above the budget"):
+            namespace.handler(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 100_000
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and "above the budget" in err
+
+
+def test_seven_modes_and_long_one_mode_words_are_accepted(capsys):
+    # 7^2 entries in seven modes, and one 200-letter word in a single mode
+    for modes, word in (("7", "1,2"), ("1", ",".join(["1"] * 200))):
+        argv = ["qsym", "norm", "--q", "0.5", "--modes", modes, "--word", word]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert out.startswith("1.0\n")
+
+
+def test_unwritable_report_path_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    argv = ["qsym", "norm", "--q", "0.5", "--word", "2,1", "--out", str(target)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert not target.exists()
 
 
 def test_large_moments_near_q_one_stay_in_the_float_range(capsys):

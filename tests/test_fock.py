@@ -23,7 +23,7 @@ from qmodes.fock import (
     scale_op,
     verify_algebra,
 )
-from qmodes.qcore import DeformationParams, q_number
+from qmodes.qcore import DeformationParams, DomainError, q_number
 
 
 def cfg_for(q: float = 0.5, modes: int = 2, cutoff: int = 4) -> FockSpaceConfig:
@@ -40,8 +40,8 @@ def test_config_guards():
         FockSpaceConfig(0, 4, params)
     with pytest.raises(ValueError):
         FockSpaceConfig(2, 0, params)
-    with pytest.raises(ValueError):
-        FockSpaceConfig(9, 10, params)  # 10^9 over the dimension guard
+    with pytest.raises(DomainError, match="budget"):
+        FockSpaceConfig(9, 10, params)  # 10^9 states, far over the byte budget
     assert cfg_for(modes=3, cutoff=4).dimension == 64
 
 

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from qmodes.qcore import (
     DeformationParams,
-    MAX_JACKSON_POINTS,
     DomainError,
     SingularityError,
     disk_samples,
@@ -276,7 +275,7 @@ def test_jackson_moment_refuses_oversized_grid_before_allocating():
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(DomainError, match=str(MAX_JACKSON_POINTS)):
+        with pytest.raises(DomainError, match="grid points.*above the budget"):
             jackson_moment(params, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -302,6 +301,17 @@ def test_reciprocal_matches_mpmath_pochhammer(q):
             value = q_exp_reciprocal(params, x)
             assert value.imag == 0.0
             assert abs(value.real / oracle - 1) < 1e-13
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_series_matches_mpmath_pochhammer_across_the_disk(q):
+    params = DeformationParams(q)
+    with mp.workdps(40):
+        q_sq = mp.mpf(params.q_sq)
+        for x in disk_samples(params, 50):
+            oracle = 1 / mp.qp((1 - q_sq) * mp.mpc(x), q_sq)
+            value = q_exp(params, x).value
+            assert abs(value - oracle) / abs(oracle) < 1e-13, x
 
 
 @pytest.mark.parametrize("q", ORACLE_Q)

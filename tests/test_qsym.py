@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from qmodes.qcore import DeformationParams, q_factorial
+from qmodes.qcore import DeformationParams, DomainError, q_factorial
 from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
     ExchangeReport,
@@ -137,6 +137,14 @@ def test_kernel_gives_the_empty_arrangement_for_the_zero_shape():
     assert inversions.tolist() == [0]
 
 
+def test_kernel_takes_multiplicities_past_the_int8_range():
+    # one mode keeps every tensor index at 0, however long the word
+    index, inversions = _arrangements((200,))
+    assert index.tolist() == [0]
+    assert inversions.tolist() == [0]
+    assert q_symmetrize(Word((1,) * 200, 1), DeformationParams(0.9)).tolist() == [1.0]
+
+
 def test_q_symmetrize_equals_the_reference_bit_for_bit():
     rng = np.random.default_rng(3)
     for trial in range(240):
@@ -224,10 +232,13 @@ def test_norm_follows_inversion_law():
 
 def test_size_bounds_are_enforced():
     params = DeformationParams(0.5)
-    with pytest.raises(ValueError):
-        q_symmetrize(Word((1,) * 11, 2), params)
-    with pytest.raises(ValueError):
-        q_symmetrize(Word((1,), 7), params)
+    # 2^30 and 10^9 entries: refused by prediction, before any vector exists
+    with pytest.raises(DomainError, match="budget"):
+        q_symmetrize(Word((1,) * 30, 2), params)
+    with pytest.raises(DomainError, match="budget"):
+        q_symmetrize(Word((1,), 10**9), params)
+    with pytest.raises(DomainError, match="budget"):
+        bosonic_symmetrize(Word((1,) * 30, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +288,8 @@ def test_transposition_bounds():
         transposition_op(0, 2, 1, params)
     with pytest.raises(ValueError):
         transposition_op(3, 2, 3, params)
-    with pytest.raises(ValueError):
-        transposition_op(11, 2, 1, params)
+    with pytest.raises(DomainError, match="budget"):
+        transposition_op(30, 2, 1, params)
 
 
 @given(
@@ -314,10 +325,10 @@ def test_norm_identity_exact_bounds():
         norm_identity_exact(())
     with pytest.raises(ValueError):
         norm_identity_exact((-1, 2))
-    with pytest.raises(ValueError):
-        norm_identity_exact((6, 5))
-    with pytest.raises(ValueError):
-        norm_identity_exact((1,) * 7)
+    with pytest.raises(DomainError, match="budget"):
+        norm_identity_exact((15, 15))
+    with pytest.raises(DomainError, match="budget"):
+        norm_identity_exact((1,) * 12)
 
 
 def test_bosonic_symmetrize_is_uniform_unit_vector():
