@@ -17,6 +17,7 @@ import itertools
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
 from qmodes.fock import FockSpaceConfig, annihilator, creator, interior_indices
 from qmodes.qcore import DeformationParams, q_number
@@ -29,8 +30,9 @@ def commutator_ratio(params: DeformationParams, modes: int, cutoff: int) -> floa
     worst = 0.0
     for i in range(1, modes + 1):
         lower, raiser = annihilator(cfg, i), creator(cfg, i)
-        block = (lower @ raiser - raiser @ lower).toarray()[np.ix_(interior, interior)]
-        worst = max(worst, float(np.max(np.abs(block - np.eye(len(interior))))))
+        block = (lower @ raiser - raiser @ lower)[interior][:, interior]
+        residual = block - sp.identity(len(interior), format="csr")
+        worst = max(worst, float(np.max(np.abs(residual.data), initial=0.0)))
     return worst / (1.0 - params.q_sq)
 
 

@@ -484,8 +484,14 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                 )
             )
         return records, extra
-    rng = np.random.default_rng(config.seed)
+    n, N = config.modes, config.particles
     samples = 25
+    top = size_estimate(N * math.log(n))
+    # per sample and q, at most the q_symmetrize estimate of the longest word: 16 B and
+    # ~120 ns per entry of n^N, ~200 ns per letter pair; sized before any word is drawn
+    work = samples * len(config.q_values) * (120 * top + 200 * N**2)
+    check_budget(f"qsym norm words up to N={N} over {n} modes", 16 * top, work)
+    rng = np.random.default_rng(config.seed)
     for q in config.q_values:
         params = DeformationParams(q)
         start = time.perf_counter()

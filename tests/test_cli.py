@@ -124,6 +124,30 @@ def test_over_budget_requests_are_refused_before_allocating(argv, capsys):
     assert err.startswith("configuration error: ") and "above the budget" in err
 
 
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_oversized_norm_sweep_is_refused_before_sampling(seed, capsys):
+    # words up to 4^14 entries: refused whatever lengths the seed would draw
+    argv = ["qsym", "norm", "--q", "0.5", "--modes", "4", "--N", "14", "--seed", seed]
+    namespace = build_parser().parse_args(argv)
+    config = config_from_namespace(namespace)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="needs about .* above the budget"):
+            namespace.handler(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: qsym norm words up to N=14 over 4 modes needs")
+
+
+def test_norm_sweep_of_the_symmetric_workload_is_admitted(capsys):
+    code, out, err = run_cli(["qsym", "norm", "--q", "0.5", "--modes", "4", "--N", "9"], capsys)
+    assert code == 0, err
+
+
 def test_seven_modes_and_long_one_mode_words_are_accepted(capsys):
     # 7^2 entries in seven modes, and one 200-letter word in a single mode
     for modes, word in (("7", "1,2"), ("1", ",".join(["1"] * 200))):

@@ -1,6 +1,7 @@
 """Tests for the truncated Fock representation and relation certification."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from qmodes.fock import (
     verify_algebra,
 )
 from qmodes.qcore import DeformationParams, DomainError, q_number
+
+from fock_oracle import reference_verify_algebra
 
 
 def cfg_for(q: float = 0.5, modes: int = 2, cutoff: int = 4) -> FockSpaceConfig:
@@ -238,6 +241,61 @@ def test_corruption_needs_interior_support():
     cfg = cfg_for(modes=1, cutoff=2)
     with pytest.raises(ValueError):
         corrupted_annihilator(cfg, 1)
+
+
+def _oracle_cases():
+    rng = random.Random(20260)
+    return [
+        (modes, cutoff, round(rng.uniform(0.05, 0.98), 6))
+        for modes in (1, 2, 3, 4)
+        for cutoff in range(3, 9)
+    ]
+
+
+@pytest.mark.parametrize("modes,cutoff,q", _oracle_cases())
+def test_kernel_deviations_equal_the_sparse_product_reference(modes, cutoff, q):
+    cfg = FockSpaceConfig(modes, cutoff, DeformationParams(q))
+    assert verify_algebra(cfg).deviations == reference_verify_algebra(cfg).deviations
+    lowers = [corrupted_annihilator(cfg, 1)] + [annihilator(cfg, i) for i in range(2, modes + 1)]
+    report = verify_algebra(cfg, annihilators=lowers)
+    reference = reference_verify_algebra(cfg, annihilators=lowers)
+    assert report.deviations == reference.deviations
+    assert report.failing() == reference.failing()
+
+
+def test_a_nan_amplitude_fails_the_families_it_reaches():
+    cfg = cfg_for(q=0.5, modes=2, cutoff=5)
+    poisoned = annihilator(cfg, 1)
+    poisoned.data[0] = np.nan  # a_1 from (1, 0) to (0, 0), inside the interior
+    report = verify_algebra(cfg, annihilators=[poisoned, annihilator(cfg, 2)])
+    assert not report.passed
+    poisoned_families = sorted(name for name, d in report.deviations.items() if math.isnan(d))
+    assert "normal_product_diagonal" in poisoned_families
+    assert report.failing() == poisoned_families
+
+
+def test_an_override_with_an_entry_off_its_shift_diagonal_is_refused():
+    cfg = cfg_for(q=0.5, modes=2, cutoff=4)
+    stray = annihilator(cfg, 1).tolil()
+    stray[0, 1] = 0.25  # a mode-2 lowering entry inside the mode-1 annihilator
+    with pytest.raises(ValueError, match="off its real shift"):
+        verify_algebra(cfg, annihilators=[stray.tocsr(), annihilator(cfg, 2)])
+    wrapped = creator(cfg, 2).tolil()
+    wrapped[4, 3] = 0.25  # on the diagonal of a_2^dag, but (0, 3) has no rung above it
+    with pytest.raises(ValueError, match="off its real shift"):
+        verify_algebra(cfg, creators=[creator(cfg, 1), wrapped.tocsr()])
+    complex_lower = annihilator(cfg, 2).astype(np.complex128)
+    complex_lower.data[0] += 1e-3j
+    with pytest.raises(ValueError, match="off its real shift"):
+        verify_algebra(cfg, annihilators=[annihilator(cfg, 1), complex_lower])
+
+
+def test_operators_are_real_float64():
+    cfg = cfg_for(q=0.7, modes=3, cutoff=4)
+    for build in (annihilator, creator, number_op, scale_op):
+        for i in (1, 2, 3):
+            assert build(cfg, i).dtype == np.float64
+    assert corrupted_annihilator(cfg, 1).dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

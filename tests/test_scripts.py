@@ -10,14 +10,16 @@ import pytest
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.fixture
-def full_verification():
-    spec = importlib.util.spec_from_file_location(
-        "run_full_verification", SCRIPTS / "run_full_verification.py"
-    )
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def full_verification():
+    return _load("run_full_verification")
 
 
 def test_full_verification_writes_every_report(full_verification, tmp_path, monkeypatch, capsys):
@@ -38,3 +40,12 @@ def test_full_verification_reports_a_refused_verb_as_failed(
     out = capsys.readouterr().out.splitlines()
     assert out[0].split()[:2] == ["refused", "FAILED"]
     assert out[-1] == "overall: FAILED"
+
+
+def test_classical_limit_scan_prints_one_row_per_q(monkeypatch, capsys):
+    scan = _load("classical_limit_scan")
+    monkeypatch.setattr(sys, "argv", ["classical_limit_scan.py", "--q", "0.9", "0.99", "--N", "3"])
+    assert scan.main() == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["q", "1-q^2"] and set(rule) == {"-"}
+    assert [row.split()[0] for row in rows] == ["0.90000", "0.99000"]
