@@ -222,7 +222,11 @@ def interior_indices(cfg: FockSpaceConfig, margin: int = 2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Max absolute deviations of the defining relations on the interior."""
+    """Max absolute deviations of the defining relations on the interior.
+
+    A family passes when its deviation is below ``threshold(name)``: the
+    configured ``tol`` plus the family's rounding allowance, if it has one.
+    """
 
     modes: int
     cutoff: int
@@ -230,13 +234,19 @@ class RelationReport:
     tol: float
     deviations: Mapping[str, float]
     interior_size: int
+    allowances: Mapping[str, float] = field(default_factory=dict)
+
+    def threshold(self, name: str) -> float:
+        return self.tol + self.allowances.get(name, 0.0)
 
     @property
     def passed(self) -> bool:
-        return all(d < self.tol for d in self.deviations.values())
+        return not self.failing()
 
     def failing(self) -> list[str]:
-        return sorted(name for name, d in self.deviations.items() if not d < self.tol)
+        return sorted(
+            name for name, d in self.deviations.items() if not d < self.threshold(name)
+        )
 
 
 def _shift_amplitudes(cfg: FockSpaceConfig, matrix: sp.spmatrix, i: int, step: int) -> np.ndarray:
@@ -353,18 +363,24 @@ def verify_algebra(
 
     record("last_mode_contraction", lower_raise[n - 1] - 1.0 - q_sq * raise_lower[n - 1])
 
-    for a in range(n):
-        for b in range(n):
+    peak_ladder = 0.0  # A in the allowance below: the largest amplitude gathered here
+    for b in range(n):
+        j_lower, j_raise = interior[lowerable[b]], interior[raisable[b]]
+        lower, raised = L[b][j_lower], R[b][j_raise]
+        peak_ladder = max(
+            peak_ladder,
+            float(np.max(np.abs(lower), initial=0.0)),
+            float(np.max(np.abs(raised), initial=0.0)),
+        )
+        for a in range(n):
             delta = 1.0 if a == b else 0.0
-            j = interior[lowerable[b]]
             record(
                 "number_ladder_commutator",
-                D[a][j - stride[b]] * L[b][j] - L[b][j] * D[a][j] + delta * L[b][j],
+                D[a][j_lower - stride[b]] * lower - lower * D[a][j_lower] + delta * lower,
             )
-            j = interior[raisable[b]]
             record(
                 "number_ladder_commutator",
-                D[a][j + stride[b]] * R[b][j] - R[b][j] * D[a][j] - delta * R[b][j],
+                D[a][j_raise + stride[b]] * raised - raised * D[a][j_raise] - delta * raised,
             )
 
     for a in range(n):
@@ -381,6 +397,13 @@ def verify_algebra(
         )
 
     deviations = {name: float(np.max(values)) for name, values in peaks.items()}
+    # Unlike the other families, the commutator's terms grow with the occupation: each
+    # product N a is at most n_max * A, n_max = cutoff - 2 the largest interior
+    # occupation and A the largest ladder amplitude gathered.  Its two products round by
+    # at most u * n_max * A each (u = 2^-53), their difference, about one amplitude, by
+    # about u * A, and the last sum by less; 4 u n_max A bounds all of it.  A
+    # non-finite A gets no allowance: its residual is not finite and fails anyway.
+    allowance = 4.0 * 2.0**-53 * (cfg.cutoff - 2) * peak_ladder
     return RelationReport(
         modes=n,
         cutoff=cfg.cutoff,
@@ -388,6 +411,7 @@ def verify_algebra(
         tol=tol,
         deviations=deviations,
         interior_size=int(interior.size),
+        allowances={"number_ladder_commutator": allowance if math.isfinite(allowance) else 0.0},
     )
 
 

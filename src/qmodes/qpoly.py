@@ -1,9 +1,11 @@
-"""Exact polynomials in q over arbitrary-precision rationals.
+"""Exact polynomials in q over integer coefficients.
 
 The deformed identities that hold for every q in (0, 1) are really
 polynomial identities in q, so this module keeps a second, float-free route
-next to the numeric one in :mod:`qmodes.qcore`.  Coefficients are
-:class:`fractions.Fraction`, exponents are plain powers of q (the identities
+next to the numeric one in :mod:`qmodes.qcore`.  Coefficients are Python
+``int`` (arbitrary precision, so nothing overflows); a coefficient that is
+not integral is kept as a :class:`fractions.Fraction`, and one that is
+integral never is.  Exponents are plain powers of q (the identities
 themselves live in q^2, i.e. only even exponents occur, but the
 representation does not enforce that), and equality of two constructions is
 decided exactly.  Division is long division with an exactness assertion, so
@@ -14,7 +16,7 @@ answer.
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 __all__ = [
     "QPolynomial",
@@ -31,36 +33,60 @@ _TERM_RE = re.compile(
 )
 
 
+def _normalise(value) -> Rational:
+    """The one coefficient normaliser: an integral value becomes an ``int``.
+
+    An ``int`` passes through; any other number (``Fraction``, numpy
+    integer, float) is converted to a ``Fraction`` exactly, and one whose
+    denominator is 1 is returned as its numerator.
+    """
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _exact_quotient(numerator: Rational, denominator: Rational) -> Rational:
+    """numerator / denominator without rounding: an ``int`` when it divides."""
+    if type(numerator) is int and type(denominator) is int:
+        quotient, rest = divmod(numerator, denominator)
+        if not rest:
+            return quotient
+    return _normalise(Fraction(numerator) / denominator)
+
+
+def _reduced(coeffs: dict[int, Rational]) -> dict[int, Rational]:
+    """Drop zeros and normalise ring-arithmetic results (a sum of Fractions may be integral)."""
+    return {e: _normalise(c) for e, c in coeffs.items() if c}
+
+
 class QPolynomial:
-    """Polynomial in q with Fraction coefficients, kept in canonical form.
+    """Polynomial in q with exact coefficients, kept in canonical form.
 
     Canonical means: no explicitly stored zero coefficients, all exponents
-    nonnegative integers.  Instances are treated as immutable; all
+    nonnegative integers, every coefficient an ``int`` unless it is not
+    integral (then a ``Fraction``).  Instances are treated as immutable; all
     arithmetic returns new objects.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, Rational] | None = None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Rational] = {}
         for exponent, coefficient in (coeffs or {}).items():
             if exponent < 0 or exponent != int(exponent):
                 raise ValueError(f"exponents must be nonnegative integers, got {exponent!r}")
-            value = Fraction(coefficient)
+            value = _normalise(coefficient)
             if value != 0:
                 clean[int(exponent)] = value
         self._coeffs = clean
 
     @classmethod
-    def _canonical(cls, coeffs: dict[int, Fraction]) -> "QPolynomial":
-        """Wrap a dict that is already canonical (Fraction values, no zeros)."""
+    def _canonical(cls, coeffs: dict[int, Rational]) -> "QPolynomial":
+        """Wrap a dict that is already canonical (normalised values, no zeros)."""
         poly = object.__new__(cls)
         poly._coeffs = coeffs
         return poly
-
-    def _shifted(self, exponent: int) -> "QPolynomial":
-        """Product with the monomial q^exponent, without coefficient arithmetic."""
-        return QPolynomial._canonical({e + exponent: c for e, c in self._coeffs.items()})
 
     # -- construction -------------------------------------------------
 
@@ -79,7 +105,7 @@ class QPolynomial:
     # -- inspection ---------------------------------------------------
 
     @property
-    def coeffs(self) -> dict[int, Fraction]:
+    def coeffs(self) -> dict[int, Rational]:
         return dict(self._coeffs)
 
     @property
@@ -87,8 +113,8 @@ class QPolynomial:
         """Largest exponent with nonzero coefficient; -1 for the zero polynomial."""
         return max(self._coeffs, default=-1)
 
-    def coefficient(self, exponent: int) -> Fraction:
-        return self._coeffs.get(exponent, Fraction(0))
+    def coefficient(self, exponent: int) -> Rational:
+        return self._coeffs.get(exponent, 0)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -117,7 +143,7 @@ class QPolynomial:
         merged = dict(self._coeffs)
         for exponent, coefficient in other._coeffs.items():
             merged[exponent] = merged.get(exponent, 0) + coefficient
-        return QPolynomial._canonical({e: c for e, c in merged.items() if c})
+        return QPolynomial._canonical(_reduced(merged))
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
@@ -125,7 +151,7 @@ class QPolynomial:
         merged = dict(self._coeffs)
         for exponent, coefficient in other._coeffs.items():
             merged[exponent] = merged.get(exponent, 0) - coefficient
-        return QPolynomial._canonical({e: c for e, c in merged.items() if c})
+        return QPolynomial._canonical(_reduced(merged))
 
     def __neg__(self) -> "QPolynomial":
         return QPolynomial._canonical({e: -c for e, c in self._coeffs.items()})
@@ -135,12 +161,12 @@ class QPolynomial:
             return QPolynomial({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        product: dict[int, Fraction] = {}
+        product: dict[int, Rational] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 exponent = e1 + e2
                 product[exponent] = product.get(exponent, 0) + c1 * c2
-        return QPolynomial._canonical({e: c for e, c in product.items() if c})
+        return QPolynomial._canonical(_reduced(product))
 
     __rmul__ = __mul__
 
@@ -157,21 +183,22 @@ class QPolynomial:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         remainder = dict(self._coeffs)
-        quotient: dict[int, Fraction] = {}
+        quotient: dict[int, Rational] = {}
         d_deg = other.degree
         d_lead = other._coeffs[d_deg]
         while remainder and max(remainder) >= d_deg:
             r_deg = max(remainder)
-            factor = remainder[r_deg] / d_lead
+            # an int whenever d_lead divides it, as it always does for a monic divisor
+            factor = _exact_quotient(remainder[r_deg], d_lead)
             shift = r_deg - d_deg
             quotient[shift] = factor  # nonzero, and each shift comes up once
             for e, c in other._coeffs.items():
                 target = e + shift
                 updated = remainder.get(target, 0) - factor * c
-                if updated == 0:
+                if not updated:
                     remainder.pop(target, None)
                 else:
-                    remainder[target] = updated
+                    remainder[target] = _normalise(updated)
         return QPolynomial._canonical(quotient), QPolynomial._canonical(remainder)
 
     def divide_exact(self, other: "QPolynomial") -> "QPolynomial":
@@ -192,8 +219,8 @@ class QPolynomial:
         A Fraction argument stays exact all the way through; a float argument
         produces an ordinary float.
         """
-        even: dict[int, Fraction] = {}
-        odd: dict[int, Fraction] = {}
+        even: dict[int, Rational] = {}
+        odd: dict[int, Rational] = {}
         for e, c in self._coeffs.items():
             if e % 2 == 0:
                 even[e // 2] = c
@@ -201,7 +228,7 @@ class QPolynomial:
                 odd[(e - 1) // 2] = c
         y = q * q
 
-        def horner(table: dict[int, Fraction]):
+        def horner(table: dict[int, Rational]):
             if not table:
                 return q * 0  # zero of the right type
             acc = table[max(table)] * 1
@@ -246,7 +273,7 @@ class QPolynomial:
         stripped = text.strip()
         if stripped == "0":
             return cls.zero()
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, Rational] = {}
         sign = 1
         for token in stripped.split():
             if token == "+":
@@ -265,7 +292,7 @@ class QPolynomial:
                 raise ValueError(f"cannot parse polynomial term {token!r}")
             coefficient = Fraction(match.group("coeff") or 1)
             exponent = int(match.group("exp") or 1) if match.group("q") else 0
-            coeffs[exponent] = coeffs.get(exponent, Fraction(0)) + sign * coefficient
+            coeffs[exponent] = coeffs.get(exponent, 0) + sign * coefficient
             sign = 1
         return cls(coeffs)
 
@@ -331,7 +358,10 @@ def poly_insertion_sum(counts: Sequence[int], slot: int) -> QPolynomial:
         + sum_{j>i} q^{2(n_1+...+n_{j-1}+1)} [n_j]
 
     which telescopes to the single bracket [N + 1], N = sum n_k.  Callers
-    compare against ``poly_q_number(N + 1)`` to certify the identity.
+    compare against ``poly_q_number(N + 1)`` to certify the identity.  Every
+    bracket above contributes unit coefficients at consecutive even
+    exponents up to 2N, so the sum is tallied in one dense list of ints and
+    wrapped once.
     """
     counts = tuple(int(c) for c in counts)
     if not counts:
@@ -340,15 +370,12 @@ def poly_insertion_sum(counts: Sequence[int], slot: int) -> QPolynomial:
         raise ValueError(f"counts must be nonnegative, got {counts!r}")
     if not 1 <= slot <= len(counts):
         raise ValueError(f"slot must be in 1..{len(counts)}, got {slot}")
-    total = QPolynomial.zero()
+    tally = [0] * (2 * sum(counts) + 1)
     prefix = 0
     for j, c in enumerate(counts, start=1):
-        if j < slot:
-            term = poly_q_number(c)._shifted(2 * prefix)
-        elif j == slot:
-            term = poly_q_number(c + 1)._shifted(2 * prefix)
-        else:
-            term = poly_q_number(c)._shifted(2 * (prefix + 1))
-        total = total + term
+        lowest = 2 * (prefix + 1) if j > slot else 2 * prefix
+        size = c + 1 if j == slot else c
+        for exponent in range(lowest, lowest + 2 * size, 2):
+            tally[exponent] += 1
         prefix += c
-    return total
+    return QPolynomial._canonical({e: c for e, c in enumerate(tally) if c})

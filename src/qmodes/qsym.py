@@ -276,8 +276,8 @@ def norm_identity_exact(counts: Sequence[int]):
         raise ValueError("counts must be a nonempty sequence")
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be nonnegative, got {counts!r}")
-    # one class's rows and their build; the exact division, caches cold, takes ~1 us * N^4
-    _check_space("norm_identity_exact", len(counts), sum(counts), 16, 1000 * sum(counts) ** 4)
+    # one class's rows and their build; the exact division, caches cold, takes ~30-70 ns * N^4
+    _check_space("norm_identity_exact", len(counts), sum(counts), 16, 100 * sum(counts) ** 4)
     tally = np.bincount(_arrangements(counts)[1])
     arrangement_sum = QPolynomial(
         {2 * inversions: int(number) for inversions, number in enumerate(tally) if number}

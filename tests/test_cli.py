@@ -253,6 +253,25 @@ def test_injected_corruption_trips_exactly_the_sensitive_families(capsys):
     assert failed == CORRUPTION_SENSITIVE
 
 
+@pytest.mark.parametrize(("modes", "cutoff"), [(2, 6), (3, 8)])
+def test_negative_controls_trip_exactly_the_sensitive_families(modes, cutoff, capsys):
+    argv = ["verify", "algebra", "--q", "0.5", "--modes", str(modes), "--cutoff", str(cutoff)]
+    code, out, _ = run_cli(argv + ["--inject-corruption"], capsys)
+    assert code == 1
+    failed = {
+        line.split()[1] for line in out.strip().split("\n") if line.startswith("FAIL ")
+    }
+    assert failed == CORRUPTION_SENSITIVE
+
+
+def test_large_occupations_pass_the_number_ladder_commutator(capsys):
+    # deviation 1.6e-12 against --tol 1e-12, inside the family's rounding allowance
+    argv = ["verify", "algebra", "--q", "0.2", "--modes", "1", "--cutoff", "10000"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "PASS number_ladder_commutator" in out
+
+
 def test_corruption_needs_two_modes(capsys):
     code, _, err = run_cli(
         ["verify", "algebra", "--modes", "1", "--inject-corruption"], capsys

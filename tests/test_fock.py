@@ -198,6 +198,22 @@ def test_verify_algebra_passes_on_honest_operators(modes, q):
     assert max(report.deviations.values()) < 1e-13
 
 
+def test_only_the_number_ladder_commutator_gets_a_rounding_allowance():
+    params = DeformationParams(0.2)
+    cfg = FockSpaceConfig(1, 10000, params)
+    report = verify_algebra(cfg, tol=1e-12)
+    n_max = cfg.cutoff - 2
+    # the largest gathered amplitude is sqrt([n_max]), from a at n_max and a^dag at n_max - 1
+    allowance = 4 * 2.0**-53 * n_max * math.sqrt(q_number(params, n_max))
+    assert report.threshold("number_ladder_commutator") == pytest.approx(1e-12 + allowance)
+    for name in RELATION_FAMILIES:
+        if name != "number_ladder_commutator":
+            assert report.threshold(name) == 1e-12
+    # honest operators: the deviation passes --tol alone, but not the stated allowance
+    assert 1e-12 < report.deviations["number_ladder_commutator"] < allowance
+    assert report.passed and report.failing() == []
+
+
 def test_verify_algebra_needs_margin():
     with pytest.raises(ValueError):
         verify_algebra(cfg_for(cutoff=2))

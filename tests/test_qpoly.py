@@ -18,6 +18,9 @@ from qmodes.qpoly import (
     poly_q_multinomial,
     poly_q_number,
 )
+from qmodes.qsym import norm_identity_exact
+
+from qpoly_oracle import reference_insertion_sum
 
 coefficients = st.one_of(
     st.integers(min_value=-6, max_value=6),
@@ -247,3 +250,43 @@ def test_insertion_sum_slot_bounds():
         poly_insertion_sum((), 1)
     with pytest.raises(ValueError):
         poly_insertion_sum((-1,), 1)
+
+
+@given(counts=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_insertion_sum_matches_term_by_term_oracle(counts):
+    for slot in range(1, len(counts) + 1):
+        assert poly_insertion_sum(counts, slot) == reference_insertion_sum(counts, slot)
+
+
+# ---------------------------------------------------------------------------
+# coefficient types
+
+
+def _coefficient_types(poly: QPolynomial) -> set[type]:
+    return {type(c) for c in poly.coeffs.values()}
+
+
+def test_integer_constructions_have_int_coefficients():
+    shapes = ((0,), (3,), (2, 2), (1, 0, 2), (3, 2, 1), (2, 2, 2, 1))
+    polys = [poly_q_number(n) for n in range(1, 10)]
+    polys += [poly_q_factorial(n) for n in range(0, 10)]
+    polys += [poly_q_multinomial(counts) for counts in shapes]
+    for counts in shapes:
+        polys += [poly_insertion_sum(counts, slot) for slot in range(1, len(counts) + 1)]
+        polys += list(norm_identity_exact(counts))
+    for poly in polys:
+        assert not poly.is_zero()
+        assert _coefficient_types(poly) == {int}
+    assert _coefficient_types(QPolynomial({0: Fraction(4, 2), 2: Fraction(3)})) == {int}
+    assert type(QPolynomial({0: 1}).coefficient(7)) is int
+
+
+def test_non_monic_division_keeps_rational_coefficients():
+    dividend = QPolynomial({0: 1, 1: 1, 3: 1})  # 1 + q + q^3
+    divisor = QPolynomial({0: 2, 1: 3})  # 2 + 3q
+    quotient, remainder = dividend.divmod(divisor)
+    assert Fraction in _coefficient_types(quotient)
+    assert quotient == QPolynomial({2: Fraction(1, 3), 1: Fraction(-2, 9), 0: Fraction(13, 27)})
+    assert quotient * divisor + remainder == dividend
+    assert remainder.degree < divisor.degree
