@@ -22,7 +22,6 @@ configuration or out-of-bounds request.
 """
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -35,6 +34,7 @@ import scipy.sparse as sp
 
 from . import __version__, coherent, fock, qsym
 from .qcore import (
+    WORK_BUDGET,
     DeformationParams,
     DomainError,
     check_budget,
@@ -382,49 +382,81 @@ def _parse_word(text: str, modes: int) -> qsym.Word:
     return qsym.Word(letters, n_modes)
 
 
+def _exchange_work(n: int, size: int) -> float:
+    """Predicted steps (~1 ns each) of the exchange and transposition checks at one size."""
+    classes = size_estimate(math.lgamma(size + n) - math.lgamma(n) - math.lgamma(size + 1))
+    words = size_estimate(size * math.log(n))
+    # sum over the classes of rows x inversion levels: every level 0..max occurs, and
+    # the mean of sum_k c_k^2 over all words is N(1 - 1/n) + N^2/n
+    entries = words * (1 + size * (size - 1) * (n - 1) / (2 * n))
+    # per class ~100 us plus ~70 us per letter (one arrangement step, one position's
+    # gathers); ~12 ns per table entry and position
+    kernel = classes * (100_000 + 70_000 * size) + 12 * (size - 1) * entries
+    # per transposition ~300 us + 100 ns per entry to build and square it
+    inverse = (size - 1) * (300_000 + 100 * words)
+    # per class a sorted-word state (~40 us + 20 ns per entry), then per transposition
+    # one product and difference (~30 us + 6 ns per entry)
+    invariance = classes * (40_000 + 20 * words + (size - 1) * (30_000 + 6 * words))
+    return kernel + inverse + invariance
+
+
 def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     if config.particles < 2:
         raise ConfigError("exchange checks need N >= 2")
     n, N = config.modes, config.particles
     top = size_estimate(N * math.log(n))
-    # per q: (N-1)(2 n^N + N) checks of ~40 us + 10 ns/entry + 200 ns/letter pair; bytes: N-1
-    # stored transpositions (16 per entry), one being squared (80), the arrangement cache (32)
-    work = len(config.q_values) * (N - 1) * (2 * top + N) * (40_000 + 10 * top + 200 * N**2)
-    check_budget(f"qsym exchange up to N={N} over {n} modes", (16 * N + 96) * top, work)
+    a, b = divmod(N, n)  # the largest class: b letters a + 1 times, n - b letters a times
+    rows = size_estimate(math.lgamma(N + 1) - b * math.lgamma(a + 2) - (n - b) * math.lgamma(a + 1))
+    levels = (N * N - b * (a + 1) ** 2 - (n - b) * a * a) // 2 + 1
+    # bytes: N-1 stored transpositions (16 per entry), one being squared (80), the
+    # arrangement cache (32), and the exchange kernel's table of the largest class
+    nbytes = (16 * N + 96) * top + rows * (100 + 16 * levels)
+    work = 0.0
+    for size in range(N, 1, -1):  # the largest sizes cost most; stop once past the budget
+        work += len(config.q_values) * _exchange_work(n, size)
+        if work > WORK_BUDGET:
+            break
+    check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, work)
     records = []
     for q in config.q_values:
         params = DeformationParams(q)
         for size in range(2, config.particles + 1):
             start = time.perf_counter()
             worst = 0.0
-            for letters in itertools.product(range(1, config.modes + 1), repeat=size):
-                word = qsym.Word(letters, config.modes)
-                for k in range(1, size):
-                    report = qsym.exchange_check(word, k, params, tol=config.tol)
-                    worst = max(worst, report.residual)
-            millis = _elapsed_ms(start)
+            for counts in _count_vectors(config.modes, size, exact_total=True):
+                worst = max(worst, float(qsym.exchange_check(counts, params)[1].max()))
             records.append(
                 CheckRecord(
                     name="qsym_exchange",
                     params={"q": q, "N": size, "modes": config.modes},
                     passed=worst < config.tol,
                     deviation=worst,
-                    millis=millis,
+                    millis=_elapsed_ms(start),
                 )
             )
+            # the inverse check's time includes building the transpositions it shares
             start = time.perf_counter()
-            dim = config.modes**size
-            invariance = 0.0
-            inverse = 0.0
             ops = [
                 qsym.transposition_op(size, config.modes, k, params)
                 for k in range(1, size)
             ]
-            identity = sp.identity(dim, format="csr")
+            identity = sp.identity(config.modes**size, format="csr")
+            inverse = 0.0
             for op in ops:
                 delta = (op @ op - identity).tocsr()
                 if delta.nnz:
                     inverse = max(inverse, float(np.max(np.abs(delta.data))))
+            records.append(
+                CheckRecord(
+                    name="qsym_transposition_inverse",
+                    params={"q": q, "N": size, "modes": config.modes},
+                    passed=inverse < config.tol,
+                    deviation=inverse,
+                    millis=_elapsed_ms(start),
+                )
+            )
+            start = time.perf_counter()
+            invariance = 0.0
             for counts in _count_vectors(config.modes, size, exact_total=True):
                 sorted_word = qsym.Word(
                     tuple(
@@ -439,23 +471,13 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                     invariance = max(
                         invariance, float(np.max(np.abs(op @ vector - vector)))
                     )
-            millis = _elapsed_ms(start)
-            records.append(
-                CheckRecord(
-                    name="qsym_transposition_inverse",
-                    params={"q": q, "N": size, "modes": config.modes},
-                    passed=inverse < config.tol,
-                    deviation=inverse,
-                    millis=millis,
-                )
-            )
             records.append(
                 CheckRecord(
                     name="qsym_transposition_invariance",
                     params={"q": q, "N": size, "modes": config.modes},
                     passed=invariance < config.tol,
                     deviation=invariance,
-                    millis=millis,
+                    millis=_elapsed_ms(start),
                 )
             )
     return records, []

@@ -186,8 +186,11 @@ class QPolynomial:
         quotient: dict[int, Rational] = {}
         d_deg = other.degree
         d_lead = other._coeffs[d_deg]
-        while remainder and max(remainder) >= d_deg:
-            r_deg = max(remainder)
+        # each step cancels the top term and changes only exponents below it, so one
+        # walk down from the top meets every quotient term, in the order a rescan would
+        for r_deg in range(max(remainder, default=-1), d_deg - 1, -1):
+            if r_deg not in remainder:
+                continue
             # an int whenever d_lead divides it, as it always does for a monic divisor
             factor = _exact_quotient(remainder[r_deg], d_lead)
             shift = r_deg - d_deg

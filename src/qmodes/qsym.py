@@ -37,7 +37,6 @@ __all__ = [
     "q_symmetrize",
     "bosonic_symmetrize",
     "fundamental_norm",
-    "ExchangeReport",
     "exchange_check",
     "transposition_op",
     "norm_identity_exact",
@@ -127,8 +126,8 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     and read-only, because every caller shares them.
     """
     n_modes = len(counts)
-    # the narrowest signed type that holds every multiplicity
-    dtype = np.min_scalar_type(-sum(counts))
+    # the narrowest signed type that holds every count up to N (it holds -N - 1)
+    dtype = np.min_scalar_type(-sum(counts) - 1)
     total = np.array(counts, dtype=dtype)
     left = total[np.newaxis, :]  # letters still to place, per prefix
     index = np.zeros(1, dtype=np.int64)
@@ -163,6 +162,15 @@ def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:
     return math.sqrt(prefactor / q_factorial(params, sum(counts)))
 
 
+def _powers(q: float, size: int) -> np.ndarray:
+    """q**k for k = 0..size(size-1)/2, every inversion count a word of that size can have.
+
+    One Python pow per entry: numpy's float power can differ from it in the
+    last bit, and the states must equal the reference sum exactly.
+    """
+    return np.array([q**k for k in range(size * (size - 1) // 2 + 1)])
+
+
 def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     """q-symmetrized state of a word as a dense vector of dimension n^N.
 
@@ -172,15 +180,11 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     """
     # the dense vector and its class rows; weights and inversions ~200 ns per letter pair
     _check_space("q_symmetrize", word.n_modes, word.size, 16, 200 * word.size**2)
-    q = params.q
-    base = q ** inversion_count(word.letters) * _prefactor(params, word.counts)
-    # one Python pow per inversion count: numpy's float power can differ from
-    # it in the last bit, and the states must equal the reference sum exactly
-    max_inversions = word.size * (word.size - 1) // 2
-    weights = np.array([base * q**k for k in range(max_inversions + 1)])
+    powers = _powers(params.q, word.size)
+    base = powers[inversion_count(word.letters)] * _prefactor(params, word.counts)
     index, inversions = _arrangements(word.counts)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
-    vector[index] = weights[inversions]
+    vector[index] = (base * powers)[inversions]
     return vector
 
 
@@ -198,38 +202,62 @@ def fundamental_norm(word: Word, params: DeformationParams) -> float:
     return float(vector @ vector)
 
 
-@dataclass(frozen=True)
-class ExchangeReport:
-    """Residual of the adjacent-exchange relation at one position."""
-
-    word: tuple[int, ...]
-    position: int
-    factor: float
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.tol
-
-
 def exchange_check(
-    word: Word, k: int, params: DeformationParams, tol: float = 1e-13
-) -> ExchangeReport:
-    """Verify |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q at position k.
+    counts: Sequence[int], params: DeformationParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q on every word of one class.
 
-    Equal adjacent letters make the two sides identical by construction, so
-    the residual is then exactly zero.
+    The class is every arrangement of the letter multiset ``counts``; row r
+    of both results is its r-th word in lexicographic order (ascending tensor
+    index, the row order of ``_arrangements``) and column k - 1 is position k.
+    Returns ``(factors, residuals)``: the factor q^{eps} and the largest
+    absolute entry of |w>_q - q^{eps} |swap_k(w)>_q.
+
+    Every state of the class is supported on the class, where the state of
+    word w at arrangement u is (q^{R(w)} prefactor) q^{R(u)}.  So the table
+    of those products over the inversion levels R(u) that occur holds every
+    entry of every state of the class, computed with exactly the arithmetic
+    of ``q_symmetrize``, and the residual is a row difference of the table.
+    Equal adjacent letters swap a word onto itself with factor 1, so the
+    residual is then exactly zero.
     """
-    swapped = word.swap_adjacent(k)
-    epsilon = sign_compare(word.letters[k - 1], word.letters[k])
-    factor = params.q**epsilon
-    residual = float(
-        np.max(np.abs(q_symmetrize(word, params) - factor * q_symmetrize(swapped, params)))
+    counts = tuple(int(c) for c in counts)
+    if any(c < 0 for c in counts):
+        raise ValueError(f"counts must be nonnegative, got {counts!r}")
+    n_modes, size = len(counts), sum(counts)
+    if size * math.log2(max(n_modes, 1)) > 63:
+        raise ValueError(f"the words of the class {counts} have tensor indices past int64")
+    rows = size_estimate(math.lgamma(size + 1) - sum(math.lgamma(c + 1) for c in counts))
+    entries = rows * ((size * size - sum(c * c for c in counts)) // 2 + 1)  # R in 0..max
+    # the class rows (~100 B each), the table and one product being reduced (16 B per
+    # entry); ~5 ns per entry and position and ~100 ns per row and position
+    check_budget(
+        f"exchange_check on the class {counts}",
+        100 * rows + 16 * entries,
+        (size - 1) * (5 * entries + 100 * rows),
     )
-    return ExchangeReport(
-        word=word.letters, position=k, factor=factor, residual=residual, tol=tol
+    index, inversions = _arrangements(counts)
+    levels = np.flatnonzero(np.bincount(inversions))
+    powers = _powers(params.q, size)
+    base = powers[inversions] * _prefactor(params, counts)
+    table = base[:, np.newaxis] * powers[levels]
+    comparator = np.array(
+        [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
     )
+    factors = np.empty((index.size, max(size - 1, 0)))
+    residuals = np.empty_like(factors)
+    for k in range(1, size):
+        stride_right = n_modes ** (size - k - 1)  # position k+1
+        stride_left = stride_right * n_modes  # position k
+        left = index // stride_left % n_modes
+        right = index // stride_right % n_modes
+        swapped = index + (left - right) * (stride_right - stride_left)
+        factors[:, k - 1] = comparator[left, right]
+        image = table[np.searchsorted(index, swapped)]
+        image *= factors[:, k - 1, np.newaxis]
+        np.subtract(table, image, out=image)
+        residuals[:, k - 1] = np.abs(image, out=image).max(axis=1)
+    return factors, residuals
 
 
 def transposition_op(

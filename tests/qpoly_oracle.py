@@ -1,12 +1,15 @@
-"""Reference insertion sum built term by term, kept for the tests.
+"""Reference insertion sum and long division, kept for the tests.
 
 ``qmodes.qpoly.poly_insertion_sum`` tallies every shifted bracket's unit
 coefficients into one list of ints.  The routine here is the plain route it
 replaced: one polynomial per term, q-shifted by multiplying with a monomial,
-and summed with polynomial addition.  The tests compare the two for
-equality.
+and summed with polynomial addition.  ``QPolynomial.divmod`` walks the
+remainder's exponents down once; the reference division rescans the
+remainder for its top term at every step, in plain ``Fraction`` arithmetic.
+The tests compare each pair for equality.
 """
 
+from fractions import Fraction
 from typing import Sequence
 
 from qmodes.qpoly import QPolynomial, poly_q_number
@@ -29,3 +32,19 @@ def reference_insertion_sum(counts: Sequence[int], slot: int) -> QPolynomial:
         total = total + term
         prefix += c
     return total
+
+
+def reference_divmod(dividend: QPolynomial, divisor: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
+    """Long division that looks up the remainder's top term afresh at every step."""
+    remainder = {e: Fraction(c) for e, c in dividend.coeffs.items()}
+    quotient = {}
+    lead = Fraction(divisor.coefficient(divisor.degree))
+    while remainder and max(remainder) >= divisor.degree:
+        top = max(remainder)
+        factor = remainder[top] / lead
+        shift = top - divisor.degree
+        quotient[shift] = factor
+        for e, c in divisor.coeffs.items():
+            remainder[e + shift] = remainder.get(e + shift, Fraction(0)) - factor * c
+        remainder = {e: c for e, c in remainder.items() if c}
+    return QPolynomial(quotient), QPolynomial(remainder)

@@ -1,18 +1,20 @@
-"""Reference enumeration of multiset arrangements, kept for the tests.
+"""Reference enumeration of multiset arrangements and exchange checks, kept for the tests.
 
-``qmodes.qsym`` builds every arrangement class with one vectorised kernel.
-The routines here are the plain recursive route it replaced: one word at a
-time, with O(N^2) inversions per word.  The tests compare the kernel against
-them on small shapes.
+``qmodes.qsym`` builds every arrangement class with one vectorised kernel,
+and checks the exchange law for a whole class at once.  The routines here
+are the plain routes they replaced: one word at a time, with O(N^2)
+inversions per word, and two dense n^N states per (word, position).  The
+tests compare the kernels against them on small shapes.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from qmodes.qcore import DeformationParams, q_factorial
-from qmodes.qsym import Word, inversion_count
+from qmodes.qsym import Word, inversion_count, q_symmetrize, sign_compare
 
 
 def multiset_arrangements(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -79,3 +81,33 @@ def reference_tally(counts: Sequence[int]) -> dict[int, int]:
         inversions = inversion_count(arrangement)
         tally[inversions] = tally.get(inversions, 0) + 1
     return tally or {0: 1}
+
+
+@dataclass(frozen=True)
+class ExchangeReport:
+    """Residual of the adjacent-exchange relation at one position."""
+
+    word: tuple[int, ...]
+    position: int
+    factor: float
+    residual: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.residual < self.tol
+
+
+def reference_exchange_check(
+    word: Word, k: int, params: DeformationParams, tol: float = 1e-13
+) -> ExchangeReport:
+    """Verify |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q at position k on dense states."""
+    swapped = word.swap_adjacent(k)
+    epsilon = sign_compare(word.letters[k - 1], word.letters[k])
+    factor = params.q**epsilon
+    residual = float(
+        np.max(np.abs(q_symmetrize(word, params) - factor * q_symmetrize(swapped, params)))
+    )
+    return ExchangeReport(
+        word=word.letters, position=k, factor=factor, residual=residual, tol=tol
+    )

@@ -148,6 +148,19 @@ def test_norm_sweep_of_the_symmetric_workload_is_admitted(capsys):
     assert code == 0, err
 
 
+def test_exchange_sweep_of_four_modes_and_eight_letters_is_admitted(capsys):
+    # the exchange law is checked one arrangement class at a time, with no dense
+    # n^N state per word, so 4^8 words fit the budget
+    argv = ["qsym", "exchange", "--q", "0.5", "--modes", "4", "--N", "8"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert out.strip().split("\n")[-1] == "overall PASS (21 checks)"
+    # 6^10 words are still refused, on the bytes of the stored transpositions
+    code, _, err = run_cli(["qsym", "exchange", "--modes", "6", "--N", "10"], capsys)
+    assert code == 2
+    assert float(err.split("needs about ")[1].split(" bytes")[0]) > 2**30
+
+
 def test_seven_modes_and_long_one_mode_words_are_accepted(capsys):
     # 7^2 entries in seven modes, and one 200-letter word in a single mode
     for modes, word in (("7", "1,2"), ("1", ",".join(["1"] * 200))):

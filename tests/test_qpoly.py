@@ -20,7 +20,7 @@ from qmodes.qpoly import (
 )
 from qmodes.qsym import norm_identity_exact
 
-from qpoly_oracle import reference_insertion_sum
+from qpoly_oracle import reference_divmod, reference_insertion_sum
 
 coefficients = st.one_of(
     st.integers(min_value=-6, max_value=6),
@@ -115,6 +115,18 @@ def test_divmod_reconstructs(a, b):
     quotient, remainder = a.divmod(b)
     assert quotient * b + remainder == a
     assert remainder.is_zero() or remainder.degree < b.degree
+
+
+@given(a=polynomials, b=polynomials)
+@settings(max_examples=60, deadline=None)
+def test_divmod_equals_the_rescanning_reference(a, b):
+    if b.is_zero():
+        return
+    quotient, remainder = a.divmod(b)
+    reference = reference_divmod(a, b)
+    assert (quotient, remainder) == reference
+    for mine, theirs in zip((quotient, remainder), reference):
+        assert all(type(c) is type(theirs.coefficient(e)) for e, c in mine.coeffs.items())
 
 
 def test_divide_exact_raises_on_remainder():

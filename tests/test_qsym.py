@@ -9,10 +9,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from qmodes.cli import _count_vectors
 from qmodes.qcore import DeformationParams, DomainError, q_factorial
 from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
-    ExchangeReport,
     Word,
     _arrangements,
     bosonic_symmetrize,
@@ -26,6 +26,7 @@ from qmodes.qsym import (
 )
 from qsym_oracle import (
     multiset_arrangements,
+    reference_exchange_check,
     reference_q_symmetrize,
     reference_tally,
     tensor_index,
@@ -192,6 +193,13 @@ def test_kernel_memory_follows_the_class_not_the_tensor_space():
     assert peak < 100 * rows < 8 * 4**9
 
 
+def test_kernel_holds_counts_past_the_narrowest_type():
+    # int8 holds -128 but not 128: the count type must hold N itself
+    for size in (127, 128, 200):
+        index, inversions = _arrangements((size,))
+        assert index.tolist() == [0] and inversions.tolist() == [0]
+
+
 # ---------------------------------------------------------------------------
 # q-symmetrized states
 
@@ -245,23 +253,74 @@ def test_size_bounds_are_enforced():
 # exchange relation and deformed transpositions
 
 
+def word_row(word: Word) -> int:
+    """Row of a word in the exchange kernel's results for its class."""
+    index = _arrangements(word.counts)[0]
+    return int(np.searchsorted(index, tensor_index(word.letters, word.n_modes)))
+
+
 def test_exchange_relation_everywhere():
     for q in Q_GRID:
         params = DeformationParams(q)
-        for word in words_up_to(3, 4):
-            for k in range(1, word.size):
-                report = exchange_check(word, k, params)
-                assert report.passed, (word.letters, k, q, report.residual)
+        for size in range(1, 5):
+            for counts in _count_vectors(3, size, exact_total=True):
+                _, residuals = exchange_check(counts, params)
+                assert residuals.shape == (len(_arrangements(counts)[0]), size - 1)
+                assert np.all(residuals < 1e-13), (counts, q, residuals.max())
 
 
 def test_exchange_factor_orientation():
     params = DeformationParams(0.5)
     # ascending pair: swapping costs q^{-1}; descending: q^{+1}
-    assert exchange_check(Word((1, 2), 2), 1, params).factor == pytest.approx(2.0)
-    assert exchange_check(Word((2, 1), 2), 1, params).factor == pytest.approx(0.5)
-    equal = exchange_check(Word((2, 2), 2), 1, params)
-    assert equal.factor == 1.0
-    assert equal.residual == 0.0
+    factors, _ = exchange_check((1, 1), params)  # rows (1, 2) and (2, 1)
+    assert factors[word_row(Word((1, 2), 2)), 0] == pytest.approx(2.0)
+    assert factors[word_row(Word((2, 1), 2)), 0] == pytest.approx(0.5)
+    factors, residuals = exchange_check((0, 2), params)  # the one row (2, 2)
+    assert factors[0, 0] == 1.0
+    assert residuals[0, 0] == 0.0
+
+
+def seeded_shapes(number: int, seed: int) -> list[tuple[int, ...]]:
+    """Letter counts of random classes over 2 to 4 modes with N from 2 to 6."""
+    rng = np.random.default_rng(seed)
+    shapes = []
+    for _ in range(number):
+        n_modes, size = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        shapes.append(tuple(int(c) for c in rng.multinomial(size, [1 / n_modes] * n_modes)))
+    return shapes
+
+
+# the empty class, fixed edge shapes, then seeded ones
+EXCHANGE_SHAPES = [(0, 0), (3,), (1, 1), (0, 3), (2, 0, 1), (1, 2, 0, 2), (2, 2, 2), (1, 1, 1, 1)]
+EXCHANGE_SHAPES += seeded_shapes(12, 2024)
+
+
+@pytest.mark.parametrize("counts", EXCHANGE_SHAPES, ids=str)
+def test_exchange_kernel_equals_the_per_word_reference(counts):
+    n_modes = len(counts)
+    for q in Q_GRID:
+        params = DeformationParams(q)
+        factors, residuals = exchange_check(counts, params)
+        words = list(multiset_arrangements(counts)) if sum(counts) else []
+        assert residuals.shape == (max(len(words), 1), max(sum(counts) - 1, 0))
+        for row, letters in enumerate(words):
+            for k in range(1, len(letters)):
+                report = reference_exchange_check(Word(letters, n_modes), k, params)
+                assert factors[row, k - 1] == report.factor, (letters, k, q)
+                assert residuals[row, k - 1] == report.residual, (letters, k, q)
+                if letters[k - 1] == letters[k]:
+                    assert residuals[row, k - 1] == 0.0
+
+
+def test_exchange_kernel_rejects_bad_classes():
+    params = DeformationParams(0.5)
+    with pytest.raises(ValueError):
+        exchange_check((2, -1), params)
+    # 1560 words, but 3^40 > 2^63 tensor indices: refused, not wrapped
+    with pytest.raises(ValueError, match="int64"):
+        exchange_check((38, 1, 1), params)
+    _, residuals = exchange_check((61, 2), params)  # 2^63 indices still fit
+    assert residuals.shape == (1953, 62)
 
 
 def test_transposition_is_involution():
@@ -301,8 +360,8 @@ def test_transposition_bounds():
 def test_exchange_property(letters, k, q):
     word = Word(tuple(letters), 4)
     position = 1 + k % (word.size - 1)
-    report = exchange_check(word, position, DeformationParams(q), tol=1e-12)
-    assert report.passed
+    _, residuals = exchange_check(word.counts, DeformationParams(q))
+    assert residuals[word_row(word), position - 1] < 1e-12
 
 
 # ---------------------------------------------------------------------------
