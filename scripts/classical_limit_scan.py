@@ -29,7 +29,7 @@ def commutator_ratio(params: DeformationParams, modes: int, cutoff: int) -> floa
     interior = interior_indices(cfg, margin=2)
     worst = 0.0
     for i in range(1, modes + 1):
-        lower, raiser = annihilator(cfg, i), creator(cfg, i)
+        lower, raiser = annihilator(cfg, i).tocsr(), creator(cfg, i).tocsr()
         block = (lower @ raiser - raiser @ lower)[interior][:, interior]
         residual = block - sp.identity(len(interior), format="csr")
         worst = max(worst, float(np.max(np.abs(residual.data), initial=0.0)))

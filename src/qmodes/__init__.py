@@ -12,7 +12,7 @@ Layers, bottom to top:
 
 - :mod:`qmodes.qcore`  — scalar q-analysis (brackets, q-exponential, Jackson)
 - :mod:`qmodes.qpoly`  — exact polynomials in q with integer coefficients
-- :mod:`qmodes.fock`   — sparse ladder operators and relation certification
+- :mod:`qmodes.fock`   — weighted-shift ladder operators and relation certification
 - :mod:`qmodes.coherent` — coherent states, eigenvalue and completeness checks
 - :mod:`qmodes.qsym`   — q-symmetrized tensor words and exchange laws
 - :mod:`qmodes.cli`    — the ``qmodes`` command-line verification harness

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__, coherent, fock, qsym
 from .qcore import (
@@ -400,6 +399,26 @@ def _exchange_work(n: int, size: int) -> float:
     return kernel + inverse + invariance
 
 
+def _square_minus_identity(op: fock.ShiftOperator) -> float:
+    """Largest |entry| of T·T − I for a square weighted shift T, from its CSR arrays.
+
+    Row r of T stores value[r] at column[r], so row r of T·T stores
+    value[r]·value[column[r]] at column[column[r]].  An empty row reads the
+    sentinel column dim, which stores 0 and points at itself.  Where the square
+    lands on the diagonal the entry is that product minus 1; elsewhere the row
+    holds the product and the identity's -1 apart.
+    """
+    dim = op.shape[0]
+    column = np.full(dim + 1, dim)
+    value = np.zeros(dim + 1, dtype=op.dtype)
+    rows = op.rows()
+    column[rows], value[rows] = op.indices, op.data
+    square = value[:dim] * value[column[:dim]]
+    diagonal = column[column[:dim]] == np.arange(dim)
+    entries = np.where(diagonal, np.abs(square - 1.0), np.maximum(np.abs(square), 1.0))
+    return float(np.max(entries, initial=0.0))
+
+
 def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     if config.particles < 2:
         raise ConfigError("exchange checks need N >= 2")
@@ -440,12 +459,9 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                 qsym.transposition_op(size, config.modes, k, params)
                 for k in range(1, size)
             ]
-            identity = sp.identity(config.modes**size, format="csr")
             inverse = 0.0
             for op in ops:
-                delta = (op @ op - identity).tocsr()
-                if delta.nnz:
-                    inverse = max(inverse, float(np.max(np.abs(delta.data))))
+                inverse = max(inverse, _square_minus_identity(op))
             records.append(
                 CheckRecord(
                     name="qsym_transposition_inverse",
@@ -468,9 +484,9 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                 )
                 vector = qsym.q_symmetrize(sorted_word, params)
                 for op in ops:
-                    invariance = max(
-                        invariance, float(np.max(np.abs(op @ vector - vector)))
-                    )
+                    residual = op @ vector  # a fresh array: reduced in place, no more allocations
+                    residual -= vector
+                    invariance = max(invariance, float(np.max(np.abs(residual, out=residual))))
             records.append(
                 CheckRecord(
                     name="qsym_transposition_invariance",

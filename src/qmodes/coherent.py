@@ -40,6 +40,7 @@ from . import fock
 from .qcore import (
     DeformationParams,
     DomainError,
+    _brackets,
     jackson_moment,
     q_exp_reciprocal,
     q_factorial,
@@ -120,10 +121,11 @@ class CoherentState:
 
 def mode_coefficients(params: DeformationParams, z: complex, cutoff: int) -> np.ndarray:
     """Single-mode coefficients z^m / sqrt([m]!) for m < cutoff."""
+    brackets = _brackets(params, cutoff)
     coeff = np.zeros(cutoff, dtype=np.complex128)
     coeff[0] = 1.0
     for m in range(1, cutoff):
-        coeff[m] = coeff[m - 1] * z / math.sqrt(q_number(params, m))
+        coeff[m] = coeff[m - 1] * z / math.sqrt(brackets[m])
     return coeff
 
 
@@ -135,14 +137,15 @@ def mode_tail_bound(params: DeformationParams, z: complex, cutoff: int) -> float
     tail, already divided by the (>= 1) retained partial sum.  Returns inf
     while the majorant does not yet apply.
     """
+    brackets = _brackets(params, cutoff + 2)
     x = abs(z) ** 2
     term = 1.0
     partial = 1.0
     for m in range(1, cutoff):
-        term *= x / q_number(params, m)
+        term *= x / brackets[m]
         partial += term
-    first_dropped = term * x / q_number(params, cutoff)
-    ratio = x / q_number(params, cutoff + 1)
+    first_dropped = term * x / brackets[cutoff]
+    ratio = x / brackets[cutoff + 1]
     if ratio >= 1.0:
         return math.inf
     return first_dropped / (1.0 - ratio) / partial

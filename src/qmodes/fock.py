@@ -15,26 +15,30 @@ cutoff - 2, applied to rows and columns alike): there the quadratic
 relations are exact, so the verifier can demand agreement at full floating
 precision instead of hiding truncation artifacts behind a loose tolerance.
 
-Operators are real ``float64`` scipy CSR matrices; a plain text
-coordinate-list export is provided for cross-tool diffing.  Each one is a
-weighted shift: a_i, a_i^dag and N_i send a basis state to at most one basis
-state, along one diagonal of the matrix.  ``verify_algebra`` reads every
-operator it is given through that one shift diagonal and refuses an operator
-that stores a nonzero anywhere else, then forms each relation residual from
-gathered amplitudes on the interior, without any matrix product.
+Operators are real ``float64`` weighted shifts (:class:`ShiftOperator`): a_i,
+a_i^dag and N_i send a basis state to at most one basis state, along one
+diagonal of the matrix, so each is stored as a CSR triple with at most one
+entry per row and per column, and applied to a vector by one gather-multiply.
+Sparse algebra on them (products, slicing, transposes) goes through
+``op.tocsr()``, which imports scipy only when called; nothing on the path of
+a ``qmodes`` verb does.  A plain text coordinate-list export is provided for
+cross-tool diffing.  ``verify_algebra`` reads every operator it is given
+through its one shift diagonal and refuses an operator that stores a nonzero
+anywhere else, then forms each relation residual from gathered amplitudes on
+the interior, without any matrix product.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qcore import DeformationParams, check_budget, q_number, size_estimate
 
 __all__ = [
+    "ShiftOperator",
     "FockSpaceConfig",
     "RelationReport",
     "occupation_table",
@@ -64,6 +68,92 @@ RELATION_FAMILIES = (
 )
 
 
+class ShiftOperator:
+    """A weighted shift: a sparse matrix with at most one entry per row and per column.
+
+    ``data``, ``indices`` and ``indptr`` are its CSR triple, with the meaning
+    they have on a scipy ``csr_matrix``: row r stores ``data[k]`` at column
+    ``indices[k]`` for k in ``indptr[r]:indptr[r + 1]``.  ``op @ vector`` is
+    one gather-multiply; ``tocsr()`` hands the triple to scipy for sparse
+    algebra, importing it only then.
+    """
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
+        rows, columns = (int(n) for n in shape)
+        per_row = np.diff(indptr)
+        if (
+            indptr.shape != (rows + 1,)
+            or indices.shape != data.shape
+            or indptr[0] != 0
+            or indptr[-1] != data.size
+            or np.any((per_row < 0) | (per_row > 1))
+            or np.any((indices < 0) | (indices >= columns))
+            or np.any(np.bincount(indices, minlength=columns) > 1)
+        ):
+            raise ValueError("a ShiftOperator stores at most one entry per row and per column")
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = (rows, columns)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry, in storage order."""
+        return np.flatnonzero(np.diff(self.indptr))
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        if not isinstance(vector, np.ndarray):
+            return NotImplemented  # products of operators go through tocsr()
+        if vector.shape != (self.shape[1],):
+            raise ValueError(f"cannot apply a {self.shape} operator to shape {vector.shape}")
+        # one gathered copy, multiplied in place (each fresh large array costs page faults)
+        product = np.take(vector, self.indices).astype(np.result_type(self.data, vector), copy=False)
+        np.multiply(product, self.data, out=product)
+        # scipy's matvec sums each row from zero, so a product of -0.0 reads +0.0 there
+        product += 0.0
+        if product.size == self.shape[0]:  # every row stores its one entry
+            return product
+        out = np.zeros(self.shape[0], dtype=product.dtype)
+        out[self.rows()] = product
+        return out
+
+    def tocsr(self):
+        """The same matrix as a scipy ``csr_matrix``, on copies of the arrays."""
+        import scipy.sparse as sp  # sparse algebra is for tests and oracles, not the verbs
+
+        triple = (self.data.copy(), self.indices.copy(), self.indptr.copy())
+        return sp.csr_matrix(triple, shape=self.shape)
+
+
+def _shift_operator(
+    dim: int, rows: np.ndarray, columns: np.ndarray, amplitude: np.ndarray
+) -> ShiftOperator:
+    """The square weighted shift storing ``amplitude[k]`` at (rows[k], columns[k]).
+
+    ``rows`` ascend, and the builders pass no row and no column twice, so the
+    CSR triple is assembled as it stands, with no sort and without the
+    constructor's checks, which cost about as much as a build.  Zero
+    amplitudes (underflow) are dropped first, as scipy's ``eliminate_zeros``
+    drops them.  Indices are int32 whenever they fit, as in scipy.
+    """
+    stored = amplitude != 0
+    if not stored.all():
+        rows, columns, amplitude = rows[stored], columns[stored], amplitude[stored]
+    index_type = np.int32 if dim < 2**31 else np.int64
+    indptr = np.zeros(dim + 1, dtype=index_type)
+    indptr[rows + 1] = 1
+    np.cumsum(indptr, out=indptr)
+    op = ShiftOperator.__new__(ShiftOperator)
+    op.data, op.indices, op.indptr = amplitude, columns.astype(index_type), indptr
+    op.shape = (dim, dim)
+    return op
+
+
 @dataclass(frozen=True)
 class FockSpaceConfig:
     """Truncation context: number of modes, per-mode cutoff, deformation."""
@@ -79,7 +169,8 @@ class FockSpaceConfig:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
         # verify_algebra, the heaviest user: operators, amplitude arrays and build temporaries
         # take ~60 B per state and mode plus ~200 B per state; work is ~2 us + 0.5 us per mode
-        # per state, mostly the float powers of the builds and targets
+        # per state (fitted when the builds raised q per state; with one power per rung
+        # they take about half that, so the work estimate errs high)
         dim = size_estimate(self.modes * math.log(self.cutoff))
         nbytes, work = (200 + 60 * self.modes) * dim, (2000 + 500 * self.modes) * dim
         check_budget(f"the {self.cutoff}^{self.modes} Fock space", nbytes, work)
@@ -132,30 +223,40 @@ def _bracket_array(params: DeformationParams, n: np.ndarray) -> np.ndarray:
     return (params.q_sq ** n.astype(np.float64) - 1.0) / (params.q_sq - 1.0)
 
 
+def _rung_powers(base: float, count: int) -> np.ndarray:
+    """base**s for s = 0..count-1: one float power per rung, gathered by exponent.
+
+    numpy's power of each entry equals the power it takes per state, so a
+    gather from this table is bit-identical to raising base for every state.
+    """
+    return base ** np.arange(count, dtype=np.float64)
+
+
+def _root_brackets(cfg: FockSpaceConfig) -> np.ndarray:
+    """sqrt([m]) for every occupation m < cutoff, gathered by occupation."""
+    return np.sqrt(_bracket_array(cfg.params, np.arange(cfg.cutoff)))
+
+
 def _check_mode(cfg: FockSpaceConfig, i: int) -> int:
     if not 1 <= i <= cfg.modes:
         raise ValueError(f"mode index must lie in 1..{cfg.modes}, got {i}")
     return i
 
 
-def annihilator(cfg: FockSpaceConfig, i: int) -> sp.csr_matrix:
-    """Sparse matrix of a_i (1-based mode index)."""
+def annihilator(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
+    """Weighted shift a_i (1-based mode index)."""
     i = _check_mode(cfg, i)
     occ = occupation_table(cfg)
     stride = cfg.cutoff ** (cfg.modes - i)
     source = np.nonzero(occ[:, i - 1] > 0)[0]
     suffix = occ[source, i:].sum(axis=1)
-    amplitude = cfg.params.q**suffix * np.sqrt(_bracket_array(cfg.params, occ[source, i - 1]))
-    matrix = sp.csr_matrix(
-        (amplitude, (source - stride, source)),
-        shape=(cfg.dimension, cfg.dimension),
-    )
-    matrix.eliminate_zeros()
-    return matrix
+    twist = _rung_powers(cfg.params.q, (cfg.modes - i) * (cfg.cutoff - 1) + 1)
+    amplitude = twist[suffix] * _root_brackets(cfg)[occ[source, i - 1]]
+    return _shift_operator(cfg.dimension, source - stride, source, amplitude)
 
 
-def creator(cfg: FockSpaceConfig, i: int) -> sp.csr_matrix:
-    """Sparse matrix of a_i^dag, built independently of :func:`annihilator`.
+def creator(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
+    """Weighted shift a_i^dag, built independently of :func:`annihilator`.
 
     The top rung n_i = cutoff - 1 is annihilated by truncation.  Adjointness
     to :func:`annihilator` is a checked property, not a construction.
@@ -165,32 +266,25 @@ def creator(cfg: FockSpaceConfig, i: int) -> sp.csr_matrix:
     stride = cfg.cutoff ** (cfg.modes - i)
     source = np.nonzero(occ[:, i - 1] < cfg.cutoff - 1)[0]
     suffix = occ[source, i:].sum(axis=1)
-    amplitude = cfg.params.q**suffix * np.sqrt(
-        _bracket_array(cfg.params, occ[source, i - 1] + 1)
-    )
-    matrix = sp.csr_matrix(
-        (amplitude, (source + stride, source)),
-        shape=(cfg.dimension, cfg.dimension),
-    )
-    matrix.eliminate_zeros()
-    return matrix
+    twist = _rung_powers(cfg.params.q, (cfg.modes - i) * (cfg.cutoff - 1) + 1)
+    amplitude = twist[suffix] * _root_brackets(cfg)[occ[source, i - 1] + 1]
+    return _shift_operator(cfg.dimension, source + stride, source, amplitude)
 
 
-def number_op(cfg: FockSpaceConfig, i: int) -> sp.csr_matrix:
+def number_op(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     """Diagonal number operator N_i."""
     i = _check_mode(cfg, i)
-    occ = occupation_table(cfg)
-    return sp.diags(
-        occ[:, i - 1].astype(np.float64), format="csr", shape=(cfg.dimension, cfg.dimension)
-    )
+    diagonal = np.arange(cfg.dimension)
+    occupation = occupation_table(cfg)[:, i - 1].astype(np.float64)
+    return _shift_operator(cfg.dimension, diagonal, diagonal, occupation)
 
 
-def scale_op(cfg: FockSpaceConfig, i: int) -> sp.csr_matrix:
+def scale_op(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     """Diagonal scale operator Q_i = q^{2 N_i}."""
     i = _check_mode(cfg, i)
-    occ = occupation_table(cfg)
-    diagonal = cfg.params.q_sq ** occ[:, i - 1].astype(np.float64)
-    return sp.diags(diagonal, format="csr", shape=(cfg.dimension, cfg.dimension))
+    diagonal = np.arange(cfg.dimension)
+    scale = _rung_powers(cfg.params.q_sq, cfg.cutoff)[occupation_table(cfg)[:, i - 1]]
+    return _shift_operator(cfg.dimension, diagonal, diagonal, scale)
 
 
 def build_state(cfg: FockSpaceConfig, occupation: Sequence[int]) -> np.ndarray:
@@ -249,46 +343,54 @@ class RelationReport:
         )
 
 
-def _shift_amplitudes(cfg: FockSpaceConfig, matrix: sp.spmatrix, i: int, step: int) -> np.ndarray:
+def _shift_amplitudes(cfg: FockSpaceConfig, matrix, i: int, step: int) -> np.ndarray:
     """Amplitude at each column of an operator that moves mode i by ``step`` quanta.
 
     The operator must map basis state c to c + step * stride_i, and only where
     that occupation exists: a_i for step -1, a_i^dag for +1, N_i for 0.  Any
     stored nonzero off that pattern raises ``ValueError``, so no entry goes
-    unread; columns without an entry read 0.
+    unread; columns without an entry read 0.  A :class:`ShiftOperator` is read
+    as it stands, any other sparse matrix through its own ``tocsr()``.
     """
     occ = occupation_table(cfg)[:, i - 1]
-    csr = sp.csr_matrix(matrix)
-    csr.sum_duplicates()
-    row = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-    stored = csr.data != 0
-    row, col, values = row[stored], csr.indices[stored], csr.data[stored]
-    landing = occ[col] + step
+    if isinstance(matrix, ShiftOperator):
+        row = matrix.rows()
+    else:
+        matrix = matrix.tocsr()
+        matrix.sum_duplicates()
+        row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    col, values = matrix.indices, matrix.data
+    stored = values != 0
+    if not stored.all():
+        row, col, values = row[stored], col[stored], values[stored]
+    # np.take and np.put move data through int32 indices about twice as fast as fancy indexing
+    landing = np.take(occ, col) + step
     if (
-        csr.shape != (cfg.dimension, cfg.dimension)
+        matrix.shape != (cfg.dimension, cfg.dimension)
         or np.any(row != col + step * cfg.cutoff ** (cfg.modes - i))
         or np.any((landing < 0) | (landing >= cfg.cutoff))
         or np.any(np.imag(values))
     ):
         raise ValueError(f"operator for mode {i} stores entries off its real shift by {step:+d}")
     amplitude = np.zeros(cfg.dimension)
-    amplitude[col] = np.real(values)
+    np.put(amplitude, col, np.real(values))
     return amplitude
 
 
 def verify_algebra(
     cfg: FockSpaceConfig,
     tol: float = 1e-12,
-    annihilators: Sequence[sp.spmatrix] | None = None,
-    creators: Sequence[sp.spmatrix] | None = None,
+    annihilators: Sequence[ShiftOperator] | None = None,
+    creators: Sequence[ShiftOperator] | None = None,
 ) -> RelationReport:
     """Certify the eight defining relation families on the truncation interior.
 
     Both rows and columns are restricted to states with all occupations at
     most cutoff - 2; there every quadratic product is representable exactly,
     so deviations measure nothing but arithmetic error.  Operator lists may
-    be injected (e.g. deliberately corrupted copies) for negative controls;
-    by default they are built from the configuration.
+    be injected (e.g. deliberately corrupted copies, or scipy sparse
+    matrices) for negative controls; by default they are built from the
+    configuration.
 
     Every operator is a weighted shift, so each relation maps an interior
     column c to one row c + shift: its residual is a product of amplitudes
@@ -383,18 +485,18 @@ def verify_algebra(
                 D[a][j_raise + stride[b]] * raised - raised * D[a][j_raise] - delta * raised,
             )
 
+    # the targets on the interior, from one power per rung: suffix[:, a] sums the
+    # occupations of modes a and above, and it is 0 past the last mode
+    suffix = np.zeros((interior.size, n + 1), dtype=np.int64)
+    suffix[:, :n] = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
+    scale = _rung_powers(q_sq, n * (cfg.cutoff - 2) + 1)
+    brackets = _bracket_array(params, np.arange(cfg.cutoff))
     for a in range(n):
-        suffix_after = occ[:, a + 1 :].sum(axis=1).astype(np.float64)
-        target = q_sq**suffix_after * _bracket_array(params, occ[:, a])
-        record("normal_product_diagonal", raise_lower[a] - target[interior])
+        target = scale[suffix[:, a + 1]] * brackets[inner[:, a]]
+        record("normal_product_diagonal", raise_lower[a] - target)
 
     for a in range(n):
-        suffix_from = occ[:, a:].sum(axis=1).astype(np.float64)
-        scale_product = q_sq**suffix_from
-        record(
-            "ladder_commutator_scale_product",
-            lower_raise[a] - raise_lower[a] - scale_product[interior],
-        )
+        record("ladder_commutator_scale_product", lower_raise[a] - raise_lower[a] - scale[suffix[:, a]])
 
     deviations = {name: float(np.max(values)) for name, values in peaks.items()}
     # Unlike the other families, the commutator's terms grow with the occupation: each
@@ -415,12 +517,14 @@ def verify_algebra(
     )
 
 
-def coordinate_text(operator: sp.spmatrix | np.ndarray) -> str:
+def coordinate_text(operator: ShiftOperator | np.ndarray) -> str:
     """Coordinate-list text form: one ``row col re im`` line per entry.
 
-    Matrices list their nonzero entries sorted by (row, col); vectors are
-    treated as single-column matrices.  Values are printed with 17
-    significant digits, enough to round-trip IEEE doubles.
+    Matrices list their stored entries sorted by (row, col); vectors are
+    treated as single-column matrices and list their nonzero entries.  A
+    matrix other than a :class:`ShiftOperator` is read through its own
+    ``tocoo()``.  Values are printed with 17 significant digits, enough to
+    round-trip IEEE doubles.
     """
     if isinstance(operator, np.ndarray):
         if operator.ndim != 1:
@@ -428,9 +532,13 @@ def coordinate_text(operator: sp.spmatrix | np.ndarray) -> str:
         rows = np.nonzero(operator)[0]
         entries = [(int(r), 0, complex(operator[r])) for r in rows]
     else:
-        coo = sp.coo_matrix(operator)
+        if isinstance(operator, ShiftOperator):
+            rows, cols, values = operator.rows(), operator.indices, operator.data
+        else:
+            coo = operator.tocoo()
+            rows, cols, values = coo.row, coo.col, coo.data
         entries = sorted(
-            (int(r), int(c), complex(v)) for r, c, v in zip(coo.row, coo.col, coo.data)
+            (int(r), int(c), complex(v)) for r, c, v in zip(rows, cols, values)
         )
     lines = [f"{r} {c} {v.real:.17g} {v.imag:.17g}" for r, c, v in entries]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -438,7 +546,7 @@ def coordinate_text(operator: sp.spmatrix | np.ndarray) -> str:
 
 def corrupted_annihilator(
     cfg: FockSpaceConfig, i: int, relative_error: float = 1e-6
-) -> sp.csr_matrix:
+) -> ShiftOperator:
     """Copy of ``annihilator(cfg, i)`` with one interior amplitude rescaled.
 
     Negative-control input for :func:`verify_algebra`: the first stored
@@ -450,10 +558,11 @@ def corrupted_annihilator(
     commutators) stay clean — a check that the certification actually
     resolves individual matrix elements.
     """
-    matrix = annihilator(cfg, i).tocoo()
-    interior = frozenset(interior_indices(cfg, margin=2).tolist())
-    for k in range(matrix.nnz):
-        if int(matrix.row[k]) in interior and int(matrix.col[k]) in interior:
-            matrix.data[k] *= 1.0 + relative_error
-            return matrix.tocsr()
-    raise ValueError("no interior amplitude available to corrupt; increase the cutoff")
+    matrix = annihilator(cfg, i)
+    inside = np.zeros(cfg.dimension, dtype=bool)
+    inside[interior_indices(cfg, margin=2)] = True
+    candidates = np.flatnonzero(inside[matrix.rows()] & inside[matrix.indices])
+    if candidates.size == 0:
+        raise ValueError("no interior amplitude available to corrupt; increase the cutoff")
+    matrix.data[candidates[0]] *= 1.0 + relative_error
+    return matrix

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from .fock import ShiftOperator, _shift_operator
 from .qcore import DeformationParams, check_budget, q_factorial, size_estimate
 
 __all__ = [
@@ -262,31 +262,31 @@ def exchange_check(
 
 def transposition_op(
     size: int, n_modes: int, k: int, params: DeformationParams
-) -> sp.csr_matrix:
+) -> ShiftOperator:
     """Deformed transposition of tensor positions k, k+1 (1-based).
 
     Acts on each basis word by swapping the letters at positions k and k+1
     with weight q^{-eps(letter_k, letter_{k+1})}.  The operator is its own
     inverse, and every q-symmetrized state is an eigenvector with
-    eigenvalue 1.
+    eigenvalue 1.  It is a weighted permutation, so it comes back as a
+    :class:`~qmodes.fock.ShiftOperator`.
     """
     if size < 1 or n_modes < 1:
         raise ValueError("size and n_modes must be >= 1")
     if not 1 <= k < size:
         raise ValueError(f"positions must satisfy 1 <= k < {size}, got {k}")
-    _check_space("transposition_op", n_modes, size, 80)  # six index arrays, CSR build
+    _check_space("transposition_op", n_modes, size, 80)  # index arrays, weights, CSR triple
     dim = n_modes**size
     index = np.arange(dim)
     stride_right = n_modes ** (size - k - 1)  # position k+1
     stride_left = stride_right * n_modes  # position k
     left = index // stride_left % n_modes
     right = index // stride_right % n_modes
-    target = index + (left - right) * stride_right + (right - left) * stride_left
-    epsilon = np.sign(left - right)  # eps of the source word's letters
-    weight = params.q ** (-epsilon.astype(np.float64))
-    matrix = sp.csr_matrix((weight, (target, index)), shape=(dim, dim))
-    matrix.eliminate_zeros()
-    return matrix
+    swapped = index + (left - right) * stride_right + (right - left) * stride_left
+    # row w holds the weight of the word it comes from, swapped(w), whose
+    # eps is -eps(w): q^{-eps} there is q^{eps(w)}, one numpy power per value
+    weights = params.q ** np.array([-1.0, 0.0, 1.0])
+    return _shift_operator(dim, index, swapped, weights[np.sign(left - right) + 1])
 
 
 def norm_identity_exact(counts: Sequence[int]):

@@ -6,6 +6,11 @@ The routine here is the plain route it replaced: each relation is assembled
 from scipy CSR products and sums over the whole space, and the interior
 block is sliced out afterwards.  The tests compare the kernel against it,
 deviation by deviation, for exact equality.
+
+The reference builders below assemble each operator the plain scipy way,
+from coordinate lists with a per-state float power, followed by
+``eliminate_zeros``; the tests require ``op.tocsr()`` of the library's
+weighted shifts to equal them entry for entry.
 """
 
 from typing import Sequence
@@ -24,6 +29,26 @@ from qmodes.fock import (
     number_op,
     occupation_table,
 )
+
+
+def reference_operator(cfg: FockSpaceConfig, kind: str, i: int) -> sp.csr_matrix:
+    """a_i, a_i^dag, N_i or Q_i (``kind`` names the library builder) as a scipy CSR matrix."""
+    params, occ, dim = cfg.params, occupation_table(cfg), cfg.dimension
+    stride = cfg.cutoff ** (cfg.modes - i)
+    if kind in ("number_op", "scale_op"):
+        occupation = occ[:, i - 1].astype(np.float64)
+        diagonal = occupation if kind == "number_op" else params.q_sq**occupation
+        return sp.diags(diagonal, format="csr", shape=(dim, dim))
+    if kind == "annihilator":
+        source = np.nonzero(occ[:, i - 1] > 0)[0]
+        rung, target = occ[source, i - 1], source - stride
+    else:
+        source = np.nonzero(occ[:, i - 1] < cfg.cutoff - 1)[0]
+        rung, target = occ[source, i - 1] + 1, source + stride
+    amplitude = params.q ** occ[source, i:].sum(axis=1) * np.sqrt(_bracket_array(params, rung))
+    matrix = sp.csr_matrix((amplitude, (target, source)), shape=(dim, dim))
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def _interior_max(matrix: sp.spmatrix, interior: np.ndarray) -> float:
@@ -49,7 +74,8 @@ def reference_verify_algebra(
     raise_ = list(creators) if creators is not None else [creator(cfg, i) for i in range(1, n + 1)]
     if len(lower) != n or len(raise_) != n:
         raise ValueError("operator overrides must supply exactly one matrix per mode")
-    numbers = [number_op(cfg, i) for i in range(1, n + 1)]
+    lower, raise_ = [m.tocsr() for m in lower], [m.tocsr() for m in raise_]
+    numbers = [number_op(cfg, i).tocsr() for i in range(1, n + 1)]
     identity = sp.identity(cfg.dimension, dtype=np.complex128, format="csr")
     occ = occupation_table(cfg)
     interior = interior_indices(cfg, margin=2)

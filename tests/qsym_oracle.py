@@ -5,6 +5,8 @@ and checks the exchange law for a whole class at once.  The routines here
 are the plain routes they replaced: one word at a time, with O(N^2)
 inversions per word, and two dense n^N states per (word, position).  The
 tests compare the kernels against them on small shapes.
+``reference_transposition`` assembles the deformed transposition the plain
+scipy way, from a coordinate list.
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from qmodes.qcore import DeformationParams, q_factorial
 from qmodes.qsym import Word, inversion_count, q_symmetrize, sign_compare
@@ -111,3 +114,20 @@ def reference_exchange_check(
     return ExchangeReport(
         word=word.letters, position=k, factor=factor, residual=residual, tol=tol
     )
+
+
+def reference_transposition(
+    size: int, n_modes: int, k: int, params: DeformationParams
+) -> sp.csr_matrix:
+    """The transposition of positions k, k+1 as a scipy CSR matrix, column by column."""
+    dim = n_modes**size
+    index = np.arange(dim)
+    stride_right = n_modes ** (size - k - 1)
+    stride_left = stride_right * n_modes
+    left = index // stride_left % n_modes
+    right = index // stride_right % n_modes
+    target = index + (left - right) * stride_right + (right - left) * stride_left
+    weight = params.q ** (-np.sign(left - right).astype(np.float64))
+    matrix = sp.csr_matrix((weight, (target, index)), shape=(dim, dim))
+    matrix.eliminate_zeros()
+    return matrix

@@ -240,7 +240,7 @@ def test_criterion_08_q_symmetric_state_laws():
         for size in range(1, max_size + 1):
             dim = n_modes**size
             ops = {
-                k: transposition_op(size, n_modes, k, params)
+                k: transposition_op(size, n_modes, k, params).tocsr()
                 for k in range(1, size)
             }
             for k, op in ops.items():
@@ -334,7 +334,8 @@ def test_criterion_09_classical_limit():
         interior = interior_indices(cfg, margin=2)
         deviation = 0.0
         for i in (1, 2):
-            boson = annihilator(cfg, i) @ creator(cfg, i) - creator(cfg, i) @ annihilator(cfg, i)
+            lower, raiser = annihilator(cfg, i).tocsr(), creator(cfg, i).tocsr()
+            boson = lower @ raiser - raiser @ lower
             block = boson.toarray()[np.ix_(interior, interior)]
             deviation = max(
                 deviation, float(np.max(np.abs(block - np.eye(len(interior)))))

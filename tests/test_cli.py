@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from qmodes.cli import (
@@ -467,3 +468,59 @@ def test_module_invocation():
     )
     assert result.returncode == 0
     assert "qmodes" in result.stdout + result.stderr
+
+
+# ---------------------------------------------------------------------------
+# scipy stays off every verb's path
+
+BENCHMARK_VERBS = [
+    ["verify", "algebra", "--q", "0.5", "--modes", "2", "--cutoff", "6"],
+    ["verify", "algebra", "--q", "0.5", "--modes", "2", "--cutoff", "6", "--inject-corruption"],
+    ["qsym", "exchange", "--q", "0.5", "--modes", "3", "--N", "3"],
+    ["qsym", "norm", "--q", "0.5", "--modes", "2", "--N", "3", "--seed", "1"],
+    ["qsym", "identity", "--q", "0.5", "--modes", "2", "--N", "3"],
+    ["qsym", "appendix", "--q", "0.5", "--modes", "2", "--N", "3"],
+    ["jackson", "moments", "--q", "0.5", "--N", "3"],
+    ["coherent", "check", "--q", "0.5", "--points", "1", "--modes", "1"],
+    ["qexp", "eval", "--q", "0.5", "--points", "4"],
+]
+
+
+def test_no_verb_imports_scipy():
+    script = f"""
+import contextlib, io, sys
+import qmodes.cli
+assert "scipy" not in sys.modules, "import qmodes.cli"
+for argv in {BENCHMARK_VERBS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qmodes.cli.main(argv + ["--format", "json"])
+    assert code == (1 if "--inject-corruption" in argv else 0), argv
+    assert "scipy" not in sys.modules, argv
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_square_minus_identity_equals_the_scipy_residual():
+    import scipy.sparse as sp
+
+    from qmodes.cli import _square_minus_identity
+    from qmodes.fock import ShiftOperator
+    from qmodes.qsym import transposition_op
+
+    def reference(op) -> float:
+        matrix = op.tocsr()
+        delta = (matrix @ matrix - sp.identity(op.shape[0], format="csr")).tocsr()
+        return float(np.max(np.abs(delta.data))) if delta.nnz else 0.0
+
+    for q in (0.3, 0.9):
+        op = transposition_op(4, 3, 2, DeformationParams(q))
+        assert _square_minus_identity(op) == reference(op)
+    cases = [
+        ([2.0, 0.5, 3.0], [1, 0, 2], [0, 1, 2, 3]),  # a swap and a diagonal entry
+        ([2.0, 3.0], [1, 2], [0, 1, 2, 2]),  # a shift: the square leaves the diagonal
+        ([1.0, 1.0], [2, 0], [0, 1, 1, 2]),  # an empty row
+    ]
+    for data, indices, indptr in cases:
+        op = ShiftOperator(np.array(data), np.array(indices), np.array(indptr), (3, 3))
+        assert _square_minus_identity(op) == reference(op)

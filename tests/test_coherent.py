@@ -22,6 +22,8 @@ from qmodes.coherent import (
 from qmodes.fock import FockSpaceConfig
 from qmodes.qcore import DeformationParams, DomainError, q_factorial, q_number
 
+from qcore_oracle import reference_mode_coefficients, reference_mode_tail_bound
+
 Q_GRID = (0.3, 0.5, 0.9)
 
 
@@ -280,3 +282,14 @@ def test_spec_grid_input_checks():
         spec_grid(params, modes=0, points=3)
     with pytest.raises(ValueError):
         spec_grid(params, modes=1, points=0)
+
+
+def test_tabled_mode_loops_equal_the_per_term_loops():
+    for q in (0.2, 0.5, 0.9, 0.99):
+        params = DeformationParams(q)
+        for fraction in (0.1, 0.5, 0.8):
+            z = cmath.rect(math.sqrt(fraction * params.radius), 2.4 * fraction)
+            for cutoff in (1, 2, 30, 63, 64, 65, 400):
+                coefficients = mode_coefficients(params, z, cutoff)
+                assert coefficients.tobytes() == reference_mode_coefficients(params, z, cutoff).tobytes()
+                assert mode_tail_bound(params, z, cutoff) == reference_mode_tail_bound(params, z, cutoff)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qmodes.fock import (
     RELATION_FAMILIES,
     FockSpaceConfig,
+    ShiftOperator,
     annihilator,
     build_state,
     coordinate_text,
@@ -26,7 +27,7 @@ from qmodes.fock import (
 )
 from qmodes.qcore import DeformationParams, DomainError, q_number
 
-from fock_oracle import reference_verify_algebra
+from fock_oracle import reference_operator, reference_verify_algebra
 
 
 def cfg_for(q: float = 0.5, modes: int = 2, cutoff: int = 4) -> FockSpaceConfig:
@@ -101,7 +102,7 @@ def test_encode_decode_property(modes, cutoff, data):
 def test_creator_amplitude_with_twist():
     # raising mode 1 out of |0,1> passes one quantum in mode 2: factor q
     cfg = cfg_for(q=0.5, modes=2, cutoff=4)
-    raise_1 = creator(cfg, 1)
+    raise_1 = creator(cfg, 1).tocsr()
     source = encode_occupation(cfg, (0, 1))
     target = encode_occupation(cfg, (1, 1))
     column = raise_1[:, source].toarray().ravel()
@@ -111,8 +112,8 @@ def test_creator_amplitude_with_twist():
 
 def test_annihilator_amplitudes():
     cfg = cfg_for(q=0.5, modes=2, cutoff=4)
-    lower_1 = annihilator(cfg, 1)
-    lower_2 = annihilator(cfg, 2)
+    lower_1 = annihilator(cfg, 1).tocsr()
+    lower_2 = annihilator(cfg, 2).tocsr()
     # a_2 |1,1> = sqrt([1]) |1,0> with empty suffix: amplitude exactly 1
     src = encode_occupation(cfg, (1, 1))
     assert lower_2[encode_occupation(cfg, (1, 0)), src] == pytest.approx(1.0)
@@ -137,13 +138,13 @@ def test_vacuum_is_annihilated():
 def test_top_rung_truncates_to_zero():
     cfg = cfg_for(modes=1, cutoff=4)
     top = encode_occupation(cfg, (3,))
-    assert creator(cfg, 1)[:, top].nnz == 0
+    assert creator(cfg, 1).tocsr()[:, top].nnz == 0
 
 
 def test_creator_is_adjoint_of_annihilator():
     cfg = cfg_for(q=0.9, modes=2, cutoff=5)
     for i in (1, 2):
-        delta = (annihilator(cfg, i).conj().T - creator(cfg, i)).tocsr()
+        delta = (annihilator(cfg, i).tocsr().conj().T - creator(cfg, i).tocsr()).tocsr()
         assert delta.nnz == 0 or np.max(np.abs(delta.data)) == 0.0
 
 
@@ -159,9 +160,9 @@ def test_mode_index_bounds():
 def test_diagonal_operators():
     cfg = cfg_for(q=0.5, modes=2, cutoff=3)
     occ = occupation_table(cfg)
-    n_2 = number_op(cfg, 2).diagonal().real
+    n_2 = number_op(cfg, 2).tocsr().diagonal().real
     np.testing.assert_allclose(n_2, occ[:, 1])
-    q_1 = scale_op(cfg, 1).diagonal().real
+    q_1 = scale_op(cfg, 1).tocsr().diagonal().real
     np.testing.assert_allclose(q_1, 0.25 ** occ[:, 0])
 
 
@@ -248,7 +249,7 @@ def test_corruption_is_detected_by_exactly_the_amplitude_sensitive_families():
 
 def test_corrupted_annihilator_differs_in_one_entry():
     cfg = cfg_for(modes=2, cutoff=5)
-    delta = (corrupted_annihilator(cfg, 1) - annihilator(cfg, 1)).tocsr()
+    delta = (corrupted_annihilator(cfg, 1).tocsr() - annihilator(cfg, 1).tocsr()).tocsr()
     delta.eliminate_zeros()
     assert delta.nnz == 1
 
@@ -292,15 +293,15 @@ def test_a_nan_amplitude_fails_the_families_it_reaches():
 
 def test_an_override_with_an_entry_off_its_shift_diagonal_is_refused():
     cfg = cfg_for(q=0.5, modes=2, cutoff=4)
-    stray = annihilator(cfg, 1).tolil()
+    stray = annihilator(cfg, 1).tocsr().tolil()
     stray[0, 1] = 0.25  # a mode-2 lowering entry inside the mode-1 annihilator
     with pytest.raises(ValueError, match="off its real shift"):
         verify_algebra(cfg, annihilators=[stray.tocsr(), annihilator(cfg, 2)])
-    wrapped = creator(cfg, 2).tolil()
+    wrapped = creator(cfg, 2).tocsr().tolil()
     wrapped[4, 3] = 0.25  # on the diagonal of a_2^dag, but (0, 3) has no rung above it
     with pytest.raises(ValueError, match="off its real shift"):
         verify_algebra(cfg, creators=[creator(cfg, 1), wrapped.tocsr()])
-    complex_lower = annihilator(cfg, 2).astype(np.complex128)
+    complex_lower = annihilator(cfg, 2).tocsr().astype(np.complex128)
     complex_lower.data[0] += 1e-3j
     with pytest.raises(ValueError, match="off its real shift"):
         verify_algebra(cfg, annihilators=[annihilator(cfg, 1), complex_lower])
@@ -312,6 +313,92 @@ def test_operators_are_real_float64():
         for i in (1, 2, 3):
             assert build(cfg, i).dtype == np.float64
     assert corrupted_annihilator(cfg, 1).dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# the weighted-shift operator type
+
+BUILDERS = {
+    "annihilator": annihilator,
+    "creator": creator,
+    "number_op": number_op,
+    "scale_op": scale_op,
+}
+
+
+def _same_csr(matrix, reference) -> None:
+    assert matrix.shape == reference.shape and matrix.nnz == reference.nnz
+    np.testing.assert_array_equal(matrix.indptr, reference.indptr)
+    np.testing.assert_array_equal(matrix.indices, reference.indices)
+    assert matrix.data.tobytes() == reference.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "modes,cutoff,q", [(1, 3, 0.5), (2, 6, 0.9), (3, 5, 0.3), (4, 4, 0.7), (2, 300, 0.05), (1, 800, 0.2)]
+)
+def test_tocsr_equals_the_scipy_built_reference_entry_for_entry(modes, cutoff, q):
+    cfg = FockSpaceConfig(modes, cutoff, DeformationParams(q))
+    for kind, build in BUILDERS.items():
+        for i in range(1, modes + 1):
+            op = build(cfg, i)
+            assert isinstance(op, ShiftOperator) and op.dtype == np.float64
+            matrix, reference = op.tocsr(), reference_operator(cfg, kind, i)
+            _same_csr(matrix, reference)
+            assert (op.nnz, op.data.nbytes) == (reference.nnz, reference.data.nbytes)
+            assert op.indices.nbytes + op.indptr.nbytes == reference.indices.nbytes + reference.indptr.nbytes
+
+
+def test_amplitudes_that_underflow_are_dropped_as_eliminate_zeros_drops_them():
+    cfg = FockSpaceConfig(2, 300, DeformationParams(0.05))  # 0.05^299 underflows
+    lower = annihilator(cfg, 1)
+    assert lower.nnz < 299 * 300
+    assert np.all(lower.data != 0)
+    scale = scale_op(cfg, 2)  # 0.0025^m underflows past m ~ 120
+    assert scale.nnz < cfg.dimension and np.all(scale.data != 0)
+    _same_csr(scale.tocsr(), reference_operator(cfg, "scale_op", 2))
+
+
+def _vectors(dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    real = rng.standard_normal(dim)
+    real[::7] = -5e-324  # the least subnormal: products below 1 in size round to -0.0
+    real[1::7] = -0.0
+    return [real, real + 1j * rng.standard_normal(dim), -real - 1j * real]
+
+
+def test_applying_an_operator_equals_the_scipy_product_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for modes, cutoff, q in ((2, 6, 0.9), (3, 5, 0.3), (2, 300, 0.05)):
+        cfg = FockSpaceConfig(modes, cutoff, DeformationParams(q))
+        for build in BUILDERS.values():
+            for i in range(1, modes + 1):
+                op = build(cfg, i)
+                matrix = op.tocsr()
+                for vector in _vectors(cfg.dimension, rng):
+                    product = op @ vector
+                    assert product.dtype == (matrix @ vector).dtype
+                    assert product.tobytes() == (matrix @ vector).tobytes()
+
+
+def test_a_shift_operator_stores_at_most_one_entry_per_row_and_column():
+    indptr = np.array([0, 1, 2, 2])
+    ShiftOperator(np.ones(2), np.array([1, 2]), indptr, (3, 3))
+    with pytest.raises(ValueError, match="one entry"):
+        ShiftOperator(np.ones(2), np.array([1, 1]), indptr, (3, 3))  # column 1 twice
+    with pytest.raises(ValueError, match="one entry"):
+        ShiftOperator(np.ones(2), np.array([0, 1]), np.array([0, 2, 2, 2]), (3, 3))  # row 0 twice
+    with pytest.raises(ValueError, match="one entry"):
+        ShiftOperator(np.ones(2), np.array([1, 3]), indptr, (3, 3))  # column out of range
+    op = annihilator(cfg_for(modes=1, cutoff=3), 1)
+    with pytest.raises(TypeError):
+        op @ op  # operator products go through tocsr()
+    with pytest.raises(ValueError, match="cannot apply"):
+        op @ np.ones(4)
+
+
+def test_kernel_deviations_equal_the_reference_where_powers_underflow():
+    for modes, cutoff, q in ((2, 200, 0.2), (1, 2000, 0.05)):
+        cfg = FockSpaceConfig(modes, cutoff, DeformationParams(q))
+        assert verify_algebra(cfg).deviations == reference_verify_algebra(cfg).deviations
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +424,7 @@ def test_coordinate_text_vector_form():
 
 def test_coordinate_text_round_trips_doubles():
     cfg = cfg_for(q=0.9, modes=2, cutoff=3)
-    matrix = annihilator(cfg, 1).tocoo()
+    matrix = annihilator(cfg, 1).tocsr().tocoo()
     text = coordinate_text(matrix)
     parsed = {}
     for line in text.strip().split("\n"):

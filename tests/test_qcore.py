@@ -18,6 +18,8 @@ from qmodes.qcore import (
     DeformationParams,
     DomainError,
     SingularityError,
+    _brackets,
+    _factors_for,
     disk_samples,
     jackson_integral,
     jackson_moment,
@@ -31,6 +33,8 @@ from qmodes.qcore import (
     q_multinomial,
     q_number,
 )
+
+from qcore_oracle import reference_q_exp, reference_q_exp_product, reference_q_exp_reciprocal
 
 Q_GRID = (0.3, 0.5, 0.9)
 
@@ -158,6 +162,20 @@ def test_series_tail_majorant_covers_dropped_terms():
         partial = q_exp_series(params, x, terms)
         full = q_exp(params, x, rel_tol=1e-16).value
         assert abs(full - partial) <= q_exp_series_tail(params, x, terms) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.97, 0.99])
+def test_tabled_series_and_products_equal_the_per_term_loops(q):
+    params = DeformationParams(q)
+    table = _brackets(params, 300)
+    assert len(table) >= 300
+    assert all(table[k] == q_number(params, k) for k in range(len(table)))
+    for x in disk_samples(params, 36) + [0.0, 0.5 * params.radius, -0.9 * params.radius]:
+        assert q_exp(params, x) == reference_q_exp(params, x)
+        assert q_exp(params, x, rel_tol=1e-9) == reference_q_exp(params, x, rel_tol=1e-9)
+        factors = _factors_for(params, x, 1e-15)
+        assert q_exp_product(params, x, factors) == reference_q_exp_product(params, x, factors)
+        assert q_exp_reciprocal(params, 3 * x) == reference_q_exp_reciprocal(params, 3 * x)
 
 
 def test_product_pole_raises():

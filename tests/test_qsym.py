@@ -27,6 +27,7 @@ from qmodes.qsym import (
 from qsym_oracle import (
     multiset_arrangements,
     reference_exchange_check,
+    reference_transposition,
     reference_q_symmetrize,
     reference_tally,
     tensor_index,
@@ -326,9 +327,25 @@ def test_exchange_kernel_rejects_bad_classes():
 def test_transposition_is_involution():
     for q in Q_GRID:
         params = DeformationParams(q)
-        op = transposition_op(3, 3, 2, params)
+        op = transposition_op(3, 3, 2, params).tocsr()
         square = (op @ op - sp.identity(27, format="csr")).tocsr()
         assert np.max(np.abs(square.data)) < 1e-15 if square.nnz else True
+
+
+def test_transposition_tocsr_equals_the_scipy_built_reference():
+    rng = np.random.default_rng(5)
+    for size, n_modes in ((2, 3), (3, 3), (5, 2), (4, 4)):
+        for k in range(1, size):
+            for q in Q_GRID:
+                params = DeformationParams(q)
+                op = transposition_op(size, n_modes, k, params)
+                matrix, reference = op.tocsr(), reference_transposition(size, n_modes, k, params)
+                assert matrix.nnz == reference.nnz == n_modes**size
+                np.testing.assert_array_equal(matrix.indptr, reference.indptr)
+                np.testing.assert_array_equal(matrix.indices, reference.indices)
+                assert matrix.data.tobytes() == reference.data.tobytes()
+                vector = rng.standard_normal(n_modes**size)
+                assert (op @ vector).tobytes() == (reference @ vector).tobytes()
 
 
 def test_symmetrized_states_are_transposition_fixed_points():
