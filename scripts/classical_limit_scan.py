@@ -26,7 +26,7 @@ from qmodes.qsym import Word, bosonic_symmetrize, q_symmetrize
 
 def commutator_ratio(params: DeformationParams, modes: int, cutoff: int) -> float:
     cfg = FockSpaceConfig(modes, cutoff, params)
-    interior = interior_indices(cfg, margin=2)
+    interior = interior_indices(cfg)
     worst = 0.0
     for i in range(1, modes + 1):
         lower, raiser = annihilator(cfg, i).tocsr(), creator(cfg, i).tocsr()

@@ -17,6 +17,12 @@ Verbs::
     qmodes qsym identity      exact arrangement-sum == bracket multinomial
     qmodes qsym appendix      exact insertion-sum == bracket of N+1
 
+Every verb takes the envelope options ``--q``, ``--tol``, ``--format`` and
+``--out``.  One table (``_verbs``) gives each verb its handler and the
+default of ``--tol`` and of every other option that handler reads; argparse
+refuses an option the verb does not read, and the report's ``config`` echoes
+the envelope plus the verb's own options.
+
 Exit codes: 0 every check passed, 1 at least one check failed, 2 bad
 configuration or out-of-bounds request.
 """
@@ -27,7 +33,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,7 +116,11 @@ class CheckRecord:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters; defaults are echoed into every report."""
+    """Fully resolved run parameters.
+
+    A verb fills, and its report echoes, only the envelope and the options of
+    its row in the verb table; every other field keeps its placeholder here.
+    """
 
     command: str
     q_values: tuple[float, ...] = (0.3, 0.5, 0.9)
@@ -154,23 +164,13 @@ class RunConfig:
         return coherent.WeightVariant(self.weight_variant.replace("-", "_"))
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "q": list(self.q_values),
-            "modes": self.modes,
-            "cutoff": self.cutoff,
-            "N": self.particles,
-            "tol": self.tol,
-            "weight_variant": self.weight_variant,
-            "format": self.output_format,
-            "out": self.output_path,
-            "seed": self.seed,
-            "word": self.word,
-            "z": None if self.z is None else [str(v) for v in self.z],
-            "x": None if self.x is None else str(self.x),
-            "points": self.points,
-            "inject_corruption": self.inject_corruption,
-        }
+        echoed = {_OPTIONS[f][0][2:].replace("-", "_"): getattr(self, f) for f in _options(self.command)}
+        echoed.update(command=self.command, q=list(self.q_values))
+        if echoed.get("z") is not None:
+            echoed["z"] = [str(v) for v in self.z]
+        if echoed.get("x") is not None:
+            echoed["x"] = str(self.x)
+        return echoed
 
 
 def _elapsed_ms(start: float) -> int:
@@ -205,6 +205,13 @@ def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]
                 )
             )
     return records, []
+
+
+def _parse_x(text: str) -> complex:
+    try:
+        return complex(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse --x value {text!r}") from None
 
 
 def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
@@ -376,7 +383,10 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
 
 def _parse_word(text: str, modes: int) -> qsym.Word:
-    letters = tuple(int(part) for part in text.split(","))
+    try:
+        letters = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ConfigError(f"cannot parse --word value {text!r}") from None
     n_modes = max(modes, max(letters, default=1))
     return qsym.Word(letters, n_modes)
 
@@ -442,7 +452,7 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         for size in range(2, config.particles + 1):
             start = time.perf_counter()
             worst = 0.0
-            for counts in _count_vectors(config.modes, size, exact_total=True):
+            for counts in _count_vectors(config.modes, size):
                 worst = max(worst, float(qsym.exchange_check(counts, params)[1].max()))
             records.append(
                 CheckRecord(
@@ -473,7 +483,7 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             )
             start = time.perf_counter()
             invariance = 0.0
-            for counts in _count_vectors(config.modes, size, exact_total=True):
+            for counts in _count_vectors(config.modes, size):
                 sorted_word = qsym.Word(
                     tuple(
                         letter
@@ -559,15 +569,13 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     return records, []
 
 
-def _count_vectors(slots: int, total: int, exact_total: bool = False):
-    """All nonnegative integer vectors of the given length with sum (<=) total."""
+def _count_vectors(slots: int, total: int):
+    """All nonnegative integer vectors of the given length with sum total."""
     if slots == 1:
-        choices = [total] if exact_total else range(total + 1)
-        for c in choices:
-            yield (c,)
+        yield (total,)
         return
     for head in range(total + 1):
-        for rest in _count_vectors(slots - 1, total - head, exact_total):
+        for rest in _count_vectors(slots - 1, total - head):
             yield (head,) + rest
 
 
@@ -584,7 +592,7 @@ def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         start = time.perf_counter()
         all_match = True
         cases = 0
-        for counts in _count_vectors(config.modes, total, exact_total=True):
+        for counts in _count_vectors(config.modes, total):
             arrangement_sum, multinomial = qsym.norm_identity_exact(counts)
             cases += 1
             if arrangement_sum != multinomial:
@@ -614,7 +622,7 @@ def run_qsym_appendix(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         all_match = True
         cases = 0
         target = poly_q_number(total + 1)
-        for counts in _count_vectors(config.modes, total, exact_total=True):
+        for counts in _count_vectors(config.modes, total):
             for slot in range(1, config.modes + 1):
                 cases += 1
                 if poly_insertion_sum(counts, slot) != target:
@@ -683,42 +691,82 @@ def render_text(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Argument parsing: one table of verbs
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--q",
-        type=float,
-        nargs="+",
-        default=[0.3, 0.5, 0.9],
-        help="deformation parameters in (0,1) (default: 0.3 0.5 0.9)",
-    )
-    parser.add_argument("--modes", type=int, default=None, help="number of modes")
-    parser.add_argument("--cutoff", type=int, default=None, help="per-mode Fock cutoff")
-    parser.add_argument(
-        "--N", dest="particles", type=int, default=None, help="particle-number bound"
-    )
-    parser.add_argument(
-        "--tol", type=float, default=None, help="tolerance for the headline residual"
-    )
-    parser.add_argument(
-        "--weight-variant",
-        choices=["paper-q", "squared-q"],
-        default="squared-q",
-        help="completeness weight convention to certify",
-    )
-    parser.add_argument(
-        "--format",
-        dest="output_format",
-        choices=["text", "json"],
-        default="text",
-        help="report format",
-    )
-    parser.add_argument("--out", dest="output_path", default=None, help="write report to file")
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized property sweeps"
-    )
+class _Verb(NamedTuple):
+    handler: Callable[[RunConfig], tuple[list[CheckRecord], list[str]]]
+    help: str
+    defaults: dict  # RunConfig field -> default: --tol and every option the handler reads
+
+
+# The envelope every verb takes besides --tol, whose default is the verb's own.
+_ENVELOPE = {"q_values": (0.3, 0.5, 0.9), "output_format": "text", "output_path": None}
+
+
+def _verbs() -> dict[str, _Verb]:
+    """The verb table.  It is built on each call, so that every row holds the
+    handler the module binds at that moment (the benchmark's tracer wraps them)."""
+    return {
+        "verify algebra": _Verb(
+            run_verify_algebra, "relation families on the interior",
+            dict(tol=1e-12, modes=2, cutoff=6, inject_corruption=False),
+        ),
+        "coherent check": _Verb(
+            run_coherent, "normalization, eigenvalue, completeness",
+            dict(tol=1e-9, modes=2, cutoff=8, points=4, weight_variant="squared-q", z=None),
+        ),
+        "qexp eval": _Verb(run_qexp, "dual-route evaluation sweep", dict(tol=1e-12, points=50, x=None)),
+        "jackson moments": _Verb(run_jackson, "moments against [n]!", dict(tol=1e-10, particles=10)),
+        "qsym exchange": _Verb(
+            run_qsym_exchange, "exchange and transposition laws", dict(tol=1e-13, modes=3, particles=4)
+        ),
+        "qsym norm": _Verb(
+            run_qsym_norm, "norms of q-symmetrized words",
+            dict(tol=1e-12, modes=3, particles=5, seed=0, word=None),
+        ),
+        "qsym identity": _Verb(
+            run_qsym_identity, "exact arrangement-sum identity", dict(tol=1e-12, modes=3, particles=6)
+        ),
+        "qsym appendix": _Verb(
+            run_qsym_appendix, "exact insertion-sum identity", dict(tol=1e-12, modes=3, particles=6)
+        ),
+    }
+
+
+_GROUPS = {
+    "verify": "operator-algebra certification",
+    "coherent": "coherent-state checks",
+    "qexp": "q-exponential checks",
+    "jackson": "Jackson-integral checks",
+    "qsym": "q-symmetric state checks",
+}
+
+# RunConfig field -> (flag, help, argparse keywords).  The flag, less its dashes
+# and with '-' read as '_', is the field's key in the report's config.
+_OPTIONS = {
+    "q_values": ("--q", "deformation parameters in (0,1)", dict(type=float, nargs="+", metavar="Q")),
+    "tol": ("--tol", "tolerance for the headline residual", dict(type=float)),
+    "output_format": ("--format", "report format", dict(choices=["text", "json"])),
+    "output_path": ("--out", "write report to file", dict(metavar="FILE")),
+    "modes": ("--modes", "number of modes", dict(type=int)),
+    "cutoff": ("--cutoff", "per-mode Fock cutoff", dict(type=int)),
+    "particles": ("--N", "particle-number bound", dict(type=int, metavar="N")),
+    "points": ("--points", "sample points per q when --z or --x is not given", dict(type=int)),
+    "weight_variant": ("--weight-variant", "completeness weight convention to certify",
+                       dict(choices=["paper-q", "squared-q"])),
+    "seed": ("--seed", "seed for randomized property sweeps", dict(type=int)),
+    "word": ("--word", "comma-separated letters, e.g. '2,1'", {}),
+    "z": ("--z", "comma-separated mode amplitudes, e.g. '0.5+0.2j,0.3'", {}),
+    "x": ("--x", "evaluate at one complex point instead of the sweep", {}),
+    "inject_corruption": ("--inject-corruption", "negative control: corrupt one amplitude and expect detection",
+                          dict(action="store_true")),
+}
+
+
+def _options(command: str) -> dict:
+    """Every option a verb takes, as RunConfig field -> default: the envelope and its row."""
+    return {**_ENVELOPE, **_verbs()[command].defaults}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -728,160 +776,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qmodes {TOOL_VERSION}")
     top = parser.add_subparsers(dest="group", required=True)
-
-    verify = top.add_parser("verify", help="operator-algebra certification")
-    verify_sub = verify.add_subparsers(dest="verb", required=True)
-    algebra = verify_sub.add_parser("algebra", help="relation families on the interior")
-    _common_options(algebra)
-    algebra.add_argument(
-        "--inject-corruption",
-        action="store_true",
-        help="negative control: corrupt one amplitude and expect detection",
-    )
-    algebra.set_defaults(
-        handler=run_verify_algebra,
-        command="verify algebra",
-        default_modes=2,
-        default_cutoff=6,
-        default_particles=4,
-        default_tol=1e-12,
-    )
-
-    coherent_group = top.add_parser("coherent", help="coherent-state checks")
-    coherent_sub = coherent_group.add_subparsers(dest="verb", required=True)
-    check = coherent_sub.add_parser(
-        "check", help="normalization, eigenvalue, completeness"
-    )
-    _common_options(check)
-    check.add_argument(
-        "--z", default=None, help="comma-separated mode amplitudes, e.g. '0.5+0.2j,0.3'"
-    )
-    check.add_argument(
-        "--points", type=int, default=None, help="grid points when --z is not given"
-    )
-    check.set_defaults(
-        handler=run_coherent,
-        command="coherent check",
-        default_modes=2,
-        default_cutoff=8,
-        default_particles=4,
-        default_tol=1e-9,
-        default_points=4,
-    )
-
-    qexp_group = top.add_parser("qexp", help="q-exponential checks")
-    qexp_sub = qexp_group.add_subparsers(dest="verb", required=True)
-    qexp_eval = qexp_sub.add_parser("eval", help="dual-route evaluation sweep")
-    _common_options(qexp_eval)
-    qexp_eval.add_argument(
-        "--x", default=None, help="evaluate at one complex point instead of the sweep"
-    )
-    qexp_eval.add_argument(
-        "--points", type=int, default=None, help="sweep size per q (default 50)"
-    )
-    qexp_eval.set_defaults(
-        handler=run_qexp,
-        command="qexp eval",
-        default_modes=1,
-        default_cutoff=6,
-        default_particles=4,
-        default_tol=1e-12,
-        default_points=50,
-    )
-
-    jackson_group = top.add_parser("jackson", help="Jackson-integral checks")
-    jackson_sub = jackson_group.add_subparsers(dest="verb", required=True)
-    moments = jackson_sub.add_parser("moments", help="moments against [n]!")
-    _common_options(moments)
-    moments.set_defaults(
-        handler=run_jackson,
-        command="jackson moments",
-        default_modes=1,
-        default_cutoff=6,
-        default_particles=10,
-        default_tol=1e-10,
-    )
-
-    qsym_group = top.add_parser("qsym", help="q-symmetric state checks")
-    qsym_sub = qsym_group.add_subparsers(dest="verb", required=True)
-
-    exchange = qsym_sub.add_parser("exchange", help="exchange and transposition laws")
-    _common_options(exchange)
-    exchange.set_defaults(
-        handler=run_qsym_exchange,
-        command="qsym exchange",
-        default_modes=3,
-        default_cutoff=6,
-        default_particles=4,
-        default_tol=1e-13,
-    )
-
-    norm = qsym_sub.add_parser("norm", help="norms of q-symmetrized words")
-    _common_options(norm)
-    norm.add_argument("--word", default=None, help="comma-separated letters, e.g. '2,1'")
-    norm.set_defaults(
-        handler=run_qsym_norm,
-        command="qsym norm",
-        default_modes=3,
-        default_cutoff=6,
-        default_particles=5,
-        default_tol=1e-12,
-    )
-
-    identity = qsym_sub.add_parser("identity", help="exact arrangement-sum identity")
-    _common_options(identity)
-    identity.set_defaults(
-        handler=run_qsym_identity,
-        command="qsym identity",
-        default_modes=3,
-        default_cutoff=6,
-        default_particles=6,
-        default_tol=1e-12,
-    )
-
-    appendix = qsym_sub.add_parser("appendix", help="exact insertion-sum identity")
-    _common_options(appendix)
-    appendix.set_defaults(
-        handler=run_qsym_appendix,
-        command="qsym appendix",
-        default_modes=3,
-        default_cutoff=6,
-        default_particles=6,
-        default_tol=1e-12,
-    )
-
+    groups = {}
+    for command, row in _verbs().items():
+        group, verb = command.split()
+        if group not in groups:
+            group_parser = top.add_parser(group, help=_GROUPS[group])
+            groups[group] = group_parser.add_subparsers(dest="verb", required=True)
+        verb_parser = groups[group].add_parser(verb, help=row.help)
+        for field, default in _options(command).items():
+            flag, help_text, keywords = _OPTIONS[field]
+            shown = " ".join(map(str, default)) if isinstance(default, tuple) else "%(default)s"
+            verb_parser.add_argument(
+                flag, dest=field, default=default, help=f"{help_text} (default: {shown})", **keywords
+            )
+        verb_parser.set_defaults(handler=row.handler, command=command)
     return parser
 
 
 def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    z = _parse_z(ns.z) if getattr(ns, "z", None) else None
-    x = None
-    if getattr(ns, "x", None):
-        try:
-            x = complex(ns.x)
-        except ValueError:
-            raise ConfigError(f"cannot parse --x value {ns.x!r}") from None
-    return RunConfig(
-        command=ns.command,
-        q_values=tuple(ns.q),
-        modes=ns.modes if ns.modes is not None else ns.default_modes,
-        cutoff=ns.cutoff if ns.cutoff is not None else ns.default_cutoff,
-        particles=ns.particles if ns.particles is not None else ns.default_particles,
-        tol=ns.tol if ns.tol is not None else ns.default_tol,
-        weight_variant=ns.weight_variant,
-        output_format=ns.output_format,
-        output_path=ns.output_path,
-        seed=ns.seed,
-        word=getattr(ns, "word", None),
-        z=z,
-        x=x,
-        points=(
-            ns.points
-            if getattr(ns, "points", None) is not None
-            else getattr(ns, "default_points", 4)
-        ),
-        inject_corruption=getattr(ns, "inject_corruption", False),
-    )
+    values = {field: getattr(ns, field) for field in _options(ns.command)}
+    values["q_values"] = tuple(values["q_values"])
+    if values.get("z") is not None:
+        values["z"] = _parse_z(values["z"])
+    if values.get("x") is not None:
+        values["x"] = _parse_x(values["x"])
+    return RunConfig(command=ns.command, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -308,10 +308,10 @@ def build_state(cfg: FockSpaceConfig, occupation: Sequence[int]) -> np.ndarray:
     return vector / np.sqrt(normalization)
 
 
-def interior_indices(cfg: FockSpaceConfig, margin: int = 2) -> np.ndarray:
-    """Indices of states with every occupation at most cutoff - margin."""
+def interior_indices(cfg: FockSpaceConfig) -> np.ndarray:
+    """Indices of states with every occupation at most cutoff - 2 (a margin of 2)."""
     occ = occupation_table(cfg)
-    return np.nonzero((occ <= cfg.cutoff - margin).all(axis=1))[0]
+    return np.nonzero((occ <= cfg.cutoff - 2).all(axis=1))[0]
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,7 @@ def verify_algebra(
     D = [_shift_amplitudes(cfg, number_op(cfg, i), i, 0) for i in range(1, n + 1)]
     stride = [cfg.cutoff ** (n - 1 - a) for a in range(n)]
     occ = occupation_table(cfg)
-    interior = interior_indices(cfg, margin=2)
+    interior = interior_indices(cfg)
     inner = occ[interior]
     # the row of a_a (a_a^dag) applied to an interior column is interior iff this holds
     lowerable = [inner[:, a] >= 1 for a in range(n)]
@@ -544,14 +544,12 @@ def coordinate_text(operator: ShiftOperator | np.ndarray) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def corrupted_annihilator(
-    cfg: FockSpaceConfig, i: int, relative_error: float = 1e-6
-) -> ShiftOperator:
+def corrupted_annihilator(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     """Copy of ``annihilator(cfg, i)`` with one interior amplitude rescaled.
 
     Negative-control input for :func:`verify_algebra`: the first stored
     amplitude whose row and column both lie in the margin-2 interior is
-    multiplied by ``1 + relative_error``.  Feeding the result in place of
+    multiplied by ``1 + 1e-6``.  Feeding the result in place of
     the honest operator must trip exactly the relation families that
     constrain amplitude magnitudes, while the families whose cancellation
     is positional (creator ordering, last-mode contraction, number-operator
@@ -560,9 +558,9 @@ def corrupted_annihilator(
     """
     matrix = annihilator(cfg, i)
     inside = np.zeros(cfg.dimension, dtype=bool)
-    inside[interior_indices(cfg, margin=2)] = True
+    inside[interior_indices(cfg)] = True
     candidates = np.flatnonzero(inside[matrix.rows()] & inside[matrix.indices])
     if candidates.size == 0:
         raise ValueError("no interior amplitude available to corrupt; increase the cutoff")
-    matrix.data[candidates[0]] *= 1.0 + relative_error
+    matrix.data[candidates[0]] *= 1.0 + 1e-6
     return matrix

@@ -33,7 +33,6 @@ __all__ = [
     "q_exp_series_tail",
     "q_exp",
     "q_exp_product",
-    "q_exp_product_tail",
     "q_exp_via_product",
     "q_exp_reciprocal",
     "jackson_integral",
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
+_MAX_TERMS = 100_000  # series terms before q_exp gives up
 
 BYTE_BUDGET = 2**30  # predicted peak bytes of one request
 WORK_BUDGET = 3e11  # steps of ~1 ns each, as the call sites cost them: ~5 minutes on 2 cores
@@ -209,12 +209,7 @@ def q_exp_series_tail(params: DeformationParams, x: complex, terms: int) -> floa
     return t / (1.0 - ratio)
 
 
-def q_exp(
-    params: DeformationParams,
-    x: complex,
-    rel_tol: float = 1e-15,
-    max_terms: int = 100_000,
-) -> QExpValue:
+def q_exp(params: DeformationParams, x: complex, rel_tol: float = 1e-15) -> QExpValue:
     """Adaptive series evaluation of exp_q(x) to a requested relative tail.
 
     The stopping rule compares the rigorous geometric tail bound against the
@@ -228,7 +223,7 @@ def q_exp(
     imags = [0.0]
     running = 1.0 + 0.0j
     brackets = _brackets(params, 64)
-    for k in range(1, max_terms):
+    for k in range(1, _MAX_TERMS):
         if k + 1 == len(brackets):  # grow the table by doubling
             brackets = _brackets(params, 2 * len(brackets))
         bracket = brackets[k]
@@ -244,7 +239,7 @@ def q_exp(
                 value = complex(math.fsum(reals), math.fsum(imags))
                 return QExpValue(value, tail, k + 1)
     raise DomainError(
-        f"series did not reach rel_tol={rel_tol} within {max_terms} terms "
+        f"series did not reach rel_tol={rel_tol} within {_MAX_TERMS} terms "
         f"(|x|/radius = {abs(x) / params.radius:.4f})"
     )
 
@@ -281,7 +276,7 @@ def q_exp_product(params: DeformationParams, x: complex, factors: int) -> comple
     return value
 
 
-def q_exp_product_tail(params: DeformationParams, x: complex, factors: int) -> float:
+def _q_exp_product_tail(params: DeformationParams, x: complex, factors: int) -> float:
     """Relative bound on the factors dropped after ``factors`` of them."""
     if factors < 1:
         raise DomainError(f"factors must be >= 1, got {factors}")
@@ -306,7 +301,7 @@ def q_exp_via_product(
     """Adaptive product-form evaluation of exp_q(x)."""
     factors = _factors_for(params, x, rel_tol)
     value = q_exp_product(params, x, factors)
-    tail = q_exp_product_tail(params, x, factors) * abs(value)
+    tail = _q_exp_product_tail(params, x, factors) * abs(value)
     return QExpValue(value, tail, factors)
 
 

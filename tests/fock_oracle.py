@@ -78,7 +78,7 @@ def reference_verify_algebra(
     numbers = [number_op(cfg, i).tocsr() for i in range(1, n + 1)]
     identity = sp.identity(cfg.dimension, dtype=np.complex128, format="csr")
     occ = occupation_table(cfg)
-    interior = interior_indices(cfg, margin=2)
+    interior = interior_indices(cfg)
 
     def dev(matrix: sp.spmatrix) -> float:
         return _interior_max(matrix, interior)

@@ -331,7 +331,7 @@ def test_criterion_09_classical_limit():
     for q in (0.9, 0.99, 0.999):
         weak = DeformationParams(q)
         cfg = FockSpaceConfig(2, 5, weak)
-        interior = interior_indices(cfg, margin=2)
+        interior = interior_indices(cfg)
         deviation = 0.0
         for i in (1, 2):
             lower, raiser = annihilator(cfg, i).tocsr(), creator(cfg, i).tocsr()

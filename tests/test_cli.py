@@ -407,6 +407,70 @@ def test_config_defaults_per_verb():
     assert config.cutoff == 8
     assert config.tol == 1e-9
     assert config.points == 4
+    for argv, defaults in VERB_DEFAULTS.items():
+        config = config_from_namespace(parser.parse_args(argv.split()))
+        assert config.command == argv
+        assert (config.q_values, config.output_format, config.output_path) == ((0.3, 0.5, 0.9), "text", None)
+        assert {field: getattr(config, field) for field in defaults} == defaults, argv
+
+
+# The defaults of --tol and of every option each verb reads, by RunConfig field.
+VERB_DEFAULTS = {
+    "verify algebra": dict(tol=1e-12, modes=2, cutoff=6, inject_corruption=False),
+    "coherent check": dict(tol=1e-9, modes=2, cutoff=8, points=4, weight_variant="squared-q", z=None),
+    "qexp eval": dict(tol=1e-12, points=50, x=None),
+    "jackson moments": dict(tol=1e-10, particles=10),
+    "qsym exchange": dict(tol=1e-13, modes=3, particles=4),
+    "qsym norm": dict(tol=1e-12, modes=3, particles=5, seed=0, word=None),
+    "qsym identity": dict(tol=1e-12, modes=3, particles=6),
+    "qsym appendix": dict(tol=1e-12, modes=3, particles=6),
+}
+
+# Per verb: a small run, the config keys its report echoes beyond the envelope,
+# and one option the verb does not read.
+VERB_TABLE = {
+    "verify algebra": ("--cutoff 4", {"modes", "cutoff", "inject_corruption"}, "--N 3"),
+    "coherent check": ("--modes 1 --points 1", {"modes", "cutoff", "points", "weight_variant", "z"}, "--seed 1"),
+    "qexp eval": ("--points 2", {"points", "x"}, "--modes 2"),
+    "jackson moments": ("--N 1", {"N"}, "--seed 1"),
+    "qsym exchange": ("--modes 2 --N 2", {"modes", "N"}, "--points 3"),
+    "qsym norm": ("--modes 2 --N 3", {"modes", "N", "seed", "word"}, "--cutoff 5"),
+    "qsym identity": ("--modes 2 --N 3", {"modes", "N"}, "--cutoff 5"),
+    "qsym appendix": ("--modes 2 --N 3", {"modes", "N"}, "--x 0.5"),
+}
+ENVELOPE_KEYS = {"command", "q", "tol", "format", "out"}
+
+
+def test_each_verb_echoes_and_accepts_only_the_options_it_reads(capsys):
+    from qmodes.cli import _verbs
+
+    assert set(VERB_TABLE) == set(_verbs()) == set(VERB_DEFAULTS)
+    for command, (options, echoed, unread) in VERB_TABLE.items():
+        argv = command.split() + ["--q", "0.5"] + options.split()
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0, (argv, err)
+        config = json.loads(out)["config"]
+        assert set(config) == ENVELOPE_KEYS | echoed, command
+        assert config["q"] == [0.5] and config["tol"] == VERB_DEFAULTS[command]["tol"]
+        code, out, err = run_cli(argv + unread.split(), capsys)
+        assert code == 2 and out == "", (command, unread)
+        assert f"unrecognized arguments: {unread}" in err
+        # --help shows the default of every option the verb takes
+        code, out, _ = run_cli(command.split() + ["--help"], capsys)
+        assert code == 0 and out.count("(default:") == len(ENVELOPE_KEYS) - 1 + len(echoed)
+
+
+@pytest.mark.parametrize("argv", [["coherent", "check", "--z", ""], ["qexp", "eval", "--x", ""]])
+def test_an_empty_point_is_a_config_error(argv, capsys):
+    code, out, err = run_cli(argv + ["--q", "0.5"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: cannot parse")
+
+
+def test_a_malformed_word_is_a_config_error_naming_the_option(capsys):
+    code, out, err = run_cli(["qsym", "norm", "--q", "0.5", "--word", "2,x"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: cannot parse --word value '2,x'")
 
 
 def test_runconfig_validate_rejects_bad_values():

@@ -181,7 +181,7 @@ def test_build_state_reproduces_basis_vectors():
 
 def test_interior_indices_margin():
     cfg = cfg_for(modes=2, cutoff=4)
-    interior = interior_indices(cfg, margin=2)
+    interior = interior_indices(cfg)
     occ = occupation_table(cfg)
     assert len(interior) == 9  # occupations 0..2 in each of two modes
     assert (occ[interior] <= 2).all()

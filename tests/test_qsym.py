@@ -264,7 +264,7 @@ def test_exchange_relation_everywhere():
     for q in Q_GRID:
         params = DeformationParams(q)
         for size in range(1, 5):
-            for counts in _count_vectors(3, size, exact_total=True):
+            for counts in _count_vectors(3, size):
                 _, residuals = exchange_check(counts, params)
                 assert residuals.shape == (len(_arrangements(counts)[0]), size - 1)
                 assert np.all(residuals < 1e-13), (counts, q, residuals.max())
