@@ -391,24 +391,6 @@ def _parse_word(text: str, modes: int) -> qsym.Word:
     return qsym.Word(letters, n_modes)
 
 
-def _exchange_work(n: int, size: int) -> float:
-    """Predicted steps (~1 ns each) of the exchange and transposition checks at one size."""
-    classes = size_estimate(math.lgamma(size + n) - math.lgamma(n) - math.lgamma(size + 1))
-    words = size_estimate(size * math.log(n))
-    # sum over the classes of rows x inversion levels: every level 0..max occurs, and
-    # the mean of sum_k c_k^2 over all words is N(1 - 1/n) + N^2/n
-    entries = words * (1 + size * (size - 1) * (n - 1) / (2 * n))
-    # per class ~100 us plus ~70 us per letter (one arrangement step, one position's
-    # gathers); ~12 ns per table entry and position
-    kernel = classes * (100_000 + 70_000 * size) + 12 * (size - 1) * entries
-    # per transposition ~300 us + 100 ns per entry to build and square it
-    inverse = (size - 1) * (300_000 + 100 * words)
-    # per class a sorted-word state (~40 us + 20 ns per entry), then per transposition
-    # one product and difference (~30 us + 6 ns per entry)
-    invariance = classes * (40_000 + 20 * words + (size - 1) * (30_000 + 6 * words))
-    return kernel + inverse + invariance
-
-
 def _square_minus_identity(op: fock.ShiftOperator) -> float:
     """Largest |entry| of T·T − I for a square weighted shift T, from its CSR arrays.
 
@@ -429,23 +411,35 @@ def _square_minus_identity(op: fock.ShiftOperator) -> float:
     return float(np.max(entries, initial=0.0))
 
 
+def _sweep_work(sizes: range, work: Callable[[int], float]) -> float:
+    """Sum work(size) over sizes, given largest first, stopping once past the work budget."""
+    total = 0.0
+    for size in sizes:
+        total += work(size)
+        if total > WORK_BUDGET:
+            break
+    return total
+
+
 def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     if config.particles < 2:
         raise ConfigError("exchange checks need N >= 2")
     n, N = config.modes, config.particles
-    top = size_estimate(N * math.log(n))
-    a, b = divmod(N, n)  # the largest class: b letters a + 1 times, n - b letters a times
-    rows = size_estimate(math.lgamma(N + 1) - b * math.lgamma(a + 2) - (n - b) * math.lgamma(a + 1))
-    levels = (N * N - b * (a + 1) ** 2 - (n - b) * a * a) // 2 + 1
-    # bytes: N-1 stored transpositions (16 per entry), one being squared (80), the
-    # arrangement cache (32), and the exchange kernel's table of the largest class
-    nbytes = (16 * N + 96) * top + rows * (100 + 16 * levels)
-    work = 0.0
-    for size in range(N, 1, -1):  # the largest sizes cost most; stop once past the budget
-        work += len(config.q_values) * _exchange_work(n, size)
-        if work > WORK_BUDGET:
-            break
-    check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, work)
+
+    # per size and q: the kernel on every class, the transpositions and their squares,
+    # and per class the sorted word's state and its products with the transpositions
+    def work(size: int) -> float:
+        classes, rows, entries = qsym._class_totals(n, size)
+        kernel = qsym._exchange_cost(size, classes, rows, entries)[1]
+        states = qsym._symmetrize_cost(n, size, classes, rows)[1]
+        transpositions = qsym._transposition_cost(n, size, size - 1, (size - 1) * (1 + classes))[1]
+        return len(config.q_values) * (kernel + states + transpositions)
+
+    # the top size's transpositions are kept together, beside one state and the largest table
+    rows, entries = qsym._largest_class(n, N)
+    nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0] + qsym._symmetrize_cost(n, N, 1, rows)[0]
+    nbytes += qsym._exchange_cost(N, 1, rows, entries)[0]
+    check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
     records = []
     for q in config.q_values:
         params = DeformationParams(q)
@@ -534,11 +528,10 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         return records, extra
     n, N = config.modes, config.particles
     samples = 25
-    top = size_estimate(N * math.log(n))
-    # per sample and q, at most the q_symmetrize estimate of the longest word: 16 B and
-    # ~120 ns per entry of n^N, ~200 ns per letter pair; sized before any word is drawn
-    work = samples * len(config.q_values) * (120 * top + 200 * N**2)
-    check_budget(f"qsym norm words up to N={N} over {n} modes", 16 * top, work)
+    # each word is sized before it is drawn, as the costliest it could be: N letters, largest class
+    nbytes, work = qsym._symmetrize_cost(n, N, 1, qsym._largest_class(n, N)[0])
+    work *= samples * len(config.q_values)
+    check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, work)
     rng = np.random.default_rng(config.seed)
     for q in config.q_values:
         params = DeformationParams(q)
@@ -581,12 +574,10 @@ def _count_vectors(slots: int, total: int):
 
 def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
-    top = size_estimate(N * math.log(n))
-    classes = size_estimate(math.lgamma(N + n + 1) - math.lgamma(N + 1) - math.lgamma(n + 1))
-    # 2 n^N + N arrangement rows (~300 ns per row and mode, 64 B/entry with the cache), and
-    # per class ~40 us of arrangement set-up plus one integer long division (~60 us + 7 ns * N^4)
-    work = 300 * n * (2 * top + N) + classes * (100_000 + 10 * N**4)
-    check_budget(f"qsym identity up to N={N} over {n} modes", 64 * top, work)
+    # every class of every total up to N; the largest class sets the bytes
+    work = _sweep_work(range(N, -1, -1), lambda t: qsym._identity_cost(t, *qsym._class_totals(n, t)[:2])[1])
+    nbytes = qsym._identity_cost(N, 1, qsym._largest_class(n, N)[0])[0]
+    check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, work)
     records = []
     for total in range(config.particles + 1):
         start = time.perf_counter()
@@ -789,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
             verb_parser.add_argument(
                 flag, dest=field, default=default, help=f"{help_text} (default: {shown})", **keywords
             )
-        verb_parser.set_defaults(handler=row.handler, command=command)
+        verb_parser.set_defaults(handler=row.handler, command=command, verb_parser=verb_parser)
     return parser
 
 
@@ -806,7 +797,10 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        # unread options come back to the top parser; the verb's own parser reports them
+        namespace, unread = parser.parse_known_args(argv)
+        if unread:
+            namespace.verb_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -47,6 +47,8 @@ from .qcore import (
     q_number,
 )
 
+_MAX_CUTOFF = 5000  # suggest_cutoff gives up below this cutoff
+
 __all__ = [
     "InsufficientCutoffError",
     "WeightVariant",
@@ -155,7 +157,6 @@ def suggest_cutoff(
     params: DeformationParams,
     z: Sequence[complex],
     tail_tol: float = 1e-10,
-    max_cutoff: int = 5000,
 ) -> int:
     """Smallest cutoff whose total relative tail mass stays below ``tail_tol``."""
     z = tuple(complex(v) for v in z)
@@ -172,7 +173,7 @@ def suggest_cutoff(
         term = 1.0
         partial = 1.0
         cutoff = None
-        for m in range(1, max_cutoff):
+        for m in range(1, _MAX_CUTOFF):
             term *= x / q_number(params, m)
             partial += term
             ratio = x / q_number(params, m + 1)
@@ -181,7 +182,7 @@ def suggest_cutoff(
                 break
         if cutoff is None:
             raise InsufficientCutoffError(
-                f"no cutoff below {max_cutoff} reaches tail {tail_tol} for |z|^2={x:.6g}"
+                f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for |z|^2={x:.6g}"
             )
         worst = max(worst, cutoff)
     return worst
@@ -334,15 +335,13 @@ def check_completeness(
 
 
 def spec_grid(
-    params: DeformationParams, modes: int, points: int, cutoff: int | None = None,
-    tail_tol: float = 1e-10,
+    params: DeformationParams, modes: int, points: int, tail_tol: float = 1e-10
 ) -> list[CoherentSpec]:
     """Deterministic grid of coherent specs with |z_i|^2 up to 0.8 * radius.
 
     Magnitudes sweep fractions of the disk radius and phases advance by an
-    irrational step per point, so no two specs are related by symmetry.  A
-    cutoff may be pinned; otherwise each spec gets the smallest cutoff that
-    meets ``tail_tol``.
+    irrational step per point, so no two specs are related by symmetry.  Each
+    spec gets the smallest cutoff that meets ``tail_tol``.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
@@ -357,6 +356,6 @@ def spec_grid(
             phase = 2.399963229728653 * (p + 1) + 0.7 * m  # golden-angle steps
             z.append(cmath.rect(math.sqrt(fraction * params.radius), phase))
         z = tuple(z)
-        chosen = cutoff if cutoff is not None else suggest_cutoff(params, z, tail_tol)
-        specs.append(CoherentSpec(z, fock.FockSpaceConfig(modes, chosen, params)))
+        cutoff = suggest_cutoff(params, z, tail_tol)
+        specs.append(CoherentSpec(z, fock.FockSpaceConfig(modes, cutoff, params)))
     return specs

@@ -20,6 +20,7 @@ exchange relation (at q -> 1 it degenerates to the plain bosonic swap
 invariance).
 """
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -126,6 +127,8 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     and read-only, because every caller shares them.
     """
     n_modes = len(counts)
+    if sum(counts) * math.log2(max(n_modes, 1)) > 63:
+        raise ValueError(f"the words of the class {counts} have tensor indices past int64")
     # the narrowest signed type that holds every count up to N (it holds -N - 1)
     dtype = np.min_scalar_type(-sum(counts) - 1)
     total = np.array(counts, dtype=dtype)
@@ -145,12 +148,64 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return index, inversions
 
 
-def _check_space(request: str, n_modes: int, size: int, entry_bytes: int, steps: float = 0) -> None:
-    """Refuse a request on the n^N tensor space past the budget, keeping indices in int64."""
+def _class_size(counts) -> tuple[float, float]:
+    """Rows of the class of ``counts`` (zeros may be left out) and entries of its exchange
+    table, which holds every row at every inversion level from 0 to the largest."""
+    if any(c < 0 for c in counts):
+        raise ValueError(f"counts must be nonnegative, got {tuple(counts)!r}")
+    size = sum(counts)
+    rows = size_estimate(math.lgamma(size + 1) - sum(math.lgamma(c + 1) for c in counts))
+    return rows, rows * ((size * size - sum(c * c for c in counts)) // 2 + 1)
+
+
+def _largest_class(n_modes: int, size: int) -> tuple[float, float]:
+    a, b = divmod(size, n_modes)  # the most balanced class: b letters a + 1 times, the rest a
+    return _class_size([a + 1] * b + [a] * (n_modes - b if a else 0))
+
+
+def _class_totals(n_modes: int, size: int) -> tuple[float, float, float]:
+    """Classes, rows and table entries over all classes of N letters: C(N + n - 1, n - 1)
+    classes hold the n^N words, and sum_k c_k^2 averages N(1 - 1/n) + N^2/n over them.
+
+    The cost estimates below, each (peak bytes of one call, steps of ~1 ns) fitted on cold
+    calls on a 2-core x86-64 machine, are linear in calls, rows and table entries, so on
+    these totals they equal the sum over the classes.
+    """
+    classes = size_estimate(math.lgamma(size + n_modes) - math.lgamma(n_modes) - math.lgamma(size + 1))
+    rows = size_estimate(size * math.log(n_modes))
+    return classes, rows, rows * (1 + size * (size - 1) * (n_modes - 1) / (2 * n_modes))
+
+
+def _arrangements_cost(size: int, classes: float, rows: float) -> tuple[float, float]:
+    # ~25 us per class and letter (a dozen numpy calls per step), ~350 ns and ~100 B per row
+    return 100 * rows, 25_000 * classes * size + 350 * rows
+
+
+def _symmetrize_cost(n_modes: int, size: int, calls: float, rows: float) -> tuple[float, float]:
+    # each call builds its class, then ~40 us of weights and ~1.5 ns per entry of n^N (8 B)
     dim = size_estimate(size * math.log(n_modes))
-    # the caller's bytes per entry; ~120 ns of work per entry (transposition_op, the slowest)
-    request = f"{request} on the {n_modes}^{size} tensor space"
-    check_budget(request, entry_bytes * dim, 120 * dim + steps)
+    nbytes, work = _arrangements_cost(size, calls, rows)
+    return 8 * dim + nbytes, work + calls * (40_000 + 1.5 * dim)
+
+
+def _transposition_cost(n_modes: int, size: int, ops: float, products: float) -> tuple[float, float]:
+    # ops built and kept (~50 us + 50 ns per entry; 16 B per entry each, ~64 more while
+    # building), then products with a state or with itself (~10 us + 6 ns per entry)
+    dim = size_estimate(size * math.log(n_modes))
+    return (16 * ops + 64) * dim, ops * (50_000 + 50 * dim) + products * (10_000 + 6 * dim)
+
+
+def _exchange_cost(size: int, classes: float, rows: float, entries: float) -> tuple[float, float]:
+    # each call builds its class; per position ~40 us and ~10 ns per table entry (24 B: the
+    # table, the product being reduced and the last one, not yet freed)
+    nbytes, work = _arrangements_cost(size, classes, rows)
+    return nbytes + 24 * entries, work + max(size - 1, 0) * (40_000 * classes + 10 * entries)
+
+
+def _identity_cost(size: int, classes: float, rows: float) -> tuple[float, float]:
+    # each call builds and tallies its class, then one exact division: ~70 us + 22 ns * N^4
+    nbytes, work = _arrangements_cost(size, classes, rows)
+    return nbytes, work + classes * (70_000 + 22 * size**4)
 
 
 @functools.lru_cache(maxsize=256)
@@ -178,8 +233,9 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     each arrangement u carries the weight q^{R(word)} q^{R(u)} and the whole
     sum is scaled by sqrt(prod [n_k]! / [N]!).
     """
-    # the dense vector and its class rows; weights and inversions ~200 ns per letter pair
-    _check_space("q_symmetrize", word.n_modes, word.size, 16, 200 * word.size**2)
+    rows, _ = _class_size(collections.Counter(word.letters).values())
+    check_budget(f"q_symmetrize on the {word.n_modes}^{word.size} tensor space",
+                 *_symmetrize_cost(word.n_modes, word.size, 1, rows))
     powers = _powers(params.q, word.size)
     base = powers[inversion_count(word.letters)] * _prefactor(params, word.counts)
     index, inversions = _arrangements(word.counts)
@@ -190,10 +246,13 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
 
 def bosonic_symmetrize(word: Word) -> np.ndarray:
     """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
-    _check_space("bosonic_symmetrize", word.n_modes, word.size, 24)  # vector, copy, rows
+    rows, _ = _class_size(collections.Counter(word.letters).values())
+    check_budget(f"bosonic_symmetrize on the {word.n_modes}^{word.size} tensor space",
+                 *_symmetrize_cost(word.n_modes, word.size, 1, rows))
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
     vector[_arrangements(word.counts)[0]] = 1.0
-    return vector / np.linalg.norm(vector)
+    vector /= np.linalg.norm(vector)
+    return vector
 
 
 def fundamental_norm(word: Word, params: DeformationParams) -> float:
@@ -222,20 +281,8 @@ def exchange_check(
     residual is then exactly zero.
     """
     counts = tuple(int(c) for c in counts)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts!r}")
     n_modes, size = len(counts), sum(counts)
-    if size * math.log2(max(n_modes, 1)) > 63:
-        raise ValueError(f"the words of the class {counts} have tensor indices past int64")
-    rows = size_estimate(math.lgamma(size + 1) - sum(math.lgamma(c + 1) for c in counts))
-    entries = rows * ((size * size - sum(c * c for c in counts)) // 2 + 1)  # R in 0..max
-    # the class rows (~100 B each), the table and one product being reduced (16 B per
-    # entry); ~5 ns per entry and position and ~100 ns per row and position
-    check_budget(
-        f"exchange_check on the class {counts}",
-        100 * rows + 16 * entries,
-        (size - 1) * (5 * entries + 100 * rows),
-    )
+    check_budget(f"exchange_check on the class {counts}", *_exchange_cost(size, 1, *_class_size(counts)))
     index, inversions = _arrangements(counts)
     levels = np.flatnonzero(np.bincount(inversions))
     powers = _powers(params.q, size)
@@ -275,7 +322,8 @@ def transposition_op(
         raise ValueError("size and n_modes must be >= 1")
     if not 1 <= k < size:
         raise ValueError(f"positions must satisfy 1 <= k < {size}, got {k}")
-    _check_space("transposition_op", n_modes, size, 80)  # index arrays, weights, CSR triple
+    check_budget(f"transposition_op on the {n_modes}^{size} tensor space",
+                 *_transposition_cost(n_modes, size, 1, 0))
     dim = n_modes**size
     index = np.arange(dim)
     stride_right = n_modes ** (size - k - 1)  # position k+1
@@ -302,10 +350,8 @@ def norm_identity_exact(counts: Sequence[int]):
     counts = tuple(int(c) for c in counts)
     if not counts:
         raise ValueError("counts must be a nonempty sequence")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts!r}")
-    # one class's rows and their build; the exact division, caches cold, takes ~30-70 ns * N^4
-    _check_space("norm_identity_exact", len(counts), sum(counts), 16, 100 * sum(counts) ** 4)
+    rows, _ = _class_size(counts)
+    check_budget(f"norm_identity_exact on the class {counts}", *_identity_cost(sum(counts), 1, rows))
     tally = np.bincount(_arrangements(counts)[1])
     arrangement_sum = QPolynomial(
         {2 * inversions: int(number) for inversions, number in enumerate(tally) if number}

@@ -16,6 +16,7 @@ from qmodes.cli import (
     CheckRecord,
     ConfigError,
     RunConfig,
+    _count_vectors,
     assemble_report,
     build_parser,
     canonical_json,
@@ -24,6 +25,7 @@ from qmodes.cli import (
     render_text,
     strip_timing,
 )
+from qmodes import cli, qsym
 from qmodes.fock import RELATION_FAMILIES
 from qmodes.qcore import DeformationParams, DomainError, jackson_moment, q_factorial
 
@@ -160,6 +162,46 @@ def test_exchange_sweep_of_four_modes_and_eight_letters_is_admitted(capsys):
     code, _, err = run_cli(["qsym", "exchange", "--modes", "6", "--N", "10"], capsys)
     assert code == 2
     assert float(err.split("needs about ")[1].split(" bytes")[0]) > 2**30
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, monkeypatch):
+    # each verb prices a size from its totals; pricing every class with the kernel's
+    # own estimate and summing must give the same bytes and work
+    class Priced(Exception):
+        pass
+
+    def priced(request, nbytes, work):
+        raise Priced(nbytes, work)
+
+    def estimate(verb, N):
+        argv = ["qsym", verb, "--q", "0.3", "0.5", "--modes", str(n), "--N", str(N)]
+        namespace = build_parser().parse_args(argv)
+        with pytest.raises(Priced) as raised:
+            namespace.handler(config_from_namespace(namespace))
+        return raised.value.args
+
+    monkeypatch.setattr(cli, "check_budget", priced)
+    for N in range(2, 8):
+        classes = {s: [qsym._class_size(c) for c in _count_vectors(n, s)] for s in range(N + 1)}
+        work = 0.0
+        for s in range(2, N + 1):
+            work += qsym._transposition_cost(n, s, s - 1, s - 1)[1]
+            for rows, entries in classes[s]:
+                work += qsym._exchange_cost(s, 1, rows, entries)[1] + qsym._symmetrize_cost(n, s, 1, rows)[1]
+                work += qsym._transposition_cost(n, s, 0, s - 1)[1]
+        nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0]
+        nbytes += max(qsym._symmetrize_cost(n, N, 1, rows)[0] for rows, _ in classes[N])
+        nbytes += max(qsym._exchange_cost(N, 1, rows, entries)[0] for rows, entries in classes[N])
+        assert estimate("exchange", N) == pytest.approx((nbytes, 2 * work), rel=1e-9)
+
+        words = [qsym._symmetrize_cost(n, N, 1, rows) for rows, _ in classes[N]]
+        costliest = (max(b for b, _ in words), 2 * 25 * max(w for _, w in words))
+        assert estimate("norm", N) == pytest.approx(costliest, rel=1e-9)
+
+        work = sum(qsym._identity_cost(s, 1, rows)[1] for s in classes for rows, _ in classes[s])
+        nbytes = max(qsym._identity_cost(N, 1, rows)[0] for rows, _ in classes[N])
+        assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
 
 
 def test_seven_modes_and_long_one_mode_words_are_accepted(capsys):
@@ -458,6 +500,13 @@ def test_each_verb_echoes_and_accepts_only_the_options_it_reads(capsys):
         # --help shows the default of every option the verb takes
         code, out, _ = run_cli(command.split() + ["--help"], capsys)
         assert code == 0 and out.count("(default:") == len(ENVELOPE_KEYS) - 1 + len(echoed)
+
+
+def test_an_unread_option_is_reported_by_the_verbs_own_parser(capsys):
+    code, out, err = run_cli(["qexp", "eval", "--q", "0.5", "--modes", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: qmodes qexp eval")
+    assert "unrecognized arguments: --modes 2" in err
 
 
 @pytest.mark.parametrize("argv", [["coherent", "check", "--z", ""], ["qexp", "eval", "--x", ""]])

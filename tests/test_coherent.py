@@ -130,8 +130,10 @@ def test_suggest_cutoff_domain_and_exhaustion():
         suggest_cutoff(params, (math.sqrt(params.radius),))
     with pytest.raises(ValueError):
         suggest_cutoff(params, ())
+    # |z|^2 = 0.99 radius at q = 0.999: the tail is still far above 1e-14 at the cap
+    params = DeformationParams(0.999)
     with pytest.raises(InsufficientCutoffError):
-        suggest_cutoff(params, (0.9,), tail_tol=1e-14, max_cutoff=4)
+        suggest_cutoff(params, (math.sqrt(0.99 * params.radius),), 1e-14)
 
 
 def test_zero_amplitude_gives_the_ground_state():
@@ -268,12 +270,6 @@ def test_spec_grid_is_deterministic_and_in_domain():
             assert abs(v) ** 2 <= 0.8 * params.radius + 1e-12
         state = build_coherent(spec)
         assert state.tail_mass <= 1e-10
-
-
-def test_spec_grid_respects_pinned_cutoff():
-    params = DeformationParams(0.5)
-    specs = spec_grid(params, modes=1, points=3, cutoff=40)
-    assert all(s.cfg.cutoff == 40 for s in specs)
 
 
 def test_spec_grid_input_checks():

@@ -15,6 +15,9 @@ from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
     Word,
     _arrangements,
+    _class_size,
+    _class_totals,
+    _largest_class,
     bosonic_symmetrize,
     exchange_check,
     fundamental_norm,
@@ -405,6 +408,32 @@ def test_norm_identity_exact_bounds():
         norm_identity_exact((15, 15))
     with pytest.raises(DomainError, match="budget"):
         norm_identity_exact((1,) * 12)
+
+
+def test_norm_identity_exact_is_sized_by_its_class():
+    # 992 rows, although the 3^32 tensor space of the words is far past the budget
+    arrangement_sum, multinomial = norm_identity_exact((30, 1, 1))
+    assert arrangement_sum == multinomial
+    # 4032 rows, but 3^64 > 2^63 tensor indices: refused, not tallied over wrapped ones
+    with pytest.raises(ValueError, match="int64"):
+        norm_identity_exact((62, 1, 1))
+
+
+def test_class_totals_equal_the_enumeration():
+    for n_modes in range(1, 7):
+        for size in range(9):
+            classes = rows = entries = 0
+            for counts in _count_vectors(n_modes, size):
+                inversions = _arrangements(counts)[1]
+                classes += 1
+                rows += inversions.size
+                entries += inversions.size * np.count_nonzero(np.bincount(inversions))
+                assert _class_size(counts) == pytest.approx(
+                    (inversions.size, inversions.size * (inversions.max() + 1)), rel=1e-12
+                )
+            assert _class_totals(n_modes, size) == pytest.approx((classes, rows, entries), rel=1e-12)
+            largest = max(_class_size(counts) for counts in _count_vectors(n_modes, size))
+            assert _largest_class(n_modes, size) == pytest.approx(largest, rel=1e-12)
 
 
 def test_bosonic_symmetrize_is_uniform_unit_vector():
