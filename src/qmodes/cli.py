@@ -99,6 +99,11 @@ class CheckRecord:
     exact_match: bool | None = None
     millis: int = 0
 
+    @classmethod
+    def measured(cls, name: str, params: dict, deviation: float, tol: float, millis: int):
+        """A numeric check, passed when its deviation is below ``tol``."""
+        return cls(name, params, deviation < tol, deviation=deviation, millis=millis)
+
     def to_json(self) -> dict:
         record = {
             "name": self.name,
@@ -194,16 +199,9 @@ def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]
         report = fock.verify_algebra(cfg, tol=config.tol, annihilators=lowers)
         millis = _elapsed_ms(start)
         for name in fock.RELATION_FAMILIES:
+            point = {"q": q, "modes": config.modes, "cutoff": config.cutoff}
             deviation = report.deviations[name]
-            records.append(
-                CheckRecord(
-                    name=name,
-                    params={"q": q, "modes": config.modes, "cutoff": config.cutoff},
-                    passed=deviation < report.threshold(name),
-                    deviation=deviation,
-                    millis=millis,
-                )
-            )
+            records.append(CheckRecord.measured(name, point, deviation, report.threshold(name), millis))
     return records, []
 
 
@@ -252,24 +250,10 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         point_params = {"q": q, "points": len(samples)}
         if config.x is not None:
             point_params["x"] = str(config.x)
-        records.append(
-            CheckRecord(
-                name="qexp_functional_equation",
-                params=dict(point_params),
-                passed=worst_functional < config.tol,
-                deviation=worst_functional,
-                millis=millis,
-            )
-        )
-        records.append(
-            CheckRecord(
-                name="qexp_route_agreement",
-                params=dict(point_params),
-                passed=worst_agreement < config.tol,
-                deviation=worst_agreement,
-                millis=millis,
-            )
-        )
+        for name, worst in (
+            ("qexp_functional_equation", worst_functional), ("qexp_route_agreement", worst_agreement)
+        ):
+            records.append(CheckRecord.measured(name, dict(point_params), worst, config.tol, millis))
     return records, extra
 
 
@@ -282,15 +266,9 @@ def run_jackson(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             value = jackson_moment(params, n, rel_tol=min(config.tol * 1e-2, 1e-12))
             target = q_factorial(params, n)
             deviation = abs(value / target - 1.0)
-            records.append(
-                CheckRecord(
-                    name="jackson_moment",
-                    params={"q": q, "n": n},
-                    passed=deviation < config.tol,
-                    deviation=deviation,
-                    millis=_elapsed_ms(start),
-                )
-            )
+            millis = _elapsed_ms(start)
+            point = {"q": q, "n": n}
+            records.append(CheckRecord.measured("jackson_moment", point, deviation, config.tol, millis))
     return records, []
 
 
@@ -430,33 +408,29 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     # and per class the sorted word's state and its products with the transpositions
     def work(size: int) -> float:
         classes, rows, entries = qsym._class_totals(n, size)
-        kernel = qsym._exchange_cost(size, classes, rows, entries)[1]
-        states = qsym._symmetrize_cost(n, size, classes, rows)[1]
+        kernel = qsym._class_cost("exchange", n, size, classes, rows, entries)[1]
+        states = qsym._class_cost("symmetrize", n, size, classes, rows)[1]
         transpositions = qsym._transposition_cost(n, size, size - 1, (size - 1) * (1 + classes))[1]
         return len(config.q_values) * (kernel + states + transpositions)
 
-    # the top size's transpositions are kept together, beside one state and the largest table
+    # the top size's transpositions are kept together, beside one state, the largest table
+    # and the classes the arrangement cache keeps
     rows, entries = qsym._largest_class(n, N)
-    nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0] + qsym._symmetrize_cost(n, N, 1, rows)[0]
-    nbytes += qsym._exchange_cost(N, 1, rows, entries)[0]
+    nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0] + qsym._cache_bytes(n, N)
+    nbytes += qsym._class_cost("symmetrize", n, N, 1, rows)[0]
+    nbytes += qsym._class_cost("exchange", n, N, 1, rows, entries)[0]
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
     records = []
     for q in config.q_values:
         params = DeformationParams(q)
         for size in range(2, config.particles + 1):
+            point = {"q": q, "N": size, "modes": config.modes}
             start = time.perf_counter()
             worst = 0.0
             for counts in _count_vectors(config.modes, size):
                 worst = max(worst, float(qsym.exchange_check(counts, params)[1].max()))
-            records.append(
-                CheckRecord(
-                    name="qsym_exchange",
-                    params={"q": q, "N": size, "modes": config.modes},
-                    passed=worst < config.tol,
-                    deviation=worst,
-                    millis=_elapsed_ms(start),
-                )
-            )
+            millis = _elapsed_ms(start)
+            records.append(CheckRecord.measured("qsym_exchange", dict(point), worst, config.tol, millis))
             # the inverse check's time includes building the transpositions it shares
             start = time.perf_counter()
             ops = [
@@ -466,39 +440,22 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             inverse = 0.0
             for op in ops:
                 inverse = max(inverse, _square_minus_identity(op))
+            millis = _elapsed_ms(start)
             records.append(
-                CheckRecord(
-                    name="qsym_transposition_inverse",
-                    params={"q": q, "N": size, "modes": config.modes},
-                    passed=inverse < config.tol,
-                    deviation=inverse,
-                    millis=_elapsed_ms(start),
-                )
+                CheckRecord.measured("qsym_transposition_inverse", dict(point), inverse, config.tol, millis)
             )
             start = time.perf_counter()
             invariance = 0.0
             for counts in _count_vectors(config.modes, size):
-                sorted_word = qsym.Word(
-                    tuple(
-                        letter
-                        for letter, count in enumerate(counts, start=1)
-                        for _ in range(count)
-                    ),
-                    config.modes,
-                )
-                vector = qsym.q_symmetrize(sorted_word, params)
+                letters = tuple(k for k, c in enumerate(counts, start=1) for _ in range(c))
+                vector = qsym.q_symmetrize(qsym.Word(letters, config.modes), params)
                 for op in ops:
                     residual = op @ vector  # a fresh array: reduced in place, no more allocations
                     residual -= vector
                     invariance = max(invariance, float(np.max(np.abs(residual, out=residual))))
+            millis = _elapsed_ms(start)
             records.append(
-                CheckRecord(
-                    name="qsym_transposition_invariance",
-                    params={"q": q, "N": size, "modes": config.modes},
-                    passed=invariance < config.tol,
-                    deviation=invariance,
-                    millis=_elapsed_ms(start),
-                )
+                CheckRecord.measured("qsym_transposition_invariance", point, invariance, config.tol, millis)
             )
     return records, []
 
@@ -516,20 +473,16 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             law = params.q**law_exponent
             deviation = abs(value - law)
             extra.append(repr(round(value, 12)))
-            records.append(
-                CheckRecord(
-                    name="qsym_norm",
-                    params={"q": q, "word": config.word, "value": round(value, 12)},
-                    passed=deviation < config.tol,
-                    deviation=deviation,
-                    millis=_elapsed_ms(start),
-                )
-            )
+            point = {"q": q, "word": config.word, "value": round(value, 12)}
+            millis = _elapsed_ms(start)
+            records.append(CheckRecord.measured("qsym_norm", point, deviation, config.tol, millis))
         return records, extra
     n, N = config.modes, config.particles
     samples = 25
-    # each word is sized before it is drawn, as the costliest it could be: N letters, largest class
-    nbytes, work = qsym._symmetrize_cost(n, N, 1, qsym._largest_class(n, N)[0])
+    # each word is sized before it is drawn, as the costliest it could be: N letters, largest
+    # class; the arrangement cache keeps up to one class per word
+    nbytes, work = qsym._class_cost("symmetrize", n, N, 1, qsym._largest_class(n, N)[0])
+    nbytes += qsym._cache_bytes(n, N, samples * len(config.q_values))
     work *= samples * len(config.q_values)
     check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, work)
     rng = np.random.default_rng(config.seed)
@@ -544,21 +497,9 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             value = qsym.fundamental_norm(word, params)
             law = params.q ** (2 * qsym.inversion_count(letters))
             worst = max(worst, abs(value - law))
-        records.append(
-            CheckRecord(
-                name="qsym_norm_law",
-                params={
-                    "q": q,
-                    "samples": samples,
-                    "N": config.particles,
-                    "modes": config.modes,
-                    "seed": config.seed,
-                },
-                passed=worst < config.tol,
-                deviation=worst,
-                millis=_elapsed_ms(start),
-            )
-        )
+        millis = _elapsed_ms(start)
+        point = {"q": q, "samples": samples, "N": N, "modes": n, "seed": config.seed}
+        records.append(CheckRecord.measured("qsym_norm_law", point, worst, config.tol, millis))
     return records, []
 
 
@@ -574,9 +515,13 @@ def _count_vectors(slots: int, total: int):
 
 def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
-    # every class of every total up to N; the largest class sets the bytes
-    work = _sweep_work(range(N, -1, -1), lambda t: qsym._identity_cost(t, *qsym._class_totals(n, t)[:2])[1])
-    nbytes = qsym._identity_cost(N, 1, qsym._largest_class(n, N)[0])[0]
+    # every class of every total up to N; the largest class's build and the classes the
+    # arrangement cache keeps set the bytes
+    work = _sweep_work(
+        range(N, -1, -1), lambda t: qsym._class_cost("identity", n, t, *qsym._class_totals(n, t)[:2])[1]
+    )
+    nbytes = qsym._class_cost("identity", n, N, 1, qsym._largest_class(n, N)[0])[0]
+    nbytes += qsym._cache_bytes(n, N)
     check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, work)
     records = []
     for total in range(config.particles + 1):

@@ -151,11 +151,14 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _class_size(counts) -> tuple[float, float]:
     """Rows of the class of ``counts`` (zeros may be left out) and entries of its exchange
     table, which holds every row at every inversion level from 0 to the largest."""
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {tuple(counts)!r}")
-    size = sum(counts)
-    rows = size_estimate(math.lgamma(size + 1) - sum(math.lgamma(c + 1) for c in counts))
-    return rows, rows * ((size * size - sum(c * c for c in counts)) // 2 + 1)
+    size = squares = 0
+    log_rows = 0.0
+    for c in counts:  # one pass: every kernel guard calls this
+        if c < 0:
+            raise ValueError(f"counts must be nonnegative, got {tuple(counts)!r}")
+        size, squares, log_rows = size + c, squares + c * c, log_rows - math.lgamma(c + 1)
+    rows = size_estimate(math.lgamma(size + 1) + log_rows)
+    return rows, rows * ((size * size - squares) // 2 + 1)
 
 
 def _largest_class(n_modes: int, size: int) -> tuple[float, float]:
@@ -165,27 +168,40 @@ def _largest_class(n_modes: int, size: int) -> tuple[float, float]:
 
 def _class_totals(n_modes: int, size: int) -> tuple[float, float, float]:
     """Classes, rows and table entries over all classes of N letters: C(N + n - 1, n - 1)
-    classes hold the n^N words, and sum_k c_k^2 averages N(1 - 1/n) + N^2/n over them.
-
-    The cost estimates below, each (peak bytes of one call, steps of ~1 ns) fitted on cold
-    calls on a 2-core x86-64 machine, are linear in calls, rows and table entries, so on
-    these totals they equal the sum over the classes.
-    """
+    classes hold the n^N words, and sum_k c_k^2 averages N(1 - 1/n) + N^2/n over them."""
     classes = size_estimate(math.lgamma(size + n_modes) - math.lgamma(n_modes) - math.lgamma(size + 1))
     rows = size_estimate(size * math.log(n_modes))
     return classes, rows, rows * (1 + size * (size - 1) * (n_modes - 1) / (2 * n_modes))
 
 
-def _arrangements_cost(size: int, classes: float, rows: float) -> tuple[float, float]:
-    # ~25 us per class and letter (a dozen numpy calls per step), ~350 ns and ~100 B per row
-    return 100 * rows, 25_000 * classes * size + 350 * rows
+def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: float, entries: float = 0):
+    """Peak bytes of one call and steps (~1 ns each) of ``classes`` calls of a class kernel
+    on N letters, over ``rows`` rows and ``entries`` exchange-table entries in all.
+
+    Fitted on cold calls on a 2-core x86-64 machine, and linear in calls, rows and entries,
+    so on the totals of ``_class_totals`` it equals the sum over the classes.  Each call
+    builds its class: ~25 us per letter, ~350 ns and ~100 B per row.  Then "symmetrize"
+    spends ~40 us and ~1.5 ns per entry of its n^N vector (8 B); "exchange" per position
+    ~40 us and ~10 ns per table entry, holding 24 B per entry (the table, the product being
+    reduced and the last one, not yet freed); "identity" one exact division, ~70 us + 22 ns * N^4.
+    """
+    if kernel == "symmetrize":
+        dim = size_estimate(size * math.log(n_modes))
+        nbytes, steps = 8 * dim, classes * (40_000 + 1.5 * dim)
+    elif kernel == "exchange":
+        nbytes, steps = 24 * entries, max(size - 1, 0) * (40_000 * classes + 10 * entries)
+    else:  # "identity"
+        nbytes, steps = 0, classes * (70_000 + 22 * size**4)
+    return 100 * rows + nbytes, 25_000 * classes * size + 350 * rows + steps
 
 
-def _symmetrize_cost(n_modes: int, size: int, calls: float, rows: float) -> tuple[float, float]:
-    # each call builds its class, then ~40 us of weights and ~1.5 ns per entry of n^N (8 B)
-    dim = size_estimate(size * math.log(n_modes))
-    nbytes, work = _arrangements_cost(size, calls, rows)
-    return 8 * dim + nbytes, work + calls * (40_000 + 1.5 * dim)
+def _cache_bytes(n_modes: int, size: int, classes: float = math.inf) -> float:
+    """Bytes the arrangement cache can keep once ``classes`` classes of up to N letters are
+    built: 16 per row, in no more classes than it holds, none past the largest class of N
+    letters, and no more rows than all the classes up to N have."""
+    every = size + 1 if n_modes == 1 else size_estimate((size + 1) * math.log(n_modes)) / (n_modes - 1)
+    kept = min(classes, _arrangements.cache_info().maxsize)
+    return 16 * min(every, kept * _largest_class(n_modes, size)[0])
 
 
 def _transposition_cost(n_modes: int, size: int, ops: float, products: float) -> tuple[float, float]:
@@ -193,19 +209,6 @@ def _transposition_cost(n_modes: int, size: int, ops: float, products: float) ->
     # building), then products with a state or with itself (~10 us + 6 ns per entry)
     dim = size_estimate(size * math.log(n_modes))
     return (16 * ops + 64) * dim, ops * (50_000 + 50 * dim) + products * (10_000 + 6 * dim)
-
-
-def _exchange_cost(size: int, classes: float, rows: float, entries: float) -> tuple[float, float]:
-    # each call builds its class; per position ~40 us and ~10 ns per table entry (24 B: the
-    # table, the product being reduced and the last one, not yet freed)
-    nbytes, work = _arrangements_cost(size, classes, rows)
-    return nbytes + 24 * entries, work + max(size - 1, 0) * (40_000 * classes + 10 * entries)
-
-
-def _identity_cost(size: int, classes: float, rows: float) -> tuple[float, float]:
-    # each call builds and tallies its class, then one exact division: ~70 us + 22 ns * N^4
-    nbytes, work = _arrangements_cost(size, classes, rows)
-    return nbytes, work + classes * (70_000 + 22 * size**4)
 
 
 @functools.lru_cache(maxsize=256)
@@ -233,12 +236,13 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     each arrangement u carries the weight q^{R(word)} q^{R(u)} and the whole
     sum is scaled by sqrt(prod [n_k]! / [N]!).
     """
-    rows, _ = _class_size(collections.Counter(word.letters).values())
+    rows, _ = _class_size(collections.Counter(word.letters).values())  # word.counts has n_modes
     check_budget(f"q_symmetrize on the {word.n_modes}^{word.size} tensor space",
-                 *_symmetrize_cost(word.n_modes, word.size, 1, rows))
+                 *_class_cost("symmetrize", word.n_modes, word.size, 1, rows))
+    counts = word.counts
     powers = _powers(params.q, word.size)
-    base = powers[inversion_count(word.letters)] * _prefactor(params, word.counts)
-    index, inversions = _arrangements(word.counts)
+    base = powers[inversion_count(word.letters)] * _prefactor(params, counts)
+    index, inversions = _arrangements(counts)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
     vector[index] = (base * powers)[inversions]
     return vector
@@ -248,7 +252,7 @@ def bosonic_symmetrize(word: Word) -> np.ndarray:
     """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
     rows, _ = _class_size(collections.Counter(word.letters).values())
     check_budget(f"bosonic_symmetrize on the {word.n_modes}^{word.size} tensor space",
-                 *_symmetrize_cost(word.n_modes, word.size, 1, rows))
+                 *_class_cost("symmetrize", word.n_modes, word.size, 1, rows))
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
     vector[_arrangements(word.counts)[0]] = 1.0
     vector /= np.linalg.norm(vector)
@@ -282,7 +286,8 @@ def exchange_check(
     """
     counts = tuple(int(c) for c in counts)
     n_modes, size = len(counts), sum(counts)
-    check_budget(f"exchange_check on the class {counts}", *_exchange_cost(size, 1, *_class_size(counts)))
+    check_budget(f"exchange_check on the class {counts}",
+                 *_class_cost("exchange", n_modes, size, 1, *_class_size(counts)))
     index, inversions = _arrangements(counts)
     levels = np.flatnonzero(np.bincount(inversions))
     powers = _powers(params.q, size)
@@ -350,8 +355,8 @@ def norm_identity_exact(counts: Sequence[int]):
     counts = tuple(int(c) for c in counts)
     if not counts:
         raise ValueError("counts must be a nonempty sequence")
-    rows, _ = _class_size(counts)
-    check_budget(f"norm_identity_exact on the class {counts}", *_identity_cost(sum(counts), 1, rows))
+    check_budget(f"norm_identity_exact on the class {counts}",
+                 *_class_cost("identity", len(counts), sum(counts), 1, _class_size(counts)[0]))
     tally = np.bincount(_arrangements(counts)[1])
     arrangement_sum = QPolynomial(
         {2 * inversions: int(number) for inversions, number in enumerate(tally) if number}

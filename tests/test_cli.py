@@ -102,6 +102,7 @@ def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
 OVER_BUDGET = [
     ["qsym", "exchange", "--modes", "6", "--N", "10"],
     ["qsym", "appendix", "--modes", "6", "--N", "40"],
+    ["qsym", "identity", "--modes", "2", "--N", "25"],
     ["verify", "algebra", "--modes", "2", "--cutoff", "3000"],
     ["coherent", "check", "--q", "0.5", "--modes", "3", "--points", "1"],
     ["jackson", "moments", "--q", "0.9999999", "--N", "2"],
@@ -188,20 +189,21 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         for s in range(2, N + 1):
             work += qsym._transposition_cost(n, s, s - 1, s - 1)[1]
             for rows, entries in classes[s]:
-                work += qsym._exchange_cost(s, 1, rows, entries)[1] + qsym._symmetrize_cost(n, s, 1, rows)[1]
+                work += qsym._class_cost("exchange", n, s, 1, rows, entries)[1]
+                work += qsym._class_cost("symmetrize", n, s, 1, rows)[1]
                 work += qsym._transposition_cost(n, s, 0, s - 1)[1]
-        nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0]
-        nbytes += max(qsym._symmetrize_cost(n, N, 1, rows)[0] for rows, _ in classes[N])
-        nbytes += max(qsym._exchange_cost(N, 1, rows, entries)[0] for rows, entries in classes[N])
+        nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0] + qsym._cache_bytes(n, N)
+        nbytes += max(qsym._class_cost("symmetrize", n, N, 1, rows)[0] for rows, _ in classes[N])
+        nbytes += max(qsym._class_cost("exchange", n, N, 1, rows, entries)[0] for rows, entries in classes[N])
         assert estimate("exchange", N) == pytest.approx((nbytes, 2 * work), rel=1e-9)
 
-        words = [qsym._symmetrize_cost(n, N, 1, rows) for rows, _ in classes[N]]
-        costliest = (max(b for b, _ in words), 2 * 25 * max(w for _, w in words))
-        assert estimate("norm", N) == pytest.approx(costliest, rel=1e-9)
+        words = [qsym._class_cost("symmetrize", n, N, 1, rows) for rows, _ in classes[N]]
+        nbytes = max(b for b, _ in words) + qsym._cache_bytes(n, N, 2 * 25)
+        assert estimate("norm", N) == pytest.approx((nbytes, 2 * 25 * max(w for _, w in words)), rel=1e-9)
 
-        work = sum(qsym._identity_cost(s, 1, rows)[1] for s in classes for rows, _ in classes[s])
-        nbytes = max(qsym._identity_cost(N, 1, rows)[0] for rows, _ in classes[N])
-        assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
+        work = sum(qsym._class_cost("identity", n, s, 1, rows)[1] for s in classes for rows, _ in classes[s])
+        nbytes = max(qsym._class_cost("identity", n, N, 1, rows)[0] for rows, _ in classes[N])
+        assert estimate("identity", N) == pytest.approx((nbytes + qsym._cache_bytes(n, N), work), rel=1e-9)
 
 
 def test_seven_modes_and_long_one_mode_words_are_accepted(capsys):

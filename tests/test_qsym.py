@@ -15,6 +15,7 @@ from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
     Word,
     _arrangements,
+    _cache_bytes,
     _class_size,
     _class_totals,
     _largest_class,
@@ -434,6 +435,19 @@ def test_class_totals_equal_the_enumeration():
             assert _class_totals(n_modes, size) == pytest.approx((classes, rows, entries), rel=1e-12)
             largest = max(_class_size(counts) for counts in _count_vectors(n_modes, size))
             assert _largest_class(n_modes, size) == pytest.approx(largest, rel=1e-12)
+
+
+def test_cache_bytes_bound_what_a_sweep_leaves_in_the_arrangement_cache():
+    # a sweep builds every class of every total up to N, smallest totals first; the cache
+    # then keeps its last 256 classes, two int64 arrays of one entry per row each
+    limit = _arrangements.cache_info().maxsize
+    for n_modes in range(1, 5):
+        for size in range(10):
+            sweep = [c for total in range(size + 1) for c in _count_vectors(n_modes, total)]
+            for counts in sweep:
+                _arrangements(counts)
+            kept = sum(array.nbytes for counts in sweep[-limit:] for array in _arrangements(counts))
+            assert _cache_bytes(n_modes, size) / 2 <= kept <= _cache_bytes(n_modes, size, len(sweep))
 
 
 def test_bosonic_symmetrize_is_uniform_unit_vector():
