@@ -283,23 +283,39 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     # Tail budget: eigenvalue residuals scale like sqrt(tail mass), so the
     # build aims two orders below tol^2 to keep truncation out of the verdict.
     build_tail = min(1e-20, config.tol**2 * 1e-2)
+    # Size the whole request before any state is built: per q one --z point at its
+    # own cutoff, or --points grid points at most at the cutoff of the grid's largest |z|.
+    cutoffs = {}  # q -> the cutoff that bounds its points, or why its --z point is refused
+    for q in config.q_values:
+        params = DeformationParams(q)
+        if config.z is None:
+            cutoffs[q] = coherent._grid_cutoff(params, config.modes, config.points, build_tail)
+            continue
+        try:
+            cutoffs[q] = coherent.suggest_cutoff(params, config.z, build_tail)
+        except DomainError as exc:
+            cutoffs[q] = exc
+    modes, points = (config.modes, config.points) if config.z is None else (len(config.z), 1)
+    nbytes = work = 0.0
+    for q, cutoff in cutoffs.items():
+        if isinstance(cutoff, int):
+            cost = coherent._check_cost(DeformationParams(q), modes, cutoff, points)
+            nbytes, work = nbytes + cost[0], work + cost[1]
+    check_budget(f"coherent check of {points} points over {modes} modes", nbytes, work)
     records = []
     for q in config.q_values:
         params = DeformationParams(q)
-        if config.z is not None:
-            try:
-                cutoff = coherent.suggest_cutoff(params, config.z, build_tail)
-            except DomainError as exc:
-                records.append(
-                    CheckRecord(
-                        name="coherent_domain",
-                        params={"q": q, "detail": str(exc)},
-                        passed=False,
-                    )
+        if isinstance(cutoffs[q], DomainError):
+            records.append(
+                CheckRecord(
+                    name="coherent_domain",
+                    params={"q": q, "detail": str(cutoffs[q])},
+                    passed=False,
                 )
-                continue
-            cfg = fock.FockSpaceConfig(len(config.z), cutoff, params)
-            specs = [coherent.CoherentSpec(config.z, cfg)]
+            )
+            continue
+        if config.z is not None:
+            specs = [coherent.CoherentSpec(config.z, params, cutoffs[q])]
         else:
             specs = coherent.spec_grid(params, config.modes, config.points, tail_tol=build_tail)
         for point, spec in enumerate(specs):
@@ -315,8 +331,7 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                     )
                 )
                 continue
-            norm_sq = float(np.vdot(state.vector, state.vector).real)
-            deviation = abs(norm_sq - 1.0)
+            deviation = abs(state.norm_sq - 1.0)
             records.append(
                 CheckRecord(
                     name="coherent_normalization",
@@ -326,13 +341,18 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                     millis=_elapsed_ms(start),
                 )
             )
-            for mode in range(1, spec.cfg.modes + 1):
+            for mode in range(1, spec.modes + 1):
                 start = time.perf_counter()
                 report = coherent.check_eigenvalue(state, mode, tol=config.tol)
+                point_params = {
+                    "q": q, "point": point, "mode": mode,
+                    "tail_allowance": report.tail_allowance,
+                    "rounding_allowance": report.rounding_allowance,
+                }
                 records.append(
                     CheckRecord(
                         name="coherent_eigenvalue",
-                        params={"q": q, "point": point, "mode": mode},
+                        params=point_params,
                         passed=report.passed,
                         deviation=report.residual,
                         millis=_elapsed_ms(start),

@@ -103,13 +103,26 @@ def _brackets(params: DeformationParams, size: int) -> tuple[float, ...]:
     return tuple((q_sq**k - 1.0) / (q_sq - 1.0) for k in range(size))
 
 
+def _bracket_table(params: DeformationParams, size: int) -> tuple[float, ...]:
+    """The cached bracket table of 64 * 2^j entries, the least such that holds ``size``.
+
+    These are the sizes :func:`q_exp` grows its table through, so the loops
+    that read it share a few tables per q instead of caching one per call.
+    """
+    entries = 64
+    while entries < size:
+        entries *= 2
+    return _brackets(params, entries)
+
+
 def q_factorial(params: DeformationParams, n: int) -> float:
     """Product [1][2]...[n] of brackets, with [0]! = 1."""
     if n < 0 or n != int(n):
         raise DomainError(f"factorial index must be a nonnegative integer, got {n!r}")
+    brackets = _bracket_table(params, int(n) + 1)
     value = 1.0
     for k in range(1, int(n) + 1):
-        value *= q_number(params, k)
+        value *= brackets[k]
     if not math.isfinite(value):
         raise OverflowError(f"bracket factorial overflows at n={n}, q={params.q}")
     return value

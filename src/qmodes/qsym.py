@@ -182,14 +182,14 @@ def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: floa
     so on the totals of ``_class_totals`` it equals the sum over the classes.  Each call
     builds its class: ~25 us per letter, ~350 ns and ~100 B per row.  Then "symmetrize"
     spends ~40 us and ~1.5 ns per entry of its n^N vector (8 B); "exchange" per position
-    ~40 us and ~10 ns per table entry, holding 24 B per entry (the table, the product being
-    reduced and the last one, not yet freed); "identity" one exact division, ~70 us + 22 ns * N^4.
+    ~40 us and ~10 ns per table entry, holding 16 B per entry (the table and the one buffer
+    every position gathers its products into); "identity" one exact division, ~70 us + 22 ns * N^4.
     """
     if kernel == "symmetrize":
         dim = size_estimate(size * math.log(n_modes))
         nbytes, steps = 8 * dim, classes * (40_000 + 1.5 * dim)
     elif kernel == "exchange":
-        nbytes, steps = 24 * entries, max(size - 1, 0) * (40_000 * classes + 10 * entries)
+        nbytes, steps = 16 * entries, max(size - 1, 0) * (40_000 * classes + 10 * entries)
     else:  # "identity"
         nbytes, steps = 0, classes * (70_000 + 22 * size**4)
     return 100 * rows + nbytes, 25_000 * classes * size + 350 * rows + steps
@@ -298,6 +298,7 @@ def exchange_check(
     )
     factors = np.empty((index.size, max(size - 1, 0)))
     residuals = np.empty_like(factors)
+    image = np.empty_like(table)  # one gather buffer, reused at every position
     for k in range(1, size):
         stride_right = n_modes ** (size - k - 1)  # position k+1
         stride_left = stride_right * n_modes  # position k
@@ -305,7 +306,7 @@ def exchange_check(
         right = index // stride_right % n_modes
         swapped = index + (left - right) * (stride_right - stride_left)
         factors[:, k - 1] = comparator[left, right]
-        image = table[np.searchsorted(index, swapped)]
+        np.take(table, np.searchsorted(index, swapped), axis=0, out=image, mode="clip")
         image *= factors[:, k - 1, np.newaxis]
         np.subtract(table, image, out=image)
         residuals[:, k - 1] = np.abs(image, out=image).max(axis=1)

@@ -78,3 +78,29 @@ def reference_mode_tail_bound(params: DeformationParams, z: complex, cutoff: int
     if ratio >= 1.0:
         return math.inf
     return first_dropped / (1.0 - ratio) / partial
+
+
+def reference_q_factorial(params: DeformationParams, n: int) -> float:
+    value = 1.0
+    for k in range(1, n + 1):
+        value *= q_number(params, k)
+    return value
+
+
+def reference_suggest_cutoff(params: DeformationParams, z, tail_tol: float, max_cutoff: int = 5000) -> int:
+    per_mode = tail_tol / len(z)
+    worst = 1
+    for v in z:
+        x = abs(v) ** 2
+        term = 1.0
+        partial = 1.0
+        for m in range(1, max_cutoff):
+            term *= x / q_number(params, m)
+            partial += term
+            ratio = x / q_number(params, m + 1)
+            if ratio < 1.0 and (term * ratio / (1.0 - ratio)) / partial <= per_mode:
+                worst = max(worst, m + 1)
+                break
+        else:
+            raise ValueError("no cutoff below the cap")
+    return worst

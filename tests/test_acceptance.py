@@ -141,12 +141,11 @@ def test_criterion_04_coherent_states():
     specs_checked = 0
     for q in Q_GRID:
         params = DeformationParams(q)
-        for modes in (1, 2):
+        for modes in (1, 2, 3):
             for spec in spec_grid(params, modes, points=20, tail_tol=1e-20):
                 state = build_coherent(spec, tail_tol=1e-19)
-                norm_sq = float(np.vdot(state.vector, state.vector).real)
                 worst_norm = max(
-                    worst_norm, abs(norm_sq - 1.0) - state.tail_mass
+                    worst_norm, abs(state.norm_sq - 1.0) - state.tail_mass
                 )
                 for mode in range(1, modes + 1):
                     report = check_eigenvalue(state, mode, tol=1e-9)

@@ -104,7 +104,7 @@ OVER_BUDGET = [
     ["qsym", "appendix", "--modes", "6", "--N", "40"],
     ["qsym", "identity", "--modes", "2", "--N", "25"],
     ["verify", "algebra", "--modes", "2", "--cutoff", "3000"],
-    ["coherent", "check", "--q", "0.5", "--modes", "3", "--points", "1"],
+    ["coherent", "check", "--q", "0.5", "--points", "10000000"],
     ["jackson", "moments", "--q", "0.9999999", "--N", "2"],
 ]
 
@@ -253,6 +253,34 @@ def test_coherent_verdicts_follow_tol(capsys):
     (completeness,) = [c for c in report["checks"] if c["name"] == "coherent_completeness"]
     assert not completeness["pass"]
     assert completeness["deviation"] > 1e-20
+
+
+def test_eigenvalue_verdicts_can_be_recomputed_from_the_report(capsys):
+    argv = ["coherent", "check", "--q", "0.5", "0.96", "--modes", "3", "--points", "2", "--format", "json"]
+    for tol in ("1e-9", "1e-20"):
+        code, out, _ = run_cli(argv + ["--tol", tol], capsys)
+        report = json.loads(out)
+        eigen = [c for c in report["checks"] if c["name"] == "coherent_eigenvalue"]
+        assert len(eigen) == 2 * 2 * 3
+        for check in eigen:
+            params = check["params"]
+            allowance = params["tail_allowance"] + params["rounding_allowance"]
+            assert check["pass"] == (check["deviation"] <= report["config"]["tol"] + allowance)
+            assert 0.0 < params["rounding_allowance"] < 1e-12
+
+
+@pytest.mark.parametrize("modes", [3, 8])
+def test_many_mode_coherent_checks_run_in_bounded_memory(modes, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["coherent", "check", "--q", "0.5", "--modes", str(modes), "--points", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("PASS coherent_eigenvalue") == 2 * modes
+    assert peak < 10_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for truncated coherent states: builds, eigenvalue and completeness checks."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from qmodes.coherent import (
     CoherentSpec,
     InsufficientCutoffError,
     WeightVariant,
+    _grid_cutoff,
+    _lowered,
+    _number_powers,
     build_coherent,
     check_completeness,
     check_eigenvalue,
@@ -19,17 +23,22 @@ from qmodes.coherent import (
     spec_grid,
     suggest_cutoff,
 )
-from qmodes.fock import FockSpaceConfig
+from qmodes.fock import FockSpaceConfig, annihilator
 from qmodes.qcore import DeformationParams, DomainError, q_factorial, q_number
 
-from qcore_oracle import reference_mode_coefficients, reference_mode_tail_bound
+from coherent_oracle import dense_eigenvalue, dense_state, telescoping_bound
+from qcore_oracle import (
+    reference_mode_coefficients,
+    reference_mode_tail_bound,
+    reference_q_factorial,
+    reference_suggest_cutoff,
+)
 
 Q_GRID = (0.3, 0.5, 0.9)
 
 
 def make_spec(q: float, z: tuple, cutoff: int) -> CoherentSpec:
-    params = DeformationParams(q)
-    return CoherentSpec(tuple(z), FockSpaceConfig(len(z), cutoff, params))
+    return CoherentSpec(tuple(z), DeformationParams(q), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +47,14 @@ def make_spec(q: float, z: tuple, cutoff: int) -> CoherentSpec:
 
 def test_spec_validates_length_and_domain():
     params = DeformationParams(0.5)
-    cfg = FockSpaceConfig(2, 6, params)
     with pytest.raises(ValueError):
-        CoherentSpec((0.1,), cfg)
+        CoherentSpec((), params, 6)
+    with pytest.raises(ValueError):
+        CoherentSpec((0.1,), params, 0)
     outside = math.sqrt(params.radius) + 0.01
     with pytest.raises(DomainError):
-        CoherentSpec((0.1, outside), cfg)
+        CoherentSpec((0.1, outside), params, 6)
+    assert CoherentSpec((0.1, 0.2j, 0.3), params, 6).modes == 3
 
 
 def test_shifted_twists_only_later_modes():
@@ -112,7 +123,7 @@ def test_suggest_cutoff_meets_requested_tail():
     params = DeformationParams(0.5)
     z = (0.9, 0.4 + 0.3j)
     cutoff = suggest_cutoff(params, z, tail_tol=1e-10)
-    spec = CoherentSpec(z, FockSpaceConfig(len(z), cutoff, params))
+    spec = CoherentSpec(z, params, cutoff)
     state = build_coherent(spec, tail_tol=1e-10)
     assert state.tail_mass <= 1e-10
 
@@ -139,10 +150,11 @@ def test_suggest_cutoff_domain_and_exhaustion():
 def test_zero_amplitude_gives_the_ground_state():
     spec = make_spec(0.5, (0.0, 0.0), 4)
     state = build_coherent(spec)
-    expected = np.zeros(16)
-    expected[0] = 1.0
+    expected = np.zeros((2, 4))
+    expected[:, 0] = 1.0
     np.testing.assert_array_equal(state.vector, expected)
     assert state.norm_constant == 1.0
+    assert state.norm_sq == 1.0
     assert state.tail_mass == 0.0
 
 
@@ -151,11 +163,11 @@ def test_built_state_norm_shortfall_is_within_tail_mass():
         params = DeformationParams(q)
         z = (0.55 * math.sqrt(params.radius), 0.3j * math.sqrt(params.radius))
         cutoff = suggest_cutoff(params, z, tail_tol=1e-12)
-        state = build_coherent(
-            CoherentSpec(z, FockSpaceConfig(2, cutoff, params)), tail_tol=1e-12
-        )
-        shortfall = 1.0 - float(np.vdot(state.vector, state.vector).real)
+        state = build_coherent(CoherentSpec(z, params, cutoff), tail_tol=1e-12)
+        shortfall = 1.0 - state.norm_sq
         assert -1e-13 <= shortfall <= state.tail_mass + 1e-13
+        dense, _ = dense_state(state.spec)
+        assert state.norm_sq == pytest.approx(float(np.vdot(dense, dense).real), abs=1e-15)
 
 
 def test_build_refuses_underresolved_cutoff():
@@ -172,9 +184,7 @@ def test_eigenvalue_residual_is_truncation_only():
     params = DeformationParams(0.5)
     z = (0.9, 0.5j)
     cutoff = suggest_cutoff(params, z, tail_tol=1e-14)
-    state = build_coherent(
-        CoherentSpec(z, FockSpaceConfig(2, cutoff, params)), tail_tol=1e-14
-    )
+    state = build_coherent(CoherentSpec(z, params, cutoff), tail_tol=1e-14)
     for mode in (1, 2):
         report = check_eigenvalue(state, mode, tol=1e-9)
         assert report.passed
@@ -186,9 +196,7 @@ def test_eigenvalue_residual_decreases_with_cutoff():
     z = (0.9, 0.5j)
     residuals = []
     for cutoff in (12, 24):
-        state = build_coherent(
-            CoherentSpec(z, FockSpaceConfig(2, cutoff, params)), tail_tol=math.inf
-        )
+        state = build_coherent(CoherentSpec(z, params, cutoff), tail_tol=math.inf)
         residuals.append(check_eigenvalue(state, 1).residual)
     assert residuals[1] < residuals[0]
 
@@ -196,9 +204,7 @@ def test_eigenvalue_residual_decreases_with_cutoff():
 def test_norm_ratio_compensates_later_modes_only():
     params = DeformationParams(0.5)
     z = (0.4, 0.7)
-    state = build_coherent(
-        CoherentSpec(z, FockSpaceConfig(2, 10, params)), tail_tol=math.inf
-    )
+    state = build_coherent(CoherentSpec(z, params, 10), tail_tol=math.inf)
     first = check_eigenvalue(state, 1)
     second = check_eigenvalue(state, 2)
     assert first.norm_ratio == pytest.approx(
@@ -209,19 +215,19 @@ def test_norm_ratio_compensates_later_modes_only():
 
 def test_uncompensated_eigenvalue_relation_visibly_fails():
     # dropping the norm-ratio compensation leaves an order 1e-2 residual:
-    # the shifted state is normalized differently from a_i |z>
-    from qmodes.fock import annihilator
-
+    # the shifted state is normalized differently from a_i |z>.  Both sides
+    # are taken factor by factor, with the single-mode maps of check_eigenvalue.
     params = DeformationParams(0.5)
     z = (0.9, 0.5j)
     cutoff = suggest_cutoff(params, z, tail_tol=1e-14)
-    cfg = FockSpaceConfig(2, cutoff, params)
-    state = build_coherent(CoherentSpec(z, cfg), tail_tol=1e-14)
-    shifted = build_coherent(CoherentSpec(z, cfg).shifted(1), tail_tol=1e-14)
-    naive = float(np.linalg.norm(annihilator(cfg, 1) @ state.vector - z[0] * shifted.vector))
-    compensated = check_eigenvalue(state, 1).residual
+    state = build_coherent(CoherentSpec(z, params, cutoff), tail_tol=1e-14)
+    shifted = build_coherent(state.spec.shifted(1), tail_tol=1e-14)
+    lhs = [_lowered(params, state.vector[0]), _number_powers(params, cutoff) * state.vector[1]]
+    naive = telescoping_bound(lhs, [z[0] * shifted.vector[0], shifted.vector[1]])
+    report = check_eigenvalue(state, 1)
     assert naive > 1e-3
-    assert compensated < 1e-6
+    assert report.residual < 1e-6
+    assert naive > 1e3 * (report.tol + report.tail_allowance + report.rounding_allowance)
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +295,94 @@ def test_tabled_mode_loops_equal_the_per_term_loops():
                 coefficients = mode_coefficients(params, z, cutoff)
                 assert coefficients.tobytes() == reference_mode_coefficients(params, z, cutoff).tobytes()
                 assert mode_tail_bound(params, z, cutoff) == reference_mode_tail_bound(params, z, cutoff)
+            for tail_tol in (1e-6, 1e-10, 1e-20):
+                amplitudes = (z, 0.5 * z, 0.0)
+                assert suggest_cutoff(params, amplitudes, tail_tol) == reference_suggest_cutoff(
+                    params, amplitudes, tail_tol
+                )
+        for n in (0, 1, 2, 62, 63, 64, 65, 130):
+            assert q_factorial(params, n) == reference_q_factorial(params, n)
+
+
+# ---------------------------------------------------------------------------
+# the factored route against the dense oracle
+
+
+ORACLE_Q = (0.3, 0.5, 0.9, 0.96)
+
+
+@pytest.mark.parametrize("modes, tail_tol", [(1, 1e-20), (2, 1e-20), (3, 1e-4)])
+def test_factored_residual_bounds_the_dense_residual(modes, tail_tol):
+    # modes 3 takes a looser tail so that the dense space stays below ~1e5 states
+    for q in ORACLE_Q:
+        for spec in spec_grid(DeformationParams(q), modes, points=3, tail_tol=tail_tol):
+            state = build_coherent(spec, tail_tol=math.inf)
+            for mode in range(1, modes + 1):
+                report = check_eigenvalue(state, mode)
+                dense, dense_passed = dense_eigenvalue(spec, mode)
+                assert report.residual >= dense - report.rounding_allowance
+                assert report.residual <= dense + report.rounding_allowance
+                assert report.passed == dense_passed
+
+
+def test_factored_residual_is_the_telescoping_bound_of_its_factors():
+    # the per-state suffix products and sums equal the bound taken term by term
+    params = DeformationParams(0.7)
+    spec = spec_grid(params, 4, points=1, tail_tol=1e-12)[0]
+    state = build_coherent(spec, tail_tol=math.inf)
+    powers = _number_powers(params, spec.cutoff)
+    for mode in range(1, 5):
+        shifted = build_coherent(spec.shifted(mode), tail_tol=math.inf)
+        ratios = [math.sqrt(1.0 - (1.0 - params.q_sq) * abs(z) ** 2) for z in spec.z]
+        lhs, rhs = [], []
+        for k in range(1, 5):
+            v = state.vector[k - 1]
+            if k < mode:
+                lhs.append(v), rhs.append(v)
+            elif k == mode:
+                lhs.append(_lowered(params, v)), rhs.append(spec.z[k - 1] * v)
+            else:
+                lhs.append(powers * v), rhs.append(ratios[k - 1] * shifted.vector[k - 1])
+        report = check_eigenvalue(state, mode)
+        assert report.residual == pytest.approx(telescoping_bound(lhs, rhs), rel=1e-13)
+
+
+def test_a_corrupted_later_factor_trips_the_check_of_an_earlier_mode():
+    # mode 1's check sees mode 2 only through the telescoping term k > i
+    params = DeformationParams(0.5)
+    spec = CoherentSpec((0.9, 0.5j), params, 60)
+    state = build_coherent(spec)
+    corrupted = dataclasses.replace(state, vector=state.vector * np.array([[1.0], [1.01]]))
+    report = check_eigenvalue(corrupted, 1)
+    shifted, _ = dense_state(spec.shifted(1))
+    ratio = math.sqrt(1.0 - (1.0 - params.q_sq) * abs(spec.z[1]) ** 2)
+    lower = annihilator(FockSpaceConfig(2, 60, params), 1)
+    dense = np.linalg.norm(lower @ np.kron(*corrupted.vector) - spec.z[0] * ratio * shifted)
+    assert not report.passed
+    assert report.residual >= dense - report.rounding_allowance
+    assert dense > 5e-3
+
+
+@pytest.mark.parametrize("modes", [2, 3])
+def test_kronecker_factors_equal_the_annihilator(modes):
+    params = DeformationParams(0.6)
+    cutoff = 5
+    identity = np.eye(cutoff)
+    lower = np.column_stack([_lowered(params, column) for column in identity])
+    twist = np.diag(_number_powers(params, cutoff))
+    cfg = FockSpaceConfig(modes, cutoff, params)
+    for i in range(1, modes + 1):
+        product = np.ones((1, 1))
+        for factor in [identity] * (i - 1) + [lower] + [twist] * (modes - i):
+            product = np.kron(product, factor)
+        np.testing.assert_allclose(product, annihilator(cfg, i).tocsr().toarray(), rtol=1e-14, atol=0)
+
+
+def test_grid_cutoff_bounds_every_spec_of_the_grid():
+    for q in (0.3, 0.9):
+        params = DeformationParams(q)
+        for modes in (1, 2, 3):
+            for points in (1, 2, 3, 5):
+                bound = _grid_cutoff(params, modes, points, 1e-20)
+                cutoffs = [spec.cutoff for spec in spec_grid(params, modes, points, 1e-20)]
+                assert max(cutoffs) <= bound <= max(cutoffs) + 1
