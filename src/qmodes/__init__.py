@@ -61,6 +61,7 @@ from .qpoly import (
 )
 from .qsym import (
     Word,
+    arrangements,
     exchange_check,
     fundamental_norm,
     inversion_count,
@@ -103,6 +104,7 @@ __all__ = [
     "check_eigenvalue",
     "check_completeness",
     "Word",
+    "arrangements",
     "inversion_count",
     "q_symmetrize",
     "fundamental_norm",

@@ -424,60 +424,53 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         raise ConfigError("exchange checks need N >= 2")
     n, N = config.modes, config.particles
 
-    # per size and q: the kernel on every class, the transpositions and their squares,
-    # and per class the sorted word's state and its products with the transpositions
+    # per size, every class built once; then per q the kernel on every class, the
+    # transpositions, their squares and their products with one state vector
     def work(size: int) -> float:
-        classes, rows, entries = qsym._class_totals(n, size)
-        kernel = qsym._class_cost("exchange", n, size, classes, rows, entries)[1]
-        states = qsym._class_cost("symmetrize", n, size, classes, rows)[1]
-        transpositions = qsym._transposition_cost(n, size, size - 1, (size - 1) * (1 + classes))[1]
-        return len(config.q_values) * (kernel + states + transpositions)
+        totals = qsym._class_totals(n, size)
+        per_q = sum(qsym._class_cost(k, n, size, *totals)[1] for k in ("exchange", "symmetrize"))
+        per_q += qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
+        return qsym._class_cost("arrangements", n, size, *totals[:2])[1] + len(config.q_values) * per_q
 
-    # the top size's transpositions are kept together, beside one state, the largest table
-    # and the classes the arrangement cache keeps
+    # the top size's transpositions are kept together, beside its classes, one state
+    # vector filled from them and the largest table
     rows, entries = qsym._largest_class(n, N)
-    nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0] + qsym._cache_bytes(n, N)
-    nbytes += qsym._class_cost("symmetrize", n, N, 1, rows)[0]
+    nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0]
+    nbytes += qsym._class_cost("symmetrize", n, N, 1, qsym._class_totals(n, N)[1])[0]
     nbytes += qsym._class_cost("exchange", n, N, 1, rows, entries)[0]
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
     records = []
-    for q in config.q_values:
-        params = DeformationParams(q)
-        for size in range(2, config.particles + 1):
-            point = {"q": q, "N": size, "modes": config.modes}
-            start = time.perf_counter()
-            worst = 0.0
-            for counts in _count_vectors(config.modes, size):
-                worst = max(worst, float(qsym.exchange_check(counts, params)[1].max()))
-            millis = _elapsed_ms(start)
-            records.append(CheckRecord.measured("qsym_exchange", dict(point), worst, config.tol, millis))
-            # the inverse check's time includes building the transpositions it shares
-            start = time.perf_counter()
-            ops = [
-                qsym.transposition_op(size, config.modes, k, params)
-                for k in range(1, size)
-            ]
-            inverse = 0.0
-            for op in ops:
-                inverse = max(inverse, _square_minus_identity(op))
-            millis = _elapsed_ms(start)
-            records.append(
-                CheckRecord.measured("qsym_transposition_inverse", dict(point), inverse, config.tol, millis)
-            )
-            start = time.perf_counter()
-            invariance = 0.0
-            for counts in _count_vectors(config.modes, size):
-                letters = tuple(k for k, c in enumerate(counts, start=1) for _ in range(c))
-                vector = qsym.q_symmetrize(qsym.Word(letters, config.modes), params)
-                for op in ops:
-                    residual = op @ vector  # a fresh array: reduced in place, no more allocations
-                    residual -= vector
-                    invariance = max(invariance, float(np.max(np.abs(residual, out=residual))))
-            millis = _elapsed_ms(start)
-            records.append(
-                CheckRecord.measured("qsym_transposition_invariance", point, invariance, config.tol, millis)
-            )
+    for size in range(2, N + 1):
+        classes = [qsym.arrangements(counts) for counts in _count_vectors(n, size)]
+        for q in config.q_values:
+            point = {"q": q, "N": size, "modes": n}
+            records += _exchange_records(classes, point, DeformationParams(q), config.tol)
     return records, []
+
+
+def _exchange_records(classes: list, point: dict, params: DeformationParams, tol: float) -> list:
+    """The exchange and transposition records of one size and q.  The classes have disjoint
+    supports and each transposition maps every class onto itself, so one vector of all their
+    sorted-word states, times a transposition, holds each class's own product, bit for bit."""
+    size, n = point["N"], point["modes"]
+    start = time.perf_counter()
+    worst = max(float(qsym.exchange_check(arrangement, params)[1].max()) for arrangement in classes)
+    found = {"qsym_exchange": (worst, _elapsed_ms(start))}
+    # the inverse check's time includes building the transpositions it shares
+    start = time.perf_counter()
+    ops = [qsym.transposition_op(size, n, k, params) for k in range(1, size)]
+    found["qsym_transposition_inverse"] = (max(map(_square_minus_identity, ops)), _elapsed_ms(start))
+    start = time.perf_counter()
+    states = np.zeros(n**size)
+    for arrangement in classes:
+        states[arrangement.index] = qsym._state_entries(arrangement, params)
+    invariance = 0.0
+    for op in ops:
+        residual = op @ states  # a fresh array: reduced in place, no more allocations
+        residual -= states
+        invariance = max(invariance, float(np.max(np.abs(residual, out=residual))))
+    found["qsym_transposition_invariance"] = (invariance, _elapsed_ms(start))
+    return [CheckRecord.measured(name, dict(point), d, tol, ms) for name, (d, ms) in found.items()]
 
 
 def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
@@ -499,11 +492,10 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         return records, extra
     n, N = config.modes, config.particles
     samples = 25
-    # each word is sized before it is drawn, as the costliest it could be: N letters, largest
-    # class; the arrangement cache keeps up to one class per word
-    nbytes, work = qsym._class_cost("symmetrize", n, N, 1, qsym._largest_class(n, N)[0])
-    nbytes += qsym._cache_bytes(n, N, samples * len(config.q_values))
-    work *= samples * len(config.q_values)
+    # each word is sized before it is drawn, as the costliest it could be: N letters, largest class
+    rows = qsym._largest_class(n, N)[0]
+    costs = [qsym._class_cost(kernel, n, N, 1, rows) for kernel in ("arrangements", "symmetrize")]
+    nbytes, work = sum(b for b, _ in costs), samples * len(config.q_values) * sum(w for _, w in costs)
     check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, work)
     rng = np.random.default_rng(config.seed)
     for q in config.q_values:
@@ -535,13 +527,10 @@ def _count_vectors(slots: int, total: int):
 
 def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
-    # every class of every total up to N; the largest class's build and the classes the
-    # arrangement cache keeps set the bytes
-    work = _sweep_work(
-        range(N, -1, -1), lambda t: qsym._class_cost("identity", n, t, *qsym._class_totals(n, t)[:2])[1]
-    )
-    nbytes = qsym._class_cost("identity", n, N, 1, qsym._largest_class(n, N)[0])[0]
-    nbytes += qsym._cache_bytes(n, N)
+    # every class of every total up to N, built and tallied; the largest class's build sets the bytes
+    work = _sweep_work(range(N, -1, -1), lambda t: sum(
+        qsym._class_cost(k, n, t, *qsym._class_totals(n, t)[:2])[1] for k in ("arrangements", "identity")))
+    nbytes = qsym._class_cost("arrangements", n, N, 1, qsym._largest_class(n, N)[0])[0]
     check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, work)
     records = []
     for total in range(config.particles + 1):

@@ -33,6 +33,8 @@ from .qcore import DeformationParams, check_budget, q_factorial, size_estimate
 
 __all__ = [
     "Word",
+    "ArrangementClass",
+    "arrangements",
     "inversion_count",
     "sign_compare",
     "q_symmetrize",
@@ -112,8 +114,16 @@ def sign_compare(i: int, j: int) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=256)
-def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class ArrangementClass:
+    """Row r: tensor index and inversion count of the r-th arrangement of ``counts`` (lex order)."""
+
+    counts: tuple[int, ...]
+    index: np.ndarray
+    inversions: np.ndarray
+
+
+def arrangements(counts: Sequence[int]) -> ArrangementClass:
     """Tensor index and inversion count of every arrangement of a multiset.
 
     ``counts[l]`` is the multiplicity of letter l + 1, and there is one slot
@@ -123,19 +133,21 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     placed that are greater than l.  Each prefix emits its extensions in
     letter order, so the rows come out in ascending tensor index, and the
     work and memory are O(multinomial) rows, never O(n^N).  The all-zero
-    shape has one row, the empty arrangement.  Results are cached per shape
-    and read-only, because every caller shares them.
+    shape has one row, the empty arrangement.
     """
-    n_modes = len(counts)
-    if sum(counts) * math.log2(max(n_modes, 1)) > 63:
+    counts = tuple(int(c) for c in counts)
+    n_modes, size = len(counts), sum(counts)
+    check_budget(f"arrangements of the class {counts}",
+                 *_class_cost("arrangements", n_modes, size, 1, _class_size(counts)[0]))
+    if size * math.log2(max(n_modes, 1)) > 63:
         raise ValueError(f"the words of the class {counts} have tensor indices past int64")
     # the narrowest signed type that holds every count up to N (it holds -N - 1)
-    dtype = np.min_scalar_type(-sum(counts) - 1)
+    dtype = np.min_scalar_type(-size - 1)
     total = np.array(counts, dtype=dtype)
     left = total[np.newaxis, :]  # letters still to place, per prefix
     index = np.zeros(1, dtype=np.int64)
     inversions = np.zeros(1, dtype=np.int64)
-    for _ in range(sum(counts)):
+    for _ in range(size):
         used = total - left
         greater = np.cumsum(used[:, ::-1], axis=1, dtype=dtype)[:, ::-1] - used
         rows, letters = np.nonzero(left)  # row-major: each prefix in letter order
@@ -143,9 +155,7 @@ def _arrangements(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         inversions = inversions[rows] + greater[rows, letters]
         left = left[rows]
         left[np.arange(rows.size), letters] -= 1
-    index.flags.writeable = False
-    inversions.flags.writeable = False
-    return index, inversions
+    return ArrangementClass(counts, index, inversions)
 
 
 def _class_size(counts) -> tuple[float, float]:
@@ -179,29 +189,24 @@ def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: floa
     on N letters, over ``rows`` rows and ``entries`` exchange-table entries in all.
 
     Fitted on cold calls on a 2-core x86-64 machine, and linear in calls, rows and entries,
-    so on the totals of ``_class_totals`` it equals the sum over the classes.  Each call
-    builds its class: ~25 us per letter, ~350 ns and ~100 B per row.  Then "symmetrize"
-    spends ~40 us and ~1.5 ns per entry of its n^N vector (8 B); "exchange" per position
-    ~40 us and ~10 ns per table entry, holding 16 B per entry (the table and the one buffer
-    every position gathers its products into); "identity" one exact division, ~70 us + 22 ns * N^4.
+    so on the totals of ``_class_totals`` it equals the sum over the classes (but for the
+    one vector "symmetrize" fills).  Each kernel prices only what it adds to a built class.
+    "arrangements" builds one: ~25 us per letter, ~350 ns and ~100 B per row (16 B kept).
+    "symmetrize" fills an n^N vector (8 B, ~1.5 ns per entry): ~40 us per class, ~15 ns and
+    24 B per row.  "exchange" spends ~40 us and ~10 ns per table entry at each position; it
+    holds 16 B per table entry (the table, one reused gather buffer), 16 B per row and position
+    (results), ~64 B per row of index arithmetic and a 64 KiB ufunc buffer.  "identity" is one
+    exact division, ~70 us + 22 ns * N^4.
     """
+    if kernel == "arrangements":
+        return 100 * rows, 25_000 * classes * size + 350 * rows
     if kernel == "symmetrize":
         dim = size_estimate(size * math.log(n_modes))
-        nbytes, steps = 8 * dim, classes * (40_000 + 1.5 * dim)
-    elif kernel == "exchange":
-        nbytes, steps = 16 * entries, max(size - 1, 0) * (40_000 * classes + 10 * entries)
-    else:  # "identity"
-        nbytes, steps = 0, classes * (70_000 + 22 * size**4)
-    return 100 * rows + nbytes, 25_000 * classes * size + 350 * rows + steps
-
-
-def _cache_bytes(n_modes: int, size: int, classes: float = math.inf) -> float:
-    """Bytes the arrangement cache can keep once ``classes`` classes of up to N letters are
-    built: 16 per row, in no more classes than it holds, none past the largest class of N
-    letters, and no more rows than all the classes up to N have."""
-    every = size + 1 if n_modes == 1 else size_estimate((size + 1) * math.log(n_modes)) / (n_modes - 1)
-    kept = min(classes, _arrangements.cache_info().maxsize)
-    return 16 * min(every, kept * _largest_class(n_modes, size)[0])
+        return 8 * dim + 24 * rows, 1.5 * dim + 40_000 * classes + 15 * rows
+    if kernel == "exchange":
+        nbytes = 16 * entries + (16 * size + 48) * rows + 2**16
+        return nbytes, max(size - 1, 0) * (40_000 * classes + 10 * entries)
+    return 0, classes * (70_000 + 22 * size**4)  # "identity"
 
 
 def _transposition_cost(n_modes: int, size: int, ops: float, products: float) -> tuple[float, float]:
@@ -239,13 +244,18 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     rows, _ = _class_size(collections.Counter(word.letters).values())  # word.counts has n_modes
     check_budget(f"q_symmetrize on the {word.n_modes}^{word.size} tensor space",
                  *_class_cost("symmetrize", word.n_modes, word.size, 1, rows))
-    counts = word.counts
-    powers = _powers(params.q, word.size)
-    base = powers[inversion_count(word.letters)] * _prefactor(params, counts)
-    index, inversions = _arrangements(counts)
+    arrangement = arrangements(word.counts)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
-    vector[index] = (base * powers)[inversions]
+    vector[arrangement.index] = _state_entries(arrangement, params, inversion_count(word.letters))
     return vector
+
+
+def _state_entries(arrangement: ArrangementClass, params: DeformationParams, word_inversions: int = 0):
+    """The entries of |w>_q on the rows of its class, for a word w of that class with
+    R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)}."""
+    powers = _powers(params.q, sum(arrangement.counts))
+    base = powers[word_inversions] * _prefactor(params, arrangement.counts)
+    return (base * powers)[arrangement.inversions]
 
 
 def bosonic_symmetrize(word: Word) -> np.ndarray:
@@ -254,7 +264,7 @@ def bosonic_symmetrize(word: Word) -> np.ndarray:
     check_budget(f"bosonic_symmetrize on the {word.n_modes}^{word.size} tensor space",
                  *_class_cost("symmetrize", word.n_modes, word.size, 1, rows))
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
-    vector[_arrangements(word.counts)[0]] = 1.0
+    vector[arrangements(word.counts).index] = 1.0
     vector /= np.linalg.norm(vector)
     return vector
 
@@ -266,13 +276,13 @@ def fundamental_norm(word: Word, params: DeformationParams) -> float:
 
 
 def exchange_check(
-    counts: Sequence[int], params: DeformationParams
+    arrangement: ArrangementClass, params: DeformationParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q on every word of one class.
 
-    The class is every arrangement of the letter multiset ``counts``; row r
-    of both results is its r-th word in lexicographic order (ascending tensor
-    index, the row order of ``_arrangements``) and column k - 1 is position k.
+    The class is every arrangement of the letter multiset ``arrangement.counts``;
+    row r of both results is its row r (its r-th word in lexicographic order)
+    and column k - 1 is position k.
     Returns ``(factors, residuals)``: the factor q^{eps} and the largest
     absolute entry of |w>_q - q^{eps} |swap_k(w)>_q.
 
@@ -284,15 +294,13 @@ def exchange_check(
     Equal adjacent letters swap a word onto itself with factor 1, so the
     residual is then exactly zero.
     """
-    counts = tuple(int(c) for c in counts)
+    counts, index, inversions = arrangement.counts, arrangement.index, arrangement.inversions
     n_modes, size = len(counts), sum(counts)
     check_budget(f"exchange_check on the class {counts}",
                  *_class_cost("exchange", n_modes, size, 1, *_class_size(counts)))
-    index, inversions = _arrangements(counts)
     levels = np.flatnonzero(np.bincount(inversions))
     powers = _powers(params.q, size)
-    base = powers[inversions] * _prefactor(params, counts)
-    table = base[:, np.newaxis] * powers[levels]
+    table = _state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
     comparator = np.array(
         [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
     )
@@ -358,7 +366,7 @@ def norm_identity_exact(counts: Sequence[int]):
         raise ValueError("counts must be a nonempty sequence")
     check_budget(f"norm_identity_exact on the class {counts}",
                  *_class_cost("identity", len(counts), sum(counts), 1, _class_size(counts)[0]))
-    tally = np.bincount(_arrangements(counts)[1])
+    tally = np.bincount(arrangements(counts).inversions)
     arrangement_sum = QPolynomial(
         {2 * inversions: int(number) for inversions, number in enumerate(tally) if number}
     )

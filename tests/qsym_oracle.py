@@ -6,7 +6,8 @@ are the plain routes they replaced: one word at a time, with O(N^2)
 inversions per word, and two dense n^N states per (word, position).  The
 tests compare the kernels against them on small shapes.
 ``reference_transposition`` assembles the deformed transposition the plain
-scipy way, from a coordinate list.
+scipy way, from a coordinate list, and ``reference_transposition_deviations``
+checks the transposition laws one class at a time on dense states.
 """
 
 import math
@@ -16,8 +17,9 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from qmodes.cli import _count_vectors
 from qmodes.qcore import DeformationParams, q_factorial
-from qmodes.qsym import Word, inversion_count, q_symmetrize, sign_compare
+from qmodes.qsym import Word, inversion_count, q_symmetrize, sign_compare, transposition_op
 
 
 def multiset_arrangements(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -131,3 +133,21 @@ def reference_transposition(
     matrix = sp.csr_matrix((weight, (target, index)), shape=(dim, dim))
     matrix.eliminate_zeros()
     return matrix
+
+
+def reference_transposition_deviations(size: int, n_modes: int, params: DeformationParams) -> tuple[float, float]:
+    """Largest |entry| of T·T − I and of T|w>_q − |w>_q over the transpositions T of one size.
+
+    T·T − I is formed by scipy.  The second runs over the sorted word w of every
+    class, each on its own dense n^N state, times each full-space transposition.
+    """
+    ops = [transposition_op(size, n_modes, k, params) for k in range(1, size)]
+    identity = sp.identity(n_modes**size, format="csr")
+    inverse = max(float(abs(op.tocsr() @ op.tocsr() - identity).max()) for op in ops)
+    invariance = 0.0
+    for counts in _count_vectors(n_modes, size):
+        letters = tuple(k for k, c in enumerate(counts, start=1) for _ in range(c))
+        vector = q_symmetrize(Word(letters, n_modes), params)
+        for op in ops:
+            invariance = max(invariance, float(np.max(np.abs(op @ vector - vector))))
+    return inverse, invariance

@@ -28,6 +28,7 @@ from qmodes.cli import (
 from qmodes import cli, qsym
 from qmodes.fock import RELATION_FAMILIES
 from qmodes.qcore import DeformationParams, DomainError, jackson_moment, q_factorial
+from qsym_oracle import reference_transposition_deviations
 
 CORRUPTION_SENSITIVE = {
     "annihilator_annihilator_swap",
@@ -102,7 +103,7 @@ def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
 OVER_BUDGET = [
     ["qsym", "exchange", "--modes", "6", "--N", "10"],
     ["qsym", "appendix", "--modes", "6", "--N", "40"],
-    ["qsym", "identity", "--modes", "2", "--N", "25"],
+    ["qsym", "identity", "--modes", "2", "--N", "27"],
     ["verify", "algebra", "--modes", "2", "--cutoff", "3000"],
     ["coherent", "check", "--q", "0.5", "--points", "10000000"],
     ["jackson", "moments", "--q", "0.9999999", "--N", "2"],
@@ -182,28 +183,109 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
             namespace.handler(config_from_namespace(namespace))
         return raised.value.args
 
+    def cost(kernels, s, rows, entries=0):
+        return [qsym._class_cost(kernel, n, s, 1, rows, entries) for kernel in kernels]
+
     monkeypatch.setattr(cli, "check_budget", priced)
     for N in range(2, 8):
         classes = {s: [qsym._class_size(c) for c in _count_vectors(n, s)] for s in range(N + 1)}
+        # each class built once; per q its kernel, one state vector over all of the size's
+        # classes, and the transpositions with their squares and products with that vector
         work = 0.0
         for s in range(2, N + 1):
-            work += qsym._transposition_cost(n, s, s - 1, s - 1)[1]
+            words = sum(rows for rows, _ in classes[s])
+            per_q = qsym._transposition_cost(n, s, s - 1, 2 * (s - 1))[1]
+            per_q += qsym._class_cost("symmetrize", n, s, len(classes[s]), words)[1]
             for rows, entries in classes[s]:
-                work += qsym._class_cost("exchange", n, s, 1, rows, entries)[1]
-                work += qsym._class_cost("symmetrize", n, s, 1, rows)[1]
-                work += qsym._transposition_cost(n, s, 0, s - 1)[1]
-        nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0] + qsym._cache_bytes(n, N)
-        nbytes += max(qsym._class_cost("symmetrize", n, N, 1, rows)[0] for rows, _ in classes[N])
-        nbytes += max(qsym._class_cost("exchange", n, N, 1, rows, entries)[0] for rows, entries in classes[N])
-        assert estimate("exchange", N) == pytest.approx((nbytes, 2 * work), rel=1e-9)
+                work += cost(["arrangements"], s, rows)[0][1]
+                per_q += cost(["exchange"], s, rows, entries)[0][1]
+            work += 2 * per_q
+        nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0]
+        nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(rows for rows, _ in classes[N]))[0]
+        nbytes += max(cost(["exchange"], N, rows, entries)[0][0] for rows, entries in classes[N])
+        assert estimate("exchange", N) == pytest.approx((nbytes, work), rel=1e-9)
 
-        words = [qsym._class_cost("symmetrize", n, N, 1, rows) for rows, _ in classes[N]]
-        nbytes = max(b for b, _ in words) + qsym._cache_bytes(n, N, 2 * 25)
-        assert estimate("norm", N) == pytest.approx((nbytes, 2 * 25 * max(w for _, w in words)), rel=1e-9)
+        words = [cost(["arrangements", "symmetrize"], N, rows) for rows, _ in classes[N]]
+        nbytes = max(sum(b for b, _ in word) for word in words)
+        work = 2 * 25 * max(sum(w for _, w in word) for word in words)
+        assert estimate("norm", N) == pytest.approx((nbytes, work), rel=1e-9)
 
-        work = sum(qsym._class_cost("identity", n, s, 1, rows)[1] for s in classes for rows, _ in classes[s])
-        nbytes = max(qsym._class_cost("identity", n, N, 1, rows)[0] for rows, _ in classes[N])
-        assert estimate("identity", N) == pytest.approx((nbytes + qsym._cache_bytes(n, N), work), rel=1e-9)
+        pairs = [cost(["arrangements", "identity"], s, rows) for s in classes for rows, _ in classes[s]]
+        work = sum(w for pair in pairs for _, w in pair)
+        nbytes = max(cost(["arrangements"], N, rows)[0][0] for rows, _ in classes[N])
+        assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
+
+
+def test_an_exchange_sweep_builds_each_class_once(monkeypatch, capsys):
+    built = []
+
+    def counted(counts):
+        built.append(tuple(counts))
+        return build(counts)
+
+    build = qsym.arrangements
+    monkeypatch.setattr(qsym, "arrangements", counted)
+    argv = ["qsym", "exchange", "--q", "0.3", "0.9", "--modes", "3", "--N", "5"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    # 6 + 10 + 15 + 21 classes of 2 to 5 letters over 3 modes, for both q values
+    assert len(built) == len(set(built)) == 52
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qsym", "identity", "--q", "0.5", "--modes", "2", "--N", "18"],
+        ["qsym", "exchange", "--q", "0.5", "--modes", "4", "--N", "7"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_qsym_requests_hold_nothing_once_they_return(argv, capsys):
+    # no class, state or transposition outlives its request
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, _, err = run_cli(argv, capsys)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert held < 2**20
+
+
+@pytest.mark.parametrize("argv", [["--modes", "4", "--N", "7"], ["--q", "0.3", "0.6", "--modes", "6", "--N", "5"]])
+def test_exchange_sweep_peaks_within_its_estimate(argv, monkeypatch):
+    estimates = []
+
+    def recorded(request, nbytes, work):
+        estimates.append(nbytes)
+        check_budget(request, nbytes, work)
+
+    check_budget = cli.check_budget
+    monkeypatch.setattr(cli, "check_budget", recorded)
+    namespace = build_parser().parse_args(["qsym", "exchange"] + argv)
+    config = config_from_namespace(namespace)
+    tracemalloc.start()
+    try:
+        namespace.handler(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimates[0] / 2 < peak <= estimates[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transposition_records_equal_the_per_class_dense_route(n, capsys):
+    argv = ["qsym", "exchange", "--q", "0.05", "0.5", "0.999", "--modes", str(n), "--N", "6"]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0, err
+    names = {"qsym_transposition_inverse": 0, "qsym_transposition_invariance": 1}
+    checks = [c for c in json.loads(out)["checks"] if c["name"] in names]
+    assert len(checks) == 2 * 3 * 5
+    for check in checks:
+        q, size = check["params"]["q"], check["params"]["N"]
+        deviations = reference_transposition_deviations(size, n, DeformationParams(q))
+        assert check["deviation"] == deviations[names[check["name"]]], check
 
 
 def test_seven_modes_and_long_one_mode_words_are_accepted(capsys):

@@ -14,11 +14,11 @@ from qmodes.qcore import DeformationParams, DomainError, q_factorial
 from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
     Word,
-    _arrangements,
-    _cache_bytes,
+    _class_cost,
     _class_size,
     _class_totals,
     _largest_class,
+    arrangements,
     bosonic_symmetrize,
     exchange_check,
     fundamental_norm,
@@ -105,8 +105,8 @@ def test_adjacent_swap_changes_inversions_by_comparator(letters, k):
 
 
 def test_multiset_arrangements_are_lex_sorted_and_distinct():
-    arrangements = list(multiset_arrangements((1, 2)))
-    assert arrangements == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
+    words = list(multiset_arrangements((1, 2)))
+    assert words == [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
     assert list(multiset_arrangements((0, 0))) == []
     big = list(multiset_arrangements((2, 1, 1)))
     assert len(big) == math.factorial(4) // 2
@@ -131,23 +131,25 @@ KERNEL_SHAPES = ((1,), (2,), (1, 1), (0, 3), (2, 0, 1), (0, 0, 2, 1), (1, 2, 0, 
 
 @pytest.mark.parametrize("counts", KERNEL_SHAPES)
 def test_kernel_rows_match_the_reference_enumeration(counts):
-    index, inversions = _arrangements(counts)
+    arrangement = arrangements(counts)
+    index, inversions = arrangement.index, arrangement.inversions
+    assert arrangement.counts == counts
     reference = list(multiset_arrangements(counts))
     assert index.tolist() == [tensor_index(u, len(counts)) for u in reference]
     assert inversions.tolist() == [inversion_count(u) for u in reference]
 
 
 def test_kernel_gives_the_empty_arrangement_for_the_zero_shape():
-    index, inversions = _arrangements((0, 0, 0))
-    assert index.tolist() == [0]
-    assert inversions.tolist() == [0]
+    arrangement = arrangements((0, 0, 0))
+    assert arrangement.index.tolist() == [0]
+    assert arrangement.inversions.tolist() == [0]
 
 
 def test_kernel_takes_multiplicities_past_the_int8_range():
     # one mode keeps every tensor index at 0, however long the word
-    index, inversions = _arrangements((200,))
-    assert index.tolist() == [0]
-    assert inversions.tolist() == [0]
+    arrangement = arrangements((200,))
+    assert arrangement.index.tolist() == [0]
+    assert arrangement.inversions.tolist() == [0]
     assert q_symmetrize(Word((1,) * 200, 1), DeformationParams(0.9)).tolist() == [1.0]
 
 
@@ -171,15 +173,6 @@ def test_norm_identity_tally_matches_the_reference(counts):
     assert arrangement_sum == QPolynomial(expected)
 
 
-def test_cached_kernel_arrays_are_read_only():
-    index, inversions = _arrangements((2, 1, 1))
-    assert _arrangements((2, 1, 1))[0] is index
-    for array in (index, inversions):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1
-
-
 def test_kernel_memory_follows_the_class_not_the_tensor_space():
     # (3, 2, 2, 2) has 9! / (3! 2! 2! 2!) = 7560 rows out of 4^9 = 262144
     # words.  The last extension step holds about nine int64 arrays of one
@@ -190,19 +183,19 @@ def test_kernel_memory_follows_the_class_not_the_tensor_space():
     counts, rows = (3, 2, 2, 2), 7560
     tracemalloc.start()
     try:
-        index, _ = _arrangements.__wrapped__(counts)
+        index = arrangements(counts).index
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert index.size == rows
-    assert peak < 100 * rows < 8 * 4**9
+    assert peak < _class_cost("arrangements", 4, 9, 1, rows)[0] == 100 * rows < 8 * 4**9
 
 
 def test_kernel_holds_counts_past_the_narrowest_type():
     # int8 holds -128 but not 128: the count type must hold N itself
     for size in (127, 128, 200):
-        index, inversions = _arrangements((size,))
-        assert index.tolist() == [0] and inversions.tolist() == [0]
+        arrangement = arrangements((size,))
+        assert arrangement.index.tolist() == [0] and arrangement.inversions.tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +253,7 @@ def test_size_bounds_are_enforced():
 
 def word_row(word: Word) -> int:
     """Row of a word in the exchange kernel's results for its class."""
-    index = _arrangements(word.counts)[0]
+    index = arrangements(word.counts).index
     return int(np.searchsorted(index, tensor_index(word.letters, word.n_modes)))
 
 
@@ -269,18 +262,19 @@ def test_exchange_relation_everywhere():
         params = DeformationParams(q)
         for size in range(1, 5):
             for counts in _count_vectors(3, size):
-                _, residuals = exchange_check(counts, params)
-                assert residuals.shape == (len(_arrangements(counts)[0]), size - 1)
+                arrangement = arrangements(counts)
+                _, residuals = exchange_check(arrangement, params)
+                assert residuals.shape == (arrangement.index.size, size - 1)
                 assert np.all(residuals < 1e-13), (counts, q, residuals.max())
 
 
 def test_exchange_factor_orientation():
     params = DeformationParams(0.5)
     # ascending pair: swapping costs q^{-1}; descending: q^{+1}
-    factors, _ = exchange_check((1, 1), params)  # rows (1, 2) and (2, 1)
+    factors, _ = exchange_check(arrangements((1, 1)), params)  # rows (1, 2) and (2, 1)
     assert factors[word_row(Word((1, 2), 2)), 0] == pytest.approx(2.0)
     assert factors[word_row(Word((2, 1), 2)), 0] == pytest.approx(0.5)
-    factors, residuals = exchange_check((0, 2), params)  # the one row (2, 2)
+    factors, residuals = exchange_check(arrangements((0, 2)), params)  # the one row (2, 2)
     assert factors[0, 0] == 1.0
     assert residuals[0, 0] == 0.0
 
@@ -305,7 +299,7 @@ def test_exchange_kernel_equals_the_per_word_reference(counts):
     n_modes = len(counts)
     for q in Q_GRID:
         params = DeformationParams(q)
-        factors, residuals = exchange_check(counts, params)
+        factors, residuals = exchange_check(arrangements(counts), params)
         words = list(multiset_arrangements(counts)) if sum(counts) else []
         assert residuals.shape == (max(len(words), 1), max(sum(counts) - 1, 0))
         for row, letters in enumerate(words):
@@ -320,12 +314,27 @@ def test_exchange_kernel_equals_the_per_word_reference(counts):
 def test_exchange_kernel_rejects_bad_classes():
     params = DeformationParams(0.5)
     with pytest.raises(ValueError):
-        exchange_check((2, -1), params)
+        arrangements((2, -1))
     # 1560 words, but 3^40 > 2^63 tensor indices: refused, not wrapped
     with pytest.raises(ValueError, match="int64"):
-        exchange_check((38, 1, 1), params)
-    _, residuals = exchange_check((61, 2), params)  # 2^63 indices still fit
+        arrangements((38, 1, 1))
+    _, residuals = exchange_check(arrangements((61, 2)), params)  # 2^63 indices still fit
     assert residuals.shape == (1953, 62)
+
+
+@pytest.mark.parametrize("counts", [(3, 3, 3), (2, 2, 2, 2), (3, 3, 3, 1), (1,) * 7, (4, 4, 4), (2, 2, 2, 2, 1)])
+def test_exchange_kernel_peaks_within_its_estimate(counts):
+    # on top of the class it is handed: the table and its gather buffer, the factors and
+    # residuals (16 B per row and position) and the per-row index arithmetic
+    arrangement = arrangements(counts)
+    tracemalloc.start()
+    try:
+        exchange_check(arrangement, DeformationParams(0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimate = _class_cost("exchange", len(counts), sum(counts), 1, *_class_size(counts))[0]
+    assert estimate / 2 < peak <= estimate
 
 
 def test_transposition_is_involution():
@@ -381,7 +390,7 @@ def test_transposition_bounds():
 def test_exchange_property(letters, k, q):
     word = Word(tuple(letters), 4)
     position = 1 + k % (word.size - 1)
-    _, residuals = exchange_check(word.counts, DeformationParams(q))
+    _, residuals = exchange_check(arrangements(word.counts), DeformationParams(q))
     assert residuals[word_row(word), position - 1] < 1e-12
 
 
@@ -425,7 +434,7 @@ def test_class_totals_equal_the_enumeration():
         for size in range(9):
             classes = rows = entries = 0
             for counts in _count_vectors(n_modes, size):
-                inversions = _arrangements(counts)[1]
+                inversions = arrangements(counts).inversions
                 classes += 1
                 rows += inversions.size
                 entries += inversions.size * np.count_nonzero(np.bincount(inversions))
@@ -435,19 +444,6 @@ def test_class_totals_equal_the_enumeration():
             assert _class_totals(n_modes, size) == pytest.approx((classes, rows, entries), rel=1e-12)
             largest = max(_class_size(counts) for counts in _count_vectors(n_modes, size))
             assert _largest_class(n_modes, size) == pytest.approx(largest, rel=1e-12)
-
-
-def test_cache_bytes_bound_what_a_sweep_leaves_in_the_arrangement_cache():
-    # a sweep builds every class of every total up to N, smallest totals first; the cache
-    # then keeps its last 256 classes, two int64 arrays of one entry per row each
-    limit = _arrangements.cache_info().maxsize
-    for n_modes in range(1, 5):
-        for size in range(10):
-            sweep = [c for total in range(size + 1) for c in _count_vectors(n_modes, total)]
-            for counts in sweep:
-                _arrangements(counts)
-            kept = sum(array.nbytes for counts in sweep[-limit:] for array in _arrangements(counts))
-            assert _cache_bytes(n_modes, size) / 2 <= kept <= _cache_bytes(n_modes, size, len(sweep))
 
 
 def test_bosonic_symmetrize_is_uniform_unit_vector():
