@@ -24,13 +24,12 @@ Sparse algebra on them (products, slicing, transposes) goes through
 a ``qmodes`` verb does.  A plain text coordinate-list export is provided for
 cross-tool diffing.  ``verify_algebra`` reads every operator it is given
 through its one shift diagonal and refuses an operator that stores a nonzero
-anywhere else, then forms each relation residual from gathered amplitudes on
-the interior, without any matrix product.
+anywhere else, then forms each relation residual from slices of the
+(cutoff,) * modes amplitude grid, with no matrix product and no index array.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -167,10 +166,8 @@ class FockSpaceConfig:
             raise ValueError(f"modes must be >= 1, got {self.modes}")
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        # verify_algebra, the heaviest user: operators, amplitude arrays and build temporaries
-        # take ~60 B per state and mode plus ~200 B per state; work is ~2 us + 0.5 us per mode
-        # per state (fitted when the builds raised q per state; with one power per rung
-        # they take about half that, so the work estimate errs high)
+        # verify_algebra, the heaviest user, stays under ~60 B per state and mode plus ~200 B
+        # per state, and ~2 us + 0.5 us per mode per state (both estimates err high)
         dim = size_estimate(self.modes * math.log(self.cutoff))
         nbytes, work = (200 + 60 * self.modes) * dim, (2000 + 500 * self.modes) * dim
         check_budget(f"the {self.cutoff}^{self.modes} Fock space", nbytes, work)
@@ -180,20 +177,14 @@ class FockSpaceConfig:
         return self.cutoff**self.modes
 
 
-@lru_cache(maxsize=128)
-def _occupation_table(modes: int, cutoff: int) -> np.ndarray:
-    dim = cutoff**modes
-    index = np.arange(dim)
-    table = np.empty((dim, modes), dtype=np.int64)
-    for k in range(modes):
-        table[:, k] = (index // cutoff ** (modes - 1 - k)) % cutoff
-    table.setflags(write=False)
-    return table
-
-
 def occupation_table(cfg: FockSpaceConfig) -> np.ndarray:
     """All occupation tuples as a read-only (dimension, modes) array."""
-    return _occupation_table(cfg.modes, cfg.cutoff)
+    index = np.arange(cfg.dimension)
+    table = np.empty((cfg.dimension, cfg.modes), dtype=np.int64)
+    for k in range(cfg.modes):
+        table[:, k] = (index // cfg.cutoff ** (cfg.modes - 1 - k)) % cfg.cutoff
+    table.setflags(write=False)
+    return table
 
 
 def encode_occupation(cfg: FockSpaceConfig, occupation: Sequence[int]) -> int:
@@ -237,6 +228,16 @@ def _root_brackets(cfg: FockSpaceConfig) -> np.ndarray:
     return np.sqrt(_bracket_array(cfg.params, np.arange(cfg.cutoff)))
 
 
+def _ladder_amplitudes(cfg: FockSpaceConfig, i: int, root_brackets: np.ndarray) -> np.ndarray:
+    """q^{sum_{k>i} n_k} times ``root_brackets`` (one per source rung of mode i), in column order:
+    one block broadcast over mode i and the modes after it, tiled over the modes before."""
+    suffix = np.zeros(1, dtype=np.intp)  # occupations summed over the modes after i
+    for _ in range(cfg.modes - i):
+        suffix = np.add.outer(np.arange(cfg.cutoff), suffix).ravel()
+    twist = _rung_powers(cfg.params.q, (cfg.modes - i) * (cfg.cutoff - 1) + 1)
+    return np.tile((twist[suffix] * root_brackets[:, None]).ravel(), cfg.cutoff ** (i - 1))
+
+
 def _check_mode(cfg: FockSpaceConfig, i: int) -> int:
     if not 1 <= i <= cfg.modes:
         raise ValueError(f"mode index must lie in 1..{cfg.modes}, got {i}")
@@ -246,12 +247,10 @@ def _check_mode(cfg: FockSpaceConfig, i: int) -> int:
 def annihilator(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     """Weighted shift a_i (1-based mode index)."""
     i = _check_mode(cfg, i)
-    occ = occupation_table(cfg)
     stride = cfg.cutoff ** (cfg.modes - i)
-    source = np.nonzero(occ[:, i - 1] > 0)[0]
-    suffix = occ[source, i:].sum(axis=1)
-    twist = _rung_powers(cfg.params.q, (cfg.modes - i) * (cfg.cutoff - 1) + 1)
-    amplitude = twist[suffix] * _root_brackets(cfg)[occ[source, i - 1]]
+    rungs = np.arange(1, cfg.cutoff)  # the n_i that a_i lowers
+    source = np.arange(cfg.dimension).reshape(-1, cfg.cutoff, stride)[:, rungs].ravel()
+    amplitude = _ladder_amplitudes(cfg, i, _root_brackets(cfg)[rungs])  # sqrt([n_i])
     return _shift_operator(cfg.dimension, source - stride, source, amplitude)
 
 
@@ -262,12 +261,10 @@ def creator(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     to :func:`annihilator` is a checked property, not a construction.
     """
     i = _check_mode(cfg, i)
-    occ = occupation_table(cfg)
     stride = cfg.cutoff ** (cfg.modes - i)
-    source = np.nonzero(occ[:, i - 1] < cfg.cutoff - 1)[0]
-    suffix = occ[source, i:].sum(axis=1)
-    twist = _rung_powers(cfg.params.q, (cfg.modes - i) * (cfg.cutoff - 1) + 1)
-    amplitude = twist[suffix] * _root_brackets(cfg)[occ[source, i - 1] + 1]
+    rungs = np.arange(cfg.cutoff - 1)  # the n_i that a_i^dag raises
+    source = np.arange(cfg.dimension).reshape(-1, cfg.cutoff, stride)[:, rungs].ravel()
+    amplitude = _ladder_amplitudes(cfg, i, _root_brackets(cfg)[rungs + 1])  # sqrt([n_i + 1])
     return _shift_operator(cfg.dimension, source + stride, source, amplitude)
 
 
@@ -275,16 +272,16 @@ def number_op(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     """Diagonal number operator N_i."""
     i = _check_mode(cfg, i)
     diagonal = np.arange(cfg.dimension)
-    occupation = occupation_table(cfg)[:, i - 1].astype(np.float64)
-    return _shift_operator(cfg.dimension, diagonal, diagonal, occupation)
+    occupation = np.arange(cfg.cutoff, dtype=np.float64).repeat(cfg.cutoff ** (cfg.modes - i))
+    return _shift_operator(cfg.dimension, diagonal, diagonal, np.tile(occupation, cfg.cutoff ** (i - 1)))
 
 
 def scale_op(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     """Diagonal scale operator Q_i = q^{2 N_i}."""
     i = _check_mode(cfg, i)
     diagonal = np.arange(cfg.dimension)
-    scale = _rung_powers(cfg.params.q_sq, cfg.cutoff)[occupation_table(cfg)[:, i - 1]]
-    return _shift_operator(cfg.dimension, diagonal, diagonal, scale)
+    scale = _rung_powers(cfg.params.q_sq, cfg.cutoff).repeat(cfg.cutoff ** (cfg.modes - i))
+    return _shift_operator(cfg.dimension, diagonal, diagonal, np.tile(scale, cfg.cutoff ** (i - 1)))
 
 
 def build_state(cfg: FockSpaceConfig, occupation: Sequence[int]) -> np.ndarray:
@@ -350,9 +347,9 @@ def _shift_amplitudes(cfg: FockSpaceConfig, matrix, i: int, step: int) -> np.nda
     that occupation exists: a_i for step -1, a_i^dag for +1, N_i for 0.  Any
     stored nonzero off that pattern raises ``ValueError``, so no entry goes
     unread; columns without an entry read 0.  A :class:`ShiftOperator` is read
-    as it stands, any other sparse matrix through its own ``tocsr()``.
+    as it stands, any other sparse matrix through its own ``tocsr()``.  The
+    amplitudes are returned on the (cutoff,) * modes grid of the columns.
     """
-    occ = occupation_table(cfg)[:, i - 1]
     if isinstance(matrix, ShiftOperator):
         row = matrix.rows()
     else:
@@ -363,17 +360,19 @@ def _shift_amplitudes(cfg: FockSpaceConfig, matrix, i: int, step: int) -> np.nda
     stored = values != 0
     if not stored.all():
         row, col, values = row[stored], col[stored], values[stored]
-    # np.take and np.put move data through int32 indices about twice as fast as fancy indexing
-    landing = np.take(occ, col) + step
+    refusal = ValueError(f"operator for mode {i} stores entries off its real shift by {step:+d}")
     if (
         matrix.shape != (cfg.dimension, cfg.dimension)
         or np.any(row != col + step * cfg.cutoff ** (cfg.modes - i))
-        or np.any((landing < 0) | (landing >= cfg.cutoff))
         or np.any(np.imag(values))
     ):
-        raise ValueError(f"operator for mode {i} stores entries off its real shift by {step:+d}")
-    amplitude = np.zeros(cfg.dimension)
+        raise refusal
+    amplitude = np.zeros((cfg.cutoff,) * cfg.modes)
+    # np.put moves data through int32 indices about twice as fast as fancy indexing
     np.put(amplitude, col, np.real(values))
+    # a column on the rung that the step leaves (n_i = 0 down, cutoff - 1 up) lands nowhere
+    if step and np.any(amplitude[(slice(None),) * (i - 1) + (0 if step < 0 else -1,)]):
+        raise refusal
     return amplitude
 
 
@@ -392,40 +391,45 @@ def verify_algebra(
     matrices) for negative controls; by default they are built from the
     configuration.
 
-    Every operator is a weighted shift, so each relation maps an interior
-    column c to one row c + shift: its residual is a product of amplitudes
-    gathered at c and at the intermediate state, kept where the row lies in
-    the interior.  Each expression keeps the association of the matrix
+    Every operator is a weighted shift, read as amplitudes on the (cutoff,) * modes
+    grid of its columns.  The interior is the box 0..cutoff-2 on every axis and
+    j + stride_b is one step along axis b, so each residual is a product of
+    slices: a box, narrowed where a ladder must keep the row inside, and the
+    same box moved along an axis.  Each keeps the association of the matrix
     products it stands for, so the deviations equal theirs bit for bit.
     """
     if cfg.cutoff < 3:
         raise ValueError("verify_algebra needs cutoff >= 3 for a nonempty interior margin of 2")
-    params = cfg.params
-    q, q_sq = params.q, params.q_sq
-    n = cfg.modes
-    lower = list(annihilators) if annihilators is not None else [annihilator(cfg, i) for i in range(1, n + 1)]
-    raise_ = list(creators) if creators is not None else [creator(cfg, i) for i in range(1, n + 1)]
-    if len(lower) != n or len(raise_) != n:
+    q, q_sq = cfg.params.q, cfg.params.q_sq
+    n, c = cfg.modes, cfg.cutoff
+    if any(given is not None and len(given) != n for given in (annihilators, creators)):
         raise ValueError("operator overrides must supply exactly one matrix per mode")
-    # amplitudes of a_i, a_i^dag and N_i at each column
-    L = [_shift_amplitudes(cfg, m, i, -1) for i, m in enumerate(lower, start=1)]
-    R = [_shift_amplitudes(cfg, m, i, +1) for i, m in enumerate(raise_, start=1)]
-    D = [_shift_amplitudes(cfg, number_op(cfg, i), i, 0) for i in range(1, n + 1)]
-    stride = [cfg.cutoff ** (n - 1 - a) for a in range(n)]
-    occ = occupation_table(cfg)
-    interior = interior_indices(cfg)
-    inner = occ[interior]
-    # the row of a_a (a_a^dag) applied to an interior column is interior iff this holds
-    lowerable = [inner[:, a] >= 1 for a in range(n)]
-    raisable = [inner[:, a] <= cfg.cutoff - 3 for a in range(n)]
+
+    def read(given, build, step: int) -> list[np.ndarray]:
+        # an operator that is not given is built just before it is read, and dropped after
+        return [
+            _shift_amplitudes(cfg, build(cfg, i) if given is None else given[i - 1], i, step)
+            for i in range(1, n + 1)
+        ]
+
+    # amplitudes of a_i, a_i^dag and N_i at each column, on the occupation grid
+    L, R, D = read(annihilators, annihilator, -1), read(creators, creator, +1), read(None, number_op, 0)
+
+    # the interior columns that a_k (a_k^dag) maps to interior rows, n_k >= 1 (n_k <= c - 3),
+    # for every k in low (high); and a box moved by step along axis b, the states j + step stride_b
+    def box(low: tuple[int, ...] = (), high: tuple[int, ...] = ()) -> tuple[slice, ...]:
+        return tuple(slice(int(k in low), c - 1 - int(k in high)) for k in range(n))
+
+    def moved(region: tuple[slice, ...], b: int, step: int) -> tuple[slice, ...]:
+        return region[:b] + (slice(region[b].start + step, region[b].stop + step),) + region[b + 1 :]
 
     # a_a a_a^dag and a_a^dag a_a on every interior column; the latter is absent where n_a = 0
-    lower_raise = [L[a][interior + stride[a]] * R[a][interior] for a in range(n)]
+    lower_raise = [L[a][moved(box(), a, +1)] * R[a][box()] for a in range(n)]
     raise_lower = []
     for a in range(n):
-        product = np.zeros(interior.size)
-        j = interior[lowerable[a]]
-        product[lowerable[a]] = R[a][j - stride[a]] * L[a][j]
+        product = np.zeros((c - 1,) * n)
+        j = box(low=(a,))
+        product[j] = R[a][moved(j, a, -1)] * L[a][j]
         raise_lower.append(product)
 
     # each residual is reduced as soon as it is formed; np.max, unlike Python's max,
@@ -437,24 +441,24 @@ def verify_algebra(
 
     for a in range(n):
         for b in range(a + 1, n):
-            j = interior[raisable[a] & raisable[b]]
+            j = box(high=(a, b))
             record(
                 "creator_creator_swap",
-                R[a][j + stride[b]] * R[b][j] - q * R[b][j + stride[a]] * R[a][j],
+                R[a][moved(j, b, +1)] * R[b][j] - q * R[b][moved(j, a, +1)] * R[a][j],
             )
-            j = interior[lowerable[a] & lowerable[b]]
+            j = box(low=(a, b))
             record(
                 "annihilator_annihilator_swap",
-                L[a][j - stride[b]] * L[b][j] - (1.0 / q) * L[b][j - stride[a]] * L[a][j],
+                L[a][moved(j, b, -1)] * L[b][j] - (1.0 / q) * L[b][moved(j, a, -1)] * L[a][j],
             )
 
     for a in range(n):
         for b in range(n):
             if a != b:
-                j = interior[lowerable[a] & raisable[b]]
+                j = box(low=(a,), high=(b,))
                 record(
                     "annihilator_creator_swap",
-                    L[a][j + stride[b]] * R[b][j] - q * R[b][j - stride[a]] * L[a][j],
+                    L[a][moved(j, b, +1)] * R[b][j] - q * R[b][moved(j, a, -1)] * L[a][j],
                 )
 
     for a in range(n - 1):
@@ -465,54 +469,50 @@ def verify_algebra(
 
     record("last_mode_contraction", lower_raise[n - 1] - 1.0 - q_sq * raise_lower[n - 1])
 
-    peak_ladder = 0.0  # A in the allowance below: the largest amplitude gathered here
+    peak_ladder = 0.0  # A in the allowance below: the largest amplitude read here
     for b in range(n):
-        j_lower, j_raise = interior[lowerable[b]], interior[raisable[b]]
+        j_lower, j_raise = box(low=(b,)), box(high=(b,))
         lower, raised = L[b][j_lower], R[b][j_raise]
-        peak_ladder = max(
-            peak_ladder,
-            float(np.max(np.abs(lower), initial=0.0)),
-            float(np.max(np.abs(raised), initial=0.0)),
-        )
+        for amplitudes in (lower, raised):
+            peak_ladder = max(peak_ladder, float(np.max(np.abs(amplitudes), initial=0.0)))
         for a in range(n):
             delta = 1.0 if a == b else 0.0
             record(
                 "number_ladder_commutator",
-                D[a][j_lower - stride[b]] * lower - lower * D[a][j_lower] + delta * lower,
+                D[a][moved(j_lower, b, -1)] * lower - lower * D[a][j_lower] + delta * lower,
             )
             record(
                 "number_ladder_commutator",
-                D[a][j_raise + stride[b]] * raised - raised * D[a][j_raise] - delta * raised,
+                D[a][moved(j_raise, b, +1)] * raised - raised * D[a][j_raise] - delta * raised,
             )
 
-    # the targets on the interior, from one power per rung: suffix[:, a] sums the
-    # occupations of modes a and above, and it is 0 past the last mode
-    suffix = np.zeros((interior.size, n + 1), dtype=np.int64)
-    suffix[:, :n] = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
-    scale = _rung_powers(q_sq, n * (cfg.cutoff - 2) + 1)
-    brackets = _bracket_array(params, np.arange(cfg.cutoff))
-    for a in range(n):
-        target = scale[suffix[:, a + 1]] * brackets[inner[:, a]]
+    # the targets from one power per rung: ``after`` sums the occupations of the modes
+    # past a on the trailing axes, so it broadcasts against the interior from axis a + 1
+    scale = _rung_powers(q_sq, n * (c - 2) + 1)
+    brackets = _bracket_array(cfg.params, np.arange(c))
+    rung = np.arange(c - 1)
+    after = np.zeros((), dtype=np.intp)
+    for a in reversed(range(n)):
+        target = scale[after] * brackets[rung].reshape((-1,) + (1,) * after.ndim)
         record("normal_product_diagonal", raise_lower[a] - target)
-
-    for a in range(n):
-        record("ladder_commutator_scale_product", lower_raise[a] - raise_lower[a] - scale[suffix[:, a]])
+        after = np.add.outer(rung, after)
+        record("ladder_commutator_scale_product", lower_raise[a] - raise_lower[a] - scale[after])
 
     deviations = {name: float(np.max(values)) for name, values in peaks.items()}
     # Unlike the other families, the commutator's terms grow with the occupation: each
     # product N a is at most n_max * A, n_max = cutoff - 2 the largest interior
-    # occupation and A the largest ladder amplitude gathered.  Its two products round by
+    # occupation and A the largest ladder amplitude read.  Its two products round by
     # at most u * n_max * A each (u = 2^-53), their difference, about one amplitude, by
     # about u * A, and the last sum by less; 4 u n_max A bounds all of it.  A
     # non-finite A gets no allowance: its residual is not finite and fails anyway.
-    allowance = 4.0 * 2.0**-53 * (cfg.cutoff - 2) * peak_ladder
+    allowance = 4.0 * 2.0**-53 * (c - 2) * peak_ladder
     return RelationReport(
         modes=n,
-        cutoff=cfg.cutoff,
+        cutoff=c,
         q=q,
         tol=tol,
         deviations=deviations,
-        interior_size=int(interior.size),
+        interior_size=(c - 1) ** n,
         allowances={"number_ladder_commutator": allowance if math.isfinite(allowance) else 0.0},
     )
 

@@ -1,7 +1,8 @@
 """Reference relation verifier built from sparse matrix products, kept for the tests.
 
-``qmodes.fock.verify_algebra`` reads each operator's one shift diagonal and
-forms every residual as a product of gathered amplitudes on the interior.
+``qmodes.fock.verify_algebra`` reads each operator's one shift diagonal onto
+the (cutoff,) * modes grid of occupations and forms every residual as a
+product of slices of that grid.
 The routine here is the plain route it replaced: each relation is assembled
 from scipy CSR products and sums over the whole space, and the interior
 block is sliced out afterwards.  The tests compare the kernel against it,

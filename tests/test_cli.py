@@ -253,6 +253,19 @@ def test_qsym_requests_hold_nothing_once_they_return(argv, capsys):
     assert held < 2**20
 
 
+def test_verify_algebra_requests_hold_nothing_once_they_return(capsys):
+    # no occupation table, operator or amplitude grid outlives its request
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for shape in (["--modes", "2", "--cutoff", "1000"], ["--modes", "6", "--cutoff", "7"]):
+            code, _, err = run_cli(["verify", "algebra", "--q", "0.5"] + shape, capsys)
+            assert code == 0, err
+            assert tracemalloc.get_traced_memory()[0] - before < 2**20, shape
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("argv", [["--modes", "4", "--N", "7"], ["--q", "0.3", "0.6", "--modes", "6", "--N", "5"]])
 def test_exchange_sweep_peaks_within_its_estimate(argv, monkeypatch):
     estimates = []

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,11 +263,18 @@ def test_corruption_needs_interior_support():
 
 def _oracle_cases():
     rng = random.Random(20260)
-    return [
+    cases = [
         (modes, cutoff, round(rng.uniform(0.05, 0.98), 6))
         for modes in (1, 2, 3, 4)
         for cutoff in range(3, 9)
     ]
+    # past 4 modes the interior box narrows and moves along more axes than any pair
+    cases += [
+        (modes, cutoff, round(rng.uniform(0.05, 0.98), 6))
+        for modes, top in ((5, 5), (6, 4), (7, 3))
+        for cutoff in range(3, top + 1)
+    ]
+    return cases
 
 
 @pytest.mark.parametrize("modes,cutoff,q", _oracle_cases())
@@ -305,6 +313,22 @@ def test_an_override_with_an_entry_off_its_shift_diagonal_is_refused():
     complex_lower.data[0] += 1e-3j
     with pytest.raises(ValueError, match="off its real shift"):
         verify_algebra(cfg, annihilators=[annihilator(cfg, 1), complex_lower])
+    # a middle mode: these rows obey row == col + step * stride_2, so only the landing check
+    # can catch them
+    cfg = cfg_for(q=0.5, modes=3, cutoff=4)
+    stride = cfg.cutoff ** (cfg.modes - 2)  # stride_2
+    lowers = [annihilator(cfg, i).tocsr() for i in (1, 2, 3)]
+    col = encode_occupation(cfg, (1, 0, 2))  # n_2 = 0: a_2 has no rung below it
+    lowers[1] = lowers[1].tolil()
+    lowers[1][col - stride, col] = 0.25  # lands on (0, 3, 2)
+    with pytest.raises(ValueError, match="off its real shift"):
+        verify_algebra(cfg, annihilators=[m.tocsr() for m in lowers])
+    raises = [creator(cfg, i).tocsr() for i in (1, 2, 3)]
+    col = encode_occupation(cfg, (1, 3, 2))  # n_2 = cutoff - 1: a_2^dag has no rung above it
+    raises[1] = raises[1].tolil()
+    raises[1][col + stride, col] = 0.25  # lands on (2, 0, 2)
+    with pytest.raises(ValueError, match="off its real shift"):
+        verify_algebra(cfg, creators=[m.tocsr() for m in raises])
 
 
 def test_operators_are_real_float64():
@@ -334,7 +358,9 @@ def _same_csr(matrix, reference) -> None:
 
 
 @pytest.mark.parametrize(
-    "modes,cutoff,q", [(1, 3, 0.5), (2, 6, 0.9), (3, 5, 0.3), (4, 4, 0.7), (2, 300, 0.05), (1, 800, 0.2)]
+    "modes,cutoff,q",
+    [(1, 3, 0.5), (2, 6, 0.9), (3, 5, 0.3), (4, 4, 0.7), (2, 300, 0.05), (1, 800, 0.2)]
+    + [(5, 3, 0.6), (5, 4, 0.35), (5, 5, 0.8), (6, 3, 0.45), (6, 4, 0.9), (7, 3, 0.25)],
 )
 def test_tocsr_equals_the_scipy_built_reference_entry_for_entry(modes, cutoff, q):
     cfg = FockSpaceConfig(modes, cutoff, DeformationParams(q))
@@ -393,6 +419,22 @@ def test_a_shift_operator_stores_at_most_one_entry_per_row_and_column():
         op @ op  # operator products go through tocsr()
     with pytest.raises(ValueError, match="cannot apply"):
         op @ np.ones(4)
+
+
+@pytest.mark.parametrize(
+    "modes,cutoff",
+    [(2, 120), (3, 30), (4, 16), (4, 20), (5, 9), (6, 6), (6, 7), (2, 1000), (8, 5)],
+)
+def test_verify_algebra_peaks_within_the_config_estimate(modes, cutoff):
+    # FockSpaceConfig admits or refuses a request on (200 + 60 modes) bytes per state
+    cfg = FockSpaceConfig(modes, cutoff, DeformationParams(0.5))
+    tracemalloc.start()
+    try:
+        verify_algebra(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (200 + 60 * modes) * cfg.dimension
 
 
 def test_kernel_deviations_equal_the_reference_where_powers_underflow():
