@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__, coherent, fock, qsym
+from . import __version__, coherent, fock, qcore, qsym
 from .qcore import (
     WORK_BUDGET,
     DeformationParams,
@@ -46,7 +46,9 @@ from .qcore import (
     disk_samples,
     jackson_moment,
     q_exp,
+    q_exp_points,
     q_exp_via_product,
+    q_exp_via_product_points,
     q_factorial,
     size_estimate,
 )
@@ -178,8 +180,12 @@ class RunConfig:
         return echoed
 
 
+def _millis(seconds: float) -> int:
+    return max(0, int(round(seconds * 1000.0)))
+
+
 def _elapsed_ms(start: float) -> int:
-    return max(0, int(round((time.perf_counter() - start) * 1000.0)))
+    return _millis(time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +199,8 @@ def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]
         cfg = fock.FockSpaceConfig(config.modes, config.cutoff, params)
         lowers = None
         if config.inject_corruption:
-            lowers = [fock.corrupted_annihilator(cfg, 1)]
-            lowers += [fock.annihilator(cfg, i) for i in range(2, config.modes + 1)]
+            # only a_1 is corrupted; verify_algebra builds the honest ones one at a time
+            lowers = [fock.corrupted_annihilator(cfg, 1)] + [None] * (config.modes - 1)
         start = time.perf_counter()
         report = fock.verify_algebra(cfg, tol=config.tol, annihilators=lowers)
         millis = _elapsed_ms(start)
@@ -205,6 +211,10 @@ def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]
     return records, []
 
 
+# samples per call of the q-exponential kernels: the values they return stay bounded
+_QEXP_BATCH = 200
+
+
 def _parse_x(text: str) -> complex:
     try:
         return complex(text)
@@ -213,6 +223,15 @@ def _parse_x(text: str) -> complex:
 
 
 def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
+    # per q, the kernels on one batch of samples at a time, beside the list of all the
+    # samples (40 B each)
+    points = 1 if config.x is not None else config.points
+    batch = min(points, _QEXP_BATCH)
+    nbytes = work = 0.0
+    for q in config.q_values:
+        batch_bytes, batch_work = qcore._qexp_cost(DeformationParams(q), batch)
+        nbytes, work = max(nbytes, batch_bytes + 40 * points), work + batch_work * points / batch
+    check_budget(f"qexp eval of {points} points", nbytes, work)
     records = []
     extra = []
     for q in config.q_values:
@@ -233,19 +252,26 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         start = time.perf_counter()
         worst_functional = 0.0
         worst_agreement = 0.0
-        for x in samples:
-            series = q_exp(params, x).value
-            product = q_exp_via_product(params, x).value
-            worst_agreement = max(
-                worst_agreement, abs(series - product) / max(abs(product), 1e-300)
-            )
-            lhs = q_exp(params, params.q_sq * x).value
-            rhs = (1.0 - (1.0 - params.q_sq) * x) * series
-            worst_functional = max(
-                worst_functional, abs(lhs - rhs) / max(abs(lhs), 1.0)
-            )
-            if config.x is not None:
-                extra.append(f"exp_q({x}) = {series!r}  (q={q})")
+        for first in range(0, len(samples), _QEXP_BATCH):
+            xs = samples[first : first + _QEXP_BATCH]
+            images = [params.q_sq * x for x in xs]
+            if config.x is None:
+                series = q_exp_points(params, xs + images)
+                products = q_exp_via_product_points(params, xs)
+            else:  # the one point of --x, by the one-point calls
+                series = [q_exp(params, xs[0]), q_exp(params, images[0])]
+                products = [q_exp_via_product(params, xs[0])]
+            for x, at_x, at_image, product in zip(xs, series, series[len(xs) :], products):
+                worst_agreement = max(
+                    worst_agreement, abs(at_x.value - product.value) / max(abs(product.value), 1e-300)
+                )
+                lhs = at_image.value
+                rhs = (1.0 - (1.0 - params.q_sq) * x) * at_x.value
+                worst_functional = max(
+                    worst_functional, abs(lhs - rhs) / max(abs(lhs), 1.0)
+                )
+                if config.x is not None:
+                    extra.append(f"exp_q({x}) = {at_x.value!r}  (q={q})")
         millis = _elapsed_ms(start)
         point_params = {"q": q, "points": len(samples)}
         if config.x is not None:
@@ -432,10 +458,10 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         per_q += qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
         return qsym._class_cost("arrangements", n, size, *totals[:2])[1] + len(config.q_values) * per_q
 
-    # the top size's transpositions are kept together, beside its classes, one state
-    # vector filled from them and the largest table
+    # one transposition of the top size at a time, beside its classes, one state vector
+    # filled from them and the largest table
     rows, entries = qsym._largest_class(n, N)
-    nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0]
+    nbytes = qsym._transposition_cost(n, N, 1, 0)[0]
     nbytes += qsym._class_cost("symmetrize", n, N, 1, qsym._class_totals(n, N)[1])[0]
     nbytes += qsym._class_cost("exchange", n, N, 1, rows, entries)[0]
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
@@ -451,25 +477,33 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 def _exchange_records(classes: list, point: dict, params: DeformationParams, tol: float) -> list:
     """The exchange and transposition records of one size and q.  The classes have disjoint
     supports and each transposition maps every class onto itself, so one vector of all their
-    sorted-word states, times a transposition, holds each class's own product, bit for bit."""
+    sorted-word states, times a transposition, holds each class's own product, bit for bit.
+    Each transposition is checked as soon as it is built and dropped before the next one."""
     size, n = point["N"], point["modes"]
     start = time.perf_counter()
     worst = max(float(qsym.exchange_check(arrangement, params)[1].max()) for arrangement in classes)
     found = {"qsym_exchange": (worst, _elapsed_ms(start))}
-    # the inverse check's time includes building the transpositions it shares
-    start = time.perf_counter()
-    ops = [qsym.transposition_op(size, n, k, params) for k in range(1, size)]
-    found["qsym_transposition_inverse"] = (max(map(_square_minus_identity, ops)), _elapsed_ms(start))
+    # the invariance check's time includes filling the state vector; the inverse check's,
+    # building the transpositions
     start = time.perf_counter()
     states = np.zeros(n**size)
     for arrangement in classes:
         states[arrangement.index] = qsym._state_entries(arrangement, params)
-    invariance = 0.0
-    for op in ops:
+    inverse = invariance = inverse_s = 0.0
+    invariance_s = time.perf_counter() - start
+    for k in range(1, size):
+        start = time.perf_counter()
+        op = qsym.transposition_op(size, n, k, params)
+        inverse = max(inverse, _square_minus_identity(op))
+        built = time.perf_counter()
         residual = op @ states  # a fresh array: reduced in place, no more allocations
         residual -= states
         invariance = max(invariance, float(np.max(np.abs(residual, out=residual))))
-    found["qsym_transposition_invariance"] = (invariance, _elapsed_ms(start))
+        del op, residual  # before the next transposition is built
+        inverse_s += built - start
+        invariance_s += time.perf_counter() - built
+    found["qsym_transposition_inverse"] = (inverse, _millis(inverse_s))
+    found["qsym_transposition_invariance"] = (invariance, _millis(invariance_s))
     return [CheckRecord.measured(name, dict(point), d, tol, ms) for name, (d, ms) in found.items()]
 
 

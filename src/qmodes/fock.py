@@ -379,8 +379,8 @@ def _shift_amplitudes(cfg: FockSpaceConfig, matrix, i: int, step: int) -> np.nda
 def verify_algebra(
     cfg: FockSpaceConfig,
     tol: float = 1e-12,
-    annihilators: Sequence[ShiftOperator] | None = None,
-    creators: Sequence[ShiftOperator] | None = None,
+    annihilators: Sequence[ShiftOperator | None] | None = None,
+    creators: Sequence[ShiftOperator | None] | None = None,
 ) -> RelationReport:
     """Certify the eight defining relation families on the truncation interior.
 
@@ -388,8 +388,8 @@ def verify_algebra(
     most cutoff - 2; there every quadratic product is representable exactly,
     so deviations measure nothing but arithmetic error.  Operator lists may
     be injected (e.g. deliberately corrupted copies, or scipy sparse
-    matrices) for negative controls; by default they are built from the
-    configuration.
+    matrices) for negative controls; by default, and for every entry that is
+    None, they are built from the configuration.
 
     Every operator is a weighted shift, read as amplitudes on the (cutoff,) * modes
     grid of its columns.  The interior is the box 0..cutoff-2 on every axis and
@@ -407,8 +407,9 @@ def verify_algebra(
 
     def read(given, build, step: int) -> list[np.ndarray]:
         # an operator that is not given is built just before it is read, and dropped after
+        ops = [None] * n if given is None else given
         return [
-            _shift_amplitudes(cfg, build(cfg, i) if given is None else given[i - 1], i, step)
+            _shift_amplitudes(cfg, build(cfg, i) if ops[i - 1] is None else ops[i - 1], i, step)
             for i in range(1, n + 1)
         ]
 

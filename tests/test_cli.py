@@ -27,7 +27,16 @@ from qmodes.cli import (
 )
 from qmodes import cli, qsym
 from qmodes.fock import RELATION_FAMILIES
-from qmodes.qcore import DeformationParams, DomainError, jackson_moment, q_factorial
+from qmodes.qcore import (
+    DeformationParams,
+    DomainError,
+    QExpValue,
+    _factors_for,
+    _q_exp_product_tail,
+    jackson_moment,
+    q_factorial,
+)
+from qcore_oracle import reference_q_exp, reference_q_exp_product
 from qsym_oracle import reference_transposition_deviations
 
 CORRUPTION_SENSITIVE = {
@@ -107,6 +116,7 @@ OVER_BUDGET = [
     ["verify", "algebra", "--modes", "2", "--cutoff", "3000"],
     ["coherent", "check", "--q", "0.5", "--points", "10000000"],
     ["jackson", "moments", "--q", "0.9999999", "--N", "2"],
+    ["qexp", "eval", "--q", "0.99", "--points", "100000000"],
 ]
 
 
@@ -200,7 +210,7 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
                 work += cost(["arrangements"], s, rows)[0][1]
                 per_q += cost(["exchange"], s, rows, entries)[0][1]
             work += 2 * per_q
-        nbytes = qsym._transposition_cost(n, N, N - 1, 0)[0]
+        nbytes = qsym._transposition_cost(n, N, 1, 0)[0]  # one transposition alive at a time
         nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(rows for rows, _ in classes[N]))[0]
         nbytes += max(cost(["exchange"], N, rows, entries)[0][0] for rows, entries in classes[N])
         assert estimate("exchange", N) == pytest.approx((nbytes, work), rel=1e-9)
@@ -285,6 +295,13 @@ def test_exchange_sweep_peaks_within_its_estimate(argv, monkeypatch):
     finally:
         tracemalloc.stop()
     assert estimates[0] / 2 < peak <= estimates[0]
+
+
+def test_exchange_sweep_keeps_one_transposition_at_a_time():
+    # 4^8 words: each transposition takes 16 B per word, and the sweep used to keep
+    # the seven of the top size together
+    peak = _handler_peak(["qsym", "exchange", "--q", "0.5", "--modes", "4", "--N", "8"])
+    assert peak < 16 * 4**8 * 7
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -408,6 +425,48 @@ def test_qexp_outside_disk_fails_without_deviation(capsys):
     assert "deviation=n/a" in out
 
 
+def _per_point_series(params, xs):
+    return [reference_q_exp(params, x) for x in xs]
+
+
+def _per_point_product(params, xs):
+    values = []
+    for x in xs:
+        factors = _factors_for(params, x, 1e-15)
+        value = reference_q_exp_product(params, x, factors)
+        values.append(QExpValue(value, _q_exp_product_tail(params, x, factors) * abs(value), factors))
+    return values
+
+
+@pytest.mark.parametrize("points", ["50", "2000"])
+@pytest.mark.parametrize("q", ["0.3", "0.9", "0.98"])
+def test_qexp_sweep_reports_equal_the_per_point_route(q, points, monkeypatch, capsys):
+    argv = ["qexp", "eval", "--q", q, "--points", points, "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    monkeypatch.setattr(cli, "q_exp_points", _per_point_series)
+    monkeypatch.setattr(cli, "q_exp_via_product_points", _per_point_product)
+    expected_code, expected, expected_err = run_cli(argv, capsys)
+    assert (code, err) == (expected_code, expected_err)
+    assert canonical_json(strip_timing(json.loads(out))) == canonical_json(strip_timing(json.loads(expected)))
+    # route agreement fails near q = 1, with the same deviations (a known defect)
+    assert code == (1 if q == "0.98" else 0)
+
+
+def test_qexp_sweep_peaks_under_a_megabyte_whatever_its_points(capsys):
+    # the kernels take a bounded batch of samples per call and keep a block's terms in numpy
+    peaks = []
+    for points in ("200", "400"):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(["qexp", "eval", "--q", "0.98", "--points", points], capsys)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 1, err
+    assert max(peaks) < 2**20
+    assert peaks[1] < 1.25 * peaks[0]
+
+
 # ---------------------------------------------------------------------------
 # negative control
 
@@ -442,6 +501,29 @@ def test_negative_controls_trip_exactly_the_sensitive_families(modes, cutoff, ca
     failed = {
         line.split()[1] for line in out.strip().split("\n") if line.startswith("FAIL ")
     }
+    assert failed == CORRUPTION_SENSITIVE
+
+
+def _handler_peak(argv) -> int:
+    namespace = build_parser().parse_args(argv)
+    config = config_from_namespace(namespace)
+    tracemalloc.start()
+    try:
+        namespace.handler(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(("modes", "cutoff"), [(6, 6), (7, 5)])
+def test_negative_control_holds_one_annihilator_more_than_the_honest_run(modes, cutoff, capsys):
+    # only the corrupted a_1 is passed in; the honest annihilators are built one at a time
+    argv = ["verify", "algebra", "--q", "0.5", "--modes", str(modes), "--cutoff", str(cutoff)]
+    honest, corrupted = _handler_peak(argv), _handler_peak(argv + ["--inject-corruption"])
+    assert corrupted - honest <= 16 * cutoff**modes
+    code, out, _ = run_cli(argv + ["--inject-corruption"], capsys)
+    assert code == 1
+    failed = {line.split()[1] for line in out.strip().split("\n") if line.startswith("FAIL ")}
     assert failed == CORRUPTION_SENSITIVE
 
 

@@ -6,6 +6,8 @@ comparisons isolate floating-point evaluation error from modeling error.
 """
 
 import math
+import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -17,18 +19,23 @@ from hypothesis import given, settings, strategies as st
 from qmodes.qcore import (
     DeformationParams,
     DomainError,
+    QExpValue,
     SingularityError,
     _brackets,
     _factors_for,
+    _q_exp_product_tail,
+    _series_terms,
     disk_samples,
     jackson_integral,
     jackson_moment,
     q_exp,
+    q_exp_points,
     q_exp_product,
     q_exp_reciprocal,
     q_exp_series,
     q_exp_series_tail,
     q_exp_via_product,
+    q_exp_via_product_points,
     q_factorial,
     q_multinomial,
     q_number,
@@ -182,6 +189,73 @@ def test_product_pole_raises():
     params = DeformationParams(0.5)
     with pytest.raises(SingularityError):
         q_exp_product(params, params.radius, factors=5)
+
+
+def _bits(value: QExpValue) -> tuple:
+    """Every bit of a q-exponential value, signed zeros included."""
+    return value.value.real.hex(), value.value.imag.hex(), value.tail_bound.hex(), value.terms
+
+
+def _reference_via_product(params: DeformationParams, x: complex) -> QExpValue:
+    factors = _factors_for(params, x, 1e-15)
+    value = reference_q_exp_product(params, x, factors)
+    return QExpValue(value, _q_exp_product_tail(params, x, factors) * abs(value), factors)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.2, 0.5, 0.88, 0.93, 0.97, 0.98, 0.995])
+def test_point_kernels_equal_the_per_point_loops_bit_for_bit(q):
+    params = DeformationParams(q)
+    samples = disk_samples(params, 200)
+    xs = samples + [params.q_sq * x for x in samples]
+    assert [_bits(v) for v in q_exp_points(params, xs)] == [_bits(reference_q_exp(params, x)) for x in xs]
+    products = q_exp_via_product_points(params, samples)
+    assert [_bits(v) for v in products] == [_bits(_reference_via_product(params, x)) for x in samples]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9, 0.98])
+def test_point_kernels_take_points_in_any_order(q):
+    params = DeformationParams(q)
+    radius = params.radius
+    special = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), -0.5 * radius, -0.89 * radius]
+    special += [0.3j * radius, -0.7j * radius, complex(-0.0, 0.6 * radius), 0.2 * radius]
+    xs = disk_samples(params, 40) + special
+    xs += xs[::3]  # duplicates
+    random.Random(q).shuffle(xs)
+    assert [_bits(v) for v in q_exp_points(params, xs)] == [_bits(reference_q_exp(params, x)) for x in xs]
+    products = q_exp_via_product_points(params, xs)
+    assert [_bits(v) for v in products] == [_bits(_reference_via_product(params, x)) for x in xs]
+    for x in special:  # one-point lists, and the one-point calls
+        assert _bits(q_exp_points(params, [x])[0]) == _bits(q_exp(params, x)) == _bits(reference_q_exp(params, x))
+        expected = _bits(_reference_via_product(params, x))
+        assert _bits(q_exp_via_product_points(params, [x])[0]) == _bits(q_exp_via_product(params, x)) == expected
+    assert q_exp_points(params, []) == q_exp_via_product_points(params, []) == []
+
+
+def test_point_kernels_raise_the_errors_of_the_per_point_loops():
+    params = DeformationParams(0.5)
+    radius = params.radius
+    # the first point outside the disk, in the order given
+    with pytest.raises(DomainError) as expected:
+        reference_q_exp(params, -2.0 * radius)
+    with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+        q_exp_points(params, [0.3 * radius, -2.0 * radius, radius])
+    # radius / q^{2n} is the pole of factor n; the first point on a pole, in the order given
+    first = radius / params.q_sq
+    message = f"product factor n=1 vanishes at x={complex(first)!r} (pole of exp_q)"
+    with pytest.raises(SingularityError, match=re.escape(message)):
+        q_exp_via_product_points(params, [0.1, first, radius])
+    with pytest.raises(SingularityError, match=re.escape(message)):
+        q_exp_via_product(params, first)
+    with pytest.raises(SingularityError, match="product factor n=0 vanishes"):
+        q_exp_product(params, radius, factors=5)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.98, 0.995])
+def test_series_term_estimate_is_the_count_on_the_positive_axis(q):
+    params = DeformationParams(q)
+    for fraction in (0.0, 0.1, 0.5, 0.9, 0.99):
+        x = fraction * params.radius
+        assert _series_terms(params, x) == q_exp(params, x).terms == reference_q_exp(params, x).terms
 
 
 def test_reciprocal_vanishes_at_first_pole():
