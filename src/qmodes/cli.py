@@ -52,7 +52,7 @@ from .qcore import (
     q_factorial,
     size_estimate,
 )
-from .qpoly import poly_insertion_sum, poly_q_number
+from .qpoly import poly_insertion_sum, poly_q_multinomial, poly_q_number
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = __version__
@@ -459,15 +459,19 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         return qsym._class_cost("arrangements", n, size, *totals[:2])[1] + len(config.q_values) * per_q
 
     # one transposition of the top size at a time, beside its classes, one state vector
-    # filled from them and the largest table
+    # filled from them and the largest table; or, while the classes are built, one pass
+    # of the arrangement kernel beside the classes already built (16 B per word)
     rows, entries = qsym._largest_class(n, N)
+    words = qsym._class_totals(n, N)[1]
     nbytes = qsym._transposition_cost(n, N, 1, 0)[0]
-    nbytes += qsym._class_cost("symmetrize", n, N, 1, qsym._class_totals(n, N)[1])[0]
+    nbytes += qsym._class_cost("symmetrize", n, N, 1, words)[0]
     nbytes += qsym._class_cost("exchange", n, N, 1, rows, entries)[0]
+    build = qsym._class_cost("arrangements", n, N, 1, qsym._batch_rows(n, N))[0] + 16 * words
+    nbytes = max(nbytes, build)
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
     records = []
     for size in range(2, N + 1):
-        classes = [qsym.arrangements(counts) for counts in _count_vectors(n, size)]
+        classes = list(qsym.arrangement_classes(n, size))
         for q in config.q_values:
             point = {"q": q, "N": size, "modes": n}
             records += _exchange_records(classes, point, DeformationParams(q), config.tol)
@@ -549,32 +553,22 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     return records, []
 
 
-def _count_vectors(slots: int, total: int):
-    """All nonnegative integer vectors of the given length with sum total."""
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _count_vectors(slots - 1, total - head):
-            yield (head,) + rest
-
-
 def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
-    # every class of every total up to N, built and tallied; the largest class's build sets the bytes
+    # every class of every total up to N, built and tallied; one pass of the arrangement
+    # kernel on N letters sets the bytes
     work = _sweep_work(range(N, -1, -1), lambda t: sum(
         qsym._class_cost(k, n, t, *qsym._class_totals(n, t)[:2])[1] for k in ("arrangements", "identity")))
-    nbytes = qsym._class_cost("arrangements", n, N, 1, qsym._largest_class(n, N)[0])[0]
+    nbytes = qsym._class_cost("arrangements", n, N, 1, qsym._batch_rows(n, N))[0]
     check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, work)
     records = []
     for total in range(config.particles + 1):
         start = time.perf_counter()
         all_match = True
         cases = 0
-        for counts in _count_vectors(config.modes, total):
-            arrangement_sum, multinomial = qsym.norm_identity_exact(counts)
+        for arrangement in qsym.arrangement_classes(n, total):
             cases += 1
-            if arrangement_sum != multinomial:
+            if qsym.arrangement_sum(arrangement) != poly_q_multinomial(arrangement.counts):
                 all_match = False
         records.append(
             CheckRecord(
@@ -601,7 +595,7 @@ def run_qsym_appendix(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         all_match = True
         cases = 0
         target = poly_q_number(total + 1)
-        for counts in _count_vectors(config.modes, total):
+        for counts in qsym._count_vectors(config.modes, total):
             for slot in range(1, config.modes + 1):
                 cases += 1
                 if poly_insertion_sum(counts, slot) != target:
@@ -748,7 +742,20 @@ def _options(command: str) -> dict:
     return {**_ENVELOPE, **_verbs()[command].defaults}
 
 
+_PARSER = None  # the one parser, built on the first call of build_parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb.  Building it takes milliseconds, so it is built on the
+    first call and returned by every later one.  It binds no handler: ``main`` looks up
+    the verb's handler in ``_verbs()`` at dispatch."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _new_parser()
+    return _PARSER
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmodes",
         description="verification harness for the deformed multimode oscillator library",
@@ -768,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
             verb_parser.add_argument(
                 flag, dest=field, default=default, help=f"{help_text} (default: {shown})", **keywords
             )
-        verb_parser.set_defaults(handler=row.handler, command=command, verb_parser=verb_parser)
+        verb_parser.set_defaults(command=command, verb_parser=verb_parser)
     return parser
 
 
@@ -794,7 +801,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = config_from_namespace(namespace)
         config.validate()
-        records, extra = namespace.handler(config)
+        records, extra = _verbs()[config.command].handler(config)
     except (ValueError, OverflowError) as exc:
         # ConfigError, DomainError (budget refusals too), factorials past the float range
         print(f"configuration error: {exc}", file=sys.stderr)

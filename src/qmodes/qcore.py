@@ -165,9 +165,15 @@ def q_multinomial(params: DeformationParams, counts: Sequence[int]) -> float:
     return value
 
 
-def check_budget(request: str, nbytes: float, work: float) -> None:
-    """Refuse a request whose predicted peak bytes or work pass the budget."""
+def check_budget(request: str, nbytes: float, work: float, *fields) -> None:
+    """Refuse a request whose predicted peak bytes or work pass the budget.
+
+    Given ``fields``, ``request`` is a ``str.format`` template that is filled
+    only on refusal, so an admitted call formats no text.
+    """
     if nbytes > BYTE_BUDGET or work > WORK_BUDGET:
+        if fields:
+            request = request.format(*fields)
         raise DomainError(
             f"{request} needs about {nbytes:.3g} bytes and {work:.3g} steps of work, "
             f"above the budget of {BYTE_BUDGET:.3g} bytes and {WORK_BUDGET:.3g} steps"

@@ -22,9 +22,10 @@ invariance).
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +36,8 @@ __all__ = [
     "Word",
     "ArrangementClass",
     "arrangements",
+    "arrangement_classes",
+    "arrangement_sum",
     "inversion_count",
     "sign_compare",
     "q_symmetrize",
@@ -123,39 +126,124 @@ class ArrangementClass:
     inversions: np.ndarray
 
 
+# Rows of one pass of the arrangement kernel: a pass builds classes up to this many rows
+# together, or one larger class alone.
+_BATCH_ROWS = 2**15
+
+
+def _count_vectors(slots: int, total: int):
+    """All nonnegative integer vectors of the given length with sum total, in lex order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _count_vectors(slots - 1, total - head):
+            yield (head,) + rest
+
+
+def _rows(counts: Sequence[int]) -> int:
+    """The exact number of arrangements of ``counts``, the multinomial N! / prod c!."""
+    rows, placed = 1, 0
+    for c in counts:
+        placed += c
+        rows *= math.comb(placed, c)
+    return rows
+
+
 def arrangements(counts: Sequence[int]) -> ArrangementClass:
     """Tensor index and inversion count of every arrangement of a multiset.
 
     ``counts[l]`` is the multiplicity of letter l + 1, and there is one slot
-    per mode, so the words live in the len(counts)^N tensor space.  The rows
-    are built by extending every prefix by one position at a time: appending
-    letter l raises the inversion count by the number of letters already
-    placed that are greater than l.  Each prefix emits its extensions in
-    letter order, so the rows come out in ascending tensor index, and the
-    work and memory are O(multinomial) rows, never O(n^N).  The all-zero
-    shape has one row, the empty arrangement.
+    per mode, so the words live in the len(counts)^N tensor space.  This is
+    the one-class call of the kernel behind :func:`arrangement_classes`.
+    The all-zero shape has one row, the empty arrangement.
     """
     counts = tuple(int(c) for c in counts)
-    n_modes, size = len(counts), sum(counts)
-    check_budget(f"arrangements of the class {counts}",
-                 *_class_cost("arrangements", n_modes, size, 1, _class_size(counts)[0]))
+    if any(c < 0 for c in counts):
+        raise ValueError(f"counts must be nonnegative, got {counts!r}")
+    return ArrangementClass(counts, *_build([counts], _rows(counts)))
+
+
+def arrangement_classes(n_modes: int, size: int) -> Iterator[ArrangementClass]:
+    """Every arrangement class of ``size`` letters over ``n_modes`` modes, one per count
+    vector, in lex order of the counts.
+
+    The classes are built together in one pass of the kernel, up to ``_BATCH_ROWS`` rows
+    at a time (a larger class alone), and handed out one at a time, so a caller that drops
+    each class holds no more than one pass.  A class's arrays are views of its pass's.
+    """
+    batch, rows, total = [], [], 0
+    for counts in _count_vectors(n_modes, size):
+        class_rows = _rows(counts)
+        if batch and total + class_rows > _BATCH_ROWS:
+            yield from _split(batch, rows, total)
+            batch, rows, total = [], [], 0
+        batch.append(counts)
+        rows.append(class_rows)
+        total += class_rows
+    yield from _split(batch, rows, total)
+
+
+def _split(classes: list[tuple[int, ...]], rows: list[int], total: int) -> Iterator[ArrangementClass]:
+    """The classes of one pass, one at a time, as views of the pass's arrays."""
+    index, inversions = _build(classes, total)
+    start = 0
+    for counts, stop in zip(classes, itertools.accumulate(rows)):
+        yield ArrangementClass(counts, index[start:stop], inversions[start:stop])
+        start = stop
+
+
+def _build(classes: list[tuple[int, ...]], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor index and inversion count of every arrangement of the count vectors
+    ``classes``, all of one size over the same modes and ``rows`` rows in all, class after
+    class, in one prefix-extension pass.
+
+    Every prefix is extended by one position at a time: appending letter l adds the
+    number of letters still to place that are smaller than l, since each of them will
+    follow it.  Each prefix emits its extensions in letter order, in the order of the
+    prefixes, so each class's rows come out together and in ascending tensor index.  The
+    work and memory are O(rows), never O(n^N).  A word's last letter is forced and adds
+    no inversion.
+    """
+    n_modes, size = len(classes[0]), sum(classes[0])
     if size * math.log2(max(n_modes, 1)) > 63:
-        raise ValueError(f"the words of the class {counts} have tensor indices past int64")
+        raise ValueError(f"the words of the class {classes[0]} have tensor indices past int64")
+    if len(classes) == 1:
+        check_budget("arrangements of the class {}",
+                     *_class_cost("arrangements", n_modes, size, 1, rows), classes[0])
+    else:
+        check_budget("arrangements of the {} classes from {} to {}",
+                     *_class_cost("arrangements", n_modes, size, len(classes), rows),
+                     len(classes), classes[0], classes[-1])
     # the narrowest signed type that holds every count up to N (it holds -N - 1)
-    dtype = np.min_scalar_type(-size - 1)
-    total = np.array(counts, dtype=dtype)
-    left = total[np.newaxis, :]  # letters still to place, per prefix
-    index = np.zeros(1, dtype=np.int64)
-    inversions = np.zeros(1, dtype=np.int64)
-    for _ in range(size):
-        used = total - left
-        greater = np.cumsum(used[:, ::-1], axis=1, dtype=dtype)[:, ::-1] - used
-        rows, letters = np.nonzero(left)  # row-major: each prefix in letter order
-        index = index[rows] * n_modes + letters
-        inversions = inversions[rows] + greater[rows, letters]
-        left = left[rows]
-        left[np.arange(rows.size), letters] -= 1
-    return ArrangementClass(counts, index, inversions)
+    left = np.array(classes, dtype=np.min_scalar_type(-size - 1))  # letters still to place
+    index = np.zeros(len(classes), dtype=np.int64)
+    inversions = np.zeros(len(classes), dtype=np.int64)
+    # each temporary is dropped once spent: the last step peaks at 50 to 70 B per row
+    for _ in range(size - 1):
+        smaller = np.zeros_like(left)  # letters still to place below each letter
+        for letter in range(1, n_modes):
+            np.add(smaller[:, letter - 1], left[:, letter - 1], out=smaller[:, letter])
+        extension = np.flatnonzero(left > 0)  # row-major: each prefix in letter order
+        parents = extension // n_modes
+        inversions = np.take(inversions, parents)
+        inversions += np.take(smaller, extension)
+        del smaller
+        letters = np.subtract(extension, parents * n_modes, out=extension)
+        index = np.take(index, parents)
+        index *= n_modes
+        index += letters
+        left = np.take(left, parents, axis=0)
+        del parents
+        spent = np.arange(0, letters.size * n_modes, n_modes)  # each new prefix's row of left
+        spent += letters
+        left.ravel()[spent] -= 1
+    if size:
+        last = np.flatnonzero(left > 0)  # the one letter left to each prefix
+        last -= np.arange(0, index.size * n_modes, n_modes)
+        index *= n_modes
+        index += last
+    return index, inversions
 
 
 def _class_size(counts) -> tuple[float, float]:
@@ -176,6 +264,13 @@ def _largest_class(n_modes: int, size: int) -> tuple[float, float]:
     return _class_size([a + 1] * b + [a] * (n_modes - b if a else 0))
 
 
+def _batch_rows(n_modes: int, size: int) -> float:
+    """Most rows that one pass of the arrangement kernel builds on N letters: up to
+    ``_BATCH_ROWS``, or the largest class alone, and never more than the n^N words."""
+    words = size_estimate(size * math.log(n_modes))
+    return min(max(_BATCH_ROWS, _largest_class(n_modes, size)[0]), words)
+
+
 def _class_totals(n_modes: int, size: int) -> tuple[float, float, float]:
     """Classes, rows and table entries over all classes of N letters: C(N + n - 1, n - 1)
     classes hold the n^N words, and sum_k c_k^2 averages N(1 - 1/n) + N^2/n over them."""
@@ -191,7 +286,10 @@ def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: floa
     Fitted on cold calls on a 2-core x86-64 machine, and linear in calls, rows and entries,
     so on the totals of ``_class_totals`` it equals the sum over the classes (but for the
     one vector "symmetrize" fills).  Each kernel prices only what it adds to a built class.
-    "arrangements" builds one: ~25 us per letter, ~350 ns and ~100 B per row (16 B kept).
+    "arrangements" builds ``classes`` classes in one pass (the bytes are those of the pass):
+    ~100 B per row (50 to 70 B measured, 16 B kept).  Its work terms, ~25 us per letter
+    per class and ~350 ns per row, were fitted on one pass per class and now only err high:
+    a pass takes ~15 us per letter, whatever its classes, and ~60 ns per row.
     "symmetrize" fills an n^N vector (8 B, ~1.5 ns per entry): ~40 us per class, ~15 ns and
     24 B per row.  "exchange" spends ~40 us and ~10 ns per table entry at each position; it
     holds 16 B per table entry (the table, one reused gather buffer), 16 B per row and position
@@ -242,8 +340,8 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     sum is scaled by sqrt(prod [n_k]! / [N]!).
     """
     rows, _ = _class_size(collections.Counter(word.letters).values())  # word.counts has n_modes
-    check_budget(f"q_symmetrize on the {word.n_modes}^{word.size} tensor space",
-                 *_class_cost("symmetrize", word.n_modes, word.size, 1, rows))
+    check_budget("q_symmetrize on the {}^{} tensor space",
+                 *_class_cost("symmetrize", word.n_modes, word.size, 1, rows), word.n_modes, word.size)
     arrangement = arrangements(word.counts)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
     vector[arrangement.index] = _state_entries(arrangement, params, inversion_count(word.letters))
@@ -261,8 +359,8 @@ def _state_entries(arrangement: ArrangementClass, params: DeformationParams, wor
 def bosonic_symmetrize(word: Word) -> np.ndarray:
     """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
     rows, _ = _class_size(collections.Counter(word.letters).values())
-    check_budget(f"bosonic_symmetrize on the {word.n_modes}^{word.size} tensor space",
-                 *_class_cost("symmetrize", word.n_modes, word.size, 1, rows))
+    check_budget("bosonic_symmetrize on the {}^{} tensor space",
+                 *_class_cost("symmetrize", word.n_modes, word.size, 1, rows), word.n_modes, word.size)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
     vector[arrangements(word.counts).index] = 1.0
     vector /= np.linalg.norm(vector)
@@ -296,8 +394,8 @@ def exchange_check(
     """
     counts, index, inversions = arrangement.counts, arrangement.index, arrangement.inversions
     n_modes, size = len(counts), sum(counts)
-    check_budget(f"exchange_check on the class {counts}",
-                 *_class_cost("exchange", n_modes, size, 1, *_class_size(counts)))
+    check_budget("exchange_check on the class {}",
+                 *_class_cost("exchange", n_modes, size, 1, *_class_size(counts)), counts)
     levels = np.flatnonzero(np.bincount(inversions))
     powers = _powers(params.q, size)
     table = _state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
@@ -336,8 +434,8 @@ def transposition_op(
         raise ValueError("size and n_modes must be >= 1")
     if not 1 <= k < size:
         raise ValueError(f"positions must satisfy 1 <= k < {size}, got {k}")
-    check_budget(f"transposition_op on the {n_modes}^{size} tensor space",
-                 *_transposition_cost(n_modes, size, 1, 0))
+    check_budget("transposition_op on the {}^{} tensor space",
+                 *_transposition_cost(n_modes, size, 1, 0), n_modes, size)
     dim = n_modes**size
     index = np.arange(dim)
     stride_right = n_modes ** (size - k - 1)  # position k+1
@@ -351,23 +449,28 @@ def transposition_op(
     return _shift_operator(dim, index, swapped, weights[np.sign(left - right) + 1])
 
 
+def arrangement_sum(arrangement: ArrangementClass):
+    """The exact arrangement sum sum_u q^{2 R(u)} over the rows of a class, tallied by
+    inversion count.  Import is deferred so the tensor layer stays float-only unless the
+    exact route is requested."""
+    from .qpoly import QPolynomial
+
+    tally = np.bincount(arrangement.inversions)
+    return QPolynomial({2 * inversions: int(number) for inversions, number in enumerate(tally) if number})
+
+
 def norm_identity_exact(counts: Sequence[int]):
     """Exact arrangement sum sum_u q^{2 R(u)} and the bracket multinomial.
 
     Returns the pair (arrangement_sum, multinomial) as exact polynomials;
     their equality is the closed form for the norms of q-symmetrized
-    states.  Import is deferred so the tensor layer stays float-only unless
-    the exact route is requested.
+    states.
     """
-    from .qpoly import QPolynomial, poly_q_multinomial
+    from .qpoly import poly_q_multinomial
 
     counts = tuple(int(c) for c in counts)
     if not counts:
         raise ValueError("counts must be a nonempty sequence")
-    check_budget(f"norm_identity_exact on the class {counts}",
-                 *_class_cost("identity", len(counts), sum(counts), 1, _class_size(counts)[0]))
-    tally = np.bincount(arrangements(counts).inversions)
-    arrangement_sum = QPolynomial(
-        {2 * inversions: int(number) for inversions, number in enumerate(tally) if number}
-    )
-    return arrangement_sum, poly_q_multinomial(counts)
+    check_budget("norm_identity_exact on the class {}",
+                 *_class_cost("identity", len(counts), sum(counts), 1, _class_size(counts)[0]), counts)
+    return arrangement_sum(arrangements(counts)), poly_q_multinomial(counts)

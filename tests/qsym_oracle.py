@@ -17,9 +17,8 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from qmodes.cli import _count_vectors
 from qmodes.qcore import DeformationParams, q_factorial
-from qmodes.qsym import Word, inversion_count, q_symmetrize, sign_compare, transposition_op
+from qmodes.qsym import Word, _count_vectors, inversion_count, q_symmetrize, sign_compare, transposition_op
 
 
 def multiset_arrangements(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:

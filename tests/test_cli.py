@@ -16,7 +16,6 @@ from qmodes.cli import (
     CheckRecord,
     ConfigError,
     RunConfig,
-    _count_vectors,
     assemble_report,
     build_parser,
     canonical_json,
@@ -26,6 +25,7 @@ from qmodes.cli import (
     strip_timing,
 )
 from qmodes import cli, qsym
+from qmodes.qsym import _count_vectors
 from qmodes.fock import RELATION_FAMILIES
 from qmodes.qcore import (
     DeformationParams,
@@ -46,6 +46,11 @@ CORRUPTION_SENSITIVE = {
     "mode_contraction",
     "normal_product_diagonal",
 }
+
+
+def _handler(namespace):
+    """The handler ``main`` would dispatch the parsed verb to."""
+    return cli._verbs()[namespace.command].handler
 
 
 def run_cli(argv, capsys):
@@ -128,7 +133,7 @@ def test_over_budget_requests_are_refused_before_allocating(argv, capsys):
     start = time.perf_counter()
     try:
         with pytest.raises(DomainError, match="needs about .* above the budget"):
-            namespace.handler(config)
+            _handler(namespace)(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -148,7 +153,7 @@ def test_oversized_norm_sweep_is_refused_before_sampling(seed, capsys):
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="needs about .* above the budget"):
-            namespace.handler(config)
+            _handler(namespace)(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -190,7 +195,7 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         argv = ["qsym", verb, "--q", "0.3", "0.5", "--modes", str(n), "--N", str(N)]
         namespace = build_parser().parse_args(argv)
         with pytest.raises(Priced) as raised:
-            namespace.handler(config_from_namespace(namespace))
+            _handler(namespace)(config_from_namespace(namespace))
         return raised.value.args
 
     def cost(kernels, s, rows, entries=0):
@@ -213,6 +218,11 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         nbytes = qsym._transposition_cost(n, N, 1, 0)[0]  # one transposition alive at a time
         nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(rows for rows, _ in classes[N]))[0]
         nbytes += max(cost(["exchange"], N, rows, entries)[0][0] for rows, entries in classes[N])
+        # or, while the classes are built, one pass of the kernel beside the classes built
+        # so far: at most _BATCH_ROWS rows, or the largest class, and at most every word
+        largest = max(rows for rows, _ in classes[N])
+        batch = cost(["arrangements"], N, min(max(qsym._BATCH_ROWS, largest), n**N))[0][0]
+        nbytes = max(nbytes, batch + 16 * n**N)
         assert estimate("exchange", N) == pytest.approx((nbytes, work), rel=1e-9)
 
         words = [cost(["arrangements", "symmetrize"], N, rows) for rows, _ in classes[N]]
@@ -222,24 +232,46 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
 
         pairs = [cost(["arrangements", "identity"], s, rows) for s in classes for rows, _ in classes[s]]
         work = sum(w for pair in pairs for _, w in pair)
-        nbytes = max(cost(["arrangements"], N, rows)[0][0] for rows, _ in classes[N])
+        nbytes = batch  # one pass of the kernel: the classes are tallied and dropped
         assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
 
 
-def test_an_exchange_sweep_builds_each_class_once(monkeypatch, capsys):
-    built = []
+def _classes_built(argv, monkeypatch, capsys) -> tuple[list, int]:
+    """The counts of every class a run builds, and the kernel passes that build them."""
+    built, passes = [], []
 
-    def counted(counts):
-        built.append(tuple(counts))
-        return build(counts)
+    def counted(n_modes, size):
+        for arrangement in build(n_modes, size):
+            built.append(arrangement.counts)
+            yield arrangement
 
-    build = qsym.arrangements
-    monkeypatch.setattr(qsym, "arrangements", counted)
-    argv = ["qsym", "exchange", "--q", "0.3", "0.9", "--modes", "3", "--N", "5"]
+    def one_pass(classes, rows):
+        passes.append(len(classes))
+        return build_pass(classes, rows)
+
+    build, build_pass = qsym.arrangement_classes, qsym._build
+    monkeypatch.setattr(qsym, "arrangement_classes", counted)
+    monkeypatch.setattr(qsym, "_build", one_pass)
     code, _, err = run_cli(argv, capsys)
     assert code == 0, err
-    # 6 + 10 + 15 + 21 classes of 2 to 5 letters over 3 modes, for both q values
+    return built, len(passes)
+
+
+def test_an_exchange_sweep_builds_each_class_once(monkeypatch, capsys):
+    argv = ["qsym", "exchange", "--q", "0.3", "0.9", "--modes", "3", "--N", "5"]
+    built, passes = _classes_built(argv, monkeypatch, capsys)
+    # 6 + 10 + 15 + 21 classes of 2 to 5 letters over 3 modes, for both q values,
+    # each size's classes in one pass of the kernel
     assert len(built) == len(set(built)) == 52
+    assert passes == 4
+
+
+def test_an_identity_sweep_builds_each_class_once(monkeypatch, capsys):
+    argv = ["qsym", "identity", "--q", "0.5", "--modes", "3", "--N", "5"]
+    built, passes = _classes_built(argv, monkeypatch, capsys)
+    # 1 + 3 + 6 + 10 + 15 + 21 classes of 0 to 5 letters over 3 modes, one pass per size
+    assert len(built) == len(set(built)) == 56
+    assert passes == 6
 
 
 @pytest.mark.parametrize(
@@ -290,7 +322,7 @@ def test_exchange_sweep_peaks_within_its_estimate(argv, monkeypatch):
     config = config_from_namespace(namespace)
     tracemalloc.start()
     try:
-        namespace.handler(config)
+        _handler(namespace)(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -509,7 +541,7 @@ def _handler_peak(argv) -> int:
     config = config_from_namespace(namespace)
     tracemalloc.start()
     try:
-        namespace.handler(config)
+        _handler(namespace)(config)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -707,6 +739,23 @@ def test_each_verb_echoes_and_accepts_only_the_options_it_reads(capsys):
         # --help shows the default of every option the verb takes
         code, out, _ = run_cli(command.split() + ["--help"], capsys)
         assert code == 0 and out.count("(default:") == len(ENVELOPE_KEYS) - 1 + len(echoed)
+
+
+def test_main_keeps_one_parser_and_runs_the_handler_bound_at_each_call(monkeypatch, capsys):
+    code, out, _ = run_cli(["jackson", "moments", "--q", "0.5", "--N", "1"], capsys)
+    assert code == 0 and out.endswith("overall PASS (2 checks)\n")
+    parser = build_parser()
+    calls = []
+
+    def patched(config):
+        calls.append(config.particles)
+        return [], ["patched"]
+
+    monkeypatch.setattr(cli, "run_jackson", patched)
+    code, out, _ = run_cli(["jackson", "moments", "--q", "0.5", "--N", "3"], capsys)
+    assert code == 0 and calls == [3]
+    assert out == "patched\noverall PASS (0 checks)\n"
+    assert build_parser() is parser
 
 
 def test_an_unread_option_is_reported_by_the_verbs_own_parser(capsys):

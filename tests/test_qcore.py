@@ -25,6 +25,7 @@ from qmodes.qcore import (
     _factors_for,
     _q_exp_product_tail,
     _series_terms,
+    check_budget,
     disk_samples,
     jackson_integral,
     jackson_moment,
@@ -428,3 +429,15 @@ def test_jackson_moments_match_mpmath_grid_sum(q):
                 )
                 value = jackson_moment(params, n, beta=beta)
                 assert abs(value / oracle - 1) < 1e-13, (beta, n)
+
+
+def test_a_budget_request_is_formatted_only_on_refusal():
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("an admitted request formatted its text")
+
+    check_budget("the class {}", 1.0, 1.0, Unformattable())
+    with pytest.raises(DomainError, match=r"^the class \(1, 2\) needs about 2.15e\+09 bytes"):
+        check_budget("the class {}", 2.0**31, 1.0, (1, 2))
+    with pytest.raises(DomainError, match=r"^a {literal} request needs about"):
+        check_budget("a {literal} request", 1.0, 1e12)  # no fields: the text as given

@@ -9,15 +9,18 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from qmodes.cli import _count_vectors
 from qmodes.qcore import DeformationParams, DomainError, q_factorial
+from qmodes import qsym
 from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
     Word,
     _class_cost,
     _class_size,
+    _batch_rows,
     _class_totals,
+    _count_vectors,
     _largest_class,
+    arrangement_classes,
     arrangements,
     bosonic_symmetrize,
     exchange_check,
@@ -151,6 +154,94 @@ def test_kernel_takes_multiplicities_past_the_int8_range():
     assert arrangement.index.tolist() == [0]
     assert arrangement.inversions.tolist() == [0]
     assert q_symmetrize(Word((1,) * 200, 1), DeformationParams(0.9)).tolist() == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# the batched pass: every class of a size, several classes per pass
+
+
+def test_batched_classes_equal_the_one_class_kernel_and_the_reference():
+    for n_modes in range(1, 7):
+        for size in range(9):
+            built = list(arrangement_classes(n_modes, size))
+            assert [arrangement.counts for arrangement in built] == list(_count_vectors(n_modes, size))
+            for arrangement in built:
+                alone = arrangements(arrangement.counts)
+                for rows, expected in ((arrangement.index, alone.index), (arrangement.inversions, alone.inversions)):
+                    assert rows.dtype == expected.dtype == np.int64
+                    assert np.array_equal(rows, expected)
+                if n_modes**size > 4**8:  # the recursive reference takes ~5 us a word
+                    continue
+                reference = list(multiset_arrangements(arrangement.counts)) or [()]
+                assert arrangement.index.tolist() == [tensor_index(u, n_modes) for u in reference]
+                assert arrangement.inversions.tolist() == [inversion_count(u) for u in reference]
+
+
+def _passes(monkeypatch) -> list:
+    """Records (classes, rows) of every pass of the kernel."""
+    passes = []
+
+    def recorded(classes, rows):
+        passes.append((len(classes), rows))
+        return build(classes, rows)
+
+    build = qsym._build
+    monkeypatch.setattr(qsym, "_build", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("cap", [1, 7, 50, 400])
+def test_a_small_row_cap_splits_a_size_into_passes_with_the_same_rows(cap, monkeypatch):
+    shapes = [(3, 5), (4, 6), (2, 9)]
+    expected = {shape: list(arrangement_classes(*shape)) for shape in shapes}
+    passes = _passes(monkeypatch)
+    monkeypatch.setattr(qsym, "_BATCH_ROWS", cap)
+    for shape in shapes:
+        built = list(arrangement_classes(*shape))
+        assert [a.counts for a in built] == [a.counts for a in expected[shape]]
+        for arrangement, alone in zip(built, expected[shape]):
+            assert np.array_equal(arrangement.index, alone.index)
+            assert np.array_equal(arrangement.inversions, alone.inversions)
+    # every pass holds at most the cap, or one larger class alone
+    assert all(rows <= cap or classes == 1 for classes, rows in passes)
+    assert len(passes) > len(shapes)  # the sizes were split
+    assert any(classes > 1 for classes, _ in passes) == (cap > 1)
+
+
+def test_a_class_past_the_row_cap_is_built_alone(monkeypatch):
+    passes = _passes(monkeypatch)
+    monkeypatch.setattr(qsym, "_BATCH_ROWS", 10)
+    built = {a.counts: a for a in arrangement_classes(3, 4)}
+    assert (1, 1, 2) in built and built[(1, 1, 2)].index.size == 12
+    # 1 + 4, 6 + 4 and 1 + 4 rows, then each 12-row class alone
+    assert passes[:4] == [(2, 5), (2, 10), (2, 5), (1, 12)]
+
+
+def test_batched_passes_keep_the_zero_shape_and_the_int64_refusal():
+    (empty,) = arrangement_classes(3, 0)
+    assert empty.counts == (0, 0, 0)
+    assert empty.index.tolist() == [0] and empty.inversions.tolist() == [0]
+    assert [a.index.tolist() for a in arrangement_classes(1, 200)] == [[0]]
+    with pytest.raises(ValueError, match="int64"):
+        next(arrangement_classes(3, 40))
+    with pytest.raises(ValueError, match="int64"):
+        next(arrangement_classes(2, 64))
+    assert next(arrangement_classes(2, 63)).index.tolist() == [2**63 - 1]  # the word 2...2 still fits
+
+
+def test_a_size_built_class_by_class_peaks_within_one_pass():
+    # the sweeps charge one pass of at most _BATCH_ROWS rows for the 4^9 words of nine
+    # letters over four modes, whose largest class has 22680 rows
+    tracemalloc.start()
+    try:
+        classes = rows = 0
+        for arrangement in arrangement_classes(4, 9):
+            classes, rows = classes + 1, rows + arrangement.index.size
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (classes, rows) == (220, 4**9)
+    assert peak < _class_cost("arrangements", 4, 9, 1, _batch_rows(4, 9))[0] == 100 * 2**15
 
 
 def test_q_symmetrize_equals_the_reference_bit_for_bit():
@@ -433,8 +524,8 @@ def test_class_totals_equal_the_enumeration():
     for n_modes in range(1, 7):
         for size in range(9):
             classes = rows = entries = 0
-            for counts in _count_vectors(n_modes, size):
-                inversions = arrangements(counts).inversions
+            for arrangement in arrangement_classes(n_modes, size):
+                counts, inversions = arrangement.counts, arrangement.inversions
                 classes += 1
                 rows += inversions.size
                 entries += inversions.size * np.count_nonzero(np.bincount(inversions))
