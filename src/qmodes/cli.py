@@ -28,6 +28,7 @@ configuration or out-of-bounds request.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -456,17 +457,16 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         totals = qsym._class_totals(n, size)
         per_q = sum(qsym._class_cost(k, n, size, *totals)[1] for k in ("exchange", "symmetrize"))
         per_q += qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
-        return qsym._class_cost("arrangements", n, size, *totals[:2])[1] + len(config.q_values) * per_q
+        return qsym._class_cost("arrangements", n, size, *totals)[1] + len(config.q_values) * per_q
 
-    # one transposition of the top size at a time, beside its classes, one state vector
-    # filled from them and the largest table; or, while the classes are built, one pass
-    # of the arrangement kernel beside the classes already built (16 B per word)
-    rows, entries = qsym._largest_class(n, N)
-    words = qsym._class_totals(n, N)[1]
-    nbytes = qsym._transposition_cost(n, N, 1, 0)[0]
+    # one transposition of the top size at a time, beside its classes (16 B per word, and
+    # their records), one state vector filled from them and the kernel on the largest class;
+    # or, while the classes are built, one pass of the arrangement kernel beside those built
+    classes, words = qsym._class_totals(n, N)
+    nbytes = qsym._class_cost("arrangements", n, N, classes, 0)[0] + qsym._transposition_cost(n, N, 1, 0)[0]
     nbytes += qsym._class_cost("symmetrize", n, N, 1, words)[0]
-    nbytes += qsym._class_cost("exchange", n, N, 1, rows, entries)[0]
-    build = qsym._class_cost("arrangements", n, N, 1, qsym._batch_rows(n, N))[0] + 16 * words
+    nbytes += qsym._class_cost("exchange", n, N, 1, qsym._largest_class(n, N))[0]
+    build = qsym._class_cost("arrangements", n, N, classes, qsym._batch_rows(n, N))[0] + 16 * words
     nbytes = max(nbytes, build)
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
     records = []
@@ -485,8 +485,12 @@ def _exchange_records(classes: list, point: dict, params: DeformationParams, tol
     Each transposition is checked as soon as it is built and dropped before the next one."""
     size, n = point["N"], point["modes"]
     start = time.perf_counter()
-    worst = max(float(qsym.exchange_check(arrangement, params)[1].max()) for arrangement in classes)
-    found = {"qsym_exchange": (worst, _elapsed_ms(start))}
+    worst = allowance = 0.0
+    for arrangement in classes:
+        _, residuals, rounding = qsym.exchange_check(arrangement, params)
+        worst, allowance = max(worst, float(residuals.max())), max(allowance, rounding)
+    exchange = CheckRecord("qsym_exchange", dict(point, rounding_allowance=allowance),
+                           passed=worst < tol + allowance, deviation=worst, millis=_elapsed_ms(start))
     # the invariance check's time includes filling the state vector; the inverse check's,
     # building the transpositions
     start = time.perf_counter()
@@ -506,9 +510,9 @@ def _exchange_records(classes: list, point: dict, params: DeformationParams, tol
         del op, residual  # before the next transposition is built
         inverse_s += built - start
         invariance_s += time.perf_counter() - built
-    found["qsym_transposition_inverse"] = (inverse, _millis(inverse_s))
-    found["qsym_transposition_invariance"] = (invariance, _millis(invariance_s))
-    return [CheckRecord.measured(name, dict(point), d, tol, ms) for name, (d, ms) in found.items()]
+    found = {"qsym_transposition_inverse": (inverse, _millis(inverse_s)),
+             "qsym_transposition_invariance": (invariance, _millis(invariance_s))}
+    return [exchange] + [CheckRecord.measured(name, dict(point), d, tol, ms) for name, (d, ms) in found.items()]
 
 
 def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
@@ -531,7 +535,7 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
     samples = 25
     # each word is sized before it is drawn, as the costliest it could be: N letters, largest class
-    rows = qsym._largest_class(n, N)[0]
+    rows = qsym._largest_class(n, N)
     costs = [qsym._class_cost(kernel, n, N, 1, rows) for kernel in ("arrangements", "symmetrize")]
     nbytes, work = sum(b for b, _ in costs), samples * len(config.q_values) * sum(w for _, w in costs)
     check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, work)
@@ -556,19 +560,21 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
     # every class of every total up to N, built and tallied; one pass of the arrangement
-    # kernel on N letters sets the bytes
+    # kernel on N letters (no more classes than rows) sets the bytes
     work = _sweep_work(range(N, -1, -1), lambda t: sum(
-        qsym._class_cost(k, n, t, *qsym._class_totals(n, t)[:2])[1] for k in ("arrangements", "identity")))
-    nbytes = qsym._class_cost("arrangements", n, N, 1, qsym._batch_rows(n, N))[0]
+        qsym._class_cost(k, n, t, *qsym._class_totals(n, t))[1] for k in ("arrangements", "identity")))
+    rows = qsym._batch_rows(n, N)
+    nbytes = qsym._class_cost("arrangements", n, N, min(qsym._class_totals(n, N)[0], rows), rows)[0]
     check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, work)
     records = []
+    multinomial = functools.cache(poly_q_multinomial)  # called with sorted counts: one per multiset
     for total in range(config.particles + 1):
         start = time.perf_counter()
         all_match = True
         cases = 0
         for arrangement in qsym.arrangement_classes(n, total):
             cases += 1
-            if qsym.arrangement_sum(arrangement) != poly_q_multinomial(arrangement.counts):
+            if qsym.arrangement_sum(arrangement) != multinomial(tuple(sorted(arrangement.counts))):
                 all_match = False
         records.append(
             CheckRecord(

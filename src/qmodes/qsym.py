@@ -24,6 +24,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -132,13 +133,10 @@ _BATCH_ROWS = 2**15
 
 
 def _count_vectors(slots: int, total: int):
-    """All nonnegative integer vectors of the given length with sum total, in lex order."""
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _count_vectors(slots - 1, total - head):
-            yield (head,) + rest
+    """All nonnegative integer vectors of the given length with sum total, in lex order: the
+    gaps between nondecreasing cut points of 0..total, taken in lex order of the cuts."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), slots - 1):
+        yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 
 
 def _rows(counts: Sequence[int]) -> int:
@@ -246,20 +244,17 @@ def _build(classes: list[tuple[int, ...]], rows: int) -> tuple[np.ndarray, np.nd
     return index, inversions
 
 
-def _class_size(counts) -> tuple[float, float]:
-    """Rows of the class of ``counts`` (zeros may be left out) and entries of its exchange
-    table, which holds every row at every inversion level from 0 to the largest."""
-    size = squares = 0
-    log_rows = 0.0
+def _class_size(counts) -> float:
+    """Rows of the class of ``counts`` (zeros may be left out)."""
+    size, log_rows = 0, 0.0
     for c in counts:  # one pass: every kernel guard calls this
         if c < 0:
             raise ValueError(f"counts must be nonnegative, got {tuple(counts)!r}")
-        size, squares, log_rows = size + c, squares + c * c, log_rows - math.lgamma(c + 1)
-    rows = size_estimate(math.lgamma(size + 1) + log_rows)
-    return rows, rows * ((size * size - squares) // 2 + 1)
+        size, log_rows = size + c, log_rows - math.lgamma(c + 1)
+    return size_estimate(math.lgamma(size + 1) + log_rows)
 
 
-def _largest_class(n_modes: int, size: int) -> tuple[float, float]:
+def _largest_class(n_modes: int, size: int) -> float:
     a, b = divmod(size, n_modes)  # the most balanced class: b letters a + 1 times, the rest a
     return _class_size([a + 1] * b + [a] * (n_modes - b if a else 0))
 
@@ -268,42 +263,40 @@ def _batch_rows(n_modes: int, size: int) -> float:
     """Most rows that one pass of the arrangement kernel builds on N letters: up to
     ``_BATCH_ROWS``, or the largest class alone, and never more than the n^N words."""
     words = size_estimate(size * math.log(n_modes))
-    return min(max(_BATCH_ROWS, _largest_class(n_modes, size)[0]), words)
+    return min(max(_BATCH_ROWS, _largest_class(n_modes, size)), words)
 
 
-def _class_totals(n_modes: int, size: int) -> tuple[float, float, float]:
-    """Classes, rows and table entries over all classes of N letters: C(N + n - 1, n - 1)
-    classes hold the n^N words, and sum_k c_k^2 averages N(1 - 1/n) + N^2/n over them."""
+def _class_totals(n_modes: int, size: int) -> tuple[float, float]:
+    """Classes and rows over all classes of N letters: C(N + n - 1, n - 1) and n^N."""
     classes = size_estimate(math.lgamma(size + n_modes) - math.lgamma(n_modes) - math.lgamma(size + 1))
-    rows = size_estimate(size * math.log(n_modes))
-    return classes, rows, rows * (1 + size * (size - 1) * (n_modes - 1) / (2 * n_modes))
+    return classes, size_estimate(size * math.log(n_modes))
 
 
-def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: float, entries: float = 0):
+def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: float):
     """Peak bytes of one call and steps (~1 ns each) of ``classes`` calls of a class kernel
-    on N letters, over ``rows`` rows and ``entries`` exchange-table entries in all.
+    on N letters, over ``rows`` rows in all.
 
-    Fitted on cold calls on a 2-core x86-64 machine, and linear in calls, rows and entries,
-    so on the totals of ``_class_totals`` it equals the sum over the classes (but for the
-    one vector "symmetrize" fills).  Each kernel prices only what it adds to a built class.
+    Fitted on cold calls on a 2-core x86-64 machine, and linear in calls and rows, so on
+    the totals of ``_class_totals`` it equals the sum over the classes (but for the one
+    vector "symmetrize" fills).  Each kernel prices only what it adds to a built class.
     "arrangements" builds ``classes`` classes in one pass (the bytes are those of the pass):
-    ~100 B per row (50 to 70 B measured, 16 B kept).  Its work terms, ~25 us per letter
-    per class and ~350 ns per row, were fitted on one pass per class and now only err high:
-    a pass takes ~15 us per letter, whatever its classes, and ~60 ns per row.
+    ~100 B per row (50 to 70 B measured, 16 B kept) and ~(8n + 600) B per class for its
+    count tuple, record and two views (8n + 370 to 8n + 730 measured, kept with the class).
+    Its work terms, ~25 us per letter per class and ~350 ns per row, were fitted on one pass
+    per class and now only err high: a pass takes ~15 us per letter and ~60 ns per row.
     "symmetrize" fills an n^N vector (8 B, ~1.5 ns per entry): ~40 us per class, ~15 ns and
-    24 B per row.  "exchange" spends ~40 us and ~10 ns per table entry at each position; it
-    holds 16 B per table entry (the table, one reused gather buffer), 16 B per row and position
-    (results), ~64 B per row of index arithmetic and a 64 KiB ufunc buffer.  "identity" is one
+    24 B per row.  "exchange" spends ~40 us and ~120 ns per row at each position (28 to 35
+    us and 37 to 101 ns measured) and holds 16 B per row and position (results), ~64 B per
+    row of index arithmetic (~56 measured) and ~8 KiB of small arrays.  "identity" is one
     exact division, ~70 us + 22 ns * N^4.
     """
     if kernel == "arrangements":
-        return 100 * rows, 25_000 * classes * size + 350 * rows
+        return 100 * rows + (8 * n_modes + 600) * classes, 25_000 * classes * size + 350 * rows
     if kernel == "symmetrize":
         dim = size_estimate(size * math.log(n_modes))
         return 8 * dim + 24 * rows, 1.5 * dim + 40_000 * classes + 15 * rows
     if kernel == "exchange":
-        nbytes = 16 * entries + (16 * size + 48) * rows + 2**16
-        return nbytes, max(size - 1, 0) * (40_000 * classes + 10 * entries)
+        return (16 * size + 48) * rows + 2**13, max(size - 1, 0) * (40_000 * classes + 120 * rows)
     return 0, classes * (70_000 + 22 * size**4)  # "identity"
 
 
@@ -339,7 +332,7 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     each arrangement u carries the weight q^{R(word)} q^{R(u)} and the whole
     sum is scaled by sqrt(prod [n_k]! / [N]!).
     """
-    rows, _ = _class_size(collections.Counter(word.letters).values())  # word.counts has n_modes
+    rows = _class_size(collections.Counter(word.letters).values())  # word.counts has n_modes
     check_budget("q_symmetrize on the {}^{} tensor space",
                  *_class_cost("symmetrize", word.n_modes, word.size, 1, rows), word.n_modes, word.size)
     arrangement = arrangements(word.counts)
@@ -358,7 +351,7 @@ def _state_entries(arrangement: ArrangementClass, params: DeformationParams, wor
 
 def bosonic_symmetrize(word: Word) -> np.ndarray:
     """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
-    rows, _ = _class_size(collections.Counter(word.letters).values())
+    rows = _class_size(collections.Counter(word.letters).values())
     check_budget("bosonic_symmetrize on the {}^{} tensor space",
                  *_class_cost("symmetrize", word.n_modes, word.size, 1, rows), word.n_modes, word.size)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
@@ -375,48 +368,49 @@ def fundamental_norm(word: Word, params: DeformationParams) -> float:
 
 def exchange_check(
     arrangement: ArrangementClass, params: DeformationParams
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Check |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q on every word of one class.
 
-    The class is every arrangement of the letter multiset ``arrangement.counts``;
-    row r of both results is its row r (its r-th word in lexicographic order)
-    and column k - 1 is position k.
-    Returns ``(factors, residuals)``: the factor q^{eps} and the largest
-    absolute entry of |w>_q - q^{eps} |swap_k(w)>_q.
+    Row r of both arrays is row r of the class (its r-th word in lexicographic
+    order) and column k - 1 is position k.  Returns ``(factors, residuals,
+    allowance)``: the factor f = q^{eps}, the residual r0 = |x_r - fl(f x_s)|
+    and the class's rounding allowance.
 
-    Every state of the class is supported on the class, where the state of
-    word w at arrangement u is (q^{R(w)} prefactor) q^{R(u)}.  So the table
-    of those products over the inversion levels R(u) that occur holds every
-    entry of every state of the class, computed with exactly the arithmetic
-    of ``q_symmetrize``, and the residual is a row difference of the table.
-    Equal adjacent letters swap a word onto itself with factor 1, so the
-    residual is then exactly zero.
+    The state of word w at arrangement u is x_w q^{R(u)}, where x_w = (q^{R(w)}
+    prefactor) is its entry at the sorted arrangement (R = 0).  Row r's word
+    swaps onto the word of row s, found by its tensor index in the class.  So
+    the law at level 0 compares x_r with f x_s, and every other entry of the
+    two states is that pair times q^L <= 1: with a = x_r, F = fl(f x_s) and
+    p = fl(q^L), the computed entries fl(a p) and fl(f fl(x_s p)) differ by
+    p (|a - f x_s| + u|a| + (2u + u^2)|f x_s|) <= r0 + u|a| + (3u + O(u^2))|F|
+    at most, u = 2^-53 (each subtraction is exact, by Sterbenz, while the law
+    holds within a factor 2).  The allowance is 4 u max(|x_r| + |F|): 3 u for
+    the other levels, and one u for the second-order terms and for forming
+    the allowance and r0 + allowance in floating point.  Equal adjacent
+    letters swap a word onto itself with factor 1: the residual is then 0.
     """
-    counts, index, inversions = arrangement.counts, arrangement.index, arrangement.inversions
+    counts, index = arrangement.counts, arrangement.index
     n_modes, size = len(counts), sum(counts)
     check_budget("exchange_check on the class {}",
-                 *_class_cost("exchange", n_modes, size, 1, *_class_size(counts)), counts)
-    levels = np.flatnonzero(np.bincount(inversions))
-    powers = _powers(params.q, size)
-    table = _state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
-    comparator = np.array(
-        [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
-    )
+                 *_class_cost("exchange", n_modes, size, 1, _class_size(counts)), counts)
+    entries = _state_entries(arrangement, params)
+    comparator = np.array([[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)])
     factors = np.empty((index.size, max(size - 1, 0)))
     residuals = np.empty_like(factors)
-    image = np.empty_like(table)  # one gather buffer, reused at every position
+    scale = 0.0  # the largest |x_r| + |fl(f x_s)|
+    stride_right = n_modes ** (size - 1)
+    right = index // stride_right  # the letter at position 1
     for k in range(1, size):
-        stride_right = n_modes ** (size - k - 1)  # position k+1
-        stride_left = stride_right * n_modes  # position k
-        left = index // stride_left % n_modes
-        right = index // stride_right % n_modes
+        stride_left, stride_right = stride_right, stride_right // n_modes  # positions k, k+1
+        left, right = right, index // stride_right % n_modes
         swapped = index + (left - right) * (stride_right - stride_left)
         factors[:, k - 1] = comparator[left, right]
-        np.take(table, np.searchsorted(index, swapped), axis=0, out=image, mode="clip")
-        image *= factors[:, k - 1, np.newaxis]
-        np.subtract(table, image, out=image)
-        residuals[:, k - 1] = np.abs(image, out=image).max(axis=1)
-    return factors, residuals
+        image = np.take(entries, np.searchsorted(index, swapped))
+        image *= factors[:, k - 1]
+        np.abs(np.subtract(entries, image, out=residuals[:, k - 1]), out=residuals[:, k - 1])
+        image += entries  # both are positive
+        scale = max(scale, float(image.max()))
+    return factors, residuals, 4 * 2**-53 * scale
 
 
 def transposition_op(
@@ -472,5 +466,5 @@ def norm_identity_exact(counts: Sequence[int]):
     if not counts:
         raise ValueError("counts must be a nonempty sequence")
     check_budget("norm_identity_exact on the class {}",
-                 *_class_cost("identity", len(counts), sum(counts), 1, _class_size(counts)[0]), counts)
+                 *_class_cost("identity", len(counts), sum(counts), 1, _class_size(counts)), counts)
     return arrangement_sum(arrangements(counts)), poly_q_multinomial(counts)

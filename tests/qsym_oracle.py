@@ -5,9 +5,12 @@ and checks the exchange law for a whole class at once.  The routines here
 are the plain routes they replaced: one word at a time, with O(N^2)
 inversions per word, and two dense n^N states per (word, position).  The
 tests compare the kernels against them on small shapes.
-``reference_transposition`` assembles the deformed transposition the plain
-scipy way, from a coordinate list, and ``reference_transposition_deviations``
-checks the transposition laws one class at a time on dense states.
+``reference_exchange_table`` is the class kernel that the level-0 check in
+``qsym.exchange_check`` replaced: it forms every state of a class at every
+inversion level.  ``reference_transposition`` assembles the deformed
+transposition the plain scipy way, from a coordinate list, and
+``reference_transposition_deviations`` checks the transposition laws one class
+at a time on dense states.
 """
 
 import math
@@ -18,7 +21,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from qmodes.qcore import DeformationParams, q_factorial
-from qmodes.qsym import Word, _count_vectors, inversion_count, q_symmetrize, sign_compare, transposition_op
+from qmodes.qsym import (
+    ArrangementClass,
+    Word,
+    _count_vectors,
+    _powers,
+    _state_entries,
+    inversion_count,
+    q_symmetrize,
+    sign_compare,
+    transposition_op,
+)
 
 
 def multiset_arrangements(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -95,6 +108,7 @@ class ExchangeReport:
     position: int
     factor: float
     residual: float
+    sorted_residual: float  # the entry at the class's sorted arrangement
     tol: float
 
     @property
@@ -109,12 +123,57 @@ def reference_exchange_check(
     swapped = word.swap_adjacent(k)
     epsilon = sign_compare(word.letters[k - 1], word.letters[k])
     factor = params.q**epsilon
-    residual = float(
-        np.max(np.abs(q_symmetrize(word, params) - factor * q_symmetrize(swapped, params)))
-    )
+    difference = np.abs(q_symmetrize(word, params) - factor * q_symmetrize(swapped, params))
+    sorted_word = tuple(sorted(word.letters))
     return ExchangeReport(
-        word=word.letters, position=k, factor=factor, residual=residual, tol=tol
+        word=word.letters,
+        position=k,
+        factor=factor,
+        residual=float(np.max(difference)),
+        sorted_residual=float(difference[tensor_index(sorted_word, word.n_modes)]),
+        tol=tol,
     )
+
+
+def reference_exchange_table(
+    arrangement: ArrangementClass, params: DeformationParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q on every word of one class, at
+    every inversion level.
+
+    Row r of both results is row r of the class and column k - 1 is position k.
+    Returns ``(factors, residuals)``: the factor q^{eps} and the largest
+    absolute entry of |w>_q - q^{eps} |swap_k(w)>_q.
+
+    Every state of the class is supported on the class, where the state of
+    word w at arrangement u is (q^{R(w)} prefactor) q^{R(u)}.  So the table
+    of those products over the inversion levels R(u) that occur holds every
+    entry of every state of the class, computed with exactly the arithmetic
+    of ``q_symmetrize``, and the residual is a row difference of the table.
+    """
+    counts, index, inversions = arrangement.counts, arrangement.index, arrangement.inversions
+    n_modes, size = len(counts), sum(counts)
+    levels = np.flatnonzero(np.bincount(inversions))
+    powers = _powers(params.q, size)
+    table = _state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
+    comparator = np.array(
+        [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
+    )
+    factors = np.empty((index.size, max(size - 1, 0)))
+    residuals = np.empty_like(factors)
+    image = np.empty_like(table)  # one gather buffer, reused at every position
+    for k in range(1, size):
+        stride_right = n_modes ** (size - k - 1)  # position k+1
+        stride_left = stride_right * n_modes  # position k
+        left = index // stride_left % n_modes
+        right = index // stride_right % n_modes
+        swapped = index + (left - right) * (stride_right - stride_left)
+        factors[:, k - 1] = comparator[left, right]
+        np.take(table, np.searchsorted(index, swapped), axis=0, out=image, mode="clip")
+        image *= factors[:, k - 1, np.newaxis]
+        np.subtract(table, image, out=image)
+        residuals[:, k - 1] = np.abs(image, out=image).max(axis=1)
+    return factors, residuals
 
 
 def reference_transposition(

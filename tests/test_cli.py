@@ -198,8 +198,8 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
             _handler(namespace)(config_from_namespace(namespace))
         return raised.value.args
 
-    def cost(kernels, s, rows, entries=0):
-        return [qsym._class_cost(kernel, n, s, 1, rows, entries) for kernel in kernels]
+    def cost(kernels, s, rows, classes=1):
+        return [qsym._class_cost(kernel, n, s, classes, rows) for kernel in kernels]
 
     monkeypatch.setattr(cli, "check_budget", priced)
     for N in range(2, 8):
@@ -208,32 +208,70 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         # classes, and the transpositions with their squares and products with that vector
         work = 0.0
         for s in range(2, N + 1):
-            words = sum(rows for rows, _ in classes[s])
             per_q = qsym._transposition_cost(n, s, s - 1, 2 * (s - 1))[1]
-            per_q += qsym._class_cost("symmetrize", n, s, len(classes[s]), words)[1]
-            for rows, entries in classes[s]:
+            per_q += qsym._class_cost("symmetrize", n, s, len(classes[s]), sum(classes[s]))[1]
+            for rows in classes[s]:
                 work += cost(["arrangements"], s, rows)[0][1]
-                per_q += cost(["exchange"], s, rows, entries)[0][1]
+                per_q += cost(["exchange"], s, rows)[0][1]
             work += 2 * per_q
-        nbytes = qsym._transposition_cost(n, N, 1, 0)[0]  # one transposition alive at a time
-        nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(rows for rows, _ in classes[N]))[0]
-        nbytes += max(cost(["exchange"], N, rows, entries)[0][0] for rows, entries in classes[N])
+        # the records of the size's classes, one transposition alive at a time
+        nbytes = cost(["arrangements"], N, 0, len(classes[N]))[0][0] + qsym._transposition_cost(n, N, 1, 0)[0]
+        nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(classes[N]))[0]
+        nbytes += max(cost(["exchange"], N, rows)[0][0] for rows in classes[N])
         # or, while the classes are built, one pass of the kernel beside the classes built
         # so far: at most _BATCH_ROWS rows, or the largest class, and at most every word
-        largest = max(rows for rows, _ in classes[N])
-        batch = cost(["arrangements"], N, min(max(qsym._BATCH_ROWS, largest), n**N))[0][0]
+        batch_rows = min(max(qsym._BATCH_ROWS, max(classes[N])), n**N)
+        batch = cost(["arrangements"], N, batch_rows, len(classes[N]))[0][0]
         nbytes = max(nbytes, batch + 16 * n**N)
         assert estimate("exchange", N) == pytest.approx((nbytes, work), rel=1e-9)
 
-        words = [cost(["arrangements", "symmetrize"], N, rows) for rows, _ in classes[N]]
+        words = [cost(["arrangements", "symmetrize"], N, rows) for rows in classes[N]]
         nbytes = max(sum(b for b, _ in word) for word in words)
         work = 2 * 25 * max(sum(w for _, w in word) for word in words)
         assert estimate("norm", N) == pytest.approx((nbytes, work), rel=1e-9)
 
-        pairs = [cost(["arrangements", "identity"], s, rows) for s in classes for rows, _ in classes[s]]
+        pairs = [cost(["arrangements", "identity"], s, rows) for s in classes for rows in classes[s]]
         work = sum(w for pair in pairs for _, w in pair)
-        nbytes = batch  # one pass of the kernel: the classes are tallied and dropped
+        # one pass of the kernel, whose classes are tallied and dropped: no more classes
+        # than its rows
+        nbytes = cost(["arrangements"], N, batch_rows, min(len(classes[N]), batch_rows))[0][0]
         assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
+
+
+def _estimated_bytes(verb, n, N, monkeypatch) -> float:
+    """The bytes a qsym sweep is charged, without running it."""
+    class Priced(Exception):
+        pass
+
+    def priced(request, nbytes, work):
+        raise Priced(nbytes)
+
+    namespace = build_parser().parse_args(["qsym", verb, "--modes", str(n), "--N", str(N)])
+    with monkeypatch.context() as patched, pytest.raises(Priced) as raised:
+        patched.setattr(cli, "check_budget", priced)
+        _handler(namespace)(config_from_namespace(namespace))
+    return raised.value.args[0]
+
+
+@pytest.mark.parametrize("n, N", [(40, 2), (20, 3)])
+def test_sweeps_charge_the_records_of_many_small_classes(n, N, monkeypatch):
+    # over many modes a size has many small classes, and each holds a count tuple of n
+    # entries, its record and two views: the exchange sweep keeps them all, the identity
+    # sweep one pass of them
+    exchange, identity = (_estimated_bytes(verb, n, N, monkeypatch) for verb in ("exchange", "identity"))
+    tracemalloc.start()
+    try:
+        classes = list(qsym.arrangement_classes(n, N))
+        _, kept = tracemalloc.get_traced_memory()
+        del classes
+        tracemalloc.reset_peak()
+        for _ in qsym.arrangement_classes(n, N):
+            pass
+        _, dropped = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= exchange
+    assert dropped <= identity
 
 
 def _classes_built(argv, monkeypatch, capsys) -> tuple[list, int]:
@@ -272,6 +310,30 @@ def test_an_identity_sweep_builds_each_class_once(monkeypatch, capsys):
     # 1 + 3 + 6 + 10 + 15 + 21 classes of 0 to 5 letters over 3 modes, one pass per size
     assert len(built) == len(set(built)) == 56
     assert passes == 6
+
+
+def test_an_identity_sweep_takes_a_thousand_modes(capsys):
+    # 1 + 1000 classes of at most one letter; the count vectors are not built by recursion
+    code, out, err = run_cli(["qsym", "identity", "--q", "0.5", "--modes", "1000", "--N", "1"], capsys)
+    assert code == 0, err
+    assert out.strip().split("\n")[-1] == "overall PASS (2 checks)"
+
+
+def test_an_identity_sweep_forms_one_multinomial_per_multiset_of_counts(monkeypatch, capsys):
+    formed = []
+
+    def counted(counts):
+        formed.append(tuple(counts))
+        return multinomial(counts)
+
+    multinomial = cli.poly_q_multinomial
+    monkeypatch.setattr(cli, "poly_q_multinomial", counted)
+    code, out, err = run_cli(["qsym", "identity", "--q", "0.5", "--modes", "3", "--N", "5"], capsys)
+    assert code == 0, err
+    assert out.strip().split("\n")[-1] == "overall PASS (6 checks)"
+    # the 56 classes of 0 to 5 letters over 3 modes have 1 + 1 + 2 + 3 + 4 + 5 multisets
+    # of counts, the partitions of each total into at most 3 parts
+    assert len(formed) == len(set(formed)) == 16
 
 
 @pytest.mark.parametrize(
@@ -342,12 +404,19 @@ def test_transposition_records_equal_the_per_class_dense_route(n, capsys):
     code, out, err = run_cli(argv + ["--format", "json"], capsys)
     assert code == 0, err
     names = {"qsym_transposition_inverse": 0, "qsym_transposition_invariance": 1}
-    checks = [c for c in json.loads(out)["checks"] if c["name"] in names]
+    records = json.loads(out)["checks"]
+    checks = [c for c in records if c["name"] in names]
     assert len(checks) == 2 * 3 * 5
     for check in checks:
         q, size = check["params"]["q"], check["params"]["N"]
         deviations = reference_transposition_deviations(size, n, DeformationParams(q))
         assert check["deviation"] == deviations[names[check["name"]]], check
+    # the exchange kernel's level-0 residuals are the entries of T|w>_q - |w>_q: each
+    # (q, N) reports the same largest one, bit for bit
+    deviation = {(c["name"], c["params"]["q"], c["params"]["N"]): c["deviation"] for c in records}
+    for name, q, size in list(deviation):
+        if name == "qsym_exchange":
+            assert deviation[name, q, size] == deviation["qsym_transposition_invariance", q, size], (q, size)
 
 
 def test_seven_modes_and_long_one_mode_words_are_accepted(capsys):

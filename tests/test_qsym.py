@@ -1,5 +1,6 @@
 """Tests for tensor words, q-symmetrization, and the exchange relations."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from qmodes.qcore import DeformationParams, DomainError, q_factorial
 from qmodes import qsym
 from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
+    ArrangementClass,
     Word,
     _class_cost,
     _class_size,
@@ -34,6 +36,7 @@ from qmodes.qsym import (
 from qsym_oracle import (
     multiset_arrangements,
     reference_exchange_check,
+    reference_exchange_table,
     reference_transposition,
     reference_q_symmetrize,
     reference_tally,
@@ -115,6 +118,17 @@ def test_multiset_arrangements_are_lex_sorted_and_distinct():
     assert len(big) == math.factorial(4) // 2
     assert len(set(big)) == len(big)
     assert big == sorted(big)
+
+
+def test_count_vectors_are_every_vector_of_the_total_in_lex_order():
+    for slots in range(1, 5):
+        for total in range(6):
+            expected = [c for c in itertools.product(range(total + 1), repeat=slots) if sum(c) == total]
+            assert list(_count_vectors(slots, total)) == expected, (slots, total)
+    # no recursion per mode: a thousand modes are as easy as three
+    vectors = list(_count_vectors(1000, 1))
+    assert len(vectors) == 1000
+    assert vectors[0] == (0,) * 999 + (1,) and vectors[-1] == (1,) + (0,) * 999
 
 
 def test_tensor_index_is_big_endian():
@@ -231,7 +245,8 @@ def test_batched_passes_keep_the_zero_shape_and_the_int64_refusal():
 
 def test_a_size_built_class_by_class_peaks_within_one_pass():
     # the sweeps charge one pass of at most _BATCH_ROWS rows for the 4^9 words of nine
-    # letters over four modes, whose largest class has 22680 rows
+    # letters over four modes, whose largest class has 22680 rows, and the records of
+    # its 220 classes
     tracemalloc.start()
     try:
         classes = rows = 0
@@ -241,7 +256,7 @@ def test_a_size_built_class_by_class_peaks_within_one_pass():
     finally:
         tracemalloc.stop()
     assert (classes, rows) == (220, 4**9)
-    assert peak < _class_cost("arrangements", 4, 9, 1, _batch_rows(4, 9))[0] == 100 * 2**15
+    assert peak < _class_cost("arrangements", 4, 9, 220, _batch_rows(4, 9))[0] == 100 * 2**15 + 632 * 220
 
 
 def test_q_symmetrize_equals_the_reference_bit_for_bit():
@@ -279,7 +294,7 @@ def test_kernel_memory_follows_the_class_not_the_tensor_space():
     finally:
         tracemalloc.stop()
     assert index.size == rows
-    assert peak < _class_cost("arrangements", 4, 9, 1, rows)[0] == 100 * rows < 8 * 4**9
+    assert peak < _class_cost("arrangements", 4, 9, 1, rows)[0] == 100 * rows + 632 < 8 * 4**9
 
 
 def test_kernel_holds_counts_past_the_narrowest_type():
@@ -354,7 +369,7 @@ def test_exchange_relation_everywhere():
         for size in range(1, 5):
             for counts in _count_vectors(3, size):
                 arrangement = arrangements(counts)
-                _, residuals = exchange_check(arrangement, params)
+                _, residuals, _ = exchange_check(arrangement, params)
                 assert residuals.shape == (arrangement.index.size, size - 1)
                 assert np.all(residuals < 1e-13), (counts, q, residuals.max())
 
@@ -362,12 +377,13 @@ def test_exchange_relation_everywhere():
 def test_exchange_factor_orientation():
     params = DeformationParams(0.5)
     # ascending pair: swapping costs q^{-1}; descending: q^{+1}
-    factors, _ = exchange_check(arrangements((1, 1)), params)  # rows (1, 2) and (2, 1)
+    factors, _, _ = exchange_check(arrangements((1, 1)), params)  # rows (1, 2) and (2, 1)
     assert factors[word_row(Word((1, 2), 2)), 0] == pytest.approx(2.0)
     assert factors[word_row(Word((2, 1), 2)), 0] == pytest.approx(0.5)
-    factors, residuals = exchange_check(arrangements((0, 2)), params)  # the one row (2, 2)
+    factors, residuals, allowance = exchange_check(arrangements((0, 2)), params)  # the one row (2, 2)
     assert factors[0, 0] == 1.0
     assert residuals[0, 0] == 0.0
+    assert allowance == 4 * 2**-53 * 2  # 4u (|x| + |f x|), where x = f x = 1
 
 
 def seeded_shapes(number: int, seed: int) -> list[tuple[int, ...]]:
@@ -387,19 +403,77 @@ EXCHANGE_SHAPES += seeded_shapes(12, 2024)
 
 @pytest.mark.parametrize("counts", EXCHANGE_SHAPES, ids=str)
 def test_exchange_kernel_equals_the_per_word_reference(counts):
+    # the kernel's residual is the dense residual at the class's sorted arrangement, and
+    # no entry of the dense residual passes it by more than the allowance
     n_modes = len(counts)
     for q in Q_GRID:
         params = DeformationParams(q)
-        factors, residuals = exchange_check(arrangements(counts), params)
+        factors, residuals, allowance = exchange_check(arrangements(counts), params)
         words = list(multiset_arrangements(counts)) if sum(counts) else []
         assert residuals.shape == (max(len(words), 1), max(sum(counts) - 1, 0))
         for row, letters in enumerate(words):
             for k in range(1, len(letters)):
                 report = reference_exchange_check(Word(letters, n_modes), k, params)
                 assert factors[row, k - 1] == report.factor, (letters, k, q)
-                assert residuals[row, k - 1] == report.residual, (letters, k, q)
+                assert residuals[row, k - 1] == report.sorted_residual, (letters, k, q)
+                assert report.residual <= residuals[row, k - 1] + allowance, (letters, k, q)
                 if letters[k - 1] == letters[k]:
                     assert residuals[row, k - 1] == 0.0
+
+
+# every class of up to four modes and seven letters
+ORACLE_CLASSES = [counts for n in range(1, 5) for N in range(8) for counts in _count_vectors(n, N)]
+
+
+def _assert_within_the_table(arrangement: ArrangementClass, params: DeformationParams) -> None:
+    factors, residuals, allowance = exchange_check(arrangement, params)
+    table_factors, table_residuals = reference_exchange_table(arrangement, params)
+    assert np.array_equal(factors, table_factors)
+    assert np.all(table_residuals >= residuals), (arrangement.counts, params.q)
+    assert np.all(table_residuals <= residuals + allowance), (arrangement.counts, params.q)
+
+
+def test_exchange_kernel_stays_within_the_table_kernel_on_every_small_class():
+    # the table holds every row at every inversion level: level 0 is the kernel's
+    # residual, and every other level passes it by no more than the allowance
+    for q in (0.05, 0.5, 0.999):
+        params = DeformationParams(q)
+        for counts in ORACLE_CLASSES:
+            _assert_within_the_table(arrangements(counts), params)
+
+
+@pytest.mark.parametrize("counts, q", [((10, 10), 0.999), ((3, 3, 3, 3), 0.05), ((5, 5, 4), 0.999)], ids=str)
+def test_exchange_kernel_stays_within_the_table_kernel_on_large_classes(counts, q):
+    # the table kernel takes seconds on each, so one q per class, and never 0.5: q = 1/2
+    # scales every entry by a power of two, so the table then equals its level-0 column
+    _assert_within_the_table(arrangements(counts), DeformationParams(q))
+
+
+@pytest.mark.parametrize("counts, row", [((2, 1, 2), 7), ((1, 1, 1, 1), 10), ((0, 3, 1), 2)], ids=str)
+def test_exchange_kernel_flags_a_row_with_a_wrong_inversion_count(counts, row):
+    # negative control: one row's inversion count raised by 1 scales its entry by q.  Each
+    # position that swaps that word onto a word with other letters breaks the law on both
+    # rows by (1 - q) of their entries (the two entries can be equal, so the bound holds only
+    # within the allowance); every other row holds the law within the allowance
+    arrangement = arrangements(counts)
+    inversions = arrangement.inversions.copy()
+    inversions[row] += 1
+    corrupted = ArrangementClass(counts, arrangement.index, inversions)
+    words = list(multiset_arrangements(counts))
+    for q in Q_GRID:
+        params = DeformationParams(q)
+        entries = qsym._state_entries(corrupted, params)
+        _, residuals, allowance = exchange_check(corrupted, params)
+        broken = np.zeros_like(residuals, dtype=bool)
+        letters = words[row]
+        for k in range(1, len(letters)):
+            if letters[k - 1] != letters[k]:
+                partner = words.index(Word(letters, len(counts)).swap_adjacent(k).letters)
+                bound = (1 - q) * min(entries[row], entries[partner]) - allowance
+                assert residuals[row, k - 1] >= bound and residuals[partner, k - 1] >= bound, (k, q)
+                broken[row, k - 1] = broken[partner, k - 1] = True
+        assert broken.any()
+        assert np.all(residuals[~broken] <= allowance), q
 
 
 def test_exchange_kernel_rejects_bad_classes():
@@ -409,14 +483,14 @@ def test_exchange_kernel_rejects_bad_classes():
     # 1560 words, but 3^40 > 2^63 tensor indices: refused, not wrapped
     with pytest.raises(ValueError, match="int64"):
         arrangements((38, 1, 1))
-    _, residuals = exchange_check(arrangements((61, 2)), params)  # 2^63 indices still fit
+    _, residuals, _ = exchange_check(arrangements((61, 2)), params)  # 2^63 indices still fit
     assert residuals.shape == (1953, 62)
 
 
 @pytest.mark.parametrize("counts", [(3, 3, 3), (2, 2, 2, 2), (3, 3, 3, 1), (1,) * 7, (4, 4, 4), (2, 2, 2, 2, 1)])
 def test_exchange_kernel_peaks_within_its_estimate(counts):
-    # on top of the class it is handed: the table and its gather buffer, the factors and
-    # residuals (16 B per row and position) and the per-row index arithmetic
+    # on top of the class it is handed: the factors and residuals (16 B per row and
+    # position) and the per-row index arithmetic and gathers
     arrangement = arrangements(counts)
     tracemalloc.start()
     try:
@@ -424,7 +498,7 @@ def test_exchange_kernel_peaks_within_its_estimate(counts):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    estimate = _class_cost("exchange", len(counts), sum(counts), 1, *_class_size(counts))[0]
+    estimate = _class_cost("exchange", len(counts), sum(counts), 1, _class_size(counts))[0]
     assert estimate / 2 < peak <= estimate
 
 
@@ -481,7 +555,7 @@ def test_transposition_bounds():
 def test_exchange_property(letters, k, q):
     word = Word(tuple(letters), 4)
     position = 1 + k % (word.size - 1)
-    _, residuals = exchange_check(arrangements(word.counts), DeformationParams(q))
+    _, residuals, _ = exchange_check(arrangements(word.counts), DeformationParams(q))
     assert residuals[word_row(word), position - 1] < 1e-12
 
 
@@ -523,16 +597,12 @@ def test_norm_identity_exact_is_sized_by_its_class():
 def test_class_totals_equal_the_enumeration():
     for n_modes in range(1, 7):
         for size in range(9):
-            classes = rows = entries = 0
+            classes = rows = 0
             for arrangement in arrangement_classes(n_modes, size):
-                counts, inversions = arrangement.counts, arrangement.inversions
                 classes += 1
-                rows += inversions.size
-                entries += inversions.size * np.count_nonzero(np.bincount(inversions))
-                assert _class_size(counts) == pytest.approx(
-                    (inversions.size, inversions.size * (inversions.max() + 1)), rel=1e-12
-                )
-            assert _class_totals(n_modes, size) == pytest.approx((classes, rows, entries), rel=1e-12)
+                rows += arrangement.index.size
+                assert _class_size(arrangement.counts) == pytest.approx(arrangement.index.size, rel=1e-12)
+            assert _class_totals(n_modes, size) == pytest.approx((classes, rows), rel=1e-12)
             largest = max(_class_size(counts) for counts in _count_vectors(n_modes, size))
             assert _largest_class(n_modes, size) == pytest.approx(largest, rel=1e-12)
 
