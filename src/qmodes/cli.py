@@ -46,9 +46,7 @@ from .qcore import (
     check_budget,
     disk_samples,
     jackson_moment,
-    q_exp,
     q_exp_points,
-    q_exp_via_product,
     q_exp_via_product_points,
     q_factorial,
     size_estimate,
@@ -256,12 +254,8 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         for first in range(0, len(samples), _QEXP_BATCH):
             xs = samples[first : first + _QEXP_BATCH]
             images = [params.q_sq * x for x in xs]
-            if config.x is None:
-                series = q_exp_points(params, xs + images)
-                products = q_exp_via_product_points(params, xs)
-            else:  # the one point of --x, by the one-point calls
-                series = [q_exp(params, xs[0]), q_exp(params, images[0])]
-                products = [q_exp_via_product(params, xs[0])]
+            series = q_exp_points(params, xs + images)
+            products = q_exp_via_product_points(params, xs)
             for x, at_x, at_image, product in zip(xs, series, series[len(xs) :], products):
                 worst_agreement = max(
                     worst_agreement, abs(at_x.value - product.value) / max(abs(product.value), 1e-300)
@@ -451,21 +445,21 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         raise ConfigError("exchange checks need N >= 2")
     n, N = config.modes, config.particles
 
-    # per size, every class built once; then per q the kernel on every class, the
-    # transpositions, their squares and their products with one state vector
+    # per size, every class built once; then per q one state vector filled from them, and
+    # at each position the exchange kernel, the transposition, its square and its product
+    # with the vector
     def work(size: int) -> float:
         totals = qsym._class_totals(n, size)
-        per_q = sum(qsym._class_cost(k, n, size, *totals)[1] for k in ("exchange", "symmetrize"))
+        per_q = qsym._class_cost("symmetrize", n, size, *totals)[1] + qsym._exchange_cost(n, size, size - 1)[1]
         per_q += qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
         return qsym._class_cost("arrangements", n, size, *totals)[1] + len(config.q_values) * per_q
 
-    # one transposition of the top size at a time, beside its classes (16 B per word, and
-    # their records), one state vector filled from them and the kernel on the largest class;
-    # or, while the classes are built, one pass of the arrangement kernel beside those built
+    # the top size's classes (16 B per word, and their records) and one state vector filled
+    # from them, beside one transposition or one exchange kernel call, never both; or, while
+    # the classes are built, one pass of the arrangement kernel beside those built
     classes, words = qsym._class_totals(n, N)
-    nbytes = qsym._class_cost("arrangements", n, N, classes, 0)[0] + qsym._transposition_cost(n, N, 1, 0)[0]
-    nbytes += qsym._class_cost("symmetrize", n, N, 1, words)[0]
-    nbytes += qsym._class_cost("exchange", n, N, 1, qsym._largest_class(n, N))[0]
+    nbytes = qsym._class_cost("arrangements", n, N, classes, 0)[0] + qsym._class_cost("symmetrize", n, N, 1, words)[0]
+    nbytes += max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0])
     build = qsym._class_cost("arrangements", n, N, classes, qsym._batch_rows(n, N))[0] + 16 * words
     nbytes = max(nbytes, build)
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
@@ -479,37 +473,38 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
 
 def _exchange_records(classes: list, point: dict, params: DeformationParams, tol: float) -> list:
-    """The exchange and transposition records of one size and q.  The classes have disjoint
-    supports and each transposition maps every class onto itself, so one vector of all their
-    sorted-word states, times a transposition, holds each class's own product, bit for bit.
-    Each transposition is checked as soon as it is built and dropped before the next one."""
+    """The exchange and transposition records of one size and q.  The classes cover the
+    size's words and each is closed under swaps, so one vector of all their sorted-word
+    states serves every position: the exchange kernel compares it with its swap, and a
+    transposition maps each class's part of it onto itself.  Each position's kernel results
+    and transposition are dropped before the next position's are built."""
     size, n = point["N"], point["modes"]
-    start = time.perf_counter()
-    worst = allowance = 0.0
-    for arrangement in classes:
-        _, residuals, rounding = qsym.exchange_check(arrangement, params)
-        worst, allowance = max(worst, float(residuals.max())), max(allowance, rounding)
-    exchange = CheckRecord("qsym_exchange", dict(point, rounding_allowance=allowance),
-                           passed=worst < tol + allowance, deviation=worst, millis=_elapsed_ms(start))
-    # the invariance check's time includes filling the state vector; the inverse check's,
+    # the exchange check's time includes filling the state vector; the inverse check's,
     # building the transpositions
     start = time.perf_counter()
     states = np.zeros(n**size)
     for arrangement in classes:
         states[arrangement.index] = qsym._state_entries(arrangement, params)
-    inverse = invariance = inverse_s = 0.0
-    invariance_s = time.perf_counter() - start
+    worst = allowance = inverse = invariance = inverse_s = invariance_s = 0.0
+    exchange_s = time.perf_counter() - start
     for k in range(1, size):
         start = time.perf_counter()
+        residuals, rounding = qsym.exchange_check(states, size, n, k, params)[1:]
+        worst, allowance = max(worst, float(residuals.max())), max(allowance, rounding)
+        del residuals
+        checked = time.perf_counter()
         op = qsym.transposition_op(size, n, k, params)
         inverse = max(inverse, _square_minus_identity(op))
         built = time.perf_counter()
         residual = op @ states  # a fresh array: reduced in place, no more allocations
         residual -= states
         invariance = max(invariance, float(np.max(np.abs(residual, out=residual))))
-        del op, residual  # before the next transposition is built
-        inverse_s += built - start
+        del op, residual  # before the next position's arrays are built
+        exchange_s += checked - start
+        inverse_s += built - checked
         invariance_s += time.perf_counter() - built
+    exchange = CheckRecord("qsym_exchange", dict(point, rounding_allowance=allowance),
+                           passed=worst < tol + allowance, deviation=worst, millis=_millis(exchange_s))
     found = {"qsym_transposition_inverse": (inverse, _millis(inverse_s)),
              "qsym_transposition_invariance": (invariance, _millis(invariance_s))}
     return [exchange] + [CheckRecord.measured(name, dict(point), d, tol, ms) for name, (d, ms) in found.items()]

@@ -21,7 +21,6 @@ invariance).
 """
 
 import collections
-import functools
 import itertools
 import math
 import operator
@@ -285,18 +284,13 @@ def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: floa
     Its work terms, ~25 us per letter per class and ~350 ns per row, were fitted on one pass
     per class and now only err high: a pass takes ~15 us per letter and ~60 ns per row.
     "symmetrize" fills an n^N vector (8 B, ~1.5 ns per entry): ~40 us per class, ~15 ns and
-    24 B per row.  "exchange" spends ~40 us and ~120 ns per row at each position (28 to 35
-    us and 37 to 101 ns measured) and holds 16 B per row and position (results), ~64 B per
-    row of index arithmetic (~56 measured) and ~8 KiB of small arrays.  "identity" is one
-    exact division, ~70 us + 22 ns * N^4.
+    24 B per row.  "identity" is one exact division, ~70 us + 22 ns * N^4.
     """
     if kernel == "arrangements":
         return 100 * rows + (8 * n_modes + 600) * classes, 25_000 * classes * size + 350 * rows
     if kernel == "symmetrize":
         dim = size_estimate(size * math.log(n_modes))
         return 8 * dim + 24 * rows, 1.5 * dim + 40_000 * classes + 15 * rows
-    if kernel == "exchange":
-        return (16 * size + 48) * rows + 2**13, max(size - 1, 0) * (40_000 * classes + 120 * rows)
     return 0, classes * (70_000 + 22 * size**4)  # "identity"
 
 
@@ -307,7 +301,13 @@ def _transposition_cost(n_modes: int, size: int, ops: float, products: float) ->
     return (16 * ops + 64) * dim, ops * (50_000 + 50 * dim) + products * (10_000 + 6 * dim)
 
 
-@functools.lru_cache(maxsize=256)
+def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, float]:
+    # the peak of one call beside the state vector (~4 KiB + 28 B per word; 16 to 25 B
+    # measured, 16 B kept), then ``positions`` calls (~40 us + 15 ns per word each)
+    dim = size_estimate(size * math.log(n_modes))
+    return 4096 + 28 * dim, positions * (40_000 + 15 * dim)
+
+
 def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:
     """sqrt(prod [n_k]! / [N]!), which depends only on q and the letter counts."""
     prefactor = 1.0
@@ -367,50 +367,47 @@ def fundamental_norm(word: Word, params: DeformationParams) -> float:
 
 
 def exchange_check(
-    arrangement: ArrangementClass, params: DeformationParams
+    states: np.ndarray, size: int, n_modes: int, k: int, params: DeformationParams
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Check |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q on every word of one class.
+    """Check |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q at position k on every word of one size.
 
-    Row r of both arrays is row r of the class (its r-th word in lexicographic
-    order) and column k - 1 is position k.  Returns ``(factors, residuals,
-    allowance)``: the factor f = q^{eps}, the residual r0 = |x_r - fl(f x_s)|
-    and the class's rounding allowance.
+    ``states`` holds, at each word's tensor index, the entry there of its
+    class's sorted-word state: x_w = (prefactor) q^{R(w)}.  The classes of a
+    size cover its n^N words and each is closed under swaps, so one vector
+    holds them all.  Returns ``(factors, residuals, allowance)``, indexed by word:
+    the factor f = q^{eps}, the residual r0 = |x_w - fl(f x_s)|, where s is
+    w with positions k, k+1 swapped, and the position's rounding allowance.
 
-    The state of word w at arrangement u is x_w q^{R(u)}, where x_w = (q^{R(w)}
-    prefactor) is its entry at the sorted arrangement (R = 0).  Row r's word
-    swaps onto the word of row s, found by its tensor index in the class.  So
-    the law at level 0 compares x_r with f x_s, and every other entry of the
-    two states is that pair times q^L <= 1: with a = x_r, F = fl(f x_s) and
-    p = fl(q^L), the computed entries fl(a p) and fl(f fl(x_s p)) differ by
-    p (|a - f x_s| + u|a| + (2u + u^2)|f x_s|) <= r0 + u|a| + (3u + O(u^2))|F|
-    at most, u = 2^-53 (each subtraction is exact, by Sterbenz, while the law
-    holds within a factor 2).  The allowance is 4 u max(|x_r| + |F|): 3 u for
-    the other levels, and one u for the second-order terms and for forming
-    the allowance and r0 + allowance in floating point.  Equal adjacent
-    letters swap a word onto itself with factor 1: the residual is then 0.
+    The state of word w at arrangement u is x_w q^{R(u)}.  So the law at
+    level 0 compares x_w with f x_s, and every other entry of the two states
+    is that pair times q^L <= 1: with a = x_w, F = fl(f x_s) and p = fl(q^L),
+    the computed entries fl(a p) and fl(f fl(x_s p)) differ by p (|a - f x_s|
+    + u|a| + (2u + u^2)|f x_s|) <= r0 + u|a| + (3u + O(u^2))|F| at most,
+    u = 2^-53 (each subtraction is exact, by Sterbenz, while the law holds
+    within a factor 2).  The allowance is 4 u max(|x_w| + |F|): 3 u for the
+    other levels, and one u for the second-order terms and for forming the
+    allowance and r0 + allowance in floating point.  Equal adjacent letters
+    swap a word onto itself with factor 1: the residual is then 0.
+
+    Viewed as an (n^{k-1}, n, n, n^{N-k-1}) array, the words' letters at
+    positions k and k+1 are axes 1 and 2, so the swapped words are the same
+    array with those axes exchanged: no word index is formed.  The kernel
+    holds about 16 B per word beside ``states``, which the caller has
+    already allocated and priced.
     """
-    counts, index = arrangement.counts, arrangement.index
-    n_modes, size = len(counts), sum(counts)
-    check_budget("exchange_check on the class {}",
-                 *_class_cost("exchange", n_modes, size, 1, _class_size(counts)), counts)
-    entries = _state_entries(arrangement, params)
-    comparator = np.array([[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)])
-    factors = np.empty((index.size, max(size - 1, 0)))
-    residuals = np.empty_like(factors)
-    scale = 0.0  # the largest |x_r| + |fl(f x_s)|
-    stride_right = n_modes ** (size - 1)
-    right = index // stride_right  # the letter at position 1
-    for k in range(1, size):
-        stride_left, stride_right = stride_right, stride_right // n_modes  # positions k, k+1
-        left, right = right, index // stride_right % n_modes
-        swapped = index + (left - right) * (stride_right - stride_left)
-        factors[:, k - 1] = comparator[left, right]
-        image = np.take(entries, np.searchsorted(index, swapped))
-        image *= factors[:, k - 1]
-        np.abs(np.subtract(entries, image, out=residuals[:, k - 1]), out=residuals[:, k - 1])
-        image += entries  # both are positive
-        scale = max(scale, float(image.max()))
-    return factors, residuals, 4 * 2**-53 * scale
+    if not 1 <= k < size:
+        raise ValueError(f"positions must satisfy 1 <= k < {size}, got {k}")
+    shape = (n_modes ** (k - 1), n_modes, n_modes, n_modes ** (size - k - 1))
+    words = states.reshape(shape)  # refuses a vector that does not hold the n^N words
+    comparator = [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
+    factors = np.broadcast_to(np.array(comparator)[:, :, np.newaxis], shape)
+    image = words.swapaxes(1, 2) * factors  # f x_s at each word w
+    residuals = np.subtract(words, image)
+    np.abs(residuals, out=residuals)
+    image += words  # neither is negative
+    allowance = 4 * 2**-53 * float(image.max(initial=0.0))
+    image[...] = factors  # the image is spent: its buffer returns the factors
+    return image.ravel(), residuals.ravel(), allowance
 
 
 def transposition_op(

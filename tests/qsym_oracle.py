@@ -7,7 +7,7 @@ inversions per word, and two dense n^N states per (word, position).  The
 tests compare the kernels against them on small shapes.
 ``reference_exchange_table`` is the class kernel that the level-0 check in
 ``qsym.exchange_check`` replaced: it forms every state of a class at every
-inversion level.  ``reference_transposition`` assembles the deformed
+inversion level, and finds each swapped word in the class by its index.  ``reference_transposition`` assembles the deformed
 transposition the plain scipy way, from a coordinate list, and
 ``reference_transposition_deviations`` checks the transposition laws one class
 at a time on dense states.
@@ -137,13 +137,15 @@ def reference_exchange_check(
 
 def reference_exchange_table(
     arrangement: ArrangementClass, params: DeformationParams
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Check |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q on every word of one class, at
     every inversion level.
 
-    Row r of both results is row r of the class and column k - 1 is position k.
-    Returns ``(factors, residuals)``: the factor q^{eps} and the largest
-    absolute entry of |w>_q - q^{eps} |swap_k(w)>_q.
+    Row r of both arrays is row r of the class and column k - 1 is position k.
+    Returns ``(factors, residuals, allowance)``: the factor q^{eps}, the largest
+    absolute entry of |w>_q - q^{eps} |swap_k(w)>_q, and the class's rounding
+    allowance 4u max(|x_r| + |fl(f x_s)|) at level 0, u = 2^-53, formed here
+    from the table's level-0 column.
 
     Every state of the class is supported on the class, where the state of
     word w at arrangement u is (q^{R(w)} prefactor) q^{R(u)}.  So the table
@@ -162,6 +164,7 @@ def reference_exchange_table(
     factors = np.empty((index.size, max(size - 1, 0)))
     residuals = np.empty_like(factors)
     image = np.empty_like(table)  # one gather buffer, reused at every position
+    scale = 0.0  # the largest |x_r| + |fl(f x_s)|: level 0 is the sorted arrangement's, q^0 = 1
     for k in range(1, size):
         stride_right = n_modes ** (size - k - 1)  # position k+1
         stride_left = stride_right * n_modes  # position k
@@ -171,9 +174,10 @@ def reference_exchange_table(
         factors[:, k - 1] = comparator[left, right]
         np.take(table, np.searchsorted(index, swapped), axis=0, out=image, mode="clip")
         image *= factors[:, k - 1, np.newaxis]
+        scale = max(scale, float((table[:, 0] + image[:, 0]).max()))
         np.subtract(table, image, out=image)
         residuals[:, k - 1] = np.abs(image, out=image).max(axis=1)
-    return factors, residuals
+    return factors, residuals, 4 * 2**-53 * scale
 
 
 def reference_transposition(

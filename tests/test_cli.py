@@ -169,7 +169,7 @@ def test_norm_sweep_of_the_symmetric_workload_is_admitted(capsys):
 
 
 def test_exchange_sweep_of_four_modes_and_eight_letters_is_admitted(capsys):
-    # the exchange law is checked one arrangement class at a time, with no dense
+    # the exchange law is checked on one n^N vector per size and q, with no dense
     # n^N state per word, so 4^8 words fit the budget
     argv = ["qsym", "exchange", "--q", "0.5", "--modes", "4", "--N", "8"]
     code, out, err = run_cli(argv, capsys)
@@ -204,20 +204,21 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
     monkeypatch.setattr(cli, "check_budget", priced)
     for N in range(2, 8):
         classes = {s: [qsym._class_size(c) for c in _count_vectors(n, s)] for s in range(N + 1)}
-        # each class built once; per q its kernel, one state vector over all of the size's
-        # classes, and the transpositions with their squares and products with that vector
+        # each class built once; per q one state vector over all of the size's classes, and
+        # at each position the exchange kernel on that vector and the transposition with its
+        # square and its product with the vector
         work = 0.0
         for s in range(2, N + 1):
-            per_q = qsym._transposition_cost(n, s, s - 1, 2 * (s - 1))[1]
+            per_q = qsym._transposition_cost(n, s, s - 1, 2 * (s - 1))[1] + qsym._exchange_cost(n, s, s - 1)[1]
             per_q += qsym._class_cost("symmetrize", n, s, len(classes[s]), sum(classes[s]))[1]
             for rows in classes[s]:
                 work += cost(["arrangements"], s, rows)[0][1]
-                per_q += cost(["exchange"], s, rows)[0][1]
             work += 2 * per_q
-        # the records of the size's classes, one transposition alive at a time
-        nbytes = cost(["arrangements"], N, 0, len(classes[N]))[0][0] + qsym._transposition_cost(n, N, 1, 0)[0]
+        # the records of the size's classes and the state vector, beside one transposition
+        # or one exchange kernel call
+        nbytes = cost(["arrangements"], N, 0, len(classes[N]))[0][0]
         nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(classes[N]))[0]
-        nbytes += max(cost(["exchange"], N, rows)[0][0] for rows in classes[N])
+        nbytes += max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0])
         # or, while the classes are built, one pass of the kernel beside the classes built
         # so far: at most _BATCH_ROWS rows, or the largest class, and at most every word
         batch_rows = min(max(qsym._BATCH_ROWS, max(classes[N])), n**N)

@@ -357,30 +357,57 @@ def test_size_bounds_are_enforced():
 # exchange relation and deformed transpositions
 
 
-def word_row(word: Word) -> int:
-    """Row of a word in the exchange kernel's results for its class."""
-    index = arrangements(word.counts).index
-    return int(np.searchsorted(index, tensor_index(word.letters, word.n_modes)))
+def size_states(classes: list[ArrangementClass], params: DeformationParams) -> np.ndarray:
+    """The sorted-word states of the given classes of one size in one vector, as the sweep
+    fills it with every class of the size; the other words are 0."""
+    counts = classes[0].counts
+    states = np.zeros(len(counts) ** sum(counts))
+    for arrangement in classes:
+        states[arrangement.index] = qsym._state_entries(arrangement, params)
+    return states
+
+
+def exchange_rows(states: np.ndarray, classes: list[ArrangementClass], params: DeformationParams):
+    """The exchange kernel at every position of one size's vector, read at the rows of each
+    class: per class ``(factors, residuals)``, row r and column k - 1 for its r-th word at
+    position k; and the largest allowance.  One kernel call per position."""
+    counts = classes[0].counts
+    n_modes, size = len(counts), sum(counts)
+    rows = [tuple(np.empty((c.index.size, max(size - 1, 0))) for _ in range(2)) for c in classes]
+    allowance = 0.0
+    for k in range(1, size):
+        factors, residuals, position_allowance = exchange_check(states, size, n_modes, k, params)
+        allowance = max(allowance, position_allowance)
+        for arrangement, (class_factors, class_residuals) in zip(classes, rows):
+            class_factors[:, k - 1], class_residuals[:, k - 1] = factors[arrangement.index], residuals[arrangement.index]
+        del factors, residuals  # before the next position's are formed
+    return rows, allowance
+
+
+def class_exchange(arrangement: ArrangementClass, params: DeformationParams):
+    """``exchange_rows`` on a vector that holds one class: ``(factors, residuals, allowance)``."""
+    ((factors, residuals),), allowance = exchange_rows(size_states([arrangement], params), [arrangement], params)
+    return factors, residuals, allowance
 
 
 def test_exchange_relation_everywhere():
     for q in Q_GRID:
         params = DeformationParams(q)
-        for size in range(1, 5):
-            for counts in _count_vectors(3, size):
-                arrangement = arrangements(counts)
-                _, residuals, _ = exchange_check(arrangement, params)
-                assert residuals.shape == (arrangement.index.size, size - 1)
-                assert np.all(residuals < 1e-13), (counts, q, residuals.max())
+        for size in range(2, 5):
+            states = size_states(list(arrangement_classes(3, size)), params)
+            for k in range(1, size):
+                factors, residuals, _ = exchange_check(states, size, 3, k, params)
+                assert factors.shape == residuals.shape == (3**size,)
+                assert np.all(residuals < 1e-13), (size, k, q, residuals.max())
 
 
 def test_exchange_factor_orientation():
     params = DeformationParams(0.5)
     # ascending pair: swapping costs q^{-1}; descending: q^{+1}
-    factors, _, _ = exchange_check(arrangements((1, 1)), params)  # rows (1, 2) and (2, 1)
-    assert factors[word_row(Word((1, 2), 2)), 0] == pytest.approx(2.0)
-    assert factors[word_row(Word((2, 1), 2)), 0] == pytest.approx(0.5)
-    factors, residuals, allowance = exchange_check(arrangements((0, 2)), params)  # the one row (2, 2)
+    factors, _, _ = exchange_check(size_states([arrangements((1, 1))], params), 2, 2, 1, params)
+    assert factors[tensor_index((1, 2), 2)] == pytest.approx(2.0)
+    assert factors[tensor_index((2, 1), 2)] == pytest.approx(0.5)
+    factors, residuals, allowance = class_exchange(arrangements((0, 2)), params)  # the one row (2, 2)
     assert factors[0, 0] == 1.0
     assert residuals[0, 0] == 0.0
     assert allowance == 4 * 2**-53 * 2  # 4u (|x| + |f x|), where x = f x = 1
@@ -408,7 +435,7 @@ def test_exchange_kernel_equals_the_per_word_reference(counts):
     n_modes = len(counts)
     for q in Q_GRID:
         params = DeformationParams(q)
-        factors, residuals, allowance = exchange_check(arrangements(counts), params)
+        factors, residuals, allowance = class_exchange(arrangements(counts), params)
         words = list(multiset_arrangements(counts)) if sum(counts) else []
         assert residuals.shape == (max(len(words), 1), max(sum(counts) - 1, 0))
         for row, letters in enumerate(words):
@@ -421,32 +448,48 @@ def test_exchange_kernel_equals_the_per_word_reference(counts):
                     assert residuals[row, k - 1] == 0.0
 
 
-# every class of up to four modes and seven letters
-ORACLE_CLASSES = [counts for n in range(1, 5) for N in range(8) for counts in _count_vectors(n, N)]
-
-
-def _assert_within_the_table(arrangement: ArrangementClass, params: DeformationParams) -> None:
-    factors, residuals, allowance = exchange_check(arrangement, params)
-    table_factors, table_residuals = reference_exchange_table(arrangement, params)
+def _assert_rows_within_the_table(factors, residuals, arrangement: ArrangementClass, params: DeformationParams):
+    """The table holds every row at every inversion level: level 0 is the kernel's residual,
+    and every other level passes it by no more than the class's allowance, which the table
+    route forms on its own.  Returns that allowance."""
+    table_factors, table_residuals, allowance = reference_exchange_table(arrangement, params)
     assert np.array_equal(factors, table_factors)
     assert np.all(table_residuals >= residuals), (arrangement.counts, params.q)
     assert np.all(table_residuals <= residuals + allowance), (arrangement.counts, params.q)
+    return allowance
+
+
+def _assert_sizes_within_the_table(shapes, params: DeformationParams) -> None:
+    # one set of kernel calls per size, on the vector of all its classes, read class by
+    # class; the kernel's allowance, the size's largest, covers each class's
+    for n_modes, size in shapes:
+        classes = list(arrangement_classes(n_modes, size))
+        rows, allowance = exchange_rows(size_states(classes, params), classes, params)
+        for arrangement, (factors, residuals) in zip(classes, rows):
+            assert _assert_rows_within_the_table(factors, residuals, arrangement, params) <= allowance
 
 
 def test_exchange_kernel_stays_within_the_table_kernel_on_every_small_class():
-    # the table holds every row at every inversion level: level 0 is the kernel's
-    # residual, and every other level passes it by no more than the allowance
+    # every class of up to four modes and seven letters
     for q in (0.05, 0.5, 0.999):
-        params = DeformationParams(q)
-        for counts in ORACLE_CLASSES:
-            _assert_within_the_table(arrangements(counts), params)
+        _assert_sizes_within_the_table([(n, N) for n in range(1, 5) for N in range(8)], DeformationParams(q))
+
+
+def test_exchange_kernel_stays_within_the_table_kernel_on_every_class_of_six_modes_and_eight_letters():
+    # every class of up to six modes and eight letters, at the q where the table's levels
+    # are closest to level 0; the table takes about 4 s on the four largest sizes
+    _assert_sizes_within_the_table([(n, N) for n in range(1, 7) for N in range(9)], DeformationParams(0.999))
 
 
 @pytest.mark.parametrize("counts, q", [((10, 10), 0.999), ((3, 3, 3, 3), 0.05), ((5, 5, 4), 0.999)], ids=str)
 def test_exchange_kernel_stays_within_the_table_kernel_on_large_classes(counts, q):
     # the table kernel takes seconds on each, so one q per class, and never 0.5: q = 1/2
-    # scales every entry by a power of two, so the table then equals its level-0 column
-    _assert_within_the_table(arrangements(counts), DeformationParams(q))
+    # scales every entry by a power of two, so the table then equals its level-0 column.
+    # On a vector that holds the one class (4^12 words for (3, 3, 3, 3)), the kernel's
+    # allowance is the class's
+    arrangement, params = arrangements(counts), DeformationParams(q)
+    factors, residuals, allowance = class_exchange(arrangement, params)
+    assert _assert_rows_within_the_table(factors, residuals, arrangement, params) == allowance
 
 
 @pytest.mark.parametrize("counts, row", [((2, 1, 2), 7), ((1, 1, 1, 1), 10), ((0, 3, 1), 2)], ids=str)
@@ -463,7 +506,7 @@ def test_exchange_kernel_flags_a_row_with_a_wrong_inversion_count(counts, row):
     for q in Q_GRID:
         params = DeformationParams(q)
         entries = qsym._state_entries(corrupted, params)
-        _, residuals, allowance = exchange_check(corrupted, params)
+        _, residuals, allowance = class_exchange(corrupted, params)
         broken = np.zeros_like(residuals, dtype=bool)
         letters = words[row]
         for k in range(1, len(letters)):
@@ -477,29 +520,39 @@ def test_exchange_kernel_flags_a_row_with_a_wrong_inversion_count(counts, row):
 
 
 def test_exchange_kernel_rejects_bad_classes():
-    params = DeformationParams(0.5)
     with pytest.raises(ValueError):
         arrangements((2, -1))
     # 1560 words, but 3^40 > 2^63 tensor indices: refused, not wrapped
     with pytest.raises(ValueError, match="int64"):
         arrangements((38, 1, 1))
-    _, residuals, _ = exchange_check(arrangements((61, 2)), params)  # 2^63 indices still fit
-    assert residuals.shape == (1953, 62)
+
+
+def test_exchange_kernel_rejects_bad_positions_and_vectors():
+    params = DeformationParams(0.5)
+    states = size_states(list(arrangement_classes(2, 3)), params)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="positions"):
+            exchange_check(states, 3, 2, k, params)
+    with pytest.raises(ValueError):  # the 2^3 words of one size, not 3^2
+        exchange_check(states, 2, 3, 1, params)
 
 
 @pytest.mark.parametrize("counts", [(3, 3, 3), (2, 2, 2, 2), (3, 3, 3, 1), (1,) * 7, (4, 4, 4), (2, 2, 2, 2, 1)])
 def test_exchange_kernel_peaks_within_its_estimate(counts):
-    # on top of the class it is handed: the factors and residuals (16 B per row and
-    # position) and the per-row index arithmetic and gathers
-    arrangement = arrangements(counts)
-    tracemalloc.start()
-    try:
-        exchange_check(arrangement, DeformationParams(0.5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    estimate = _class_cost("exchange", len(counts), sum(counts), 1, _class_size(counts))[0]
-    assert estimate / 2 < peak <= estimate
+    # on a vector that holds the class, beside that vector: the image of the swapped words,
+    # the residuals and the factors, as the exchange sweep charges one call
+    n_modes, size = len(counts), sum(counts)
+    params = DeformationParams(0.5)
+    states = size_states([arrangements(counts)], params)
+    estimate = qsym._exchange_cost(n_modes, size, 1)[0]
+    for k in (1, size // 2, size - 1):
+        tracemalloc.start()
+        try:
+            exchange_check(states, size, n_modes, k, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert estimate / 2 < peak <= estimate, k
 
 
 def test_transposition_is_involution():
@@ -555,8 +608,10 @@ def test_transposition_bounds():
 def test_exchange_property(letters, k, q):
     word = Word(tuple(letters), 4)
     position = 1 + k % (word.size - 1)
-    _, residuals, _ = exchange_check(arrangements(word.counts), DeformationParams(q))
-    assert residuals[word_row(word), position - 1] < 1e-12
+    arrangement = arrangements(word.counts)
+    _, residuals, _ = class_exchange(arrangement, DeformationParams(q))
+    row = int(np.searchsorted(arrangement.index, tensor_index(word.letters, word.n_modes)))
+    assert residuals[row, position - 1] < 1e-12
 
 
 # ---------------------------------------------------------------------------
