@@ -45,10 +45,8 @@ from .qcore import (
     DomainError,
     check_budget,
     disk_samples,
-    jackson_moment,
     q_exp_points,
     q_exp_via_product_points,
-    q_factorial,
     size_estimate,
 )
 from .qpoly import poly_insertion_sum, poly_q_multinomial, poly_q_number
@@ -101,9 +99,15 @@ class CheckRecord:
     millis: int = 0
 
     @classmethod
-    def measured(cls, name: str, params: dict, deviation: float, tol: float, millis: int):
-        """A numeric check, passed when its deviation is below ``tol``."""
-        return cls(name, params, deviation < tol, deviation=deviation, millis=millis)
+    def measured(cls, name: str, params: dict, deviation: float, tol: float, millis: int, **allowances: float):
+        """A numeric check, the one pass rule: passed when its deviation is below ``tol``
+        plus each allowance, added left to right.  A NaN deviation fails.  Each allowance
+        is written into (a copy of) ``params`` under its keyword, so that a reader can
+        recompute the verdict from the record and the report's ``tol``."""
+        threshold = tol
+        for allowance in allowances.values():
+            threshold += allowance
+        return cls(name, {**params, **allowances}, deviation < threshold, deviation=deviation, millis=millis)
 
     def to_json(self) -> dict:
         record = {
@@ -203,10 +207,11 @@ def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]
         start = time.perf_counter()
         report = fock.verify_algebra(cfg, tol=config.tol, annihilators=lowers)
         millis = _elapsed_ms(start)
+        point = {"q": q, "modes": config.modes, "cutoff": config.cutoff}
         for name in fock.RELATION_FAMILIES:
-            point = {"q": q, "modes": config.modes, "cutoff": config.cutoff}
+            allowance = {"rounding_allowance": report.allowances[name]} if name in report.allowances else {}
             deviation = report.deviations[name]
-            records.append(CheckRecord.measured(name, point, deviation, report.threshold(name), millis))
+            records.append(CheckRecord.measured(name, point, deviation, config.tol, millis, **allowance))
     return records, []
 
 
@@ -274,22 +279,27 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         for name, worst in (
             ("qexp_functional_equation", worst_functional), ("qexp_route_agreement", worst_agreement)
         ):
-            records.append(CheckRecord.measured(name, dict(point_params), worst, config.tol, millis))
+            records.append(CheckRecord.measured(name, point_params, worst, config.tol, millis))
     return records, extra
 
 
 def run_jackson(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
+    levels, rel_tol = config.particles + 1, min(config.tol * 1e-2, 1e-12)
+    # per q the moment sweep, beside the records of every q, all kept for the report: ~3 kB
+    # and ~30 us each for the record, its JSON and its line of the rendered report
+    costs = [qcore._moments_cost(DeformationParams(q), levels, 2, rel_tol) for q in config.q_values]
+    checks = levels * len(costs)
+    request = f"jackson moments up to n={config.particles} ({sum(cost[2] for cost in costs):.3g} grid points)"
+    nbytes, work = max(cost[0] for cost in costs) + 3000 * checks, sum(cost[1] for cost in costs) + 30_000 * checks
+    check_budget(request, nbytes, work)
     records = []
     for q in config.q_values:
-        params = DeformationParams(q)
-        for n in range(config.particles + 1):
+        deviations = qcore._moment_deviations(DeformationParams(q), levels, rel_tol=rel_tol)
+        for n in range(levels):
             start = time.perf_counter()
-            value = jackson_moment(params, n, rel_tol=min(config.tol * 1e-2, 1e-12))
-            target = q_factorial(params, n)
-            deviation = abs(value / target - 1.0)
-            millis = _elapsed_ms(start)
+            deviation = next(deviations)
             point = {"q": q, "n": n}
-            records.append(CheckRecord.measured("jackson_moment", point, deviation, config.tol, millis))
+            records.append(CheckRecord.measured("jackson_moment", point, deviation, config.tol, _elapsed_ms(start)))
     return records, []
 
 
@@ -320,8 +330,10 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     nbytes = work = 0.0
     for q, cutoff in cutoffs.items():
         if isinstance(cutoff, int):
-            cost = coherent._check_cost(DeformationParams(q), modes, cutoff, points)
-            nbytes, work = nbytes + cost[0], work + cost[1]
+            params = DeformationParams(q)
+            for cost in (coherent._check_cost(params, modes, cutoff, points),
+                         coherent._completeness_cost(params, config.cutoff)):
+                nbytes, work = nbytes + cost[0], work + cost[1]
     check_budget(f"coherent check of {points} points over {modes} modes", nbytes, work)
     records = []
     for q in config.q_values:
@@ -353,51 +365,28 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                 )
                 continue
             deviation = abs(state.norm_sq - 1.0)
-            records.append(
-                CheckRecord(
-                    name="coherent_normalization",
-                    params={"q": q, "point": point},
-                    passed=deviation <= config.tol + state.tail_mass,
-                    deviation=deviation,
-                    millis=_elapsed_ms(start),
-                )
-            )
+            records.append(CheckRecord.measured("coherent_normalization", {"q": q, "point": point}, deviation,
+                                                config.tol, _elapsed_ms(start), tail_allowance=state.tail_mass))
             for mode in range(1, spec.modes + 1):
                 start = time.perf_counter()
                 report = coherent.check_eigenvalue(state, mode, tol=config.tol)
-                point_params = {
-                    "q": q, "point": point, "mode": mode,
-                    "tail_allowance": report.tail_allowance,
-                    "rounding_allowance": report.rounding_allowance,
-                }
-                records.append(
-                    CheckRecord(
-                        name="coherent_eigenvalue",
-                        params=point_params,
-                        passed=report.passed,
-                        deviation=report.residual,
-                        millis=_elapsed_ms(start),
-                    )
-                )
+                records.append(CheckRecord.measured(
+                    "coherent_eigenvalue", {"q": q, "point": point, "mode": mode}, report.residual, config.tol,
+                    _elapsed_ms(start), tail_allowance=report.tail_allowance,
+                    rounding_allowance=report.rounding_allowance,
+                ))
         start = time.perf_counter()
-        comp_cfg = fock.FockSpaceConfig(1, config.cutoff, params)
-        comp = coherent.check_completeness(comp_cfg, tol=config.tol, variant=config.variant)
-        records.append(
-            CheckRecord(
-                name="coherent_completeness",
-                params={
-                    "q": q,
-                    "variant": comp.variant.value,
-                    "adjudicated": comp.consistent_variant.value,
-                    "alternate": comp.alternate_variant.value,
-                    "alternate_deviation": comp.alternate_max_deviation,
-                    "levels": len(comp.deviations),
-                },
-                passed=comp.passed,
-                deviation=comp.max_deviation,
-                millis=_elapsed_ms(start),
-            )
-        )
+        comp = coherent.check_completeness(params, config.cutoff, tol=config.tol, variant=config.variant)
+        point = {
+            "q": q,
+            "variant": comp.variant.value,
+            "adjudicated": comp.consistent_variant.value,
+            "alternate": comp.alternate_variant.value,
+            "alternate_deviation": comp.alternate_max_deviation,
+            "levels": len(comp.deviations),
+        }
+        records.append(CheckRecord.measured("coherent_completeness", point, comp.max_deviation, config.tol,
+                                            _elapsed_ms(start)))
     return records, []
 
 
@@ -503,11 +492,11 @@ def _exchange_records(classes: list, point: dict, params: DeformationParams, tol
         exchange_s += checked - start
         inverse_s += built - checked
         invariance_s += time.perf_counter() - built
-    exchange = CheckRecord("qsym_exchange", dict(point, rounding_allowance=allowance),
-                           passed=worst < tol + allowance, deviation=worst, millis=_millis(exchange_s))
-    found = {"qsym_transposition_inverse": (inverse, _millis(inverse_s)),
-             "qsym_transposition_invariance": (invariance, _millis(invariance_s))}
-    return [exchange] + [CheckRecord.measured(name, dict(point), d, tol, ms) for name, (d, ms) in found.items()]
+    return [
+        CheckRecord.measured("qsym_exchange", point, worst, tol, _millis(exchange_s), rounding_allowance=allowance),
+        CheckRecord.measured("qsym_transposition_inverse", point, inverse, tol, _millis(inverse_s)),
+        CheckRecord.measured("qsym_transposition_invariance", point, invariance, tol, _millis(invariance_s)),
+    ]
 
 
 def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:

@@ -29,8 +29,8 @@ the resolution of unity over radial Jackson integration reduces per mode to
 where the weight exponent beta is 2 for the ``squared_q`` variant and 1 for
 the ``paper_q`` variant; the check adjudicates which variant actually
 satisfies the identity (squared_q does).  Both variants go through the one
-moment kernel ``qcore.jackson_moment``; the target [m]! comes independently
-from ``qcore.q_factorial``.
+moment kernel ``qcore.jackson_moment``; the target [m]! comes independently,
+as the running product of the brackets that ``qcore.q_factorial`` forms.
 """
 
 import cmath
@@ -42,16 +42,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fock
 from .qcore import (
     DeformationParams,
     DomainError,
     _bracket_table,
     _brackets,
     _factors_for,
-    jackson_moment,
+    _moment_deviations,
+    _moments_cost,
     q_exp_reciprocal,
-    q_factorial,
 )
 
 _MAX_CUTOFF = 5000  # suggest_cutoff gives up below this cutoff
@@ -84,6 +83,9 @@ class WeightVariant(str, enum.Enum):
 
     PAPER_Q = "paper_q"
     SQUARED_Q = "squared_q"
+
+
+_BETA = {WeightVariant.SQUARED_Q: 2, WeightVariant.PAPER_Q: 1}  # the weight's shift q^beta
 
 
 @dataclass(frozen=True)
@@ -308,7 +310,8 @@ class EigenvalueReport:
     """Residual of the twisted eigenvalue relation for one mode.
 
     ``residual`` is the telescoping bound of :func:`check_eigenvalue`;
-    it passes when it is at most ``tol`` plus both allowances.
+    it passes when it is below ``tol`` plus the tail allowance plus the
+    rounding allowance, added in that order.
     """
 
     mode: int
@@ -321,7 +324,7 @@ class EigenvalueReport:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tol + self.tail_allowance + self.rounding_allowance
+        return self.residual < self.tol + self.tail_allowance + self.rounding_allowance
 
 
 def check_eigenvalue(
@@ -406,7 +409,8 @@ class CompletenessReport:
 
 
 def check_completeness(
-    cfg: fock.FockSpaceConfig,
+    params: DeformationParams,
+    cutoff: int,
     tol: float = 1e-10,
     variant: WeightVariant = WeightVariant.SQUARED_Q,
 ) -> CompletenessReport:
@@ -418,35 +422,32 @@ def check_completeness(
     each diagonal entry integrates to one; the ``paper_q`` weight misses by
     an order-one factor and is reported for adjudication.  Occupation levels
     up to cutoff - 2 are checked; the reduction is identical across modes,
-    so the cost does not depend on the mode count.
+    so neither the check nor its cost depends on the mode count.
+    :func:`_completeness_cost` prices it.
     """
     variant = WeightVariant(variant)
-    params = cfg.params
-    levels = range(max(1, cfg.cutoff - 1))
-
-    def deviations(weight: WeightVariant) -> tuple[float, ...]:
-        beta = 2 if weight is WeightVariant.SQUARED_Q else 1
-        return tuple(
-            abs(jackson_moment(params, m, beta) / q_factorial(params, m) - 1.0)
-            for m in levels
-        )
-
-    primary = deviations(variant)
-    other = (
-        WeightVariant.PAPER_Q
-        if variant is WeightVariant.SQUARED_Q
-        else WeightVariant.SQUARED_Q
-    )
-    alternate = deviations(other)
+    other = WeightVariant.PAPER_Q if variant is WeightVariant.SQUARED_Q else WeightVariant.SQUARED_Q
+    levels = max(1, cutoff - 1)
+    primary = tuple(_moment_deviations(params, levels, _BETA[variant]))
     return CompletenessReport(
         variant=variant,
         q=params.q,
         deviations=primary,
         max_deviation=max(primary),
         alternate_variant=other,
-        alternate_max_deviation=max(alternate),
+        alternate_max_deviation=max(_moment_deviations(params, levels, _BETA[other])),
         tol=tol,
     )
+
+
+def _completeness_cost(params: DeformationParams, cutoff: int) -> tuple[float, float]:
+    """Peak bytes and steps (~1 ns each) of :func:`check_completeness`: both weights'
+    moment sweeps, the primary deviations (~48 B each: a float, and its pointer in the
+    list and the tuple that collect it) and the ~3 kB of its record."""
+    levels = max(1, cutoff - 1)
+    costs = [_moments_cost(params, levels, beta, 1e-15) for beta in _BETA.values()]
+    nbytes = max(cost[0] for cost in costs) + 48 * levels + 3000
+    return nbytes, sum(cost[1] for cost in costs)
 
 
 def spec_grid(

@@ -577,6 +577,64 @@ def jackson_integral(
     return upper * (1.0 - params.q_sq) * math.fsum(steps * values)
 
 
+def _moment_grid(params: DeformationParams, n: int, beta: float, rel_tol: float) -> tuple[int, int, int]:
+    """(H, K, J) of moment n: the first grid point from which every weight is >= 1/2,
+    the grid points and the product factors past the grid, as :func:`jackson_moment`
+    bounds them."""
+    if not beta > 0.0:
+        raise DomainError(f"weight shift beta must be positive, got {beta!r}")
+    q_sq, log_q_sq = params.q_sq, math.log(params.q_sq)
+    shift = beta * math.log(params.q)
+    half_from = max(0, math.ceil((math.log((1.0 - q_sq) / 2.0) - shift) / log_q_sq))
+    level = (n + 1) * log_q_sq
+    grid = half_from + max(1, math.ceil(math.log(rel_tol * -math.expm1(level) / 4.0) / level))
+    extra = max(0, math.ceil((math.log(rel_tol * (1.0 - q_sq) / 2.0) - shift) / log_q_sq))
+    return half_from, grid, extra
+
+
+def _moment_cost(grid: float, extra: float) -> tuple[float, float]:
+    # two float arrays over all factors and four over the grid; fsum takes ~1.5 us per point
+    return 16 * (grid + extra) + 32 * grid, 1500 * grid + 20 * extra
+
+
+def _moments_cost(params: DeformationParams, levels: int, beta: float, rel_tol: float) -> tuple[float, float, float]:
+    """Peak bytes, steps (~1 ns each) and grid points of :func:`_moment_deviations` over
+    ``levels`` >= 1 levels, in closed form.
+
+    Moment n takes K_n = H + max(1, ceil(a_n / (n + 1))) grid points, where
+    a_n = log(rel_tol (1 - q^{2(n+1)}) / 4) / log q^2 > 0 falls as n grows.  So
+    K_n <= H + 1 + (K_0 - H) / (n + 1), and the grid points of all levels sum to at
+    most levels (H + 1) + (K_0 - H)(1 + ln levels).  Moment 0 has the largest grid,
+    and so the peak bytes.  Besides its grid and factors, each level costs ~50 us of
+    calls (45 to 48 us measured where the grids are a few points, on a 2-core x86-64
+    machine).  The running factorial reads a bracket table of up to twice the levels,
+    ~34 B per entry (32 to 34 B measured).
+    """
+    half_from, grid, extra = _moment_grid(params, 0, beta, rel_tol)
+    points = levels * (half_from + 1) + (grid - half_from) * (1.0 + math.log(levels))
+    work = _moment_cost(points, levels * extra)[1] + 50_000 * levels
+    return _moment_cost(grid, extra)[0] + 34 * _table_entries(levels), work, points
+
+
+def _moment_deviations(params: DeformationParams, levels: int, beta: float = 2, rel_tol: float = 1e-15):
+    """|jackson_moment(params, m, beta, rel_tol) / [m]! - 1| for m < ``levels``, in order.
+
+    [m]! is the running product of the bracket table: the multiplications
+    :func:`q_factorial` performs, so every deviation is the same bit for bit, at
+    O(1) per level.  Each level's moment is taken before its factorial, and the
+    first non-finite product raises q_factorial's OverflowError.
+    """
+    brackets = _bracket_table(params, levels)
+    factorial = 1.0
+    for m in range(levels):
+        moment = jackson_moment(params, m, beta, rel_tol)
+        if m:
+            factorial *= brackets[m]
+            if not math.isfinite(factorial):
+                raise OverflowError(f"bracket factorial overflows at n={m}, q={params.q}")
+        yield abs(moment / factorial - 1.0)
+
+
 def jackson_moment(
     params: DeformationParams,
     n: int,
@@ -604,19 +662,11 @@ def jackson_moment(
     """
     if n < 0 or n != int(n):
         raise DomainError(f"moment order must be a nonnegative integer, got {n!r}")
-    if not beta > 0.0:
-        raise DomainError(f"weight shift beta must be positive, got {beta!r}")
-    q_sq, log_q_sq = params.q_sq, math.log(params.q_sq)
-    shift = beta * math.log(params.q)
-    half_from = max(0, math.ceil((math.log((1.0 - q_sq) / 2.0) - shift) / log_q_sq))
-    level = (n + 1) * log_q_sq
-    grid = half_from + max(1, math.ceil(math.log(rel_tol * -math.expm1(level) / 4.0) / level))
-    extra = max(0, math.ceil((math.log(rel_tol * (1.0 - q_sq) / 2.0) - shift) / log_q_sq))
-    # two float arrays over all factors and four over the grid; fsum takes ~1.5 us per point
+    _, grid, extra = _moment_grid(params, n, beta, rel_tol)
     request = f"moment {n} at q={params.q} ({grid} grid points, {extra} more product factors)"
-    check_budget(request, 16 * (grid + extra) + 32 * grid, 1500 * grid + 20 * extra)
+    check_budget(request, *_moment_cost(grid, extra))
     # powers of q_sq itself, so the weights sit on the same grid as the steps
-    factors = 1.0 - q_sq ** np.arange(grid + extra) * params.q**beta
+    factors = 1.0 - params.q_sq ** np.arange(grid + extra) * params.q**beta
     weights = np.cumprod(factors[::-1])[::-1][:grid]
     # Near q = 1 at large n, x^n overflows on the first grid points while
     # their weight underflows.  (x / radius)^n <= 1 cannot overflow, and a

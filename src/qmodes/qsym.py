@@ -295,10 +295,12 @@ def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: floa
 
 
 def _transposition_cost(n_modes: int, size: int, ops: float, products: float) -> tuple[float, float]:
-    # ops built and kept (~50 us + 50 ns per entry; 16 B per entry each, ~64 more while
-    # building), then products with a state or with itself (~10 us + 6 ns per entry)
+    # ops built and kept (~50 us + 60 ns per entry; 16 B per entry each, ~64 more while
+    # building), then products with a state or with itself (~15 us + 35 ns per entry: the
+    # exchange sweep forms one of each per transposition, the square ~25 to 62 ns per entry
+    # and the product with the state ~3 to 13 ns, measured on a 2-core x86-64 machine)
     dim = size_estimate(size * math.log(n_modes))
-    return (16 * ops + 64) * dim, ops * (50_000 + 50 * dim) + products * (10_000 + 6 * dim)
+    return (16 * ops + 64) * dim, ops * (50_000 + 60 * dim) + products * (15_000 + 35 * dim)
 
 
 def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, float]:

@@ -167,7 +167,7 @@ def test_criterion_05_completeness_adjudication():
     worst = 0.0
     for q in Q_GRID:
         cfg = FockSpaceConfig(1, 10, DeformationParams(q))
-        report = check_completeness(cfg, tol=1e-10, variant=WeightVariant.SQUARED_Q)
+        report = check_completeness(cfg.params, cfg.cutoff, tol=1e-10, variant=WeightVariant.SQUARED_Q)
         worst = max(worst, report.max_deviation)
         assert len(report.deviations) == cfg.cutoff - 1  # m <= cutoff - 2
         # the adjudication: the squared weight satisfies the identity, the

@@ -24,7 +24,7 @@ from qmodes.cli import (
     render_text,
     strip_timing,
 )
-from qmodes import cli, qsym
+from qmodes import cli, coherent, qcore, qsym
 from qmodes.qsym import _count_vectors
 from qmodes.fock import RELATION_FAMILIES
 from qmodes.qcore import (
@@ -122,6 +122,9 @@ OVER_BUDGET = [
     ["coherent", "check", "--q", "0.5", "--points", "10000000"],
     ["jackson", "moments", "--q", "0.9999999", "--N", "2"],
     ["qexp", "eval", "--q", "0.99", "--points", "100000000"],
+    # the moment sweeps: 1e7 records of moments that each fit the budget, and 2e7 moments
+    pytest.param(["jackson", "moments", "--q", "0.01", "--N", "10000000"], id="jackson moments sweep"),
+    pytest.param(["coherent", "check", "--q", "0.01", "--cutoff", "10000000"], id="coherent check completeness"),
 ]
 
 
@@ -455,6 +458,46 @@ def test_large_moments_near_q_one_stay_in_the_float_range(capsys):
     assert abs(value / q_factorial(params, 120) - 1.0) < 1e-12
 
 
+def _per_level_route(params, beta, rel_tol, cap=3000):
+    """|M_m / [m]! - 1| level by level, each [m]! from q_factorial, up to the first level
+    outside the float range (returned with the error raised there) or ``cap`` levels."""
+    deviations = []
+    for m in range(cap):
+        try:
+            deviations.append(abs(jackson_moment(params, m, beta, rel_tol) / q_factorial(params, m) - 1.0))
+        except (DomainError, OverflowError) as exc:
+            return deviations, exc
+    return deviations, None
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+def test_moment_sweeps_equal_the_per_level_factorial_route(q, capsys):
+    # both sweeps read [m]! as a running product; every deviation must be the per-level
+    # route's, bit for bit, up to the float range (q = 0.05 stops at 3000 levels before it)
+    params = DeformationParams(q)
+    routes = {beta: _per_level_route(params, beta, 1e-15) for beta in (2, 1)}
+    for beta, (expected, stop) in routes.items():
+        assert list(qcore._moment_deviations(params, len(expected), beta)) == expected
+        if stop is not None:
+            with pytest.raises(type(stop)) as raised:
+                list(qcore._moment_deviations(params, len(expected) + 1, beta))
+            assert str(raised.value) == str(stop)
+    assert (q == 0.05) == (routes[2][1] is None)
+    levels = min(len(expected) for expected, _ in routes.values())
+    report = coherent.check_completeness(params, levels + 1)
+    assert list(report.deviations) == routes[2][0][:levels]
+    assert report.alternate_max_deviation == max(routes[1][0][:levels])
+
+    expected, stop = _per_level_route(params, 2, 1e-12)  # jackson moments at its default --tol
+    argv = ["jackson", "moments", "--q", str(q), "--format", "json"]
+    out = run_cli(argv + ["--N", str(len(expected) - 1)], capsys)[1]
+    checks = sorted(json.loads(out)["checks"], key=lambda check: check["params"]["n"])
+    assert [check["deviation"] for check in checks] == expected
+    if stop is not None:
+        code, out, err = run_cli(argv + ["--N", str(len(expected))], capsys)
+        assert (code, out, err) == (2, "", f"configuration error: {stop}\n")
+
+
 def test_removed_exact_flag_is_rejected(capsys):
     assert run_cli(["qsym", "identity", "--N", "2", "--exact"], capsys)[0] == 2
 
@@ -469,18 +512,33 @@ def test_coherent_verdicts_follow_tol(capsys):
     assert completeness["deviation"] > 1e-20
 
 
-def test_eigenvalue_verdicts_can_be_recomputed_from_the_report(capsys):
-    argv = ["coherent", "check", "--q", "0.5", "0.96", "--modes", "3", "--points", "2", "--format", "json"]
-    for tol in ("1e-9", "1e-20"):
-        code, out, _ = run_cli(argv + ["--tol", tol], capsys)
+# Every verb at its defaults; the number/ladder commutator, which passes only on its
+# rounding allowance at --tol 1e-20; and the eigenvalue checks at a --tol that their
+# allowances decide.
+RECOMPUTED = [command.split() for command in cli._verbs()] + [
+    ["verify", "algebra", "--q", "0.5", "--modes", "2", "--cutoff", "40", "--tol", "1e-20"],
+    ["coherent", "check", "--q", "0.5", "0.96", "--modes", "3", "--points", "2", "--tol", "1e-9"],
+    ["coherent", "check", "--q", "0.5", "0.96", "--modes", "3", "--points", "2", "--tol", "1e-20"],
+]
+ALLOWANCES = ("tail_allowance", "rounding_allowance")  # in the order they are added
+
+
+def test_every_numeric_verdict_can_be_recomputed_from_its_report(capsys):
+    for argv in RECOMPUTED:
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert code in (0, 1), err
         report = json.loads(out)
-        eigen = [c for c in report["checks"] if c["name"] == "coherent_eigenvalue"]
-        assert len(eigen) == 2 * 2 * 3
-        for check in eigen:
+        if "--points" in argv:  # 2 q, 2 points, 3 modes
+            assert sum(check["name"] == "coherent_eigenvalue" for check in report["checks"]) == 2 * 2 * 3
+        for check in [check for check in report["checks"] if check.get("deviation") is not None]:
             params = check["params"]
-            allowance = params["tail_allowance"] + params["rounding_allowance"]
-            assert check["pass"] == (check["deviation"] <= report["config"]["tol"] + allowance)
-            assert 0.0 < params["rounding_allowance"] < 1e-12
+            assert {key for key in params if key.endswith("_allowance")} <= set(ALLOWANCES), check
+            threshold = report["config"]["tol"]
+            for key in ALLOWANCES:
+                if key in params:
+                    assert (0.0 < params[key] < 1e-12) if key == "rounding_allowance" else params[key] >= 0.0
+                    threshold += params[key]
+            assert check["pass"] == (check["deviation"] < threshold), (argv, check)
 
 
 @pytest.mark.parametrize("modes", [3, 8])

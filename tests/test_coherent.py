@@ -2,12 +2,14 @@
 
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmodes.cli import main
 from qmodes.coherent import (
     CoherentSpec,
     InsufficientCutoffError,
@@ -237,7 +239,7 @@ def test_uncompensated_eigenvalue_relation_visibly_fails():
 @pytest.mark.parametrize("q", Q_GRID)
 def test_completeness_holds_for_squared_weight(q):
     cfg = FockSpaceConfig(1, 8, DeformationParams(q))
-    report = check_completeness(cfg, tol=1e-10)
+    report = check_completeness(cfg.params, cfg.cutoff, tol=1e-10)
     assert report.passed
     assert report.max_deviation < 1e-12
     assert len(report.deviations) == cfg.cutoff - 1
@@ -247,18 +249,22 @@ def test_completeness_holds_for_squared_weight(q):
 
 def test_completeness_rejects_plain_weight():
     cfg = FockSpaceConfig(1, 8, DeformationParams(0.5))
-    report = check_completeness(cfg, tol=1e-10, variant=WeightVariant.PAPER_Q)
+    report = check_completeness(cfg.params, cfg.cutoff, tol=1e-10, variant=WeightVariant.PAPER_Q)
     assert not report.passed
     assert report.consistent_variant is WeightVariant.SQUARED_Q
     assert report.max_deviation == pytest.approx(0.39, abs=0.05)
 
 
-def test_completeness_does_not_depend_on_mode_count():
-    params = DeformationParams(0.5)
-    single = check_completeness(FockSpaceConfig(1, 4, params))
-    triple = check_completeness(FockSpaceConfig(3, 4, params))
-    assert triple.deviations == single.deviations
-    assert triple.alternate_max_deviation == single.alternate_max_deviation
+def test_completeness_does_not_depend_on_mode_count(capsys):
+    # check_completeness takes no mode count: the verb's record is the same at any --modes
+    records = []
+    for modes in ("1", "3"):
+        argv = ["coherent", "check", "--q", "0.5", "--modes", modes, "--points", "1", "--cutoff", "4"]
+        assert main(argv + ["--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        records += [dict(c, millis=0) for c in checks if c["name"] == "coherent_completeness"]
+    assert len(records) == 2
+    assert records[0] == records[1]
 
 
 # ---------------------------------------------------------------------------
