@@ -304,10 +304,12 @@ def _transposition_cost(n_modes: int, size: int, ops: float, products: float) ->
 
 
 def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, float]:
-    # the peak of one call beside the state vector (~4 KiB + 28 B per word; 16 to 25 B
-    # measured, 16 B kept), then ``positions`` calls (~40 us + 15 ns per word each)
+    # the peak of one call beside the state vector (~28 KiB + 28 B per word; 16 to 25 B
+    # measured, 16 B kept), then ``positions`` calls (~40 us + 15 ns per word each).  The
+    # fixed term holds the call's ~4 KiB and, at the smallest sweeps, where this kernel
+    # sets the sweep's peak, its records and numpy headers: 38 KiB traced at --modes 3 --N 4
     dim = size_estimate(size * math.log(n_modes))
-    return 4096 + 28 * dim, positions * (40_000 + 15 * dim)
+    return 28_672 + 28 * dim, positions * (40_000 + 15 * dim)
 
 
 def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:

@@ -1,5 +1,6 @@
 """Tests for the qmodes command-line harness."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from qmodes.cli import (
     render_text,
     strip_timing,
 )
-from qmodes import cli, coherent, qcore, qsym
+from qmodes import cli, coherent, fock, qcore, qsym
 from qmodes.qsym import _count_vectors
 from qmodes.fock import RELATION_FAMILIES
 from qmodes.qcore import (
@@ -118,7 +119,7 @@ OVER_BUDGET = [
     ["qsym", "exchange", "--modes", "6", "--N", "10"],
     ["qsym", "appendix", "--modes", "6", "--N", "40"],
     ["qsym", "identity", "--modes", "2", "--N", "27"],
-    ["verify", "algebra", "--modes", "2", "--cutoff", "3000"],
+    ["verify", "algebra", "--modes", "2", "--cutoff", "10000"],
     ["coherent", "check", "--q", "0.5", "--points", "10000000"],
     ["jackson", "moments", "--q", "0.9999999", "--N", "2"],
     ["qexp", "eval", "--q", "0.99", "--points", "100000000"],
@@ -374,7 +375,9 @@ def test_verify_algebra_requests_hold_nothing_once_they_return(capsys):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("argv", [["--modes", "4", "--N", "7"], ["--q", "0.3", "0.6", "--modes", "6", "--N", "5"]])
+@pytest.mark.parametrize(
+    "argv", [["--modes", "4", "--N", "7"], ["--q", "0.3", "0.6", "--modes", "6", "--N", "5"], []]
+)
 def test_exchange_sweep_peaks_within_its_estimate(argv, monkeypatch):
     estimates = []
 
@@ -756,6 +759,27 @@ def test_json_reports_are_deterministic_modulo_timing(capsys):
     first = json.loads(run_cli(argv, capsys)[1])
     second = json.loads(run_cli(argv, capsys)[1])
     assert canonical_json(strip_timing(first)) == canonical_json(strip_timing(second))
+
+
+def test_each_algebra_family_carries_its_own_timing(monkeypatch, capsys):
+    # each record's millis is its own family's time, as verify_algebra reports it
+    verify = fock.verify_algebra
+    seconds = {name: 0.004 * (k + 1) for k, name in enumerate(RELATION_FAMILIES)}
+    monkeypatch.setattr(fock, "verify_algebra", lambda *a, **k: dataclasses.replace(verify(*a, **k), seconds=seconds))
+    code, out, err = run_cli(["verify", "algebra", "--q", "0.5", "0.9", "--format", "json"], capsys)
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 2 * len(RELATION_FAMILIES)
+    for check in checks:
+        assert check["millis"] == round(1000 * seconds[check["name"]]), check
+
+
+def test_stripped_algebra_reports_are_byte_identical(capsys):
+    for extra in ([], ["--modes", "3", "--cutoff", "8", "--inject-corruption"]):
+        argv = ["verify", "algebra", "--q", "0.3", "0.7", "--format", "json"] + extra
+        first, second = (json.loads(run_cli(argv, capsys)[1]) for _ in range(2))
+        assert canonical_json(strip_timing(first)) == canonical_json(strip_timing(second))
+        assert all(check["millis"] == 0 for check in strip_timing(first)["checks"])
 
 
 def test_checks_are_sorted_by_name_then_params(capsys):

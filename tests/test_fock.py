@@ -9,9 +9,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from qmodes import fock
 from qmodes.fock import (
     RELATION_FAMILIES,
     FockSpaceConfig,
+    RelationReport,
     ShiftOperator,
     annihilator,
     build_state,
@@ -425,8 +427,10 @@ def test_a_shift_operator_stores_at_most_one_entry_per_row_and_column():
     "modes,cutoff",
     [(2, 120), (3, 30), (4, 16), (4, 20), (5, 9), (6, 6), (6, 7), (2, 1000), (8, 5)],
 )
-def test_verify_algebra_peaks_within_the_config_estimate(modes, cutoff):
-    # FockSpaceConfig admits or refuses a request on (200 + 60 modes) bytes per state
+def test_verify_algebra_peaks_within_the_config_estimate(modes, cutoff, monkeypatch):
+    # FockSpaceConfig admits or refuses a request on the bytes it hands check_budget
+    estimates = []
+    monkeypatch.setattr(fock, "check_budget", lambda request, nbytes, work: estimates.append(nbytes))
     cfg = FockSpaceConfig(modes, cutoff, DeformationParams(0.5))
     tracemalloc.start()
     try:
@@ -434,13 +438,66 @@ def test_verify_algebra_peaks_within_the_config_estimate(modes, cutoff):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (200 + 60 * modes) * cfg.dimension
+    assert 0.3 * estimates[0] <= peak <= estimates[0]
 
 
 def test_kernel_deviations_equal_the_reference_where_powers_underflow():
     for modes, cutoff, q in ((2, 200, 0.2), (1, 2000, 0.05)):
         cfg = FockSpaceConfig(modes, cutoff, DeformationParams(q))
         assert verify_algebra(cfg).deviations == reference_verify_algebra(cfg).deviations
+
+
+# modes 1 to 8 at small cutoffs, and one large cutoff, where q = 0.05 underflows the
+# products of two amplitudes (and, at cutoff 300, the amplitudes themselves)
+_ROUTE_SHAPES = [(1, 5), (2, 6), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 3), (2, 120)]
+
+
+def _bits(report) -> tuple[dict, dict]:
+    return (
+        {name: float(d).hex() for name, d in report.deviations.items()},
+        {name: float(a).hex() for name, a in report.allowances.items()},
+    )
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.999])
+@pytest.mark.parametrize("modes,cutoff", _ROUTE_SHAPES)
+def test_the_default_route_equals_the_override_route(modes, cutoff, q):
+    # by default verify_algebra lays each operator on the grid by its kernel; an override is
+    # read back from its CSR triple, so the packed operators must give the same report
+    cfg = FockSpaceConfig(modes, cutoff, DeformationParams(q))
+    lowers = [annihilator(cfg, i) for i in range(1, modes + 1)]
+    raises = [creator(cfg, i) for i in range(1, modes + 1)]
+    default = _bits(verify_algebra(cfg))
+    assert _bits(verify_algebra(cfg, annihilators=lowers, creators=raises)) == default
+    csr = [op.tocsr() for op in lowers], [op.tocsr() for op in raises]
+    assert _bits(verify_algebra(cfg, annihilators=csr[0], creators=csr[1])) == default
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.999])
+@pytest.mark.parametrize("modes,cutoff", _ROUTE_SHAPES + [(2, 300)])
+def test_each_grid_kernel_is_the_amplitude_grid_of_its_packed_operator(modes, cutoff, q):
+    cfg = FockSpaceConfig(modes, cutoff, DeformationParams(q))
+    kernels = (
+        (fock._annihilator_grid, annihilator, -1),
+        (fock._creator_grid, creator, +1),
+        (fock._number_grid, number_op, 0),
+    )
+    for grid, build, step in kernels:
+        for i in range(1, modes + 1):
+            assert np.array_equal(grid(cfg, i), fock._shift_amplitudes(cfg, build(cfg, i), i, step))
+
+
+def test_the_number_grid_is_a_view_with_no_copy():
+    grid = fock._number_grid(cfg_for(modes=3, cutoff=40), 2)
+    assert grid.shape == (40, 40, 40) and not grid.flags.writeable
+    assert grid.base is not None and grid.base.size == 40
+
+
+def test_each_family_reports_the_time_it_took():
+    report = verify_algebra(cfg_for(modes=3, cutoff=8))
+    assert list(report.seconds) == list(RELATION_FAMILIES)
+    assert all(s >= 0.0 for s in report.seconds.values())
+    assert RelationReport(1, 3, 0.5, 1e-12, {}, 4).seconds == {}  # the field may be left out
 
 
 # ---------------------------------------------------------------------------
