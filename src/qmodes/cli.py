@@ -100,14 +100,12 @@ class CheckRecord:
 
     @classmethod
     def measured(cls, name: str, params: dict, deviation: float, tol: float, millis: int, **allowances: float):
-        """A numeric check, the one pass rule: passed when its deviation is below ``tol``
-        plus each allowance, added left to right.  A NaN deviation fails.  Each allowance
-        is written into (a copy of) ``params`` under its keyword, so that a reader can
-        recompute the verdict from the record and the report's ``tol``."""
-        threshold = tol
-        for allowance in allowances.values():
-            threshold += allowance
-        return cls(name, {**params, **allowances}, deviation < threshold, deviation=deviation, millis=millis)
+        """A numeric check, judged by the one pass rule ``qcore.passes(deviation, tol,
+        *allowances)``.  Each allowance is written into (a copy of) ``params`` under its
+        keyword, so that a reader can recompute the verdict from the record and the
+        report's ``tol``."""
+        passed = qcore.passes(deviation, tol, *allowances.values())
+        return cls(name, {**params, **allowances}, passed, deviation=deviation, millis=millis)
 
     def to_json(self) -> dict:
         record = {
@@ -204,7 +202,7 @@ def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]
         if config.inject_corruption:
             # only a_1 is corrupted; verify_algebra lays the honest ones on the grid itself
             lowers = [fock.corrupted_annihilator(cfg, 1)] + [None] * (config.modes - 1)
-        report = fock.verify_algebra(cfg, tol=config.tol, annihilators=lowers)
+        report = fock.verify_algebra(cfg, annihilators=lowers)
         point = {"q": q, "modes": config.modes, "cutoff": config.cutoff}
         for name in fock.RELATION_FAMILIES:
             allowance = {"rounding_allowance": report.allowances[name]} if name in report.allowances else {}
@@ -367,14 +365,14 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                                                 config.tol, _elapsed_ms(start), tail_allowance=state.tail_mass))
             for mode in range(1, spec.modes + 1):
                 start = time.perf_counter()
-                report = coherent.check_eigenvalue(state, mode, tol=config.tol)
+                report = coherent.check_eigenvalue(state, mode)
                 records.append(CheckRecord.measured(
                     "coherent_eigenvalue", {"q": q, "point": point, "mode": mode}, report.residual, config.tol,
                     _elapsed_ms(start), tail_allowance=report.tail_allowance,
                     rounding_allowance=report.rounding_allowance,
                 ))
         start = time.perf_counter()
-        comp = coherent.check_completeness(params, config.cutoff, tol=config.tol, variant=config.variant)
+        comp = coherent.check_completeness(params, config.cutoff, config.variant)
         point = {
             "q": q,
             "variant": comp.variant.value,
@@ -442,10 +440,13 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         return qsym._class_cost("arrangements", n, size, *totals)[1] + len(config.q_values) * per_q
 
     # the top size's classes (16 B per word, and their records) and one state vector filled
-    # from them, beside one transposition or one exchange kernel call, never both; or, while
+    # from them, beside one transposition or one exchange kernel call, never both, and
+    # beside the sweep's own objects, charged once: ~512 B per check record (340 to 500 B
+    # kept, up to ~600 B on a first call) and ~12 KiB of numpy headers and views; or, while
     # the classes are built, one pass of the arrangement kernel beside those built
     classes, words = qsym._class_totals(n, N)
     nbytes = qsym._class_cost("arrangements", n, N, classes, 0)[0] + qsym._class_cost("symmetrize", n, N, 1, words)[0]
+    nbytes += 512 * 3 * (N - 1) * len(config.q_values) + 12_288
     nbytes += max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0])
     build = qsym._class_cost("arrangements", n, N, classes, qsym._batch_rows(n, N))[0] + 16 * words
     nbytes = max(nbytes, build)

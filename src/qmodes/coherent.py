@@ -45,8 +45,7 @@ import numpy as np
 from .qcore import (
     DeformationParams,
     DomainError,
-    _bracket_table,
-    _brackets,
+    _bracket_array,
     _factors_for,
     _moment_deviations,
     _moments_cost,
@@ -189,7 +188,7 @@ class CoherentState:
 
 def mode_coefficients(params: DeformationParams, z: complex, cutoff: int) -> np.ndarray:
     """Single-mode coefficients z^m / sqrt([m]!) for m < cutoff."""
-    brackets = _brackets(params, cutoff)
+    brackets = _bracket_array(params, cutoff)[:cutoff].tolist()
     coeff = np.zeros(cutoff, dtype=np.complex128)
     coeff[0] = 1.0
     for m in range(1, cutoff):
@@ -205,7 +204,7 @@ def mode_tail_bound(params: DeformationParams, z: complex, cutoff: int) -> float
     tail, already divided by the (>= 1) retained partial sum.  Returns inf
     while the majorant does not yet apply.
     """
-    brackets = _brackets(params, cutoff + 2)
+    brackets = _bracket_array(params, cutoff + 2)[: cutoff + 2].tolist()
     x = abs(z) ** 2
     term = 1.0
     partial = 1.0
@@ -222,7 +221,7 @@ def mode_tail_bound(params: DeformationParams, z: complex, cutoff: int) -> float
 def _lowered(params: DeformationParams, v: np.ndarray) -> np.ndarray:
     """a v on one mode: sqrt([m + 1]) v[m + 1] at rung m, and 0 at the top rung."""
     lowered = np.zeros_like(v)
-    lowered[:-1] = np.sqrt(_brackets(params, v.size)[1:]) * v[1:]
+    lowered[:-1] = np.sqrt(_bracket_array(params, v.size)[1 : v.size]) * v[1:]
     return lowered
 
 
@@ -257,10 +256,10 @@ def suggest_cutoff(
         term = 1.0
         partial = 1.0
         cutoff = None
-        brackets = _bracket_table(params, 2)
+        brackets = _bracket_array(params, 2).tolist()
         for m in range(1, _MAX_CUTOFF):
             if m + 1 == len(brackets):
-                brackets = _bracket_table(params, m + 2)
+                brackets = _bracket_array(params, m + 2).tolist()
             term *= x / brackets[m]
             partial += term
             ratio = x / brackets[m + 1]
@@ -307,11 +306,10 @@ def build_coherent(spec: CoherentSpec, tail_tol: float = 1e-10) -> CoherentState
 
 @dataclass(frozen=True)
 class EigenvalueReport:
-    """Residual of the twisted eigenvalue relation for one mode.
+    """Residual of the twisted eigenvalue relation for one mode, measured and not judged.
 
-    ``residual`` is the telescoping bound of :func:`check_eigenvalue`;
-    it passes when it is below ``tol`` plus the tail allowance plus the
-    rounding allowance, added in that order.
+    ``residual`` is the telescoping bound of :func:`check_eigenvalue`.  A
+    verdict is ``qcore.passes(residual, tol, tail_allowance, rounding_allowance)``.
     """
 
     mode: int
@@ -320,16 +318,9 @@ class EigenvalueReport:
     residual: float
     tail_allowance: float
     rounding_allowance: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.tol + self.tail_allowance + self.rounding_allowance
 
 
-def check_eigenvalue(
-    state: CoherentState, i: int, tol: float = 1e-9
-) -> EigenvalueReport:
+def check_eigenvalue(state: CoherentState, i: int) -> EigenvalueReport:
     """Residual of a_i |z> = z_i * rho * |z'> on the truncated space, factor by factor.
 
     |z'> is the coherent state of the shifted spec (z_k -> q z_k for k > i)
@@ -380,13 +371,13 @@ def check_eigenvalue(
         residual=float(residual),
         tail_allowance=10.0 * math.sqrt(state.tail_mass + shifted_tail),
         rounding_allowance=(spec.cutoff + 4 * spec.modes + 4) * _UNIT_ROUNDOFF * float(sides),
-        tol=tol,
     )
 
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Per-level deviations of the radial resolution-of-unity reduction."""
+    """Per-level deviations of the radial resolution-of-unity reduction, measured and
+    not judged: a verdict is ``qcore.passes(max_deviation, tol)``, with no allowance."""
 
     variant: WeightVariant
     q: float
@@ -394,11 +385,6 @@ class CompletenessReport:
     max_deviation: float
     alternate_variant: WeightVariant
     alternate_max_deviation: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation < self.tol
 
     @property
     def consistent_variant(self) -> WeightVariant:
@@ -409,10 +395,7 @@ class CompletenessReport:
 
 
 def check_completeness(
-    params: DeformationParams,
-    cutoff: int,
-    tol: float = 1e-10,
-    variant: WeightVariant = WeightVariant.SQUARED_Q,
+    params: DeformationParams, cutoff: int, variant: WeightVariant = WeightVariant.SQUARED_Q
 ) -> CompletenessReport:
     """Certify the resolution of unity through its per-mode radial reduction.
 
@@ -436,7 +419,6 @@ def check_completeness(
         max_deviation=max(primary),
         alternate_variant=other,
         alternate_max_deviation=max(_moment_deviations(params, levels, _BETA[other])),
-        tol=tol,
     )
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "jackson_integral",
     "jackson_moment",
     "disk_samples",
+    "passes",
     "check_budget",
     "size_estimate",
 ]
@@ -100,16 +101,6 @@ def q_number(params: DeformationParams, x: float) -> float:
     return value
 
 
-@functools.lru_cache(maxsize=64)
-def _brackets(params: DeformationParams, size: int) -> tuple[float, ...]:
-    """[k] for k < size, each by the expression of :func:`q_number` (finite for k >= 0).
-
-    The per-q table the scalar loops read in place of one call per term.
-    """
-    q_sq = params.q_sq
-    return tuple((q_sq**k - 1.0) / (q_sq - 1.0) for k in range(size))
-
-
 def _table_entries(size: int) -> int:
     """64 * 2^j, the least such that holds ``size``: the sizes the per-q tables grow
     through, so the loops that read them share a few tables per q."""
@@ -119,20 +110,21 @@ def _table_entries(size: int) -> int:
     return entries
 
 
-def _bracket_table(params: DeformationParams, size: int) -> tuple[float, ...]:
-    """The cached bracket table of :func:`_table_entries` (``size``) entries."""
-    return _brackets(params, _table_entries(size))
-
-
 @functools.lru_cache(maxsize=64)
 def _bracket_values(params: DeformationParams, entries: int) -> np.ndarray:
-    table = np.array(_brackets(params, entries))
+    q_sq = params.q_sq
+    table = np.array([(q_sq**k - 1.0) / (q_sq - 1.0) for k in range(entries)])
     table.flags.writeable = False
     return table
 
 
 def _bracket_array(params: DeformationParams, size: int) -> np.ndarray:
-    """The brackets of :func:`_bracket_table` as a cached read-only float array."""
+    """[k] for k < :func:`_table_entries` (``size``), each by the Python-float expression
+    of :func:`q_number` (finite for k >= 0): the one cached read-only table per q.
+
+    The scalar loops read ``.tolist()`` of the slice they need in place of one call
+    per term; the batched kernels read the array.
+    """
     return _bracket_values(params, _table_entries(size))
 
 
@@ -140,10 +132,9 @@ def q_factorial(params: DeformationParams, n: int) -> float:
     """Product [1][2]...[n] of brackets, with [0]! = 1."""
     if n < 0 or n != int(n):
         raise DomainError(f"factorial index must be a nonnegative integer, got {n!r}")
-    brackets = _bracket_table(params, int(n) + 1)
     value = 1.0
-    for k in range(1, int(n) + 1):
-        value *= brackets[k]
+    for bracket in _bracket_array(params, int(n) + 1)[1 : int(n) + 1].tolist():
+        value *= bracket
     if not math.isfinite(value):
         raise OverflowError(f"bracket factorial overflows at n={n}, q={params.q}")
     return value
@@ -163,6 +154,18 @@ def q_multinomial(params: DeformationParams, counts: Sequence[int]) -> float:
     if not math.isfinite(value):
         raise OverflowError(f"bracket multinomial overflows for counts={counts}")
     return value
+
+
+def passes(deviation: float, tol: float, *allowances: float) -> bool:
+    """The one pass rule of every numeric check: ``deviation`` below ``tol`` plus each
+    allowance, added left to right.  A NaN deviation fails.
+
+    The checks measure and report their deviations and allowances; only this judges them.
+    """
+    threshold = tol
+    for allowance in allowances:
+        threshold += allowance
+    return bool(deviation < threshold)
 
 
 def check_budget(request: str, nbytes: float, work: float, *fields) -> None:
@@ -607,13 +610,14 @@ def _moments_cost(params: DeformationParams, levels: int, beta: float, rel_tol: 
     most levels (H + 1) + (K_0 - H)(1 + ln levels).  Moment 0 has the largest grid,
     and so the peak bytes.  Besides its grid and factors, each level costs ~50 us of
     calls (45 to 48 us measured where the grids are a few points, on a 2-core x86-64
-    machine).  The running factorial reads a bracket table of up to twice the levels,
-    ~34 B per entry (32 to 34 B measured).
+    machine).  The running factorial reads the cached bracket table of up to twice the
+    levels, ~48 B per entry: 8 B kept, beside the list of Python floats it is built from
+    or the one the sweep reads its levels from (~32 B each; 40 B per entry traced in all).
     """
     half_from, grid, extra = _moment_grid(params, 0, beta, rel_tol)
     points = levels * (half_from + 1) + (grid - half_from) * (1.0 + math.log(levels))
     work = _moment_cost(points, levels * extra)[1] + 50_000 * levels
-    return _moment_cost(grid, extra)[0] + 34 * _table_entries(levels), work, points
+    return _moment_cost(grid, extra)[0] + 48 * _table_entries(levels), work, points
 
 
 def _moment_deviations(params: DeformationParams, levels: int, beta: float = 2, rel_tol: float = 1e-15):
@@ -624,7 +628,7 @@ def _moment_deviations(params: DeformationParams, levels: int, beta: float = 2, 
     O(1) per level.  Each level's moment is taken before its factorial, and the
     first non-finite product raises q_factorial's OverflowError.
     """
-    brackets = _bracket_table(params, levels)
+    brackets = _bracket_array(params, levels)[:levels].tolist()
     factorial = 1.0
     for m in range(levels):
         moment = jackson_moment(params, m, beta, rel_tol)

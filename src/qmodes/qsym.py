@@ -284,13 +284,15 @@ def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: floa
     Its work terms, ~25 us per letter per class and ~350 ns per row, were fitted on one pass
     per class and now only err high: a pass takes ~15 us per letter and ~60 ns per row.
     "symmetrize" fills an n^N vector (8 B, ~1.5 ns per entry): ~40 us per class, ~15 ns and
-    24 B per row.  "identity" is one exact division, ~70 us + 22 ns * N^4.
+    24 B per row, and ~20 N^2 B for its q^k over the N(N-1)/2 + 1 inversion counts (Python
+    floats while ``_powers`` builds them).  "identity" is one exact division, ~70 us +
+    22 ns * N^4.
     """
     if kernel == "arrangements":
         return 100 * rows + (8 * n_modes + 600) * classes, 25_000 * classes * size + 350 * rows
     if kernel == "symmetrize":
         dim = size_estimate(size * math.log(n_modes))
-        return 8 * dim + 24 * rows, 1.5 * dim + 40_000 * classes + 15 * rows
+        return 8 * dim + 24 * rows + 20 * size * size, 1.5 * dim + 40_000 * classes + 15 * rows
     return 0, classes * (70_000 + 22 * size**4)  # "identity"
 
 
@@ -304,12 +306,10 @@ def _transposition_cost(n_modes: int, size: int, ops: float, products: float) ->
 
 
 def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, float]:
-    # the peak of one call beside the state vector (~28 KiB + 28 B per word; 16 to 25 B
-    # measured, 16 B kept), then ``positions`` calls (~40 us + 15 ns per word each).  The
-    # fixed term holds the call's ~4 KiB and, at the smallest sweeps, where this kernel
-    # sets the sweep's peak, its records and numpy headers: 38 KiB traced at --modes 3 --N 4
+    # the peak of one call beside the state vector (~4 KiB + 28 B per word; 16 to 25 B
+    # measured, 16 B kept), then ``positions`` calls (~40 us + 15 ns per word each)
     dim = size_estimate(size * math.log(n_modes))
-    return 28_672 + 28 * dim, positions * (40_000 + 15 * dim)
+    return 4096 + 28 * dim, positions * (40_000 + 15 * dim)
 
 
 def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:

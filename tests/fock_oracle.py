@@ -30,6 +30,7 @@ from qmodes.fock import (
     number_op,
     occupation_table,
 )
+from qmodes.qcore import passes
 
 
 def reference_operator(cfg: FockSpaceConfig, kind: str, i: int) -> sp.csr_matrix:
@@ -61,7 +62,6 @@ def _interior_max(matrix: sp.spmatrix, interior: np.ndarray) -> float:
 
 def reference_verify_algebra(
     cfg: FockSpaceConfig,
-    tol: float = 1e-12,
     annihilators: Sequence[sp.spmatrix] | None = None,
     creators: Sequence[sp.spmatrix] | None = None,
 ) -> RelationReport:
@@ -146,7 +146,13 @@ def reference_verify_algebra(
         modes=n,
         cutoff=cfg.cutoff,
         q=q,
-        tol=tol,
         deviations=worst,
         interior_size=int(interior.size),
     )
+
+
+def failing_families(report: RelationReport, tol: float) -> list[str]:
+    """The families of ``report`` that fail at ``tol`` under the one pass rule, each
+    judged with its rounding allowance (0 where the report states none)."""
+    allowances = report.allowances
+    return sorted(name for name, d in report.deviations.items() if not passes(d, tol, allowances.get(name, 0.0)))

@@ -1,6 +1,7 @@
 """Tests for the qmodes command-line harness."""
 
 import dataclasses
+import gc
 import json
 import subprocess
 import sys
@@ -219,9 +220,11 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
                 work += cost(["arrangements"], s, rows)[0][1]
             work += 2 * per_q
         # the records of the size's classes and the state vector, beside one transposition
-        # or one exchange kernel call
+        # or one exchange kernel call, and the sweep's 3 check records per size and q and
+        # its fixed objects
         nbytes = cost(["arrangements"], N, 0, len(classes[N]))[0][0]
         nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(classes[N]))[0]
+        nbytes += 512 * 3 * (N - 1) * 2 + 12_288
         nbytes += max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0])
         # or, while the classes are built, one pass of the kernel beside the classes built
         # so far: at most _BATCH_ROWS rows, or the largest class, and at most every word
@@ -375,8 +378,27 @@ def test_verify_algebra_requests_hold_nothing_once_they_return(capsys):
         tracemalloc.stop()
 
 
+def test_a_long_moment_sweep_holds_one_bracket_table_once_it_returns(tmp_path, capsys):
+    # only the one cached read-only table of brackets per q outlives the request: 2^15
+    # floats, 262 kB
+    out = ["--out", str(tmp_path / "report.txt")]
+    run_cli(["jackson", "moments", "--q", "0.5", "--N", "1"] + out, capsys)  # the parser and lazy imports
+    qcore._bracket_values.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, _, err = run_cli(["jackson", "moments", "--q", "0.05", "--N", "20000"] + out, capsys)
+        gc.collect()  # also empties the free lists that keep spare tuples and floats
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert held < 0.5e6
+
+
 @pytest.mark.parametrize(
-    "argv", [["--modes", "4", "--N", "7"], ["--q", "0.3", "0.6", "--modes", "6", "--N", "5"], []]
+    "argv",
+    [["--modes", "4", "--N", "7"], ["--q", "0.3", "0.6", "--modes", "6", "--N", "5"], [], ["--modes", "3", "--N", "6"]],
 )
 def test_exchange_sweep_peaks_within_its_estimate(argv, monkeypatch):
     estimates = []

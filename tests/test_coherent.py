@@ -26,7 +26,7 @@ from qmodes.coherent import (
     suggest_cutoff,
 )
 from qmodes.fock import FockSpaceConfig, annihilator
-from qmodes.qcore import DeformationParams, DomainError, q_factorial, q_number
+from qmodes.qcore import DeformationParams, DomainError, passes, q_factorial, q_number
 
 from coherent_oracle import dense_eigenvalue, dense_state, telescoping_bound
 from qcore_oracle import (
@@ -37,6 +37,11 @@ from qcore_oracle import (
 )
 
 Q_GRID = (0.3, 0.5, 0.9)
+
+
+def eigenvalue_passes(report, tol: float = 1e-9) -> bool:
+    """The verdict of an eigenvalue report at ``tol``, as ``coherent check`` judges it."""
+    return passes(report.residual, tol, report.tail_allowance, report.rounding_allowance)
 
 
 def make_spec(q: float, z: tuple, cutoff: int) -> CoherentSpec:
@@ -188,8 +193,8 @@ def test_eigenvalue_residual_is_truncation_only():
     cutoff = suggest_cutoff(params, z, tail_tol=1e-14)
     state = build_coherent(CoherentSpec(z, params, cutoff), tail_tol=1e-14)
     for mode in (1, 2):
-        report = check_eigenvalue(state, mode, tol=1e-9)
-        assert report.passed
+        report = check_eigenvalue(state, mode)
+        assert eigenvalue_passes(report)
         assert report.residual < 1e-6
 
 
@@ -229,7 +234,7 @@ def test_uncompensated_eigenvalue_relation_visibly_fails():
     report = check_eigenvalue(state, 1)
     assert naive > 1e-3
     assert report.residual < 1e-6
-    assert naive > 1e3 * (report.tol + report.tail_allowance + report.rounding_allowance)
+    assert naive > 1e3 * (1e-9 + report.tail_allowance + report.rounding_allowance)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +244,8 @@ def test_uncompensated_eigenvalue_relation_visibly_fails():
 @pytest.mark.parametrize("q", Q_GRID)
 def test_completeness_holds_for_squared_weight(q):
     cfg = FockSpaceConfig(1, 8, DeformationParams(q))
-    report = check_completeness(cfg.params, cfg.cutoff, tol=1e-10)
-    assert report.passed
+    report = check_completeness(cfg.params, cfg.cutoff)
+    assert passes(report.max_deviation, 1e-10)
     assert report.max_deviation < 1e-12
     assert len(report.deviations) == cfg.cutoff - 1
     assert report.consistent_variant is WeightVariant.SQUARED_Q
@@ -249,8 +254,8 @@ def test_completeness_holds_for_squared_weight(q):
 
 def test_completeness_rejects_plain_weight():
     cfg = FockSpaceConfig(1, 8, DeformationParams(0.5))
-    report = check_completeness(cfg.params, cfg.cutoff, tol=1e-10, variant=WeightVariant.PAPER_Q)
-    assert not report.passed
+    report = check_completeness(cfg.params, cfg.cutoff, variant=WeightVariant.PAPER_Q)
+    assert not passes(report.max_deviation, 1e-10)
     assert report.consistent_variant is WeightVariant.SQUARED_Q
     assert report.max_deviation == pytest.approx(0.39, abs=0.05)
 
@@ -328,7 +333,7 @@ def test_factored_residual_bounds_the_dense_residual(modes, tail_tol):
                 dense, dense_passed = dense_eigenvalue(spec, mode)
                 assert report.residual >= dense - report.rounding_allowance
                 assert report.residual <= dense + report.rounding_allowance
-                assert report.passed == dense_passed
+                assert eigenvalue_passes(report) == dense_passed
 
 
 def test_factored_residual_is_the_telescoping_bound_of_its_factors():
@@ -364,7 +369,7 @@ def test_a_corrupted_later_factor_trips_the_check_of_an_earlier_mode():
     ratio = math.sqrt(1.0 - (1.0 - params.q_sq) * abs(spec.z[1]) ** 2)
     lower = annihilator(FockSpaceConfig(2, 60, params), 1)
     dense = np.linalg.norm(lower @ np.kron(*corrupted.vector) - spec.z[0] * ratio * shifted)
-    assert not report.passed
+    assert not eigenvalue_passes(report)
     assert report.residual >= dense - report.rounding_allowance
     assert dense > 5e-3
 

@@ -21,7 +21,7 @@ from qmodes.qcore import (
     DomainError,
     QExpValue,
     SingularityError,
-    _brackets,
+    _bracket_array,
     _factors_for,
     _q_exp_product_tail,
     _series_terms,
@@ -29,6 +29,7 @@ from qmodes.qcore import (
     disk_samples,
     jackson_integral,
     jackson_moment,
+    passes,
     q_exp,
     q_exp_points,
     q_exp_product,
@@ -175,9 +176,9 @@ def test_series_tail_majorant_covers_dropped_terms():
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.97, 0.99])
 def test_tabled_series_and_products_equal_the_per_term_loops(q):
     params = DeformationParams(q)
-    table = _brackets(params, 300)
-    assert len(table) >= 300
-    assert all(table[k] == q_number(params, k) for k in range(len(table)))
+    table = _bracket_array(params, 300)
+    assert len(table) >= 300 and not table.flags.writeable
+    assert all(value == q_number(params, k) for k, value in enumerate(table.tolist()))
     for x in disk_samples(params, 36) + [0.0, 0.5 * params.radius, -0.9 * params.radius]:
         assert q_exp(params, x) == reference_q_exp(params, x)
         assert q_exp(params, x, rel_tol=1e-9) == reference_q_exp(params, x, rel_tol=1e-9)
@@ -441,3 +442,12 @@ def test_a_budget_request_is_formatted_only_on_refusal():
         check_budget("the class {}", 2.0**31, 1.0, (1, 2))
     with pytest.raises(DomainError, match=r"^a {literal} request needs about"):
         check_budget("a {literal} request", 1.0, 1e12)  # no fields: the text as given
+
+
+def test_a_check_passes_strictly_below_tol_plus_its_allowances_added_left_to_right():
+    u = 2.0**-53
+    assert passes(0.5, 1.0) is True and passes(1.0, 1.0) is False
+    assert passes(1.5, 1.0, 1.0) and not passes(2.0, 1.0, 0.5, 0.5)
+    # (1 + u) + u rounds to 1, while u + u + 1 does not: the order is the arguments'
+    assert not passes(1.0, 1.0, u, u) and passes(1.0, u, u, 1.0)
+    assert not passes(math.nan, 1.0) and not passes(math.inf, 1.0, math.inf)
