@@ -48,10 +48,10 @@ __all__ = [
 
 _POLE_TOL = 1e-12
 _MAX_TERMS = 100_000  # series terms before q_exp gives up
-_BLOCK = 32  # points the q-exponential kernels step side by side
-_CHUNK = 32  # series terms between two stopping tests of a block
+_SERIES_ENTRIES = 3072  # point-terms per pass of the series kernel: fewer cost set-up, more cost memory
 _GATHER = 8  # stopped points whose series terms are copied out together
 _PRODUCT_ENTRIES = 4096  # product factors a block forms at once
+_RINGS = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)  # the fractions of the radius disk_samples cycles through
 
 BYTE_BUDGET = 2**30  # predicted peak bytes of one request
 WORK_BUDGET = 3e11  # steps of ~1 ns each, as the call sites cost them: ~5 minutes on 2 cores
@@ -271,99 +271,99 @@ def q_exp_points(
     k the sum stops once the ratio r = |x| / [k+1] is below one and the tail
     bound |t_k| r / (1 - r) is at most rel_tol * max(|partial sum|, |t_k|).
 
-    The points are sorted by |x|, which sets how many terms they need, and
-    stepped side by side in blocks of ``_BLOCK``: each step is one float
-    operation across the block, in the order CPython's complex arithmetic
-    takes, so every value, tail and term count equals the one-point loop bit
-    for bit.  A block keeps its terms in numpy until its last point stops.
-    Every point must lie in the open disk |x| < radius (DomainError
-    otherwise, for the first such point); a point whose series has not
-    stopped after ``_MAX_TERMS`` terms raises DomainError too.
+    All the points are stepped side by side, each step one float operation across the points
+    still summing, in the order CPython's complex arithmetic takes: so every value, tail and
+    term count equals the one-point loop bit for bit.  The call keeps 16 B per term of each
+    point still summing.  Every point must lie in the open disk |x| < radius (DomainError
+    otherwise, for the first such point), and stop within ``_MAX_TERMS`` terms (DomainError).
     """
     xs = [_check_disk(params, x) for x in xs]
-    magnitudes = [abs(x) for x in xs]
-    order = sorted(range(len(xs)), key=magnitudes.__getitem__)
+    return _series_block(params, xs, rel_tol) if xs else []
+
+
+def _series_block(params: DeformationParams, xs: list[complex], rel_tol: float) -> list[QExpValue]:
+    """The series of :func:`q_exp_points`: passes of ``_SERIES_ENTRIES`` // (points still
+    summing) steps, at most the budget's square root, so a lone point steps at most that far
+    past its stop.  The points that stop in a pass have their terms copied out of every pass's
+    chunk, ``_GATHER`` at a time, and summed with fsum; then each chunk drops them."""
+    numerators = np.array([[x.real + x.imag * 0.0 for x in xs], [x.imag - x.real * 0.0 for x in xs]])
+    magnitude, live = np.array([abs(v) for v in xs]), np.arange(len(xs))  # the points still summing
+    running, t_abs = np.array([[1.0] * len(xs), [0.0] * len(xs)]), np.ones(len(xs))
+    history = [running[None].copy()]  # per pass, (term, component, point) of the points still summing
     values: list[QExpValue] = [None] * len(xs)  # type: ignore[list-item]
-    for first in range(0, len(order), _BLOCK):
-        block = order[first : first + _BLOCK]
-        found = _series_block(params, [xs[i] for i in block], [magnitudes[i] for i in block], rel_tol)
-        for i, value in zip(block, found):
-            values[i] = value
-    return values
+    k0, longest = 1, math.isqrt(_SERIES_ENTRIES)
+    while k0 < _MAX_TERMS:
+        steps = min(max(1, _SERIES_ENTRIES // live.size), longest, _MAX_TERMS - k0)
+        terms, running, t_abs, hit, rows, tails = _series_pass(
+            params, k0, steps, numerators, magnitude, history[-1][-1], running, t_abs, rel_tol
+        )
+        history.append(terms[1:])
+        k0 += steps
+        columns = np.flatnonzero(hit)
+        for first in range(0, columns.size, _GATHER):
+            group, filled = columns[first : first + _GATHER], 0
+            found = np.empty((k0, 2, group.size))
+            for chunk in history:
+                chunk.take(group, axis=2, out=found[filled : filled + len(chunk)])
+                filled += len(chunk)
+            for g, column in enumerate(group.tolist()):
+                k = rows[first + g]
+                re, im = (math.fsum(memoryview(found[: k + 1, c, g])) for c in (0, 1))
+                values[live[column]] = QExpValue(complex(re, im), tails[first + g], k + 1)
+        if columns.size == live.size:
+            return values
+        if columns.size:
+            kept = np.flatnonzero(~hit)
+            for i in range(len(history)):  # each old chunk is freed before the next is copied
+                history[i] = history[i].take(kept, axis=2)
+            live, magnitude, numerators = live[kept], magnitude[kept], numerators[:, kept]
+            running, t_abs = running[:, kept], t_abs[kept]
+    raise DomainError(
+        f"series did not reach rel_tol={rel_tol} within {_MAX_TERMS} terms "
+        f"(|x|/radius = {magnitude.min() / params.radius:.4f})"
+    )
 
 
-def _series_block(
-    params: DeformationParams, xs: list[complex], magnitudes: list[float], rel_tol: float
-) -> list[QExpValue]:
-    """The series of :func:`q_exp_points` for one block of points, ``_CHUNK`` terms per pass.
+def _series_pass(params, k0, steps, numerators, magnitude, term, running, t_abs, rel_tol):
+    """Terms k0 .. k0 + steps - 1 of the points still summing, from term k0 - 1, its partial sum
+    and modulus: the terms (row 0 is ``term``), new sums and moduli, which points stop, and at
+    which term with what tail bound.  A function of its own, so its arrays go before the gather.
 
     CPython divides x by the float [k] as the complex (x.re + x.im*0, x.im - x.re*0) / [k]
     and multiplies t by w as (t.re*w.re - t.im*w.im, t.re*w.im + t.im*w.re).  Row c of
     the weights of step k holds the factors of t.re and t.im in component c of that
-    product, so one multiply and one add of the two columns take the step for the block.
-    A point leaves the block at the pass where it stops.
+    product, so one multiply and one add of the two columns take the step for all points.
     """
-    x = np.array(xs, dtype=complex)
-    numerator_re, numerator_im = x.real + x.imag * 0.0, x.imag - x.real * 0.0
-    magnitude = np.array(magnitudes)
-    live = np.arange(len(xs))  # the block positions of the points still summing
-    term = np.array([[1.0] * len(xs), [0.0] * len(xs)])
-    running, t_abs = term.copy(), np.ones(len(xs))
-    history = [(live, term[None])]  # per pass, the points it stepped and their terms
-    values: list[QExpValue] = [None] * len(xs)  # type: ignore[list-item]
-    multiply, add = np.multiply, np.add
+    brackets = _bracket_array(params, k0 + steps + 1)[k0 : k0 + steps + 1, None]
     with np.errstate(all="ignore"):  # rows past a point's stop may overflow; they are never read
-        for k0 in range(1, _MAX_TERMS, _CHUNK):
-            steps, size = min(_CHUNK, _MAX_TERMS - k0), live.size
-            brackets = _bracket_array(params, k0 + steps + 1)[k0 : k0 + steps + 1, None]
-            weights = np.empty((steps, 2, 2, size))
-            np.divide(numerator_re, brackets[:-1], out=weights[:, 0, 0])
-            np.divide(numerator_im, brackets[:-1], out=weights[:, 1, 0])
-            np.negative(weights[:, 1, 0], out=weights[:, 0, 1])
-            weights[:, 1, 1] = weights[:, 0, 0]
-            terms, products = np.empty((steps + 1, 2, size)), np.empty((2, 2, size))
-            terms[0] = term
-            left, right = products[:, 0], products[:, 1]
-            for j in range(steps):
-                multiply(weights[j], terms[j], products)
-                add(left, right, terms[j + 1])
-            history.append((live, terms[1:]))
-            sums = np.concatenate((running[None], terms[1:]))
-            np.add.accumulate(sums, axis=0, out=sums)
-            t = np.concatenate((t_abs[None], magnitude / brackets[:-1]))
-            np.multiply.accumulate(t, axis=0, out=t)
-            ratio = magnitude / brackets[1:]
-            tail = t[1:] * ratio
-            tail /= 1.0 - ratio
-            bound = np.hypot(sums[1:, 0], sums[1:, 1])
-            np.maximum(bound, t[1:], out=bound)
-            stop = tail <= rel_tol * bound
-            stop &= ratio < 1.0
-            hit = stop.any(axis=0)
-            columns = np.flatnonzero(hit)
-            rows = (k0 + stop[:, columns].argmax(axis=0)).tolist()  # the term each stops at
-            for first in range(0, columns.size, _GATHER):
-                # the terms of a few stopped points, copied out of every pass together
-                group = live[columns[first : first + _GATHER]]
-                found, filled = np.empty((k0 + steps, 2, group.size)), 0
-                for was, chunk in history:
-                    into = found[filled : filled + len(chunk)]
-                    np.take(chunk, np.searchsorted(was, group), axis=2, out=into)
-                    filled += len(chunk)
-                for g, i in enumerate(group.tolist()):
-                    k, column = rows[first + g], columns[first + g]
-                    re, im = (math.fsum(memoryview(found[: k + 1, c, g])) for c in (0, 1))
-                    values[i] = QExpValue(complex(re, im), float(tail[k - k0, column]), k + 1)
-            keep = ~hit
-            live, magnitude = live[keep], magnitude[keep]
-            numerator_re, numerator_im = numerator_re[keep], numerator_im[keep]
-            term, running, t_abs = terms[-1][:, keep], sums[-1][:, keep], t[-1][keep]
-            if not live.size:
-                return values
-    raise DomainError(
-        f"series did not reach rel_tol={rel_tol} within {_MAX_TERMS} terms "
-        f"(|x|/radius = {magnitudes[int(live[0])] / params.radius:.4f})"
-    )
+        weights = np.empty((steps, 2, 2, magnitude.size))
+        np.divide(numerators[0], brackets[:-1], out=weights[:, 0, 0])
+        np.divide(numerators[1], brackets[:-1], out=weights[:, 1, 0])
+        np.negative(weights[:, 1, 0], out=weights[:, 0, 1])
+        weights[:, 1, 1] = weights[:, 0, 0]
+        terms, products = np.empty((steps + 1, 2, magnitude.size)), np.empty((2, 2, magnitude.size))
+        terms[0] = term
+        left, right = products[:, 0], products[:, 1]
+        for j in range(steps):
+            np.multiply(weights[j], terms[j], products)
+            np.add(left, right, terms[j + 1])
+        del weights  # so that the pass peaks at the stopping test's arrays alone
+        running = np.concatenate((running[None], terms[1:]))
+        np.add.accumulate(running, axis=0, out=running)
+        bound, running = np.hypot(running[1:, 0], running[1:, 1]), running[-1].copy()
+        t = np.concatenate((t_abs[None], magnitude / brackets[:-1]))
+        np.multiply.accumulate(t, axis=0, out=t)
+        np.maximum(bound, t[1:], out=bound)
+        bound *= rel_tol
+        ratio = magnitude / brackets[1:]
+        tail = t[1:] * ratio
+        tail /= 1.0 - ratio
+        stop = tail <= bound
+        stop &= ratio < 1.0
+    hit = stop.any(axis=0)
+    columns = np.flatnonzero(hit)
+    rows = stop[:, columns].argmax(axis=0)
+    return terms, running, t[-1].copy(), hit, (k0 + rows).tolist(), tail[rows, columns].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +495,13 @@ def _series_terms(params: DeformationParams, magnitude: float, rel_tol: float = 
     |t_k|, and the stopping rule is read off a few hundred terms at a time.
     """
     t_abs = running = 1.0
-    for k0 in range(1, _MAX_TERMS, 8 * _CHUNK):
-        steps = min(8 * _CHUNK, _MAX_TERMS - k0)
+    for k0 in range(1, _MAX_TERMS, _SERIES_ENTRIES // 8):
+        steps = min(_SERIES_ENTRIES // 8, _MAX_TERMS - k0)
         brackets = _bracket_array(params, k0 + steps + 1)[k0 : k0 + steps + 1]
-        t = np.multiply.accumulate(np.concatenate(([t_abs], magnitude / brackets[:-1])))[1:]
-        sums = np.add.accumulate(np.concatenate(([running], t)))[1:]
-        ratio = magnitude / brackets[1:]
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # where it would not stop, the terms may overflow
+            t = np.multiply.accumulate(np.concatenate(([t_abs], magnitude / brackets[:-1])))[1:]
+            sums = np.add.accumulate(np.concatenate(([running], t)))[1:]
+            ratio = magnitude / brackets[1:]
             stop = (ratio < 1.0) & (t * ratio / (1.0 - ratio) <= rel_tol * np.maximum(sums, t))
         if stop.any():
             return k0 + int(stop.argmax()) + 1
@@ -510,22 +510,22 @@ def _series_terms(params: DeformationParams, magnitude: float, rel_tol: float = 
 
 
 def _qexp_cost(params: DeformationParams, points: int) -> tuple[float, float]:
-    """Peak bytes and steps (~1 ns each) of evaluating exp_q at ``points`` disk
-    samples by both routes: :func:`q_exp_points` at each and at its q^2 image,
-    and :func:`q_exp_via_product_points` at each.
+    """Peak bytes and steps (~1 ns each) of evaluating exp_q at ``points`` disk samples by
+    both routes: :func:`q_exp_points` at each and at its q^2 image, and the product route at each.
 
-    Every point is charged as the positive real point on the largest ring of
-    :func:`disk_samples`, 0.9 * radius: the product needs the most factors
-    there, and the series about the most terms (its points off the real axis
-    take up to ~1.5 times as many).  Fitted on a 2-core x86-64 machine:
-    ~200 ns per series term, ~100 ns per product factor, ~20 us per point and
-    ~0.5 ms per call.  A series block keeps ~32 B per point and term; a product
-    block ~25 B per factor, and one point's factors 40 B each as Python
-    complex numbers; the values returned take ~600 B per point.
+    The series keeps 16 B per term of each point still summing.  A sample and its image
+    are charged at the positive real point of the sample's ring; off the axis a few points
+    take up to ~1.8 times as many terms, so the largest terms x points still live is
+    charged 1.5 times.  A pass takes ~64 B per entry of ``_SERIES_ENTRIES``, a gather 32 B
+    per term of ``_GATHER`` points at twice the outer ring's terms.  The product is charged
+    at the outer ring: ~25 B per factor of a block, and 40 B per factor of one point as Python
+    complex numbers.  The values take ~600 B per point.  Fitted on a 2-core x86-64 machine:
+    ~200 ns per series term, ~100 ns per product factor, ~20 us per point, ~0.5 ms per call.
     """
-    edge = 0.9 * params.radius
-    terms, factors = _series_terms(params, edge), _factors_for(params, edge, 1e-15)
-    series = 32 * terms * (min(2 * points, _BLOCK) + _GATHER)
+    rings = [_series_terms(params, fraction * params.radius) for fraction in _RINGS]
+    terms, factors = rings[-1], _factors_for(params, _RINGS[-1] * params.radius, 1e-15)
+    history = 48 * -(-points // len(_RINGS)) * max(k * (len(rings) - j) for j, k in enumerate(rings))
+    series = history + 64 * _SERIES_ENTRIES + 64 * terms * _GATHER
     product = 25 * max(factors, min(points * factors, _PRODUCT_ENTRIES)) + 40 * factors
     work = points * (400 * terms + 100 * factors + 20_000) + 500_000
     return max(series, product) + 600 * points, work
@@ -613,11 +613,13 @@ def _moments_cost(params: DeformationParams, levels: int, beta: float, rel_tol: 
     machine).  The running factorial reads the cached bracket table of up to twice the
     levels, ~48 B per entry: 8 B kept, beside the list of Python floats it is built from
     or the one the sweep reads its levels from (~32 B each; 40 B per entry traced in all).
+    The sweep's fixed objects take 8 KiB: its generator, each moment's small arrays and
+    floats, and what a first call allocates (up to 6.4 kB above the rest, measured).
     """
     half_from, grid, extra = _moment_grid(params, 0, beta, rel_tol)
     points = levels * (half_from + 1) + (grid - half_from) * (1.0 + math.log(levels))
     work = _moment_cost(points, levels * extra)[1] + 50_000 * levels
-    return _moment_cost(grid, extra)[0] + 48 * _table_entries(levels), work, points
+    return _moment_cost(grid, extra)[0] + 48 * _table_entries(levels) + 8192, work, points
 
 
 def _moment_deviations(params: DeformationParams, levels: int, beta: float = 2, rel_tol: float = 1e-15):
@@ -709,23 +711,21 @@ def disk_samples(params: DeformationParams, points: int) -> list[complex]:
     than 1e2, which ``qexp eval`` reports as failed route agreement.  The
     points are kept as they are, so that the defect shows.
 
-    The ring sets how many series terms a point needs: near q = 1 from a few
-    dozen at 0.15 * radius to several hundred at 0.9 * radius.  So
-    :func:`q_exp_points` sorts its points by |x| before it blocks them, and
-    the cost of a sweep is charged at the outer ring.
+    The ring sets how many series terms a point needs, near q = 1 from a few dozen
+    at 0.15 * radius to several hundred at 0.9 * radius, so :func:`_qexp_cost`
+    charges the series of a sweep ring by ring.
     """
     if points < 1:
         raise DomainError(f"points must be >= 1, got {points}")
-    fractions = (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)
     outer_phases = (0.0, math.pi / 4.0, -math.pi / 4.0)
     golden = 2.399963229728653
     samples: list[complex] = []
     for k in range(points):
-        fraction = fractions[k % len(fractions)]
+        fraction = _RINGS[k % len(_RINGS)]
         magnitude = fraction * params.radius
         if fraction <= 0.45:
             phase = (golden * (k + 1)) % (2.0 * math.pi)
         else:
-            phase = outer_phases[(k // len(fractions)) % len(outer_phases)]
+            phase = outer_phases[(k // len(_RINGS)) % len(outer_phases)]
         samples.append(complex(magnitude * math.cos(phase), magnitude * math.sin(phase)))
     return samples

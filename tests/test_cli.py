@@ -652,6 +652,28 @@ def test_qexp_sweep_peaks_under_a_megabyte_whatever_its_points(capsys):
     assert peaks[1] < 1.25 * peaks[0]
 
 
+@pytest.mark.parametrize("points", ["50", "200", "400"])
+@pytest.mark.parametrize("q", ["0.3", "0.9", "0.98", "0.99"])
+def test_qexp_sweep_peaks_within_its_estimate(q, points, monkeypatch):
+    estimates = []
+
+    def recorded(request, nbytes, work):
+        estimates.append(nbytes)
+        check_budget(request, nbytes, work)
+
+    check_budget = cli.check_budget
+    monkeypatch.setattr(cli, "check_budget", recorded)
+    namespace = build_parser().parse_args(["qexp", "eval", "--q", q, "--points", points])
+    config = config_from_namespace(namespace)
+    tracemalloc.start()
+    try:
+        _handler(namespace)(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.3 * estimates[0] <= peak <= estimates[0]
+
+
 # ---------------------------------------------------------------------------
 # negative control
 

@@ -23,6 +23,10 @@ from qmodes.qcore import (
     SingularityError,
     _bracket_array,
     _factors_for,
+    _SERIES_ENTRIES,
+    _bracket_values,
+    _moment_deviations,
+    _moments_cost,
     _q_exp_product_tail,
     _series_terms,
     check_budget,
@@ -250,6 +254,55 @@ def test_point_kernels_raise_the_errors_of_the_per_point_loops():
         q_exp_via_product(params, first)
     with pytest.raises(SingularityError, match="product factor n=0 vanishes"):
         q_exp_product(params, radius, factors=5)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.98, 0.99])
+def test_series_kernel_edges_equal_the_per_point_loop_bit_for_bit(q):
+    params = DeformationParams(q)
+    radius = params.radius
+    # one call whose points stop more than ten times apart
+    mixed = [0.9 * radius, 0.0, -0.15 * radius, complex(0.0, 0.9 * radius), 0.15j * radius, 0.0]
+    expected = [_bits(reference_q_exp(params, x)) for x in mixed]
+    assert [_bits(v) for v in q_exp_points(params, mixed)] == expected
+    counts = sorted(bits[3] for bits in expected)
+    assert counts[-1] > 10 * counts[0]
+    # calls around the entries budget of a pass: a lone point takes the longest passes, and
+    # from half the budget on every pass takes one step, past the budget too
+    xs = disk_samples(params, _SERIES_ENTRIES + 1)
+    expected = [_bits(reference_q_exp(params, x)) for x in xs]
+    for size in (1, 2, _SERIES_ENTRIES - 1, _SERIES_ENTRIES, _SERIES_ENTRIES + 1):
+        assert [_bits(v) for v in q_exp_points(params, xs[:size])] == expected[:size], size
+
+
+def test_series_kernel_refusals_name_their_point():
+    params = DeformationParams(0.5)
+    radius = params.radius
+    # the first point outside the disk, in the order given, not the farthest
+    with pytest.raises(DomainError, match=re.escape(f"|x| = {1.5 * radius:.6g} is outside")):
+        q_exp_points(params, [0.1 * radius, 1.5 * radius, 3.0 * radius, radius])
+    # near q = 1 the terms at 0.9 * radius still grow after _MAX_TERMS of them: the
+    # message names the nearest point that did not stop
+    params = DeformationParams(0.99999)
+    radius = params.radius
+    message = "series did not reach rel_tol=1e-15 within 100000 terms (|x|/radius = 0.9000)"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        q_exp_points(params, [0.95 * radius, 0.9 * radius])
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("levels", [1, 10, 64])
+def test_moment_sweep_peaks_within_its_estimate(q, levels):
+    params = DeformationParams(q)
+    estimate = _moments_cost(params, levels, 2, 1e-15)[0]
+    _bracket_values.cache_clear()  # the sweep builds its bracket table
+    tracemalloc.start()
+    try:
+        for _ in _moment_deviations(params, levels):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
 
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.98, 0.995])
