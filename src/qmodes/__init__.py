@@ -33,7 +33,6 @@ from .fock import (
     FockSpaceConfig,
     RELATION_FAMILIES,
     annihilator,
-    build_state,
     creator,
     number_op,
     scale_op,
@@ -47,9 +46,7 @@ from .qcore import (
     jackson_moment,
     q_exp,
     q_exp_reciprocal,
-    q_exp_via_product,
     q_factorial,
-    q_multinomial,
     q_number,
 )
 from .qpoly import (
@@ -77,9 +74,7 @@ __all__ = [
     "SingularityError",
     "q_number",
     "q_factorial",
-    "q_multinomial",
     "q_exp",
-    "q_exp_via_product",
     "q_exp_reciprocal",
     "jackson_integral",
     "jackson_moment",
@@ -94,7 +89,6 @@ __all__ = [
     "creator",
     "number_op",
     "scale_op",
-    "build_state",
     "verify_algebra",
     "CoherentSpec",
     "CoherentState",

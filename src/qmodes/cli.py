@@ -28,6 +28,7 @@ configuration or out-of-bounds request.
 """
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -217,9 +218,12 @@ _QEXP_BATCH = 200
 
 def _parse_x(text: str) -> complex:
     try:
-        return complex(text)
+        x = complex(text)
     except ValueError:
         raise ConfigError(f"cannot parse --x value {text!r}") from None
+    if cmath.isnan(x):
+        raise ConfigError(f"--x value {text!r} is not a number")
+    return x
 
 
 def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
@@ -301,9 +305,12 @@ def run_jackson(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
 def _parse_z(text: str) -> tuple[complex, ...]:
     try:
-        return tuple(complex(part) for part in text.split(","))
+        z = tuple(complex(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse z list {text!r}: {exc}") from None
+    if any(cmath.isnan(v) for v in z):
+        raise ConfigError(f"--z value {text!r} has an entry that is not a number")
+    return z
 
 
 def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:

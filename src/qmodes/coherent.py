@@ -104,7 +104,7 @@ class CoherentSpec:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
         radius = self.params.radius
         for v in z:
-            if abs(v) ** 2 >= radius:
+            if not abs(v) ** 2 < radius:  # NaN too
                 raise DomainError(
                     f"|z|^2 = {abs(v)**2:.6g} is outside the open disk of radius {radius:.6g}"
                 )
@@ -248,7 +248,7 @@ def suggest_cutoff(
     per_mode = tail_tol / len(z)
     worst = 1
     for v in z:
-        if abs(v) ** 2 >= params.radius:
+        if not abs(v) ** 2 < params.radius:
             raise DomainError(
                 f"|z|^2 = {abs(v)**2:.6g} is outside the open disk of radius {params.radius:.6g}"
             )

@@ -21,8 +21,7 @@ diagonal of the matrix, so each is stored as a CSR triple with at most one
 entry per row and per column, and applied to a vector by one gather-multiply.
 Sparse algebra on them (products, slicing, transposes) goes through
 ``op.tocsr()``, which imports scipy only when called; nothing on the path of
-a ``qmodes`` verb does.  A plain text coordinate-list export is provided for
-cross-tool diffing.
+a ``qmodes`` verb does.
 
 ``verify_algebra`` works on the (cutoff,) * modes grid of occupations: each
 operator's amplitude at each column.  By default it takes them from one
@@ -45,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DeformationParams, check_budget, q_number, size_estimate
+from .qcore import DeformationParams, check_budget, size_estimate
 
 __all__ = [
     "ShiftOperator",
@@ -53,17 +52,14 @@ __all__ = [
     "RelationReport",
     "occupation_table",
     "encode_occupation",
-    "decode_occupation",
     "annihilator",
     "creator",
     "corrupted_annihilator",
     "number_op",
     "scale_op",
-    "build_state",
     "interior_indices",
     "verify_algebra",
     "RELATION_FAMILIES",
-    "coordinate_text",
 ]
 
 RELATION_FAMILIES = (
@@ -214,16 +210,6 @@ def encode_occupation(cfg: FockSpaceConfig, occupation: Sequence[int]) -> int:
     return index
 
 
-def decode_occupation(cfg: FockSpaceConfig, index: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode_occupation`."""
-    if not 0 <= index < cfg.dimension:
-        raise ValueError(f"index must lie in 0..{cfg.dimension - 1}, got {index}")
-    digits = []
-    for k in range(cfg.modes):
-        digits.append(index // cfg.cutoff ** (cfg.modes - 1 - k) % cfg.cutoff)
-    return tuple(int(d) for d in digits)
-
-
 def _bracket_array(params: DeformationParams, n: np.ndarray) -> np.ndarray:
     return (params.q_sq ** n.astype(np.float64) - 1.0) / (params.q_sq - 1.0)
 
@@ -317,27 +303,6 @@ def scale_op(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     diagonal = np.arange(cfg.dimension)
     scale = _rung_powers(cfg.params.q_sq, cfg.cutoff).repeat(cfg.cutoff ** (cfg.modes - i))
     return _shift_operator(cfg.dimension, diagonal, diagonal, np.tile(scale, cfg.cutoff ** (i - 1)))
-
-
-def build_state(cfg: FockSpaceConfig, occupation: Sequence[int]) -> np.ndarray:
-    """State built by creation from the ground state.
-
-    Applies (a_modes^dag)^{n_modes} ... (a_1^dag)^{n_1} to the vacuum and
-    divides by sqrt(prod [n_i]!).  Filling modes in ascending order keeps
-    every twist factor at q^0, so the result is the corresponding canonical
-    basis vector with amplitude 1 (up to floating-point roundoff).
-    """
-    occupation = tuple(int(n) for n in occupation)
-    encode_occupation(cfg, occupation)  # bounds check
-    vector = np.zeros(cfg.dimension, dtype=np.complex128)
-    vector[0] = 1.0
-    normalization = 1.0
-    for i in range(1, cfg.modes + 1):
-        raise_op = creator(cfg, i)
-        for step in range(occupation[i - 1]):
-            vector = raise_op @ vector
-            normalization *= q_number(cfg.params, step + 1)
-    return vector / np.sqrt(normalization)
 
 
 def interior_indices(cfg: FockSpaceConfig) -> np.ndarray:
@@ -571,33 +536,6 @@ def verify_algebra(
         allowances={"number_ladder_commutator": allowance if math.isfinite(allowance) else 0.0},
         seconds=seconds,
     )
-
-
-def coordinate_text(operator: ShiftOperator | np.ndarray) -> str:
-    """Coordinate-list text form: one ``row col re im`` line per entry.
-
-    Matrices list their stored entries sorted by (row, col); vectors are
-    treated as single-column matrices and list their nonzero entries.  A
-    matrix other than a :class:`ShiftOperator` is read through its own
-    ``tocoo()``.  Values are printed with 17 significant digits, enough to
-    round-trip IEEE doubles.
-    """
-    if isinstance(operator, np.ndarray):
-        if operator.ndim != 1:
-            raise ValueError("only 1-d arrays are exported as column vectors")
-        rows = np.nonzero(operator)[0]
-        entries = [(int(r), 0, complex(operator[r])) for r in rows]
-    else:
-        if isinstance(operator, ShiftOperator):
-            rows, cols, values = operator.rows(), operator.indices, operator.data
-        else:
-            coo = operator.tocoo()
-            rows, cols, values = coo.row, coo.col, coo.data
-        entries = sorted(
-            (int(r), int(c), complex(v)) for r, c, v in zip(rows, cols, values)
-        )
-    lines = [f"{r} {c} {v.real:.17g} {v.imag:.17g}" for r, c, v in entries]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def corrupted_annihilator(cfg: FockSpaceConfig, i: int) -> ShiftOperator:

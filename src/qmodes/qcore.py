@@ -1,7 +1,7 @@
 """Scalar q-analysis backbone.
 
 Everything downstream reduces to the objects defined here: the bracket
-``[x] = (q^{2x} - 1) / (q^2 - 1)``, its factorial and multinomial, the
+``[x] = (q^{2x} - 1) / (q^2 - 1)``, its factorial, the
 q-exponential ``exp_q(x) = sum_n x^n / [n]!`` in both series and product
 form, and the Jackson integral on the geometric grid over
 ``[0, 1/(1-q^2)]``.  The deformation always enters through ``q^2``: brackets,
@@ -29,13 +29,10 @@ __all__ = [
     "QExpValue",
     "q_number",
     "q_factorial",
-    "q_multinomial",
     "q_exp_series",
-    "q_exp_series_tail",
     "q_exp",
     "q_exp_points",
     "q_exp_product",
-    "q_exp_via_product",
     "q_exp_via_product_points",
     "q_exp_reciprocal",
     "jackson_integral",
@@ -140,22 +137,6 @@ def q_factorial(params: DeformationParams, n: int) -> float:
     return value
 
 
-def q_multinomial(params: DeformationParams, counts: Sequence[int]) -> float:
-    """[N]! / ([n_1]! ... [n_k]!) for N = sum of counts."""
-    counts = tuple(counts)
-    if not counts:
-        raise DomainError("counts must be a nonempty sequence")
-    if any(c < 0 or c != int(c) for c in counts):
-        raise DomainError(f"counts must be nonnegative integers, got {counts!r}")
-    total = sum(int(c) for c in counts)
-    value = q_factorial(params, total)
-    for c in counts:
-        value /= q_factorial(params, int(c))
-    if not math.isfinite(value):
-        raise OverflowError(f"bracket multinomial overflows for counts={counts}")
-    return value
-
-
 def passes(deviation: float, tol: float, *allowances: float) -> bool:
     """The one pass rule of every numeric check: ``deviation`` below ``tol`` plus each
     allowance, added left to right.  A NaN deviation fails.
@@ -207,7 +188,7 @@ class QExpValue:
 
 def _check_disk(params: DeformationParams, x: complex) -> complex:
     x = complex(x)
-    if abs(x) >= params.radius:
+    if not abs(x) < params.radius:  # NaN too
         raise DomainError(
             f"|x| = {abs(x):.6g} is outside the open convergence disk of "
             f"radius {params.radius:.6g} for q={params.q}"
@@ -232,24 +213,6 @@ def q_exp_series(params: DeformationParams, x: complex, terms: int) -> complex:
         reals.append(term.real)
         imags.append(term.imag)
     return complex(math.fsum(reals), math.fsum(imags))
-
-
-def q_exp_series_tail(params: DeformationParams, x: complex, terms: int) -> float:
-    """Absolute bound on |sum_{k >= terms} x^k / [k]!|.
-
-    Uses the geometric majorant with ratio |x| / [terms + 1]; returns inf
-    when that ratio is not yet below one.
-    """
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
-    x = _check_disk(params, x)
-    t = 1.0
-    for k in range(1, terms + 1):
-        t *= abs(x) / q_number(params, k)
-    ratio = abs(x) / q_number(params, terms + 1)
-    if ratio >= 1.0:
-        return math.inf
-    return t / (1.0 - ratio)
 
 
 def q_exp(params: DeformationParams, x: complex, rel_tol: float = 1e-15) -> QExpValue:
@@ -462,14 +425,6 @@ def _factors_for(params: DeformationParams, x: complex, rel_tol: float) -> int:
     return max(1, needed)
 
 
-def q_exp_via_product(
-    params: DeformationParams, x: complex, rel_tol: float = 1e-15
-) -> QExpValue:
-    """Adaptive product-form evaluation of exp_q(x): the one-point call of
-    :func:`q_exp_via_product_points`."""
-    return q_exp_via_product_points(params, [x], rel_tol)[0]
-
-
 def q_exp_via_product_points(
     params: DeformationParams, xs: Sequence[complex], rel_tol: float = 1e-15
 ) -> list[QExpValue]:
@@ -518,15 +473,18 @@ def _qexp_cost(params: DeformationParams, points: int) -> tuple[float, float]:
     take up to ~1.8 times as many terms, so the largest terms x points still live is
     charged 1.5 times.  A pass takes ~64 B per entry of ``_SERIES_ENTRIES``, a gather 32 B
     per term of ``_GATHER`` points at twice the outer ring's terms.  The product is charged
-    at the outer ring: ~25 B per factor of a block, and 40 B per factor of one point as Python
-    complex numbers.  The values take ~600 B per point.  Fitted on a 2-core x86-64 machine:
+    at the outer ring: ~25 B per factor of a block and 40 B per factor of one point as Python
+    complex numbers, each twice, since a block's arrays and its last point's factors are still
+    bound while the next block forms its own; and 8 B per entry of the cached coefficient
+    table.  The values take ~600 B per point.  Fitted on a 2-core x86-64 machine:
     ~200 ns per series term, ~100 ns per product factor, ~20 us per point, ~0.5 ms per call.
     """
     rings = [_series_terms(params, fraction * params.radius) for fraction in _RINGS]
     terms, factors = rings[-1], _factors_for(params, _RINGS[-1] * params.radius, 1e-15)
     history = 48 * -(-points // len(_RINGS)) * max(k * (len(rings) - j) for j, k in enumerate(rings))
     series = history + 64 * _SERIES_ENTRIES + 64 * terms * _GATHER
-    product = 25 * max(factors, min(points * factors, _PRODUCT_ENTRIES)) + 40 * factors
+    block = max(factors, min(points * factors, _PRODUCT_ENTRIES))
+    product = 2 * (25 * block + 40 * factors) + 8 * _table_entries(factors)
     work = points * (400 * terms + 100 * factors + 20_000) + 500_000
     return max(series, product) + 600 * points, work
 

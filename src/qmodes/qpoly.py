@@ -14,7 +14,6 @@ answer.
 """
 
 import functools
-import re
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -27,10 +26,6 @@ __all__ = [
 ]
 
 Rational = Union[int, Fraction]
-
-_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?P<q>q(?:\^(?P<exp>\d+))?)?$"
-)
 
 
 def _normalise(value) -> Rational:
@@ -269,35 +264,6 @@ class QPolynomial:
             else:
                 pieces.append(f"{sign} {body}")
         return " ".join(pieces)
-
-    @classmethod
-    def parse(cls, text: str) -> "QPolynomial":
-        """Inverse of :meth:`render` (accepts any ordering of terms)."""
-        stripped = text.strip()
-        if stripped == "0":
-            return cls.zero()
-        coeffs: dict[int, Rational] = {}
-        sign = 1
-        for token in stripped.split():
-            if token == "+":
-                sign = 1
-                continue
-            if token == "-":
-                sign = -1
-                continue
-            if token.startswith("-"):
-                sign = -1
-                token = token[1:]
-            elif token.startswith("+"):
-                token = token[1:]
-            match = _TERM_RE.match(token)
-            if not token or match is None or (match.group("coeff") is None and match.group("q") is None):
-                raise ValueError(f"cannot parse polynomial term {token!r}")
-            coefficient = Fraction(match.group("coeff") or 1)
-            exponent = int(match.group("exp") or 1) if match.group("q") else 0
-            coeffs[exponent] = coeffs.get(exponent, 0) + sign * coefficient
-            sign = 1
-        return cls(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,6 @@ class Word:
                 f"letters must lie in 1..{self.n_modes}, got {letters!r}"
             )
 
-    @classmethod
-    def from_string(cls, text: str, n_modes: int | None = None) -> "Word":
-        """Parse a comma-separated letter list such as ``"1,2,2,3"``."""
-        try:
-            letters = tuple(int(piece) for piece in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse word {text!r}: {exc}") from None
-        return cls(letters, n_modes if n_modes is not None else max(letters, default=1))
-
     @property
     def size(self) -> int:
         return len(self.letters)

@@ -36,7 +36,7 @@ from qmodes.qcore import (
     disk_samples,
     jackson_moment,
     q_exp,
-    q_exp_via_product,
+    q_exp_via_product_points,
     q_factorial,
     q_number,
 )
@@ -97,7 +97,7 @@ def test_criterion_02_q_exponential_laws():
         params = DeformationParams(q)
         for x in disk_samples(params, 50):
             series = q_exp(params, x).value
-            product = q_exp_via_product(params, x).value
+            product = q_exp_via_product_points(params, [x])[0].value
             worst_agreement = max(
                 worst_agreement, abs(series - product) / abs(product)
             )

@@ -16,11 +16,8 @@ from qmodes.fock import (
     RelationReport,
     ShiftOperator,
     annihilator,
-    build_state,
-    coordinate_text,
     corrupted_annihilator,
     creator,
-    decode_occupation,
     encode_occupation,
     interior_indices,
     number_op,
@@ -54,12 +51,10 @@ def test_config_guards():
 
 def test_encode_decode_round_trip_everywhere():
     cfg = cfg_for(modes=3, cutoff=3)
-    for index in range(cfg.dimension):
-        occupation = decode_occupation(cfg, index)
-        assert encode_occupation(cfg, occupation) == index
     table = occupation_table(cfg)
     assert table.shape == (27, 3)
-    np.testing.assert_array_equal(table[5], decode_occupation(cfg, 5))
+    for index in range(cfg.dimension):
+        assert encode_occupation(cfg, table[index]) == index
 
 
 def test_mode_one_is_most_significant():
@@ -74,8 +69,6 @@ def test_encode_bounds():
         encode_occupation(cfg, (0,))
     with pytest.raises(ValueError):
         encode_occupation(cfg, (0, 4))
-    with pytest.raises(ValueError):
-        decode_occupation(cfg, cfg.dimension)
 
 
 def test_occupation_table_is_read_only():
@@ -95,7 +88,7 @@ def test_encode_decode_property(modes, cutoff, data):
     occupation = tuple(
         data.draw(st.integers(min_value=0, max_value=cutoff - 1)) for _ in range(modes)
     )
-    assert decode_occupation(cfg, encode_occupation(cfg, occupation)) == occupation
+    assert tuple(occupation_table(cfg)[encode_occupation(cfg, occupation)]) == occupation
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +160,6 @@ def test_diagonal_operators():
     np.testing.assert_allclose(n_2, occ[:, 1])
     q_1 = scale_op(cfg, 1).tocsr().diagonal().real
     np.testing.assert_allclose(q_1, 0.25 ** occ[:, 0])
-
-
-def test_build_state_reproduces_basis_vectors():
-    cfg = cfg_for(q=0.5, modes=2, cutoff=4)
-    for occupation in ((0, 0), (2, 1), (3, 3), (0, 2)):
-        vector = build_state(cfg, occupation)
-        expected = np.zeros(cfg.dimension)
-        expected[encode_occupation(cfg, occupation)] = 1.0
-        np.testing.assert_allclose(vector, expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -511,36 +495,3 @@ def test_each_family_reports_the_time_it_took():
     assert list(report.seconds) == list(RELATION_FAMILIES)
     assert all(s >= 0.0 for s in report.seconds.values())
     assert RelationReport(1, 3, 0.5, {}, 4).seconds == {}  # the field may be left out
-
-
-# ---------------------------------------------------------------------------
-# text export
-
-
-def test_coordinate_text_matrix_form():
-    cfg = cfg_for(modes=1, cutoff=3)
-    text = coordinate_text(annihilator(cfg, 1))
-    lines = text.strip().split("\n")
-    assert lines[0].split() == ["0", "1", "1", "0"]
-    rows_cols = [tuple(map(int, line.split()[:2])) for line in lines]
-    assert rows_cols == sorted(rows_cols)
-
-
-def test_coordinate_text_vector_form():
-    vector = np.array([0.0, 0.5, 0.0])
-    text = coordinate_text(vector)
-    assert text == "1 0 0.5 0\n"
-    with pytest.raises(ValueError):
-        coordinate_text(np.zeros((2, 2)))
-
-
-def test_coordinate_text_round_trips_doubles():
-    cfg = cfg_for(q=0.9, modes=2, cutoff=3)
-    matrix = annihilator(cfg, 1).tocsr().tocoo()
-    text = coordinate_text(matrix)
-    parsed = {}
-    for line in text.strip().split("\n"):
-        r, c, re_part, im_part = line.split()
-        parsed[(int(r), int(c))] = complex(float(re_part), float(im_part))
-    for r, c, v in zip(matrix.row, matrix.col, matrix.data):
-        assert parsed[(int(r), int(c))] == v

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmodes.qcore import DeformationParams, q_multinomial
+from qmodes.qcore import DeformationParams, q_factorial
 from qmodes.qpoly import (
     QPolynomial,
     poly_insertion_sum,
@@ -158,7 +158,7 @@ def test_evaluate_exact_fraction():
 def test_evaluate_float_matches_numeric_multinomial():
     params = DeformationParams(0.5)
     poly = poly_q_multinomial((2, 2))
-    assert poly.evaluate(0.5) == pytest.approx(q_multinomial(params, (2, 2)), rel=1e-13)
+    assert poly.evaluate(0.5) == pytest.approx(q_factorial(params, 4) / q_factorial(params, 2) ** 2, rel=1e-13)
 
 
 @given(a=polynomials, q=st.fractions(min_value=0, max_value=1, max_denominator=7))
@@ -179,26 +179,6 @@ def test_render_frozen_examples():
     assert QPolynomial({1: 1}).render() == "q"
     assert QPolynomial({4: -1, 0: 1}).render() == "1 - q^4"
     assert QPolynomial({2: Fraction(3, 2)}).render() == "3/2*q^2"
-
-
-def test_parse_frozen_examples():
-    assert QPolynomial.parse("1 + 2*q^2 + q^4") == QPolynomial({0: 1, 2: 2, 4: 1})
-    assert QPolynomial.parse("0") == QPolynomial.zero()
-    assert QPolynomial.parse("q") == QPolynomial({1: 1})
-    assert QPolynomial.parse("1 - q^4") == QPolynomial({0: 1, 4: -1})
-    assert QPolynomial.parse("3/2*q^2") == QPolynomial({2: Fraction(3, 2)})
-
-
-def test_parse_rejects_garbage():
-    for text in ("2q^", "q^-1", "waffle", "1 ++ q"):
-        with pytest.raises(ValueError):
-            QPolynomial.parse(text)
-
-
-@given(a=polynomials)
-@settings(max_examples=80, deadline=None)
-def test_render_parse_round_trip(a):
-    assert QPolynomial.parse(a.render()) == a
 
 
 # ---------------------------------------------------------------------------

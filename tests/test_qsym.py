@@ -59,13 +59,13 @@ def words_up_to(n_modes: int, max_size: int):
 # words and combinatorics
 
 
-def test_word_parsing_and_counts():
-    word = Word.from_string("1,2,2,3")
+def test_word_size_and_counts():
+    word = Word((1, 2, 2, 3), 3)
     assert word.letters == (1, 2, 2, 3)
     assert word.n_modes == 3
     assert word.size == 4
     assert word.counts == (1, 2, 1)
-    wide = Word.from_string("1,2", n_modes=5)
+    wide = Word((1, 2), 5)
     assert wide.counts == (1, 1, 0, 0, 0)
 
 
@@ -76,8 +76,6 @@ def test_word_validation():
         Word((0, 1), 2)
     with pytest.raises(ValueError):
         Word((1, 3), 2)
-    with pytest.raises(ValueError):
-        Word.from_string("1,two")
 
 
 def test_swap_adjacent():
