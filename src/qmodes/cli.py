@@ -159,8 +159,9 @@ class RunConfig:
             raise ConfigError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.particles < 0:
             raise ConfigError(f"N must be >= 0, got {self.particles}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        # coherent check squares tol for its build's tail budget; inf and NaN are refused too
+        if not (self.tol > 0.0 and math.isfinite(self.tol * self.tol)):
+            raise ConfigError(f"--tol must be positive and its square a finite float, got {self.tol}")
         if self.points < 1:
             raise ConfigError(f"points must be >= 1, got {self.points}")
         if self.weight_variant not in ("paper-q", "squared-q"):
@@ -316,7 +317,7 @@ def _parse_z(text: str) -> tuple[complex, ...]:
 def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     # Tail budget: eigenvalue residuals scale like sqrt(tail mass), so the
     # build aims two orders below tol^2 to keep truncation out of the verdict.
-    build_tail = min(1e-20, config.tol**2 * 1e-2)
+    build_tail = min(1e-20, config.tol * config.tol * 1e-2)
     # Size the whole request before any state is built: per q one --z point at its
     # own cutoff, or --points grid points at most at the cutoff of the grid's largest |z|.
     cutoffs = {}  # q -> the cutoff that bounds its points, or why its --z point is refused
@@ -402,23 +403,21 @@ def _parse_word(text: str, modes: int) -> qsym.Word:
     return qsym.Word(letters, n_modes)
 
 
-def _square_minus_identity(op: fock.ShiftOperator) -> float:
-    """Largest |entry| of T·T − I for a square weighted shift T, from its CSR arrays.
+def _inverse_residual(swapped: np.ndarray, weights: np.ndarray) -> float:
+    """Largest |entry| of T·T − I for the weighted permutation T whose row w holds
+    ``weights[w]`` at column ``swapped[w]``.
 
-    Row r of T stores value[r] at column[r], so row r of T·T stores
-    value[r]·value[column[r]] at column[column[r]].  An empty row reads the
-    sentinel column dim, which stores 0 and points at itself.  Where the square
-    lands on the diagonal the entry is that product minus 1; elsewhere the row
-    holds the product and the identity's -1 apart.
+    Row w of T·T holds weights[w]·weights[swapped[w]] at column swapped[swapped[w]].
+    Where that column is w the entry is the product minus 1; elsewhere the row holds the
+    product and the identity's -1 apart.
     """
-    dim = op.shape[0]
-    column = np.full(dim + 1, dim)
-    value = np.zeros(dim + 1, dtype=op.dtype)
-    rows = op.rows()
-    column[rows], value[rows] = op.indices, op.data
-    square = value[:dim] * value[column[:dim]]
-    diagonal = column[column[:dim]] == np.arange(dim)
-    entries = np.where(diagonal, np.abs(square - 1.0), np.maximum(np.abs(square), 1.0))
+    apart = np.take(swapped, swapped) != np.arange(swapped.size)
+    square = np.take(weights, swapped)
+    square *= weights
+    entries = square - 1.0
+    np.abs(entries, out=entries)
+    if apart.any():
+        entries[apart] = np.maximum(np.abs(square[apart]), 1.0)
     return float(np.max(entries, initial=0.0))
 
 
@@ -448,12 +447,12 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
     # the top size's classes (16 B per word, and their records) and one state vector filled
     # from them, beside one transposition or one exchange kernel call, never both, and
-    # beside the sweep's own objects, charged once: ~512 B per check record (340 to 500 B
-    # kept, up to ~600 B on a first call) and ~12 KiB of numpy headers and views; or, while
+    # beside the sweep's own objects, charged once: ~320 B per check record (~230 B kept,
+    # ~290 B on a first call) and ~12 KiB of numpy headers and views; or, while
     # the classes are built, one pass of the arrangement kernel beside those built
     classes, words = qsym._class_totals(n, N)
     nbytes = qsym._class_cost("arrangements", n, N, classes, 0)[0] + qsym._class_cost("symmetrize", n, N, 1, words)[0]
-    nbytes += 512 * 3 * (N - 1) * len(config.q_values) + 12_288
+    nbytes += 320 * 3 * (N - 1) * len(config.q_values) + 12_288
     nbytes += max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0])
     build = qsym._class_cost("arrangements", n, N, classes, qsym._batch_rows(n, N))[0] + 16 * words
     nbytes = max(nbytes, build)
@@ -488,13 +487,14 @@ def _exchange_records(classes: list, point: dict, params: DeformationParams, tol
         worst, allowance = max(worst, float(residuals.max())), max(allowance, rounding)
         del residuals
         checked = time.perf_counter()
-        op = qsym.transposition_op(size, n, k, params)
-        inverse = max(inverse, _square_minus_identity(op))
+        swapped, weights = qsym.transposition_op(size, n, k, params)
+        inverse = max(inverse, _inverse_residual(swapped, weights))
         built = time.perf_counter()
-        residual = op @ states  # a fresh array: reduced in place, no more allocations
+        residual = np.take(states, swapped)  # T x - x, reduced in place
+        residual *= weights
         residual -= states
         invariance = max(invariance, float(np.max(np.abs(residual, out=residual))))
-        del op, residual  # before the next position's arrays are built
+        del swapped, weights, residual  # before the next position's arrays are built
         exchange_s += checked - start
         inverse_s += built - checked
         invariance_s += time.perf_counter() - built

@@ -153,13 +153,12 @@ class CoherentState:
 
     ``vector`` is the (modes, cutoff) stack of the normalized single-mode
     factors v_k[m] = exp_q(|z_k|^2)^{-1/2} z_k^m / sqrt([m]!).  The state is
-    their Kronecker product, which is never formed.  ``norm_constant`` is
-    c(z), and ``tail_mass`` bounds the norm shortfall the truncation causes.
+    their Kronecker product, which is never formed.  ``tail_mass`` bounds the
+    norm shortfall the truncation causes.
     """
 
     spec: CoherentSpec
     vector: np.ndarray
-    norm_constant: float
     tail_mass: float
     mode_tails: tuple[float, ...]
 
@@ -291,14 +290,13 @@ def build_coherent(spec: CoherentSpec, tail_tol: float = 1e-10) -> CoherentState
         raise InsufficientCutoffError(
             f"cutoff {cutoff} reaches tail mass {total_tail:.3g}, above the requested {tail_tol:.3g}"
         )
-    reciprocals = [q_exp_reciprocal(params, abs(z) ** 2).real for z in spec.z]
     factors = np.empty((spec.modes, cutoff), dtype=np.complex128)
-    for k, (z, reciprocal) in enumerate(zip(spec.z, reciprocals)):
+    for k, z in enumerate(spec.z):
+        reciprocal = q_exp_reciprocal(params, abs(z) ** 2).real
         factors[k] = math.sqrt(reciprocal) * mode_coefficients(params, z, cutoff)
     return CoherentState(
         spec=spec,
         vector=factors,
-        norm_constant=math.sqrt(math.prod(reciprocals)),
         tail_mass=total_tail,
         mode_tails=tails,
     )
@@ -313,8 +311,6 @@ class EigenvalueReport:
     """
 
     mode: int
-    eigenvalue: complex
-    norm_ratio: float
     residual: float
     tail_allowance: float
     rounding_allowance: float
@@ -348,9 +344,6 @@ def check_eigenvalue(state: CoherentState, i: int) -> EigenvalueReport:
     params = spec.params
     if not 1 <= i <= spec.modes:
         raise ValueError(f"mode index must lie in 1..{spec.modes}, got {i}")
-    ratio = 1.0
-    for k in range(i + 1, spec.modes + 1):
-        ratio *= math.sqrt(1.0 - (1.0 - params.q_sq) * abs(spec.z[k - 1]) ** 2)
     twist = state._twist
     v = state.vector[i - 1]
     lowered = _lowered(params, v)
@@ -366,8 +359,6 @@ def check_eigenvalue(state: CoherentState, i: int) -> EigenvalueReport:
         shifted_tail += state.mode_tails[k - 1] if k <= i else twist.tails[k - 1]
     return EigenvalueReport(
         mode=i,
-        eigenvalue=spec.z[i - 1],
-        norm_ratio=ratio,
         residual=float(residual),
         tail_allowance=10.0 * math.sqrt(state.tail_mass + shifted_tail),
         rounding_allowance=(spec.cutoff + 4 * spec.modes + 4) * _UNIT_ROUNDOFF * float(sides),

@@ -18,10 +18,9 @@ precision instead of hiding truncation artifacts behind a loose tolerance.
 Operators are real ``float64`` weighted shifts (:class:`ShiftOperator`): a_i,
 a_i^dag and N_i send a basis state to at most one basis state, along one
 diagonal of the matrix, so each is stored as a CSR triple with at most one
-entry per row and per column, and applied to a vector by one gather-multiply.
-Sparse algebra on them (products, slicing, transposes) goes through
-``op.tocsr()``, which imports scipy only when called; nothing on the path of
-a ``qmodes`` verb does.
+entry per row and per column.  Sparse algebra on them (products with vectors
+or matrices, slicing, transposes) goes through ``op.tocsr()``, which imports
+scipy only when called; nothing on the path of a ``qmodes`` verb does.
 
 ``verify_algebra`` works on the (cutoff,) * modes grid of occupations: each
 operator's amplitude at each column.  By default it takes them from one
@@ -79,9 +78,8 @@ class ShiftOperator:
 
     ``data``, ``indices`` and ``indptr`` are its CSR triple, with the meaning
     they have on a scipy ``csr_matrix``: row r stores ``data[k]`` at column
-    ``indices[k]`` for k in ``indptr[r]:indptr[r + 1]``.  ``op @ vector`` is
-    one gather-multiply; ``tocsr()`` hands the triple to scipy for sparse
-    algebra, importing it only then.
+    ``indices[k]`` for k in ``indptr[r]:indptr[r + 1]``.  ``tocsr()`` hands
+    the triple to scipy for sparse algebra, importing it only then.
     """
 
     def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
@@ -101,32 +99,12 @@ class ShiftOperator:
         self.shape = (rows, columns)
 
     @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
-    @property
     def nnz(self) -> int:
         return int(self.data.size)
 
     def rows(self) -> np.ndarray:
         """The row of each stored entry, in storage order."""
         return np.flatnonzero(np.diff(self.indptr))
-
-    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        if not isinstance(vector, np.ndarray):
-            return NotImplemented  # products of operators go through tocsr()
-        if vector.shape != (self.shape[1],):
-            raise ValueError(f"cannot apply a {self.shape} operator to shape {vector.shape}")
-        # one gathered copy, multiplied in place (each fresh large array costs page faults)
-        product = np.take(vector, self.indices).astype(np.result_type(self.data, vector), copy=False)
-        np.multiply(product, self.data, out=product)
-        # scipy's matvec sums each row from zero, so a product of -0.0 reads +0.0 there
-        product += 0.0
-        if product.size == self.shape[0]:  # every row stores its one entry
-            return product
-        out = np.zeros(self.shape[0], dtype=product.dtype)
-        out[self.rows()] = product
-        return out
 
     def tocsr(self):
         """The same matrix as a scipy ``csr_matrix``, on copies of the arrays."""

@@ -29,7 +29,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fock import ShiftOperator, _shift_operator
 from .qcore import DeformationParams, check_budget, q_factorial, size_estimate
 
 __all__ = [
@@ -288,12 +287,13 @@ def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: floa
 
 
 def _transposition_cost(n_modes: int, size: int, ops: float, products: float) -> tuple[float, float]:
-    # ops built and kept (~50 us + 60 ns per entry; 16 B per entry each, ~64 more while
-    # building), then products with a state or with itself (~15 us + 35 ns per entry: the
-    # exchange sweep forms one of each per transposition, the square ~25 to 62 ns per entry
-    # and the product with the state ~3 to 13 ns, measured on a 2-core x86-64 machine)
+    # ops built and kept (~50 us + 60 ns per word; 16 B per word each, and ~2 KiB + 20 B per
+    # word more while one is built or multiplied: 16 to 17 B measured), then products with
+    # a state or with itself (~15 us + 35 ns per word: the exchange sweep forms one of each
+    # per transposition; cold calls on a 2-core x86-64 machine take 14 to 27 ns per word
+    # for the square and 7 to 14 ns for the product with the state, so the charge errs high)
     dim = size_estimate(size * math.log(n_modes))
-    return (16 * ops + 64) * dim, ops * (50_000 + 60 * dim) + products * (15_000 + 35 * dim)
+    return 2048 + (16 * ops + 20) * dim, ops * (50_000 + 60 * dim) + products * (15_000 + 35 * dim)
 
 
 def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, float]:
@@ -407,14 +407,17 @@ def exchange_check(
 
 def transposition_op(
     size: int, n_modes: int, k: int, params: DeformationParams
-) -> ShiftOperator:
-    """Deformed transposition of tensor positions k, k+1 (1-based).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deformed transposition of tensor positions k, k+1 (1-based), as a weighted permutation.
 
     Acts on each basis word by swapping the letters at positions k and k+1
     with weight q^{-eps(letter_k, letter_{k+1})}.  The operator is its own
     inverse, and every q-symmetrized state is an eigenvector with
-    eigenvalue 1.  It is a weighted permutation, so it comes back as a
-    :class:`~qmodes.fock.ShiftOperator`.
+    eigenvalue 1.  Each row holds one entry, so it comes back as the pair
+    ``(swapped, weights)``: row w holds ``weights[w]`` at column
+    ``swapped[w]``, and T x is ``weights * x[swapped]``.  The swapped words
+    come from index arithmetic on the letters; ``exchange_check`` swaps two
+    axes instead, an independent route to the same words.
     """
     if size < 1 or n_modes < 1:
         raise ValueError("size and n_modes must be >= 1")
@@ -422,17 +425,19 @@ def transposition_op(
         raise ValueError(f"positions must satisfy 1 <= k < {size}, got {k}")
     check_budget("transposition_op on the {}^{} tensor space",
                  *_transposition_cost(n_modes, size, 1, 0), n_modes, size)
-    dim = n_modes**size
-    index = np.arange(dim)
+    swapped = np.arange(n_modes**size)  # each word's index, until it is moved below
     stride_right = n_modes ** (size - k - 1)  # position k+1
     stride_left = stride_right * n_modes  # position k
-    left = index // stride_left % n_modes
-    right = index // stride_right % n_modes
-    swapped = index + (left - right) * stride_right + (right - left) * stride_left
+    step = swapped // stride_left % n_modes
+    step -= swapped // stride_right % n_modes  # left - right: letter k less letter k+1
+    # index + (left - right) * stride_right + (right - left) * stride_left
+    swapped -= step * (stride_left - stride_right)
     # row w holds the weight of the word it comes from, swapped(w), whose
     # eps is -eps(w): q^{-eps} there is q^{eps(w)}, one numpy power per value
     weights = params.q ** np.array([-1.0, 0.0, 1.0])
-    return _shift_operator(dim, index, swapped, weights[np.sign(left - right) + 1])
+    np.sign(step, out=step)
+    step += 1
+    return swapped, weights[step]
 
 
 def arrangement_sum(arrangement: ArrangementClass):

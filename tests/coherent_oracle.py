@@ -39,7 +39,7 @@ def dense_eigenvalue(spec: CoherentSpec, i: int, tol: float = 1e-9) -> tuple[flo
     ratio = 1.0
     for k in range(i + 1, spec.modes + 1):
         ratio *= math.sqrt(1.0 - (1.0 - params.q_sq) * abs(spec.z[k - 1]) ** 2)
-    lower = fock.annihilator(fock.FockSpaceConfig(spec.modes, spec.cutoff, params), i)
+    lower = fock.annihilator(fock.FockSpaceConfig(spec.modes, spec.cutoff, params), i).tocsr()
     residual = float(np.linalg.norm(lower @ state - spec.z[i - 1] * ratio * shifted))
     return residual, residual <= tol + 10.0 * math.sqrt(tail + shifted_tail) + 1e-13
 

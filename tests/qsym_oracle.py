@@ -10,7 +10,8 @@ tests compare the kernels against them on small shapes.
 inversion level, and finds each swapped word in the class by its index.  ``reference_transposition`` assembles the deformed
 transposition the plain scipy way, from a coordinate list, and
 ``reference_transposition_deviations`` checks the transposition laws one class
-at a time on dense states.
+at a time on dense states.  ``pair_matrix`` turns the library's
+``(swapped, weights)`` pair into a scipy matrix.
 """
 
 import math
@@ -30,7 +31,6 @@ from qmodes.qsym import (
     inversion_count,
     q_symmetrize,
     sign_compare,
-    transposition_op,
 )
 
 
@@ -197,15 +197,22 @@ def reference_transposition(
     return matrix
 
 
+def pair_matrix(swapped: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
+    """The scipy CSR matrix of a weighted permutation: row w holds weights[w] at column swapped[w]."""
+    dim = swapped.size
+    return sp.csr_matrix((weights, swapped, np.arange(dim + 1)), shape=(dim, dim))
+
+
 def reference_transposition_deviations(size: int, n_modes: int, params: DeformationParams) -> tuple[float, float]:
     """Largest |entry| of T·T − I and of T|w>_q − |w>_q over the transpositions T of one size.
 
-    T·T − I is formed by scipy.  The second runs over the sorted word w of every
-    class, each on its own dense n^N state, times each full-space transposition.
+    Each T is ``reference_transposition``'s scipy matrix, and scipy forms both
+    products.  The second runs over the sorted word w of every class, each on
+    its own dense n^N state, times each full-space transposition.
     """
-    ops = [transposition_op(size, n_modes, k, params) for k in range(1, size)]
+    ops = [reference_transposition(size, n_modes, k, params) for k in range(1, size)]
     identity = sp.identity(n_modes**size, format="csr")
-    inverse = max(float(abs(op.tocsr() @ op.tocsr() - identity).max()) for op in ops)
+    inverse = max(float(abs(op @ op - identity).max()) for op in ops)
     invariance = 0.0
     for counts in _count_vectors(n_modes, size):
         letters = tuple(k for k, c in enumerate(counts, start=1) for _ in range(c))

@@ -52,7 +52,7 @@ from qmodes.qsym import (
     transposition_op,
 )
 from fock_oracle import failing_families
-from qsym_oracle import multiset_arrangements
+from qsym_oracle import multiset_arrangements, pair_matrix
 
 Q_GRID = (0.3, 0.5, 0.9)
 
@@ -239,10 +239,7 @@ def test_criterion_08_q_symmetric_state_laws():
         params = DeformationParams(q)
         for size in range(1, max_size + 1):
             dim = n_modes**size
-            ops = {
-                k: transposition_op(size, n_modes, k, params).tocsr()
-                for k in range(1, size)
-            }
+            ops = {k: pair_matrix(*transposition_op(size, n_modes, k, params)) for k in range(1, size)}
             for k, op in ops.items():
                 square = (op @ op - sp.identity(dim, format="csr")).tocsr()
                 if square.nnz:

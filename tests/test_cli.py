@@ -40,7 +40,7 @@ from qmodes.qcore import (
     q_factorial,
 )
 from qcore_oracle import reference_q_exp, reference_q_exp_product
-from qsym_oracle import reference_transposition_deviations
+from qsym_oracle import pair_matrix, reference_transposition_deviations
 
 CORRUPTION_SENSITIVE = {
     "annihilator_annihilator_swap",
@@ -105,6 +105,18 @@ def test_zero_points_rejected(capsys):
     code, _, err = run_cli(["qexp", "eval", "--points", "0"], capsys)
     assert code == 2
     assert "points" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e400", "1e300", "nan", "0"])
+def test_a_tolerance_whose_square_is_not_finite_and_positive_is_refused(tol, capsys):
+    # an infinite --tol would pass the negative control vacuously and write "tol": Infinity,
+    # which strict JSON parsers refuse; coherent check squares --tol, which 1e300 overflows
+    for argv in (["verify", "algebra", "--inject-corruption"], ["coherent", "check"]):
+        code, out, err = run_cli(argv + ["--tol", tol, "--format", "json"], capsys)
+        assert code == 2 and out == "", argv
+        assert err.startswith("configuration error: --tol must be positive"), err
+    code, out, err = run_cli(["coherent", "check", "--tol", "1e150"], capsys)
+    assert code == 0, err
 
 
 def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
@@ -181,7 +193,7 @@ def test_exchange_sweep_of_four_modes_and_eight_letters_is_admitted(capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0, err
     assert out.strip().split("\n")[-1] == "overall PASS (21 checks)"
-    # 6^10 words are still refused, on the bytes of the stored transpositions
+    # 6^10 words are still refused, on the bytes of the classes, the state and a transposition
     code, _, err = run_cli(["qsym", "exchange", "--modes", "6", "--N", "10"], capsys)
     assert code == 2
     assert float(err.split("needs about ")[1].split(" bytes")[0]) > 2**30
@@ -225,7 +237,7 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         # its fixed objects
         nbytes = cost(["arrangements"], N, 0, len(classes[N]))[0][0]
         nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(classes[N]))[0]
-        nbytes += 512 * 3 * (N - 1) * 2 + 12_288
+        nbytes += 320 * 3 * (N - 1) * 2 + 12_288
         nbytes += max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0])
         # or, while the classes are built, one pass of the kernel beside the classes built
         # so far: at most _BATCH_ROWS rows, or the largest class, and at most every word
@@ -422,8 +434,8 @@ def test_exchange_sweep_peaks_within_its_estimate(argv, monkeypatch):
 
 
 def test_exchange_sweep_keeps_one_transposition_at_a_time():
-    # 4^8 words: each transposition takes 16 B per word, and the sweep used to keep
-    # the seven of the top size together
+    # 4^8 words: each transposition's pair takes 16 B per word (an int64 swapped word and
+    # a float64 weight), and the sweep used to keep the seven of the top size together
     peak = _handler_peak(["qsym", "exchange", "--q", "0.5", "--modes", "4", "--N", "8"])
     assert peak < 16 * 4**8 * 7
 
@@ -1120,26 +1132,26 @@ for argv in {BENCHMARK_VERBS!r}:
     assert result.returncode == 0, result.stderr
 
 
-def test_square_minus_identity_equals_the_scipy_residual():
+def test_inverse_residual_equals_the_scipy_residual():
     import scipy.sparse as sp
 
-    from qmodes.cli import _square_minus_identity
-    from qmodes.fock import ShiftOperator
+    from qmodes.cli import _inverse_residual
     from qmodes.qsym import transposition_op
 
-    def reference(op) -> float:
-        matrix = op.tocsr()
-        delta = (matrix @ matrix - sp.identity(op.shape[0], format="csr")).tocsr()
+    def reference(swapped, weights) -> float:
+        matrix = pair_matrix(swapped, weights)
+        delta = (matrix @ matrix - sp.identity(swapped.size, format="csr")).tocsr()
         return float(np.max(np.abs(delta.data))) if delta.nnz else 0.0
 
-    for q in (0.3, 0.9):
-        op = transposition_op(4, 3, 2, DeformationParams(q))
-        assert _square_minus_identity(op) == reference(op)
-    cases = [
-        ([2.0, 0.5, 3.0], [1, 0, 2], [0, 1, 2, 3]),  # a swap and a diagonal entry
-        ([2.0, 3.0], [1, 2], [0, 1, 2, 2]),  # a shift: the square leaves the diagonal
-        ([1.0, 1.0], [2, 0], [0, 1, 1, 2]),  # an empty row
-    ]
-    for data, indices, indptr in cases:
-        op = ShiftOperator(np.array(data), np.array(indices), np.array(indptr), (3, 3))
-        assert _square_minus_identity(op) == reference(op)
+    pairs = [transposition_op(size, n, k, DeformationParams(q))
+             for size, n in ((4, 3), (5, 2), (3, 4)) for k in range(1, size) for q in (0.05, 0.3, 0.9)]
+    swapped, weights = transposition_op(4, 3, 2, DeformationParams(0.3))
+    assert swapped[7] != 7
+    off = weights.copy()
+    off[7] *= 1 + 1e-9  # one weight off: rows 7 and swapped[7] square to 1 + ~1e-9
+    cycle = np.array([1, 2, 0])  # a 3-cycle: no row of the square returns to itself
+    bad = [(cycle, np.array([2.0, 0.5, 1.0])), (cycle, np.ones(3)), (swapped, off)]
+    for pair in pairs + bad:
+        assert _inverse_residual(*pair) == reference(*pair)
+    assert [_inverse_residual(*pair) for pair in bad[:2]] == [2.0, 1.0]
+    assert 1e-10 < _inverse_residual(swapped, off) < 1e-8
