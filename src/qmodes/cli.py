@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__, coherent, fock, qcore, qsym
+from . import __version__, coherent, fock, qcore, qpoly, qsym
 from .qcore import (
     WORK_BUDGET,
     DeformationParams,
@@ -50,7 +50,7 @@ from .qcore import (
     q_exp_via_product_points,
     size_estimate,
 )
-from .qpoly import poly_insertion_sum, poly_q_multinomial, poly_q_number
+from .qpoly import insertion_tallies, poly_q_multinomial, poly_q_number
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = __version__
@@ -318,6 +318,12 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     # Tail budget: eigenvalue residuals scale like sqrt(tail mass), so the
     # build aims two orders below tol^2 to keep truncation out of the verdict.
     build_tail = min(1e-20, config.tol * config.tol * 1e-2)
+    modes, points = (config.modes, config.points) if config.z is None else (len(config.z), 1)
+    if build_tail / modes == 0.0:  # the cutoff search splits the budget over the modes
+        raise ConfigError(
+            f"--tol {config.tol:g} is too small: the tail budget tol^2 * 1e-2 per mode underflows "
+            "to 0 in double precision, so no cutoff can reach it"
+        )
     # Size the whole request before any state is built: per q one --z point at its
     # own cutoff, or --points grid points at most at the cutoff of the grid's largest |z|.
     cutoffs = {}  # q -> the cutoff that bounds its points, or why its --z point is refused
@@ -330,7 +336,6 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             cutoffs[q] = coherent.suggest_cutoff(params, config.z, build_tail)
         except DomainError as exc:
             cutoffs[q] = exc
-    modes, points = (config.modes, config.points) if config.z is None else (len(config.z), 1)
     nbytes = work = 0.0
     for q, cutoff in cutoffs.items():
         if isinstance(cutoff, int):
@@ -578,24 +583,50 @@ def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     return records, []
 
 
+# (vector, slot) rows of one pass of the insertion kernel: a pass tallies the insertion
+# sums of up to this many rows together, or of one vector's slots alone.
+_INSERTION_ROWS = 2**10
+
+
+def _even_coefficients(poly: qpoly.QPolynomial, top: int) -> np.ndarray | None:
+    """The coefficients of q^0, q^2, ..., q^(2·top) of ``poly`` as an int64 array, or None
+    when it has a term at any other exponent (no insertion tally can then equal it)."""
+    coeffs = poly.coeffs
+    if any(e % 2 or e > 2 * top for e in coeffs):
+        return None
+    dense = np.zeros(top + 1, dtype=np.int64)
+    for e, c in coeffs.items():
+        dense[e // 2] = c
+    return dense
+
+
 def run_qsym_appendix(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
     classes = size_estimate(math.lgamma(N + n + 1) - math.lgamma(N + 1) - math.lgamma(n + 1))
-    # n insertion sums per count vector of ~6 us + 0.5 us * n + 0.15 us * N, and one target
-    # bracket per total (~0.3 us per coefficient); a few n * N-term polynomials
-    work = n * classes * (6_000 + 500 * n + 150 * N) + 500 * N**2
-    check_budget(f"qsym appendix up to N={N} over {n} modes", 200 * n * N, work)
+    vectors = max(1, _INSERTION_ROWS // n)
+    # Bytes, fitted on a grid of n = 1 to 1000 and N = 0 to 600: one pass of the kernel on
+    # the top total, whose (vector, slot) rows each hold n term bounds and three int64
+    # tallies over N + 2 exponents, beside its (n, n) mask; qpoly's cached target brackets;
+    # the records.
+    rows = n * min(vectors, size_estimate(math.lgamma(N + n) - math.lgamma(N + 1) - math.lgamma(n)))
+    nbytes = rows * (16 * (N + 2) + 9 * n + 80) + n * n + qpoly._bracket_bytes(N + 1)
+    nbytes += 400 * (N + 1) + 8_192
+    # Work, in ns on the same grid (measured at 0.5 to 1.3 times this): every row's N + 2
+    # tallies and n terms, ~40 us per pass and ~100 us per total, and per total a target
+    # bracket read coefficient by coefficient.
+    work = n * classes * (40 + 9 * (N + 2) + 10 * n) + 40_000 * classes / vectors
+    work += 100_000 * (N + 1) + 250 * (N + 1) * (N + 2)
+    check_budget(f"qsym appendix up to N={N} over {n} modes", nbytes, work)
     records = []
-    for total in range(config.particles + 1):
+    for total in range(N + 1):
         start = time.perf_counter()
         all_match = True
         cases = 0
-        target = poly_q_number(total + 1)
-        for counts in qsym._count_vectors(config.modes, total):
-            for slot in range(1, config.modes + 1):
-                cases += 1
-                if poly_insertion_sum(counts, slot) != target:
-                    all_match = False
+        target = _even_coefficients(poly_q_number(total + 1), total)
+        for counts in qsym._count_vector_blocks(n, total, vectors):
+            cases += counts.size
+            if target is None or not (insertion_tallies(counts) == target).all():
+                all_match = False
         records.append(
             CheckRecord(
                 name="qsym_insertion",

@@ -11,11 +11,18 @@ representation does not enforce that), and equality of two constructions is
 decided exactly.  Division is long division with an exactness assertion, so
 a failed divisibility claim surfaces as an error instead of a rounded
 answer.
+
+The insertion sums are the one exception to Python ints: their coefficients
+are tallied for many count vectors at once in an int64 numpy table
+(:func:`insertion_tallies`).  That is exact, since each of the n bracket
+terms of a sum adds at most 1 to any coefficient, so no entry exceeds n.
 """
 
 import functools
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "QPolynomial",
@@ -23,6 +30,7 @@ __all__ = [
     "poly_q_factorial",
     "poly_q_multinomial",
     "poly_insertion_sum",
+    "insertion_tallies",
 ]
 
 Rational = Union[int, Fraction]
@@ -291,6 +299,13 @@ def _bracket(n: int) -> QPolynomial:
     return QPolynomial({2 * k: 1 for k in range(n)})
 
 
+def _bracket_bytes(top: int) -> int:
+    """Bytes the bracket cache holds after the brackets [1] to [top] are built in turn:
+    the largest stay cached, at about 90 B per coefficient (a dict entry and its ints)."""
+    kept = min(top, _bracket.cache_parameters()["maxsize"])
+    return 90 * (kept * top - kept * (kept - 1) // 2)
+
+
 @functools.lru_cache(maxsize=128)
 def _factorial(n: int) -> QPolynomial:
     result = QPolynomial.one()
@@ -327,10 +342,8 @@ def poly_insertion_sum(counts: Sequence[int], slot: int) -> QPolynomial:
         + sum_{j>i} q^{2(n_1+...+n_{j-1}+1)} [n_j]
 
     which telescopes to the single bracket [N + 1], N = sum n_k.  Callers
-    compare against ``poly_q_number(N + 1)`` to certify the identity.  Every
-    bracket above contributes unit coefficients at consecutive even
-    exponents up to 2N, so the sum is tallied in one dense list of ints and
-    wrapped once.
+    compare against ``poly_q_number(N + 1)`` to certify the identity.  This is
+    the one-vector call of :func:`insertion_tallies`, wrapped once.
     """
     counts = tuple(int(c) for c in counts)
     if not counts:
@@ -339,12 +352,39 @@ def poly_insertion_sum(counts: Sequence[int], slot: int) -> QPolynomial:
         raise ValueError(f"counts must be nonnegative, got {counts!r}")
     if not 1 <= slot <= len(counts):
         raise ValueError(f"slot must be in 1..{len(counts)}, got {slot}")
-    tally = [0] * (2 * sum(counts) + 1)
-    prefix = 0
-    for j, c in enumerate(counts, start=1):
-        lowest = 2 * (prefix + 1) if j > slot else 2 * prefix
-        size = c + 1 if j == slot else c
-        for exponent in range(lowest, lowest + 2 * size, 2):
-            tally[exponent] += 1
-        prefix += c
-    return QPolynomial._canonical({e: c for e, c in enumerate(tally) if c})
+    tally = insertion_tallies(np.array([counts]))[0, slot - 1].tolist()
+    return QPolynomial._canonical({2 * k: c for k, c in enumerate(tally) if c})
+
+
+def insertion_tallies(counts: np.ndarray) -> np.ndarray:
+    """The insertion sums of many count vectors of one total N, at every slot.
+
+    ``counts`` is a (V, n) array of nonnegative ints whose rows all sum to N.
+    Entry [v, i, k] of the returned (V, n, N + 1) int64 table is the
+    coefficient of q^{2k} in ``poly_insertion_sum(counts[v], i + 1)``.
+
+    Each bracket term q^{2 lowest} [size] adds 1 at the half-exponents lowest
+    up to lowest + size - 1: a +1 at lowest and a -1 at lowest + size, summed
+    along the exponents.  lowest is the prefix count before the letter, plus 1
+    past the slot; size is the letter's count, plus 1 at the slot.  Every step
+    is whole-array, with no loop over vectors, slots or letters.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2 or 0 in counts.shape:
+        raise ValueError(f"counts must be a nonempty (V, n) array, got shape {counts.shape}")
+    if (counts < 0).any():
+        raise ValueError("counts must be nonnegative")
+    totals = counts.sum(axis=1)
+    if (totals != totals[0]).any():
+        raise ValueError("every count vector must have the same total")
+    vectors, n = counts.shape
+    width = int(totals[0]) + 2  # half-exponents 0..N, and N + 1 where the top terms end
+    prefix = np.cumsum(counts, axis=1) - counts
+    letter = np.arange(n)
+    lowest = prefix[:, None, :] + (letter > letter[:, None])  # [vector, slot, letter]
+    lowest += np.arange(0, vectors * n * width, width).reshape(vectors, n, 1)  # each row's own bins
+    steps = np.bincount(lowest.ravel(), minlength=vectors * n * width)
+    lowest += counts[:, None, :]  # now each term's stop
+    lowest[:, letter, letter] += 1
+    steps -= np.bincount(lowest.ravel(), minlength=vectors * n * width)
+    return np.cumsum(steps.reshape(vectors, n, width), axis=2)[:, :, :-1]

@@ -23,7 +23,6 @@ invariance).
 import collections
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -36,6 +35,7 @@ __all__ = [
     "ArrangementClass",
     "arrangements",
     "arrangement_classes",
+    "arrangement_tables",
     "arrangement_sum",
     "inversion_count",
     "sign_compare",
@@ -119,13 +119,29 @@ class ArrangementClass:
 # Rows of one pass of the arrangement kernel: a pass builds classes up to this many rows
 # together, or one larger class alone.
 _BATCH_ROWS = 2**15
+# Entries of the count vectors enumerated together, when they are handed out one at a time.
+_COUNT_BLOCK = 2**12
 
 
-def _count_vectors(slots: int, total: int):
-    """All nonnegative integer vectors of the given length with sum total, in lex order: the
-    gaps between nondecreasing cut points of 0..total, taken in lex order of the cuts."""
-    for cuts in itertools.combinations_with_replacement(range(total + 1), slots - 1):
-        yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
+def _count_vector_blocks(slots: int, total: int, size: int) -> Iterator[np.ndarray]:
+    """All nonnegative integer vectors of the given length with sum total, in lex order, as
+    (k, slots) int64 arrays of at most ``size`` rows each: the gaps between nondecreasing
+    cut points of 0..total, taken in lex order of the cuts."""
+    cuts = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(total + 1), slots - 1))
+    remaining = math.comb(total + slots - 1, slots - 1)
+    while remaining:
+        rows = min(size, remaining)
+        remaining -= rows
+        bounds = np.empty((rows, slots + 1), dtype=np.int64)
+        bounds[:, 0], bounds[:, -1] = 0, total
+        bounds[:, 1:-1] = np.fromiter(cuts, dtype=np.int64, count=rows * (slots - 1)).reshape(rows, slots - 1)
+        yield bounds[:, 1:] - bounds[:, :-1]
+
+
+def _count_vectors(slots: int, total: int) -> Iterator[tuple[int, ...]]:
+    """The vectors of :func:`_count_vector_blocks`, one tuple at a time."""
+    for block in _count_vector_blocks(slots, total, max(1, _COUNT_BLOCK // slots)):
+        yield from map(tuple, block.tolist())
 
 
 def _rows(counts: Sequence[int]) -> int:
@@ -148,7 +164,7 @@ def arrangements(counts: Sequence[int]) -> ArrangementClass:
     counts = tuple(int(c) for c in counts)
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be nonnegative, got {counts!r}")
-    return ArrangementClass(counts, *_build([counts], _rows(counts)))
+    return ArrangementClass(counts, *arrangement_tables([counts], _rows(counts)))
 
 
 def arrangement_classes(n_modes: int, size: int) -> Iterator[ArrangementClass]:
@@ -173,14 +189,14 @@ def arrangement_classes(n_modes: int, size: int) -> Iterator[ArrangementClass]:
 
 def _split(classes: list[tuple[int, ...]], rows: list[int], total: int) -> Iterator[ArrangementClass]:
     """The classes of one pass, one at a time, as views of the pass's arrays."""
-    index, inversions = _build(classes, total)
+    index, inversions = arrangement_tables(classes, total)
     start = 0
     for counts, stop in zip(classes, itertools.accumulate(rows)):
         yield ArrangementClass(counts, index[start:stop], inversions[start:stop])
         start = stop
 
 
-def _build(classes: list[tuple[int, ...]], rows: int) -> tuple[np.ndarray, np.ndarray]:
+def arrangement_tables(classes: list[tuple[int, ...]], rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor index and inversion count of every arrangement of the count vectors
     ``classes``, all of one size over the same modes and ``rows`` rows in all, class after
     class, in one prefix-extension pass.
@@ -191,6 +207,10 @@ def _build(classes: list[tuple[int, ...]], rows: int) -> tuple[np.ndarray, np.nd
     prefixes, so each class's rows come out together and in ascending tensor index.  The
     work and memory are O(rows), never O(n^N).  A word's last letter is forced and adds
     no inversion.
+
+    This is the kernel behind :func:`arrangements` and :func:`arrangement_classes`.  It is
+    public so that the benchmark's tracer, which wraps public functions only, times it as
+    qsym work even when it runs inside the generator a verb consumes.
     """
     n_modes, size = len(classes[0]), sum(classes[0])
     if size * math.log2(max(n_modes, 1)) > 63:

@@ -1,9 +1,10 @@
 """Reference insertion sum and long division, kept for the tests.
 
-``qmodes.qpoly.poly_insertion_sum`` tallies every shifted bracket's unit
-coefficients into one list of ints.  The routine here is the plain route it
-replaced: one polynomial per term, q-shifted by multiplying with a monomial,
-and summed with polynomial addition.  ``QPolynomial.divmod`` walks the
+``qmodes.qpoly.insertion_tallies`` tallies every shifted bracket's unit
+coefficients, for many count vectors and slots at once, in one int64 table.
+The routine here is the plain route it replaced: one polynomial per term,
+q-shifted by multiplying with a monomial, and summed with polynomial
+addition.  ``QPolynomial.divmod`` walks the
 remainder's exponents down once; the reference division rescans the
 remainder for its top term at every step, in plain ``Fraction`` arithmetic.
 The tests compare each pair for equality.

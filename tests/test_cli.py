@@ -27,7 +27,8 @@ from qmodes.cli import (
     render_text,
     strip_timing,
 )
-from qmodes import cli, coherent, fock, qcore, qsym
+from qmodes import cli, coherent, fock, qcore, qpoly, qsym
+from qmodes.qpoly import QPolynomial, insertion_tallies
 from qmodes.qsym import _count_vectors
 from qmodes.fock import RELATION_FAMILIES
 from qmodes.qcore import (
@@ -40,6 +41,7 @@ from qmodes.qcore import (
     q_factorial,
 )
 from qcore_oracle import reference_q_exp, reference_q_exp_product
+from qpoly_oracle import reference_insertion_sum
 from qsym_oracle import pair_matrix, reference_transposition_deviations
 
 CORRUPTION_SENSITIVE = {
@@ -119,6 +121,19 @@ def test_a_tolerance_whose_square_is_not_finite_and_positive_is_refused(tol, cap
     assert code == 0, err
 
 
+def test_a_tolerance_whose_tail_budget_underflows_is_refused_before_any_work(capsys):
+    # tol^2 * 1e-2 is 0 in double precision below tol ~ 1e-161, and at 2.5e-161 it is the
+    # smallest subnormal, which the cutoff search's split over the 2 modes rounds to 0
+    for tol in ("1e-200", "2.5e-161"):
+        code, out, err = run_cli(["coherent", "check", "--tol", tol], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"configuration error: --tol {tol} ") and "underflows to 0" in err
+    # 1e-100 leaves a tail budget of 1e-202, which the builds reach; the residuals then miss tol
+    code, out, err = run_cli(["coherent", "check", "--tol", "1e-100"], capsys)
+    assert code == 1, err
+    assert "FAIL coherent_" in out
+
+
 def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
     code, out, err = run_cli(["jackson", "moments", "--q", "0.9999999", "--N", "2"], capsys)
     assert code == 2
@@ -131,7 +146,7 @@ def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
 # traced: building the argparse parser alone allocates ~95 kB.
 OVER_BUDGET = [
     ["qsym", "exchange", "--modes", "6", "--N", "10"],
-    ["qsym", "appendix", "--modes", "6", "--N", "40"],
+    ["qsym", "appendix", "--modes", "6", "--N", "100"],
     ["qsym", "identity", "--modes", "2", "--N", "27"],
     ["verify", "algebra", "--modes", "2", "--cutoff", "10000"],
     ["coherent", "check", "--q", "0.5", "--points", "10000000"],
@@ -308,9 +323,9 @@ def _classes_built(argv, monkeypatch, capsys) -> tuple[list, int]:
         passes.append(len(classes))
         return build_pass(classes, rows)
 
-    build, build_pass = qsym.arrangement_classes, qsym._build
+    build, build_pass = qsym.arrangement_classes, qsym.arrangement_tables
     monkeypatch.setattr(qsym, "arrangement_classes", counted)
-    monkeypatch.setattr(qsym, "_build", one_pass)
+    monkeypatch.setattr(qsym, "arrangement_tables", one_pass)
     code, _, err = run_cli(argv, capsys)
     assert code == 0, err
     return built, len(passes)
@@ -711,6 +726,100 @@ def test_qexp_sweep_peaks_within_its_estimate(q, points, monkeypatch):
 )
 def test_coherent_check_peaks_within_its_estimate(shape, monkeypatch):
     peak, estimate = _peak_and_estimate(["coherent", "check"] + shape, monkeypatch)
+    assert 0.3 * estimate <= peak <= estimate
+
+
+# ---------------------------------------------------------------------------
+# qsym appendix: the insertion kernel in passes
+
+
+def test_appendix_passes_tally_every_vector_once_and_in_order(monkeypatch):
+    # 2 vectors of 3 slots a pass: the 21 vectors of total 5 take 11 passes
+    monkeypatch.setattr(cli, "_INSERTION_ROWS", 8)
+    passes = []
+
+    def recorded(counts):
+        table = insertion_tallies(counts)
+        passes.append((counts.tolist(), table.tolist()))
+        return table
+
+    monkeypatch.setattr(cli, "insertion_tallies", recorded)
+    namespace = build_parser().parse_args(["qsym", "appendix", "--modes", "3", "--N", "5"])
+    records, _ = _handler(namespace)(config_from_namespace(namespace))
+    assert all(record.passed for record in records)
+    assert [len(c) for c, _ in passes if sum(c[0]) == 5] == [2] * 10 + [1]
+    for total in range(6):
+        vectors = [tuple(v) for c, _ in passes for v in c if sum(v) == total]
+        rows = [r for c, t in passes if sum(c[0]) == total for r in t]
+        assert vectors == list(_count_vectors(3, total))
+        for counts, slots in zip(vectors, rows):
+            for slot, row in enumerate(slots, start=1):
+                assert QPolynomial({2 * k: c for k, c in enumerate(row)}) == reference_insertion_sum(counts, slot)
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first row", "last row"])
+def test_appendix_fails_exactly_the_total_whose_tally_is_wrong(row, monkeypatch, capsys):
+    # one coefficient of one (vector, slot) row of the second pass of total 4 is off by one;
+    # the comparison itself is left alone
+    monkeypatch.setattr(cli, "_INSERTION_ROWS", 8)
+    kernel = cli.insertion_tallies
+    seen = []
+
+    def corrupted(counts):
+        table = kernel(counts)
+        if counts.sum(axis=1)[0] == 4:
+            seen.append(len(counts))
+            if len(seen) == 2:
+                table[row, row, 1] += 1
+        return table
+
+    monkeypatch.setattr(cli, "insertion_tallies", corrupted)
+    code, out, _ = run_cli(["qsym", "appendix", "--modes", "3", "--N", "6", "--format", "json"], capsys)
+    assert code == 1 and len(seen) == 8
+    verdicts = {check["params"]["total"]: check["pass"] for check in json.loads(out)["checks"]}
+    assert verdicts == {total: total != 4 for total in range(7)}
+
+
+@pytest.mark.parametrize("extra", [1, 8], ids=["odd exponent", "past 2N"])
+def test_appendix_fails_a_target_with_a_term_no_tally_can_hold(extra, monkeypatch, capsys):
+    # the target bracket of total 3, [4], gains a term at q^extra
+    bracket = cli.poly_q_number
+    monkeypatch.setattr(cli, "poly_q_number", lambda m: bracket(m) + QPolynomial.monomial(extra) if m == 4 else bracket(m))
+    code, out, _ = run_cli(["qsym", "appendix", "--modes", "2", "--N", "5", "--format", "json"], capsys)
+    assert code == 1
+    verdicts = {check["params"]["total"]: check["pass"] for check in json.loads(out)["checks"]}
+    assert verdicts == {total: total != 3 for total in range(6)}
+
+
+def _handler_peak_and_estimate(argv, monkeypatch):
+    """The traced peak of the handler alone on ``argv``, from cold target brackets, and the
+    bytes it estimated for the request."""
+    estimates = []
+
+    def recorded(request, nbytes, work):
+        estimates.append(nbytes)
+        check_budget(request, nbytes, work)
+
+    check_budget = cli.check_budget
+    monkeypatch.setattr(cli, "check_budget", recorded)
+    namespace = build_parser().parse_args(argv)
+    config = config_from_namespace(namespace)
+    qpoly._bracket.cache_clear()
+    tracemalloc.start()
+    try:
+        _handler(namespace)(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, estimates[0]
+
+
+# (6, 6), (8, 8) and (40, 3) take several passes on their top total; (2, 300) is held by the
+# cached target brackets rather than by its one pass
+@pytest.mark.parametrize("n, N", [(3, 6), (4, 8), (6, 6), (8, 8), (40, 3), (2, 300)])
+def test_appendix_peaks_within_its_estimate(n, N, monkeypatch):
+    argv = ["qsym", "appendix", "--modes", str(n), "--N", str(N)]
+    peak, estimate = _handler_peak_and_estimate(argv, monkeypatch)
     assert 0.3 * estimate <= peak <= estimate
 
 

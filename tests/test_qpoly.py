@@ -7,18 +7,20 @@ itself.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmodes.qcore import DeformationParams, q_factorial
 from qmodes.qpoly import (
     QPolynomial,
+    insertion_tallies,
     poly_insertion_sum,
     poly_q_factorial,
     poly_q_multinomial,
     poly_q_number,
 )
-from qmodes.qsym import norm_identity_exact
+from qmodes.qsym import _count_vectors, norm_identity_exact
 
 from qpoly_oracle import reference_divmod, reference_insertion_sum
 
@@ -249,6 +251,25 @@ def test_insertion_sum_slot_bounds():
 def test_insertion_sum_matches_term_by_term_oracle(counts):
     for slot in range(1, len(counts) + 1):
         assert poly_insertion_sum(counts, slot) == reference_insertion_sum(counts, slot)
+
+
+def test_insertion_tallies_equal_the_term_by_term_oracle_row_for_row():
+    # every count vector and slot with n <= 6 and N <= 8; row [v, i] holds the
+    # coefficients of q^0, q^2, ..., q^2N, so the oracle must have no other term
+    for n in range(1, 7):
+        for N in range(9):
+            vectors = list(_count_vectors(n, N))
+            table = insertion_tallies(np.array(vectors))
+            assert table.shape == (len(vectors), n, N + 1) and table.dtype == np.int64
+            for counts, rows in zip(vectors, table.tolist()):
+                for slot, row in enumerate(rows, start=1):
+                    assert QPolynomial({2 * k: c for k, c in enumerate(row)}) == reference_insertion_sum(counts, slot)
+
+
+def test_insertion_tallies_refuse_what_is_not_one_total():
+    for counts in ([[1, 2], [2, 2]], [[1, -1]], [1, 2], np.zeros((0, 2), dtype=int), np.zeros((2, 0), dtype=int)):
+        with pytest.raises(ValueError):
+            insertion_tallies(np.array(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,14 @@ def test_multiset_arrangements_are_lex_sorted_and_distinct():
     assert big == sorted(big)
 
 
-def test_count_vectors_are_every_vector_of_the_total_in_lex_order():
-    for slots in range(1, 5):
-        for total in range(6):
-            expected = [c for c in itertools.product(range(total + 1), repeat=slots) if sum(c) == total]
-            assert list(_count_vectors(slots, total)) == expected, (slots, total)
+def test_count_vectors_are_every_vector_of_the_total_in_lex_order(monkeypatch):
+    for block in (1, 7, 2**12):
+        monkeypatch.setattr(qsym, "_COUNT_BLOCK", block)  # the tuples come out of blocks of this many entries
+        for slots in range(1, 5):
+            for total in range(6):
+                expected = [c for c in itertools.product(range(total + 1), repeat=slots) if sum(c) == total]
+                assert list(_count_vectors(slots, total)) == expected, (slots, total, block)
+    monkeypatch.undo()
     # no recursion per mode: a thousand modes are as easy as three
     vectors = list(_count_vectors(1000, 1))
     assert len(vectors) == 1000
@@ -198,8 +201,8 @@ def _passes(monkeypatch) -> list:
         passes.append((len(classes), rows))
         return build(classes, rows)
 
-    build = qsym._build
-    monkeypatch.setattr(qsym, "_build", recorded)
+    build = qsym.arrangement_tables
+    monkeypatch.setattr(qsym, "arrangement_tables", recorded)
     return passes
 
 

@@ -47,6 +47,7 @@ KEPT = {
     "fock.number_op": _TRACED,
     "fock.scale_op": _TRACED,
     "qsym.norm_identity_exact": _TRACED,
+    "qpoly.poly_insertion_sum": _TRACED,
     "fock.ShiftOperator.nnz": "the benchmark's tracer reads it to count operator entries",
     "fock.ShiftOperator.tocsr": "the one route to scipy sparse algebra, for the tests and their oracles",
     "qsym.bosonic_symmetrize": "scripts/classical_limit_scan.py calls it",
@@ -57,7 +58,6 @@ KEPT = {
     "coherent.CoherentSpec.shifted": _ORACLES,
     "qpoly.QPolynomial.zero": _RING,
     "qpoly.QPolynomial.monomial": _RING,
-    "qpoly.QPolynomial.coeffs": _RING,
     "qpoly.QPolynomial.coefficient": _RING,
     "qpoly.QPolynomial.evaluate": _RING,
     "qpoly.QPolynomial.render": "divide_exact's error message and the repr render through it",
