@@ -28,7 +28,8 @@ the resolution of unity over radial Jackson integration reduces per mode to
 
 where the weight exponent beta is 2 for the ``squared_q`` variant and 1 for
 the ``paper_q`` variant; the check adjudicates which variant actually
-satisfies the identity (squared_q does).  Both variants go through the one
+satisfies the identity (squared_q does).  Both variants go through
+``qcore._moment_deviations``, which takes each level's moment from the one
 moment kernel ``qcore.jackson_moment``; the target [m]! comes independently,
 as the running product of the brackets that ``qcore.q_factorial`` forms.
 """

@@ -314,6 +314,12 @@ def _factorial(n: int) -> QPolynomial:
     return result
 
 
+def _factorial_bytes(top: int) -> int:
+    """Bytes of the cached factorials [0]! to [top]! and a division: ~140 B a coefficient."""
+    kept = range(max(0, top + 1 - _factorial.cache_parameters()["maxsize"]), top + 1)
+    return 140 * sum(k * (k - 1) // 2 + 1 for k in kept)
+
+
 def poly_q_multinomial(counts: Sequence[int]) -> QPolynomial:
     """[N]! / prod [n_k]! via exact long division.
 

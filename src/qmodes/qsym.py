@@ -35,11 +35,12 @@ __all__ = [
     "ArrangementClass",
     "arrangements",
     "arrangement_classes",
+    "arrangement_tallies",
     "arrangement_tables",
-    "arrangement_sum",
     "inversion_count",
     "sign_compare",
     "q_symmetrize",
+    "state_entries",
     "bosonic_symmetrize",
     "fundamental_norm",
     "exchange_check",
@@ -90,21 +91,12 @@ class Word:
 
 def inversion_count(letters: Sequence[int]) -> int:
     """Number of pairs a < b with letters[a] > letters[b]."""
-    count = 0
-    for a in range(len(letters)):
-        for b in range(a + 1, len(letters)):
-            if letters[a] > letters[b]:
-                count += 1
-    return count
+    return sum(left > right for left, right in itertools.combinations(letters, 2))
 
 
 def sign_compare(i: int, j: int) -> int:
     """Three-valued comparator: +1 if i > j, -1 if i < j, 0 on ties."""
-    if i > j:
-        return 1
-    if i < j:
-        return -1
-    return 0
+    return (i > j) - (i < j)
 
 
 @dataclass(frozen=True)
@@ -175,31 +167,46 @@ def arrangement_classes(n_modes: int, size: int) -> Iterator[ArrangementClass]:
     at a time (a larger class alone), and handed out one at a time, so a caller that drops
     each class holds no more than one pass.  A class's arrays are views of its pass's.
     """
-    batch, rows, total = [], [], 0
+    for classes, rows in _passes(n_modes, size):
+        index, inversions = arrangement_tables(classes, sum(rows))
+        start = 0
+        for counts, stop in zip(classes, itertools.accumulate(rows)):
+            yield ArrangementClass(counts, index[start:stop], inversions[start:stop])
+            start = stop
+
+
+def arrangement_tallies(n_modes: int, size: int) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
+    """The passes of :func:`arrangement_classes`, built without tensor indices: each yields
+    its count vectors and a (classes, N(N-1)/2 + 1) int64 table whose row c holds, at column
+    k, how many arrangements of class c have k inversions (one ``np.bincount``)."""
+    width = size * (size - 1) // 2 + 1
+    for classes, rows in _passes(n_modes, size):
+        keys = arrangement_tables(classes, sum(rows), indices=False)[1]
+        keys += np.repeat(np.arange(0, len(classes) * width, width), rows)
+        yield classes, np.bincount(keys, minlength=len(classes) * width).reshape(len(classes), width)
+
+
+def _passes(n_modes: int, size: int) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+    """The count vectors of N letters in lex order, with their rows, in passes of the kernel:
+    up to ``_BATCH_ROWS`` rows a pass, or one larger class alone."""
+    classes, rows, total = [], [], 0
     for counts in _count_vectors(n_modes, size):
         class_rows = _rows(counts)
-        if batch and total + class_rows > _BATCH_ROWS:
-            yield from _split(batch, rows, total)
-            batch, rows, total = [], [], 0
-        batch.append(counts)
+        if classes and total + class_rows > _BATCH_ROWS:
+            yield classes, rows
+            classes, rows, total = [], [], 0
+        classes.append(counts)
         rows.append(class_rows)
         total += class_rows
-    yield from _split(batch, rows, total)
+    yield classes, rows
 
 
-def _split(classes: list[tuple[int, ...]], rows: list[int], total: int) -> Iterator[ArrangementClass]:
-    """The classes of one pass, one at a time, as views of the pass's arrays."""
-    index, inversions = arrangement_tables(classes, total)
-    start = 0
-    for counts, stop in zip(classes, itertools.accumulate(rows)):
-        yield ArrangementClass(counts, index[start:stop], inversions[start:stop])
-        start = stop
-
-
-def arrangement_tables(classes: list[tuple[int, ...]], rows: int) -> tuple[np.ndarray, np.ndarray]:
+def arrangement_tables(classes: list[tuple[int, ...]], rows: int,
+                       indices: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """Tensor index and inversion count of every arrangement of the count vectors
     ``classes``, all of one size over the same modes and ``rows`` rows in all, class after
-    class, in one prefix-extension pass.
+    class, in one prefix-extension pass.  With ``indices`` false the tensor indices are
+    not formed, and None comes back in their place.
 
     Every prefix is extended by one position at a time: appending letter l adds the
     number of letters still to place that are smaller than l, since each of them will
@@ -224,7 +231,7 @@ def arrangement_tables(classes: list[tuple[int, ...]], rows: int) -> tuple[np.nd
                      len(classes), classes[0], classes[-1])
     # the narrowest signed type that holds every count up to N (it holds -N - 1)
     left = np.array(classes, dtype=np.min_scalar_type(-size - 1))  # letters still to place
-    index = np.zeros(len(classes), dtype=np.int64)
+    index = np.zeros(len(classes), dtype=np.int64) if indices else None
     inversions = np.zeros(len(classes), dtype=np.int64)
     # each temporary is dropped once spent: the last step peaks at 50 to 70 B per row
     for _ in range(size - 1):
@@ -237,15 +244,16 @@ def arrangement_tables(classes: list[tuple[int, ...]], rows: int) -> tuple[np.nd
         inversions += np.take(smaller, extension)
         del smaller
         letters = np.subtract(extension, parents * n_modes, out=extension)
-        index = np.take(index, parents)
-        index *= n_modes
-        index += letters
+        if indices:
+            index = np.take(index, parents)
+            index *= n_modes
+            index += letters
         left = np.take(left, parents, axis=0)
         del parents
         spent = np.arange(0, letters.size * n_modes, n_modes)  # each new prefix's row of left
         spent += letters
         left.ravel()[spent] -= 1
-    if size:
+    if size and indices:
         last = np.flatnonzero(left > 0)  # the one letter left to each prefix
         last -= np.arange(0, index.size * n_modes, n_modes)
         index *= n_modes
@@ -275,35 +283,48 @@ def _batch_rows(n_modes: int, size: int) -> float:
     return min(max(_BATCH_ROWS, _largest_class(n_modes, size)), words)
 
 
-def _class_totals(n_modes: int, size: int) -> tuple[float, float]:
-    """Classes and rows over all classes of N letters: C(N + n - 1, n - 1) and n^N."""
+def _class_totals(n_modes: int, size: int) -> tuple[float, float, float]:
+    """Classes, rows and kernel passes over all classes of N letters: C(N + n - 1, n - 1), n^N,
+    and no more passes than classes or 1 + 2 n^N / ``_BATCH_ROWS`` (two in a row hold more)."""
     classes = size_estimate(math.lgamma(size + n_modes) - math.lgamma(n_modes) - math.lgamma(size + 1))
-    return classes, size_estimate(size * math.log(n_modes))
+    rows = size_estimate(size * math.log(n_modes))
+    return classes, rows, min(classes, 1 + 2 * rows / _BATCH_ROWS)
 
 
-def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: float):
+def _multisets(n_modes: int, size: int) -> int:
+    """Multisets of N letters over n modes: the partitions of N into at most n parts."""
+    table = [1] + [0] * size
+    for part in range(1, min(n_modes, size) + 1):
+        for total in range(part, size + 1):
+            table[total] += table[total - part]
+    return table[size]
+
+
+def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: float, passes: float = 1):
     """Peak bytes of one call and steps (~1 ns each) of ``classes`` calls of a class kernel
-    on N letters, over ``rows`` rows in all.
+    on N letters, over ``rows`` rows and ``passes`` kernel passes in all.
 
-    Fitted on cold calls on a 2-core x86-64 machine, and linear in calls and rows, so on
-    the totals of ``_class_totals`` it equals the sum over the classes (but for the one
+    Fitted on cold calls on a 2-core x86-64 machine, and linear in calls, rows and passes,
+    so on the totals of ``_class_totals`` it is the sum over the classes (but for the one
     vector "symmetrize" fills).  Each kernel prices only what it adds to a built class.
-    "arrangements" builds ``classes`` classes in one pass (the bytes are those of the pass):
-    ~100 B per row (50 to 70 B measured, 16 B kept) and ~(8n + 600) B per class for its
-    count tuple, record and two views (8n + 370 to 8n + 730 measured, kept with the class).
-    Its work terms, ~25 us per letter per class and ~350 ns per row, were fitted on one pass
-    per class and now only err high: a pass takes ~15 us per letter and ~60 ns per row.
-    "symmetrize" fills an n^N vector (8 B, ~1.5 ns per entry): ~40 us per class, ~15 ns and
-    24 B per row, and ~20 N^2 B for its q^k over the N(N-1)/2 + 1 inversion counts (Python
-    floats while ``_powers`` builds them).  "identity" is one exact division, ~70 us +
-    22 ns * N^4.
+    "arrangements": ~100 B per row of one pass (45 to 70 B measured, 16 B kept), ~(8n + 600)
+    B per class for its count tuple, record and two views (8n + 370 to 8n + 730 measured,
+    kept with the class); ~20 us + 40 us per letter a pass, ~3 us + 0.3 us per mode a class,
+    ~60 ns per row (the identity sweep at n = 1 to 300, N = 1 to 40 took 0.4 to 1.05 times
+    this).  "symmetrize" fills an n^N vector (8 B, ~1.5 ns per entry): ~40 us per class,
+    ~15 ns and 24 B per row, ~20 N^2 B for its q^k over the N(N-1)/2 + 1 inversion counts.
     """
     if kernel == "arrangements":
-        return 100 * rows + (8 * n_modes + 600) * classes, 25_000 * classes * size + 350 * rows
-    if kernel == "symmetrize":
-        dim = size_estimate(size * math.log(n_modes))
-        return 8 * dim + 24 * rows + 20 * size * size, 1.5 * dim + 40_000 * classes + 15 * rows
-    return 0, classes * (70_000 + 22 * size**4)  # "identity"
+        work = passes * (20_000 + 40_000 * size) + classes * (3_000 + 300 * n_modes) + 60 * rows
+        return 100 * rows + (8 * n_modes + 600) * classes, work
+    dim = size_estimate(size * math.log(n_modes))  # "symmetrize"
+    return 8 * dim + 24 * rows + 20 * size * size, 1.5 * dim + 40_000 * classes + 15 * rows
+
+
+def _identity_cost(size: int, multisets: float, passes: float) -> float:
+    # steps beside the kernel: an exact division per multiset, ~70 us + 40 ns N^4 ([N]! is
+    # built for each at n = 1: 38 ns N^4 measured), and ~30 us per pass to tally and compare
+    return multisets * (70_000 + 40 * size**4) + 30_000 * passes
 
 
 def _transposition_cost(n_modes: int, size: int, ops: float, products: float) -> tuple[float, float]:
@@ -352,13 +373,14 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
                  *_class_cost("symmetrize", word.n_modes, word.size, 1, rows), word.n_modes, word.size)
     arrangement = arrangements(word.counts)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
-    vector[arrangement.index] = _state_entries(arrangement, params, inversion_count(word.letters))
+    vector[arrangement.index] = state_entries(arrangement, params, inversion_count(word.letters))
     return vector
 
 
-def _state_entries(arrangement: ArrangementClass, params: DeformationParams, word_inversions: int = 0):
+def state_entries(arrangement: ArrangementClass, params: DeformationParams, word_inversions: int = 0):
     """The entries of |w>_q on the rows of its class, for a word w of that class with
-    R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)}."""
+    R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)}.
+    Public, so the benchmark's tracer times it as qsym work when ``qsym exchange`` calls it."""
     powers = _powers(params.q, sum(arrangement.counts))
     base = powers[word_inversions] * _prefactor(params, arrangement.counts)
     return (base * powers)[arrangement.inversions]
@@ -460,28 +482,18 @@ def transposition_op(
     return swapped, weights[step]
 
 
-def arrangement_sum(arrangement: ArrangementClass):
-    """The exact arrangement sum sum_u q^{2 R(u)} over the rows of a class, tallied by
-    inversion count.  Import is deferred so the tensor layer stays float-only unless the
-    exact route is requested."""
-    from .qpoly import QPolynomial
-
-    tally = np.bincount(arrangement.inversions)
-    return QPolynomial({2 * inversions: int(number) for inversions, number in enumerate(tally) if number})
-
-
 def norm_identity_exact(counts: Sequence[int]):
     """Exact arrangement sum sum_u q^{2 R(u)} and the bracket multinomial.
 
-    Returns the pair (arrangement_sum, multinomial) as exact polynomials;
-    their equality is the closed form for the norms of q-symmetrized
-    states.
+    Returns the pair (arrangement sum, multinomial) as exact polynomials, the sum tallied
+    by inversion count; their equality is the closed form for the norms of q-symmetrized
+    states.  Import is deferred so the tensor layer stays float-only unless it is requested.
     """
-    from .qpoly import poly_q_multinomial
+    from .qpoly import QPolynomial, poly_q_multinomial
 
     counts = tuple(int(c) for c in counts)
     if not counts:
         raise ValueError("counts must be a nonempty sequence")
-    check_budget("norm_identity_exact on the class {}",
-                 *_class_cost("identity", len(counts), sum(counts), 1, _class_size(counts)), counts)
-    return arrangement_sum(arrangements(counts)), poly_q_multinomial(counts)
+    check_budget("norm_identity_exact on the class {}", 0, _identity_cost(sum(counts), 1, 1), counts)
+    tally = np.bincount(arrangement_tables([counts], _class_size(counts), indices=False)[1])
+    return QPolynomial({2 * k: int(number) for k, number in enumerate(tally) if number}), poly_q_multinomial(counts)

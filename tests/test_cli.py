@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +235,14 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
     def cost(kernels, s, rows, classes=1):
         return [qsym._class_cost(kernel, n, s, classes, rows) for kernel in kernels]
 
+    def built(s):
+        # the kernel's work summed over the classes of a size, and charged for the passes
+        # of the size's totals, which are no fewer than the kernel makes
+        passes = qsym._class_totals(n, s)[2]
+        assert passes >= len(list(qsym._passes(n, s)))
+        per_class = sum(qsym._class_cost("arrangements", n, s, 1, rows, 0)[1] for rows in classes[s])
+        return per_class + qsym._class_cost("arrangements", n, s, 0, 0, passes)[1], passes
+
     monkeypatch.setattr(cli, "check_budget", priced)
     for N in range(2, 8):
         classes = {s: [qsym._class_size(c) for c in _count_vectors(n, s)] for s in range(N + 1)}
@@ -244,9 +253,7 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         for s in range(2, N + 1):
             per_q = qsym._transposition_cost(n, s, s - 1, 2 * (s - 1))[1] + qsym._exchange_cost(n, s, s - 1)[1]
             per_q += qsym._class_cost("symmetrize", n, s, len(classes[s]), sum(classes[s]))[1]
-            for rows in classes[s]:
-                work += cost(["arrangements"], s, rows)[0][1]
-            work += 2 * per_q
+            work += built(s)[0] + 2 * per_q
         # the records of the size's classes and the state vector, beside one transposition
         # or one exchange kernel call, and the sweep's 3 check records per size and q and
         # its fixed objects
@@ -266,12 +273,18 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         work = 2 * 25 * max(sum(w for _, w in word) for word in words)
         assert estimate("norm", N) == pytest.approx((nbytes, work), rel=1e-9)
 
-        pairs = [cost(["arrangements", "identity"], s, rows) for s in classes for rows in classes[s]]
-        work = sum(w for pair in pairs for _, w in pair)
-        # one pass of the kernel, whose classes are tallied and dropped: no more classes
-        # than its rows
-        nbytes = cost(["arrangements"], N, batch_rows, min(len(classes[N]), batch_rows))[0][0]
-        assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
+        # every class built and tallied, and one exact division per multiset of counts
+        work = 0.0
+        for s in classes:
+            kernel, passes = built(s)
+            multisets = len({tuple(sorted(counts)) for counts in _count_vectors(n, s)})
+            assert qsym._multisets(n, s) == multisets
+            work += kernel + qsym._identity_cost(s, multisets, passes)
+        # at least one pass of the kernel, whose classes are tallied and dropped: no more
+        # classes than its rows
+        nbytes, charged = estimate("identity", N)
+        assert charged == pytest.approx(work, rel=1e-9)
+        assert nbytes > cost(["arrangements"], N, batch_rows, min(len(classes[N]), batch_rows))[0][0]
 
 
 def _estimated_bytes(verb, n, N, monkeypatch) -> float:
@@ -292,8 +305,8 @@ def _estimated_bytes(verb, n, N, monkeypatch) -> float:
 @pytest.mark.parametrize("n, N", [(40, 2), (20, 3)])
 def test_sweeps_charge_the_records_of_many_small_classes(n, N, monkeypatch):
     # over many modes a size has many small classes, and each holds a count tuple of n
-    # entries, its record and two views: the exchange sweep keeps them all, the identity
-    # sweep one pass of them
+    # entries, its record and two views: the exchange sweep keeps them all; the identity
+    # sweep tallies one pass of them at a time
     exchange, identity = (_estimated_bytes(verb, n, N, monkeypatch) for verb in ("exchange", "identity"))
     tracemalloc.start()
     try:
@@ -301,7 +314,7 @@ def test_sweeps_charge_the_records_of_many_small_classes(n, N, monkeypatch):
         _, kept = tracemalloc.get_traced_memory()
         del classes
         tracemalloc.reset_peak()
-        for _ in qsym.arrangement_classes(n, N):
+        for _ in qsym.arrangement_tallies(n, N):
             pass
         _, dropped = tracemalloc.get_traced_memory()
     finally:
@@ -311,7 +324,8 @@ def test_sweeps_charge_the_records_of_many_small_classes(n, N, monkeypatch):
 
 
 def _classes_built(argv, monkeypatch, capsys) -> tuple[list, int]:
-    """The counts of every class a run builds, and the kernel passes that build them."""
+    """The counts of every class a run builds or tallies, and the kernel passes that build
+    them."""
     built, passes = [], []
 
     def counted(n_modes, size):
@@ -319,12 +333,18 @@ def _classes_built(argv, monkeypatch, capsys) -> tuple[list, int]:
             built.append(arrangement.counts)
             yield arrangement
 
-    def one_pass(classes, rows):
-        passes.append(len(classes))
-        return build_pass(classes, rows)
+    def tallied(n_modes, size):
+        for classes, table in tally(n_modes, size):
+            built.extend(classes)
+            yield classes, table
 
-    build, build_pass = qsym.arrangement_classes, qsym.arrangement_tables
+    def one_pass(classes, rows, indices=True):
+        passes.append(len(classes))
+        return build_pass(classes, rows, indices)
+
+    build, tally, build_pass = qsym.arrangement_classes, qsym.arrangement_tallies, qsym.arrangement_tables
     monkeypatch.setattr(qsym, "arrangement_classes", counted)
+    monkeypatch.setattr(qsym, "arrangement_tallies", tallied)
     monkeypatch.setattr(qsym, "arrangement_tables", one_pass)
     code, _, err = run_cli(argv, capsys)
     assert code == 0, err
@@ -370,6 +390,45 @@ def test_an_identity_sweep_forms_one_multinomial_per_multiset_of_counts(monkeypa
     # the 56 classes of 0 to 5 letters over 3 modes have 1 + 1 + 2 + 3 + 4 + 5 multisets
     # of counts, the partitions of each total into at most 3 parts
     assert len(formed) == len(set(formed)) == 16
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first class", "last class"])
+def test_identity_fails_exactly_the_total_whose_tally_is_wrong(row, monkeypatch, capsys):
+    # one arrangement of the first or the last class of the second pass of total 4, which
+    # holds three classes, gets one inversion more; the tally and the comparison are left
+    # alone
+    monkeypatch.setattr(qsym, "_BATCH_ROWS", 30)
+    kernel = qsym.arrangement_tables
+    seen = []
+
+    def corrupted(classes, rows, indices=True):
+        index, inversions = kernel(classes, rows, indices)
+        if sum(classes[0]) == 4:
+            seen.append(len(classes))
+            if len(seen) == 2:
+                inversions[row] += 1
+        return index, inversions
+
+    monkeypatch.setattr(qsym, "arrangement_tables", corrupted)
+    code, out, _ = run_cli(["qsym", "identity", "--modes", "3", "--N", "6", "--format", "json"], capsys)
+    assert code == 1 and seen == [6, 3, 4, 2]
+    verdicts = {check["params"]["total"]: check["pass"] for check in json.loads(out)["checks"]}
+    assert verdicts == {total: total != 4 for total in range(7)}
+
+
+# a coefficient that int64 cannot hold: truncated, 1 + 1/2 would read as the 1 it should be
+@pytest.mark.parametrize("extra", [Fraction(1, 2), 2**70], ids=["half", "past int64"])
+def test_exact_verbs_fail_a_target_coefficient_that_is_no_int64(extra, monkeypatch, capsys):
+    # the constant term of the multinomial of (0, 1, 2), and of the bracket [4] of total 3
+    multinomial, bracket = cli.poly_q_multinomial, cli.poly_q_number
+    bumped = QPolynomial.monomial(0, extra)
+    monkeypatch.setattr(cli, "poly_q_multinomial", lambda c: multinomial(c) + bumped if c == (0, 1, 2) else multinomial(c))
+    monkeypatch.setattr(cli, "poly_q_number", lambda m: bracket(m) + bumped if m == 4 else bracket(m))
+    for verb in ("identity", "appendix"):
+        code, out, err = run_cli(["qsym", verb, "--modes", "3", "--N", "5", "--format", "json"], capsys)
+        assert code == 1, err
+        verdicts = {check["params"]["total"]: check["pass"] for check in json.loads(out)["checks"]}
+        assert verdicts == {total: total != 3 for total in range(6)}, verb
 
 
 @pytest.mark.parametrize(
@@ -792,8 +851,8 @@ def test_appendix_fails_a_target_with_a_term_no_tally_can_hold(extra, monkeypatc
 
 
 def _handler_peak_and_estimate(argv, monkeypatch):
-    """The traced peak of the handler alone on ``argv``, from cold target brackets, and the
-    bytes it estimated for the request."""
+    """The traced peak of the handler alone on ``argv``, from cold target brackets and
+    factorials, and the bytes it estimated for the request."""
     estimates = []
 
     def recorded(request, nbytes, work):
@@ -805,6 +864,7 @@ def _handler_peak_and_estimate(argv, monkeypatch):
     namespace = build_parser().parse_args(argv)
     config = config_from_namespace(namespace)
     qpoly._bracket.cache_clear()
+    qpoly._factorial.cache_clear()
     tracemalloc.start()
     try:
         _handler(namespace)(config)
@@ -819,6 +879,15 @@ def _handler_peak_and_estimate(argv, monkeypatch):
 @pytest.mark.parametrize("n, N", [(3, 6), (4, 8), (6, 6), (8, 8), (40, 3), (2, 300)])
 def test_appendix_peaks_within_its_estimate(n, N, monkeypatch):
     argv = ["qsym", "appendix", "--modes", str(n), "--N", str(N)]
+    peak, estimate = _handler_peak_and_estimate(argv, monkeypatch)
+    assert 0.3 * estimate <= peak <= estimate
+
+
+# (4, 9) takes eight passes on its top total; (2, 20) is held by its largest class, built
+# alone; (1, 30) by the cached factorials
+@pytest.mark.parametrize("n, N", [(4, 7), (3, 9), (6, 6), (40, 2), (20, 3), (2, 20), (4, 9), (1, 30)])
+def test_identity_peaks_within_its_estimate(n, N, monkeypatch):
+    argv = ["qsym", "identity", "--modes", str(n), "--N", str(N)]
     peak, estimate = _handler_peak_and_estimate(argv, monkeypatch)
     assert 0.3 * estimate <= peak <= estimate
 

@@ -23,6 +23,8 @@ from qmodes.qsym import (
     _count_vectors,
     _largest_class,
     arrangement_classes,
+    arrangement_tables,
+    arrangement_tallies,
     arrangements,
     bosonic_symmetrize,
     exchange_check,
@@ -245,6 +247,35 @@ def test_batched_passes_keep_the_zero_shape_and_the_int64_refusal():
     assert next(arrangement_classes(2, 63)).index.tolist() == [2**63 - 1]  # the word 2...2 still fits
 
 
+def test_the_inversions_only_kernel_equals_the_indexed_run():
+    for n_modes, size in [(1, 0), (1, 5), (2, 9), (3, 6), (4, 5), (6, 3)]:
+        for classes, rows in qsym._passes(n_modes, size):
+            index, inversions = arrangement_tables(classes, sum(rows), indices=False)
+            assert index is None
+            expected = arrangement_tables(classes, sum(rows))[1]
+            assert inversions.dtype == expected.dtype == np.int64
+            assert np.array_equal(inversions, expected)
+    with pytest.raises(ValueError, match="int64"):
+        arrangement_tables([(40, 0, 0)], 1, indices=False)  # the guards hold without indices too
+
+
+@pytest.mark.parametrize("cap", [None, 5], ids=["one pass a size", "five rows a pass"])
+def test_each_tally_row_is_the_bincount_of_its_class(cap, monkeypatch):
+    if cap:
+        monkeypatch.setattr(qsym, "_BATCH_ROWS", cap)
+    for n_modes in range(1, 7):
+        for size in range(9):
+            width = size * (size - 1) // 2 + 1
+            passes = list(arrangement_tallies(n_modes, size))
+            assert [c for classes, _ in passes for c in classes] == list(_count_vectors(n_modes, size))
+            for classes, table in passes:
+                assert table.dtype == np.int64 and table.shape == (len(classes), width)
+                for counts, row in zip(classes, table):
+                    assert np.array_equal(row, np.bincount(arrangements(counts).inversions, minlength=width))
+            if cap and n_modes**size > cap:
+                assert len(passes) > 1  # the classes of a size are split across passes
+
+
 def test_a_size_built_class_by_class_peaks_within_one_pass():
     # the sweeps charge one pass of at most _BATCH_ROWS rows for the 4^9 words of nine
     # letters over four modes, whose largest class has 22680 rows, and the records of
@@ -365,7 +396,7 @@ def size_states(classes: list[ArrangementClass], params: DeformationParams) -> n
     counts = classes[0].counts
     states = np.zeros(len(counts) ** sum(counts))
     for arrangement in classes:
-        states[arrangement.index] = qsym._state_entries(arrangement, params)
+        states[arrangement.index] = qsym.state_entries(arrangement, params)
     return states
 
 
@@ -507,7 +538,7 @@ def test_exchange_kernel_flags_a_row_with_a_wrong_inversion_count(counts, row):
     words = list(multiset_arrangements(counts))
     for q in Q_GRID:
         params = DeformationParams(q)
-        entries = qsym._state_entries(corrupted, params)
+        entries = qsym.state_entries(corrupted, params)
         _, residuals, allowance = class_exchange(corrupted, params)
         broken = np.zeros_like(residuals, dtype=bool)
         letters = words[row]
@@ -658,7 +689,9 @@ def test_class_totals_equal_the_enumeration():
                 classes += 1
                 rows += arrangement.index.size
                 assert _class_size(arrangement.counts) == pytest.approx(arrangement.index.size, rel=1e-12)
-            assert _class_totals(n_modes, size) == pytest.approx((classes, rows), rel=1e-12)
+            assert _class_totals(n_modes, size)[:2] == pytest.approx((classes, rows), rel=1e-12)
+            # the passes charged are no fewer than the kernel makes, and no more than the classes
+            assert len(list(qsym._passes(n_modes, size))) <= _class_totals(n_modes, size)[2] <= classes
             largest = max(_class_size(counts) for counts in _count_vectors(n_modes, size))
             assert _largest_class(n_modes, size) == pytest.approx(largest, rel=1e-12)
 
