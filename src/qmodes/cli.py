@@ -242,8 +242,13 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         params = DeformationParams(q)
         if config.x is not None:
             if abs(config.x) >= params.radius:
-                point = {"q": q, "x": str(config.x), "detail": "outside the convergence disk"}
-                records.append(CheckRecord("qexp_route_agreement", point, passed=False))
+                records.append(
+                    CheckRecord(
+                        name="qexp_route_agreement",
+                        params={"q": q, "x": str(config.x), "detail": "outside the convergence disk"},
+                        passed=False,
+                    )
+                )
                 continue
             samples = [config.x]
         else:
@@ -257,18 +262,23 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             series = q_exp_points(params, xs + images)
             products = q_exp_via_product_points(params, xs)
             for x, at_x, at_image, product in zip(xs, series, series[len(xs) :], products):
-                agreement = abs(at_x.value - product.value) / max(abs(product.value), 1e-300)
-                worst_agreement = max(worst_agreement, agreement)
-                lhs, rhs = at_image.value, (1.0 - (1.0 - params.q_sq) * x) * at_x.value
-                worst_functional = max(worst_functional, abs(lhs - rhs) / max(abs(lhs), 1.0))
+                worst_agreement = max(
+                    worst_agreement, abs(at_x.value - product.value) / max(abs(product.value), 1e-300)
+                )
+                lhs = at_image.value
+                rhs = (1.0 - (1.0 - params.q_sq) * x) * at_x.value
+                worst_functional = max(
+                    worst_functional, abs(lhs - rhs) / max(abs(lhs), 1.0)
+                )
                 if config.x is not None:
                     extra.append(f"exp_q({x}) = {at_x.value!r}  (q={q})")
         millis = _elapsed_ms(start)
         point_params = {"q": q, "points": len(samples)}
         if config.x is not None:
             point_params["x"] = str(config.x)
-        pairs = (("qexp_functional_equation", worst_functional), ("qexp_route_agreement", worst_agreement))
-        for name, worst in pairs:
+        for name, worst in (
+            ("qexp_functional_equation", worst_functional), ("qexp_route_agreement", worst_agreement)
+        ):
             records.append(CheckRecord.measured(name, point_params, worst, config.tol, millis))
     return records, extra
 
@@ -337,7 +347,13 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     for q in config.q_values:
         params = DeformationParams(q)
         if isinstance(cutoffs[q], DomainError):
-            records.append(CheckRecord("coherent_domain", {"q": q, "detail": str(cutoffs[q])}, passed=False))
+            records.append(
+                CheckRecord(
+                    name="coherent_domain",
+                    params={"q": q, "detail": str(cutoffs[q])},
+                    passed=False,
+                )
+            )
             continue
         if config.z is not None:
             specs = [coherent.CoherentSpec(config.z, params, cutoffs[q])]
@@ -348,8 +364,13 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             try:
                 state = coherent.build_coherent(spec, tail_tol=build_tail * 10.0)
             except coherent.InsufficientCutoffError as exc:
-                failed = {"q": q, "point": point, "detail": str(exc)}
-                records.append(CheckRecord("coherent_build", failed, passed=False))
+                records.append(
+                    CheckRecord(
+                        name="coherent_build",
+                        params={"q": q, "point": point, "detail": str(exc)},
+                        passed=False,
+                    )
+                )
                 continue
             deviation = abs(state.norm_sq - 1.0)
             records.append(CheckRecord.measured("coherent_normalization", {"q": q, "point": point}, deviation,
@@ -461,7 +482,7 @@ def _exchange_records(classes: list, point: dict, params: DeformationParams, tol
     start = time.perf_counter()
     states = np.zeros(n**size)
     for arrangement in classes:
-        states[arrangement.index] = qsym.state_entries(arrangement, params)
+        states[arrangement.index] = qsym._state_entries(arrangement, params)
     worst = allowance = inverse = invariance = inverse_s = invariance_s = 0.0
     exchange_s = time.perf_counter() - start
     for k in range(1, size):
@@ -530,6 +551,54 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     return records, []
 
 
+def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
+    n, N = config.modes, config.particles
+    # every class of every total up to N tallied in the kernel's passes, and one exact
+    # division per multiset
+    def work(t: int) -> float:
+        classes, rows, passes = qsym._class_totals(n, t)
+        return qsym._class_cost("arrangements", n, t, classes, rows, passes)[1] + qsym._identity_cost(n, t, passes)
+
+    # one pass of the kernel on N letters (no more classes than rows), its tally keys (8 B a
+    # row), its table, stacked target rows and comparison (17 B a class and inversion count);
+    # qpoly's cached factorials and brackets; the records (a total's target rows, some kB, not)
+    rows, width = qsym._batch_rows(n, N), N * (N - 1) // 2 + 1
+    classes = min(qsym._class_totals(n, N)[0], rows)
+    nbytes = qsym._class_cost("arrangements", n, N, classes, rows)[0] + 8 * rows + 17 * classes * width
+    nbytes += qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N) + 400 * (N + 1)
+    check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, _sweep_work(range(N, -1, -1), work))
+    records = []
+    for total in range(config.particles + 1):
+        start = time.perf_counter()
+        targets = {}  # sorted counts -> dense coefficients of their multinomial: one per multiset
+        all_match = True
+        cases = 0
+        for classes, table in qsym.arrangement_tallies(n, total):
+            cases += len(classes)
+            rows = []
+            for key in map(tuple, map(sorted, classes)):
+                if key not in targets:
+                    targets[key] = _even_coefficients(poly_q_multinomial(key), table.shape[1] - 1)
+                rows.append(targets[key])
+            if any(row is None for row in rows) or not np.array_equal(table, rows):
+                all_match = False
+        records.append(
+            CheckRecord(
+                name="qsym_identity",
+                params={"total": total, "modes": config.modes, "cases": cases},
+                passed=all_match,
+                exact_match=all_match,
+                millis=_elapsed_ms(start),
+            )
+        )
+    return records, []
+
+
+# (vector, slot) rows of one pass of the insertion kernel: a pass tallies the insertion
+# sums of up to this many rows together, or of one vector's slots alone.
+_INSERTION_ROWS = 2**10
+
+
 def _even_coefficients(poly: qpoly.QPolynomial, top: int) -> np.ndarray | None:
     """The coefficients of q^0, q^2, ..., q^(2·top) of ``poly`` as an int64 array, or None
     when it has a term at any other exponent or a coefficient that is not an int within
@@ -541,50 +610,6 @@ def _even_coefficients(poly: qpoly.QPolynomial, top: int) -> np.ndarray | None:
     for e, c in coeffs.items():
         dense[e // 2] = c
     return dense
-
-
-def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
-    n, N = config.modes, config.particles
-
-    # every class of every total up to N tallied in the kernel's passes, and one exact
-    # division per multiset (counted only when one division fits the budget)
-    def work(t: int) -> float:
-        classes, rows, passes = qsym._class_totals(n, t)
-        multisets = qsym._multisets(n, t) if qsym._identity_cost(t, 1, 0) <= WORK_BUDGET else 1
-        kernel = qsym._class_cost("arrangements", n, t, classes, rows, passes)[1]
-        return kernel + qsym._identity_cost(t, multisets, passes)
-
-    # one pass of the kernel on N letters (no more classes than rows), its tally keys (8 B a
-    # row), its table, stacked target rows and comparison (17 B a class and inversion count);
-    # qpoly's cached factorials and brackets; the records (a total's target rows, some kB, not)
-    rows, width = qsym._batch_rows(n, N), N * (N - 1) // 2 + 1
-    classes = min(qsym._class_totals(n, N)[0], rows)
-    nbytes = qsym._class_cost("arrangements", n, N, classes, rows)[0] + 8 * rows + 17 * classes * width
-    nbytes += qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N) + 400 * (N + 1)
-    check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, _sweep_work(range(N, -1, -1), work))
-    records = []
-    for total in range(N + 1):
-        start = time.perf_counter()
-        targets = {}  # sorted counts -> dense coefficients of their multinomial: one per multiset
-        all_match, cases = True, 0
-        for classes, table in qsym.arrangement_tallies(n, total):
-            cases += len(classes)
-            rows = []
-            for key in map(tuple, map(sorted, classes)):
-                if key not in targets:
-                    targets[key] = _even_coefficients(poly_q_multinomial(key), table.shape[1] - 1)
-                rows.append(targets[key])
-            if any(row is None for row in rows) or not np.array_equal(table, rows):
-                all_match = False
-        millis = _elapsed_ms(start)
-        point = {"total": total, "modes": config.modes, "cases": cases}
-        records.append(CheckRecord("qsym_identity", point, all_match, exact_match=all_match, millis=millis))
-    return records, []
-
-
-# (vector, slot) rows of one pass of the insertion kernel: a pass tallies the insertion
-# sums of up to this many rows together, or of one vector's slots alone.
-_INSERTION_ROWS = 2**10
 
 
 def run_qsym_appendix(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
@@ -614,9 +639,15 @@ def run_qsym_appendix(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             cases += counts.size
             if target is None or not (insertion_tallies(counts) == target).all():
                 all_match = False
-        millis = _elapsed_ms(start)
-        point = {"total": total, "modes": config.modes, "cases": cases}
-        records.append(CheckRecord("qsym_insertion", point, all_match, exact_match=all_match, millis=millis))
+        records.append(
+            CheckRecord(
+                name="qsym_insertion",
+                params={"total": total, "modes": config.modes, "cases": cases},
+                passed=all_match,
+                exact_match=all_match,
+                millis=_elapsed_ms(start),
+            )
+        )
     return records, []
 
 

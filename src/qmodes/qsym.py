@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qcore import DeformationParams, check_budget, q_factorial, size_estimate
+from .qcore import WORK_BUDGET, DeformationParams, check_budget, q_factorial, size_estimate
 
 __all__ = [
     "Word",
@@ -37,10 +37,10 @@ __all__ = [
     "arrangement_classes",
     "arrangement_tallies",
     "arrangement_tables",
+    "inversion_tallies",
     "inversion_count",
     "sign_compare",
     "q_symmetrize",
-    "state_entries",
     "bosonic_symmetrize",
     "fundamental_norm",
     "exchange_check",
@@ -91,12 +91,21 @@ class Word:
 
 def inversion_count(letters: Sequence[int]) -> int:
     """Number of pairs a < b with letters[a] > letters[b]."""
-    return sum(left > right for left, right in itertools.combinations(letters, 2))
+    count = 0
+    for a in range(len(letters)):
+        for b in range(a + 1, len(letters)):
+            if letters[a] > letters[b]:
+                count += 1
+    return count
 
 
 def sign_compare(i: int, j: int) -> int:
     """Three-valued comparator: +1 if i > j, -1 if i < j, 0 on ties."""
-    return (i > j) - (i < j)
+    if i > j:
+        return 1
+    if i < j:
+        return -1
+    return 0
 
 
 @dataclass(frozen=True)
@@ -176,14 +185,20 @@ def arrangement_classes(n_modes: int, size: int) -> Iterator[ArrangementClass]:
 
 
 def arrangement_tallies(n_modes: int, size: int) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
-    """The passes of :func:`arrangement_classes`, built without tensor indices: each yields
-    its count vectors and a (classes, N(N-1)/2 + 1) int64 table whose row c holds, at column
-    k, how many arrangements of class c have k inversions (one ``np.bincount``)."""
-    width = size * (size - 1) // 2 + 1
+    """The passes of :func:`arrangement_classes`, each as its count vectors and their
+    :func:`inversion_tallies` table."""
     for classes, rows in _passes(n_modes, size):
-        keys = arrangement_tables(classes, sum(rows), indices=False)[1]
-        keys += np.repeat(np.arange(0, len(classes) * width, width), rows)
-        yield classes, np.bincount(keys, minlength=len(classes) * width).reshape(len(classes), width)
+        yield classes, inversion_tallies(classes, rows)
+
+
+def inversion_tallies(classes: list[tuple[int, ...]], rows: list[int]) -> np.ndarray:
+    """The (classes, N(N-1)/2 + 1) int64 table of one pass of the kernel, built without tensor
+    indices, whose row c holds at column k how many arrangements of class c (of ``rows[c]``
+    rows) have k inversions: one ``np.bincount`` over class * width + inversions."""
+    width = sum(classes[0]) * (sum(classes[0]) - 1) // 2 + 1
+    keys = arrangement_tables(classes, sum(rows), indices=False)[1]
+    keys += np.repeat(np.arange(0, len(classes) * width, width), rows)
+    return np.bincount(keys, minlength=len(classes) * width).reshape(len(classes), width)
 
 
 def _passes(n_modes: int, size: int) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
@@ -215,7 +230,8 @@ def arrangement_tables(classes: list[tuple[int, ...]], rows: int,
     work and memory are O(rows), never O(n^N).  A word's last letter is forced and adds
     no inversion.
 
-    This is the kernel behind :func:`arrangements` and :func:`arrangement_classes`.  It is
+    This is the kernel behind :func:`arrangements`, :func:`arrangement_classes` and
+    :func:`inversion_tallies`.  It is
     public so that the benchmark's tracer, which wraps public functions only, times it as
     qsym work even when it runs inside the generator a verb consumes.
     """
@@ -321,10 +337,14 @@ def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: floa
     return 8 * dim + 24 * rows + 20 * size * size, 1.5 * dim + 40_000 * classes + 15 * rows
 
 
-def _identity_cost(size: int, multisets: float, passes: float) -> float:
-    # steps beside the kernel: an exact division per multiset, ~70 us + 40 ns N^4 ([N]! is
-    # built for each at n = 1: 38 ns N^4 measured), and ~30 us per pass to tally and compare
-    return multisets * (70_000 + 40 * size**4) + 30_000 * passes
+def _identity_cost(n_modes: int, size: int, passes: float) -> float:
+    """Steps of the identity check beside the kernel on N letters over n modes: an exact
+    division per multiset of counts, ~70 us + 40 ns N^4 ([N]! is built for each at n = 1:
+    38 ns N^4 measured), and ~30 us per pass to tally and compare.  The multisets are
+    counted only when one division fits the work budget; past it one is enough to refuse."""
+    division = 70_000 + 40 * size**4
+    multisets = _multisets(n_modes, size) if division <= WORK_BUDGET else 1
+    return multisets * division + 30_000 * passes
 
 
 def _transposition_cost(n_modes: int, size: int, ops: float, products: float) -> tuple[float, float]:
@@ -373,14 +393,13 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
                  *_class_cost("symmetrize", word.n_modes, word.size, 1, rows), word.n_modes, word.size)
     arrangement = arrangements(word.counts)
     vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
-    vector[arrangement.index] = state_entries(arrangement, params, inversion_count(word.letters))
+    vector[arrangement.index] = _state_entries(arrangement, params, inversion_count(word.letters))
     return vector
 
 
-def state_entries(arrangement: ArrangementClass, params: DeformationParams, word_inversions: int = 0):
+def _state_entries(arrangement: ArrangementClass, params: DeformationParams, word_inversions: int = 0):
     """The entries of |w>_q on the rows of its class, for a word w of that class with
-    R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)}.
-    Public, so the benchmark's tracer times it as qsym work when ``qsym exchange`` calls it."""
+    R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)}."""
     powers = _powers(params.q, sum(arrangement.counts))
     base = powers[word_inversions] * _prefactor(params, arrangement.counts)
     return (base * powers)[arrangement.inversions]
@@ -494,6 +513,8 @@ def norm_identity_exact(counts: Sequence[int]):
     counts = tuple(int(c) for c in counts)
     if not counts:
         raise ValueError("counts must be a nonempty sequence")
-    check_budget("norm_identity_exact on the class {}", 0, _identity_cost(sum(counts), 1, 1), counts)
+    # one class in one pass, and one division: the single multiset of one mode
+    check_budget("norm_identity_exact on the class {}", 0, _identity_cost(1, sum(counts), 1), counts)
     tally = np.bincount(arrangement_tables([counts], _class_size(counts), indices=False)[1])
-    return QPolynomial({2 * k: int(number) for k, number in enumerate(tally) if number}), poly_q_multinomial(counts)
+    arrangement_sum = QPolynomial({2 * k: int(number) for k, number in enumerate(tally) if number})
+    return arrangement_sum, poly_q_multinomial(counts)

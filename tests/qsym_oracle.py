@@ -27,7 +27,7 @@ from qmodes.qsym import (
     Word,
     _count_vectors,
     _powers,
-    state_entries,
+    _state_entries,
     inversion_count,
     q_symmetrize,
     sign_compare,
@@ -157,7 +157,7 @@ def reference_exchange_table(
     n_modes, size = len(counts), sum(counts)
     levels = np.flatnonzero(np.bincount(inversions))
     powers = _powers(params.q, size)
-    table = state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
+    table = _state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
     comparator = np.array(
         [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
     )

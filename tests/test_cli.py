@@ -273,18 +273,23 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         work = 2 * 25 * max(sum(w for _, w in word) for word in words)
         assert estimate("norm", N) == pytest.approx((nbytes, work), rel=1e-9)
 
-        # every class built and tallied, and one exact division per multiset of counts
+        # every class built and tallied, one exact division per multiset of counts (one
+        # mode has one multiset) and ~30 us per pass to tally and compare
         work = 0.0
         for s in classes:
             kernel, passes = built(s)
             multisets = len({tuple(sorted(counts)) for counts in _count_vectors(n, s)})
             assert qsym._multisets(n, s) == multisets
-            work += kernel + qsym._identity_cost(s, multisets, passes)
-        # at least one pass of the kernel, whose classes are tallied and dropped: no more
-        # classes than its rows
-        nbytes, charged = estimate("identity", N)
-        assert charged == pytest.approx(work, rel=1e-9)
-        assert nbytes > cost(["arrangements"], N, batch_rows, min(len(classes[N]), batch_rows))[0][0]
+            work += kernel + multisets * qsym._identity_cost(1, s, 0) + 30_000 * passes
+        # one pass of the kernel, whose classes are tallied and dropped (no more classes than
+        # its rows), beside its tally keys (8 B a row), its table, stacked target rows and
+        # comparison (17 B a class and inversion count), qpoly's cached factorials and
+        # brackets, and the records
+        tallied = min(len(classes[N]), batch_rows)
+        nbytes = cost(["arrangements"], N, batch_rows, tallied)[0][0] + 8 * batch_rows
+        nbytes += 17 * tallied * (N * (N - 1) // 2 + 1) + 400 * (N + 1)
+        nbytes += qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N)
+        assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
 
 
 def _estimated_bytes(verb, n, N, monkeypatch) -> float:

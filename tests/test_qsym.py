@@ -396,7 +396,7 @@ def size_states(classes: list[ArrangementClass], params: DeformationParams) -> n
     counts = classes[0].counts
     states = np.zeros(len(counts) ** sum(counts))
     for arrangement in classes:
-        states[arrangement.index] = qsym.state_entries(arrangement, params)
+        states[arrangement.index] = qsym._state_entries(arrangement, params)
     return states
 
 
@@ -538,7 +538,7 @@ def test_exchange_kernel_flags_a_row_with_a_wrong_inversion_count(counts, row):
     words = list(multiset_arrangements(counts))
     for q in Q_GRID:
         params = DeformationParams(q)
-        entries = qsym.state_entries(corrupted, params)
+        entries = qsym._state_entries(corrupted, params)
         _, residuals, allowance = class_exchange(corrupted, params)
         broken = np.zeros_like(residuals, dtype=bool)
         letters = words[row]
