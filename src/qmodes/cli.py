@@ -31,6 +31,7 @@ import argparse
 import cmath
 import json
 import math
+import random
 import sys
 import time
 from dataclasses import dataclass
@@ -167,6 +168,8 @@ class RunConfig:
             raise ConfigError(f"unknown weight variant {self.weight_variant!r}")
         if self.inject_corruption and self.modes < 2:
             raise ConfigError("the negative control needs at least 2 modes")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
 
     @property
     def variant(self) -> coherent.WeightVariant:
@@ -440,49 +443,47 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         raise ConfigError("exchange checks need N >= 2")
     n, N = config.modes, config.particles
 
-    # per size, every class built once; then per q one state vector filled from them, and
-    # at each position the exchange kernel, the transposition, its square and its product
-    # with the vector
+    # per size, the all-words kernel's keys once; then per q the class entries, the state
+    # vector gathered from them, and at each position the exchange kernel, the
+    # transposition, its square and its product with the vector
     def work(size: int) -> float:
-        totals = qsym._class_totals(n, size)
-        per_q = qsym._class_cost("symmetrize", n, size, *totals)[1] + qsym._exchange_cost(n, size, size - 1)[1]
-        per_q += qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
-        return qsym._class_cost("arrangements", n, size, *totals)[1] + len(config.q_values) * per_q
+        per_q = qsym._entries_cost(n, size)[1] + qsym._exchange_cost(n, size, size - 1)[1] + qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
+        return qsym._words_cost(n, size)[1] + len(config.q_values) * per_q
 
-    # the top size's classes (16 B per word, and their records) and one state vector filled
-    # from them, beside one transposition or one exchange kernel call, never both, and
-    # beside the sweep's own objects, charged once: ~320 B per check record (~230 B kept,
-    # ~290 B on a first call) and ~12 KiB of numpy headers and views; or, while
-    # the classes are built, one pass of the arrangement kernel beside those built
-    classes, words, _ = qsym._class_totals(n, N)
-    nbytes = qsym._class_cost("arrangements", n, N, classes, 0)[0] + qsym._class_cost("symmetrize", n, N, 1, words)[0]
-    nbytes += 320 * 3 * (N - 1) * len(config.q_values) + 12_288
-    nbytes += max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0])
-    build = qsym._class_cost("arrangements", n, N, classes, qsym._batch_rows(n, N))[0] + 16 * words
-    nbytes = max(nbytes, build)
+    # the top size's keys, beside the sweep's check records (~320 B each) and, in turn, the
+    # all-words kernel forming them; the class entries and the state vector gathered from
+    # them; one transposition or one exchange kernel call, never both, beside that vector
+    # and ~12 KiB of numpy headers and views
+    words = qsym._class_totals(n, N)[1]
+    nbytes = max(
+        qsym._words_cost(n, N)[0],
+        8 * words + qsym._entries_cost(n, N)[0],
+        8 * words + max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0]) + 12_288,
+    )
+    nbytes += 8 * words + 320 * 3 * (N - 1) * len(config.q_values)
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
     records = []
     for size in range(2, N + 1):
-        classes = list(qsym.arrangement_classes(n, size))
+        keys = qsym.word_keys(n, size)
         for q in config.q_values:
             point = {"q": q, "N": size, "modes": n}
-            records += _exchange_records(classes, point, DeformationParams(q), config.tol)
+            records += _exchange_records(keys, point, DeformationParams(q), config.tol)
+        del keys  # before the next size's are formed
     return records, []
 
 
-def _exchange_records(classes: list, point: dict, params: DeformationParams, tol: float) -> list:
-    """The exchange and transposition records of one size and q.  The classes cover the
-    size's words and each is closed under swaps, so one vector of all their sorted-word
-    states serves every position: the exchange kernel compares it with its swap, and a
-    transposition maps each class's part of it onto itself.  Each position's kernel results
-    and transposition are dropped before the next position's are built."""
+def _exchange_records(keys: np.ndarray, point: dict, params: DeformationParams, tol: float) -> list:
+    """The exchange and transposition records of one size and q.  The state vector holds
+    the sorted-word state of every class of the size, each word's entry gathered from the
+    class entries at its key; each class is closed under swaps, so one vector serves every
+    position: the exchange kernel compares it with its swap, and a transposition maps each
+    class's part of it onto itself.  Each position's kernel results and transposition are
+    dropped before the next position's are built."""
     size, n = point["N"], point["modes"]
     # the exchange check's time includes filling the state vector; the inverse check's,
     # building the transpositions
     start = time.perf_counter()
-    states = np.zeros(n**size)
-    for arrangement in classes:
-        states[arrangement.index] = qsym._state_entries(arrangement, params)
+    states = np.take(qsym.class_entries(params, n, size), keys)
     worst = allowance = inverse = invariance = inverse_s = invariance_s = 0.0
     exchange_s = time.perf_counter() - start
     for k in range(1, size):
@@ -527,21 +528,22 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
             records.append(CheckRecord.measured("qsym_norm", point, deviation, config.tol, millis))
         return records, extra
     n, N = config.modes, config.particles
+    if N < 1:
+        raise ConfigError("norm sweeps need N >= 1")
     samples = 25
     # each word is sized before it is drawn, as the costliest it could be: N letters, largest class
     rows = qsym._largest_class(n, N)
     costs = [qsym._class_cost(kernel, n, N, 1, rows) for kernel in ("arrangements", "symmetrize")]
     nbytes, work = sum(b for b, _ in costs), samples * len(config.q_values) * sum(w for _, w in costs)
     check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, work)
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     for q in config.q_values:
         params = DeformationParams(q)
         start = time.perf_counter()
         worst = 0.0
         for _ in range(samples):
-            size = int(rng.integers(1, config.particles + 1))
-            letters = tuple(int(v) for v in rng.integers(1, config.modes + 1, size=size))
-            word = qsym.Word(letters, config.modes)
+            letters = tuple(rng.randint(1, n) for _ in range(rng.randint(1, N)))
+            word = qsym.Word(letters, n)
             value = qsym.fundamental_norm(word, params)
             law = params.q ** (2 * qsym.inversion_count(letters))
             worst = max(worst, abs(value - law))
@@ -553,39 +555,41 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
 def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
-    # every class of every total up to N tallied in the kernel's passes, and one exact
-    # division per multiset
+    # every word of every total up to N keyed and tallied by the all-words kernel, every
+    # class compared, and one exact division per multiset
     def work(t: int) -> float:
-        classes, rows, passes = qsym._class_totals(n, t)
-        return qsym._class_cost("arrangements", n, t, classes, rows, passes)[1] + qsym._identity_cost(n, t, passes)
+        return qsym._words_cost(n, t)[1] + qsym._identity_cost(n, t)
 
-    # one pass of the kernel on N letters (no more classes than rows), its tally keys (8 B a
-    # row), its table, stacked target rows and comparison (17 B a class and inversion count);
-    # qpoly's cached factorials and brackets; the records (a total's target rows, some kB, not)
-    rows, width = qsym._batch_rows(n, N), N * (N - 1) // 2 + 1
-    classes = min(qsym._class_totals(n, N)[0], rows)
-    nbytes = qsym._class_cost("arrangements", n, N, classes, rows)[0] + 8 * rows + 17 * classes * width
+    # the all-words kernel on N letters beside the total's table (8 B a class and inversion
+    # count), then a block of count vectors, its sorted copy and its stacked target rows;
+    # qpoly's cached factorials and brackets; the records (a total's target rows, some kB,
+    # not)
+    classes, width = qsym._class_totals(n, N)[0], N * (N - 1) // 2 + 1
+    vectors = max(1, qsym._COUNT_BLOCK // n)
+    nbytes = qsym._words_cost(n, N)[0] + 8 * classes * width + min(classes, vectors) * (24 * n + 17 * width)
     nbytes += qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N) + 400 * (N + 1)
     check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, _sweep_work(range(N, -1, -1), work))
     records = []
-    for total in range(config.particles + 1):
+    for total in range(N + 1):
         start = time.perf_counter()
+        table = qsym.word_tallies(n, total)
         targets = {}  # sorted counts -> dense coefficients of their multinomial: one per multiset
         all_match = True
-        cases = 0
-        for classes, table in qsym.arrangement_tallies(n, total):
-            cases += len(classes)
+        first = 0
+        for counts in qsym._count_vector_blocks(n, total, vectors):
+            multisets, which = np.unique(np.sort(counts, axis=1), axis=0, return_inverse=True)
             rows = []
-            for key in map(tuple, map(sorted, classes)):
+            for key in map(tuple, multisets.tolist()):
                 if key not in targets:
                     targets[key] = _even_coefficients(poly_q_multinomial(key), table.shape[1] - 1)
                 rows.append(targets[key])
-            if any(row is None for row in rows) or not np.array_equal(table, rows):
+            tallied, first = table[first : first + len(counts)], first + len(counts)
+            if any(row is None for row in rows) or not np.array_equal(tallied, np.array(rows)[which.ravel()]):
                 all_match = False
         records.append(
             CheckRecord(
                 name="qsym_identity",
-                params={"total": total, "modes": config.modes, "cases": cases},
+                params={"total": total, "modes": config.modes, "cases": len(table)},
                 passed=all_match,
                 exact_match=all_match,
                 millis=_elapsed_ms(start),

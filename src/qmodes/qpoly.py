@@ -308,16 +308,22 @@ def _bracket_bytes(top: int) -> int:
 
 @functools.lru_cache(maxsize=128)
 def _factorial(n: int) -> QPolynomial:
-    result = QPolynomial.one()
-    for k in range(1, n + 1):
-        result = result * _bracket(k)
-    return result
+    """[n]! as the running product [n-1]! [n], [n-1]! from the cache when the indices rise
+    one at a time.  A cold call first fills [n-100]! (and so on down), so no chain of calls
+    runs more than 100 deep."""
+    if n == 0:
+        return QPolynomial.one()
+    if n > 100:
+        _factorial(n - 100)
+    return _factorial(n - 1) * _bracket(n)
 
 
 def _factorial_bytes(top: int) -> int:
-    """Bytes of the cached factorials [0]! to [top]! and a division: ~140 B a coefficient."""
+    """Bytes of the cached factorials [0]! to [top]! and a division: ~(120 + k) B a
+    coefficient of [k]!, whose ints grow with k (0.8 to 0.9 of the peak measured at
+    top = 30, 60 and 100)."""
     kept = range(max(0, top + 1 - _factorial.cache_parameters()["maxsize"]), top + 1)
-    return 140 * sum(k * (k - 1) // 2 + 1 for k in kept)
+    return sum((120 + k) * (k * (k - 1) // 2 + 1) for k in kept)
 
 
 def poly_q_multinomial(counts: Sequence[int]) -> QPolynomial:

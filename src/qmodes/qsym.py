@@ -34,10 +34,9 @@ __all__ = [
     "Word",
     "ArrangementClass",
     "arrangements",
-    "arrangement_classes",
-    "arrangement_tallies",
-    "arrangement_tables",
-    "inversion_tallies",
+    "word_keys",
+    "word_tallies",
+    "class_entries",
     "inversion_count",
     "sign_compare",
     "q_symmetrize",
@@ -117,11 +116,11 @@ class ArrangementClass:
     inversions: np.ndarray
 
 
-# Rows of one pass of the arrangement kernel: a pass builds classes up to this many rows
-# together, or one larger class alone.
-_BATCH_ROWS = 2**15
 # Entries of the count vectors enumerated together, when they are handed out one at a time.
 _COUNT_BLOCK = 2**12
+# Words of one block of the all-words kernel: a size's words are keyed this many at a time at
+# most (n at a time past this many modes).
+_BLOCK_WORDS = 2**15
 
 
 def _count_vector_blocks(slots: int, total: int, size: int) -> Iterator[np.ndarray]:
@@ -155,100 +154,30 @@ def _rows(counts: Sequence[int]) -> int:
 
 
 def arrangements(counts: Sequence[int]) -> ArrangementClass:
-    """Tensor index and inversion count of every arrangement of a multiset.
+    """Tensor index and inversion count of every arrangement of a multiset, in one
+    prefix-extension pass.
 
     ``counts[l]`` is the multiplicity of letter l + 1, and there is one slot
-    per mode, so the words live in the len(counts)^N tensor space.  This is
-    the one-class call of the kernel behind :func:`arrangement_classes`.
-    The all-zero shape has one row, the empty arrangement.
-    """
-    counts = tuple(int(c) for c in counts)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts!r}")
-    return ArrangementClass(counts, *arrangement_tables([counts], _rows(counts)))
-
-
-def arrangement_classes(n_modes: int, size: int) -> Iterator[ArrangementClass]:
-    """Every arrangement class of ``size`` letters over ``n_modes`` modes, one per count
-    vector, in lex order of the counts.
-
-    The classes are built together in one pass of the kernel, up to ``_BATCH_ROWS`` rows
-    at a time (a larger class alone), and handed out one at a time, so a caller that drops
-    each class holds no more than one pass.  A class's arrays are views of its pass's.
-    """
-    for classes, rows in _passes(n_modes, size):
-        index, inversions = arrangement_tables(classes, sum(rows))
-        start = 0
-        for counts, stop in zip(classes, itertools.accumulate(rows)):
-            yield ArrangementClass(counts, index[start:stop], inversions[start:stop])
-            start = stop
-
-
-def arrangement_tallies(n_modes: int, size: int) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
-    """The passes of :func:`arrangement_classes`, each as its count vectors and their
-    :func:`inversion_tallies` table."""
-    for classes, rows in _passes(n_modes, size):
-        yield classes, inversion_tallies(classes, rows)
-
-
-def inversion_tallies(classes: list[tuple[int, ...]], rows: list[int]) -> np.ndarray:
-    """The (classes, N(N-1)/2 + 1) int64 table of one pass of the kernel, built without tensor
-    indices, whose row c holds at column k how many arrangements of class c (of ``rows[c]``
-    rows) have k inversions: one ``np.bincount`` over class * width + inversions."""
-    width = sum(classes[0]) * (sum(classes[0]) - 1) // 2 + 1
-    keys = arrangement_tables(classes, sum(rows), indices=False)[1]
-    keys += np.repeat(np.arange(0, len(classes) * width, width), rows)
-    return np.bincount(keys, minlength=len(classes) * width).reshape(len(classes), width)
-
-
-def _passes(n_modes: int, size: int) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
-    """The count vectors of N letters in lex order, with their rows, in passes of the kernel:
-    up to ``_BATCH_ROWS`` rows a pass, or one larger class alone."""
-    classes, rows, total = [], [], 0
-    for counts in _count_vectors(n_modes, size):
-        class_rows = _rows(counts)
-        if classes and total + class_rows > _BATCH_ROWS:
-            yield classes, rows
-            classes, rows, total = [], [], 0
-        classes.append(counts)
-        rows.append(class_rows)
-        total += class_rows
-    yield classes, rows
-
-
-def arrangement_tables(classes: list[tuple[int, ...]], rows: int,
-                       indices: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """Tensor index and inversion count of every arrangement of the count vectors
-    ``classes``, all of one size over the same modes and ``rows`` rows in all, class after
-    class, in one prefix-extension pass.  With ``indices`` false the tensor indices are
-    not formed, and None comes back in their place.
+    per mode, so the words live in the len(counts)^N tensor space.  The
+    all-zero shape has one row, the empty arrangement.
 
     Every prefix is extended by one position at a time: appending letter l adds the
     number of letters still to place that are smaller than l, since each of them will
     follow it.  Each prefix emits its extensions in letter order, in the order of the
-    prefixes, so each class's rows come out together and in ascending tensor index.  The
-    work and memory are O(rows), never O(n^N).  A word's last letter is forced and adds
-    no inversion.
-
-    This is the kernel behind :func:`arrangements`, :func:`arrangement_classes` and
-    :func:`inversion_tallies`.  It is
-    public so that the benchmark's tracer, which wraps public functions only, times it as
-    qsym work even when it runs inside the generator a verb consumes.
+    prefixes, so the rows come out in ascending tensor index.  The work and memory are
+    O(rows), never O(n^N).  A word's last letter is forced and adds no inversion.
     """
-    n_modes, size = len(classes[0]), sum(classes[0])
+    counts = tuple(int(c) for c in counts)
+    if any(c < 0 for c in counts):
+        raise ValueError(f"counts must be nonnegative, got {counts!r}")
+    n_modes, size = len(counts), sum(counts)
     if size * math.log2(max(n_modes, 1)) > 63:
-        raise ValueError(f"the words of the class {classes[0]} have tensor indices past int64")
-    if len(classes) == 1:
-        check_budget("arrangements of the class {}",
-                     *_class_cost("arrangements", n_modes, size, 1, rows), classes[0])
-    else:
-        check_budget("arrangements of the {} classes from {} to {}",
-                     *_class_cost("arrangements", n_modes, size, len(classes), rows),
-                     len(classes), classes[0], classes[-1])
+        raise ValueError(f"the words of the class {counts} have tensor indices past int64")
+    check_budget("arrangements of the class {}", *_class_cost("arrangements", n_modes, size, 1, _rows(counts)), counts)
     # the narrowest signed type that holds every count up to N (it holds -N - 1)
-    left = np.array(classes, dtype=np.min_scalar_type(-size - 1))  # letters still to place
-    index = np.zeros(len(classes), dtype=np.int64) if indices else None
-    inversions = np.zeros(len(classes), dtype=np.int64)
+    left = np.array([counts], dtype=np.min_scalar_type(-size - 1))  # letters still to place
+    index = np.zeros(1, dtype=np.int64)
+    inversions = np.zeros(1, dtype=np.int64)
     # each temporary is dropped once spent: the last step peaks at 50 to 70 B per row
     for _ in range(size - 1):
         smaller = np.zeros_like(left)  # letters still to place below each letter
@@ -260,21 +189,166 @@ def arrangement_tables(classes: list[tuple[int, ...]], rows: int,
         inversions += np.take(smaller, extension)
         del smaller
         letters = np.subtract(extension, parents * n_modes, out=extension)
-        if indices:
-            index = np.take(index, parents)
-            index *= n_modes
-            index += letters
+        index = np.take(index, parents)
+        index *= n_modes
+        index += letters
         left = np.take(left, parents, axis=0)
         del parents
         spent = np.arange(0, letters.size * n_modes, n_modes)  # each new prefix's row of left
         spent += letters
         left.ravel()[spent] -= 1
-    if size and indices:
+    if size:
         last = np.flatnonzero(left > 0)  # the one letter left to each prefix
         last -= np.arange(0, index.size * n_modes, n_modes)
         index *= n_modes
         index += last
-    return index, inversions
+    return ArrangementClass(counts, index, inversions)
+
+
+def _words_of(n_modes: int, letters: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted letters (0 to n - 1, a (count, letters) view) and the inversion counts of
+    the ``count`` words of ``letters`` letters over n modes from tensor index ``first`` on,
+    built position by position."""
+    index = np.arange(first, first + count)
+    table = np.empty((letters, count), dtype=np.min_scalar_type(n_modes))  # row t: each word's letter t
+    for position in range(letters - 1, -1, -1):  # the last letter is the lowest digit
+        table[position] = index % n_modes
+        index //= n_modes
+    inversions = np.zeros(count, dtype=np.int64)
+    for position in range(letters - 1):
+        inversions += (table[position + 1 :] < table[position]).sum(axis=0)
+    table.sort(axis=0)
+    return table.T, inversions
+
+
+def _rank_terms(n_modes: int, size: int) -> np.ndarray:
+    """Entry t * n + l: what letter l + 1 at place t (from 0) of a sorted word of N letters
+    adds to the rank of its count vector among those of N letters in lex order.
+
+    The vectors below c in lex order first differ from it at some letter j, with a smaller
+    count there.  Those with the y-th copy of letter j as the first difference, y < c_j,
+    are the vectors of the r letters after that copy over the n - j letters past j, where
+    r = N - t counts the places from the copy's place t on: C(r + n - j - 1, n - j - 1),
+    and 0 for the last letter, whose count the others fix.  Row r of the table below holds
+    C(r + k, k) for k = 0 to n - 2, the running sums of row r - 1.
+    """
+    table = np.ones((size + 1, n_modes), dtype=np.int64)
+    for r in range(1, size + 1):
+        np.cumsum(table[r - 1], out=table[r])
+    terms = np.zeros((size, n_modes), dtype=np.int64)
+    terms[:, :-1] = table[size:0:-1, n_modes - 2 :: -1]  # t = 0 reads row N; l = 0 reads k = n - 2
+    return terms.ravel()
+
+
+def _word_blocks(n_modes: int, size: int) -> Iterator[np.ndarray]:
+    """The all-words kernel: the n^N words of N letters over n modes in tensor (lex) order,
+    a block of consecutive words at a time, each word u as its key rank * width + R(u).
+    The rank is that of u's count vector among those of N letters in lex order (the order of
+    ``_count_vector_blocks``) and width = N(N - 1)/2 + 1 holds every inversion count.
+
+    A word is a prefix of N - s letters and a suffix of the last s, where s is the most
+    letters whose n^s suffixes fit a block (at least one).  The suffixes' sorted letters,
+    inversion counts and class ranks are built once; each block is the next prefixes times
+    every suffix.  R(u) = R(prefix) + R(suffix) + the pairs of a prefix letter above a suffix
+    letter: each word's own inversions, from its own letters.  That cross count and the
+    rank depend on the prefix and on the suffix's class alone, so they are formed once for
+    each prefix of the block and suffix class, by merging the two sorted letter rows, and
+    gathered onto the suffixes.  The prefixes of a block hold at most a block of words and a
+    block of (prefix, suffix class) letters.
+    """
+    if size * math.log2(max(n_modes, 1)) > 63:
+        raise ValueError(f"the words of {size} letters over {n_modes} modes have tensor indices past int64")
+    check_budget("the {}^{} words of the all-words kernel", *_words_cost(n_modes, size), n_modes, size)
+    return _keyed_blocks(n_modes, size) if size else iter([np.zeros(1, dtype=np.int64)])  # one empty word
+
+
+def _keyed_blocks(n_modes: int, size: int) -> Iterator[np.ndarray]:
+    """The blocks of ``_word_blocks``, once it has admitted the request."""
+    width = size * (size - 1) // 2 + 1
+    suffix, classes, step = _blocks(n_modes, size)
+    prefix, suffixes = size - suffix, n_modes**suffix
+    letters, suffix_inversions = _words_of(n_modes, suffix, 0, suffixes)
+    terms = _rank_terms(n_modes, suffix)
+    suffix_ranks = np.zeros(suffixes, dtype=np.int64)  # each suffix's class among those of s letters
+    for place in range(suffix):
+        suffix_ranks += terms[letters[:, place] + place * n_modes]
+    ends = np.empty((classes, suffix), dtype=letters.dtype)  # each class's sorted letters
+    ends[suffix_ranks] = letters  # the suffixes of a class share them
+    del letters
+    terms = _rank_terms(n_modes, size)
+    for first in range(0, n_modes**prefix, step):
+        heads, head_inversions = _words_of(n_modes, prefix, first, min(step, n_modes**prefix - first))
+        rows = len(heads)
+        # the head letters up to each letter, cumulated over the rows before too
+        offsets = np.arange(rows) * n_modes
+        at_most = np.bincount((heads + offsets[:, None]).ravel(), minlength=rows * n_modes).cumsum()
+        # each suffix letter's place in the merged sorted word: the head letters not above
+        # it (equal ones go first), then its own place in the suffix
+        places = at_most[ends + offsets[:, None, None]]
+        places -= (np.arange(rows) * prefix)[:, None, None]
+        cross = prefix * suffix - places.sum(axis=2)
+        places += np.arange(suffix)
+        del at_most
+        free = np.ones((rows, classes, size), dtype=bool)  # the head letters take the places left
+        free.ravel()[places + (np.arange(rows * classes) * size).reshape(rows, classes, 1)] = False
+        head_places = np.flatnonzero(free).reshape(rows, classes, prefix)
+        head_places %= size
+        del free
+        ranks = terms[head_places * n_modes + heads[:, None, :]].sum(axis=2)
+        ranks += terms[places * n_modes + ends].sum(axis=2)
+        del head_places, places
+        ranks *= width
+        ranks += cross
+        ranks += head_inversions[:, None]
+        keys = np.take(ranks, suffix_ranks, axis=1)
+        keys += suffix_inversions
+        yield keys.ravel()
+
+
+def word_keys(n_modes: int, size: int) -> np.ndarray:
+    """The key rank * width + R(u) of every word u of N letters over n modes, in tensor
+    order, from the all-words kernel (see ``_word_blocks``): word u's count vector has rank
+    key // width among those of N letters in lex order, and u has key % width inversions."""
+    blocks = _word_blocks(n_modes, size)
+    keys = np.empty(n_modes**size, dtype=np.int64)
+    start = 0
+    for block in blocks:
+        keys[start : start + block.size] = block
+        start += block.size
+    return keys
+
+
+def word_tallies(n_modes: int, size: int) -> np.ndarray:
+    """The (classes, N(N-1)/2 + 1) int64 table of the words of N letters over n modes whose
+    row c holds at column k how many words of the c-th count vector (lex order) have k
+    inversions: each block of the all-words kernel's keys added in one ``np.add.at``, whose
+    work is the block's, where a ``np.bincount`` would also sweep every class's row."""
+    blocks = _word_blocks(n_modes, size)
+    width = size * (size - 1) // 2 + 1
+    bins = math.comb(size + n_modes - 1, n_modes - 1) * width
+    tally = np.zeros(bins, dtype=np.int64)
+    for keys in blocks:
+        np.add.at(tally, keys, 1)
+    return tally.reshape(-1, width)
+
+
+def class_entries(params: DeformationParams, n_modes: int, size: int) -> np.ndarray:
+    """The (classes, N(N-1)/2 + 1) table whose row c holds at column k the entry of the
+    sorted-word state of the c-th count vector of N letters (lex order) at an arrangement
+    with k inversions: prefactor_c q^k, the product ``_state_entries`` forms, bit for bit.
+    Gathered at the keys of ``word_keys`` it is every class's state in one n^N vector."""
+    factorials = np.array([q_factorial(params, c) for c in range(size + 1)])
+    prefactors = np.empty(math.comb(size + n_modes - 1, n_modes - 1))
+    start = 0
+    for counts in _count_vector_blocks(n_modes, size, max(1, _COUNT_BLOCK // n_modes)):
+        block = prefactors[start : start + len(counts)]
+        block[...] = 1.0
+        for column in counts.T:  # the product over the counts in letter order, as _prefactor
+            block *= factorials[column]
+        start += len(counts)
+    prefactors /= factorials[size]
+    np.sqrt(prefactors, out=prefactors)
+    return prefactors[:, None] * _powers(params.q, size)
 
 
 def _class_size(counts) -> float:
@@ -292,19 +366,30 @@ def _largest_class(n_modes: int, size: int) -> float:
     return _class_size([a + 1] * b + [a] * (n_modes - b if a else 0))
 
 
-def _batch_rows(n_modes: int, size: int) -> float:
-    """Most rows that one pass of the arrangement kernel builds on N letters: up to
-    ``_BATCH_ROWS``, or the largest class alone, and never more than the n^N words."""
-    words = size_estimate(size * math.log(n_modes))
-    return min(max(_BATCH_ROWS, _largest_class(n_modes, size)), words)
-
-
-def _class_totals(n_modes: int, size: int) -> tuple[float, float, float]:
-    """Classes, rows and kernel passes over all classes of N letters: C(N + n - 1, n - 1), n^N,
-    and no more passes than classes or 1 + 2 n^N / ``_BATCH_ROWS`` (two in a row hold more)."""
+def _class_totals(n_modes: int, size: int) -> tuple[float, float]:
+    """Classes and words of N letters over n modes: C(N + n - 1, n - 1) and n^N."""
     classes = size_estimate(math.lgamma(size + n_modes) - math.lgamma(n_modes) - math.lgamma(size + 1))
-    rows = size_estimate(size * math.log(n_modes))
-    return classes, rows, min(classes, 1 + 2 * rows / _BATCH_ROWS)
+    return classes, size_estimate(size * math.log(n_modes))
+
+
+def _suffix_letters(n_modes: int, size: int) -> int:
+    """Letters s of the all-words kernel's suffixes: the most whose n^s words fit a block, and
+    at least one (none of no letters)."""
+    if n_modes == 1:
+        return size
+    suffix = min(size, 1)
+    while suffix < size and n_modes ** (suffix + 1) <= _BLOCK_WORDS:
+        suffix += 1
+    return suffix
+
+
+def _blocks(n_modes: int, size: int) -> tuple[int, int, int]:
+    """The all-words kernel's layout on N letters: suffix letters s, suffix classes
+    C(s + n - 1, n - 1), and prefixes a block, at most a block of words and a block of
+    (prefix, suffix class) letters."""
+    suffix = _suffix_letters(n_modes, size)
+    classes = math.comb(suffix + n_modes - 1, n_modes - 1)
+    return suffix, classes, max(1, min(_BLOCK_WORDS // n_modes**suffix, _BLOCK_WORDS // (classes * size or 1)))
 
 
 def _multisets(n_modes: int, size: int) -> int:
@@ -316,35 +401,67 @@ def _multisets(n_modes: int, size: int) -> int:
     return table[size]
 
 
-def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: float, passes: float = 1):
+def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: float):
     """Peak bytes of one call and steps (~1 ns each) of ``classes`` calls of a class kernel
-    on N letters, over ``rows`` rows and ``passes`` kernel passes in all.
+    on N letters, over ``rows`` rows in all.
 
-    Fitted on cold calls on a 2-core x86-64 machine, and linear in calls, rows and passes,
-    so on the totals of ``_class_totals`` it is the sum over the classes (but for the one
-    vector "symmetrize" fills).  Each kernel prices only what it adds to a built class.
-    "arrangements": ~100 B per row of one pass (45 to 70 B measured, 16 B kept), ~(8n + 600)
-    B per class for its count tuple, record and two views (8n + 370 to 8n + 730 measured,
-    kept with the class); ~20 us + 40 us per letter a pass, ~3 us + 0.3 us per mode a class,
-    ~60 ns per row (the identity sweep at n = 1 to 300, N = 1 to 40 took 0.4 to 1.05 times
-    this).  "symmetrize" fills an n^N vector (8 B, ~1.5 ns per entry): ~40 us per class,
-    ~15 ns and 24 B per row, ~20 N^2 B for its q^k over the N(N-1)/2 + 1 inversion counts.
+    Fitted on cold calls on a 2-core x86-64 machine, and linear in calls and rows.
+    "arrangements": ~100 B per row (45 to 70 B measured, 16 B kept), ~(8n + 600) B per
+    class for its count tuple, record and two arrays; ~23 us + 40 us per letter + 0.3 us
+    per mode a class, ~60 ns per row.  "symmetrize" fills an n^N vector (8 B, ~1.5 ns per
+    entry): ~40 us per class, ~15 ns and 24 B per row, ~20 N^2 B for its q^k over the
+    N(N-1)/2 + 1 inversion counts.
     """
     if kernel == "arrangements":
-        work = passes * (20_000 + 40_000 * size) + classes * (3_000 + 300 * n_modes) + 60 * rows
+        work = classes * (23_000 + 40_000 * size + 300 * n_modes) + 60 * rows
         return 100 * rows + (8 * n_modes + 600) * classes, work
     dim = size_estimate(size * math.log(n_modes))  # "symmetrize"
     return 8 * dim + 24 * rows + 20 * size * size, 1.5 * dim + 40_000 * classes + 15 * rows
 
 
-def _identity_cost(n_modes: int, size: int, passes: float) -> float:
-    """Steps of the identity check beside the kernel on N letters over n modes: an exact
-    division per multiset of counts, ~70 us + 40 ns N^4 ([N]! is built for each at n = 1:
-    38 ns N^4 measured), and ~30 us per pass to tally and compare.  The multisets are
-    counted only when one division fits the work budget; past it one is enough to refuse."""
-    division = 70_000 + 40 * size**4
-    multisets = _multisets(n_modes, size) if division <= WORK_BUDGET else 1
-    return multisets * division + 30_000 * passes
+def _words_cost(n_modes: int, size: int) -> tuple[float, float]:
+    """Peak bytes and steps of the all-words kernel on the n^N words of N letters, beside
+    what its consumer keeps.  Bytes: the suffix table, ~(40 + s) B a suffix while it is
+    built (16 B kept); a block's keys, 8 B a word; and its (prefix, suffix class) letters,
+    ~40 B each.  Steps: ~150 us + 30 us per letter, ~(3 s^2 + 20 s) ns a suffix, ~5 ns a
+    word, and a block ~60 us + 5 us per prefix letter and ~40 ns per (prefix, suffix class)
+    letter.  Fitted on cold runs on a 2-core x86-64 machine (n = 1 to 200000, N = 1 to 22
+    took 0.5 to 1.1 times this)."""
+    suffix, classes, step = _blocks(n_modes, size)
+    suffixes, words = n_modes**suffix, _class_totals(n_modes, size)[1]
+    heads = min(step, words / suffixes)  # prefixes a block
+    blocks = math.ceil(words / suffixes / step)
+    letters = heads * classes * size  # (prefix, suffix class) letters a block
+    nbytes = 12_288 + (40 + suffix) * suffixes + 8 * heads * suffixes + 40 * letters
+    work = 150_000 + 30_000 * size + (3 * suffix**2 + 20 * suffix) * suffixes + 5 * words
+    return nbytes, work + blocks * (60_000 + 5_000 * (size - suffix) + 40 * letters)
+
+
+def _entries_cost(n_modes: int, size: int) -> tuple[float, float]:
+    """Peak bytes and steps of ``class_entries`` on N letters and of gathering the n^N state
+    vector from it: the table and the prefactors, 8 B a class and column, a block of count
+    vectors, ~48 B a count (29 to 52 B measured), and ~4 KiB + 150 (N + 1)^2 B more (the
+    q-factorials and powers: 13 to 70 kB measured at N = 14 to 30); ~50 ns a class and mode,
+    ~3 ns a class and inversion count and ~3 ns a word."""
+    classes, words = _class_totals(n_modes, size)
+    width = size * (size - 1) // 2 + 1
+    counts = n_modes * min(classes, max(1, _COUNT_BLOCK // n_modes))
+    return 8 * classes * (width + 1) + 48 * counts + 4096 + 150 * (size + 1) ** 2, classes * (50 * n_modes + 3 * width) + 3 * words
+
+
+def _identity_cost(n_modes: int, size: int) -> float:
+    """Steps of the identity check on N letters over n modes beside the all-words kernel:
+    its tally, ~8 ns a word (3 to 7 ns measured); ~60 ns a class and mode to enumerate, sort
+    and compare the classes; [N]! as [N-1]! [N], ~250 ns N^3 (150 to 190 ns N^3 measured at
+    N = 20 to 80); and an exact division per multiset of counts, ~70 us + 30 ns N^4 (17 to
+    27 ns N^4 measured at n = 2 to 10, N = 10 to 40; ~10 ns N^3 for the one-part multiset,
+    whose quotient is 1).  The multisets are counted only when one division fits the work
+    budget; past it one is enough to refuse."""
+    classes, words = _class_totals(n_modes, size)
+    work = 8 * words + 60 * n_modes * classes
+    division = 70_000 + 30 * size**4
+    multisets = _multisets(n_modes, size) if division <= WORK_BUDGET else 2
+    return work + 70_000 + 260 * size**3 + (multisets - 1) * division
 
 
 def _transposition_cost(n_modes: int, size: int, ops: float, products: float) -> tuple[float, float]:
@@ -359,9 +476,10 @@ def _transposition_cost(n_modes: int, size: int, ops: float, products: float) ->
 
 def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, float]:
     # the peak of one call beside the state vector (~4 KiB + 28 B per word; 16 to 25 B
-    # measured, 16 B kept), then ``positions`` calls (~40 us + 15 ns per word each)
+    # measured, 16 B kept, and ~40 B per pair of letters for its table of q^eps, Python
+    # floats first), then ``positions`` calls (~40 us + 15 ns per word each)
     dim = size_estimate(size * math.log(n_modes))
-    return 4096 + 28 * dim, positions * (40_000 + 15 * dim)
+    return 4096 + 28 * dim + 40 * n_modes**2, positions * (40_000 + 15 * dim)
 
 
 def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:
@@ -466,6 +584,12 @@ def exchange_check(
     return image.ravel(), residuals.ravel(), allowance
 
 
+def _index_type(words: int) -> type:
+    """The type of the word indices of a space of ``words`` words: int32 below 2^31 words,
+    where its arithmetic runs about 1.7 times as fast as in int64, else int64."""
+    return np.int32 if words < 2**31 else np.int64
+
+
 def transposition_op(
     size: int, n_modes: int, k: int, params: DeformationParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -477,8 +601,9 @@ def transposition_op(
     eigenvalue 1.  Each row holds one entry, so it comes back as the pair
     ``(swapped, weights)``: row w holds ``weights[w]`` at column
     ``swapped[w]``, and T x is ``weights * x[swapped]``.  The swapped words
-    come from index arithmetic on the letters; ``exchange_check`` swaps two
-    axes instead, an independent route to the same words.
+    come from index arithmetic on the letters (in ``_index_type``, int32 below
+    2^31 words); ``exchange_check`` swaps two axes instead, an independent
+    route to the same words.
     """
     if size < 1 or n_modes < 1:
         raise ValueError("size and n_modes must be >= 1")
@@ -486,7 +611,8 @@ def transposition_op(
         raise ValueError(f"positions must satisfy 1 <= k < {size}, got {k}")
     check_budget("transposition_op on the {}^{} tensor space",
                  *_transposition_cost(n_modes, size, 1, 0), n_modes, size)
-    swapped = np.arange(n_modes**size)  # each word's index, until it is moved below
+    # each word's index, until it is moved below
+    swapped = np.arange(n_modes**size, dtype=_index_type(n_modes**size))
     stride_right = n_modes ** (size - k - 1)  # position k+1
     stride_left = stride_right * n_modes  # position k
     step = swapped // stride_left % n_modes
@@ -513,8 +639,8 @@ def norm_identity_exact(counts: Sequence[int]):
     counts = tuple(int(c) for c in counts)
     if not counts:
         raise ValueError("counts must be a nonempty sequence")
-    # one class in one pass, and one division: the single multiset of one mode
-    check_budget("norm_identity_exact on the class {}", 0, _identity_cost(1, sum(counts), 1), counts)
-    tally = np.bincount(arrangement_tables([counts], _class_size(counts), indices=False)[1])
+    # one class and one division: the single multiset of one mode
+    check_budget("norm_identity_exact on the class {}", 0, _identity_cost(1, sum(counts)), counts)
+    tally = np.bincount(arrangements(counts).inversions)
     arrangement_sum = QPolynomial({2 * k: int(number) for k, number in enumerate(tally) if number})
     return arrangement_sum, poly_q_multinomial(counts)

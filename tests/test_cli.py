@@ -148,7 +148,7 @@ def test_oversized_jackson_grid_is_refused_with_the_estimate(capsys):
 OVER_BUDGET = [
     ["qsym", "exchange", "--modes", "6", "--N", "10"],
     ["qsym", "appendix", "--modes", "6", "--N", "100"],
-    ["qsym", "identity", "--modes", "2", "--N", "27"],
+    ["qsym", "identity", "--modes", "2", "--N", "40"],
     ["verify", "algebra", "--modes", "2", "--cutoff", "10000"],
     ["coherent", "check", "--q", "0.5", "--points", "10000000"],
     ["jackson", "moments", "--q", "0.9999999", "--N", "2"],
@@ -197,6 +197,46 @@ def test_oversized_norm_sweep_is_refused_before_sampling(seed, capsys):
     assert err.startswith("configuration error: qsym norm words up to N=14 over 4 modes needs")
 
 
+def _drawn_words(argv, monkeypatch, capsys) -> tuple[int, str, list]:
+    """Exit code, stripped JSON report and the words a norm sweep draws."""
+    drawn = []
+
+    def recorded(word, params):
+        drawn.append(word)
+        return norm(word, params)
+
+    norm = qsym.fundamental_norm
+    with monkeypatch.context() as patched:
+        patched.setattr(qsym, "fundamental_norm", recorded)
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    report = canonical_json(strip_timing(json.loads(out))) if out else ""
+    return code, report, drawn
+
+
+def test_a_norm_sweep_draws_its_words_from_the_stated_ranges_and_its_seed(monkeypatch, capsys):
+    argv = ["qsym", "norm", "--q", "0.5", "--modes", "4", "--N", "9"]
+    runs = {seed: _drawn_words(argv + ["--seed", seed], monkeypatch, capsys) for seed in ("0", "1")}
+    again = _drawn_words(argv + ["--seed", "0"], monkeypatch, capsys)
+    assert again[:2] == runs["0"][:2] and again[2] == runs["0"][2]  # byte-identical report
+    for code, _, words in runs.values():
+        assert code == 0 and len(words) == 25
+        for word in words:
+            assert word.n_modes == 4 and 1 <= word.size <= 9 and set(word.letters) <= set(range(1, 5))
+    assert runs["0"][2] != runs["1"][2]
+    # a negative seed is refused before any word is drawn
+    code, report, words = _drawn_words(argv + ["--seed", "-1"], monkeypatch, capsys)
+    assert code == 2 and words == [] and report == ""
+    code, _, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert code == 2 and "--seed" in err
+
+
+@pytest.mark.parametrize("seed", range(51))
+def test_norm_sweeps_pass_for_every_seed_up_to_fifty(seed, capsys):
+    for argv in (["qsym", "norm"], ["qsym", "norm", "--q", "0.5", "--modes", "4", "--N", "9"]):
+        code, _, err = run_cli(argv + ["--seed", str(seed)], capsys)
+        assert code == 0, (argv, err)
+
+
 def test_norm_sweep_of_the_symmetric_workload_is_admitted(capsys):
     code, out, err = run_cli(["qsym", "norm", "--q", "0.5", "--modes", "4", "--N", "9"], capsys)
     assert code == 0, err
@@ -235,37 +275,28 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
     def cost(kernels, s, rows, classes=1):
         return [qsym._class_cost(kernel, n, s, classes, rows) for kernel in kernels]
 
-    def built(s):
-        # the kernel's work summed over the classes of a size, and charged for the passes
-        # of the size's totals, which are no fewer than the kernel makes
-        passes = qsym._class_totals(n, s)[2]
-        assert passes >= len(list(qsym._passes(n, s)))
-        per_class = sum(qsym._class_cost("arrangements", n, s, 1, rows, 0)[1] for rows in classes[s])
-        return per_class + qsym._class_cost("arrangements", n, s, 0, 0, passes)[1], passes
-
     monkeypatch.setattr(cli, "check_budget", priced)
     for N in range(2, 8):
         classes = {s: [qsym._class_size(c) for c in _count_vectors(n, s)] for s in range(N + 1)}
-        # each class built once; per q one state vector over all of the size's classes, and
-        # at each position the exchange kernel on that vector and the transposition with its
-        # square and its product with the vector
+        # each size keyed once by the all-words kernel; per q the class entries and the
+        # state vector gathered from them, and at each position the exchange kernel on that
+        # vector and the transposition with its square and its product with the vector
         work = 0.0
         for s in range(2, N + 1):
             per_q = qsym._transposition_cost(n, s, s - 1, 2 * (s - 1))[1] + qsym._exchange_cost(n, s, s - 1)[1]
-            per_q += qsym._class_cost("symmetrize", n, s, len(classes[s]), sum(classes[s]))[1]
-            work += built(s)[0] + 2 * per_q
-        # the records of the size's classes and the state vector, beside one transposition
-        # or one exchange kernel call, and the sweep's 3 check records per size and q and
-        # its fixed objects
-        nbytes = cost(["arrangements"], N, 0, len(classes[N]))[0][0]
-        nbytes += qsym._class_cost("symmetrize", n, N, 1, sum(classes[N]))[0]
-        nbytes += 320 * 3 * (N - 1) * 2 + 12_288
-        nbytes += max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0])
-        # or, while the classes are built, one pass of the kernel beside the classes built
-        # so far: at most _BATCH_ROWS rows, or the largest class, and at most every word
-        batch_rows = min(max(qsym._BATCH_ROWS, max(classes[N])), n**N)
-        batch = cost(["arrangements"], N, batch_rows, len(classes[N]))[0][0]
-        nbytes = max(nbytes, batch + 16 * n**N)
+            per_q += qsym._entries_cost(n, s)[1]
+            work += qsym._words_cost(n, s)[1] + 2 * per_q
+        # the top size's keys and the 3 check records per size and q, beside the kernel, or
+        # the class entries and the state vector, or one transposition or exchange kernel
+        # call beside the state vector and the fixed objects
+        assert qsym._class_totals(n, N) == pytest.approx((len(classes[N]), sum(classes[N])), rel=1e-12)
+        words = n**N
+        nbytes = max(
+            qsym._words_cost(n, N)[0],
+            8 * words + qsym._entries_cost(n, N)[0],
+            8 * words + max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0]) + 12_288,
+        )
+        nbytes += 8 * words + 320 * 3 * (N - 1) * 2
         assert estimate("exchange", N) == pytest.approx((nbytes, work), rel=1e-9)
 
         words = [cost(["arrangements", "symmetrize"], N, rows) for rows in classes[N]]
@@ -273,22 +304,18 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         work = 2 * 25 * max(sum(w for _, w in word) for word in words)
         assert estimate("norm", N) == pytest.approx((nbytes, work), rel=1e-9)
 
-        # every class built and tallied, one exact division per multiset of counts (one
-        # mode has one multiset) and ~30 us per pass to tally and compare
+        # every size keyed and tallied, every class compared, one exact division per
+        # multiset of counts (one mode has one multiset)
         work = 0.0
         for s in classes:
-            kernel, passes = built(s)
             multisets = len({tuple(sorted(counts)) for counts in _count_vectors(n, s)})
             assert qsym._multisets(n, s) == multisets
-            work += kernel + multisets * qsym._identity_cost(1, s, 0) + 30_000 * passes
-        # one pass of the kernel, whose classes are tallied and dropped (no more classes than
-        # its rows), beside its tally keys (8 B a row), its table, stacked target rows and
-        # comparison (17 B a class and inversion count), qpoly's cached factorials and
-        # brackets, and the records
-        tallied = min(len(classes[N]), batch_rows)
-        nbytes = cost(["arrangements"], N, batch_rows, tallied)[0][0] + 8 * batch_rows
-        nbytes += 17 * tallied * (N * (N - 1) // 2 + 1) + 400 * (N + 1)
-        nbytes += qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N)
+            work += qsym._words_cost(n, s)[1] + qsym._identity_cost(n, s)
+        # the kernel beside the total's table, then a block of count vectors with its sorted
+        # copy and stacked target rows, qpoly's cached factorials and brackets, and the records
+        width, vectors = N * (N - 1) // 2 + 1, min(len(classes[N]), max(1, qsym._COUNT_BLOCK // n))
+        nbytes = qsym._words_cost(n, N)[0] + 8 * len(classes[N]) * width + vectors * (24 * n + 17 * width)
+        nbytes += 400 * (N + 1) + qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N)
         assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
 
 
@@ -309,67 +336,60 @@ def _estimated_bytes(verb, n, N, monkeypatch) -> float:
 
 @pytest.mark.parametrize("n, N", [(40, 2), (20, 3)])
 def test_sweeps_charge_the_records_of_many_small_classes(n, N, monkeypatch):
-    # over many modes a size has many small classes, and each holds a count tuple of n
-    # entries, its record and two views: the exchange sweep keeps them all; the identity
-    # sweep tallies one pass of them at a time
+    # over many modes a size has many small classes: the exchange sweep keeps every word's
+    # key and fills a table of class entries; the identity sweep keeps a table of every
+    # class's tally
     exchange, identity = (_estimated_bytes(verb, n, N, monkeypatch) for verb in ("exchange", "identity"))
     tracemalloc.start()
     try:
-        classes = list(qsym.arrangement_classes(n, N))
+        keys = qsym.word_keys(n, N)
+        entries = qsym.class_entries(DeformationParams(0.5), n, N)
         _, kept = tracemalloc.get_traced_memory()
-        del classes
+        del keys, entries
         tracemalloc.reset_peak()
-        for _ in qsym.arrangement_tallies(n, N):
-            pass
-        _, dropped = tracemalloc.get_traced_memory()
+        table = qsym.word_tallies(n, N)
+        _, tallied = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert table.shape[0] == math.comb(N + n - 1, n - 1)
     assert kept <= exchange
-    assert dropped <= identity
+    assert tallied <= identity
 
 
 def _classes_built(argv, monkeypatch, capsys) -> tuple[list, int]:
-    """The counts of every class a run builds or tallies, and the kernel passes that build
-    them."""
-    built, passes = [], []
+    """The (size, class rank) of every word a run keys, and the runs of the all-words
+    kernel that key them."""
+    built, runs = [], []
 
     def counted(n_modes, size):
-        for arrangement in build(n_modes, size):
-            built.append(arrangement.counts)
-            yield arrangement
+        runs.append(size)
+        width = size * (size - 1) // 2 + 1
+        for keys in kernel(n_modes, size):
+            built.extend((size, int(rank)) for rank in keys // width)
+            yield keys
 
-    def tallied(n_modes, size):
-        for classes, table in tally(n_modes, size):
-            built.extend(classes)
-            yield classes, table
-
-    def one_pass(classes, rows, indices=True):
-        passes.append(len(classes))
-        return build_pass(classes, rows, indices)
-
-    build, tally, build_pass = qsym.arrangement_classes, qsym.arrangement_tallies, qsym.arrangement_tables
-    monkeypatch.setattr(qsym, "arrangement_classes", counted)
-    monkeypatch.setattr(qsym, "arrangement_tallies", tallied)
-    monkeypatch.setattr(qsym, "arrangement_tables", one_pass)
+    kernel = qsym._word_blocks
+    monkeypatch.setattr(qsym, "_word_blocks", counted)
     code, _, err = run_cli(argv, capsys)
     assert code == 0, err
-    return built, len(passes)
+    return built, len(runs)
 
 
 def test_an_exchange_sweep_builds_each_class_once(monkeypatch, capsys):
     argv = ["qsym", "exchange", "--q", "0.3", "0.9", "--modes", "3", "--N", "5"]
     built, passes = _classes_built(argv, monkeypatch, capsys)
-    # 6 + 10 + 15 + 21 classes of 2 to 5 letters over 3 modes, for both q values,
-    # each size's classes in one pass of the kernel
-    assert len(built) == len(set(built)) == 52
+    # the 3^2 + ... + 3^5 words of 6 + 10 + 15 + 21 classes of 2 to 5 letters over 3 modes,
+    # keyed once for both q values, in one run of the kernel a size
+    assert len(built) == sum(3**size for size in range(2, 6)) and len(set(built)) == 52
     assert passes == 4
 
 
 def test_an_identity_sweep_builds_each_class_once(monkeypatch, capsys):
     argv = ["qsym", "identity", "--q", "0.5", "--modes", "3", "--N", "5"]
     built, passes = _classes_built(argv, monkeypatch, capsys)
-    # 1 + 3 + 6 + 10 + 15 + 21 classes of 0 to 5 letters over 3 modes, one pass per size
-    assert len(built) == len(set(built)) == 56
+    # the 3^0 + ... + 3^5 words of 1 + 3 + 6 + 10 + 15 + 21 classes of 0 to 5 letters over
+    # 3 modes, in one run of the kernel a size
+    assert len(built) == sum(3**size for size in range(6)) and len(set(built)) == 56
     assert passes == 6
 
 
@@ -399,26 +419,55 @@ def test_an_identity_sweep_forms_one_multinomial_per_multiset_of_counts(monkeypa
 
 @pytest.mark.parametrize("row", [0, -1], ids=["first class", "last class"])
 def test_identity_fails_exactly_the_total_whose_tally_is_wrong(row, monkeypatch, capsys):
-    # one arrangement of the first or the last class of the second pass of total 4, which
-    # holds three classes, gets one inversion more; the tally and the comparison are left
-    # alone
-    monkeypatch.setattr(qsym, "_BATCH_ROWS", 30)
-    kernel = qsym.arrangement_tables
+    # under a block of 30 words, total 4 comes in three blocks of 27 (one first letter
+    # each); in the second, the word of the first or the last class there gets one
+    # inversion more; the tally and the comparison are left alone
+    monkeypatch.setattr(qsym, "_BLOCK_WORDS", 30)
+    kernel = qsym._word_blocks
     seen = []
 
-    def corrupted(classes, rows, indices=True):
-        index, inversions = kernel(classes, rows, indices)
-        if sum(classes[0]) == 4:
-            seen.append(len(classes))
-            if len(seen) == 2:
-                inversions[row] += 1
-        return index, inversions
+    def corrupted(n_modes, size):
+        for keys in kernel(n_modes, size):
+            if size == 4:
+                seen.append(keys.size)
+                if len(seen) == 2:
+                    keys[np.argsort(keys // 7, kind="stable")[row]] += 1  # width 7: R < 6 here
+            yield keys
 
-    monkeypatch.setattr(qsym, "arrangement_tables", corrupted)
+    monkeypatch.setattr(qsym, "_word_blocks", corrupted)
     code, out, _ = run_cli(["qsym", "identity", "--modes", "3", "--N", "6", "--format", "json"], capsys)
-    assert code == 1 and seen == [6, 3, 4, 2]
+    assert code == 1 and seen == [27, 27, 27]
     verdicts = {check["params"]["total"]: check["pass"] for check in json.loads(out)["checks"]}
     assert verdicts == {total: total != 4 for total in range(7)}
+
+
+def _one_word_with_one_inversion_more(monkeypatch, size: int, word: int) -> None:
+    """Wraps the all-words kernel so that the word of tensor index ``word`` among those of
+    ``size`` letters gets R(u) + 1."""
+    kernel = qsym._word_blocks
+
+    def corrupted(n_modes, letters):
+        start = 0
+        for keys in kernel(n_modes, letters):
+            if letters == size and start <= word < start + keys.size:
+                keys[word - start] += 1
+            start += keys.size
+            yield keys
+
+    monkeypatch.setattr(qsym, "_word_blocks", corrupted)
+
+
+def test_one_word_with_one_inversion_more_fails_its_size_in_both_exact_and_exchange_verbs(monkeypatch, capsys):
+    # the word 1 1 1 2 has no inversion, and its swap at the last position 1 1 2 1 has one
+    _one_word_with_one_inversion_more(monkeypatch, 4, 1)
+    code, out, _ = run_cli(["qsym", "identity", "--modes", "3", "--N", "5", "--format", "json"], capsys)
+    assert code == 1
+    verdicts = {check["params"]["total"]: check["pass"] for check in json.loads(out)["checks"]}
+    assert verdicts == {total: total != 4 for total in range(6)}
+    code, out, _ = run_cli(["qsym", "exchange", "--modes", "3", "--N", "5", "--format", "json"], capsys)
+    assert code == 1
+    failed = {(check["name"], check["params"]["N"]) for check in json.loads(out)["checks"] if not check["pass"]}
+    assert ("qsym_exchange", 4) in failed and {size for _, size in failed} == {4}
 
 
 # a coefficient that int64 cannot hold: truncated, 1 + 1/2 would read as the 1 it should be
@@ -888,8 +937,14 @@ def test_appendix_peaks_within_its_estimate(n, N, monkeypatch):
     assert 0.3 * estimate <= peak <= estimate
 
 
-# (4, 9) takes eight passes on its top total; (2, 20) is held by its largest class, built
-# alone; (1, 30) by the cached factorials
+@pytest.mark.parametrize("q", ["0.5", "0.9", "0.99"])
+def test_jackson_moments_peak_within_their_estimate(q, monkeypatch):
+    peak, estimate = _peak_and_estimate(["jackson", "moments", "--q", q, "--N", "10"], monkeypatch)
+    assert 0.3 * estimate <= peak <= estimate
+
+
+# (4, 9) and (2, 20) take several blocks on their top total; (1, 30) is held by the cached
+# factorials
 @pytest.mark.parametrize("n, N", [(4, 7), (3, 9), (6, 6), (40, 2), (20, 3), (2, 20), (4, 9), (1, 30)])
 def test_identity_peaks_within_its_estimate(n, N, monkeypatch):
     argv = ["qsym", "identity", "--modes", str(n), "--N", str(N)]
@@ -1301,15 +1356,16 @@ BENCHMARK_VERBS = [
 
 
 def test_no_verb_imports_scipy():
+    # nor numpy.random: its import alone costs ~17 ms and ~6 MB in a fresh process
     script = f"""
 import contextlib, io, sys
 import qmodes.cli
-assert "scipy" not in sys.modules, "import qmodes.cli"
+assert "scipy" not in sys.modules and "numpy.random" not in sys.modules, "import qmodes.cli"
 for argv in {BENCHMARK_VERBS!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = qmodes.cli.main(argv + ["--format", "json"])
     assert code == (1 if "--inject-corruption" in argv else 0), argv
-    assert "scipy" not in sys.modules, argv
+    assert "scipy" not in sys.modules and "numpy.random" not in sys.modules, argv
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -18,15 +18,12 @@ from qmodes.qsym import (
     Word,
     _class_cost,
     _class_size,
-    _batch_rows,
     _class_totals,
     _count_vectors,
     _largest_class,
-    arrangement_classes,
-    arrangement_tables,
-    arrangement_tallies,
     arrangements,
     bosonic_symmetrize,
+    class_entries,
     exchange_check,
     fundamental_norm,
     inversion_count,
@@ -34,6 +31,8 @@ from qmodes.qsym import (
     q_symmetrize,
     sign_compare,
     transposition_op,
+    word_keys,
+    word_tallies,
 )
 from qsym_oracle import (
     multiset_arrangements,
@@ -47,6 +46,12 @@ from qsym_oracle import (
 )
 
 Q_GRID = (0.3, 0.5, 0.9)
+
+
+def size_classes(n_modes: int, size: int) -> list[ArrangementClass]:
+    """Every class of ``size`` letters over ``n_modes`` modes, in lex order of the counts,
+    from the one-class kernel."""
+    return [arrangements(counts) for counts in _count_vectors(n_modes, size)]
 
 
 def words_up_to(n_modes: int, max_size: int):
@@ -175,121 +180,154 @@ def test_kernel_takes_multiplicities_past_the_int8_range():
 
 
 # ---------------------------------------------------------------------------
-# the batched pass: every class of a size, several classes per pass
+# the all-words kernel: every word of a size, a block of words at a time
+
+
+def word_classes(n_modes: int, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The all-words kernel's words of one size grouped by class, in lex order of the
+    counts: per class its tensor indices (ascending) and their inversion counts."""
+    ranks, inversions = np.divmod(word_keys(n_modes, size), size * (size - 1) // 2 + 1)
+    order = np.argsort(ranks, kind="stable")  # each class's words in tensor order
+    bounds = np.cumsum(np.bincount(ranks))[:-1]
+    return [(index, inversions[index]) for index in np.split(order, bounds)]
 
 
 def test_batched_classes_equal_the_one_class_kernel_and_the_reference():
+    # the words of each class, read from the all-words kernel's keys, are the rows of the
+    # one-class kernel and of the recursive reference
     for n_modes in range(1, 7):
         for size in range(9):
-            built = list(arrangement_classes(n_modes, size))
-            assert [arrangement.counts for arrangement in built] == list(_count_vectors(n_modes, size))
-            for arrangement in built:
-                alone = arrangements(arrangement.counts)
-                for rows, expected in ((arrangement.index, alone.index), (arrangement.inversions, alone.inversions)):
-                    assert rows.dtype == expected.dtype == np.int64
-                    assert np.array_equal(rows, expected)
+            built = word_classes(n_modes, size)
+            vectors = list(_count_vectors(n_modes, size))
+            assert len(built) == len(vectors)
+            for counts, (index, inversions) in zip(vectors, built):
+                alone = arrangements(counts)
+                assert np.array_equal(index, alone.index) and np.array_equal(inversions, alone.inversions)
                 if n_modes**size > 4**8:  # the recursive reference takes ~5 us a word
                     continue
-                reference = list(multiset_arrangements(arrangement.counts)) or [()]
-                assert arrangement.index.tolist() == [tensor_index(u, n_modes) for u in reference]
-                assert arrangement.inversions.tolist() == [inversion_count(u) for u in reference]
+                reference = list(multiset_arrangements(counts)) or [()]
+                assert index.tolist() == [tensor_index(u, n_modes) for u in reference]
+                assert inversions.tolist() == [inversion_count(u) for u in reference]
 
 
-def _passes(monkeypatch) -> list:
-    """Records (classes, rows) of every pass of the kernel."""
-    passes = []
+def _blocks(monkeypatch) -> list:
+    """Records the words of every block of the all-words kernel."""
+    blocks = []
 
-    def recorded(classes, rows):
-        passes.append((len(classes), rows))
-        return build(classes, rows)
+    def recorded(n_modes, size):
+        for keys in kernel(n_modes, size):
+            blocks.append(keys.size)
+            yield keys
 
-    build = qsym.arrangement_tables
-    monkeypatch.setattr(qsym, "arrangement_tables", recorded)
-    return passes
+    kernel = qsym._word_blocks
+    monkeypatch.setattr(qsym, "_word_blocks", recorded)
+    return blocks
 
 
 @pytest.mark.parametrize("cap", [1, 7, 50, 400])
 def test_a_small_row_cap_splits_a_size_into_passes_with_the_same_rows(cap, monkeypatch):
+    # a block constant of ``cap`` words splits each size into blocks whose keys, joined,
+    # are those of one block a size
     shapes = [(3, 5), (4, 6), (2, 9)]
-    expected = {shape: list(arrangement_classes(*shape)) for shape in shapes}
-    passes = _passes(monkeypatch)
-    monkeypatch.setattr(qsym, "_BATCH_ROWS", cap)
-    for shape in shapes:
-        built = list(arrangement_classes(*shape))
-        assert [a.counts for a in built] == [a.counts for a in expected[shape]]
-        for arrangement, alone in zip(built, expected[shape]):
-            assert np.array_equal(arrangement.index, alone.index)
-            assert np.array_equal(arrangement.inversions, alone.inversions)
-    # every pass holds at most the cap, or one larger class alone
-    assert all(rows <= cap or classes == 1 for classes, rows in passes)
-    assert len(passes) > len(shapes)  # the sizes were split
-    assert any(classes > 1 for classes, _ in passes) == (cap > 1)
+    expected = {shape: word_keys(*shape) for shape in shapes}
+    blocks = _blocks(monkeypatch)
+    monkeypatch.setattr(qsym, "_BLOCK_WORDS", cap)
+    split = 0
+    for n_modes, size in shapes:
+        blocks.clear()
+        assert np.array_equal(word_keys(n_modes, size), expected[n_modes, size])
+        # every block holds at most the cap, or the n words of one letter alone
+        assert all(words <= max(cap, n_modes) for words in blocks) and sum(blocks) == n_modes**size
+        split += len(blocks)
+    assert split > len(shapes)  # the sizes were split
 
 
-def test_a_class_past_the_row_cap_is_built_alone(monkeypatch):
-    passes = _passes(monkeypatch)
-    monkeypatch.setattr(qsym, "_BATCH_ROWS", 10)
-    built = {a.counts: a for a in arrangement_classes(3, 4)}
-    assert (1, 1, 2) in built and built[(1, 1, 2)].index.size == 12
-    # 1 + 4, 6 + 4 and 1 + 4 rows, then each 12-row class alone
-    assert passes[:4] == [(2, 5), (2, 10), (2, 5), (1, 12)]
+def test_a_class_past_the_block_is_tallied_across_blocks(monkeypatch):
+    blocks = _blocks(monkeypatch)
+    monkeypatch.setattr(qsym, "_BLOCK_WORDS", 10)
+    table = word_tallies(3, 4)
+    # the 81 words in blocks of 9, the last letter's three suffixes times three prefixes
+    assert blocks == [9] * 9
+    counts = table[list(_count_vectors(3, 4)).index((1, 1, 2))]  # 12 words, spread over the blocks
+    assert counts.sum() == 12 and np.array_equal(counts, np.bincount(arrangements((1, 1, 2)).inversions, minlength=7))
 
 
 def test_batched_passes_keep_the_zero_shape_and_the_int64_refusal():
-    (empty,) = arrangement_classes(3, 0)
-    assert empty.counts == (0, 0, 0)
-    assert empty.index.tolist() == [0] and empty.inversions.tolist() == [0]
-    assert [a.index.tolist() for a in arrangement_classes(1, 200)] == [[0]]
+    assert word_keys(3, 0).tolist() == [0]  # the empty word, of the one class (0, 0, 0)
+    assert word_tallies(3, 0).tolist() == [[1]]
+    assert word_keys(1, 200).tolist() == [0] and word_tallies(1, 200)[0, 0] == 1
     with pytest.raises(ValueError, match="int64"):
-        next(arrangement_classes(3, 40))
+        word_keys(3, 40)
     with pytest.raises(ValueError, match="int64"):
-        next(arrangement_classes(2, 64))
-    assert next(arrangement_classes(2, 63)).index.tolist() == [2**63 - 1]  # the word 2...2 still fits
-
-
-def test_the_inversions_only_kernel_equals_the_indexed_run():
-    for n_modes, size in [(1, 0), (1, 5), (2, 9), (3, 6), (4, 5), (6, 3)]:
-        for classes, rows in qsym._passes(n_modes, size):
-            index, inversions = arrangement_tables(classes, sum(rows), indices=False)
-            assert index is None
-            expected = arrangement_tables(classes, sum(rows))[1]
-            assert inversions.dtype == expected.dtype == np.int64
-            assert np.array_equal(inversions, expected)
-    with pytest.raises(ValueError, match="int64"):
-        arrangement_tables([(40, 0, 0)], 1, indices=False)  # the guards hold without indices too
+        word_tallies(2, 64)
+    with pytest.raises(DomainError, match="budget"):  # 2^63 words fit int64, not the budget
+        word_tallies(2, 63)
 
 
 @pytest.mark.parametrize("cap", [None, 5], ids=["one pass a size", "five rows a pass"])
 def test_each_tally_row_is_the_bincount_of_its_class(cap, monkeypatch):
+    # with the block constant at 5 words, the blocks split the classes
     if cap:
-        monkeypatch.setattr(qsym, "_BATCH_ROWS", cap)
+        monkeypatch.setattr(qsym, "_BLOCK_WORDS", cap)
+    blocks = _blocks(monkeypatch)
     for n_modes in range(1, 7):
         for size in range(9):
+            if cap and n_modes**size > 4**8:  # blocks of n words: past this, minutes of bincounts
+                continue
             width = size * (size - 1) // 2 + 1
-            passes = list(arrangement_tallies(n_modes, size))
-            assert [c for classes, _ in passes for c in classes] == list(_count_vectors(n_modes, size))
-            for classes, table in passes:
-                assert table.dtype == np.int64 and table.shape == (len(classes), width)
-                for counts, row in zip(classes, table):
-                    assert np.array_equal(row, np.bincount(arrangements(counts).inversions, minlength=width))
-            if cap and n_modes**size > cap:
-                assert len(passes) > 1  # the classes of a size are split across passes
+            table = word_tallies(n_modes, size)
+            vectors = list(_count_vectors(n_modes, size))
+            assert table.dtype == np.int64 and table.shape == (len(vectors), width)
+            for counts, row in zip(vectors, table):
+                assert np.array_equal(row, np.bincount(arrangements(counts).inversions, minlength=width))
+    assert (max(blocks) <= 6) == bool(cap)  # at most n words a block under the small constant
 
 
 def test_a_size_built_class_by_class_peaks_within_one_pass():
-    # the sweeps charge one pass of at most _BATCH_ROWS rows for the 4^9 words of nine
-    # letters over four modes, whose largest class has 22680 rows, and the records of
-    # its 220 classes
+    # the 4^9 words of nine letters over four modes, keyed a block at a time: the kernel
+    # peaks within its estimate, far below the 8 B a word their keys would take together
     tracemalloc.start()
     try:
-        classes = rows = 0
-        for arrangement in arrangement_classes(4, 9):
-            classes, rows = classes + 1, rows + arrangement.index.size
+        words = 0
+        for keys in qsym._word_blocks(4, 9):
+            words += keys.size
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (classes, rows) == (220, 4**9)
-    assert peak < _class_cost("arrangements", 4, 9, 220, _batch_rows(4, 9))[0] == 100 * 2**15 + 632 * 220
+    assert words == 4**9
+    estimate = qsym._words_cost(4, 9)[0]
+    assert 0.3 * estimate <= peak <= estimate < 8 * 4**9
+
+
+@pytest.mark.parametrize("n_modes, size", [(1, 30), (2, 12), (2, 20), (3, 6), (3, 13), (4, 9), (6, 8), (20, 3), (40, 2), (300, 2)])
+def test_the_all_words_kernel_peaks_within_its_estimate(n_modes, size):
+    tracemalloc.start()
+    try:
+        for _ in qsym._word_blocks(n_modes, size):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.3 * qsym._words_cost(n_modes, size)[0] <= peak <= qsym._words_cost(n_modes, size)[0]
+
+
+def test_the_class_ranks_are_the_lex_order_of_the_counts():
+    for n_modes in range(1, 6):
+        for size in range(7):
+            ranks = word_keys(n_modes, size) // (size * (size - 1) // 2 + 1)
+            vectors = list(_count_vectors(n_modes, size))
+            for word, rank in zip(itertools.product(range(1, n_modes + 1), repeat=size), ranks):
+                assert vectors[rank] == tuple(word.count(letter) for letter in range(1, n_modes + 1))
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.999])
+def test_the_exchange_state_vector_equals_the_per_class_scatter(q):
+    # the class entries gathered at the keys are, bit for bit, each class's _state_entries
+    # scattered through its tensor indices
+    params = DeformationParams(q)
+    for n_modes, size in [(1, 5), (2, 9), (3, 6), (4, 5), (6, 4)]:
+        gathered = np.take(class_entries(params, n_modes, size), word_keys(n_modes, size))
+        assert gathered.tobytes() == size_states(size_classes(n_modes, size), params).tobytes()
 
 
 def test_q_symmetrize_equals_the_reference_bit_for_bit():
@@ -427,7 +465,7 @@ def test_exchange_relation_everywhere():
     for q in Q_GRID:
         params = DeformationParams(q)
         for size in range(2, 5):
-            states = size_states(list(arrangement_classes(3, size)), params)
+            states = size_states(list(size_classes(3, size)), params)
             for k in range(1, size):
                 factors, residuals, _ = exchange_check(states, size, 3, k, params)
                 assert factors.shape == residuals.shape == (3**size,)
@@ -496,7 +534,7 @@ def _assert_sizes_within_the_table(shapes, params: DeformationParams) -> None:
     # one set of kernel calls per size, on the vector of all its classes, read class by
     # class; the kernel's allowance, the size's largest, covers each class's
     for n_modes, size in shapes:
-        classes = list(arrangement_classes(n_modes, size))
+        classes = list(size_classes(n_modes, size))
         rows, allowance = exchange_rows(size_states(classes, params), classes, params)
         for arrangement, (factors, residuals) in zip(classes, rows):
             assert _assert_rows_within_the_table(factors, residuals, arrangement, params) <= allowance
@@ -562,7 +600,7 @@ def test_exchange_kernel_rejects_bad_classes():
 
 def test_exchange_kernel_rejects_bad_positions_and_vectors():
     params = DeformationParams(0.5)
-    states = size_states(list(arrangement_classes(2, 3)), params)
+    states = size_states(list(size_classes(2, 3)), params)
     for k in (0, 3):
         with pytest.raises(ValueError, match="positions"):
             exchange_check(states, 3, 2, k, params)
@@ -609,6 +647,13 @@ def test_transposition_pair_equals_the_scipy_built_reference():
                 np.testing.assert_array_equal(swapped, reference.indices)
                 assert weights.tobytes() == reference.data.tobytes()
                 np.testing.assert_array_equal(swapped[swapped], np.arange(n_modes**size))
+
+
+def test_transposition_indices_are_int32_below_two_to_the_thirty_one_words():
+    assert qsym._index_type(2**31 - 1) is np.int32
+    assert qsym._index_type(2**31) is np.int64
+    swapped, weights = transposition_op(5, 3, 2, DeformationParams(0.5))
+    assert swapped.dtype == np.int32 and weights.dtype == np.float64
 
 
 def test_symmetrized_states_are_transposition_fixed_points():
@@ -685,13 +730,11 @@ def test_class_totals_equal_the_enumeration():
     for n_modes in range(1, 7):
         for size in range(9):
             classes = rows = 0
-            for arrangement in arrangement_classes(n_modes, size):
+            for arrangement in size_classes(n_modes, size):
                 classes += 1
                 rows += arrangement.index.size
                 assert _class_size(arrangement.counts) == pytest.approx(arrangement.index.size, rel=1e-12)
-            assert _class_totals(n_modes, size)[:2] == pytest.approx((classes, rows), rel=1e-12)
-            # the passes charged are no fewer than the kernel makes, and no more than the classes
-            assert len(list(qsym._passes(n_modes, size))) <= _class_totals(n_modes, size)[2] <= classes
+            assert _class_totals(n_modes, size) == pytest.approx((classes, rows), rel=1e-12)
             largest = max(_class_size(counts) for counts in _count_vectors(n_modes, size))
             assert _largest_class(n_modes, size) == pytest.approx(largest, rel=1e-12)
 
