@@ -577,14 +577,14 @@ def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         all_match = True
         first = 0
         for counts in qsym._count_vector_blocks(n, total, vectors):
-            multisets, which = np.unique(np.sort(counts, axis=1), axis=0, return_inverse=True)
+            counts.sort(axis=1)
             rows = []
-            for key in map(tuple, multisets.tolist()):
+            for key in map(tuple, counts.tolist()):
                 if key not in targets:
                     targets[key] = _even_coefficients(poly_q_multinomial(key), table.shape[1] - 1)
                 rows.append(targets[key])
             tallied, first = table[first : first + len(counts)], first + len(counts)
-            if any(row is None for row in rows) or not np.array_equal(tallied, np.array(rows)[which.ravel()]):
+            if any(row is None for row in rows) or not np.array_equal(tallied, rows):
                 all_match = False
         records.append(
             CheckRecord(
