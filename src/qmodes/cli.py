@@ -447,7 +447,8 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     # vector gathered from them, and at each position the exchange kernel, the
     # transposition, its square and its product with the vector
     def work(size: int) -> float:
-        per_q = qsym._entries_cost(n, size)[1] + qsym._exchange_cost(n, size, size - 1)[1] + qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
+        per_q = qsym._entries_cost(n, size)[1] + qsym._exchange_cost(n, size, size - 1)[1]
+        per_q += qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
         return qsym._words_cost(n, size)[1] + len(config.q_values) * per_q
 
     # the top size's keys, beside the sweep's check records (~320 B each) and, in turn, the
@@ -561,7 +562,7 @@ def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         return qsym._words_cost(n, t)[1] + qsym._identity_cost(n, t)
 
     # the all-words kernel on N letters beside the total's table (8 B a class and inversion
-    # count), then a block of count vectors, its sorted copy and its stacked target rows;
+    # count), then a block of count vectors with their tuples and stacked target rows;
     # qpoly's cached factorials and brackets; the records (a total's target rows, some kB,
     # not)
     classes, width = qsym._class_totals(n, N)[0], N * (N - 1) // 2 + 1
@@ -570,7 +571,7 @@ def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     nbytes += qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N) + 400 * (N + 1)
     check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, _sweep_work(range(N, -1, -1), work))
     records = []
-    for total in range(N + 1):
+    for total in range(config.particles + 1):
         start = time.perf_counter()
         table = qsym.word_tallies(n, total)
         targets = {}  # sorted counts -> dense coefficients of their multinomial: one per multiset

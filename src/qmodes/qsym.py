@@ -210,13 +210,9 @@ def _words_of(n_modes: int, letters: int, first: int, count: int) -> tuple[np.nd
     the ``count`` words of ``letters`` letters over n modes from tensor index ``first`` on,
     built position by position."""
     table = np.empty((letters, count), dtype=np.min_scalar_type(n_modes))  # row t: each word's letter t
-    if count == n_modes**letters:  # all the words: letter t runs through 0..n - 1 in runs of n^(N-t-1)
-        for position in range(letters):
-            table[position].reshape(n_modes**position, n_modes, -1)[...] = np.arange(n_modes)[:, None]
-    else:
-        index = np.arange(first, first + count)
-        for position in range(letters - 1, -1, -1):  # the last letter is the lowest digit
-            index, table[position] = np.divmod(index, n_modes)
+    index = np.arange(first, first + count)
+    for position in range(letters - 1, -1, -1):  # the last letter is the lowest digit
+        index, table[position] = np.divmod(index, n_modes)
     inversions = np.zeros(count, dtype=np.int64)
     for position in range(letters - 1):
         inversions += (table[position + 1 :] < table[position]).sum(axis=0)
@@ -225,29 +221,21 @@ def _words_of(n_modes: int, letters: int, first: int, count: int) -> tuple[np.nd
 
 
 def _rank_terms(n_modes: int, size: int) -> np.ndarray:
-    """The table whose entry [N - t, n - 2 - l] is what letter l + 1 at place t (from 0) of a
-    sorted word of N <= ``size`` letters adds to the rank of its count vector among those of
-    N letters in lex order.
+    """Entry t * n + l: what letter l + 1 at place t (from 0) of a sorted word of N letters
+    adds to the rank of its count vector among those of N letters in lex order.
 
     The vectors below c in lex order first differ from it at some letter j, with a smaller
     count there.  Those with the y-th copy of letter j as the first difference, y < c_j,
     are the vectors of the r letters after that copy over the n - j letters past j, where
     r = N - t counts the places from the copy's place t on: C(r + n - j - 1, n - j - 1),
-    and 0 for the last letter, whose count the others fix.  Row r holds C(r + k, k) for
-    k = 0 to n - 2, the running sums of row r - 1.
+    and 0 for the last letter, whose count the others fix.  Row r of the table below holds
+    C(r + k, k) for k = 0 to n - 2, the running sums of row r - 1.
     """
     table = np.ones((size + 1, n_modes), dtype=np.int64)
     for r in range(1, size + 1):
         np.cumsum(table[r - 1], out=table[r])
-    return table
-
-
-def _place_terms(table: np.ndarray, letters: int) -> np.ndarray:
-    """The entries of ``_rank_terms`` for words of N = ``letters`` letters, flat: entry
-    t * n + l for letter l + 1 at place t."""
-    n_modes = table.shape[1]
-    terms = np.zeros((letters, n_modes), dtype=np.int64)
-    terms[:, :-1] = table[letters:0:-1, n_modes - 2 :: -1]  # t = 0 reads row N; l = 0 reads k = n - 2
+    terms = np.zeros((size, n_modes), dtype=np.int64)
+    terms[:, :-1] = table[size:0:-1, n_modes - 2 :: -1]  # t = 0 reads row N; l = 0 reads k = n - 2
     return terms.ravel()
 
 
@@ -281,15 +269,14 @@ def _keyed_blocks(n_modes: int, size: int, suffix: int, classes: int, step: int)
     width = size * (size - 1) // 2 + 1
     prefix, suffixes = size - suffix, n_modes**suffix
     letters, suffix_inversions = _words_of(n_modes, suffix, 0, suffixes)
-    table = _rank_terms(n_modes, size)
-    terms = _place_terms(table, suffix)
+    terms = _rank_terms(n_modes, suffix)
     suffix_ranks = np.zeros(suffixes, dtype=np.int64)  # each suffix's class among those of s letters
     for place in range(suffix):
         suffix_ranks += terms[letters[:, place] + place * n_modes]
     ends = np.empty((classes, suffix), dtype=letters.dtype)  # each class's sorted letters
     ends[suffix_ranks] = letters  # the suffixes of a class share them
     del letters
-    terms = _place_terms(table, size)
+    terms = _rank_terms(n_modes, size)
     for first in range(0, n_modes**prefix, step):
         heads, head_inversions = _words_of(n_modes, prefix, first, min(step, n_modes**prefix - first))
         rows = len(heads)

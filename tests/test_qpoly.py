@@ -201,6 +201,18 @@ def test_poly_q_factorial_degree():
         assert poly_q_factorial(n).degree == max(n * (n - 1), 0)
 
 
+def test_running_factorials_equal_the_product_of_brackets():
+    # [n]! is [n-1]! [n] through the cache, in any order of calls, cold or warm
+    from qmodes import qpoly
+
+    expected = [QPolynomial.one()]
+    for k in range(1, 41):
+        expected.append(expected[-1] * poly_q_number(k))
+    qpoly._factorial.cache_clear()
+    assert [poly_q_factorial(n) for n in (40, 3, 0, 17)] == [expected[n] for n in (40, 3, 0, 17)]
+    assert [poly_q_factorial(n) for n in range(41)] == expected
+
+
 @pytest.mark.parametrize("n", range(0, 9))
 def test_binomials_match_pascal_oracle(n):
     for k in range(0, n + 1):
