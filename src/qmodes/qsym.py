@@ -21,6 +21,7 @@ invariance).
 """
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -245,10 +246,9 @@ def _word_blocks(n_modes: int, size: int) -> Iterator[np.ndarray]:
     The rank is that of u's count vector among those of N letters in lex order (the order of
     ``_count_vector_blocks``) and width = N(N - 1)/2 + 1 holds every inversion count.
 
-    A word is a prefix of N - s letters and a suffix of the last s, where s is the most
-    letters whose n^s suffixes fit a block (at least one).  The suffixes' sorted letters,
-    inversion counts and class ranks are built once; each block is the next prefixes times
-    every suffix.  R(u) = R(prefix) + R(suffix) + the pairs of a prefix letter above a suffix
+    A word is a prefix of N - s letters and a suffix of the last s, with s from
+    ``_blocks``.  The suffixes' sorted letters, inversion counts and class ranks are built
+    once; each block is the next prefixes times every suffix.  R(u) = R(prefix) + R(suffix) + the pairs of a prefix letter above a suffix
     letter: each word's own inversions, from its own letters.  That cross count and the
     rank depend on the prefix and on the suffix's class alone, so they are formed once for
     each prefix of the block and suffix class, by merging the two sorted letter rows, and
@@ -257,8 +257,8 @@ def _word_blocks(n_modes: int, size: int) -> Iterator[np.ndarray]:
     """
     if size * math.log2(max(n_modes, 1)) > 63:
         raise ValueError(f"the words of {size} letters over {n_modes} modes have tensor indices past int64")
-    suffix, classes, step = _blocks(n_modes, size)
-    check_budget("the {}^{} words of the all-words kernel", *_layout(n_modes, size, suffix)[2:], n_modes, size)
+    suffix, classes, step = _blocks(n_modes, size, _BLOCK_WORDS)
+    check_budget("the {}^{} words of the all-words kernel", *_words_cost(n_modes, size), n_modes, size)
     if not size:
         return iter([np.zeros(1, dtype=np.int64)])  # the one word of no letters
     return _keyed_blocks(n_modes, size, suffix, classes, step)
@@ -373,19 +373,21 @@ def _class_totals(n_modes: int, size: int) -> tuple[float, float]:
     return classes, size_estimate(size * math.log(n_modes))
 
 
-def _blocks(n_modes: int, size: int) -> tuple[int, int, int]:
-    """The all-words kernel's layout on N letters: its suffix letters s, of those whose n^s
-    words fit a block (at least one; all of them over one mode) the one of least estimated
-    work, since a longer suffix costs more to build once and a shorter one more (prefix,
-    suffix class) pairs; its C(s + n - 1, n - 1) suffix classes; and the prefixes a block."""
+@functools.lru_cache(maxsize=256)  # the estimate and the kernel both read a size's layout
+def _blocks(n_modes: int, size: int, block: int) -> tuple[int, int, int]:
+    """The all-words kernel's layout on N letters and blocks of ``block`` words: its suffix
+    letters s, of those whose n^s words fit a block (at least one; all of them over one
+    mode) the one of least estimated work, since a longer suffix costs more to build once
+    and a shorter one more (prefix, suffix class) pairs; its C(s + n - 1, n - 1) suffix
+    classes; and the prefixes a block."""
     suffix = min(size, 1) if n_modes > 1 else size
-    while suffix < size and n_modes ** (suffix + 1) <= _BLOCK_WORDS:
+    while suffix < size and n_modes ** (suffix + 1) <= block:
         suffix += 1
-    suffix = min(range(min(suffix, 1), suffix + 1), key=lambda s: _layout(n_modes, size, s)[3])
-    return (suffix,) + _layout(n_modes, size, suffix)[:2]
+    suffix = min(range(min(suffix, 1), suffix + 1), key=lambda s: _layout(n_modes, size, s, block)[3])
+    return (suffix,) + _layout(n_modes, size, suffix, block)[:2]
 
 
-def _layout(n_modes: int, size: int, suffix: int) -> tuple[int, int, float, float]:
+def _layout(n_modes: int, size: int, suffix: int, block: int) -> tuple[int, int, float, float]:
     """Suffix classes, prefixes a block (at most a block of words and a block of (prefix,
     suffix class) letters), peak bytes and steps of the all-words kernel on N letters with a
     suffix of s letters, beside what its consumer keeps.  Bytes: the suffix table, ~(40 + s)
@@ -395,7 +397,7 @@ def _layout(n_modes: int, size: int, suffix: int) -> tuple[int, int, float, floa
     ns a suffix, ~5 ns a word, and a block ~60 us + 5 us per prefix letter and ~40 ns per
     (prefix, suffix class) letter.  Fitted on cold runs on a 2-core x86-64 machine."""
     classes, suffixes = math.comb(suffix + n_modes - 1, n_modes - 1), n_modes**suffix
-    step = max(1, min(_BLOCK_WORDS // suffixes, _BLOCK_WORDS // (classes * size or 1)))
+    step = max(1, min(block // suffixes, block // (classes * size or 1)))
     words = _class_totals(n_modes, size)[1]
     heads = min(step, words / suffixes)  # prefixes a block
     blocks = math.ceil(words / suffixes / step)
@@ -436,7 +438,7 @@ def _words_cost(n_modes: int, size: int) -> tuple[float, float]:
     """Peak bytes and steps of the all-words kernel on the n^N words of N letters (see
     ``_layout``): at n = 1 to 200000 and N = 1 to 22 its traced peak was 0.37 to 0.9 of
     the bytes, and its time 0.1 to 0.7 of the steps."""
-    return _layout(n_modes, size, _blocks(n_modes, size)[0])[2:]
+    return _layout(n_modes, size, _blocks(n_modes, size, _BLOCK_WORDS)[0], _BLOCK_WORDS)[2:]
 
 
 def _entries_cost(n_modes: int, size: int) -> tuple[float, float]:
