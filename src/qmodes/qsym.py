@@ -117,7 +117,7 @@ class ArrangementClass:
     inversions: np.ndarray
 
 
-# Entries of the count vectors enumerated together, when they are handed out one at a time.
+# Entries of the count vectors enumerated together in one block of ``_count_vector_blocks``.
 _COUNT_BLOCK = 2**12
 # Words of one block of the all-words kernel: a size's words are keyed this many at a time at
 # most (n at a time past this many modes).
