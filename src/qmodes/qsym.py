@@ -21,7 +21,6 @@ invariance).
 """
 
 import collections
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -240,25 +239,26 @@ def _rank_terms(n_modes: int, size: int) -> np.ndarray:
     return terms.ravel()
 
 
-def _word_blocks(n_modes: int, size: int) -> Iterator[np.ndarray]:
+def _word_blocks(n_modes: int, size: int, kept: float = 0) -> Iterator[np.ndarray]:
     """The all-words kernel: the n^N words of N letters over n modes in tensor (lex) order,
     a block of consecutive words at a time, each word u as its key rank * width + R(u).
     The rank is that of u's count vector among those of N letters in lex order (the order of
-    ``_count_vector_blocks``) and width = N(N - 1)/2 + 1 holds every inversion count.
+    ``_count_vector_blocks``) and width = N(N - 1)/2 + 1 holds every inversion count.  The
+    one budget check prices the kernel and the ``kept`` bytes its consumer holds beside it.
 
     A word is a prefix of N - s letters and a suffix of the last s, with s from
     ``_blocks``.  The suffixes' sorted letters, inversion counts and class ranks are built
-    once; each block is the next prefixes times every suffix.  R(u) = R(prefix) + R(suffix) + the pairs of a prefix letter above a suffix
-    letter: each word's own inversions, from its own letters.  That cross count and the
-    rank depend on the prefix and on the suffix's class alone, so they are formed once for
-    each prefix of the block and suffix class, by merging the two sorted letter rows, and
-    gathered onto the suffixes.  The prefixes of a block hold at most a block of words and a
-    block of (prefix, suffix class) letters.
+    once; each block is the next prefixes times every suffix.  R(u) = R(prefix) + R(suffix)
+    + the pairs of a prefix letter above a suffix letter: each word's own inversions, from
+    its own letters.  That cross count and the rank depend on the prefix and on the suffix's
+    class alone, so they are formed once for each prefix of the block and suffix class, by
+    merging the two sorted letter rows, and gathered onto the suffixes.  The prefixes of a
+    block hold at most a block of words and a block of (prefix, suffix class) letters.
     """
     if size * math.log2(max(n_modes, 1)) > 63:
         raise ValueError(f"the words of {size} letters over {n_modes} modes have tensor indices past int64")
-    suffix, classes, step = _blocks(n_modes, size, _BLOCK_WORDS)
-    check_budget("the {}^{} words of the all-words kernel", *_words_cost(n_modes, size), n_modes, size)
+    suffix, classes, step, nbytes, work = _blocks(n_modes, size, _BLOCK_WORDS)
+    check_budget("the {}^{} words of the all-words kernel", nbytes + kept, work, n_modes, size)
     if not size:
         return iter([np.zeros(1, dtype=np.int64)])  # the one word of no letters
     return _keyed_blocks(n_modes, size, suffix, classes, step)
@@ -310,7 +310,7 @@ def word_keys(n_modes: int, size: int) -> np.ndarray:
     """The key rank * width + R(u) of every word u of N letters over n modes, in tensor
     order, from the all-words kernel (see ``_word_blocks``): word u's count vector has rank
     key // width among those of N letters in lex order, and u has key % width inversions."""
-    blocks = _word_blocks(n_modes, size)
+    blocks = _word_blocks(n_modes, size, 8 * _class_totals(n_modes, size)[1])
     keys = np.empty(n_modes**size, dtype=np.int64)
     start = 0
     for block in blocks:
@@ -324,8 +324,8 @@ def word_tallies(n_modes: int, size: int) -> np.ndarray:
     row c holds at column k how many words of the c-th count vector (lex order) have k
     inversions: each block of the all-words kernel's keys added in one ``np.add.at``, whose
     work is the block's, where a ``np.bincount`` would also sweep every class's row."""
-    blocks = _word_blocks(n_modes, size)
     width = size * (size - 1) // 2 + 1
+    blocks = _word_blocks(n_modes, size, 8 * width * _class_totals(n_modes, size)[0])
     bins = math.comb(size + n_modes - 1, n_modes - 1) * width
     tally = np.zeros(bins, dtype=np.int64)
     for keys in blocks:
@@ -373,18 +373,17 @@ def _class_totals(n_modes: int, size: int) -> tuple[float, float]:
     return classes, size_estimate(size * math.log(n_modes))
 
 
-@functools.lru_cache(maxsize=256)  # the estimate and the kernel both read a size's layout
-def _blocks(n_modes: int, size: int, block: int) -> tuple[int, int, int]:
+def _blocks(n_modes: int, size: int, block: int) -> tuple[int, int, int, float, float]:
     """The all-words kernel's layout on N letters and blocks of ``block`` words: its suffix
     letters s, of those whose n^s words fit a block (at least one; all of them over one
     mode) the one of least estimated work, since a longer suffix costs more to build once
-    and a shorter one more (prefix, suffix class) pairs; its C(s + n - 1, n - 1) suffix
-    classes; and the prefixes a block."""
+    and a shorter one more (prefix, suffix class) pairs; then, from ``_layout``, its suffix
+    classes, prefixes a block, peak bytes and steps."""
     suffix = min(size, 1) if n_modes > 1 else size
     while suffix < size and n_modes ** (suffix + 1) <= block:
         suffix += 1
     suffix = min(range(min(suffix, 1), suffix + 1), key=lambda s: _layout(n_modes, size, s, block)[3])
-    return (suffix,) + _layout(n_modes, size, suffix, block)[:2]
+    return (suffix,) + _layout(n_modes, size, suffix, block)
 
 
 def _layout(n_modes: int, size: int, suffix: int, block: int) -> tuple[int, int, float, float]:
@@ -438,7 +437,7 @@ def _words_cost(n_modes: int, size: int) -> tuple[float, float]:
     """Peak bytes and steps of the all-words kernel on the n^N words of N letters (see
     ``_layout``): at n = 1 to 200000 and N = 1 to 22 its traced peak was 0.37 to 0.9 of
     the bytes, and its time 0.1 to 0.7 of the steps."""
-    return _layout(n_modes, size, _blocks(n_modes, size, _BLOCK_WORDS)[0], _BLOCK_WORDS)[2:]
+    return _blocks(n_modes, size, _BLOCK_WORDS)[3:]
 
 
 def _entries_cost(n_modes: int, size: int) -> tuple[float, float]:
@@ -638,13 +637,17 @@ def norm_identity_exact(counts: Sequence[int]):
     by inversion count; their equality is the closed form for the norms of q-symmetrized
     states.  Import is deferred so the tensor layer stays float-only unless it is requested.
     """
-    from .qpoly import QPolynomial, poly_q_multinomial
+    from .qpoly import QPolynomial, _bracket_bytes, _factorial_bytes, poly_q_multinomial
 
     counts = tuple(int(c) for c in counts)
     if not counts:
         raise ValueError("counts must be a nonempty sequence")
-    # one class and one division: the single multiset of one mode
-    check_budget("norm_identity_exact on the class {}", 0, _identity_cost(1, sum(counts)), counts)
+    # one class and one division (of cost ~N^3 for one part), with [0]! to [N]! built in
+    # turn as in an identity sweep (the cache may hold none of them) and kept in qpoly
+    size = sum(counts)
+    work = sum(_identity_cost(1, t) for t in range(size + 1))
+    work += 70_000 + 30 * size**4 if sum(c > 0 for c in counts) > 1 else 0
+    check_budget("norm_identity_exact on the class {}", _factorial_bytes(size) + _bracket_bytes(size), work, counts)
     tally = np.bincount(arrangements(counts).inversions)
     arrangement_sum = QPolynomial({2 * k: int(number) for k, number in enumerate(tally) if number})
     return arrangement_sum, poly_q_multinomial(counts)

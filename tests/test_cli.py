@@ -361,10 +361,10 @@ def _classes_built(argv, monkeypatch, capsys) -> tuple[list, int]:
     kernel that key them."""
     built, runs = [], []
 
-    def counted(n_modes, size):
+    def counted(n_modes, size, kept=0):
         runs.append(size)
         width = size * (size - 1) // 2 + 1
-        for keys in kernel(n_modes, size):
+        for keys in kernel(n_modes, size, kept):
             built.extend((size, int(rank)) for rank in keys // width)
             yield keys
 
@@ -426,8 +426,8 @@ def test_identity_fails_exactly_the_total_whose_tally_is_wrong(row, monkeypatch,
     kernel = qsym._word_blocks
     seen = []
 
-    def corrupted(n_modes, size):
-        for keys in kernel(n_modes, size):
+    def corrupted(n_modes, size, kept=0):
+        for keys in kernel(n_modes, size, kept):
             if size == 4:
                 seen.append(keys.size)
                 if len(seen) == 2:
@@ -446,9 +446,9 @@ def _one_word_with_one_inversion_more(monkeypatch, size: int, word: int) -> None
     ``size`` letters gets R(u) + 1."""
     kernel = qsym._word_blocks
 
-    def corrupted(n_modes, letters):
+    def corrupted(n_modes, letters, kept=0):
         start = 0
-        for keys in kernel(n_modes, letters):
+        for keys in kernel(n_modes, letters, kept):
             if letters == size and start <= word < start + keys.size:
                 keys[word - start] += 1
             start += keys.size

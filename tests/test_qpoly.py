@@ -5,6 +5,7 @@ independent Pascal-recurrence oracle, so the multinomial never validates
 itself.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,25 @@ def test_running_factorials_equal_the_product_of_brackets():
     qpoly._factorial.cache_clear()
     assert [poly_q_factorial(n) for n in (40, 3, 0, 17)] == [expected[n] for n in (40, 3, 0, 17)]
     assert [poly_q_factorial(n) for n in range(41)] == expected
+
+
+def test_a_cold_factorial_far_past_the_recursion_limit_stays_within_it(monkeypatch):
+    # a cold [3000]! with each bracket [k] replaced by the constant k is 3000!, built as the
+    # running product through chains of at most 100 calls, where one chain of 3000 calls
+    # would pass the interpreter's recursion limit (a true cold [350]! takes minutes: its
+    # products cost ~25 ns N^4)
+    import sys
+
+    from qmodes import qpoly
+
+    assert sys.getrecursionlimit() < 3000
+    monkeypatch.setattr(qpoly, "_bracket", lambda k: QPolynomial({0: k}))
+    qpoly._factorial.cache_clear()
+    try:
+        assert poly_q_factorial(3000) == QPolynomial({0: math.factorial(3000)})
+        assert poly_q_factorial(2990) == QPolynomial({0: math.factorial(2990)})  # from the cache
+    finally:
+        qpoly._factorial.cache_clear()  # drop the constant factorials
 
 
 @pytest.mark.parametrize("n", range(0, 9))

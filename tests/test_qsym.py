@@ -214,8 +214,8 @@ def _blocks(monkeypatch) -> list:
     """Records the words of every block of the all-words kernel."""
     blocks = []
 
-    def recorded(n_modes, size):
-        for keys in kernel(n_modes, size):
+    def recorded(n_modes, size, kept=0):
+        for keys in kernel(n_modes, size, kept):
             blocks.append(keys.size)
             yield keys
 
@@ -262,25 +262,46 @@ def test_batched_passes_keep_the_zero_shape_and_the_int64_refusal():
         word_tallies(2, 64)
     with pytest.raises(DomainError, match="budget"):  # 2^63 words fit int64, not the budget
         word_tallies(2, 63)
+    assert arrangements((0, 63)).index.tolist() == [2**63 - 1]  # the word 2...2 still fits
+
+
+def test_the_kernel_consumers_are_refused_on_the_bytes_they_keep():
+    # the kernel itself fits at both shapes (~2.4 and ~1.5 MB); the 2^28 keys (2 GiB) and
+    # the 1.8 GB table of C(702, 3) classes by 4 inversion counts do not
+    for n_modes, size in [(2, 28), (700, 3)]:
+        assert qsym._words_cost(n_modes, size)[0] < 2**22
+    with pytest.raises(DomainError, match="budget"):
+        word_keys(2, 28)
+    with pytest.raises(DomainError, match="budget"):
+        word_tallies(700, 3)
 
 
 @pytest.mark.parametrize("cap", [None, 5], ids=["one pass a size", "five rows a pass"])
 def test_each_tally_row_is_the_bincount_of_its_class(cap, monkeypatch):
-    # with the block constant at 5 words, the blocks split the classes
-    if cap:
-        monkeypatch.setattr(qsym, "_BLOCK_WORDS", cap)
-    blocks = _blocks(monkeypatch)
+    # with the block constant at 5 words (400 past 4^8 words, where blocks of n words
+    # would take minutes), the blocks split the classes of every size they split
+    kernel, ranks = qsym._word_blocks, []
+
+    def recorded(n_modes, size, kept=0):
+        for keys in kernel(n_modes, size, kept):
+            ranks.append(np.unique(keys // (size * (size - 1) // 2 + 1)))
+            yield keys
+
+    monkeypatch.setattr(qsym, "_word_blocks", recorded)
     for n_modes in range(1, 7):
         for size in range(9):
-            if cap and n_modes**size > 4**8:  # blocks of n words: past this, minutes of bincounts
-                continue
+            if cap:
+                monkeypatch.setattr(qsym, "_BLOCK_WORDS", cap if n_modes**size <= 4**8 else 400)
+            ranks.clear()
             width = size * (size - 1) // 2 + 1
             table = word_tallies(n_modes, size)
             vectors = list(_count_vectors(n_modes, size))
             assert table.dtype == np.int64 and table.shape == (len(vectors), width)
             for counts, row in zip(vectors, table):
                 assert np.array_equal(row, np.bincount(arrangements(counts).inversions, minlength=width))
-    assert (max(blocks) <= 6) == bool(cap)  # at most n words a block under the small constant
+            if cap and n_modes**size > max(cap, n_modes):  # some class has words in two blocks
+                spread = np.concatenate(ranks)
+                assert len(ranks) > 1 and spread.size > np.unique(spread).size
 
 
 def test_a_size_built_class_by_class_peaks_within_one_pass():
@@ -715,6 +736,8 @@ def test_norm_identity_exact_bounds():
         norm_identity_exact((15, 15))
     with pytest.raises(DomainError, match="budget"):
         norm_identity_exact((1,) * 12)
+    with pytest.raises(DomainError, match="budget"):  # one row, but a cold [300]! takes minutes
+        norm_identity_exact((300,))
 
 
 def test_norm_identity_exact_is_sized_by_its_class():
