@@ -532,11 +532,10 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     if N < 1:
         raise ConfigError("norm sweeps need N >= 1")
     samples = 25
-    # each word is sized before it is drawn, as the costliest it could be: N letters, largest class
-    rows = qsym._largest_class(n, N)
-    costs = [qsym._class_cost(kernel, n, N, 1, rows) for kernel in ("arrangements", "symmetrize")]
-    nbytes, work = sum(b for b, _ in costs), samples * len(config.q_values) * sum(w for _, w in costs)
-    check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, work)
+    # each word is sized before it is drawn, as the costliest it could be: N letters, the
+    # largest class, whose min(n, N) letters are all distinct; its norm is taken on that class
+    nbytes, work = qsym._class_cost(min(n, N), N, qsym._largest_class(n, N))
+    check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, samples * len(config.q_values) * work)
     rng = random.Random(config.seed)
     for q in config.q_values:
         params = DeformationParams(q)

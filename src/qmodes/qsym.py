@@ -89,12 +89,12 @@ class Word:
 
 
 def inversion_count(letters: Sequence[int]) -> int:
-    """Number of pairs a < b with letters[a] > letters[b]."""
-    count = 0
-    for a in range(len(letters)):
-        for b in range(a + 1, len(letters)):
-            if letters[a] > letters[b]:
-                count += 1
+    """Number of pairs a < b with letters[a] > letters[b]: each letter closes one with every
+    earlier letter above it, read from the tally of the distinct letters so far (O(N d))."""
+    earlier, count = collections.Counter(), 0
+    for letter in letters:
+        count += sum(number for other, number in earlier.items() if other > letter)
+        earlier[letter] += 1
     return count
 
 
@@ -173,7 +173,7 @@ def arrangements(counts: Sequence[int]) -> ArrangementClass:
     n_modes, size = len(counts), sum(counts)
     if size * math.log2(max(n_modes, 1)) > 63:
         raise ValueError(f"the words of the class {counts} have tensor indices past int64")
-    check_budget("arrangements of the class {}", *_class_cost("arrangements", n_modes, size, 1, _rows(counts)), counts)
+    check_budget("arrangements of the class {}", *_class_cost(n_modes, size, _rows(counts)), counts)
     # the narrowest signed type that holds every count up to N (it holds -N - 1)
     left = np.array([counts], dtype=np.min_scalar_type(-size - 1))  # letters still to place
     index = np.zeros(1, dtype=np.int64)
@@ -349,7 +349,7 @@ def class_entries(params: DeformationParams, n_modes: int, size: int) -> np.ndar
         start += len(counts)
     prefactors /= factorials[size]
     np.sqrt(prefactors, out=prefactors)
-    return prefactors[:, None] * _powers(params.q, size)
+    return prefactors[:, None] * _powers(params.q, size * (size - 1) // 2)
 
 
 def _class_size(counts) -> float:
@@ -415,22 +415,12 @@ def _multisets(n_modes: int, size: int) -> int:
     return table[size]
 
 
-def _class_cost(kernel: str, n_modes: int, size: int, classes: float, rows: float):
-    """Peak bytes of one call and steps (~1 ns each) of ``classes`` calls of a class kernel
-    on N letters, over ``rows`` rows in all.
-
-    Fitted on cold calls on a 2-core x86-64 machine, and linear in calls and rows.
-    "arrangements": ~100 B per row (45 to 70 B measured, 16 B kept), ~(8n + 600) B per
-    class for its count tuple, record and two arrays; ~23 us + 40 us per letter + 0.3 us
-    per mode a class, ~60 ns per row.  "symmetrize" fills an n^N vector (8 B, ~1.5 ns per
-    entry): ~40 us per class, ~15 ns and 24 B per row, ~20 N^2 B for its q^k over the
-    N(N-1)/2 + 1 inversion counts.
-    """
-    if kernel == "arrangements":
-        work = classes * (23_000 + 40_000 * size + 300 * n_modes) + 60 * rows
-        return 100 * rows + (8 * n_modes + 600) * classes, work
-    dim = size_estimate(size * math.log(n_modes))  # "symmetrize"
-    return 8 * dim + 24 * rows + 20 * size * size, 1.5 * dim + 40_000 * classes + 15 * rows
+def _class_cost(n_modes: int, size: int, rows: float) -> tuple[float, float]:
+    """Peak bytes and steps (~1 ns each) of the arrangement kernel on one class of ``rows`` rows
+    of N letters over n modes, fitted on cold calls on a 2-core x86-64 machine: ~100 B per row
+    (45 to 70 B measured, 16 B kept) and ~(8n + 600) B for its count tuple, record and two
+    arrays; ~23 us + 40 us per letter + 0.3 us per mode, ~60 ns per row."""
+    return 100 * rows + 8 * n_modes + 600, 23_000 + 40_000 * size + 300 * n_modes + 60 * rows
 
 
 def _words_cost(n_modes: int, size: int) -> tuple[float, float]:
@@ -479,10 +469,10 @@ def _transposition_cost(n_modes: int, size: int, ops: float, products: float) ->
 
 def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, float]:
     # the peak of one call beside the state vector (~4 KiB + 28 B per word; 16 to 25 B
-    # measured, 16 B kept, and ~40 B per pair of letters for its table of q^eps, Python
-    # floats first), then ``positions`` calls (~40 us + 15 ns per word each)
+    # measured, 16 B kept, and ~16 B per pair of letters for its table of q^eps and the
+    # comparisons it is gathered at), then ``positions`` calls (~40 us + 15 ns per word each)
     dim = size_estimate(size * math.log(n_modes))
-    return 4096 + 28 * dim + 40 * n_modes**2, positions * (40_000 + 15 * dim)
+    return 4096 + 28 * dim + 16 * n_modes**2, positions * (40_000 + 15 * dim)
 
 
 def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:
@@ -493,13 +483,21 @@ def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:
     return math.sqrt(prefactor / q_factorial(params, sum(counts)))
 
 
-def _powers(q: float, size: int) -> np.ndarray:
-    """q**k for k = 0..size(size-1)/2, every inversion count a word of that size can have.
+def _powers(q: float, top: int) -> np.ndarray:
+    """q**k for k = 0..top, one Python pow per entry: numpy's float power can differ from it
+    in the last bit, and the states must equal the reference sum exactly."""
+    return np.array([q**k for k in range(top + 1)])
 
-    One Python pow per entry: numpy's float power can differ from it in the
-    last bit, and the states must equal the reference sum exactly.
-    """
-    return np.array([q**k for k in range(size * (size - 1) // 2 + 1)])
+
+def _dense_class(word: Word, name: str) -> tuple[ArrangementClass, np.ndarray]:
+    """The class of ``word`` and a zeroed n^N vector for its state, once the dense-vector
+    guard admits them: the vector (8 B, ~1.5 ns per entry), ~40 us, ~15 ns and 24 B per
+    row, and ~20 N^2 B for the q^k of the class's inversion counts."""
+    rows = _class_size(collections.Counter(word.letters).values())  # word.counts has n_modes
+    dim = size_estimate(word.size * math.log(word.n_modes))
+    check_budget(name + " on the {}^{} tensor space", 8 * dim + 24 * rows + 20 * word.size**2,
+                 1.5 * dim + 40_000 + 15 * rows, word.n_modes, word.size)
+    return arrangements(word.counts), np.zeros(word.n_modes**word.size, dtype=np.float64)
 
 
 def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
@@ -509,38 +507,37 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     each arrangement u carries the weight q^{R(word)} q^{R(u)} and the whole
     sum is scaled by sqrt(prod [n_k]! / [N]!).
     """
-    rows = _class_size(collections.Counter(word.letters).values())  # word.counts has n_modes
-    check_budget("q_symmetrize on the {}^{} tensor space",
-                 *_class_cost("symmetrize", word.n_modes, word.size, 1, rows), word.n_modes, word.size)
-    arrangement = arrangements(word.counts)
-    vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
+    arrangement, vector = _dense_class(word, "q_symmetrize")
     vector[arrangement.index] = _state_entries(arrangement, params, inversion_count(word.letters))
     return vector
 
 
 def _state_entries(arrangement: ArrangementClass, params: DeformationParams, word_inversions: int = 0):
     """The entries of |w>_q on the rows of its class, for a word w of that class with
-    R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)}."""
-    powers = _powers(params.q, sum(arrangement.counts))
-    base = powers[word_inversions] * _prefactor(params, arrangement.counts)
+    R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)},
+    over the q^k up to the class's most inversions, sum_{i<j} c_i c_j, no more than its rows."""
+    counts = arrangement.counts
+    powers = _powers(params.q, (sum(counts) ** 2 - sum(c * c for c in counts)) // 2)
+    base = powers[word_inversions] * _prefactor(params, counts)
     return (base * powers)[arrangement.inversions]
 
 
 def bosonic_symmetrize(word: Word) -> np.ndarray:
     """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
-    rows = _class_size(collections.Counter(word.letters).values())
-    check_budget("bosonic_symmetrize on the {}^{} tensor space",
-                 *_class_cost("symmetrize", word.n_modes, word.size, 1, rows), word.n_modes, word.size)
-    vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
-    vector[arrangements(word.counts).index] = 1.0
+    arrangement, vector = _dense_class(word, "bosonic_symmetrize")
+    vector[arrangement.index] = 1.0
     vector /= np.linalg.norm(vector)
     return vector
 
 
 def fundamental_norm(word: Word, params: DeformationParams) -> float:
-    """Squared norm of the q-symmetrized state; equals q^{2 R(word)}."""
-    vector = q_symmetrize(word, params)
-    return float(vector @ vector)
+    """Squared norm of the q-symmetrized state; equals q^{2 R(word)}.  It is taken over the
+    entries of the word's class alone, with the counts of the letters it uses in letter order:
+    dropping unused letters keeps each row's inversions and the prefactor, and no n^N vector
+    is formed."""
+    used = collections.Counter(word.letters)
+    entries = _state_entries(arrangements([used[l] for l in sorted(used)]), params, inversion_count(word.letters))
+    return float(entries @ entries)
 
 
 def exchange_check(
@@ -576,8 +573,9 @@ def exchange_check(
         raise ValueError(f"positions must satisfy 1 <= k < {size}, got {k}")
     shape = (n_modes ** (k - 1), n_modes, n_modes, n_modes ** (size - k - 1))
     words = states.reshape(shape)  # refuses a vector that does not hold the n^N words
-    comparator = [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
-    factors = np.broadcast_to(np.array(comparator)[:, :, np.newaxis], shape)
+    letters = np.arange(n_modes)
+    comparator = np.array([params.q**-1, 1.0, params.q])[np.sign(np.subtract.outer(letters, letters)) + 1]
+    factors = np.broadcast_to(comparator[:, :, np.newaxis], shape)
     image = words.swapaxes(1, 2) * factors  # f x_s at each word w
     residuals = np.subtract(words, image)
     np.abs(residuals, out=residuals)

@@ -156,7 +156,7 @@ def reference_exchange_table(
     counts, index, inversions = arrangement.counts, arrangement.index, arrangement.inversions
     n_modes, size = len(counts), sum(counts)
     levels = np.flatnonzero(np.bincount(inversions))
-    powers = _powers(params.q, size)
+    powers = _powers(params.q, size * (size - 1) // 2)
     table = _state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
     comparator = np.array(
         [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]

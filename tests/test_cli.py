@@ -180,8 +180,9 @@ def test_over_budget_requests_are_refused_before_allocating(argv, capsys):
 
 @pytest.mark.parametrize("seed", ["0", "3"])
 def test_oversized_norm_sweep_is_refused_before_sampling(seed, capsys):
-    # words up to 4^14 entries: refused whatever lengths the seed would draw
-    argv = ["qsym", "norm", "--q", "0.5", "--modes", "4", "--N", "14", "--seed", seed]
+    # words of up to 16 letters over 4 modes, whose largest class has 16!/(4!)^4 = 6.3e7
+    # rows: refused whatever lengths the seed would draw
+    argv = ["qsym", "norm", "--q", "0.5", "--modes", "4", "--N", "16", "--seed", seed]
     namespace = build_parser().parse_args(argv)
     config = config_from_namespace(namespace)
     tracemalloc.start()
@@ -194,7 +195,7 @@ def test_oversized_norm_sweep_is_refused_before_sampling(seed, capsys):
     assert peak < 100_000
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
-    assert err.startswith("configuration error: qsym norm words up to N=14 over 4 modes needs")
+    assert err.startswith("configuration error: qsym norm words up to N=16 over 4 modes needs")
 
 
 def _drawn_words(argv, monkeypatch, capsys) -> tuple[int, str, list]:
@@ -272,9 +273,6 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
             _handler(namespace)(config_from_namespace(namespace))
         return raised.value.args
 
-    def cost(kernels, s, rows, classes=1):
-        return [qsym._class_cost(kernel, n, s, classes, rows) for kernel in kernels]
-
     monkeypatch.setattr(cli, "check_budget", priced)
     for N in range(2, 8):
         classes = {s: [qsym._class_size(c) for c in _count_vectors(n, s)] for s in range(N + 1)}
@@ -299,9 +297,12 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
         nbytes += 8 * words + 320 * 3 * (N - 1) * 2
         assert estimate("exchange", N) == pytest.approx((nbytes, work), rel=1e-9)
 
-        words = [cost(["arrangements", "symmetrize"], N, rows) for rows in classes[N]]
-        nbytes = max(sum(b for b, _ in word) for word in words)
-        work = 2 * 25 * max(sum(w for _, w in word) for word in words)
+        # each word's norm is taken on its class, over the letters it uses: the costliest
+        # class of N letters
+        words = [qsym._class_cost(sum(c > 0 for c in counts), N, rows)
+                 for counts, rows in zip(_count_vectors(n, N), classes[N])]
+        nbytes = max(b for b, _ in words)
+        work = 2 * 25 * max(w for _, w in words)
         assert estimate("norm", N) == pytest.approx((nbytes, work), rel=1e-9)
 
         # every size keyed and tallied, every class compared, one exact division per
@@ -950,6 +951,27 @@ def test_identity_peaks_within_its_estimate(n, N, monkeypatch):
     argv = ["qsym", "identity", "--modes", str(n), "--N", str(N)]
     peak, estimate = _handler_peak_and_estimate(argv, monkeypatch)
     assert 0.3 * estimate <= peak <= estimate
+
+
+# the sorted word of the largest class of N letters over n modes, the costliest word a norm
+# sweep could draw
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 12), (4, 10), (8, 8)])
+def test_the_norm_of_a_largest_class_word_peaks_within_the_sweeps_estimate(n, N, monkeypatch):
+    class Priced(Exception):
+        pass
+
+    def priced(request, nbytes, work):
+        raise Priced(nbytes)
+
+    namespace = build_parser().parse_args(["qsym", "norm", "--modes", str(n), "--N", str(N)])
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "check_budget", priced)
+        with pytest.raises(Priced) as raised:
+            _handler(namespace)(config_from_namespace(namespace))
+    counts = [N // n + (letter < N % n) for letter in range(n)]
+    word = ",".join(str(letter + 1) for letter, c in enumerate(counts) for _ in range(c))
+    peak = _handler_peak(["qsym", "norm", "--q", "0.5", "--modes", str(n), "--word", word])
+    assert 0.3 * raised.value.args[0] < peak <= raised.value.args[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -101,6 +102,11 @@ def test_inversion_count_values():
     assert inversion_count((3, 2, 1)) == 3
     assert inversion_count((2, 1, 2)) == 1
     assert inversion_count((2,)) == 0
+    rng = random.Random(5)
+    for _ in range(300):  # the pairs, counted one by one
+        letters = [rng.randint(1, rng.randint(1, 9)) for _ in range(rng.randint(0, 30))]
+        pairs = sum(a > b for i, a in enumerate(letters) for b in letters[i + 1 :])
+        assert inversion_count(letters) == pairs, letters
 
 
 @given(
@@ -386,7 +392,7 @@ def test_kernel_memory_follows_the_class_not_the_tensor_space():
     finally:
         tracemalloc.stop()
     assert index.size == rows
-    assert peak < _class_cost("arrangements", 4, 9, 1, rows)[0] == 100 * rows + 632 < 8 * 4**9
+    assert peak < _class_cost(4, 9, rows)[0] == 100 * rows + 632 < 8 * 4**9
 
 
 def test_kernel_holds_counts_past_the_narrowest_type():
@@ -629,7 +635,9 @@ def test_exchange_kernel_rejects_bad_positions_and_vectors():
         exchange_check(states, 2, 3, 1, params)
 
 
-@pytest.mark.parametrize("counts", [(3, 3, 3), (2, 2, 2, 2), (3, 3, 3, 1), (1,) * 7, (4, 4, 4), (2, 2, 2, 2, 1)])
+@pytest.mark.parametrize(
+    "counts", [(3, 3, 3), (2, 2, 2, 2), (3, 3, 3, 1), (1,) * 7, (4, 4, 4), (2, 2, 2, 2, 1), (1, 1) + (0,) * 198]
+)
 def test_exchange_kernel_peaks_within_its_estimate(counts):
     # on a vector that holds the class, beside that vector: the image of the swapped words,
     # the residuals and the factors, as the exchange sweep charges one call
@@ -780,6 +788,36 @@ def test_weak_deformation_approaches_bosonic_states():
         assert overlap > 0.99
         # the gap closes linearly in 1 - q^2
         assert 1.0 - overlap < 50.0 * (1.0 - params.q_sq)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.999])
+def test_the_norm_is_taken_on_the_class_entries_of_q_symmetrize(q):
+    # the class of the letters a word uses gives q_symmetrize's nonzero entries, in tensor
+    # order, bit for bit, and fundamental_norm is their squared norm
+    rng = random.Random(11)
+    params = DeformationParams(q)
+    for _ in range(150):
+        n_modes = rng.randint(1, 6)
+        letters = tuple(rng.randint(1, n_modes) for _ in range(rng.randint(1, 8)))
+        used = sorted(set(letters))
+        entries = qsym._state_entries(
+            arrangements([letters.count(l) for l in used]), params, inversion_count(letters)
+        )
+        vector = q_symmetrize(Word(letters, n_modes), params)
+        assert entries.tobytes() == vector[np.flatnonzero(vector)].tobytes(), (letters, n_modes)
+        assert fundamental_norm(Word(letters, n_modes), params) == float(entries @ entries)
+
+
+def test_the_norm_of_a_word_over_many_modes_is_sized_by_its_class():
+    # the (10^9)^2 tensor space is far past the budget, but the class has two rows
+    tracemalloc.start()
+    try:
+        value = fundamental_norm(Word((2, 1), 10**9), DeformationParams(0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.25, rel=4 * 2**-53)
+    assert peak < 100_000
 
 
 def test_fundamental_norm_matches_exact_ratio():

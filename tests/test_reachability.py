@@ -51,6 +51,12 @@ KEPT = {
     "fock.ShiftOperator.nnz": "the benchmark's tracer reads it to count operator entries",
     "fock.ShiftOperator.tocsr": "the one route to scipy sparse algebra, for the tests and their oracles",
     "qsym.bosonic_symmetrize": "scripts/classical_limit_scan.py calls it",
+    "qsym.q_symmetrize": "scripts/classical_limit_scan.py and the tests' oracles call it; the benchmark's tracer wraps it",
+    "qsym.sign_compare": "the tests' oracles build the exchange factors q^eps through it, a route independent of "
+    "exchange_check's table",
+    "qsym.Word.counts": "q_symmetrize and bosonic_symmetrize read the class of a word through it, "
+    "as do the benchmark's tracer and the tests' oracles",
+    "qsym.Word.size": "q_symmetrize, bosonic_symmetrize and swap_adjacent size a word through it",
     "qcore.q_number": "q_exp_series, scripts/classical_limit_scan.py and the oracles read the bracket through it",
     "fock.encode_occupation": "the tests' index helper",
     "cli.strip_timing": "the byte-determinism contract: reports equal byte for byte once timings are zeroed",
