@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 from .coherent import (
     CoherentSpec,
     CoherentState,
-    WeightVariant,
     build_coherent,
     check_completeness,
     check_eigenvalue,
@@ -92,7 +91,6 @@ __all__ = [
     "verify_algebra",
     "CoherentSpec",
     "CoherentState",
-    "WeightVariant",
     "build_coherent",
     "suggest_cutoff",
     "check_eigenvalue",

@@ -137,7 +137,6 @@ class RunConfig:
     cutoff: int = 6
     particles: int = 4
     tol: float = 1e-12
-    weight_variant: str = "squared-q"
     output_format: str = "text"
     output_path: str | None = None
     seed: int = 0
@@ -164,16 +163,10 @@ class RunConfig:
             raise ConfigError(f"--tol must be positive and its square a finite float, got {self.tol}")
         if self.points < 1:
             raise ConfigError(f"points must be >= 1, got {self.points}")
-        if self.weight_variant not in ("paper-q", "squared-q"):
-            raise ConfigError(f"unknown weight variant {self.weight_variant!r}")
         if self.inject_corruption and self.modes < 2:
             raise ConfigError("the negative control needs at least 2 modes")
         if self.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
-
-    @property
-    def variant(self) -> coherent.WeightVariant:
-        return coherent.WeightVariant(self.weight_variant.replace("-", "_"))
 
     def to_json(self) -> dict:
         echoed = {_OPTIONS[f][0][2:].replace("-", "_"): getattr(self, f) for f in _options(self.command)}
@@ -387,13 +380,13 @@ def run_coherent(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
                     rounding_allowance=report.rounding_allowance,
                 ))
         start = time.perf_counter()
-        comp = coherent.check_completeness(params, config.cutoff, config.variant)
+        comp = coherent.check_completeness(params, config.cutoff)
         point = {
             "q": q,
-            "variant": comp.variant.value,
-            "adjudicated": comp.consistent_variant.value,
-            "alternate": comp.alternate_variant.value,
-            "alternate_deviation": comp.alternate_max_deviation,
+            "variant": "squared_q",
+            "adjudicated": comp.adjudicated,
+            "alternate": "paper_q",
+            "alternate_deviation": comp.paper_q_max_deviation,
             "levels": len(comp.deviations),
         }
         records.append(CheckRecord.measured("coherent_completeness", point, comp.max_deviation, config.tol,
@@ -516,11 +509,13 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     extra = []
     if config.word is not None:
         word = _parse_word(config.word, config.modes)
-        law_exponent = 2 * qsym.inversion_count(word.letters)
+        law_exponent = None  # counted once the first norm has admitted the word's class
         for q in config.q_values:
             params = DeformationParams(q)
             start = time.perf_counter()
             value = qsym.fundamental_norm(word, params)
+            if law_exponent is None:
+                law_exponent = 2 * qsym.inversion_count(word.letters)
             law = params.q**law_exponent
             deviation = abs(value - law)
             extra.append(repr(round(value, 12)))
@@ -730,7 +725,7 @@ def _verbs() -> dict[str, _Verb]:
         ),
         "coherent check": _Verb(
             run_coherent, "normalization, eigenvalue, completeness",
-            dict(tol=1e-9, modes=2, cutoff=8, points=4, weight_variant="squared-q", z=None),
+            dict(tol=1e-9, modes=2, cutoff=8, points=4, z=None),
         ),
         "qexp eval": _Verb(run_qexp, "dual-route evaluation sweep", dict(tol=1e-12, points=50, x=None)),
         "jackson moments": _Verb(run_jackson, "moments against [n]!", dict(tol=1e-10, particles=10)),
@@ -769,8 +764,6 @@ _OPTIONS = {
     "cutoff": ("--cutoff", "per-mode Fock cutoff", dict(type=int)),
     "particles": ("--N", "particle-number bound", dict(type=int, metavar="N")),
     "points": ("--points", "sample points per q when --z or --x is not given", dict(type=int)),
-    "weight_variant": ("--weight-variant", "completeness weight convention to certify",
-                       dict(choices=["paper-q", "squared-q"])),
     "seed": ("--seed", "seed for randomized property sweeps", dict(type=int)),
     "word": ("--word", "comma-separated letters, e.g. '2,1'", {}),
     "z": ("--z", "comma-separated mode amplitudes, e.g. '0.5+0.2j,0.3'", {}),

@@ -26,16 +26,15 @@ the resolution of unity over radial Jackson integration reduces per mode to
 
     (1 / [m]!) * jackson_integral(x^m / exp_q(q^beta x)) = 1,
 
-where the weight exponent beta is 2 for the ``squared_q`` variant and 1 for
-the ``paper_q`` variant; the check adjudicates which variant actually
-satisfies the identity (squared_q does).  Both variants go through
+where the weight exponent beta is 2 for the ``squared_q`` weight, which the
+check judges, and 1 for the ``paper_q`` weight, whose deviation it reports
+beside the verdict (it misses by an order-one factor).  Both go through
 ``qcore._moment_deviations``, which takes each level's moment from the one
 moment kernel ``qcore.jackson_moment``; the target [m]! comes independently,
 as the running product of the brackets that ``qcore.q_factorial`` forms.
 """
 
 import cmath
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from .qcore import (
     _factors_for,
     _moment_deviations,
     _moments_cost,
+    _rung_powers,
     q_exp_reciprocal,
 )
 
@@ -59,7 +59,6 @@ _FRACTIONS = (0.2, 0.5, 0.8)  # |z_i|^2 / radius on the spec_grid points
 
 __all__ = [
     "InsufficientCutoffError",
-    "WeightVariant",
     "CoherentSpec",
     "CoherentState",
     "mode_coefficients",
@@ -78,14 +77,17 @@ class InsufficientCutoffError(ValueError):
     """The configured cutoff cannot reach the requested truncation tail."""
 
 
-class WeightVariant(str, enum.Enum):
-    """Exponent convention inside the completeness weight denominator."""
-
-    PAPER_Q = "paper_q"
-    SQUARED_Q = "squared_q"
-
-
-_BETA = {WeightVariant.SQUARED_Q: 2, WeightVariant.PAPER_Q: 1}  # the weight's shift q^beta
+def _disk_amplitudes(params: DeformationParams, z: Sequence[complex]) -> tuple[complex, ...]:
+    """``z`` as a nonempty tuple of complex amplitudes, each with |z|^2 < radius."""
+    z = tuple(complex(v) for v in z)
+    if not z:
+        raise ValueError("z must be a nonempty sequence")
+    for v in z:
+        if not abs(v) ** 2 < params.radius:  # NaN too
+            raise DomainError(
+                f"|z|^2 = {abs(v)**2:.6g} is outside the open disk of radius {params.radius:.6g}"
+            )
+    return z
 
 
 @dataclass(frozen=True)
@@ -97,18 +99,9 @@ class CoherentSpec:
     cutoff: int
 
     def __post_init__(self) -> None:
-        z = tuple(complex(v) for v in self.z)
-        object.__setattr__(self, "z", z)
-        if not z:
-            raise ValueError("z must be a nonempty sequence")
+        object.__setattr__(self, "z", _disk_amplitudes(self.params, self.z))
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        radius = self.params.radius
-        for v in z:
-            if not abs(v) ** 2 < radius:  # NaN too
-                raise DomainError(
-                    f"|z|^2 = {abs(v)**2:.6g} is outside the open disk of radius {radius:.6g}"
-                )
 
     @property
     def modes(self) -> int:
@@ -172,12 +165,13 @@ class CoherentState:
     def _twist(self) -> _Twist:
         spec = self.spec
         params = spec.params
-        powers = _number_powers(params, spec.cutoff)
+        powers = _rung_powers(params.q, spec.cutoff)  # the diagonal of q^N on one mode
         modes = spec.modes
         tails = [0.0] * modes
         lhs, rhs, telescoped = np.ones(modes + 1), np.ones(modes + 1), np.zeros(modes + 1)
         for k in range(modes, 1, -1):  # mode 1 is never twisted
-            twisted, tails[k - 1] = _normalized_factor(params, params.q * spec.z[k - 1], spec.cutoff)
+            z = params.q * spec.z[k - 1]
+            twisted, tails[k - 1] = _normalized_factor(params, z, spec.cutoff), mode_tail_bound(params, z, spec.cutoff)
             ratio = math.sqrt(1.0 - (1.0 - params.q_sq) * abs(spec.z[k - 1]) ** 2)
             a, b = powers * self.vector[k - 1], ratio * twisted
             norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
@@ -225,15 +219,9 @@ def _lowered(params: DeformationParams, v: np.ndarray) -> np.ndarray:
     return lowered
 
 
-def _number_powers(params: DeformationParams, cutoff: int) -> np.ndarray:
-    """q^m for m < cutoff: the diagonal of q^N on one mode."""
-    return params.q ** np.arange(cutoff, dtype=np.float64)
-
-
-def _normalized_factor(params: DeformationParams, z: complex, cutoff: int) -> tuple[np.ndarray, float]:
-    """exp_q(|z|^2)^{-1/2} z^m / sqrt([m]!) for m < cutoff, with its tail bound."""
-    constant = math.sqrt(q_exp_reciprocal(params, abs(z) ** 2).real)
-    return constant * mode_coefficients(params, z, cutoff), mode_tail_bound(params, z, cutoff)
+def _normalized_factor(params: DeformationParams, z: complex, cutoff: int) -> np.ndarray:
+    """exp_q(|z|^2)^{-1/2} z^m / sqrt([m]!) for m < cutoff: one mode's factor of a state."""
+    return math.sqrt(q_exp_reciprocal(params, abs(z) ** 2).real) * mode_coefficients(params, z, cutoff)
 
 
 def suggest_cutoff(
@@ -242,16 +230,10 @@ def suggest_cutoff(
     tail_tol: float = 1e-10,
 ) -> int:
     """Smallest cutoff whose total relative tail mass stays below ``tail_tol``."""
-    z = tuple(complex(v) for v in z)
-    if not z:
-        raise ValueError("z must be a nonempty sequence")
+    z = _disk_amplitudes(params, z)
     per_mode = tail_tol / len(z)
     worst = 1
     for v in z:
-        if not abs(v) ** 2 < params.radius:
-            raise DomainError(
-                f"|z|^2 = {abs(v)**2:.6g} is outside the open disk of radius {params.radius:.6g}"
-            )
         x = abs(v) ** 2
         term = 1.0
         partial = 1.0
@@ -293,14 +275,8 @@ def build_coherent(spec: CoherentSpec, tail_tol: float = 1e-10) -> CoherentState
         )
     factors = np.empty((spec.modes, cutoff), dtype=np.complex128)
     for k, z in enumerate(spec.z):
-        reciprocal = q_exp_reciprocal(params, abs(z) ** 2).real
-        factors[k] = math.sqrt(reciprocal) * mode_coefficients(params, z, cutoff)
-    return CoherentState(
-        spec=spec,
-        vector=factors,
-        tail_mass=total_tail,
-        mode_tails=tails,
-    )
+        factors[k] = _normalized_factor(params, z, cutoff)
+    return CoherentState(spec=spec, vector=factors, tail_mass=total_tail, mode_tails=tails)
 
 
 @dataclass(frozen=True)
@@ -368,58 +344,50 @@ def check_eigenvalue(state: CoherentState, i: int) -> EigenvalueReport:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Per-level deviations of the radial resolution-of-unity reduction, measured and
-    not judged: a verdict is ``qcore.passes(max_deviation, tol)``, with no allowance."""
+    """Per-level deviations of the radial resolution-of-unity reduction with the
+    ``squared_q`` weight, measured and not judged: a verdict is
+    ``qcore.passes(max_deviation, tol)``, with no allowance.  ``paper_q_max_deviation``
+    is the largest deviation with the ``paper_q`` weight, reported beside it."""
 
-    variant: WeightVariant
     q: float
     deviations: tuple[float, ...]
     max_deviation: float
-    alternate_variant: WeightVariant
-    alternate_max_deviation: float
+    paper_q_max_deviation: float
 
     @property
-    def consistent_variant(self) -> WeightVariant:
+    def adjudicated(self) -> str:
         """The weight convention that actually satisfies the identity."""
-        if self.max_deviation <= self.alternate_max_deviation:
-            return self.variant
-        return self.alternate_variant
+        return "squared_q" if self.max_deviation <= self.paper_q_max_deviation else "paper_q"
 
 
-def check_completeness(
-    params: DeformationParams, cutoff: int, variant: WeightVariant = WeightVariant.SQUARED_Q
-) -> CompletenessReport:
+def check_completeness(params: DeformationParams, cutoff: int) -> CompletenessReport:
     """Certify the resolution of unity through its per-mode radial reduction.
 
     Angular integration is exact (off-diagonal elements integrate to zero as
     pure phases), so the whole statement reduces mode by mode to Jackson
     moments of the reciprocal q-exponential: with the ``squared_q`` weight
-    each diagonal entry integrates to one; the ``paper_q`` weight misses by
-    an order-one factor and is reported for adjudication.  Occupation levels
-    up to cutoff - 2 are checked; the reduction is identical across modes,
-    so neither the check nor its cost depends on the mode count.
-    :func:`_completeness_cost` prices it.
+    (q^2 x in the denominator) each diagonal entry integrates to one; the
+    ``paper_q`` weight (q x) misses by an order-one factor and is reported
+    for adjudication.  Occupation levels up to cutoff - 2 are checked; the
+    reduction is identical across modes, so neither the check nor its cost
+    depends on the mode count.  :func:`_completeness_cost` prices it.
     """
-    variant = WeightVariant(variant)
-    other = WeightVariant.PAPER_Q if variant is WeightVariant.SQUARED_Q else WeightVariant.SQUARED_Q
     levels = max(1, cutoff - 1)
-    primary = tuple(_moment_deviations(params, levels, _BETA[variant]))
+    deviations = tuple(_moment_deviations(params, levels, 2))
     return CompletenessReport(
-        variant=variant,
         q=params.q,
-        deviations=primary,
-        max_deviation=max(primary),
-        alternate_variant=other,
-        alternate_max_deviation=max(_moment_deviations(params, levels, _BETA[other])),
+        deviations=deviations,
+        max_deviation=max(deviations),
+        paper_q_max_deviation=max(_moment_deviations(params, levels, 1)),
     )
 
 
 def _completeness_cost(params: DeformationParams, cutoff: int) -> tuple[float, float]:
     """Peak bytes and steps (~1 ns each) of :func:`check_completeness`: both weights'
-    moment sweeps, the primary deviations (~48 B each: a float, and its pointer in the
+    moment sweeps, the squared-q deviations (~48 B each: a float, and its pointer in the
     list and the tuple that collect it) and the ~3 kB of its record."""
     levels = max(1, cutoff - 1)
-    costs = [_moments_cost(params, levels, beta, 1e-15) for beta in _BETA.values()]
+    costs = [_moments_cost(params, levels, beta, 1e-15) for beta in (2, 1)]
     nbytes = max(cost[0] for cost in costs) + 48 * levels + 3000
     return nbytes, sum(cost[1] for cost in costs)
 

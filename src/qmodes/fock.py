@@ -7,7 +7,8 @@ mode 1 as the most significant digit.  The deformed ladder operators act as
     a_i     |n>  =  q^{sum_{k>i} n_k} sqrt([n_i])     |..., n_i - 1, ...>
     a_i^dag |n>  =  q^{sum_{k>i} n_k} sqrt([n_i + 1]) |..., n_i + 1, ...>
 
-with the bracket [m] = (q^{2m} - 1)/(q^2 - 1); the number operator N_i and
+with the bracket [m] = (q^{2m} - 1)/(q^2 - 1), read from the one table
+``qcore`` keeps per q, as the powers of q are; the number operator N_i and
 the scale operator Q_i = q^{2 N_i} are diagonal.  Creation out of the top
 rung n_i = cutoff - 1 truncates to zero, which is why every algebraic check
 restricts itself to the interior of the truncation (all occupations at most
@@ -43,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DeformationParams, check_budget, size_estimate
+from .qcore import DeformationParams, _bracket_array, _rung_powers, check_budget, size_estimate
 
 __all__ = [
     "ShiftOperator",
@@ -188,22 +189,9 @@ def encode_occupation(cfg: FockSpaceConfig, occupation: Sequence[int]) -> int:
     return index
 
 
-def _bracket_array(params: DeformationParams, n: np.ndarray) -> np.ndarray:
-    return (params.q_sq ** n.astype(np.float64) - 1.0) / (params.q_sq - 1.0)
-
-
-def _rung_powers(base: float, count: int) -> np.ndarray:
-    """base**s for s = 0..count-1: one float power per rung, gathered by exponent.
-
-    numpy's power of each entry equals the power it takes per state, so a
-    gather from this table is bit-identical to raising base for every state.
-    """
-    return base ** np.arange(count, dtype=np.float64)
-
-
 def _root_brackets(cfg: FockSpaceConfig) -> np.ndarray:
-    """sqrt([m]) for every occupation m < cutoff, gathered by occupation."""
-    return np.sqrt(_bracket_array(cfg.params, np.arange(cfg.cutoff)))
+    """sqrt([m]) for every occupation m < cutoff, from qcore's one bracket table."""
+    return np.sqrt(_bracket_array(cfg.params, cfg.cutoff)[: cfg.cutoff])
 
 
 def _ladder_grid(cfg: FockSpaceConfig, i: int, rungs: slice, root_brackets: np.ndarray) -> np.ndarray:
@@ -481,7 +469,7 @@ def verify_algebra(
     scale = _rung_powers(q_sq, n * (c - 2) + 1)
     rung = np.arange(c - 1)
     with timed("normal_product_diagonal"):
-        brackets = _bracket_array(cfg.params, np.arange(c))
+        brackets = _bracket_array(cfg.params, c)
         after = np.zeros((), dtype=np.intp)
         for a in reversed(range(n)):
             target = scale[after] * brackets[rung].reshape((-1,) + (1,) * after.ndim)

@@ -125,6 +125,16 @@ def _bracket_array(params: DeformationParams, size: int) -> np.ndarray:
     return _bracket_values(params, _table_entries(size))
 
 
+def _rung_powers(base: float, count: int) -> np.ndarray:
+    """base**s for s = 0..count-1, one numpy float power per rung: the one table of
+    q^s or q^{2s} that the operator, state and Jackson-grid kernels read.
+
+    numpy's power of each entry equals the power it takes per state, so a
+    gather from this table is bit-identical to raising base for every state.
+    """
+    return base ** np.arange(count, dtype=np.float64)
+
+
 def q_factorial(params: DeformationParams, n: int) -> float:
     """Product [1][2]...[n] of brackets, with [0]! = 1."""
     if n < 0 or n != int(n):
@@ -531,7 +541,7 @@ def jackson_integral(
         raise DomainError(
             f"upper must equal the convergence radius {params.radius!r}, got {upper!r}"
         )
-    steps = params.q_sq ** np.arange(terms)
+    steps = _rung_powers(params.q_sq, terms)
     values = np.broadcast_to(np.asarray(f(upper * steps), dtype=float), steps.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand returned a non-finite value on the grid")
@@ -630,7 +640,7 @@ def jackson_moment(
     request = f"moment {n} at q={params.q} ({grid} grid points, {extra} more product factors)"
     check_budget(request, *_moment_cost(grid, extra))
     # powers of q_sq itself, so the weights sit on the same grid as the steps
-    factors = 1.0 - params.q_sq ** np.arange(grid + extra) * params.q**beta
+    factors = 1.0 - _rung_powers(params.q_sq, grid + extra) * params.q**beta
     weights = np.cumprod(factors[::-1])[::-1][:grid]
     # Near q = 1 at large n, x^n overflows on the first grid points while
     # their weight underflows.  (x / radius)^n <= 1 cannot overflow, and a

@@ -109,10 +109,12 @@ def sign_compare(i: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class ArrangementClass:
-    """Row r: tensor index and inversion count of the r-th arrangement of ``counts`` (lex order)."""
+    """Row r: tensor index and inversion count of the r-th arrangement of ``counts`` (lex order).
+
+    ``index`` is None when the len(counts)^N tensor indices pass int64."""
 
     counts: tuple[int, ...]
-    index: np.ndarray
+    index: np.ndarray | None
     inversions: np.ndarray
 
 
@@ -144,22 +146,15 @@ def _count_vectors(slots: int, total: int) -> Iterator[tuple[int, ...]]:
         yield from map(tuple, block.tolist())
 
 
-def _rows(counts: Sequence[int]) -> int:
-    """The exact number of arrangements of ``counts``, the multinomial N! / prod c!."""
-    rows, placed = 1, 0
-    for c in counts:
-        placed += c
-        rows *= math.comb(placed, c)
-    return rows
-
-
 def arrangements(counts: Sequence[int]) -> ArrangementClass:
     """Tensor index and inversion count of every arrangement of a multiset, in one
     prefix-extension pass.
 
     ``counts[l]`` is the multiplicity of letter l + 1, and there is one slot
     per mode, so the words live in the len(counts)^N tensor space.  The
-    all-zero shape has one row, the empty arrangement.
+    all-zero shape has one row, the empty arrangement.  The tensor indices are formed
+    only while n^N fits int64; past that ``index`` is None, and the inversions alone
+    are enumerated.
 
     Every prefix is extended by one position at a time: appending letter l adds the
     number of letters still to place that are smaller than l, since each of them will
@@ -171,12 +166,12 @@ def arrangements(counts: Sequence[int]) -> ArrangementClass:
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be nonnegative, got {counts!r}")
     n_modes, size = len(counts), sum(counts)
-    if size * math.log2(max(n_modes, 1)) > 63:
-        raise ValueError(f"the words of the class {counts} have tensor indices past int64")
-    check_budget("arrangements of the class {}", *_class_cost(n_modes, size, _rows(counts)), counts)
+    check_budget("arrangements of the class of {} letters, {} of them distinct",
+                 *_class_cost(n_modes, size, _class_size(counts)), size, sum(c > 0 for c in counts))
     # the narrowest signed type that holds every count up to N (it holds -N - 1)
     left = np.array([counts], dtype=np.min_scalar_type(-size - 1))  # letters still to place
-    index = np.zeros(1, dtype=np.int64)
+    indexed = size * math.log2(max(n_modes, 1)) <= 63
+    index = np.zeros(1, dtype=np.int64) if indexed else None
     inversions = np.zeros(1, dtype=np.int64)
     # each temporary is dropped once spent: the last step peaks at 50 to 70 B per row
     for _ in range(size - 1):
@@ -189,15 +184,16 @@ def arrangements(counts: Sequence[int]) -> ArrangementClass:
         inversions += np.take(smaller, extension)
         del smaller
         letters = np.subtract(extension, parents * n_modes, out=extension)
-        index = np.take(index, parents)
-        index *= n_modes
-        index += letters
+        if indexed:
+            index = np.take(index, parents)
+            index *= n_modes
+            index += letters
         left = np.take(left, parents, axis=0)
         del parents
         spent = np.arange(0, letters.size * n_modes, n_modes)  # each new prefix's row of left
         spent += letters
         left.ravel()[spent] -= 1
-    if size:
+    if size and indexed:
         last = np.flatnonzero(left > 0)  # the one letter left to each prefix
         last -= np.arange(0, index.size * n_modes, n_modes)
         index *= n_modes

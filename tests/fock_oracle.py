@@ -23,14 +23,20 @@ from qmodes.fock import (
     RELATION_FAMILIES,
     FockSpaceConfig,
     RelationReport,
-    _bracket_array,
     annihilator,
     creator,
     interior_indices,
     number_op,
     occupation_table,
 )
-from qmodes.qcore import passes
+from qmodes.qcore import passes, q_number
+
+
+def _brackets(cfg: FockSpaceConfig, occupations: np.ndarray) -> np.ndarray:
+    """[m] at each occupation m, from one ``q_number`` call per rung: the Python-float
+    expression of the library's bracket table, formed here without reading that table."""
+    rungs = np.array([q_number(cfg.params, m) for m in range(cfg.cutoff)])
+    return rungs[occupations]
 
 
 def reference_operator(cfg: FockSpaceConfig, kind: str, i: int) -> sp.csr_matrix:
@@ -47,7 +53,7 @@ def reference_operator(cfg: FockSpaceConfig, kind: str, i: int) -> sp.csr_matrix
     else:
         source = np.nonzero(occ[:, i - 1] < cfg.cutoff - 1)[0]
         rung, target = occ[source, i - 1] + 1, source + stride
-    amplitude = params.q ** occ[source, i:].sum(axis=1) * np.sqrt(_bracket_array(params, rung))
+    amplitude = params.q ** occ[source, i:].sum(axis=1) * np.sqrt(_brackets(cfg, rung))
     matrix = sp.csr_matrix((amplitude, (target, source)), shape=(dim, dim))
     matrix.eliminate_zeros()
     return matrix
@@ -128,7 +134,7 @@ def reference_verify_algebra(
 
     for a in range(n):
         suffix_after = occ[:, a + 1 :].sum(axis=1).astype(np.float64)
-        diagonal = q_sq**suffix_after * _bracket_array(params, occ[:, a])
+        diagonal = q_sq**suffix_after * _brackets(cfg, occ[:, a])
         target = sp.diags(diagonal.astype(np.complex128), format="csr")
         worst["normal_product_diagonal"] = max(
             worst["normal_product_diagonal"], dev(raise_[a] @ lower[a] - target)

@@ -16,7 +16,6 @@ import scipy.sparse as sp
 
 import qmodes.cli as cli
 from qmodes.coherent import (
-    WeightVariant,
     build_coherent,
     check_completeness,
     check_eigenvalue,
@@ -168,13 +167,13 @@ def test_criterion_05_completeness_adjudication():
     worst = 0.0
     for q in Q_GRID:
         cfg = FockSpaceConfig(1, 10, DeformationParams(q))
-        report = check_completeness(cfg.params, cfg.cutoff, variant=WeightVariant.SQUARED_Q)
+        report = check_completeness(cfg.params, cfg.cutoff)
         worst = max(worst, report.max_deviation)
         assert len(report.deviations) == cfg.cutoff - 1  # m <= cutoff - 2
         # the adjudication: the squared weight satisfies the identity, the
         # plain-q reading misses by an order-one factor
-        assert report.consistent_variant is WeightVariant.SQUARED_Q
-        assert report.alternate_max_deviation > 0.1
+        assert report.adjudicated == "squared_q"
+        assert report.paper_q_max_deviation > 0.1
     elapsed = time.perf_counter() - start
     conclude(
         5,

@@ -653,7 +653,7 @@ def test_moment_sweeps_equal_the_per_level_factorial_route(q, capsys):
     levels = min(len(expected) for expected, _ in routes.values())
     report = coherent.check_completeness(params, levels + 1)
     assert list(report.deviations) == routes[2][0][:levels]
-    assert report.alternate_max_deviation == max(routes[1][0][:levels])
+    assert report.paper_q_max_deviation == max(routes[1][0][:levels])
 
     expected, stop = _per_level_route(params, 2, 1e-12)  # jackson moments at its default --tol
     argv = ["jackson", "moments", "--q", str(q), "--format", "json"]
@@ -667,6 +667,11 @@ def test_moment_sweeps_equal_the_per_level_factorial_route(q, capsys):
 
 def test_removed_exact_flag_is_rejected(capsys):
     assert run_cli(["qsym", "identity", "--N", "2", "--exact"], capsys)[0] == 2
+
+
+def test_removed_weight_variant_flag_is_rejected(capsys):
+    # coherent check always judges the squared-q weight and reports the paper-q one beside it
+    assert run_cli(["coherent", "check", "--weight-variant", "paper-q"], capsys)[0] == 2
 
 
 def test_coherent_verdicts_follow_tol(capsys):
@@ -1177,8 +1182,6 @@ def test_config_defaults_per_verb():
     assert config.q_values == (0.3, 0.5, 0.9)
     assert (config.modes, config.cutoff, config.particles) == (2, 6, 4)
     assert config.tol == 1e-12
-    assert config.weight_variant == "squared-q"
-    assert config.variant.value == "squared_q"
     ns = parser.parse_args(["coherent", "check"])
     config = config_from_namespace(ns)
     assert config.cutoff == 8
@@ -1194,7 +1197,7 @@ def test_config_defaults_per_verb():
 # The defaults of --tol and of every option each verb reads, by RunConfig field.
 VERB_DEFAULTS = {
     "verify algebra": dict(tol=1e-12, modes=2, cutoff=6, inject_corruption=False),
-    "coherent check": dict(tol=1e-9, modes=2, cutoff=8, points=4, weight_variant="squared-q", z=None),
+    "coherent check": dict(tol=1e-9, modes=2, cutoff=8, points=4, z=None),
     "qexp eval": dict(tol=1e-12, points=50, x=None),
     "jackson moments": dict(tol=1e-10, particles=10),
     "qsym exchange": dict(tol=1e-13, modes=3, particles=4),
@@ -1207,7 +1210,7 @@ VERB_DEFAULTS = {
 # and one option the verb does not read.
 VERB_TABLE = {
     "verify algebra": ("--cutoff 4", {"modes", "cutoff", "inject_corruption"}, "--N 3"),
-    "coherent check": ("--modes 1 --points 1", {"modes", "cutoff", "points", "weight_variant", "z"}, "--seed 1"),
+    "coherent check": ("--modes 1 --points 1", {"modes", "cutoff", "points", "z"}, "--seed 1"),
     "qexp eval": ("--points 2", {"points", "x"}, "--modes 2"),
     "jackson moments": ("--N 1", {"N"}, "--seed 1"),
     "qsym exchange": ("--modes 2 --N 2", {"modes", "N"}, "--points 3"),
@@ -1310,7 +1313,6 @@ def test_runconfig_validate_rejects_bad_values():
         {"particles": -1},
         {"tol": 0.0},
         {"points": 0},
-        {"weight_variant": "cubed-q"},
     ):
         with pytest.raises(ConfigError):
             RunConfig(**base, **overrides).validate()

@@ -13,10 +13,8 @@ from qmodes.cli import main
 from qmodes.coherent import (
     CoherentSpec,
     InsufficientCutoffError,
-    WeightVariant,
     _grid_cutoff,
     _lowered,
-    _number_powers,
     build_coherent,
     check_completeness,
     check_eigenvalue,
@@ -26,6 +24,7 @@ from qmodes.coherent import (
     suggest_cutoff,
 )
 from qmodes.fock import FockSpaceConfig, annihilator
+from qmodes import qcore
 from qmodes.qcore import DeformationParams, DomainError, passes, q_factorial, q_number
 
 from coherent_oracle import dense_eigenvalue, dense_state, telescoping_bound
@@ -216,7 +215,7 @@ def test_uncompensated_eigenvalue_relation_visibly_fails():
     cutoff = suggest_cutoff(params, z, tail_tol=1e-14)
     state = build_coherent(CoherentSpec(z, params, cutoff), tail_tol=1e-14)
     shifted = build_coherent(state.spec.shifted(1), tail_tol=1e-14)
-    lhs = [_lowered(params, state.vector[0]), _number_powers(params, cutoff) * state.vector[1]]
+    lhs = [_lowered(params, state.vector[0]), qcore._rung_powers(params.q, cutoff) * state.vector[1]]
     naive = telescoping_bound(lhs, [z[0] * shifted.vector[0], shifted.vector[1]])
     report = check_eigenvalue(state, 1)
     assert naive > 1e-3
@@ -235,16 +234,16 @@ def test_completeness_holds_for_squared_weight(q):
     assert passes(report.max_deviation, 1e-10)
     assert report.max_deviation < 1e-12
     assert len(report.deviations) == cfg.cutoff - 1
-    assert report.consistent_variant is WeightVariant.SQUARED_Q
-    assert report.alternate_max_deviation > 0.1
+    assert report.adjudicated == "squared_q"
+    assert report.paper_q_max_deviation > 0.1
 
 
 def test_completeness_rejects_plain_weight():
     cfg = FockSpaceConfig(1, 8, DeformationParams(0.5))
-    report = check_completeness(cfg.params, cfg.cutoff, variant=WeightVariant.PAPER_Q)
-    assert not passes(report.max_deviation, 1e-10)
-    assert report.consistent_variant is WeightVariant.SQUARED_Q
-    assert report.max_deviation == pytest.approx(0.39, abs=0.05)
+    report = check_completeness(cfg.params, cfg.cutoff)
+    assert not passes(report.paper_q_max_deviation, 1e-10)
+    assert report.adjudicated == "squared_q"
+    assert report.paper_q_max_deviation == pytest.approx(0.39, abs=0.05)
 
 
 def test_completeness_does_not_depend_on_mode_count(capsys):
@@ -328,7 +327,7 @@ def test_factored_residual_is_the_telescoping_bound_of_its_factors():
     params = DeformationParams(0.7)
     spec = spec_grid(params, 4, points=1, tail_tol=1e-12)[0]
     state = build_coherent(spec, tail_tol=math.inf)
-    powers = _number_powers(params, spec.cutoff)
+    powers = qcore._rung_powers(params.q, spec.cutoff)
     for mode in range(1, 5):
         shifted = build_coherent(spec.shifted(mode), tail_tol=math.inf)
         ratios = [math.sqrt(1.0 - (1.0 - params.q_sq) * abs(z) ** 2) for z in spec.z]
@@ -367,7 +366,7 @@ def test_kronecker_factors_equal_the_annihilator(modes):
     cutoff = 5
     identity = np.eye(cutoff)
     lower = np.column_stack([_lowered(params, column) for column in identity])
-    twist = np.diag(_number_powers(params, cutoff))
+    twist = np.diag(qcore._rung_powers(params.q, cutoff))
     cfg = FockSpaceConfig(modes, cutoff, params)
     for i in range(1, modes + 1):
         product = np.ones((1, 1))

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from qmodes import fock
+from qmodes import fock, qcore
 from qmodes.fock import (
     RELATION_FAMILIES,
     FockSpaceConfig,
@@ -142,6 +142,32 @@ def test_creator_is_adjoint_of_annihilator():
     for i in (1, 2):
         delta = (annihilator(cfg, i).tocsr().conj().T - creator(cfg, i).tocsr()).tocsr()
         assert delta.nnz == 0 or np.max(np.abs(delta.data)) == 0.0
+
+
+def test_the_ladder_grids_read_qcore_s_bracket_table(monkeypatch):
+    # scale qcore's table by (1 + 2^-30) from [2] on: every amplitude that reads [k], k >= 2,
+    # moves by its square root, and no other does, so fock forms no bracket of its own
+    cfg = cfg_for(q=0.5, modes=2, cutoff=6)
+    kernels = {fock._annihilator_grid: 0, fock._creator_grid: 1}  # [n_i + shift] at each column
+    honest = {(kernel, i): kernel(cfg, i) for kernel in kernels for i in (1, 2)}
+    table = qcore._bracket_values
+
+    def scaled(params, entries):
+        values = table(params, entries).copy()
+        values[2:] *= 1.0 + 2.0**-30
+        return values
+
+    table.cache_clear()
+    monkeypatch.setattr(qcore, "_bracket_values", scaled)
+    try:
+        for (kernel, i), grid in honest.items():
+            moved = kernel(cfg, i)
+            rung = occupation_table(cfg)[:, i - 1].reshape(grid.shape) + kernels[kernel]
+            ratio = np.divide(moved, grid, out=np.ones_like(grid), where=grid != 0)
+            assert np.all(ratio[rung < 2] == 1.0)
+            assert np.all(np.abs(ratio[(rung >= 2) & (grid != 0)] - math.sqrt(1.0 + 2.0**-30)) < 1e-15)
+    finally:
+        table.cache_clear()
 
 
 def test_mode_index_bounds():

@@ -23,7 +23,6 @@ RUNS = [
     ["verify", "algebra", "--inject-corruption"],
     ["coherent", "check"],
     ["coherent", "check", "--z", "0.5,0.2j"],
-    ["coherent", "check", "--weight-variant", "paper-q"],
     ["qexp", "eval"],
     ["qexp", "eval", "--x", "0.3"],
     ["jackson", "moments"],
