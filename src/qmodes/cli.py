@@ -509,18 +509,16 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     extra = []
     if config.word is not None:
         word = _parse_word(config.word, config.modes)
-        law_exponent = None  # counted once the first norm has admitted the word's class
+        norms = []  # the norm's own guard admits the word's class before any letter is counted
         for q in config.q_values:
             params = DeformationParams(q)
             start = time.perf_counter()
-            value = qsym.fundamental_norm(word, params)
-            if law_exponent is None:
-                law_exponent = 2 * qsym.inversion_count(word.letters)
-            law = params.q**law_exponent
-            deviation = abs(value - law)
+            norms.append((q, params, qsym.fundamental_norm(word, params), _elapsed_ms(start)))
+        law_exponent = 2 * qsym.inversion_count(word.letters)
+        for q, params, value, millis in norms:
+            deviation = abs(value - params.q**law_exponent)
             extra.append(repr(round(value, 12)))
             point = {"q": q, "word": config.word, "value": round(value, 12)}
-            millis = _elapsed_ms(start)
             records.append(CheckRecord.measured("qsym_norm", point, deviation, config.tol, millis))
         return records, extra
     n, N = config.modes, config.particles
@@ -529,7 +527,7 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     samples = 25
     # each word is sized before it is drawn, as the costliest it could be: N letters, the
     # largest class, whose min(n, N) letters are all distinct; its norm is taken on that class
-    nbytes, work = qsym._class_cost(min(n, N), N, qsym._largest_class(n, N))
+    nbytes, work = qsym._class_cost(qsym._largest_class(n, N))
     check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, samples * len(config.q_values) * work)
     rng = random.Random(config.seed)
     for q in config.q_values:

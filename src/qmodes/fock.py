@@ -156,9 +156,12 @@ class FockSpaceConfig:
         # state and mode) and ~40 B per state more, under 32 KiB plus 64 + 20 modes B per
         # state.  It runs in ~0.1 to 0.7 us per state, under 0.6 + 0.04 modes us, after
         # ~0.1 ms of numpy calls per ordered pair of modes (both fitted on modes 1 to 13 at
-        # up to 4e6 states, the bytes with the negative control too)
+        # up to 4e6 states, the bytes with the negative control too).  qcore's bracket table,
+        # which it builds and keeps for the amplitudes, holds under 2 cutoff entries of 8 B,
+        # at ~130 to 200 ns each
         n, dim = self.modes, size_estimate(self.modes * math.log(self.cutoff))
-        nbytes, work = 2**15 + (64 + 20 * n) * dim, 2e6 + 1e5 * n * n + (600 + 40 * n) * dim
+        nbytes = 2**15 + (64 + 20 * n) * dim + 16 * self.cutoff
+        work = 2e6 + 1e5 * n * n + (600 + 40 * n) * dim + 400 * self.cutoff
         check_budget(f"the {self.cutoff}^{self.modes} Fock space", nbytes, work)
 
     @property

@@ -110,7 +110,11 @@ def _table_entries(size: int) -> int:
 @functools.lru_cache(maxsize=64)
 def _bracket_values(params: DeformationParams, entries: int) -> np.ndarray:
     q_sq = params.q_sq
-    table = np.array([(q_sq**k - 1.0) / (q_sq - 1.0) for k in range(entries)])
+    # one Python-float power per entry, as q_number takes it; numpy's subtraction and
+    # division round as Python's do
+    table = np.fromiter(map(q_sq.__pow__, range(entries)), float, entries)
+    table -= 1.0
+    table /= q_sq - 1.0
     table.flags.writeable = False
     return table
 
@@ -168,8 +172,11 @@ def check_budget(request: str, nbytes: float, work: float, *fields) -> None:
     if nbytes > BYTE_BUDGET or work > WORK_BUDGET:
         if fields:
             request = request.format(*fields)
+        # an estimate from a saturated size_estimate may be inf: past 1e300 it gives a floor
+        nbytes = f"about {nbytes:.3g}" if nbytes < 1e300 else "over 1e+300"
+        work = f"{work:.3g}" if work < 1e300 else "over 1e+300"
         raise DomainError(
-            f"{request} needs about {nbytes:.3g} bytes and {work:.3g} steps of work, "
+            f"{request} needs {nbytes} bytes and {work} steps of work, "
             f"above the budget of {BYTE_BUDGET:.3g} bytes and {WORK_BUDGET:.3g} steps"
         )
 

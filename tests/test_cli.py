@@ -299,8 +299,7 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
 
         # each word's norm is taken on its class, over the letters it uses: the costliest
         # class of N letters
-        words = [qsym._class_cost(sum(c > 0 for c in counts), N, rows)
-                 for counts, rows in zip(_count_vectors(n, N), classes[N])]
+        words = [qsym._class_cost([c for c in counts if c]) for counts in _count_vectors(n, N)]
         nbytes = max(b for b, _ in words)
         work = 2 * 25 * max(w for _, w in words)
         assert estimate("norm", N) == pytest.approx((nbytes, work), rel=1e-9)
@@ -597,6 +596,28 @@ def test_seven_modes_and_long_one_mode_words_are_accepted(capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 0, err
         assert out.startswith("1.0\n")
+
+
+def test_a_word_past_int64_tensor_indices_is_accepted(capsys):
+    # 2^64 tensor indices pass int64, but the norm reads only its class's 64 inversion counts
+    code, out, err = run_cli(["qsym", "norm", "--q", "0.5", "--word", ",".join(["1"] * 63 + ["2"])], capsys)
+    assert code == 0, err
+    assert out.startswith("1.0\n")
+
+
+def test_an_oversized_word_is_refused_before_its_letters_are_counted(capsys):
+    # the class guard runs before the law exponent's O(N d) count, and the refusal names the
+    # class by its letters, not by its counts; 5000! rows pass the float range, and the
+    # refusal states a floor in place of inf
+    for word, named in (
+        (",".join(map(str, range(1, 5001))), "5000 letters, 5000 of them distinct needs over 1e+300 bytes and over"),
+        ("2,2," + ",".join(["1"] * 4500), "4502 letters, 2 of them distinct needs about"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(["qsym", "norm", "--q", "0.5", "--word", word], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert named in err and len(err) < 300, err
 
 
 def test_unwritable_report_path_is_a_config_error(tmp_path, capsys):

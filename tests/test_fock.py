@@ -422,13 +422,16 @@ def test_a_shift_operator_stores_at_most_one_entry_per_row_and_column():
 
 @pytest.mark.parametrize(
     "modes,cutoff",
-    [(2, 120), (3, 30), (4, 16), (4, 20), (5, 9), (6, 6), (6, 7), (2, 1000), (8, 5)],
+    [(2, 120), (3, 30), (4, 16), (4, 20), (5, 9), (6, 6), (6, 7), (2, 1000), (8, 5), (1, 131073)],
 )
 def test_verify_algebra_peaks_within_the_config_estimate(modes, cutoff, monkeypatch):
-    # FockSpaceConfig admits or refuses a request on the bytes it hands check_budget
+    # FockSpaceConfig admits or refuses a request on the bytes it hands check_budget.  The
+    # bracket table is built cold: at one mode and a cutoff just past 64 * 2^j it holds
+    # nearly 2 entries per state
     estimates = []
     monkeypatch.setattr(fock, "check_budget", lambda request, nbytes, work: estimates.append(nbytes))
     cfg = FockSpaceConfig(modes, cutoff, DeformationParams(0.5))
+    qcore._bracket_values.cache_clear()
     tracemalloc.start()
     try:
         verify_algebra(cfg)

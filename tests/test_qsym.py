@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -392,7 +393,47 @@ def test_kernel_memory_follows_the_class_not_the_tensor_space():
     finally:
         tracemalloc.stop()
     assert index.size == rows
-    assert peak < _class_cost(4, 9, rows)[0] == 100 * rows + 632 < 8 * 4**9
+    nbytes = _class_cost(counts)[0]
+    assert peak < nbytes < 8 * 4**9
+    assert nbytes == pytest.approx(100 * rows + 632, rel=1e-12)  # the rows from the lgamma estimate
+
+
+def _reference_extensions(counts) -> int:
+    # the distinct prefixes of 1 to N - 1 letters: one per sub-multiset's arrangement
+    return sum(
+        math.factorial(sum(part)) // math.prod(map(math.factorial, part))
+        for part in itertools.product(*(range(c + 1) for c in counts))
+        if 0 < sum(part) < sum(counts)
+    )
+
+
+def test_the_prefix_extensions_are_counted_exactly():
+    for n_modes in range(1, 5):
+        for size in range(9):
+            for counts in _count_vectors(n_modes, size):
+                nonzero = tuple(sorted(c for c in counts if c))
+                assert qsym._prefix_extensions(nonzero) == _reference_extensions(counts), counts
+    assert qsym._prefix_extensions((2, 300)) == _reference_extensions((300, 2))
+
+
+def test_a_long_class_over_few_letters_is_priced_by_its_prefix_extensions():
+    # every step extends each live prefix, and a long word over few letters keeps nearly as
+    # many live prefixes as rows at each step: (300, 2) extends 4.6e6 prefixes for its 45451
+    # rows, (6000, 1) 1.8e7 for its 6001.  The estimate charges them all, and bounds the time
+    for counts in ((300, 2), (6000, 1)):
+        extensions = _reference_extensions(counts)
+        assert extensions > 100 * _class_size(counts)
+        _, work = _class_cost(counts)
+        assert work > (20 + 8 * len(counts)) * extensions
+        start = time.perf_counter()
+        arrangements(counts)
+        assert (time.perf_counter() - start) * 1e9 < work, counts
+    # C(4502, 2) = 1e7 rows within the byte budget, but ~1.5e10 prefix extensions: refused
+    # before the first step
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="4502 letters, 2 of them distinct needs about"):
+        fundamental_norm(Word((2, 2) + (1,) * 4500, 2), DeformationParams(0.5))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_kernel_holds_counts_past_the_narrowest_type():
@@ -769,7 +810,7 @@ def test_class_totals_equal_the_enumeration():
                 assert _class_size(arrangement.counts) == pytest.approx(arrangement.index.size, rel=1e-12)
             assert _class_totals(n_modes, size) == pytest.approx((classes, rows), rel=1e-12)
             largest = max(_class_size(counts) for counts in _count_vectors(n_modes, size))
-            assert _largest_class(n_modes, size) == pytest.approx(largest, rel=1e-12)
+            assert _class_size(_largest_class(n_modes, size)) == pytest.approx(largest, rel=1e-12)
 
 
 def test_bosonic_symmetrize_is_uniform_unit_vector():
