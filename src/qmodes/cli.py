@@ -229,7 +229,7 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     batch = min(points, _QEXP_BATCH)
     nbytes = work = 0.0
     for q in config.q_values:
-        batch_bytes, batch_work = qcore._qexp_cost(DeformationParams(q), batch)
+        batch_bytes, batch_work = qcore._qexp_cost(DeformationParams(q), batch, config.x)
         nbytes, work = max(nbytes, batch_bytes + 40 * points), work + batch_work * points / batch
     check_budget(f"qexp eval of {points} points", nbytes, work)
     records = []
@@ -823,6 +823,10 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(command=ns.command, **values)
 
 
+# The per-q and exact tables the kernels cache while a request runs.
+_TABLES = (qcore._bracket_values, qcore._coefficients, qpoly._bracket, qpoly._factorial, qsym._prefix_extensions)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -840,6 +844,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # ConfigError, DomainError (budget refusals too), factorials past the float range
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    finally:  # a request keeps no table once it returns
+        for table in _TABLES:
+            table.cache_clear()
     report = assemble_report(config, records)
     if config.output_format == "json":
         rendered = canonical_json(report)

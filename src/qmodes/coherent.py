@@ -50,10 +50,11 @@ from .qcore import (
     _moment_deviations,
     _moments_cost,
     _rung_powers,
+    _series_terms,
     q_exp_reciprocal,
 )
 
-_MAX_CUTOFF = 5000  # suggest_cutoff gives up below this cutoff
+_MAX_CUTOFF = 5000  # suggest_cutoff refuses a cutoff past this
 _UNIT_ROUNDOFF = 2.0**-53
 _FRACTIONS = (0.2, 0.5, 0.8)  # |z_i|^2 / radius on the spec_grid points
 
@@ -229,31 +230,14 @@ def suggest_cutoff(
     z: Sequence[complex],
     tail_tol: float = 1e-10,
 ) -> int:
-    """Smallest cutoff whose total relative tail mass stays below ``tail_tol``."""
+    """Smallest cutoff whose total relative tail mass stays below ``tail_tol``: the largest
+    count of exp_q series terms at |z_i|^2 that holds a relative tail of tail_tol / modes."""
     z = _disk_amplitudes(params, z)
-    per_mode = tail_tol / len(z)
-    worst = 1
-    for v in z:
-        x = abs(v) ** 2
-        term = 1.0
-        partial = 1.0
-        cutoff = None
-        brackets = _bracket_array(params, 2).tolist()
-        for m in range(1, _MAX_CUTOFF):
-            if m + 1 == len(brackets):
-                brackets = _bracket_array(params, m + 2).tolist()
-            term *= x / brackets[m]
-            partial += term
-            ratio = x / brackets[m + 1]
-            if ratio < 1.0 and (term * ratio / (1.0 - ratio)) / partial <= per_mode:
-                cutoff = m + 1
-                break
-        if cutoff is None:
-            raise InsufficientCutoffError(
-                f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for |z|^2={x:.6g}"
-            )
-        worst = max(worst, cutoff)
-    return worst
+    cutoffs = {abs(v) ** 2: _series_terms(params, abs(v) ** 2, tail_tol / len(z)) for v in z}
+    for x, cutoff in cutoffs.items():
+        if cutoff > _MAX_CUTOFF:
+            raise InsufficientCutoffError(f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for |z|^2={x:.6g}")
+    return max(cutoffs.values())
 
 
 def build_coherent(spec: CoherentSpec, tail_tol: float = 1e-10) -> CoherentState:

@@ -256,6 +256,8 @@ def q_exp_points(
     term count equals the one-point loop bit for bit.  The call keeps 16 B per term of each
     point still summing.  Every point must lie in the open disk |x| < radius (DomainError
     otherwise, for the first such point), and stop within ``_MAX_TERMS`` terms (DomainError).
+    A point still summing whose partial sum overflows double can never stop: the call raises
+    DomainError at the end of the first pass that meets one, naming the first such point.
     """
     xs = [_check_disk(params, x) for x in xs]
     return _series_block(params, xs, rel_tol) if xs else []
@@ -277,6 +279,13 @@ def _series_block(params: DeformationParams, xs: list[complex], rel_tol: float) 
         terms, running, t_abs, hit, rows, tails = _series_pass(
             params, k0, steps, numerators, magnitude, history[-1][-1], running, t_abs, rel_tol
         )
+        overflowed = np.flatnonzero(~(hit | np.isfinite(running).all(axis=0)))
+        if overflowed.size:  # a point still summing whose terms turn NaN would never stop
+            x = xs[live[overflowed[0]]]
+            raise DomainError(
+                f"the series terms at x = {x} overflow double before they can stop "
+                f"(|x|/radius = {abs(x) / params.radius:.4f}, q={params.q})"
+            )
         history.append(terms[1:])
         k0 += steps
         columns = np.flatnonzero(hit)
@@ -461,7 +470,8 @@ def q_exp_via_product_points(
 
 def _series_terms(params: DeformationParams, magnitude: float, rel_tol: float = 1e-15) -> int:
     """Terms :func:`q_exp_points` takes at the positive real point ``magnitude``, or
-    ``_MAX_TERMS`` where it would not stop.
+    ``_MAX_TERMS`` where it would not stop (also once its partial sums overflow double): the
+    one count of exp_q series terms, which prices ``qexp eval`` and the cutoffs of ``coherent``.
 
     There every term is positive, so the partial sums are the running sums of
     |t_k|, and the stopping rule is read off a few hundred terms at a time.
@@ -475,15 +485,18 @@ def _series_terms(params: DeformationParams, magnitude: float, rel_tol: float = 
             sums = np.add.accumulate(np.concatenate(([running], t)))[1:]
             ratio = magnitude / brackets[1:]
             stop = (ratio < 1.0) & (t * ratio / (1.0 - ratio) <= rel_tol * np.maximum(sums, t))
+        if sums[-1] == math.inf:  # no term after a stop can overflow, so it never stopped
+            return _MAX_TERMS
         if stop.any():
             return k0 + int(stop.argmax()) + 1
         t_abs, running = t[-1], sums[-1]
     return _MAX_TERMS
 
 
-def _qexp_cost(params: DeformationParams, points: int) -> tuple[float, float]:
-    """Peak bytes and steps (~1 ns each) of evaluating exp_q at ``points`` disk samples by
-    both routes: :func:`q_exp_points` at each and at its q^2 image, and the product route at each.
+def _qexp_cost(params: DeformationParams, points: int, x: complex | None = None) -> tuple[float, float]:
+    """Peak bytes and steps (~1 ns each) of evaluating exp_q at ``points`` disk samples, or at
+    ``x``, by both routes: :func:`q_exp_points` at each and at its q^2 image, and the product
+    route at each.  A sampled modulus at which the series cannot stop is refused (DomainError).
 
     The series keeps 16 B per term of each point still summing.  A sample and its image
     are charged at the positive real point of the sample's ring; off the axis a few points
@@ -496,7 +509,17 @@ def _qexp_cost(params: DeformationParams, points: int) -> tuple[float, float]:
     table.  The values take ~600 B per point.  Fitted on a 2-core x86-64 machine:
     ~200 ns per series term, ~100 ns per product factor, ~20 us per point, ~0.5 ms per call.
     """
-    rings = [_series_terms(params, fraction * params.radius) for fraction in _RINGS]
+    moduli = [fraction * params.radius for fraction in _RINGS]
+    rings = [_series_terms(params, modulus) for modulus in moduli]
+    sampled = zip(moduli, rings[:points])
+    if x is not None:  # outside the disk, --x is a failed check and sums nothing
+        sampled = [(abs(x), _series_terms(params, abs(x)))] if abs(x) < params.radius else []
+    for modulus, count in sampled:
+        if count == _MAX_TERMS:
+            raise DomainError(
+                f"the exp_q series at |x| = {modulus:.6g} cannot stop at q={params.q}: "
+                f"its terms overflow double, or it needs {_MAX_TERMS} terms or more"
+            )
     terms, factors = rings[-1], _factors_for(params, _RINGS[-1] * params.radius, 1e-15)
     history = 48 * -(-points // len(_RINGS)) * max(k * (len(rings) - j) for j, k in enumerate(rings))
     series = history + 64 * _SERIES_ENTRIES + 64 * terms * _GATHER

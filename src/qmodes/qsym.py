@@ -161,7 +161,9 @@ def arrangements(counts: Sequence[int]) -> ArrangementClass:
     number of letters still to place that are smaller than l, since each of them will
     follow it.  Each prefix emits its extensions in letter order, in the order of the
     prefixes, so the rows come out in ascending tensor index.  The work and memory are
-    O(rows), never O(n^N).  A word's last letter is forced and adds no inversion.
+    O(rows), never O(n^N).  A word's last letter is forced and adds no inversion.  Only the
+    letters the class uses are stepped over, each mapped back to its letter for the index:
+    a letter of count zero adds neither an extension nor an inversion.
     """
     counts = tuple(int(c) for c in counts)
     if any(c < 0 for c in counts):
@@ -169,36 +171,38 @@ def arrangements(counts: Sequence[int]) -> ArrangementClass:
     n_modes, size = len(counts), sum(counts)
     check_budget("arrangements of the class of {} letters, {} of them distinct",
                  *_class_cost(counts), size, sum(c > 0 for c in counts))
+    used = np.flatnonzero(counts)  # the letters the class uses, 0-based: the kernel steps over these
+    width = used.size
     # the narrowest signed type that holds every count up to N (it holds -N - 1)
-    left = np.array([counts], dtype=np.min_scalar_type(-size - 1))  # letters still to place
+    left = np.array([counts], dtype=np.min_scalar_type(-size - 1))[:, used]  # letters still to place
     indexed = size * math.log2(max(n_modes, 1)) <= 63
     index = np.zeros(1, dtype=np.int64) if indexed else None
     inversions = np.zeros(1, dtype=np.int64)
     # each temporary is dropped once spent: the last step peaks at 50 to 70 B per row
     for _ in range(size - 1):
-        smaller = np.zeros_like(left)  # letters still to place below each letter
-        for letter in range(1, n_modes):
-            np.add(smaller[:, letter - 1], left[:, letter - 1], out=smaller[:, letter])
+        smaller = np.zeros_like(left)  # letters still to place below each used letter
+        for j in range(1, width):
+            np.add(smaller[:, j - 1], left[:, j - 1], out=smaller[:, j])
         extension = np.flatnonzero(left > 0)  # row-major: each prefix in letter order
-        parents = extension // n_modes
+        parents = extension // width
         inversions = np.take(inversions, parents)
         inversions += np.take(smaller, extension)
         del smaller
-        letters = np.subtract(extension, parents * n_modes, out=extension)
+        ordinals = np.subtract(extension, parents * width, out=extension)
         if indexed:
             index = np.take(index, parents)
             index *= n_modes
-            index += letters
+            index += np.take(used, ordinals)
         left = np.take(left, parents, axis=0)
         del parents
-        spent = np.arange(0, letters.size * n_modes, n_modes)  # each new prefix's row of left
-        spent += letters
+        spent = np.arange(0, ordinals.size * width, width)  # each new prefix's row of left
+        spent += ordinals
         left.ravel()[spent] -= 1
     if size and indexed:
         last = np.flatnonzero(left > 0)  # the one letter left to each prefix
-        last -= np.arange(0, index.size * n_modes, n_modes)
+        last -= np.arange(0, index.size * width, width)
         index *= n_modes
-        index += last
+        index += np.take(used, last)
     return ArrangementClass(counts, index, inversions)
 
 
@@ -437,15 +441,17 @@ def _multisets(n_modes: int, size: int) -> int:
 
 def _class_cost(counts: Sequence[int]) -> tuple[float, float]:
     """Peak bytes and steps (~1 ns each) of the arrangement kernel on the class of ``counts``,
-    N letters over n = len(counts) modes, fitted on cold calls on a 2-core x86-64 machine:
-    ~100 B per row (45 to 70 B measured, 16 B kept) and ~(8n + 600) B for its count tuple,
-    record and two arrays; ~23 us + 0.3 us per mode, ~40 us + 2 us per mode a letter, 60 ns
-    a row and ~(20 + 8n) ns a prefix extension (3 to 22 ns measured at n = 2 to 10; in all
-    0.36 to 0.85 of the steps): the 5e5 rows of (1000, 2) take 1.7e8 extensions, 2.5 to 4.8 s."""
+    N letters over n = len(counts) modes of which m are used, fitted on cold calls on a
+    2-core x86-64 machine: ~100 B per row (45 to 70 B measured, 16 B kept) and ~(8n + 600) B
+    for its count tuple, record and two arrays; ~23 us + 0.3 us per mode, ~40 us + 2 us per
+    used letter a letter, 60 ns a row and ~(20 + 8m) ns a prefix extension (3 to 22 ns
+    measured at m = 2 to 10; in all 0.36 to 0.85 of the steps): the 5e5 rows of (1000, 2)
+    take 1.7e8 extensions, 2.5 to 4.8 s."""
     n_modes, size, rows = len(counts), sum(counts), _class_size(counts)
+    used = tuple(sorted(filter(None, counts)))
     # past 2^24 rows, whose bytes pass the budget, a length has at most one prefix per row
-    extensions = size * rows if rows > 2**24 else _prefix_extensions(tuple(sorted(filter(None, counts))))
-    steps = size * (40_000 + 2_000 * n_modes) + (20 + 8 * n_modes) * extensions
+    extensions = size * rows if rows > 2**24 else _prefix_extensions(used)
+    steps = size * (40_000 + 2_000 * len(used)) + (20 + 8 * len(used)) * extensions
     return 100 * rows + 8 * n_modes + 600, 23_000 + 300 * n_modes + steps + 60 * rows
 
 

@@ -520,8 +520,8 @@ def test_verify_algebra_requests_hold_nothing_once_they_return(capsys):
 
 
 def test_a_long_moment_sweep_holds_one_bracket_table_once_it_returns(tmp_path, capsys):
-    # only the one cached read-only table of brackets per q outlives the request: 2^15
-    # floats, 262 kB
+    # the sweep reads one read-only table of brackets per q, 2^15 floats (262 kB), and drops
+    # it once the request returns: some 30 kB of the interpreter's own stay behind
     out = ["--out", str(tmp_path / "report.txt")]
     run_cli(["jackson", "moments", "--q", "0.5", "--N", "1"] + out, capsys)  # the parser and lazy imports
     qcore._bracket_values.cache_clear()
@@ -534,7 +534,55 @@ def test_a_long_moment_sweep_holds_one_bracket_table_once_it_returns(tmp_path, c
     finally:
         tracemalloc.stop()
     assert code == 0, err
-    assert held < 0.5e6
+    assert held < 0.1e6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jackson", "moments", "--q", "0.5", "--N", "50"],
+        ["qsym", "identity", "--q", "0.5", "--modes", "1", "--N", "30"],
+        ["qsym", "norm", "--q", "0.5"],
+        ["verify", "algebra", "--q", "0.5", "--modes", "1", "--cutoff", "300"],
+        ["qexp", "eval", "--q", "0.5", "--points", "7"],
+        ["qexp", "eval", "--q", "0.5", "0.9999"],  # refused once the tables of q = 0.5 are built
+    ],
+    ids=" ".join,
+)
+def test_a_request_leaves_no_table_behind(argv, capsys):
+    run_cli(argv, capsys)
+    for table in (qcore._bracket_values, qcore._coefficients, qpoly._bracket, qpoly._factorial, qsym._prefix_extensions):
+        assert table.cache_info().currsize == 0, table.__name__
+
+
+# q at both ends of (0, 1): next to 0, and where the series terms near the disk's edge
+# overflow double
+@pytest.mark.parametrize("q", ["1e-06", "0.999", "0.9999", "0.99999"])
+@pytest.mark.parametrize("verb", [["coherent", "check"], ["qexp", "eval"], ["qsym", "norm"]], ids=" ".join)
+def test_the_verbs_at_the_ends_of_q_finish_or_refuse_at_once(verb, q, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(verb + ["--q", q, "--format", "json"], capsys)
+    seconds = time.perf_counter() - start
+    if code == 2:  # refused before any work: a sweep that cannot finish
+        assert seconds < 0.1 and err.startswith("configuration error:"), (seconds, err)
+    elif code == 1:  # route agreement fails near q = 1, and so may the functional equation
+        failed = {check["name"] for check in json.loads(out)["checks"] if not check["pass"]}
+        assert failed <= {"qexp_functional_equation", "qexp_route_agreement"}, failed
+    else:
+        assert code == 0, err
+
+
+def test_a_sweep_of_inner_rings_runs_where_the_outer_ones_overflow(capsys):
+    # at q = 0.9995 the series terms overflow double from 0.6 of the radius on: three points
+    # sample the rings up to 0.45 and run, fifty are refused naming the ring at 0.6
+    code, out, err = run_cli(["qexp", "eval", "--q", "0.9995", "--points", "3"], capsys)
+    assert code in (0, 1) and err == ""
+    code, out, err = run_cli(["qexp", "eval", "--q", "0.9995"], capsys)
+    assert code == 2 and out == ""
+    radius = DeformationParams(0.9995).radius
+    assert err.startswith(f"configuration error: the exp_q series at |x| = {0.6 * radius:.6g} cannot stop at q=0.9995")
+    code, out, err = run_cli(["qexp", "eval", "--q", "0.999", "--x", "490"], capsys)
+    assert code == 2 and "at |x| = 490 cannot stop at q=0.999:" in err
 
 
 @pytest.mark.parametrize(

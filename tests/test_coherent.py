@@ -299,6 +299,15 @@ def test_tabled_mode_loops_equal_the_per_term_loops():
                 )
         for n in (0, 1, 2, 62, 63, 64, 65, 130):
             assert q_factorial(params, n) == reference_q_factorial(params, n)
+    # where the terms overflow double, neither cutoff search ever stops: both refuse
+    for q, fraction in ((0.999, 0.95), (0.999, 0.99), (0.9995, 0.6), (0.9999, 0.15)):
+        params = DeformationParams(q)
+        amplitudes = (cmath.rect(math.sqrt(fraction * params.radius), 2.4 * fraction), 0.0)
+        for tail_tol in (1e-6, 1e-10, 1e-20):
+            with pytest.raises(InsufficientCutoffError, match="no cutoff below 5000"):
+                suggest_cutoff(params, amplitudes, tail_tol)
+            with pytest.raises(ValueError, match="no cutoff below the cap"):
+                reference_suggest_cutoff(params, amplitudes, tail_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from qmodes.qcore import (
     SingularityError,
     _bracket_array,
     _factors_for,
+    _MAX_TERMS,
     _SERIES_ENTRIES,
     _bracket_values,
     _moment_deviations,
@@ -264,11 +265,15 @@ def test_series_kernel_refusals_name_their_point():
     # the first point outside the disk, in the order given, not the farthest
     with pytest.raises(DomainError, match=re.escape(f"|x| = {1.5 * radius:.6g} is outside")):
         q_exp_points(params, [0.1 * radius, 1.5 * radius, 3.0 * radius, radius])
-    # near q = 1 the terms at 0.9 * radius still grow after _MAX_TERMS of them: the
-    # message names the nearest point that did not stop
+    # near q = 1 the terms at 0.9 * radius overflow double within the second pass, long
+    # before _MAX_TERMS of them: the call refuses at the end of that pass, naming the first
+    # point in the order given whose partial sum is not finite
     params = DeformationParams(0.99999)
     radius = params.radius
-    message = "series did not reach rel_tol=1e-15 within 100000 terms (|x|/radius = 0.9000)"
+    message = (
+        f"the series terms at x = {complex(0.95 * radius)} overflow double before they can stop "
+        "(|x|/radius = 0.9500, q=0.99999)"
+    )
     with pytest.raises(DomainError, match=re.escape(message)):
         q_exp_points(params, [0.95 * radius, 0.9 * radius])
 
@@ -289,12 +294,21 @@ def test_moment_sweep_peaks_within_its_estimate(q, levels):
     assert peak <= estimate
 
 
-@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.98, 0.995])
+# near q = 1 the series' partial sums overflow double from this fraction of the radius on
+OVERFLOW_FROM = {0.999: 0.95, 0.9995: 0.6, 0.9999: 0.15}
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.98, 0.995, 0.999, 0.9995, 0.9999])
 def test_series_term_estimate_is_the_count_on_the_positive_axis(q):
     params = DeformationParams(q)
-    for fraction in (0.0, 0.1, 0.5, 0.9, 0.99):
+    for fraction in (0.0, 0.1, 0.15, 0.5, 0.6, 0.9, 0.95, 0.99):
         x = fraction * params.radius
-        assert _series_terms(params, x) == q_exp(params, x).terms == reference_q_exp(params, x).terms
+        if fraction < OVERFLOW_FROM.get(q, math.inf):
+            assert _series_terms(params, x) == q_exp(params, x).terms == reference_q_exp(params, x).terms
+        else:  # counted as a series that never stops, and refused by the kernel
+            assert _series_terms(params, x) == _MAX_TERMS
+            with pytest.raises(DomainError, match="overflow double before they can stop"):
+                q_exp(params, x)
 
 
 def test_reciprocal_vanishes_at_first_pole():
