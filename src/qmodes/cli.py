@@ -555,12 +555,11 @@ def run_qsym_identity(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
     # the all-words kernel on N letters beside the total's table (8 B a class and inversion
     # count), then a block of count vectors with their tuples and stacked target rows;
-    # qpoly's cached factorials and brackets; the records (a total's target rows, some kB,
-    # not)
+    # qpoly's cached factorials; the records (a total's target rows, some kB, not)
     classes, width = qsym._class_totals(n, N)[0], N * (N - 1) // 2 + 1
     vectors = max(1, qsym._COUNT_BLOCK // n)
     nbytes = qsym._words_cost(n, N)[0] + 8 * classes * width + min(classes, vectors) * (24 * n + 17 * width)
-    nbytes += qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N) + 400 * (N + 1)
+    nbytes += qpoly._factorial_bytes(N) + 400 * (N + 1)
     check_budget(f"qsym identity up to N={N} over {n} modes", nbytes, _sweep_work(range(N, -1, -1), work))
     records = []
     for total in range(config.particles + 1):
@@ -615,10 +614,9 @@ def run_qsym_appendix(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     vectors = max(1, _INSERTION_ROWS // n)
     # Bytes, fitted on a grid of n = 1 to 1000 and N = 0 to 600: one pass of the kernel on
     # the top total, whose (vector, slot) rows each hold n term bounds and three int64
-    # tallies over N + 2 exponents, beside its (n, n) mask; qpoly's cached target brackets;
-    # the records.
+    # tallies over N + 2 exponents, beside its (n, n) mask; the records.
     rows = n * min(vectors, size_estimate(math.lgamma(N + n) - math.lgamma(N + 1) - math.lgamma(n)))
-    nbytes = rows * (16 * (N + 2) + 9 * n + 80) + n * n + qpoly._bracket_bytes(N + 1)
+    nbytes = rows * (16 * (N + 2) + 9 * n + 80) + n * n
     nbytes += 400 * (N + 1) + 8_192
     # Work, in ns on the same grid (measured at 0.5 to 1.3 times this): every row's N + 2
     # tallies and n terms, ~40 us per pass and ~100 us per total, and per total a target
@@ -824,7 +822,7 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
 
 
 # The per-q and exact tables the kernels cache while a request runs.
-_TABLES = (qcore._bracket_values, qcore._coefficients, qpoly._bracket, qpoly._factorial, qsym._prefix_extensions)
+_TABLES = (qcore._held_powers, qpoly._factorial, qsym._prefix_extensions)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -45,12 +45,14 @@ import numpy as np
 from .qcore import (
     DeformationParams,
     DomainError,
+    _SERIES_ENTRIES,
     _bracket_array,
     _factors_for,
     _moment_deviations,
     _moments_cost,
-    _rung_powers,
+    _power_table,
     _series_terms,
+    _table_entries,
     q_exp_reciprocal,
 )
 
@@ -166,7 +168,7 @@ class CoherentState:
     def _twist(self) -> _Twist:
         spec = self.spec
         params = spec.params
-        powers = _rung_powers(params.q, spec.cutoff)  # the diagonal of q^N on one mode
+        powers = _power_table(params.q, spec.cutoff)  # the diagonal of q^N on one mode
         modes = spec.modes
         tails = [0.0] * modes
         lhs, rhs, telescoped = np.ones(modes + 1), np.ones(modes + 1), np.zeros(modes + 1)
@@ -183,7 +185,7 @@ class CoherentState:
 
 def mode_coefficients(params: DeformationParams, z: complex, cutoff: int) -> np.ndarray:
     """Single-mode coefficients z^m / sqrt([m]!) for m < cutoff."""
-    brackets = _bracket_array(params, cutoff)[:cutoff].tolist()
+    brackets = _bracket_array(params, cutoff).tolist()
     coeff = np.zeros(cutoff, dtype=np.complex128)
     coeff[0] = 1.0
     for m in range(1, cutoff):
@@ -199,7 +201,7 @@ def mode_tail_bound(params: DeformationParams, z: complex, cutoff: int) -> float
     tail, already divided by the (>= 1) retained partial sum.  Returns inf
     while the majorant does not yet apply.
     """
-    brackets = _bracket_array(params, cutoff + 2)[: cutoff + 2].tolist()
+    brackets = _bracket_array(params, cutoff + 2).tolist()
     x = abs(z) ** 2
     term = 1.0
     partial = 1.0
@@ -216,7 +218,7 @@ def mode_tail_bound(params: DeformationParams, z: complex, cutoff: int) -> float
 def _lowered(params: DeformationParams, v: np.ndarray) -> np.ndarray:
     """a v on one mode: sqrt([m + 1]) v[m + 1] at rung m, and 0 at the top rung."""
     lowered = np.zeros_like(v)
-    lowered[:-1] = np.sqrt(_bracket_array(params, v.size)[1 : v.size]) * v[1:]
+    lowered[:-1] = np.sqrt(_bracket_array(params, v.size, 1)) * v[1:]
     return lowered
 
 
@@ -422,8 +424,10 @@ def _check_cost(params: DeformationParams, modes: int, cutoff: int, points: int)
     |z|^2 = radius, where the most are needed.  A state's factor stacks
     hold ~64 B per mode and cutoff entry.  Each of the modes + 1 checks of
     a point keeps ~3 kB: its share of the spec, its record, the record's
-    JSON and its line of the rendered report.
+    JSON and its line of the rendered report.  The power tables take 8 B per
+    entry: q's the cutoff, q^2's the factors and the cutoff search's brackets.
     """
     factors = _factors_for(params, params.radius, 1e-15)
-    nbytes = 64 * modes * cutoff + 3000 * points * (modes + 1)
+    tables = 8 * (_table_entries(max(factors, cutoff) + _SERIES_ENTRIES // 8) + _table_entries(cutoff))
+    nbytes = 64 * modes * cutoff + 3000 * points * (modes + 1) + tables
     return nbytes, points * (2000 * modes * cutoff + 250 * (2 * modes - 1) * factors)

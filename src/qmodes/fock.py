@@ -7,9 +7,9 @@ mode 1 as the most significant digit.  The deformed ladder operators act as
     a_i     |n>  =  q^{sum_{k>i} n_k} sqrt([n_i])     |..., n_i - 1, ...>
     a_i^dag |n>  =  q^{sum_{k>i} n_k} sqrt([n_i + 1]) |..., n_i + 1, ...>
 
-with the bracket [m] = (q^{2m} - 1)/(q^2 - 1), read from the one table
-``qcore`` keeps per q, as the powers of q are; the number operator N_i and
-the scale operator Q_i = q^{2 N_i} are diagonal.  Creation out of the top
+with the bracket [m] = (q^{2m} - 1)/(q^2 - 1); it and the powers of q come
+from the one power table ``qcore`` keeps per base.  The number operator N_i
+and the scale operator Q_i = q^{2 N_i} are diagonal.  Creation out of the top
 rung n_i = cutoff - 1 truncates to zero, which is why every algebraic check
 restricts itself to the interior of the truncation (all occupations at most
 cutoff - 2, applied to rows and columns alike): there the quadratic
@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DeformationParams, _bracket_array, _rung_powers, check_budget, size_estimate
+from .qcore import DeformationParams, _bracket_array, _power_table, check_budget, size_estimate
 
 __all__ = [
     "ShiftOperator",
@@ -156,12 +156,12 @@ class FockSpaceConfig:
         # state and mode) and ~40 B per state more, under 32 KiB plus 64 + 20 modes B per
         # state.  It runs in ~0.1 to 0.7 us per state, under 0.6 + 0.04 modes us, after
         # ~0.1 ms of numpy calls per ordered pair of modes (both fitted on modes 1 to 13 at
-        # up to 4e6 states, the bytes with the negative control too).  qcore's bracket table,
-        # which it builds and keeps for the amplitudes, holds under 2 cutoff entries of 8 B,
-        # at ~130 to 200 ns each
+        # up to 4e6 states, the bytes with the negative control too).  qcore's power tables of
+        # q and q^2, which it builds and keeps for the twists, brackets and scales, hold under
+        # 2 modes cutoff entries of 8 B each, at ~100 ns an entry
         n, dim = self.modes, size_estimate(self.modes * math.log(self.cutoff))
-        nbytes = 2**15 + (64 + 20 * n) * dim + 16 * self.cutoff
-        work = 2e6 + 1e5 * n * n + (600 + 40 * n) * dim + 400 * self.cutoff
+        nbytes = 2**15 + (64 + 20 * n) * dim + 32 * n * self.cutoff
+        work = 2e6 + 1e5 * n * n + (600 + 40 * n) * dim + 400 * n * self.cutoff
         check_budget(f"the {self.cutoff}^{self.modes} Fock space", nbytes, work)
 
     @property
@@ -193,8 +193,8 @@ def encode_occupation(cfg: FockSpaceConfig, occupation: Sequence[int]) -> int:
 
 
 def _root_brackets(cfg: FockSpaceConfig) -> np.ndarray:
-    """sqrt([m]) for every occupation m < cutoff, from qcore's one bracket table."""
-    return np.sqrt(_bracket_array(cfg.params, cfg.cutoff)[: cfg.cutoff])
+    """sqrt([m]) for every occupation m < cutoff, from qcore's brackets."""
+    return np.sqrt(_bracket_array(cfg.params, cfg.cutoff))
 
 
 def _ladder_grid(cfg: FockSpaceConfig, i: int, rungs: slice, root_brackets: np.ndarray) -> np.ndarray:
@@ -205,7 +205,7 @@ def _ladder_grid(cfg: FockSpaceConfig, i: int, rungs: slice, root_brackets: np.n
     suffix = np.zeros(1, dtype=np.intp)  # occupations summed over the modes after i
     for _ in range(cfg.modes - i):
         suffix = np.add.outer(np.arange(c), suffix).ravel()
-    twist = _rung_powers(cfg.params.q, (cfg.modes - i) * (c - 1) + 1)
+    twist = _power_table(cfg.params.q, (cfg.modes - i) * (c - 1) + 1)
     grid = np.zeros((c ** (i - 1), c, suffix.size))
     grid[:, rungs] = twist[suffix] * root_brackets[:, None]
     return grid.reshape((c,) * cfg.modes)
@@ -270,7 +270,7 @@ def scale_op(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     """Diagonal scale operator Q_i = q^{2 N_i}."""
     i = _check_mode(cfg, i)
     diagonal = np.arange(cfg.dimension)
-    scale = _rung_powers(cfg.params.q_sq, cfg.cutoff).repeat(cfg.cutoff ** (cfg.modes - i))
+    scale = _power_table(cfg.params.q_sq, cfg.cutoff).repeat(cfg.cutoff ** (cfg.modes - i))
     return _shift_operator(cfg.dimension, diagonal, diagonal, np.tile(scale, cfg.cutoff ** (i - 1)))
 
 
@@ -469,7 +469,7 @@ def verify_algebra(
 
     # the targets from one power per rung: ``after`` sums the occupations of the modes
     # past a on the trailing axes, so it broadcasts against the interior from axis a + 1
-    scale = _rung_powers(q_sq, n * (c - 2) + 1)
+    scale = _power_table(q_sq, n * (c - 2) + 1)
     rung = np.arange(c - 1)
     with timed("normal_product_diagonal"):
         brackets = _bracket_array(cfg.params, c)
@@ -512,18 +512,16 @@ def corrupted_annihilator(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
 
     Negative-control input for :func:`verify_algebra`: the first stored
     amplitude whose row and column both lie in the margin-2 interior is
-    multiplied by ``1 + 1e-6``.  Feeding the result in place of
-    the honest operator must trip exactly the relation families that
+    multiplied by ``1 + 1e-6``: entry 0, a_i's amplitude 1 from e_i to the
+    vacuum, wherever the interior holds e_i (cutoff >= 3).  Feeding the result
+    in place of the honest operator must trip exactly the relation families that
     constrain amplitude magnitudes, while the families whose cancellation
     is positional (creator ordering, last-mode contraction, number-operator
     commutators) stay clean — a check that the certification actually
     resolves individual matrix elements.
     """
-    matrix = annihilator(cfg, i)
-    inside = np.zeros(cfg.dimension, dtype=bool)
-    inside[interior_indices(cfg)] = True
-    candidates = np.flatnonzero(inside[matrix.rows()] & inside[matrix.indices])
-    if candidates.size == 0:
+    if cfg.cutoff < 3:
         raise ValueError("no interior amplitude available to corrupt; increase the cutoff")
-    matrix.data[candidates[0]] *= 1.0 + 1e-6
+    matrix = annihilator(cfg, i)
+    matrix.data[0] *= 1.0 + 1e-6
     return matrix

@@ -99,8 +99,7 @@ def q_number(params: DeformationParams, x: float) -> float:
 
 
 def _table_entries(size: int) -> int:
-    """64 * 2^j, the least such that holds ``size``: the sizes the per-q tables grow
-    through, so the loops that read them share a few tables per q."""
+    """64 * 2^j, the least such that holds ``size``: the sizes a power table grows through."""
     entries = 64
     while entries < size:
         entries *= 2
@@ -108,47 +107,53 @@ def _table_entries(size: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _bracket_values(params: DeformationParams, entries: int) -> np.ndarray:
-    q_sq = params.q_sq
-    # one Python-float power per entry, as q_number takes it; numpy's subtraction and
-    # division round as Python's do
-    table = np.fromiter(map(q_sq.__pow__, range(entries)), float, entries)
-    table -= 1.0
-    table /= q_sq - 1.0
-    table.flags.writeable = False
-    return table
+def _held_powers(base: float) -> list[np.ndarray]:
+    """A list holding the one power table of ``base``, which :func:`_power_table` grows."""
+    return [np.ones(0)]
 
 
-def _bracket_array(params: DeformationParams, size: int) -> np.ndarray:
-    """[k] for k < :func:`_table_entries` (``size``), each by the Python-float expression
-    of :func:`q_number` (finite for k >= 0): the one cached read-only table per q.
+def _power_table(base: float, size: int) -> np.ndarray:
+    """base ** k for k < ``size``: a read-only view of the one table of Python float powers
+    per base (q or q^2) that every per-q table reads, grown on demand."""
+    base = float(base)
+    held = _held_powers(base)
+    if held[0].size < size:
+        table, entries = held[0], _table_entries(size)
+        grown = np.fromiter(map(base.__pow__, range(table.size, entries)), float, entries - table.size)
+        held[0] = np.concatenate((table, grown)) if table.size else grown
+        held[0].flags.writeable = False
+    return held[0][:size]
 
-    The scalar loops read ``.tolist()`` of the slice they need in place of one call
-    per term; the batched kernels read the array.
-    """
-    return _bracket_values(params, _table_entries(size))
+
+def _bracket_array(params: DeformationParams, size: int, first: int = 0) -> np.ndarray:
+    """[k] for first <= k < ``size``, from the power table of q^2: a fresh array, bit for
+    bit :func:`q_number`.  Scalar loops read its ``.tolist()``."""
+    brackets = _power_table(params.q_sq, size)[first:] - 1.0
+    brackets /= params.q_sq - 1.0
+    return brackets
 
 
-def _rung_powers(base: float, count: int) -> np.ndarray:
-    """base**s for s = 0..count-1, one numpy float power per rung: the one table of
-    q^s or q^{2s} that the operator, state and Jackson-grid kernels read.
+def _factorial_array(params: DeformationParams, size: int) -> np.ndarray:
+    """[k]! for k < ``size``, the running product of :func:`_bracket_array` in order (inf
+    past the float range): bit for bit the loop of that product."""
+    factorials = _bracket_array(params, size)
+    factorials[:1] = 1.0
+    with np.errstate(over="ignore"):
+        return np.multiply.accumulate(factorials, out=factorials)
 
-    numpy's power of each entry equals the power it takes per state, so a
-    gather from this table is bit-identical to raising base for every state.
-    """
-    return base ** np.arange(count, dtype=np.float64)
+
+def _finite_factorial(params: DeformationParams, n: int, value: float) -> float:
+    """``value``, taken as [n]!, or OverflowError where it is not finite."""
+    if not math.isfinite(value):
+        raise OverflowError(f"bracket factorial overflows at n={n}, q={params.q}")
+    return value
 
 
 def q_factorial(params: DeformationParams, n: int) -> float:
     """Product [1][2]...[n] of brackets, with [0]! = 1."""
     if n < 0 or n != int(n):
         raise DomainError(f"factorial index must be a nonnegative integer, got {n!r}")
-    value = 1.0
-    for bracket in _bracket_array(params, int(n) + 1)[1 : int(n) + 1].tolist():
-        value *= bracket
-    if not math.isfinite(value):
-        raise OverflowError(f"bracket factorial overflows at n={n}, q={params.q}")
-    return value
+    return _finite_factorial(params, n, float(_factorial_array(params, int(n) + 1)[-1]))
 
 
 def passes(deviation: float, tol: float, *allowances: float) -> bool:
@@ -323,7 +328,7 @@ def _series_pass(params, k0, steps, numerators, magnitude, term, running, t_abs,
     the weights of step k holds the factors of t.re and t.im in component c of that
     product, so one multiply and one add of the two columns take the step for all points.
     """
-    brackets = _bracket_array(params, k0 + steps + 1)[k0 : k0 + steps + 1, None]
+    brackets = _bracket_array(params, k0 + steps + 1, k0)[:, None]
     with np.errstate(all="ignore"):  # rows past a point's stop may overflow; they are never read
         weights = np.empty((steps, 2, 2, magnitude.size))
         np.divide(numerators[0], brackets[:-1], out=weights[:, 0, 0])
@@ -359,18 +364,10 @@ def _series_pass(params, k0, steps, numerators, magnitude, term, running, t_abs,
 # q-exponential: product route
 
 
-@functools.lru_cache(maxsize=64)
-def _coefficients(params: DeformationParams, entries: int) -> np.ndarray:
-    q_sq = params.q_sq
-    table = np.fromiter(((1.0 - q_sq) * q_sq**n for n in range(entries)), float, entries)
-    table.flags.writeable = False
-    return table
-
-
 def _factor_coefficients(params: DeformationParams, size: int) -> np.ndarray:
-    """(1 - q^2) q^{2n}, the coefficient of x in the n-th product factor, for
-    n < :func:`_table_entries` (``size``): a cached read-only float array."""
-    return _coefficients(params, _table_entries(size))
+    """(1 - q^2) q^{2n}, the coefficient of x in the n-th product factor, for n < ``size``:
+    a fresh array derived from the power table of q^2."""
+    return (1.0 - params.q_sq) * _power_table(params.q_sq, size)
 
 
 def q_exp_product(params: DeformationParams, x: complex, factors: int) -> complex:
@@ -408,7 +405,7 @@ def _product_points(
             last += 1
         block, first = order[first:last], last
         size = counts[block[-1]]
-        coefficients = _factor_coefficients(params, size)[:size]
+        coefficients = _factor_coefficients(params, size)
         x = np.array([xs[i] for i in block], dtype=complex)[:, None]
         factors, scaled = np.empty((len(block), size), dtype=complex), np.empty((len(block), size))
         np.multiply(coefficients, x.real, out=scaled)
@@ -479,7 +476,7 @@ def _series_terms(params: DeformationParams, magnitude: float, rel_tol: float = 
     t_abs = running = 1.0
     for k0 in range(1, _MAX_TERMS, _SERIES_ENTRIES // 8):
         steps = min(_SERIES_ENTRIES // 8, _MAX_TERMS - k0)
-        brackets = _bracket_array(params, k0 + steps + 1)[k0 : k0 + steps + 1]
+        brackets = _bracket_array(params, k0 + steps + 1, k0)
         with np.errstate(all="ignore"):  # where it would not stop, the terms may overflow
             t = np.multiply.accumulate(np.concatenate(([t_abs], magnitude / brackets[:-1])))[1:]
             sums = np.add.accumulate(np.concatenate(([running], t)))[1:]
@@ -498,35 +495,41 @@ def _qexp_cost(params: DeformationParams, points: int, x: complex | None = None)
     ``x``, by both routes: :func:`q_exp_points` at each and at its q^2 image, and the product
     route at each.  A sampled modulus at which the series cannot stop is refused (DomainError).
 
-    The series keeps 16 B per term of each point still summing.  A sample and its image
-    are charged at the positive real point of the sample's ring; off the axis a few points
-    take up to ~1.8 times as many terms, so the largest terms x points still live is
-    charged 1.5 times.  A pass takes ~64 B per entry of ``_SERIES_ENTRIES``, a gather 32 B
-    per term of ``_GATHER`` points at twice the outer ring's terms.  The product is charged
-    at the outer ring: ~25 B per factor of a block and 40 B per factor of one point as Python
-    complex numbers, each twice, since a block's arrays and its last point's factors are still
-    bound while the next block forms its own; and 8 B per entry of the cached coefficient
-    table.  The values take ~600 B per point.  Fitted on a 2-core x86-64 machine:
-    ~200 ns per series term, ~100 ns per product factor, ~20 us per point, ~0.5 ms per call.
+    Only the sampled moduli count: the first min(points, 6) rings, or |x|.  The series
+    keeps 16 B per term of each point still summing.  A sample and its image are charged
+    at the positive real point of the sample's ring; off the axis a few points take up to
+    ~1.8 times as many terms, so the largest terms x points still live is charged 1.5
+    times.  A pass takes ~64 B per entry it holds (at most ``_SERIES_ENTRIES``), a gather
+    32 B per term of up to ``_GATHER`` points at twice the outer ring's terms, a count of
+    terms ~64 B per term of its chunk.  The product is charged at the outer ring: ~25 B
+    per factor of a block and 40 B per factor of one point as Python complex numbers,
+    each twice, since a block's arrays and its last point's factors are still bound while
+    the next block forms its own.  The power table of q^2 takes 8 B per entry, the values
+    ~600 B per point, the rest 8 KiB.  Fitted on a 2-core x86-64 machine: ~200 ns per
+    series term, ~100 ns per product factor, ~20 us per point, ~0.5 ms per call.
     """
-    moduli = [fraction * params.radius for fraction in _RINGS]
+    if x is None:
+        moduli = [fraction * params.radius for fraction in _RINGS[:points]]
+    else:  # outside the disk, --x is a failed check and sums nothing
+        moduli = [abs(x)] if abs(x) < params.radius else []
     rings = [_series_terms(params, modulus) for modulus in moduli]
-    sampled = zip(moduli, rings[:points])
-    if x is not None:  # outside the disk, --x is a failed check and sums nothing
-        sampled = [(abs(x), _series_terms(params, abs(x)))] if abs(x) < params.radius else []
-    for modulus, count in sampled:
+    for modulus, count in zip(moduli, rings):
         if count == _MAX_TERMS:
             raise DomainError(
                 f"the exp_q series at |x| = {modulus:.6g} cannot stop at q={params.q}: "
                 f"its terms overflow double, or it needs {_MAX_TERMS} terms or more"
             )
-    terms, factors = rings[-1], _factors_for(params, _RINGS[-1] * params.radius, 1e-15)
-    history = 48 * -(-points // len(_RINGS)) * max(k * (len(rings) - j) for j, k in enumerate(rings))
-    series = history + 64 * _SERIES_ENTRIES + 64 * terms * _GATHER
+    terms, factors = max(rings, default=0), _factors_for(params, max(moduli, default=0.0), 1e-15)
+    lives = [k * (len(rings) - j) for j, k in enumerate(sorted(rings))]
+    history = 48 * -(-points // len(_RINGS)) * max(lives, default=0)
+    live = 2 * points
+    entries = live * min(max(1, _SERIES_ENTRIES // live), math.isqrt(_SERIES_ENTRIES))
+    series = history + 64 * entries + 64 * terms * min(_GATHER, live)
     block = max(factors, min(points * factors, _PRODUCT_ENTRIES))
-    product = 2 * (25 * block + 40 * factors) + 8 * _table_entries(factors)
+    product = 2 * (25 * block + 40 * factors)
+    table = 8 * _table_entries(max(terms + _SERIES_ENTRIES // 8 + 1, factors))
     work = points * (400 * terms + 100 * factors + 20_000) + 500_000
-    return max(series, product) + 600 * points, work
+    return max(series, product, 64 * (_SERIES_ENTRIES // 8)) + table + 600 * points + 8192, work
 
 
 def q_exp_reciprocal(
@@ -541,7 +544,7 @@ def q_exp_reciprocal(
     x = complex(x)
     value = 1.0 + 0.0j
     factors = _factors_for(params, x, rel_tol)
-    for coefficient in _factor_coefficients(params, factors)[:factors].tolist():
+    for coefficient in _factor_coefficients(params, factors).tolist():
         value *= 1.0 - coefficient * x
     if x == complex(x.real, 0.0):
         return complex(value.real, 0.0)
@@ -552,26 +555,15 @@ def q_exp_reciprocal(
 # Jackson integration on the geometric grid
 
 
-def jackson_integral(
-    params: DeformationParams,
-    f: Callable[[np.ndarray], np.ndarray | float],
-    upper: float,
-    terms: int,
-) -> float:
-    """Jackson integral of f over [0, upper] on the base-q^2 grid.
+def jackson_integral(params: DeformationParams, f: Callable[[np.ndarray], np.ndarray | float], terms: int) -> float:
+    """Jackson integral of f over [0, radius] on the base-q^2 grid.
 
-    upper * (1 - q^2) * sum_{k < terms} q^{2k} f(upper * q^{2k}).  ``f`` is
+    radius * (1 - q^2) * sum_{k < terms} q^{2k} f(radius * q^{2k}).  ``f`` is
     called once, on the array of grid points; a scalar result is broadcast.
-    The upper endpoint must equal ``params.radius``: that is the only interval
-    the downstream identities use, and the contract keeps it explicit.
     """
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
-    if not math.isclose(upper, params.radius, rel_tol=1e-12):
-        raise DomainError(
-            f"upper must equal the convergence radius {params.radius!r}, got {upper!r}"
-        )
-    steps = _rung_powers(params.q_sq, terms)
+    upper, steps = params.radius, _power_table(params.q_sq, terms)
     values = np.broadcast_to(np.asarray(f(upper * steps), dtype=float), steps.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand returned a non-finite value on the grid")
@@ -594,8 +586,9 @@ def _moment_grid(params: DeformationParams, n: int, beta: float, rel_tol: float)
 
 
 def _moment_cost(grid: float, extra: float) -> tuple[float, float]:
-    # two float arrays over all factors and four over the grid; fsum takes ~1.5 us per point
-    return 16 * (grid + extra) + 32 * grid, 1500 * grid + 20 * extra
+    # two float arrays over all factors and four over the grid, beside the cached power table
+    # of q^2 that the factors read (8 B per entry); fsum takes ~1.5 us per point
+    return 16 * (grid + extra) + 32 * grid + 8 * _table_entries(grid + extra), 1500 * grid + 20 * extra
 
 
 def _moments_cost(params: DeformationParams, levels: int, beta: float, rel_tol: float) -> tuple[float, float, float]:
@@ -608,35 +601,27 @@ def _moments_cost(params: DeformationParams, levels: int, beta: float, rel_tol: 
     most levels (H + 1) + (K_0 - H)(1 + ln levels).  Moment 0 has the largest grid,
     and so the peak bytes.  Besides its grid and factors, each level costs ~50 us of
     calls (45 to 48 us measured where the grids are a few points, on a 2-core x86-64
-    machine).  The running factorial reads the cached bracket table of up to twice the
-    levels, ~48 B per entry: 8 B kept, beside the list of Python floats it is built from
-    or the one the sweep reads its levels from (~32 B each; 40 B per entry traced in all).
-    The sweep's fixed objects take 8 KiB: its generator, each moment's small arrays and
+    machine).  The sweep reads [m]! from a list of Python floats, ~40 B per level with the
+    array it is built from, and the power table of q^2 holds 8 B per entry of up to twice
+    the levels for their brackets.  The sweep's fixed objects take 8 KiB: its generator, each moment's small arrays and
     floats, and what a first call allocates (up to 6.4 kB above the rest, measured).
     """
     half_from, grid, extra = _moment_grid(params, 0, beta, rel_tol)
     points = levels * (half_from + 1) + (grid - half_from) * (1.0 + math.log(levels))
     work = _moment_cost(points, levels * extra)[1] + 50_000 * levels
-    return _moment_cost(grid, extra)[0] + 48 * _table_entries(levels) + 8192, work, points
+    return _moment_cost(grid, extra)[0] + 8 * _table_entries(levels) + 40 * levels + 8192, work, points
 
 
 def _moment_deviations(params: DeformationParams, levels: int, beta: float = 2, rel_tol: float = 1e-15):
     """|jackson_moment(params, m, beta, rel_tol) / [m]! - 1| for m < ``levels``, in order.
 
-    [m]! is the running product of the bracket table: the multiplications
-    :func:`q_factorial` performs, so every deviation is the same bit for bit, at
-    O(1) per level.  Each level's moment is taken before its factorial, and the
-    first non-finite product raises q_factorial's OverflowError.
+    [m]! is read from :func:`_factorial_array`, the product :func:`q_factorial` takes, so
+    every deviation is the same bit for bit.  Each level's moment is taken before its
+    factorial, and the first that is not finite raises q_factorial's OverflowError.
     """
-    brackets = _bracket_array(params, levels)[:levels].tolist()
-    factorial = 1.0
-    for m in range(levels):
+    for m, factorial in enumerate(_factorial_array(params, levels).tolist()):
         moment = jackson_moment(params, m, beta, rel_tol)
-        if m:
-            factorial *= brackets[m]
-            if not math.isfinite(factorial):
-                raise OverflowError(f"bracket factorial overflows at n={m}, q={params.q}")
-        yield abs(moment / factorial - 1.0)
+        yield abs(moment / _finite_factorial(params, m, factorial) - 1.0)
 
 
 def jackson_moment(
@@ -670,14 +655,15 @@ def jackson_moment(
     request = f"moment {n} at q={params.q} ({grid} grid points, {extra} more product factors)"
     check_budget(request, *_moment_cost(grid, extra))
     # powers of q_sq itself, so the weights sit on the same grid as the steps
-    factors = 1.0 - _rung_powers(params.q_sq, grid + extra) * params.q**beta
+    factors = _power_table(params.q_sq, grid + extra) * params.q**beta
+    np.subtract(1.0, factors, out=factors)
     weights = np.cumprod(factors[::-1])[::-1][:grid]
     # Near q = 1 at large n, x^n overflows on the first grid points while
     # their weight underflows.  (x / radius)^n <= 1 cannot overflow, and a
     # weight that underflows belongs to a term below 1e-308; radius^n comes
     # back in logs, at a relative cost of about |log moment| ulp.
     radius = params.radius
-    scaled = jackson_integral(params, lambda x: (x / radius) ** n * weights, radius, grid)
+    scaled = jackson_integral(params, lambda x: (x / radius) ** n * weights, terms=grid)
     try:
         return math.exp(math.log(scaled) + n * math.log(radius))
     except (ValueError, OverflowError):

@@ -292,20 +292,12 @@ def poly_q_factorial(n: int) -> QPolynomial:
     return _factorial(int(n))
 
 
-# Brackets and factorials are rebuilt for every multinomial and insertion
-# sum; QPolynomial is immutable, so one shared instance per index serves all.
-@functools.lru_cache(maxsize=128)
 def _bracket(n: int) -> QPolynomial:
     return QPolynomial({2 * k: 1 for k in range(n)})
 
 
-def _bracket_bytes(top: int) -> int:
-    """Bytes the bracket cache holds after the brackets [1] to [top] are built in turn:
-    the largest stay cached, at about 90 B per coefficient (a dict entry and its ints)."""
-    kept = min(top, _bracket.cache_parameters()["maxsize"])
-    return 90 * (kept * top - kept * (kept - 1) // 2)
-
-
+# Factorials are rebuilt for every multinomial; QPolynomial is immutable, so one shared
+# instance per index serves all.
 @functools.lru_cache(maxsize=128)
 def _factorial(n: int) -> QPolynomial:
     """[n]! as the running product [n-1]! [n], [n-1]! from the cache when the indices rise

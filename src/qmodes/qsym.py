@@ -29,7 +29,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qcore import WORK_BUDGET, DeformationParams, check_budget, q_factorial, size_estimate
+from .qcore import WORK_BUDGET, DeformationParams, check_budget, size_estimate
+from .qcore import _factorial_array, _finite_factorial, _power_table
 
 __all__ = [
     "Word",
@@ -139,12 +140,6 @@ def _count_vector_blocks(slots: int, total: int, size: int) -> Iterator[np.ndarr
         bounds[:, 0], bounds[:, -1] = 0, total
         bounds[:, 1:-1] = np.fromiter(cuts, dtype=np.int64, count=rows * (slots - 1)).reshape(rows, slots - 1)
         yield bounds[:, 1:] - bounds[:, :-1]
-
-
-def _count_vectors(slots: int, total: int) -> Iterator[tuple[int, ...]]:
-    """The vectors of :func:`_count_vector_blocks`, one tuple at a time."""
-    for block in _count_vector_blocks(slots, total, max(1, _COUNT_BLOCK // slots)):
-        yield from map(tuple, block.tolist())
 
 
 def arrangements(counts: Sequence[int]) -> ArrangementClass:
@@ -339,7 +334,7 @@ def class_entries(params: DeformationParams, n_modes: int, size: int) -> np.ndar
     sorted-word state of the c-th count vector of N letters (lex order) at an arrangement
     with k inversions: prefactor_c q^k, the product ``_state_entries`` forms, bit for bit.
     Gathered at the keys of ``word_keys`` it is every class's state in one n^N vector."""
-    factorials = np.array([q_factorial(params, c) for c in range(size + 1)])
+    factorials = _factorial_array(params, size + 1)
     prefactors = np.empty(math.comb(size + n_modes - 1, n_modes - 1))
     start = 0
     for counts in _count_vector_blocks(n_modes, size, max(1, _COUNT_BLOCK // n_modes)):
@@ -348,9 +343,9 @@ def class_entries(params: DeformationParams, n_modes: int, size: int) -> np.ndar
         for column in counts.T:  # the product over the counts in letter order, as _prefactor
             block *= factorials[column]
         start += len(counts)
-    prefactors /= factorials[size]
+    prefactors /= _finite_factorial(params, size, factorials[size])
     np.sqrt(prefactors, out=prefactors)
-    return prefactors[:, None] * _powers(params.q, size * (size - 1) // 2)
+    return prefactors[:, None] * _power_table(params.q, size * (size - 1) // 2 + 1)
 
 
 def _class_size(counts) -> float:
@@ -509,16 +504,12 @@ def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, fl
 
 def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:
     """sqrt(prod [n_k]! / [N]!), which depends only on q and the letter counts."""
+    size = sum(counts)
+    factorials = _factorial_array(params, size + 1).tolist()
     prefactor = 1.0
     for c in counts:
-        prefactor *= q_factorial(params, c)
-    return math.sqrt(prefactor / q_factorial(params, sum(counts)))
-
-
-def _powers(q: float, top: int) -> np.ndarray:
-    """q**k for k = 0..top, one Python pow per entry: numpy's float power can differ from it
-    in the last bit, and the states must equal the reference sum exactly."""
-    return np.array([q**k for k in range(top + 1)])
+        prefactor *= factorials[c]
+    return math.sqrt(prefactor / _finite_factorial(params, size, factorials[size]))
 
 
 def _dense_class(word: Word, name: str) -> tuple[ArrangementClass, np.ndarray]:
@@ -549,7 +540,7 @@ def _state_entries(arrangement: ArrangementClass, params: DeformationParams, wor
     R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)},
     over the q^k up to the class's most inversions, sum_{i<j} c_i c_j, no more than its rows."""
     counts = arrangement.counts
-    powers = _powers(params.q, (sum(counts) ** 2 - sum(c * c for c in counts)) // 2)
+    powers = _power_table(params.q, (sum(counts) ** 2 - sum(c * c for c in counts)) // 2 + 1)
     base = powers[word_inversions] * _prefactor(params, counts)
     return (base * powers)[arrangement.inversions]
 
@@ -606,7 +597,7 @@ def exchange_check(
     shape = (n_modes ** (k - 1), n_modes, n_modes, n_modes ** (size - k - 1))
     words = states.reshape(shape)  # refuses a vector that does not hold the n^N words
     letters = np.arange(n_modes)
-    comparator = np.array([params.q**-1, 1.0, params.q])[np.sign(np.subtract.outer(letters, letters)) + 1]
+    comparator = _exchange_factors(params)[np.sign(np.subtract.outer(letters, letters)) + 1]
     factors = np.broadcast_to(comparator[:, :, np.newaxis], shape)
     image = words.swapaxes(1, 2) * factors  # f x_s at each word w
     residuals = np.subtract(words, image)
@@ -615,6 +606,11 @@ def exchange_check(
     allowance = 4 * 2**-53 * float(image.max(initial=0.0))
     image[...] = factors  # the image is spent: its buffer returns the factors
     return image.ravel(), residuals.ravel(), allowance
+
+
+def _exchange_factors(params: DeformationParams) -> np.ndarray:
+    """q^eps for eps = -1, 0, 1, each a Python float power."""
+    return np.array([params.q**-1, 1.0, params.q])
 
 
 def _index_type(words: int) -> type:
@@ -653,11 +649,10 @@ def transposition_op(
     # index + (left - right) * stride_right + (right - left) * stride_left
     swapped -= step * (stride_left - stride_right)
     # row w holds the weight of the word it comes from, swapped(w), whose
-    # eps is -eps(w): q^{-eps} there is q^{eps(w)}, one numpy power per value
-    weights = params.q ** np.array([-1.0, 0.0, 1.0])
+    # eps is -eps(w): q^{-eps} there is q^{eps(w)}
     np.sign(step, out=step)
     step += 1
-    return swapped, weights[step]
+    return swapped, _exchange_factors(params)[step]
 
 
 def norm_identity_exact(counts: Sequence[int]):
@@ -667,7 +662,7 @@ def norm_identity_exact(counts: Sequence[int]):
     by inversion count; their equality is the closed form for the norms of q-symmetrized
     states.  Import is deferred so the tensor layer stays float-only unless it is requested.
     """
-    from .qpoly import QPolynomial, _bracket_bytes, _factorial_bytes, poly_q_multinomial
+    from .qpoly import QPolynomial, _factorial_bytes, poly_q_multinomial
 
     counts = tuple(int(c) for c in counts)
     if not counts:
@@ -677,7 +672,7 @@ def norm_identity_exact(counts: Sequence[int]):
     size = sum(counts)
     work = sum(_identity_cost(1, t) for t in range(size + 1))
     work += 70_000 + 30 * size**4 if sum(c > 0 for c in counts) > 1 else 0
-    check_budget("norm_identity_exact on the class {}", _factorial_bytes(size) + _bracket_bytes(size), work, counts)
+    check_budget("norm_identity_exact on the class {}", _factorial_bytes(size), work, counts)
     tally = np.bincount(arrangements(counts).inversions)
     arrangement_sum = QPolynomial({2 * k: int(number) for k, number in enumerate(tally) if number})
     return arrangement_sum, poly_q_multinomial(counts)

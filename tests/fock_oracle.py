@@ -9,7 +9,7 @@ block is sliced out afterwards.  The tests compare the kernel against it,
 deviation by deviation, for exact equality.
 
 The reference builders below assemble each operator the plain scipy way,
-from coordinate lists with a per-state float power, followed by
+from coordinate lists with a per-state Python float power, followed by
 ``eliminate_zeros``; the tests require ``op.tocsr()`` of the library's
 weighted shifts to equal them entry for entry.
 """
@@ -39,13 +39,18 @@ def _brackets(cfg: FockSpaceConfig, occupations: np.ndarray) -> np.ndarray:
     return rungs[occupations]
 
 
+def _float_powers(base: float, exponents: np.ndarray) -> np.ndarray:
+    """base ** s for each state's exponent s, one Python float power per state."""
+    return np.array([base**s for s in exponents.tolist()], dtype=np.float64)
+
+
 def reference_operator(cfg: FockSpaceConfig, kind: str, i: int) -> sp.csr_matrix:
     """a_i, a_i^dag, N_i or Q_i (``kind`` names the library builder) as a scipy CSR matrix."""
     params, occ, dim = cfg.params, occupation_table(cfg), cfg.dimension
     stride = cfg.cutoff ** (cfg.modes - i)
     if kind in ("number_op", "scale_op"):
         occupation = occ[:, i - 1].astype(np.float64)
-        diagonal = occupation if kind == "number_op" else params.q_sq**occupation
+        diagonal = occupation if kind == "number_op" else _float_powers(params.q_sq, occupation)
         return sp.diags(diagonal, format="csr", shape=(dim, dim))
     if kind == "annihilator":
         source = np.nonzero(occ[:, i - 1] > 0)[0]
@@ -53,7 +58,7 @@ def reference_operator(cfg: FockSpaceConfig, kind: str, i: int) -> sp.csr_matrix
     else:
         source = np.nonzero(occ[:, i - 1] < cfg.cutoff - 1)[0]
         rung, target = occ[source, i - 1] + 1, source + stride
-    amplitude = params.q ** occ[source, i:].sum(axis=1) * np.sqrt(_brackets(cfg, rung))
+    amplitude = _float_powers(params.q, occ[source, i:].sum(axis=1)) * np.sqrt(_brackets(cfg, rung))
     matrix = sp.csr_matrix((amplitude, (target, source)), shape=(dim, dim))
     matrix.eliminate_zeros()
     return matrix
@@ -134,7 +139,7 @@ def reference_verify_algebra(
 
     for a in range(n):
         suffix_after = occ[:, a + 1 :].sum(axis=1).astype(np.float64)
-        diagonal = q_sq**suffix_after * _brackets(cfg, occ[:, a])
+        diagonal = _float_powers(q_sq, suffix_after) * _brackets(cfg, occ[:, a])
         target = sp.diags(diagonal.astype(np.complex128), format="csr")
         worst["normal_product_diagonal"] = max(
             worst["normal_product_diagonal"], dev(raise_[a] @ lower[a] - target)
@@ -142,7 +147,7 @@ def reference_verify_algebra(
 
     for a in range(n):
         suffix_from = occ[:, a:].sum(axis=1).astype(np.float64)
-        scale_product = sp.diags((q_sq**suffix_from).astype(np.complex128), format="csr")
+        scale_product = sp.diags(_float_powers(q_sq, suffix_from).astype(np.complex128), format="csr")
         worst["ladder_commutator_scale_product"] = max(
             worst["ladder_commutator_scale_product"],
             dev(lower[a] @ raise_[a] - raise_[a] @ lower[a] - scale_product),

@@ -21,17 +21,23 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from qmodes import qsym
 from qmodes.qcore import DeformationParams, q_factorial
 from qmodes.qsym import (
     ArrangementClass,
     Word,
-    _count_vectors,
-    _powers,
+    _count_vector_blocks,
     _state_entries,
     inversion_count,
     q_symmetrize,
     sign_compare,
 )
+
+
+def _count_vectors(slots: int, total: int) -> Iterator[tuple[int, ...]]:
+    """The vectors of ``qsym._count_vector_blocks``, one tuple at a time."""
+    for block in _count_vector_blocks(slots, total, max(1, qsym._COUNT_BLOCK // slots)):
+        yield from map(tuple, block.tolist())
 
 
 def multiset_arrangements(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -156,7 +162,7 @@ def reference_exchange_table(
     counts, index, inversions = arrangement.counts, arrangement.index, arrangement.inversions
     n_modes, size = len(counts), sum(counts)
     levels = np.flatnonzero(np.bincount(inversions))
-    powers = _powers(params.q, size * (size - 1) // 2)
+    powers = np.array([params.q**k for k in range(size * (size - 1) // 2 + 1)])
     table = _state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
     comparator = np.array(
         [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
@@ -191,7 +197,7 @@ def reference_transposition(
     left = index // stride_left % n_modes
     right = index // stride_right % n_modes
     target = index + (left - right) * stride_right + (right - left) * stride_left
-    weight = params.q ** (-np.sign(left - right).astype(np.float64))
+    weight = np.array([params.q ** -sign_compare(a, b) for a, b in zip(left.tolist(), right.tolist())])
     matrix = sp.csr_matrix((weight, (target, index)), shape=(dim, dim))
     matrix.eliminate_zeros()
     return matrix

@@ -30,7 +30,6 @@ from qmodes.cli import (
 )
 from qmodes import cli, coherent, fock, qcore, qpoly, qsym
 from qmodes.qpoly import QPolynomial, insertion_tallies
-from qmodes.qsym import _count_vectors
 from qmodes.fock import RELATION_FAMILIES
 from qmodes.qcore import (
     DeformationParams,
@@ -43,7 +42,7 @@ from qmodes.qcore import (
 )
 from qcore_oracle import reference_q_exp, reference_q_exp_product
 from qpoly_oracle import reference_insertion_sum
-from qsym_oracle import pair_matrix, reference_transposition_deviations
+from qsym_oracle import _count_vectors, pair_matrix, reference_transposition_deviations
 
 CORRUPTION_SENSITIVE = {
     "annihilator_annihilator_swap",
@@ -312,10 +311,10 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
             assert qsym._multisets(n, s) == multisets
             work += qsym._words_cost(n, s)[1] + qsym._identity_cost(n, s)
         # the kernel beside the total's table, then a block of count vectors with its sorted
-        # copy and stacked target rows, qpoly's cached factorials and brackets, and the records
+        # copy and stacked target rows, qpoly's cached factorials, and the records
         width, vectors = N * (N - 1) // 2 + 1, min(len(classes[N]), max(1, qsym._COUNT_BLOCK // n))
         nbytes = qsym._words_cost(n, N)[0] + 8 * len(classes[N]) * width + vectors * (24 * n + 17 * width)
-        nbytes += 400 * (N + 1) + qpoly._factorial_bytes(N) + qpoly._bracket_bytes(N)
+        nbytes += 400 * (N + 1) + qpoly._factorial_bytes(N)
         assert estimate("identity", N) == pytest.approx((nbytes, work), rel=1e-9)
 
 
@@ -520,11 +519,11 @@ def test_verify_algebra_requests_hold_nothing_once_they_return(capsys):
 
 
 def test_a_long_moment_sweep_holds_one_bracket_table_once_it_returns(tmp_path, capsys):
-    # the sweep reads one read-only table of brackets per q, 2^15 floats (262 kB), and drops
+    # the sweep reads one read-only table of powers of q^2, 2^15 floats (262 kB), and drops
     # it once the request returns: some 30 kB of the interpreter's own stay behind
     out = ["--out", str(tmp_path / "report.txt")]
     run_cli(["jackson", "moments", "--q", "0.5", "--N", "1"] + out, capsys)  # the parser and lazy imports
-    qcore._bracket_values.cache_clear()
+    qcore._held_powers.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -551,7 +550,7 @@ def test_a_long_moment_sweep_holds_one_bracket_table_once_it_returns(tmp_path, c
 )
 def test_a_request_leaves_no_table_behind(argv, capsys):
     run_cli(argv, capsys)
-    for table in (qcore._bracket_values, qcore._coefficients, qpoly._bracket, qpoly._factorial, qsym._prefix_extensions):
+    for table in (qcore._held_powers, qpoly._factorial, qsym._prefix_extensions):
         assert table.cache_info().currsize == 0, table.__name__
 
 
@@ -881,8 +880,7 @@ def _peak_and_estimate(argv, monkeypatch):
     monkeypatch.setattr(cli, "check_budget", recorded)
     namespace = build_parser().parse_args(argv)
     config = config_from_namespace(namespace)
-    qcore._bracket_values.cache_clear()
-    qcore._coefficients.cache_clear()
+    qcore._held_powers.cache_clear()
     tracemalloc.start()
     try:
         records, _ = _handler(namespace)(config)
@@ -897,10 +895,13 @@ def _peak_and_estimate(argv, monkeypatch):
 @pytest.mark.parametrize(
     ("q", "points"),
     [(q, points) for q in ("0.3", "0.9", "0.98", "0.99") for points in ("50", "200", "400")]
-    + [(q, points) for q in ("0.998", "0.999") for points in ("1", "7")],
+    + [(q, points) for q in ("0.998", "0.999") for points in ("1", "7")]
+    # requests of fewer points than rings are charged at the rings they sample, --x at |x|
+    + [("0.5", "1"), ("0.9", "3"), ("0.9995", "3"), ("0.9", "--x 0.3")],
 )
 def test_qexp_sweep_peaks_within_its_estimate(q, points, monkeypatch):
-    peak, estimate = _peak_and_estimate(["qexp", "eval", "--q", q, "--points", points], monkeypatch)
+    sampled = points.split() if points.startswith("--") else ["--points", points]
+    peak, estimate = _peak_and_estimate(["qexp", "eval", "--q", q] + sampled, monkeypatch)
     assert 0.3 * estimate <= peak <= estimate
 
 
@@ -992,7 +993,6 @@ def _handler_peak_and_estimate(argv, monkeypatch):
     monkeypatch.setattr(cli, "check_budget", recorded)
     namespace = build_parser().parse_args(argv)
     config = config_from_namespace(namespace)
-    qpoly._bracket.cache_clear()
     qpoly._factorial.cache_clear()
     tracemalloc.start()
     try:

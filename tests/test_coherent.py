@@ -215,7 +215,7 @@ def test_uncompensated_eigenvalue_relation_visibly_fails():
     cutoff = suggest_cutoff(params, z, tail_tol=1e-14)
     state = build_coherent(CoherentSpec(z, params, cutoff), tail_tol=1e-14)
     shifted = build_coherent(state.spec.shifted(1), tail_tol=1e-14)
-    lhs = [_lowered(params, state.vector[0]), qcore._rung_powers(params.q, cutoff) * state.vector[1]]
+    lhs = [_lowered(params, state.vector[0]), qcore._power_table(params.q, cutoff) * state.vector[1]]
     naive = telescoping_bound(lhs, [z[0] * shifted.vector[0], shifted.vector[1]])
     report = check_eigenvalue(state, 1)
     assert naive > 1e-3
@@ -336,7 +336,7 @@ def test_factored_residual_is_the_telescoping_bound_of_its_factors():
     params = DeformationParams(0.7)
     spec = spec_grid(params, 4, points=1, tail_tol=1e-12)[0]
     state = build_coherent(spec, tail_tol=math.inf)
-    powers = qcore._rung_powers(params.q, spec.cutoff)
+    powers = qcore._power_table(params.q, spec.cutoff)
     for mode in range(1, 5):
         shifted = build_coherent(spec.shifted(mode), tail_tol=math.inf)
         ratios = [math.sqrt(1.0 - (1.0 - params.q_sq) * abs(z) ** 2) for z in spec.z]
@@ -375,7 +375,7 @@ def test_kronecker_factors_equal_the_annihilator(modes):
     cutoff = 5
     identity = np.eye(cutoff)
     lower = np.column_stack([_lowered(params, column) for column in identity])
-    twist = np.diag(qcore._rung_powers(params.q, cutoff))
+    twist = np.diag(qcore._power_table(params.q, cutoff))
     cfg = FockSpaceConfig(modes, cutoff, params)
     for i in range(1, modes + 1):
         product = np.ones((1, 1))

@@ -145,29 +145,25 @@ def test_creator_is_adjoint_of_annihilator():
 
 
 def test_the_ladder_grids_read_qcore_s_bracket_table(monkeypatch):
-    # scale qcore's table by (1 + 2^-30) from [2] on: every amplitude that reads [k], k >= 2,
+    # scale qcore's brackets by (1 + 2^-30) from [2] on: every amplitude that reads [k], k >= 2,
     # moves by its square root, and no other does, so fock forms no bracket of its own
     cfg = cfg_for(q=0.5, modes=2, cutoff=6)
     kernels = {fock._annihilator_grid: 0, fock._creator_grid: 1}  # [n_i + shift] at each column
     honest = {(kernel, i): kernel(cfg, i) for kernel in kernels for i in (1, 2)}
-    table = qcore._bracket_values
+    brackets = qcore._bracket_array
 
-    def scaled(params, entries):
-        values = table(params, entries).copy()
-        values[2:] *= 1.0 + 2.0**-30
+    def scaled(params, size, first=0):
+        values = brackets(params, size, first)
+        values[max(0, 2 - first) :] *= 1.0 + 2.0**-30
         return values
 
-    table.cache_clear()
-    monkeypatch.setattr(qcore, "_bracket_values", scaled)
-    try:
-        for (kernel, i), grid in honest.items():
-            moved = kernel(cfg, i)
-            rung = occupation_table(cfg)[:, i - 1].reshape(grid.shape) + kernels[kernel]
-            ratio = np.divide(moved, grid, out=np.ones_like(grid), where=grid != 0)
-            assert np.all(ratio[rung < 2] == 1.0)
-            assert np.all(np.abs(ratio[(rung >= 2) & (grid != 0)] - math.sqrt(1.0 + 2.0**-30)) < 1e-15)
-    finally:
-        table.cache_clear()
+    monkeypatch.setattr(fock, "_bracket_array", scaled)
+    for (kernel, i), grid in honest.items():
+        moved = kernel(cfg, i)
+        rung = occupation_table(cfg)[:, i - 1].reshape(grid.shape) + kernels[kernel]
+        ratio = np.divide(moved, grid, out=np.ones_like(grid), where=grid != 0)
+        assert np.all(ratio[rung < 2] == 1.0)
+        assert np.all(np.abs(ratio[(rung >= 2) & (grid != 0)] - math.sqrt(1.0 + 2.0**-30)) < 1e-15)
 
 
 def test_mode_index_bounds():
@@ -268,6 +264,25 @@ def test_corruption_needs_interior_support():
     cfg = cfg_for(modes=1, cutoff=2)
     with pytest.raises(ValueError):
         corrupted_annihilator(cfg, 1)
+
+
+def test_the_corrupted_entry_is_the_first_with_row_and_column_in_the_interior():
+    # the interior search by occupation table, against the entry the corruption scales
+    for q in (0.05, 0.5, 0.95):
+        for modes in range(1, 6):
+            for cutoff in range(3, 9):
+                cfg = cfg_for(q=q, modes=modes, cutoff=cutoff)
+                inside = np.zeros(cfg.dimension, dtype=bool)
+                inside[interior_indices(cfg)] = True
+                for i in range(1, modes + 1):
+                    honest = annihilator(cfg, i)
+                    first = np.flatnonzero(inside[honest.rows()] & inside[honest.indices])[0]
+                    expected = honest.data.copy()
+                    expected[first] *= 1.0 + 1e-6
+                    corrupted = corrupted_annihilator(cfg, i)
+                    assert corrupted.data.tobytes() == expected.tobytes(), (q, modes, cutoff, i)
+                    assert np.array_equal(corrupted.indices, honest.indices)
+                    assert np.array_equal(corrupted.indptr, honest.indptr)
 
 
 def _oracle_cases():
@@ -426,12 +441,12 @@ def test_a_shift_operator_stores_at_most_one_entry_per_row_and_column():
 )
 def test_verify_algebra_peaks_within_the_config_estimate(modes, cutoff, monkeypatch):
     # FockSpaceConfig admits or refuses a request on the bytes it hands check_budget.  The
-    # bracket table is built cold: at one mode and a cutoff just past 64 * 2^j it holds
-    # nearly 2 entries per state
+    # power tables are built cold: at one mode and a cutoff just past 64 * 2^j the table of
+    # q^2 holds nearly 2 entries per state
     estimates = []
     monkeypatch.setattr(fock, "check_budget", lambda request, nbytes, work: estimates.append(nbytes))
     cfg = FockSpaceConfig(modes, cutoff, DeformationParams(0.5))
-    qcore._bracket_values.cache_clear()
+    qcore._held_powers.cache_clear()
     tracemalloc.start()
     try:
         verify_algebra(cfg)

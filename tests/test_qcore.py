@@ -13,6 +13,7 @@ import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,10 @@ from qmodes.qcore import (
     _factors_for,
     _MAX_TERMS,
     _SERIES_ENTRIES,
-    _bracket_values,
+    _factor_coefficients,
+    _factorial_array,
+    _held_powers,
+    _power_table,
     _moment_deviations,
     _moments_cost,
     _q_exp_product_tail,
@@ -162,11 +166,46 @@ def test_q_exp_tail_bound_is_honest():
         assert abs(coarse.value - fine.value) <= coarse.tail_bound * (1.0 + 1e-9) + 1e-15
 
 
+def _floats(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.999, 0.99999])
+def test_the_per_q_tables_are_python_s_float_expressions_bit_for_bit(q):
+    # the one power table, built at once or grown in steps, and the tables derived from it,
+    # against Python's own float expressions up to 2^16 entries
+    params, size = DeformationParams(q), 2**16
+    for base in (params.q, params.q_sq):
+        expected = [base**k for k in range(size)]
+        _held_powers.cache_clear()
+        assert _power_table(base, size).tobytes() == _floats(expected)
+        _held_powers.cache_clear()
+        for grown in (1, 3, 100, 5000, size):
+            table = _power_table(base, grown)
+            assert table.tobytes() == _floats(expected[:grown]) and not table.flags.writeable
+    brackets = [q_number(params, k) for k in range(size)]
+    assert _bracket_array(params, size).tobytes() == _floats(brackets)
+    assert _bracket_array(params, size, 1000).tobytes() == _floats(brackets[1000:])
+    products = [1.0]
+    for bracket in brackets[1:]:
+        products.append(products[-1] * bracket)
+    assert _factorial_array(params, size).tobytes() == _floats(products)
+    finite = [math.isfinite(value) for value in products]
+    top = finite.index(False) if False in finite else size  # the first [n]! past the float range
+    for n in sorted({*range(min(top, 300)), *(2**j for j in range(16) if 2**j < top), top - 1}):
+        assert q_factorial(params, n) == products[n]
+    if top < size:
+        with pytest.raises(OverflowError):
+            q_factorial(params, top)
+    q_sq = params.q_sq
+    assert _factor_coefficients(params, size).tobytes() == _floats([(1 - q_sq) * q_sq**n for n in range(size)])
+
+
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.97, 0.99])
 def test_tabled_series_and_products_equal_the_per_term_loops(q):
     params = DeformationParams(q)
     table = _bracket_array(params, 300)
-    assert len(table) >= 300 and not table.flags.writeable
+    assert len(table) >= 300 and not _power_table(params.q_sq, 300).flags.writeable
     assert all(value == q_number(params, k) for k, value in enumerate(table.tolist()))
     for x in disk_samples(params, 36) + [0.0, 0.5 * params.radius, -0.9 * params.radius]:
         assert q_exp(params, x) == reference_q_exp(params, x)
@@ -283,7 +322,7 @@ def test_series_kernel_refusals_name_their_point():
 def test_moment_sweep_peaks_within_its_estimate(q, levels):
     params = DeformationParams(q)
     estimate = _moments_cost(params, levels, 2, 1e-15)[0]
-    _bracket_values.cache_clear()  # the sweep builds its bracket table
+    _held_powers.cache_clear()  # the sweep builds its power table
     tracemalloc.start()
     try:
         for _ in _moment_deviations(params, levels):
@@ -377,11 +416,9 @@ def test_disk_samples_layout():
 def test_jackson_integral_contract():
     params = DeformationParams(0.5)
     with pytest.raises(DomainError):
-        jackson_integral(params, lambda x: x, upper=1.0, terms=10)
-    with pytest.raises(DomainError):
-        jackson_integral(params, lambda x: x, upper=params.radius, terms=0)
+        jackson_integral(params, lambda x: x, terms=0)
     with pytest.raises(ValueError):
-        jackson_integral(params, lambda x: float("nan"), upper=params.radius, terms=4)
+        jackson_integral(params, lambda x: float("nan"), terms=4)
 
 
 def test_jackson_integral_of_power_closed_form():
@@ -390,7 +427,7 @@ def test_jackson_integral_of_power_closed_form():
     for q in Q_GRID:
         params = DeformationParams(q)
         for n in range(0, 6):
-            value = jackson_integral(params, lambda x: x**n, params.radius, terms=2000)
+            value = jackson_integral(params, lambda x: x**n, terms=2000)
             closed = params.radius ** (n + 1) / q_number(params, n + 1)
             assert value == pytest.approx(closed, rel=1e-12)
 

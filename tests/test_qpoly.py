@@ -21,9 +21,10 @@ from qmodes.qpoly import (
     poly_q_multinomial,
     poly_q_number,
 )
-from qmodes.qsym import _count_vectors, norm_identity_exact
+from qmodes.qsym import norm_identity_exact
 
 from qpoly_oracle import reference_divmod, reference_insertion_sum
+from qsym_oracle import _count_vectors
 
 coefficients = st.one_of(
     st.integers(min_value=-6, max_value=6),

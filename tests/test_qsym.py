@@ -21,7 +21,6 @@ from qmodes.qsym import (
     _class_cost,
     _class_size,
     _class_totals,
-    _count_vectors,
     _largest_class,
     arrangements,
     bosonic_symmetrize,
@@ -37,6 +36,7 @@ from qmodes.qsym import (
     word_tallies,
 )
 from qsym_oracle import (
+    _count_vectors,
     multiset_arrangements,
     pair_matrix,
     reference_exchange_check,

@@ -1,9 +1,12 @@
-"""Every public function and method of the layer modules is reached by a verb, or kept for a stated reason.
+"""Every public function and method, and every module-level private function, of the layer
+modules is reached by a verb, or kept for a stated reason.
 
 The scan runs each verb at its defaults, and the options that switch a verb onto
 another route, in text and in JSON, under ``sys.setprofile``.  A public name that
 no run calls must be listed in ``KEPT`` with the reason it stays; a listed name
 that a run calls, or that no longer exists, fails too, so the list cannot go stale.
+Private functions are scanned at module level only, each cached one through the
+function it wraps; dunders are left out.
 """
 
 import contextlib
@@ -57,6 +60,12 @@ KEPT = {
     "as do the benchmark's tracer and the tests' oracles",
     "qsym.Word.size": "q_symmetrize, bosonic_symmetrize and swap_adjacent size a word through it",
     "qcore.q_number": "q_exp_series, scripts/classical_limit_scan.py and the oracles read the bracket through it",
+    "qcore.q_factorial": "the scalar [n]! of the public API, which the tests check the factorial table against; "
+    "the benchmark's tracer wraps it",
+    "qsym._dense_class": "the dense-vector guard that q_symmetrize and bosonic_symmetrize share",
+    "fock.interior_indices": "the tests' oracles slice the interior through it, and check the corrupted entry "
+    "against its interior search",
+    "fock.occupation_table": "interior_indices and the tests' oracles read the occupations through it",
     "fock.encode_occupation": "the tests' index helper",
     "cli.strip_timing": "the byte-determinism contract: reports equal byte for byte once timings are zeroed",
     "qsym.Word.swap_adjacent": _ORACLES,
@@ -77,16 +86,21 @@ def _function(obj):
         obj = obj.fget
     elif isinstance(obj, functools.cached_property):
         obj = obj.func
+    elif callable(getattr(obj, "cache_info", None)):  # an lru_cache
+        obj = obj.__wrapped__
     return obj if inspect.isfunction(obj) else None
 
 
 def public_names() -> dict[str, tuple[str, str]]:
-    """Each public function and method the layer modules define: name -> (file, qualified name)."""
+    """Each public function and method and each module-level private function the layer
+    modules define: name -> (file, qualified name)."""
     names = {}
     for module in LAYERS:
         layer = module.__name__.rsplit(".", 1)[1]
         for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            if name.startswith("__") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if name.startswith("_") and (inspect.isclass(obj) or _function(obj) is None):
                 continue
             members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
             for member, value in members:
@@ -103,6 +117,7 @@ def reached():
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
+    cli._PARSER = None  # and a parser built earlier, the calls that built it
     files = {module.__file__ for module in LAYERS}
     calls = set()
 
