@@ -190,10 +190,17 @@ def _elapsed_ms(start: float) -> int:
 # Command implementations.  Each returns (records, extra stdout lines).
 
 
+def _each_q(q_values: Sequence[float]):
+    """Each q with its parameters, in turn.  The power tables built for one q go before the
+    next q's, so a verb that sizes its q one at a time holds one q's tables at a time."""
+    for q in q_values:
+        yield q, DeformationParams(q)
+        qcore._held_powers.cache_clear()
+
+
 def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     records = []
-    for q in config.q_values:
-        params = DeformationParams(q)
+    for q, params in _each_q(config.q_values):
         cfg = fock.FockSpaceConfig(config.modes, config.cutoff, params)
         lowers = None
         if config.inject_corruption:
@@ -224,18 +231,17 @@ def _parse_x(text: str) -> complex:
 
 def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     # per q, the kernels on one batch of samples at a time, beside the list of all the
-    # samples (40 B each)
+    # samples (40 B each); each q's power tables go before the next q's are built
     points = 1 if config.x is not None else config.points
     batch = min(points, _QEXP_BATCH)
     nbytes = work = 0.0
-    for q in config.q_values:
-        batch_bytes, batch_work = qcore._qexp_cost(DeformationParams(q), batch, config.x)
+    for _, params in _each_q(config.q_values):
+        batch_bytes, batch_work = qcore._qexp_cost(params, batch, config.x)
         nbytes, work = max(nbytes, batch_bytes + 40 * points), work + batch_work * points / batch
     check_budget(f"qexp eval of {points} points", nbytes, work)
     records = []
     extra = []
-    for q in config.q_values:
-        params = DeformationParams(q)
+    for q, params in _each_q(config.q_values):
         if config.x is not None:
             if abs(config.x) >= params.radius:
                 records.append(
@@ -281,16 +287,17 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
 def run_jackson(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     levels, rel_tol = config.particles + 1, min(config.tol * 1e-2, 1e-12)
-    # per q the moment sweep, beside the records of every q, all kept for the report: ~3 kB
-    # and ~30 us each for the record, its JSON and its line of the rendered report
+    # per q the moment sweep, whose power tables go before the next q's, beside the records
+    # of every q, all kept for the report: ~3 kB and ~30 us each for the record, its JSON and
+    # its line of the rendered report
     costs = [qcore._moments_cost(DeformationParams(q), levels, 2, rel_tol) for q in config.q_values]
     checks = levels * len(costs)
     request = f"jackson moments up to n={config.particles} ({sum(cost[2] for cost in costs):.3g} grid points)"
     nbytes, work = max(cost[0] for cost in costs) + 3000 * checks, sum(cost[1] for cost in costs) + 30_000 * checks
     check_budget(request, nbytes, work)
     records = []
-    for q in config.q_values:
-        deviations = qcore._moment_deviations(DeformationParams(q), levels, rel_tol=rel_tol)
+    for q, params in _each_q(config.q_values):
+        deviations = qcore._moment_deviations(params, levels, rel_tol=rel_tol)
         for n in range(levels):
             start = time.perf_counter()
             deviation = next(deviations)
@@ -444,17 +451,18 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         per_q += qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
         return qsym._words_cost(n, size)[1] + len(config.q_values) * per_q
 
-    # the top size's keys, beside the sweep's check records (~320 B each) and, in turn, the
-    # all-words kernel forming them; the class entries and the state vector gathered from
-    # them; one transposition or one exchange kernel call, never both, beside that vector
-    # and ~12 KiB of numpy headers and views
+    # the top size's keys, beside the sweep's check records (~320 B each) and every q's power
+    # tables (grown in steps over the sizes: under N^2 - N + 2 powers of q and 2 (N + 1) of
+    # q^2, 8 B each) and, in turn, the all-words kernel forming them; the class entries and
+    # the state vector gathered from them; one transposition or one exchange kernel call,
+    # never both, beside that vector and ~12 KiB of numpy headers and views
     words = qsym._class_totals(n, N)[1]
     nbytes = max(
         qsym._words_cost(n, N)[0],
         8 * words + qsym._entries_cost(n, N)[0],
         8 * words + max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0]) + 12_288,
     )
-    nbytes += 8 * words + 320 * 3 * (N - 1) * len(config.q_values)
+    nbytes += 8 * words + (320 * 3 * (N - 1) + 8 * (N * N + N + 4)) * len(config.q_values)
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
     records = []
     for size in range(2, N + 1):
@@ -510,8 +518,7 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     if config.word is not None:
         word = _parse_word(config.word, config.modes)
         norms = []  # the norm's own guard admits the word's class before any letter is counted
-        for q in config.q_values:
-            params = DeformationParams(q)
+        for q, params in _each_q(config.q_values):
             start = time.perf_counter()
             norms.append((q, params, qsym.fundamental_norm(word, params), _elapsed_ms(start)))
         law_exponent = 2 * qsym.inversion_count(word.letters)
@@ -530,8 +537,7 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     nbytes, work = qsym._class_cost(qsym._largest_class(n, N))
     check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, samples * len(config.q_values) * work)
     rng = random.Random(config.seed)
-    for q in config.q_values:
-        params = DeformationParams(q)
+    for q, params in _each_q(config.q_values):
         start = time.perf_counter()
         worst = 0.0
         for _ in range(samples):

@@ -52,7 +52,6 @@ from .qcore import (
     _moments_cost,
     _power_table,
     _series_terms,
-    _table_entries,
     q_exp_reciprocal,
 )
 
@@ -424,10 +423,11 @@ def _check_cost(params: DeformationParams, modes: int, cutoff: int, points: int)
     |z|^2 = radius, where the most are needed.  A state's factor stacks
     hold ~64 B per mode and cutoff entry.  Each of the modes + 1 checks of
     a point keeps ~3 kB: its share of the spec, its record, the record's
-    JSON and its line of the rendered report.  The power tables take 8 B per
-    entry: q's the cutoff, q^2's the factors and the cutoff search's brackets.
+    JSON and its line of the rendered report.  The power tables, grown in steps,
+    take 8 B per entry of up to twice the most read of them: q's the cutoff,
+    q^2's the factors and the cutoff search's brackets.
     """
     factors = _factors_for(params, params.radius, 1e-15)
-    tables = 8 * (_table_entries(max(factors, cutoff) + _SERIES_ENTRIES // 8) + _table_entries(cutoff))
+    tables = 16 * (max(factors, cutoff) + _SERIES_ENTRIES // 8 + 1 + cutoff)
     nbytes = 64 * modes * cutoff + 3000 * points * (modes + 1) + tables
     return nbytes, points * (2000 * modes * cutoff + 250 * (2 * modes - 1) * factors)

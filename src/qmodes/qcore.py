@@ -98,14 +98,6 @@ def q_number(params: DeformationParams, x: float) -> float:
     return value
 
 
-def _table_entries(size: int) -> int:
-    """64 * 2^j, the least such that holds ``size``: the sizes a power table grows through."""
-    entries = 64
-    while entries < size:
-        entries *= 2
-    return entries
-
-
 @functools.lru_cache(maxsize=64)
 def _held_powers(base: float) -> list[np.ndarray]:
     """A list holding the one power table of ``base``, which :func:`_power_table` grows."""
@@ -114,11 +106,14 @@ def _held_powers(base: float) -> list[np.ndarray]:
 
 def _power_table(base: float, size: int) -> np.ndarray:
     """base ** k for k < ``size``: a read-only view of the one table of Python float powers
-    per base (q or q^2) that every per-q table reads, grown on demand."""
+    per base (q or q^2) that every per-q table reads.  A first build holds ``size`` entries;
+    a table too short grows to ``size`` or twice its length, whichever is more, so a table
+    grown in steps holds under twice the most asked of it."""
     base = float(base)
     held = _held_powers(base)
     if held[0].size < size:
-        table, entries = held[0], _table_entries(size)
+        table = held[0]
+        entries = max(size, 2 * table.size)
         grown = np.fromiter(map(base.__pow__, range(table.size, entries)), float, entries - table.size)
         held[0] = np.concatenate((table, grown)) if table.size else grown
         held[0].flags.writeable = False
@@ -504,9 +499,11 @@ def _qexp_cost(params: DeformationParams, points: int, x: complex | None = None)
     terms ~64 B per term of its chunk.  The product is charged at the outer ring: ~25 B
     per factor of a block and 40 B per factor of one point as Python complex numbers,
     each twice, since a block's arrays and its last point's factors are still bound while
-    the next block forms its own.  The power table of q^2 takes 8 B per entry, the values
-    ~600 B per point, the rest 8 KiB.  Fitted on a 2-core x86-64 machine: ~200 ns per
-    series term, ~100 ns per product factor, ~20 us per point, ~0.5 ms per call.
+    the next block forms its own.  The power table of q^2, grown in steps, takes 8 B per
+    entry of up to twice the most a pass or block reads (2 terms and a count's chunk, or
+    the factors), the values ~600 B per point, the rest 8 KiB.  Fitted on a 2-core x86-64
+    machine: ~200 ns per series term, ~100 ns per product factor, ~20 us per point, ~0.5 ms
+    per call.
     """
     if x is None:
         moduli = [fraction * params.radius for fraction in _RINGS[:points]]
@@ -527,7 +524,7 @@ def _qexp_cost(params: DeformationParams, points: int, x: complex | None = None)
     series = history + 64 * entries + 64 * terms * min(_GATHER, live)
     block = max(factors, min(points * factors, _PRODUCT_ENTRIES))
     product = 2 * (25 * block + 40 * factors)
-    table = 8 * _table_entries(max(terms + _SERIES_ENTRIES // 8 + 1, factors))
+    table = 16 * max(2 * terms + _SERIES_ENTRIES // 8, factors)
     work = points * (400 * terms + 100 * factors + 20_000) + 500_000
     return max(series, product, 64 * (_SERIES_ENTRIES // 8)) + table + 600 * points + 8192, work
 
@@ -585,10 +582,11 @@ def _moment_grid(params: DeformationParams, n: int, beta: float, rel_tol: float)
     return half_from, grid, extra
 
 
-def _moment_cost(grid: float, extra: float) -> tuple[float, float]:
+def _moment_cost(grid: float, extra: float, table: float) -> tuple[float, float]:
     # two float arrays over all factors and four over the grid, beside the cached power table
-    # of q^2 that the factors read (8 B per entry); fsum takes ~1.5 us per point
-    return 16 * (grid + extra) + 32 * grid + 8 * _table_entries(grid + extra), 1500 * grid + 20 * extra
+    # of q^2 that the factors read (8 B for each of its ``table`` entries); fsum takes ~1.5 us
+    # per point
+    return 16 * (grid + extra) + 32 * grid + 8 * table, 1500 * grid + 20 * extra
 
 
 def _moments_cost(params: DeformationParams, levels: int, beta: float, rel_tol: float) -> tuple[float, float, float]:
@@ -602,14 +600,16 @@ def _moments_cost(params: DeformationParams, levels: int, beta: float, rel_tol: 
     and so the peak bytes.  Besides its grid and factors, each level costs ~50 us of
     calls (45 to 48 us measured where the grids are a few points, on a 2-core x86-64
     machine).  The sweep reads [m]! from a list of Python floats, ~40 B per level with the
-    array it is built from, and the power table of q^2 holds 8 B per entry of up to twice
-    the levels for their brackets.  The sweep's fixed objects take 8 KiB: its generator, each moment's small arrays and
-    floats, and what a first call allocates (up to 6.4 kB above the rest, measured).
+    array it is built from.  The power table of q^2, 8 B per entry, is first built for the
+    levels' brackets; moment 0's grid and factors, where more, grow it to those or to twice
+    the levels.  The sweep's fixed objects take 8 KiB: its generator, each moment's small
+    arrays and floats, and what a first call allocates (up to 6.4 kB above the rest, measured).
     """
     half_from, grid, extra = _moment_grid(params, 0, beta, rel_tol)
     points = levels * (half_from + 1) + (grid - half_from) * (1.0 + math.log(levels))
-    work = _moment_cost(points, levels * extra)[1] + 50_000 * levels
-    return _moment_cost(grid, extra)[0] + 8 * _table_entries(levels) + 40 * levels + 8192, work, points
+    work = _moment_cost(points, levels * extra, 0)[1] + 50_000 * levels
+    table = max(grid + extra, 2 * levels) if grid + extra > levels else levels
+    return _moment_cost(grid, extra, table)[0] + 40 * levels + 8192, work, points
 
 
 def _moment_deviations(params: DeformationParams, levels: int, beta: float = 2, rel_tol: float = 1e-15):
@@ -653,7 +653,7 @@ def jackson_moment(
         raise DomainError(f"moment order must be a nonnegative integer, got {n!r}")
     _, grid, extra = _moment_grid(params, n, beta, rel_tol)
     request = f"moment {n} at q={params.q} ({grid} grid points, {extra} more product factors)"
-    check_budget(request, *_moment_cost(grid, extra))
+    check_budget(request, *_moment_cost(grid, extra, grid + extra))
     # powers of q_sq itself, so the weights sit on the same grid as the steps
     factors = _power_table(params.q_sq, grid + extra) * params.q**beta
     np.subtract(1.0, factors, out=factors)

@@ -283,9 +283,9 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
             per_q = qsym._transposition_cost(n, s, s - 1, 2 * (s - 1))[1] + qsym._exchange_cost(n, s, s - 1)[1]
             per_q += qsym._entries_cost(n, s)[1]
             work += qsym._words_cost(n, s)[1] + 2 * per_q
-        # the top size's keys and the 3 check records per size and q, beside the kernel, or
-        # the class entries and the state vector, or one transposition or exchange kernel
-        # call beside the state vector and the fixed objects
+        # the top size's keys, the 3 check records per size and q and each q's power tables,
+        # beside the kernel, or the class entries and the state vector, or one transposition
+        # or exchange kernel call beside the state vector and the fixed objects
         assert qsym._class_totals(n, N) == pytest.approx((len(classes[N]), sum(classes[N])), rel=1e-12)
         words = n**N
         nbytes = max(
@@ -293,7 +293,7 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
             8 * words + qsym._entries_cost(n, N)[0],
             8 * words + max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0]) + 12_288,
         )
-        nbytes += 8 * words + 320 * 3 * (N - 1) * 2
+        nbytes += 8 * words + (320 * 3 * (N - 1) + 8 * (N * N + N + 4)) * 2
         assert estimate("exchange", N) == pytest.approx((nbytes, work), rel=1e-9)
 
         # each word's norm is taken on its class, over the letters it uses: the costliest
@@ -869,7 +869,8 @@ def test_qexp_sweep_peaks_under_a_megabyte_whatever_its_points(capsys):
 
 def _peak_and_estimate(argv, monkeypatch):
     """The traced peak of the request ``argv`` once parsed, run with the per-q tables cleared,
-    and the bytes its handler estimated for it: the handler, then its report as JSON."""
+    and the most bytes its handler estimated for it (for ``verify algebra``, the Fock space
+    of any one q): the handler, then its report as JSON."""
     estimates = []
 
     def recorded(request, nbytes, work):
@@ -878,6 +879,7 @@ def _peak_and_estimate(argv, monkeypatch):
 
     check_budget = cli.check_budget
     monkeypatch.setattr(cli, "check_budget", recorded)
+    monkeypatch.setattr(fock, "check_budget", recorded)
     namespace = build_parser().parse_args(argv)
     config = config_from_namespace(namespace)
     qcore._held_powers.cache_clear()
@@ -888,7 +890,7 @@ def _peak_and_estimate(argv, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak, estimates[0]
+    return peak, max(estimates)
 
 
 # the points near q = 1 take one product block per point, past _PRODUCT_ENTRIES factors each
@@ -1015,6 +1017,22 @@ def test_appendix_peaks_within_its_estimate(n, N, monkeypatch):
 @pytest.mark.parametrize("q", ["0.5", "0.9", "0.99"])
 def test_jackson_moments_peak_within_their_estimate(q, monkeypatch):
     peak, estimate = _peak_and_estimate(["jackson", "moments", "--q", q, "--N", "10"], monkeypatch)
+    assert 0.3 * estimate <= peak <= estimate
+
+
+# each q is sized alone, so a request over several q holds one q's power tables at a time:
+# held over every q, these peak at 1.15 to 2.15 times the estimate
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jackson", "moments", "--q"] + [str(0.999 + 0.00001 * k) for k in range(8)] + ["--N", "0"],
+        ["verify", "algebra", "--q"] + [str(0.5 + 0.01 * k) for k in range(8)] + ["--modes", "1", "--cutoff", "100000"],
+        ["qexp", "eval", "--q"] + [str(0.9985 + 0.0001 * k) for k in range(4)] + ["--points", "4"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_request_over_several_q_peaks_within_its_estimate(argv, monkeypatch):
+    peak, estimate = _peak_and_estimate(argv, monkeypatch)
     assert 0.3 * estimate <= peak <= estimate
 
 

@@ -146,7 +146,9 @@ def test_creator_is_adjoint_of_annihilator():
 
 def test_the_ladder_grids_read_qcore_s_bracket_table(monkeypatch):
     # scale qcore's brackets by (1 + 2^-30) from [2] on: every amplitude that reads [k], k >= 2,
-    # moves by its square root, and no other does, so fock forms no bracket of its own
+    # moves by its square root, and no other does, so fock forms no bracket of its own.  The
+    # name fock reads them by is qcore's routine itself, which derives them from its power table.
+    assert fock._bracket_array is qcore._bracket_array
     cfg = cfg_for(q=0.5, modes=2, cutoff=6)
     kernels = {fock._annihilator_grid: 0, fock._creator_grid: 1}  # [n_i + shift] at each column
     honest = {(kernel, i): kernel(cfg, i) for kernel in kernels for i in (1, 2)}
