@@ -190,18 +190,10 @@ def _elapsed_ms(start: float) -> int:
 # Command implementations.  Each returns (records, extra stdout lines).
 
 
-def _each_q(q_values: Sequence[float]):
-    """Each q with its parameters, in turn.  The power tables built for one q go before the
-    next q's, so a verb that sizes its q one at a time holds one q's tables at a time."""
-    for q in q_values:
-        yield q, DeformationParams(q)
-        qcore._held_powers.cache_clear()
-
-
 def run_verify_algebra(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     records = []
-    for q, params in _each_q(config.q_values):
-        cfg = fock.FockSpaceConfig(config.modes, config.cutoff, params)
+    for q in config.q_values:
+        cfg = fock.FockSpaceConfig(config.modes, config.cutoff, DeformationParams(q))
         lowers = None
         if config.inject_corruption:
             # only a_1 is corrupted; verify_algebra lays the honest ones on the grid itself
@@ -231,17 +223,18 @@ def _parse_x(text: str) -> complex:
 
 def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     # per q, the kernels on one batch of samples at a time, beside the list of all the
-    # samples (40 B each); each q's power tables go before the next q's are built
+    # samples (40 B each); each q's power tables go with its params, before the next q's
     points = 1 if config.x is not None else config.points
     batch = min(points, _QEXP_BATCH)
     nbytes = work = 0.0
-    for _, params in _each_q(config.q_values):
-        batch_bytes, batch_work = qcore._qexp_cost(params, batch, config.x)
+    for q in config.q_values:
+        batch_bytes, batch_work = qcore._qexp_cost(DeformationParams(q), batch, config.x)
         nbytes, work = max(nbytes, batch_bytes + 40 * points), work + batch_work * points / batch
     check_budget(f"qexp eval of {points} points", nbytes, work)
     records = []
     extra = []
-    for q, params in _each_q(config.q_values):
+    for q in config.q_values:
+        params = DeformationParams(q)
         if config.x is not None:
             if abs(config.x) >= params.radius:
                 records.append(
@@ -287,7 +280,7 @@ def run_qexp(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
 
 def run_jackson(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     levels, rel_tol = config.particles + 1, min(config.tol * 1e-2, 1e-12)
-    # per q the moment sweep, whose power tables go before the next q's, beside the records
+    # per q the moment sweep, whose power tables go with its params, beside the records
     # of every q, all kept for the report: ~3 kB and ~30 us each for the record, its JSON and
     # its line of the rendered report
     costs = [qcore._moments_cost(DeformationParams(q), levels, 2, rel_tol) for q in config.q_values]
@@ -296,8 +289,8 @@ def run_jackson(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     nbytes, work = max(cost[0] for cost in costs) + 3000 * checks, sum(cost[1] for cost in costs) + 30_000 * checks
     check_budget(request, nbytes, work)
     records = []
-    for q, params in _each_q(config.q_values):
-        deviations = qcore._moment_deviations(params, levels, rel_tol=rel_tol)
+    for q in config.q_values:
+        deviations = qcore._moment_deviations(DeformationParams(q), levels, rel_tol=rel_tol)
         for n in range(levels):
             start = time.perf_counter()
             deviation = next(deviations)
@@ -451,18 +444,18 @@ def run_qsym_exchange(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
         per_q += qsym._transposition_cost(n, size, size - 1, 2 * (size - 1))[1]
         return qsym._words_cost(n, size)[1] + len(config.q_values) * per_q
 
-    # the top size's keys, beside the sweep's check records (~320 B each) and every q's power
-    # tables (grown in steps over the sizes: under N^2 - N + 2 powers of q and 2 (N + 1) of
-    # q^2, 8 B each) and, in turn, the all-words kernel forming them; the class entries and
-    # the state vector gathered from them; one transposition or one exchange kernel call,
-    # never both, beside that vector and ~12 KiB of numpy headers and views
+    # the top size's keys, beside the sweep's check records (~320 B each) and one q's power
+    # tables (grown in steps: under N^2 - N + 2 powers of q and 2 (N + 1) of q^2, 8 B each)
+    # and, in turn, the all-words kernel forming them; the class entries and the state
+    # vector gathered from them; one transposition or one exchange kernel call, never
+    # both, beside that vector and ~12 KiB of numpy headers and views
     words = qsym._class_totals(n, N)[1]
     nbytes = max(
         qsym._words_cost(n, N)[0],
         8 * words + qsym._entries_cost(n, N)[0],
         8 * words + max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0]) + 12_288,
     )
-    nbytes += 8 * words + (320 * 3 * (N - 1) + 8 * (N * N + N + 4)) * len(config.q_values)
+    nbytes += 8 * words + 320 * 3 * (N - 1) * len(config.q_values) + 8 * (N * N + N + 4)
     check_budget(f"qsym exchange up to N={N} over {n} modes", nbytes, _sweep_work(range(N, 1, -1), work))
     records = []
     for size in range(2, N + 1):
@@ -518,12 +511,12 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     if config.word is not None:
         word = _parse_word(config.word, config.modes)
         norms = []  # the norm's own guard admits the word's class before any letter is counted
-        for q, params in _each_q(config.q_values):
+        for q in config.q_values:
             start = time.perf_counter()
-            norms.append((q, params, qsym.fundamental_norm(word, params), _elapsed_ms(start)))
+            norms.append((q, qsym.fundamental_norm(word, DeformationParams(q)), _elapsed_ms(start)))
         law_exponent = 2 * qsym.inversion_count(word.letters)
-        for q, params, value, millis in norms:
-            deviation = abs(value - params.q**law_exponent)
+        for q, value, millis in norms:
+            deviation = abs(value - q**law_exponent)
             extra.append(repr(round(value, 12)))
             point = {"q": q, "word": config.word, "value": round(value, 12)}
             records.append(CheckRecord.measured("qsym_norm", point, deviation, config.tol, millis))
@@ -537,7 +530,8 @@ def run_qsym_norm(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     nbytes, work = qsym._class_cost(qsym._largest_class(n, N))
     check_budget(f"qsym norm words up to N={N} over {n} modes", nbytes, samples * len(config.q_values) * work)
     rng = random.Random(config.seed)
-    for q, params in _each_q(config.q_values):
+    for q in config.q_values:
+        params = DeformationParams(q)
         start = time.perf_counter()
         worst = 0.0
         for _ in range(samples):
@@ -827,8 +821,8 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(command=ns.command, **values)
 
 
-# The per-q and exact tables the kernels cache while a request runs.
-_TABLES = (qcore._held_powers, qpoly._factorial, qsym._prefix_extensions)
+# The exact tables the kernels cache while a request runs.
+_TABLES = (qpoly._factorial, qsym._prefix_extensions)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -167,7 +167,7 @@ class CoherentState:
     def _twist(self) -> _Twist:
         spec = self.spec
         params = spec.params
-        powers = _power_table(params.q, spec.cutoff)  # the diagonal of q^N on one mode
+        powers = _power_table(params, params.q, spec.cutoff)  # the diagonal of q^N on one mode
         modes = spec.modes
         tails = [0.0] * modes
         lhs, rhs, telescoped = np.ones(modes + 1), np.ones(modes + 1), np.zeros(modes + 1)
@@ -234,7 +234,7 @@ def suggest_cutoff(
     """Smallest cutoff whose total relative tail mass stays below ``tail_tol``: the largest
     count of exp_q series terms at |z_i|^2 that holds a relative tail of tail_tol / modes."""
     z = _disk_amplitudes(params, z)
-    cutoffs = {abs(v) ** 2: _series_terms(params, abs(v) ** 2, tail_tol / len(z)) for v in z}
+    cutoffs = {abs(v) ** 2: _series_terms(params, abs(v) ** 2, tail_tol / len(z), _MAX_CUTOFF + 1) for v in z}
     for x, cutoff in cutoffs.items():
         if cutoff > _MAX_CUTOFF:
             raise InsufficientCutoffError(f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for |z|^2={x:.6g}")

@@ -156,8 +156,8 @@ class FockSpaceConfig:
         # state and mode) and ~40 B per state more, under 32 KiB plus 64 + 20 modes B per
         # state.  It runs in ~0.1 to 0.7 us per state, under 0.6 + 0.04 modes us, after
         # ~0.1 ms of numpy calls per ordered pair of modes (both fitted on modes 1 to 13 at
-        # up to 4e6 states, the bytes with the negative control too).  qcore's power tables of
-        # q and q^2, which it builds and keeps for the twists, brackets and scales, hold under
+        # up to 4e6 states, the bytes with the negative control too).  The power tables of q
+        # and q^2 it builds on ``params`` for the twists, brackets and scales hold under
         # 2 modes cutoff entries of 8 B each, at ~100 ns an entry
         n, dim = self.modes, size_estimate(self.modes * math.log(self.cutoff))
         nbytes = 2**15 + (64 + 20 * n) * dim + 32 * n * self.cutoff
@@ -205,7 +205,7 @@ def _ladder_grid(cfg: FockSpaceConfig, i: int, rungs: slice, root_brackets: np.n
     suffix = np.zeros(1, dtype=np.intp)  # occupations summed over the modes after i
     for _ in range(cfg.modes - i):
         suffix = np.add.outer(np.arange(c), suffix).ravel()
-    twist = _power_table(cfg.params.q, (cfg.modes - i) * (c - 1) + 1)
+    twist = _power_table(cfg.params, cfg.params.q, (cfg.modes - i) * (c - 1) + 1)
     grid = np.zeros((c ** (i - 1), c, suffix.size))
     grid[:, rungs] = twist[suffix] * root_brackets[:, None]
     return grid.reshape((c,) * cfg.modes)
@@ -270,7 +270,7 @@ def scale_op(cfg: FockSpaceConfig, i: int) -> ShiftOperator:
     """Diagonal scale operator Q_i = q^{2 N_i}."""
     i = _check_mode(cfg, i)
     diagonal = np.arange(cfg.dimension)
-    scale = _power_table(cfg.params.q_sq, cfg.cutoff).repeat(cfg.cutoff ** (cfg.modes - i))
+    scale = _power_table(cfg.params, cfg.params.q_sq, cfg.cutoff).repeat(cfg.cutoff ** (cfg.modes - i))
     return _shift_operator(cfg.dimension, diagonal, diagonal, np.tile(scale, cfg.cutoff ** (i - 1)))
 
 
@@ -469,7 +469,7 @@ def verify_algebra(
 
     # the targets from one power per rung: ``after`` sums the occupations of the modes
     # past a on the trailing axes, so it broadcasts against the interior from axis a + 1
-    scale = _power_table(q_sq, n * (c - 2) + 1)
+    scale = _power_table(cfg.params, q_sq, n * (c - 2) + 1)
     rung = np.arange(c - 1)
     with timed("normal_product_diagonal"):
         brackets = _bracket_array(cfg.params, c)

@@ -69,12 +69,14 @@ class DeformationParams:
     Requires 0 < q < 1 (strictly).  ``q_sq`` is q*q exactly as computed in
     working precision and ``radius = 1/(1 - q_sq)`` is simultaneously the
     convergence radius of the q-exponential series, the location of its
-    first pole, and the upper endpoint of the Jackson grid.
+    first pole, and the upper endpoint of the Jackson grid.  ``_powers`` holds the
+    power tables of :func:`_power_table`.
     """
 
     q: float
     q_sq: float = field(init=False, repr=False, compare=False)
     radius: float = field(init=False, repr=False, compare=False)
+    _powers: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = self.q
@@ -98,32 +100,27 @@ def q_number(params: DeformationParams, x: float) -> float:
     return value
 
 
-@functools.lru_cache(maxsize=64)
-def _held_powers(base: float) -> list[np.ndarray]:
-    """A list holding the one power table of ``base``, which :func:`_power_table` grows."""
-    return [np.ones(0)]
-
-
-def _power_table(base: float, size: int) -> np.ndarray:
+def _power_table(params: DeformationParams, base: float, size: int) -> np.ndarray:
     """base ** k for k < ``size``: a read-only view of the one table of Python float powers
-    per base (q or q^2) that every per-q table reads.  A first build holds ``size`` entries;
-    a table too short grows to ``size`` or twice its length, whichever is more, so a table
-    grown in steps holds under twice the most asked of it."""
-    base = float(base)
-    held = _held_powers(base)
-    if held[0].size < size:
-        table = held[0]
-        entries = max(size, 2 * table.size)
-        grown = np.fromiter(map(base.__pow__, range(table.size, entries)), float, entries - table.size)
-        held[0] = np.concatenate((table, grown)) if table.size else grown
-        held[0].flags.writeable = False
-    return held[0][:size]
+    per base (q or q^2) that every per-q table reads, held on ``params``, so it lives as long
+    as they do.  A first build holds ``size`` entries; a table too short grows to ``size`` or
+    twice its length, whichever is more, so a table grown in steps holds under twice the most
+    asked of it."""
+    table = params._powers.get(base)
+    if table is None or table.size < size:
+        held = 0 if table is None else table.size
+        entries = max(size, 2 * held)
+        grown = np.fromiter(map(base.__pow__, range(held, entries)), float, entries - held)
+        table = np.concatenate((table, grown)) if held else grown
+        table.flags.writeable = False
+        params._powers[base] = table
+    return table[:size]
 
 
 def _bracket_array(params: DeformationParams, size: int, first: int = 0) -> np.ndarray:
     """[k] for first <= k < ``size``, from the power table of q^2: a fresh array, bit for
     bit :func:`q_number`.  Scalar loops read its ``.tolist()``."""
-    brackets = _power_table(params.q_sq, size)[first:] - 1.0
+    brackets = _power_table(params, params.q_sq, size)[first:] - 1.0
     brackets /= params.q_sq - 1.0
     return brackets
 
@@ -362,7 +359,7 @@ def _series_pass(params, k0, steps, numerators, magnitude, term, running, t_abs,
 def _factor_coefficients(params: DeformationParams, size: int) -> np.ndarray:
     """(1 - q^2) q^{2n}, the coefficient of x in the n-th product factor, for n < ``size``:
     a fresh array derived from the power table of q^2."""
-    return (1.0 - params.q_sq) * _power_table(params.q_sq, size)
+    return (1.0 - params.q_sq) * _power_table(params, params.q_sq, size)
 
 
 def q_exp_product(params: DeformationParams, x: complex, factors: int) -> complex:
@@ -460,17 +457,17 @@ def q_exp_via_product_points(
     ]
 
 
-def _series_terms(params: DeformationParams, magnitude: float, rel_tol: float = 1e-15) -> int:
-    """Terms :func:`q_exp_points` takes at the positive real point ``magnitude``, or
-    ``_MAX_TERMS`` where it would not stop (also once its partial sums overflow double): the
-    one count of exp_q series terms, which prices ``qexp eval`` and the cutoffs of ``coherent``.
+def _series_terms(params: DeformationParams, magnitude: float, rel_tol: float = 1e-15, limit: int = _MAX_TERMS) -> int:
+    """Terms :func:`q_exp_points` takes at the positive real point ``magnitude``, or ``limit``
+    where it would not stop before (also once its partial sums overflow double): the one
+    count of exp_q series terms, which prices ``qexp eval`` and the cutoffs of ``coherent``.
 
     There every term is positive, so the partial sums are the running sums of
     |t_k|, and the stopping rule is read off a few hundred terms at a time.
     """
     t_abs = running = 1.0
-    for k0 in range(1, _MAX_TERMS, _SERIES_ENTRIES // 8):
-        steps = min(_SERIES_ENTRIES // 8, _MAX_TERMS - k0)
+    for k0 in range(1, limit, _SERIES_ENTRIES // 8):
+        steps = min(_SERIES_ENTRIES // 8, limit - k0)
         brackets = _bracket_array(params, k0 + steps + 1, k0)
         with np.errstate(all="ignore"):  # where it would not stop, the terms may overflow
             t = np.multiply.accumulate(np.concatenate(([t_abs], magnitude / brackets[:-1])))[1:]
@@ -478,11 +475,11 @@ def _series_terms(params: DeformationParams, magnitude: float, rel_tol: float = 
             ratio = magnitude / brackets[1:]
             stop = (ratio < 1.0) & (t * ratio / (1.0 - ratio) <= rel_tol * np.maximum(sums, t))
         if sums[-1] == math.inf:  # no term after a stop can overflow, so it never stopped
-            return _MAX_TERMS
+            return limit
         if stop.any():
             return k0 + int(stop.argmax()) + 1
         t_abs, running = t[-1], sums[-1]
-    return _MAX_TERMS
+    return limit
 
 
 def _qexp_cost(params: DeformationParams, points: int, x: complex | None = None) -> tuple[float, float]:
@@ -560,7 +557,7 @@ def jackson_integral(params: DeformationParams, f: Callable[[np.ndarray], np.nda
     """
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
-    upper, steps = params.radius, _power_table(params.q_sq, terms)
+    upper, steps = params.radius, _power_table(params, params.q_sq, terms)
     values = np.broadcast_to(np.asarray(f(upper * steps), dtype=float), steps.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand returned a non-finite value on the grid")
@@ -583,7 +580,7 @@ def _moment_grid(params: DeformationParams, n: int, beta: float, rel_tol: float)
 
 
 def _moment_cost(grid: float, extra: float, table: float) -> tuple[float, float]:
-    # two float arrays over all factors and four over the grid, beside the cached power table
+    # two float arrays over all factors and four over the grid, beside the held power table
     # of q^2 that the factors read (8 B for each of its ``table`` entries); fsum takes ~1.5 us
     # per point
     return 16 * (grid + extra) + 32 * grid + 8 * table, 1500 * grid + 20 * extra
@@ -655,7 +652,7 @@ def jackson_moment(
     request = f"moment {n} at q={params.q} ({grid} grid points, {extra} more product factors)"
     check_budget(request, *_moment_cost(grid, extra, grid + extra))
     # powers of q_sq itself, so the weights sit on the same grid as the steps
-    factors = _power_table(params.q_sq, grid + extra) * params.q**beta
+    factors = _power_table(params, params.q_sq, grid + extra) * params.q**beta
     np.subtract(1.0, factors, out=factors)
     weights = np.cumprod(factors[::-1])[::-1][:grid]
     # Near q = 1 at large n, x^n overflows on the first grid points while

@@ -332,20 +332,11 @@ def word_tallies(n_modes: int, size: int) -> np.ndarray:
 def class_entries(params: DeformationParams, n_modes: int, size: int) -> np.ndarray:
     """The (classes, N(N-1)/2 + 1) table whose row c holds at column k the entry of the
     sorted-word state of the c-th count vector of N letters (lex order) at an arrangement
-    with k inversions: prefactor_c q^k, the product ``_state_entries`` forms, bit for bit.
+    with k inversions: prefactor_c q^k, from :func:`_prefactors` as ``_state_entries`` forms it.
     Gathered at the keys of ``word_keys`` it is every class's state in one n^N vector."""
-    factorials = _factorial_array(params, size + 1)
-    prefactors = np.empty(math.comb(size + n_modes - 1, n_modes - 1))
-    start = 0
-    for counts in _count_vector_blocks(n_modes, size, max(1, _COUNT_BLOCK // n_modes)):
-        block = prefactors[start : start + len(counts)]
-        block[...] = 1.0
-        for column in counts.T:  # the product over the counts in letter order, as _prefactor
-            block *= factorials[column]
-        start += len(counts)
-    prefactors /= _finite_factorial(params, size, factorials[size])
-    np.sqrt(prefactors, out=prefactors)
-    return prefactors[:, None] * _power_table(params.q, size * (size - 1) // 2 + 1)
+    blocks = _count_vector_blocks(n_modes, size, max(1, _COUNT_BLOCK // n_modes))
+    prefactors = np.concatenate([_prefactors(params, size, counts) for counts in blocks])
+    return prefactors[:, None] * _power_table(params, params.q, size * (size - 1) // 2 + 1)
 
 
 def _class_size(counts) -> float:
@@ -502,14 +493,14 @@ def _exchange_cost(n_modes: int, size: int, positions: float) -> tuple[float, fl
     return 4096 + 28 * dim + 16 * n_modes**2, positions * (40_000 + 15 * dim)
 
 
-def _prefactor(params: DeformationParams, counts: tuple[int, ...]) -> float:
-    """sqrt(prod [n_k]! / [N]!), which depends only on q and the letter counts."""
-    size = sum(counts)
-    factorials = _factorial_array(params, size + 1).tolist()
-    prefactor = 1.0
-    for c in counts:
-        prefactor *= factorials[c]
-    return math.sqrt(prefactor / _finite_factorial(params, size, factorials[size]))
+def _prefactors(params: DeformationParams, size: int, counts) -> np.ndarray:
+    """sqrt(prod [n_k]! / [N]!), which depends only on q and the letter counts, for each row
+    (n_1, ..., n_n) of ``counts``, every row of N = ``size`` letters: the product is taken
+    over the counts in letter order."""
+    factorials = _factorial_array(params, size + 1)
+    prefactors = np.multiply.reduce(factorials[np.asarray(counts, dtype=np.intp)], axis=1, initial=1.0)
+    prefactors /= _finite_factorial(params, size, factorials[size])
+    return np.sqrt(prefactors, out=prefactors)
 
 
 def _dense_class(word: Word, name: str) -> tuple[ArrangementClass, np.ndarray]:
@@ -540,8 +531,8 @@ def _state_entries(arrangement: ArrangementClass, params: DeformationParams, wor
     R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)},
     over the q^k up to the class's most inversions, sum_{i<j} c_i c_j, no more than its rows."""
     counts = arrangement.counts
-    powers = _power_table(params.q, (sum(counts) ** 2 - sum(c * c for c in counts)) // 2 + 1)
-    base = powers[word_inversions] * _prefactor(params, counts)
+    powers = _power_table(params, params.q, (sum(counts) ** 2 - sum(c * c for c in counts)) // 2 + 1)
+    base = powers[word_inversions] * _prefactors(params, sum(counts), [counts])[0]
     return (base * powers)[arrangement.inversions]
 
 

@@ -283,7 +283,7 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
             per_q = qsym._transposition_cost(n, s, s - 1, 2 * (s - 1))[1] + qsym._exchange_cost(n, s, s - 1)[1]
             per_q += qsym._entries_cost(n, s)[1]
             work += qsym._words_cost(n, s)[1] + 2 * per_q
-        # the top size's keys, the 3 check records per size and q and each q's power tables,
+        # the top size's keys, the 3 check records per size and q and one q's power tables,
         # beside the kernel, or the class entries and the state vector, or one transposition
         # or exchange kernel call beside the state vector and the fixed objects
         assert qsym._class_totals(n, N) == pytest.approx((len(classes[N]), sum(classes[N])), rel=1e-12)
@@ -293,7 +293,7 @@ def test_sweep_estimates_are_the_kernel_estimates_summed_over_the_classes(n, mon
             8 * words + qsym._entries_cost(n, N)[0],
             8 * words + max(qsym._transposition_cost(n, N, 1, 0)[0], qsym._exchange_cost(n, N, 1)[0]) + 12_288,
         )
-        nbytes += 8 * words + (320 * 3 * (N - 1) + 8 * (N * N + N + 4)) * 2
+        nbytes += 8 * words + 320 * 3 * (N - 1) * 2 + 8 * (N * N + N + 4)
         assert estimate("exchange", N) == pytest.approx((nbytes, work), rel=1e-9)
 
         # each word's norm is taken on its class, over the letters it uses: the costliest
@@ -523,7 +523,6 @@ def test_a_long_moment_sweep_holds_one_bracket_table_once_it_returns(tmp_path, c
     # it once the request returns: some 30 kB of the interpreter's own stay behind
     out = ["--out", str(tmp_path / "report.txt")]
     run_cli(["jackson", "moments", "--q", "0.5", "--N", "1"] + out, capsys)  # the parser and lazy imports
-    qcore._held_powers.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -550,8 +549,20 @@ def test_a_long_moment_sweep_holds_one_bracket_table_once_it_returns(tmp_path, c
 )
 def test_a_request_leaves_no_table_behind(argv, capsys):
     run_cli(argv, capsys)
-    for table in (qcore._held_powers, qpoly._factorial, qsym._prefix_extensions):
+    for table in cli._TABLES:
         assert table.cache_info().currsize == 0, table.__name__
+
+
+def test_every_cache_of_the_layers_is_one_a_request_clears():
+    # the per-q power tables live on their DeformationParams; a cache at module or class
+    # level outlives its request unless main clears it
+    caches = set()
+    for module in (qcore, qpoly, fock, coherent, qsym, cli):
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            caches.update(value for value in (obj, *members) if callable(getattr(value, "cache_clear", None)))
+    assert cli._TABLES == (qpoly._factorial, qsym._prefix_extensions)
+    assert caches == set(cli._TABLES)
 
 
 # q at both ends of (0, 1): next to 0, and where the series terms near the disk's edge
@@ -868,7 +879,7 @@ def test_qexp_sweep_peaks_under_a_megabyte_whatever_its_points(capsys):
 
 
 def _peak_and_estimate(argv, monkeypatch):
-    """The traced peak of the request ``argv`` once parsed, run with the per-q tables cleared,
+    """The traced peak of the request ``argv`` once parsed, whose params build their tables cold,
     and the most bytes its handler estimated for it (for ``verify algebra``, the Fock space
     of any one q): the handler, then its report as JSON."""
     estimates = []
@@ -882,7 +893,6 @@ def _peak_and_estimate(argv, monkeypatch):
     monkeypatch.setattr(fock, "check_budget", recorded)
     namespace = build_parser().parse_args(argv)
     config = config_from_namespace(namespace)
-    qcore._held_powers.cache_clear()
     tracemalloc.start()
     try:
         records, _ = _handler(namespace)(config)

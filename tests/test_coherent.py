@@ -153,6 +153,15 @@ def test_suggest_cutoff_domain_and_exhaustion():
         suggest_cutoff(params, (math.sqrt(0.99 * params.radius),), 1e-14)
 
 
+def test_a_refused_cutoff_counts_no_further_than_the_cap():
+    # at |z|^2 = 0.99999 radius the series needs some 3.5e6 terms; the count stops at
+    # _MAX_CUTOFF + 1, so the table of q^2, grown in chunks of 384, stays short
+    params = DeformationParams(0.5)
+    with pytest.raises(InsufficientCutoffError, match="no cutoff below 5000 reaches tail 1e-10"):
+        suggest_cutoff(params, (math.sqrt(0.99999 * params.radius),))
+    assert params._powers[params.q_sq].size <= 2 * (5001 + qcore._SERIES_ENTRIES // 8)
+
+
 def test_zero_amplitude_gives_the_ground_state():
     spec = make_spec(0.5, (0.0, 0.0), 4)
     state = build_coherent(spec)
@@ -215,7 +224,7 @@ def test_uncompensated_eigenvalue_relation_visibly_fails():
     cutoff = suggest_cutoff(params, z, tail_tol=1e-14)
     state = build_coherent(CoherentSpec(z, params, cutoff), tail_tol=1e-14)
     shifted = build_coherent(state.spec.shifted(1), tail_tol=1e-14)
-    lhs = [_lowered(params, state.vector[0]), qcore._power_table(params.q, cutoff) * state.vector[1]]
+    lhs = [_lowered(params, state.vector[0]), qcore._power_table(params, params.q, cutoff) * state.vector[1]]
     naive = telescoping_bound(lhs, [z[0] * shifted.vector[0], shifted.vector[1]])
     report = check_eigenvalue(state, 1)
     assert naive > 1e-3
@@ -336,7 +345,7 @@ def test_factored_residual_is_the_telescoping_bound_of_its_factors():
     params = DeformationParams(0.7)
     spec = spec_grid(params, 4, points=1, tail_tol=1e-12)[0]
     state = build_coherent(spec, tail_tol=math.inf)
-    powers = qcore._power_table(params.q, spec.cutoff)
+    powers = qcore._power_table(params, params.q, spec.cutoff)
     for mode in range(1, 5):
         shifted = build_coherent(spec.shifted(mode), tail_tol=math.inf)
         ratios = [math.sqrt(1.0 - (1.0 - params.q_sq) * abs(z) ** 2) for z in spec.z]
@@ -375,7 +384,7 @@ def test_kronecker_factors_equal_the_annihilator(modes):
     cutoff = 5
     identity = np.eye(cutoff)
     lower = np.column_stack([_lowered(params, column) for column in identity])
-    twist = np.diag(qcore._power_table(params.q, cutoff))
+    twist = np.diag(qcore._power_table(params, params.q, cutoff))
     cfg = FockSpaceConfig(modes, cutoff, params)
     for i in range(1, modes + 1):
         product = np.ones((1, 1))

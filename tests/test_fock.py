@@ -1,5 +1,6 @@
 """Tests for the truncated Fock representation and relation certification."""
 
+import gc
 import math
 import random
 import tracemalloc
@@ -448,7 +449,6 @@ def test_verify_algebra_peaks_within_the_config_estimate(modes, cutoff, monkeypa
     estimates = []
     monkeypatch.setattr(fock, "check_budget", lambda request, nbytes, work: estimates.append(nbytes))
     cfg = FockSpaceConfig(modes, cutoff, DeformationParams(0.5))
-    qcore._held_powers.cache_clear()
     tracemalloc.start()
     try:
         verify_algebra(cfg)
@@ -456,6 +456,20 @@ def test_verify_algebra_peaks_within_the_config_estimate(modes, cutoff, monkeypa
     finally:
         tracemalloc.stop()
     assert 0.3 * estimates[0] <= peak <= estimates[0]
+
+
+def test_verify_algebra_s_power_tables_go_with_its_params():
+    # the 100_000 powers of q^2 (800 kB) it builds are held on its params, and go with them
+    verify_algebra(FockSpaceConfig(1, 10, DeformationParams(0.5)))  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verify_algebra(FockSpaceConfig(1, 100_000, DeformationParams(0.5)))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1e6
 
 
 def test_kernel_deviations_equal_the_reference_where_powers_underflow():

@@ -5,6 +5,7 @@ Fraction arithmetic on the same rounded constants the library uses, so the
 comparisons isolate floating-point evaluation error from modeling error.
 """
 
+import gc
 import math
 import random
 import re
@@ -28,7 +29,6 @@ from qmodes.qcore import (
     _SERIES_ENTRIES,
     _factor_coefficients,
     _factorial_array,
-    _held_powers,
     _power_table,
     _moment_deviations,
     _moments_cost,
@@ -172,16 +172,14 @@ def _floats(values) -> bytes:
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.999, 0.99999])
 def test_the_per_q_tables_are_python_s_float_expressions_bit_for_bit(q):
-    # the one power table, built at once or grown in steps, and the tables derived from it,
-    # against Python's own float expressions up to 2^16 entries
+    # the one power table, built at once on fresh params or grown in steps, and the tables
+    # derived from it, against Python's own float expressions up to 2^16 entries
     params, size = DeformationParams(q), 2**16
     for base in (params.q, params.q_sq):
         expected = [base**k for k in range(size)]
-        _held_powers.cache_clear()
-        assert _power_table(base, size).tobytes() == _floats(expected)
-        _held_powers.cache_clear()
+        assert _power_table(DeformationParams(q), base, size).tobytes() == _floats(expected)
         for grown in (1, 3, 100, 5000, size):
-            table = _power_table(base, grown)
+            table = _power_table(params, base, grown)
             assert table.tobytes() == _floats(expected[:grown]) and not table.flags.writeable
     brackets = [q_number(params, k) for k in range(size)]
     assert _bracket_array(params, size).tobytes() == _floats(brackets)
@@ -205,7 +203,7 @@ def test_the_per_q_tables_are_python_s_float_expressions_bit_for_bit(q):
 def test_tabled_series_and_products_equal_the_per_term_loops(q):
     params = DeformationParams(q)
     table = _bracket_array(params, 300)
-    assert len(table) >= 300 and not _power_table(params.q_sq, 300).flags.writeable
+    assert len(table) >= 300 and not _power_table(params, params.q_sq, 300).flags.writeable
     assert all(value == q_number(params, k) for k, value in enumerate(table.tolist()))
     for x in disk_samples(params, 36) + [0.0, 0.5 * params.radius, -0.9 * params.radius]:
         assert q_exp(params, x) == reference_q_exp(params, x)
@@ -322,7 +320,6 @@ def test_series_kernel_refusals_name_their_point():
 def test_moment_sweep_peaks_within_its_estimate(q, levels):
     params = DeformationParams(q)
     estimate = _moments_cost(params, levels, 2, 1e-15)[0]
-    _held_powers.cache_clear()  # the sweep builds its power table
     tracemalloc.start()
     try:
         for _ in _moment_deviations(params, levels):
@@ -331,6 +328,22 @@ def test_moment_sweep_peaks_within_its_estimate(q, levels):
     finally:
         tracemalloc.stop()
     assert peak <= estimate
+
+
+def test_the_moments_power_tables_go_with_their_params():
+    # each q near 0.999 builds some 42_000 powers of q^2 (340 kB) on its params: 20 of them
+    # leave nothing behind once their params go
+    jackson_moment(DeformationParams(0.5), 0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(20):
+            jackson_moment(DeformationParams(0.999 + 1e-5 * k), 0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1e6
 
 
 # near q = 1 the series' partial sums overflow double from this fraction of the radius on
