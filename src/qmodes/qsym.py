@@ -34,7 +34,6 @@ from .qcore import _factorial_array, _finite_factorial, _power_table
 
 __all__ = [
     "Word",
-    "ArrangementClass",
     "arrangements",
     "word_keys",
     "word_tallies",
@@ -109,17 +108,6 @@ def sign_compare(i: int, j: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ArrangementClass:
-    """Row r: tensor index and inversion count of the r-th arrangement of ``counts`` (lex order).
-
-    ``index`` is None when the len(counts)^N tensor indices pass int64."""
-
-    counts: tuple[int, ...]
-    index: np.ndarray | None
-    inversions: np.ndarray
-
-
 # Entries of the count vectors enumerated together in one block of ``_count_vector_blocks``.
 _COUNT_BLOCK = 2**12
 # Words of one block of the all-words kernel: a size's words are keyed this many at a time at
@@ -142,38 +130,33 @@ def _count_vector_blocks(slots: int, total: int, size: int) -> Iterator[np.ndarr
         yield bounds[:, 1:] - bounds[:, :-1]
 
 
-def arrangements(counts: Sequence[int]) -> ArrangementClass:
-    """Tensor index and inversion count of every arrangement of a multiset, in one
-    prefix-extension pass.
+def arrangements(counts: Sequence[int]) -> np.ndarray:
+    """The inversion count of every arrangement of a multiset, in ascending tensor order, as
+    one int64 array from one prefix-extension pass.
 
-    ``counts[l]`` is the multiplicity of letter l + 1, and there is one slot
-    per mode, so the words live in the len(counts)^N tensor space.  The
-    all-zero shape has one row, the empty arrangement.  The tensor indices are formed
-    only while n^N fits int64; past that ``index`` is None, and the inversions alone
-    are enumerated.
+    ``counts[l]`` is the multiplicity of letter l + 1.  The all-zero shape has one row, the
+    empty arrangement.
 
     Every prefix is extended by one position at a time: appending letter l adds the
     number of letters still to place that are smaller than l, since each of them will
     follow it.  Each prefix emits its extensions in letter order, in the order of the
-    prefixes, so the rows come out in ascending tensor index.  The work and memory are
-    O(rows), never O(n^N).  A word's last letter is forced and adds no inversion.  Only the
-    letters the class uses are stepped over, each mapped back to its letter for the index:
-    a letter of count zero adds neither an extension nor an inversion.
+    prefixes, so the rows come out in ascending tensor order.  The work and memory are
+    O(rows), never O(n^N).  A word's last letter is forced and adds no inversion, so N - 1
+    steps place the rest.  Only the letters the class uses are stepped over: a letter of
+    count zero adds neither an extension nor an inversion.
     """
     counts = tuple(int(c) for c in counts)
     if any(c < 0 for c in counts):
         raise ValueError(f"counts must be nonnegative, got {counts!r}")
-    n_modes, size = len(counts), sum(counts)
+    size = sum(counts)
     check_budget("arrangements of the class of {} letters, {} of them distinct",
                  *_class_cost(counts), size, sum(c > 0 for c in counts))
-    used = np.flatnonzero(counts)  # the letters the class uses, 0-based: the kernel steps over these
-    width = used.size
-    # the narrowest signed type that holds every count up to N (it holds -N - 1)
-    left = np.array([counts], dtype=np.min_scalar_type(-size - 1))[:, used]  # letters still to place
-    indexed = size * math.log2(max(n_modes, 1)) <= 63
-    index = np.zeros(1, dtype=np.int64) if indexed else None
+    # the letters still to place of each prefix, over the letters the class uses, in the
+    # narrowest signed type that holds every count up to N (it holds -N - 1)
+    left = np.array([[c for c in counts if c]], dtype=np.min_scalar_type(-size - 1))
+    width = left.shape[1]
     inversions = np.zeros(1, dtype=np.int64)
-    # each temporary is dropped once spent: the last step peaks at 50 to 70 B per row
+    # each temporary is dropped once spent: the last step peaks at 40 to 48 B per row
     for _ in range(size - 1):
         smaller = np.zeros_like(left)  # letters still to place below each used letter
         for j in range(1, width):
@@ -183,22 +166,13 @@ def arrangements(counts: Sequence[int]) -> ArrangementClass:
         inversions = np.take(inversions, parents)
         inversions += np.take(smaller, extension)
         del smaller
-        ordinals = np.subtract(extension, parents * width, out=extension)
-        if indexed:
-            index = np.take(index, parents)
-            index *= n_modes
-            index += np.take(used, ordinals)
         left = np.take(left, parents, axis=0)
+        # each new prefix spends one copy of its letter, in its own row of left
+        spent = np.subtract(extension, parents * width, out=extension)
         del parents
-        spent = np.arange(0, ordinals.size * width, width)  # each new prefix's row of left
-        spent += ordinals
+        spent += np.arange(0, spent.size * width, width)
         left.ravel()[spent] -= 1
-    if size and indexed:
-        last = np.flatnonzero(left > 0)  # the one letter left to each prefix
-        last -= np.arange(0, index.size * width, width)
-        index *= n_modes
-        index += np.take(used, last)
-    return ArrangementClass(counts, index, inversions)
+    return inversions
 
 
 def _words_of(n_modes: int, letters: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +227,7 @@ def _word_blocks(n_modes: int, size: int, kept: float = 0) -> Iterator[np.ndarra
     """
     if size * math.log2(max(n_modes, 1)) > 63:
         raise ValueError(f"the words of {size} letters over {n_modes} modes have tensor indices past int64")
-    suffix, classes, step, nbytes, work = _blocks(n_modes, size, _BLOCK_WORDS)
+    suffix, classes, step, nbytes, work = _blocks(n_modes, size)
     check_budget("the {}^{} words of the all-words kernel", nbytes + kept, work, n_modes, size)
     if not size:
         return iter([np.zeros(1, dtype=np.int64)])  # the one word of no letters
@@ -268,7 +242,7 @@ def _keyed_blocks(n_modes: int, size: int, suffix: int, classes: int, step: int)
     terms = _rank_terms(n_modes, suffix)
     suffix_ranks = np.zeros(suffixes, dtype=np.int64)  # each suffix's class among those of s letters
     for place in range(suffix):
-        suffix_ranks += terms[letters[:, place] + place * n_modes]
+        suffix_ranks += terms[place * n_modes :][letters[:, place]]  # no sum in the letters' narrow type
     ends = np.empty((classes, suffix), dtype=letters.dtype)  # each class's sorted letters
     ends[suffix_ranks] = letters  # the suffixes of a class share them
     del letters
@@ -332,7 +306,7 @@ def word_tallies(n_modes: int, size: int) -> np.ndarray:
 def class_entries(params: DeformationParams, n_modes: int, size: int) -> np.ndarray:
     """The (classes, N(N-1)/2 + 1) table whose row c holds at column k the entry of the
     sorted-word state of the c-th count vector of N letters (lex order) at an arrangement
-    with k inversions: prefactor_c q^k, from :func:`_prefactors` as ``_state_entries`` forms it.
+    with k inversions: prefactor_c q^k, from :func:`_prefactors` as ``_state_table`` forms it.
     Gathered at the keys of ``word_keys`` it is every class's state in one n^N vector."""
     blocks = _count_vector_blocks(n_modes, size, max(1, _COUNT_BLOCK // n_modes))
     prefactors = np.concatenate([_prefactors(params, size, counts) for counts in blocks])
@@ -383,20 +357,20 @@ def _class_totals(n_modes: int, size: int) -> tuple[float, float]:
     return classes, size_estimate(size * math.log(n_modes))
 
 
-def _blocks(n_modes: int, size: int, block: int) -> tuple[int, int, int, float, float]:
-    """The all-words kernel's layout on N letters and blocks of ``block`` words: its suffix
-    letters s, of those whose n^s words fit a block (at least one; all of them over one
-    mode) the one of least estimated work, since a longer suffix costs more to build once
-    and a shorter one more (prefix, suffix class) pairs; then, from ``_layout``, its suffix
-    classes, prefixes a block, peak bytes and steps."""
+def _blocks(n_modes: int, size: int) -> tuple[int, int, int, float, float]:
+    """The all-words kernel's layout on N letters and blocks of ``_BLOCK_WORDS`` words: its
+    suffix letters s, of those whose n^s words fit a block (at least one; all of them over
+    one mode) the one of least estimated work, since a longer suffix costs more to build
+    once and a shorter one more (prefix, suffix class) pairs; then, from ``_layout``, its
+    suffix classes, prefixes a block, peak bytes and steps."""
     suffix = min(size, 1) if n_modes > 1 else size
-    while suffix < size and n_modes ** (suffix + 1) <= block:
+    while suffix < size and n_modes ** (suffix + 1) <= _BLOCK_WORDS:
         suffix += 1
-    suffix = min(range(min(suffix, 1), suffix + 1), key=lambda s: _layout(n_modes, size, s, block)[3])
-    return (suffix,) + _layout(n_modes, size, suffix, block)
+    suffix = min(range(min(suffix, 1), suffix + 1), key=lambda s: _layout(n_modes, size, s)[3])
+    return (suffix,) + _layout(n_modes, size, suffix)
 
 
-def _layout(n_modes: int, size: int, suffix: int, block: int) -> tuple[int, int, float, float]:
+def _layout(n_modes: int, size: int, suffix: int) -> tuple[int, int, float, float]:
     """Suffix classes, prefixes a block (at most a block of words and a block of (prefix,
     suffix class) letters), peak bytes and steps of the all-words kernel on N letters with a
     suffix of s letters, beside what its consumer keeps.  Bytes: the suffix table, ~(40 + s)
@@ -406,7 +380,7 @@ def _layout(n_modes: int, size: int, suffix: int, block: int) -> tuple[int, int,
     ns a suffix, ~5 ns a word, and a block ~60 us + 5 us per prefix letter and ~40 ns per
     (prefix, suffix class) letter.  Fitted on cold runs on a 2-core x86-64 machine."""
     classes, suffixes = math.comb(suffix + n_modes - 1, n_modes - 1), n_modes**suffix
-    step = max(1, min(block // suffixes, block // (classes * size or 1)))
+    step = max(1, min(_BLOCK_WORDS // suffixes, _BLOCK_WORDS // (classes * size or 1)))
     words = _class_totals(n_modes, size)[1]
     heads = min(step, words / suffixes)  # prefixes a block
     blocks = math.ceil(words / suffixes / step)
@@ -428,8 +402,8 @@ def _multisets(n_modes: int, size: int) -> int:
 def _class_cost(counts: Sequence[int]) -> tuple[float, float]:
     """Peak bytes and steps (~1 ns each) of the arrangement kernel on the class of ``counts``,
     N letters over n = len(counts) modes of which m are used, fitted on cold calls on a
-    2-core x86-64 machine: ~100 B per row (45 to 70 B measured, 16 B kept) and ~(8n + 600) B
-    for its count tuple, record and two arrays; ~23 us + 0.3 us per mode, ~40 us + 2 us per
+    2-core x86-64 machine: ~100 B per row (40 to 48 B measured, 8 B kept) and ~(8n + 600) B
+    for its count tuple and arrays; ~23 us + 0.3 us per mode, ~40 us + 2 us per
     used letter a letter, 60 ns a row and ~(20 + 8m) ns a prefix extension (3 to 22 ns
     measured at m = 2 to 10; in all 0.36 to 0.85 of the steps): the 5e5 rows of (1000, 2)
     take 1.7e8 extensions, 2.5 to 4.8 s."""
@@ -445,7 +419,7 @@ def _words_cost(n_modes: int, size: int) -> tuple[float, float]:
     """Peak bytes and steps of the all-words kernel on the n^N words of N letters (see
     ``_layout``): at n = 1 to 200000 and N = 1 to 22 its traced peak was 0.37 to 0.9 of
     the bytes, and its time 0.1 to 0.7 of the steps."""
-    return _blocks(n_modes, size, _BLOCK_WORDS)[3:]
+    return _blocks(n_modes, size)[3:]
 
 
 def _entries_cost(n_modes: int, size: int) -> tuple[float, float]:
@@ -503,15 +477,40 @@ def _prefactors(params: DeformationParams, size: int, counts) -> np.ndarray:
     return np.sqrt(prefactors, out=prefactors)
 
 
-def _dense_class(word: Word, name: str) -> tuple[ArrangementClass, np.ndarray]:
-    """The class of ``word`` and a zeroed n^N vector for its state, once the dense-vector
-    guard admits them: the vector (8 B, ~1.5 ns per entry), ~40 us, ~15 ns and 24 B per
-    row, and ~20 N^2 B for the q^k of the class's inversion counts."""
-    rows = _class_size(collections.Counter(word.letters).values())  # word.counts has n_modes
-    dim = size_estimate(word.size * math.log(word.n_modes))
-    check_budget(name + " on the {}^{} tensor space", 8 * dim + 24 * rows + 20 * word.size**2,
-                 1.5 * dim + 40_000 + 15 * rows, word.n_modes, word.size)
-    return arrangements(word.counts), np.zeros(word.n_modes**word.size, dtype=np.float64)
+def _state_table(params: DeformationParams, counts: Sequence[int], word_inversions: int = 0) -> np.ndarray:
+    """(q^{R(w)} prefactor) q^k for k = 0 to the most inversions of the class of ``counts``,
+    sum_{i<j} c_i c_j, a table no longer than the class: the entry of |w>_q at each arrangement
+    of k inversions, for a word w of that class with R(w) = ``word_inversions`` (the sorted
+    word by default)."""
+    size = sum(counts)
+    powers = _power_table(params, params.q, (size**2 - sum(c * c for c in counts)) // 2 + 1)
+    return powers[word_inversions] * _prefactors(params, size, [counts])[0] * powers
+
+
+def _dense_state(word: Word, params: DeformationParams | None = None) -> np.ndarray:
+    """The n^N vector that holds, at each arrangement u of the letters of ``word``, the entry
+    of |w>_q there (``_state_table``'s at R(u)), or 1 without ``params``, and 0 elsewhere.
+    The arrangements are the all-words kernel's words whose keys lie in the row of the
+    class's rank, which ``_rank_terms`` gives over the word's sorted letters.  The kernel's
+    guard, with the vector as the bytes kept beside it, is the one guard of the dense states,
+    and runs before the table is formed; the table has one entry per inversion count of the
+    class (one for a class of one letter), so it is never longer than the class."""
+    n_modes, size = word.n_modes, word.size
+    blocks = _word_blocks(n_modes, size, 8 * _class_totals(n_modes, size)[1])
+    vector = np.zeros(n_modes**size, dtype=np.float64)
+    # letter l + 1 at place t of the sorted word reads entry t n + l; no array outlives the rank
+    rank = int(_rank_terms(n_modes, size)[np.sort(word.letters) - 1 + np.arange(size) * n_modes].sum())
+    table = None
+    if params is not None:  # the counts of the letters the word uses, in letter order ([0]! = 1 drops out)
+        used = collections.Counter(word.letters)
+        table = _state_table(params, [used[l] for l in sorted(used)], inversion_count(word.letters))
+    width, start = size * (size - 1) // 2 + 1, 0
+    first = rank * width  # the class's keys are first + R(u)
+    for keys in blocks:
+        hit = np.flatnonzero((keys >= first) & (keys < first + width))
+        vector[start + hit] = 1.0 if table is None else table[keys[hit] - first]
+        start += keys.size
+    return vector
 
 
 def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
@@ -521,25 +520,12 @@ def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     each arrangement u carries the weight q^{R(word)} q^{R(u)} and the whole
     sum is scaled by sqrt(prod [n_k]! / [N]!).
     """
-    arrangement, vector = _dense_class(word, "q_symmetrize")
-    vector[arrangement.index] = _state_entries(arrangement, params, inversion_count(word.letters))
-    return vector
-
-
-def _state_entries(arrangement: ArrangementClass, params: DeformationParams, word_inversions: int = 0):
-    """The entries of |w>_q on the rows of its class, for a word w of that class with
-    R(w) = ``word_inversions`` (the sorted word by default): (q^{R(w)} prefactor) q^{R(u)},
-    over the q^k up to the class's most inversions, sum_{i<j} c_i c_j, no more than its rows."""
-    counts = arrangement.counts
-    powers = _power_table(params, params.q, (sum(counts) ** 2 - sum(c * c for c in counts)) // 2 + 1)
-    base = powers[word_inversions] * _prefactors(params, sum(counts), [counts])[0]
-    return (base * powers)[arrangement.inversions]
+    return _dense_state(word, params)
 
 
 def bosonic_symmetrize(word: Word) -> np.ndarray:
     """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
-    arrangement, vector = _dense_class(word, "bosonic_symmetrize")
-    vector[arrangement.index] = 1.0
+    vector = _dense_state(word)
     vector /= np.linalg.norm(vector)
     return vector
 
@@ -550,7 +536,9 @@ def fundamental_norm(word: Word, params: DeformationParams) -> float:
     dropping unused letters keeps each row's inversions and the prefactor, and no n^N vector
     is formed."""
     used = collections.Counter(word.letters)
-    entries = _state_entries(arrangements([used[l] for l in sorted(used)]), params, inversion_count(word.letters))
+    counts = [used[l] for l in sorted(used)]
+    inversions = arrangements(counts)  # the class guard, before the table is formed
+    entries = _state_table(params, counts, inversion_count(word.letters))[inversions]
     return float(entries @ entries)
 
 
@@ -664,6 +652,6 @@ def norm_identity_exact(counts: Sequence[int]):
     work = sum(_identity_cost(1, t) for t in range(size + 1))
     work += 70_000 + 30 * size**4 if sum(c > 0 for c in counts) > 1 else 0
     check_budget("norm_identity_exact on the class {}", _factorial_bytes(size), work, counts)
-    tally = np.bincount(arrangements(counts).inversions)
+    tally = np.bincount(arrangements(counts))
     arrangement_sum = QPolynomial({2 * k: int(number) for k, number in enumerate(tally) if number})
     return arrangement_sum, poly_q_multinomial(counts)

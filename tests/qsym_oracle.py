@@ -5,6 +5,8 @@ and checks the exchange law for a whole class at once.  The routines here
 are the plain routes they replaced: one word at a time, with O(N^2)
 inversions per word, and two dense n^N states per (word, position).  The
 tests compare the kernels against them on small shapes.
+``class_index`` gives a class's tensor indices from the digits of the
+tensor indices themselves, so no kernel under test supplies them.
 ``reference_exchange_table`` is the class kernel that the level-0 check in
 ``qsym.exchange_check`` replaced: it forms every state of a class at every
 inversion level, and finds each swapped word in the class by its index.  ``reference_transposition`` assembles the deformed
@@ -14,6 +16,7 @@ at a time on dense states.  ``pair_matrix`` turns the library's
 ``(swapped, weights)`` pair into a scipy matrix.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -24,10 +27,9 @@ import scipy.sparse as sp
 from qmodes import qsym
 from qmodes.qcore import DeformationParams, q_factorial
 from qmodes.qsym import (
-    ArrangementClass,
     Word,
     _count_vector_blocks,
-    _state_entries,
+    _state_table,
     inversion_count,
     q_symmetrize,
     sign_compare,
@@ -79,6 +81,38 @@ def tensor_index(letters: Sequence[int], n_modes: int) -> int:
             raise ValueError(f"letter {letter} outside 1..{n_modes}")
         index = index * n_modes + (letter - 1)
     return index
+
+
+@functools.lru_cache(maxsize=64)
+def _words_by_counts(n_modes: int, size: int) -> dict[tuple[int, ...], np.ndarray]:
+    """The words of ``size`` letters over n modes grouped by their letter counts: the tensor
+    indices of each group, ascending, from the base-n digits of 0 to n^N - 1.  Cached, as
+    ``class_index`` reads the same halves for every class of a size."""
+    index = np.arange(n_modes**size)
+    counts, rest = np.zeros((index.size, n_modes), dtype=np.int64), index
+    for _ in range(size):
+        rest, digit = np.divmod(rest, n_modes)
+        counts[index, digit] += 1
+    groups, inverse = np.unique(counts, axis=0, return_inverse=True)
+    order = np.argsort(inverse.ravel(), kind="stable")
+    split = np.split(order, np.cumsum(np.bincount(inverse.ravel()))[:-1])
+    return {tuple(group.tolist()): words for group, words in zip(groups, split)}
+
+
+def class_index(counts: Sequence[int]) -> np.ndarray:
+    """The tensor indices of the arrangements of ``counts``, ascending; the empty class's one
+    word has index 0.  Each arrangement is a word of the first half of the letters, from
+    ``_words_by_counts``, followed by one of the rest whose counts make up ``counts``, so the
+    digits of n^(N/2) words, not of n^N, are read."""
+    n_modes, size = len(counts), sum(counts)
+    tail = size // 2
+    tails = _words_by_counts(n_modes, tail)
+    parts = [
+        (head[:, np.newaxis] * n_modes**tail + tails[rest]).ravel()
+        for head_counts, head in _words_by_counts(n_modes, size - tail).items()
+        if (rest := tuple(c - h for c, h in zip(counts, head_counts))) in tails
+    ]
+    return np.sort(np.concatenate(parts))
 
 
 def reference_q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
@@ -142,12 +176,13 @@ def reference_exchange_check(
 
 
 def reference_exchange_table(
-    arrangement: ArrangementClass, params: DeformationParams
+    counts: tuple[int, ...], inversions: np.ndarray, params: DeformationParams
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Check |w>_q = q^{eps(w_k, w_{k+1})} |swap_k(w)>_q on every word of one class, at
-    every inversion level.
+    every inversion level, given the inversion count of each row of the class.
 
-    Row r of both arrays is row r of the class and column k - 1 is position k.
+    Row r of both arrays is row r of the class (its r-th word in lex order, at
+    ``class_index``) and column k - 1 is position k.
     Returns ``(factors, residuals, allowance)``: the factor q^{eps}, the largest
     absolute entry of |w>_q - q^{eps} |swap_k(w)>_q, and the class's rounding
     allowance 4u max(|x_r| + |fl(f x_s)|) at level 0, u = 2^-53, formed here
@@ -159,11 +194,10 @@ def reference_exchange_table(
     entry of every state of the class, computed with exactly the arithmetic
     of ``q_symmetrize``, and the residual is a row difference of the table.
     """
-    counts, index, inversions = arrangement.counts, arrangement.index, arrangement.inversions
-    n_modes, size = len(counts), sum(counts)
+    index, n_modes, size = class_index(counts), len(counts), sum(counts)
     levels = np.flatnonzero(np.bincount(inversions))
     powers = np.array([params.q**k for k in range(size * (size - 1) // 2 + 1)])
-    table = _state_entries(arrangement, params)[:, np.newaxis] * powers[levels]
+    table = _state_table(params, counts)[inversions][:, np.newaxis] * powers[levels]
     comparator = np.array(
         [[params.q ** sign_compare(a, b) for b in range(n_modes)] for a in range(n_modes)]
     )

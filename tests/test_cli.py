@@ -568,7 +568,11 @@ def test_every_cache_of_the_layers_is_one_a_request_clears():
 # q at both ends of (0, 1): next to 0, and where the series terms near the disk's edge
 # overflow double
 @pytest.mark.parametrize("q", ["1e-06", "0.999", "0.9999", "0.99999"])
-@pytest.mark.parametrize("verb", [["coherent", "check"], ["qexp", "eval"], ["qsym", "norm"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "verb",
+    [["coherent", "check"], ["qexp", "eval"], ["qsym", "norm"], ["qsym", "exchange"], ["qsym", "identity"], ["qsym", "appendix"]],
+    ids=" ".join,
+)
 def test_the_verbs_at_the_ends_of_q_finish_or_refuse_at_once(verb, q, capsys):
     start = time.perf_counter()
     code, out, err = run_cli(verb + ["--q", q, "--format", "json"], capsys)

@@ -16,7 +16,6 @@ from qmodes.qcore import DeformationParams, DomainError, q_factorial
 from qmodes import qsym
 from qmodes.qpoly import QPolynomial
 from qmodes.qsym import (
-    ArrangementClass,
     Word,
     _class_cost,
     _class_size,
@@ -37,6 +36,7 @@ from qmodes.qsym import (
 )
 from qsym_oracle import (
     _count_vectors,
+    class_index,
     multiset_arrangements,
     pair_matrix,
     reference_exchange_check,
@@ -50,10 +50,15 @@ from qsym_oracle import (
 Q_GRID = (0.3, 0.5, 0.9)
 
 
-def size_classes(n_modes: int, size: int) -> list[ArrangementClass]:
-    """Every class of ``size`` letters over ``n_modes`` modes, in lex order of the counts,
-    from the one-class kernel."""
-    return [arrangements(counts) for counts in _count_vectors(n_modes, size)]
+def one_class(counts: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """A class as the tests pass it around: its letter counts and the one-class kernel's
+    inversion count of each of its rows."""
+    return counts, arrangements(counts)
+
+
+def size_classes(n_modes: int, size: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Every class of ``size`` letters over ``n_modes`` modes, in lex order of the counts."""
+    return [one_class(counts) for counts in _count_vectors(n_modes, size)]
 
 
 def words_up_to(n_modes: int, max_size: int):
@@ -164,26 +169,37 @@ KERNEL_SHAPES = ((1,), (2,), (1, 1), (0, 3), (2, 0, 1), (0, 0, 2, 1), (1, 2, 0, 
 
 @pytest.mark.parametrize("counts", KERNEL_SHAPES)
 def test_kernel_rows_match_the_reference_enumeration(counts):
-    arrangement = arrangements(counts)
-    index, inversions = arrangement.index, arrangement.inversions
-    assert arrangement.counts == counts
-    reference = list(multiset_arrangements(counts))
-    assert index.tolist() == [tensor_index(u, len(counts)) for u in reference]
-    assert inversions.tolist() == [inversion_count(u) for u in reference]
+    # one row per arrangement, in lex (tensor) order
+    inversions = arrangements(counts)
+    assert inversions.dtype == np.int64
+    assert inversions.tolist() == [inversion_count(u) for u in multiset_arrangements(counts)]
 
 
 def test_kernel_gives_the_empty_arrangement_for_the_zero_shape():
-    arrangement = arrangements((0, 0, 0))
-    assert arrangement.index.tolist() == [0]
-    assert arrangement.inversions.tolist() == [0]
+    assert arrangements((0, 0, 0)).tolist() == [0]
 
 
 def test_kernel_takes_multiplicities_past_the_int8_range():
-    # one mode keeps every tensor index at 0, however long the word
-    arrangement = arrangements((200,))
-    assert arrangement.index.tolist() == [0]
-    assert arrangement.inversions.tolist() == [0]
+    # one mode has one word, of no inversions, however long it is
+    assert arrangements((200,)).tolist() == [0]
     assert q_symmetrize(Word((1,) * 200, 1), DeformationParams(0.9)).tolist() == [1.0]
+    assert word_keys(1, 300).tolist() == [0]  # past the uint8 letters, as one suffix
+
+
+def test_a_long_one_mode_word_has_a_state_of_one_entry_within_the_guard():
+    # the word's class has one arrangement, so its state's table has one entry, not one per
+    # inversion count of the size (2e8 of them here); the guard prices the kernel on its one
+    # word and the one-entry vector
+    word = Word((1,) * 20000, 1)
+    estimate = qsym._words_cost(1, word.size)[0] + 8
+    tracemalloc.start()
+    try:
+        vector = bosonic_symmetrize(word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vector.tolist() == [1.0]
+    assert peak <= estimate, (peak, estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +216,17 @@ def word_classes(n_modes: int, size: int) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 def test_batched_classes_equal_the_one_class_kernel_and_the_reference():
-    # the words of each class, read from the all-words kernel's keys, are the rows of the
-    # one-class kernel and of the recursive reference
+    # the words of each class, read from the all-words kernel's keys, in tensor order, have
+    # the inversion counts of the one-class kernel's rows, and are the words the oracle
+    # reads from the digits of the tensor indices, and those of the recursive reference
     for n_modes in range(1, 7):
         for size in range(9):
             built = word_classes(n_modes, size)
             vectors = list(_count_vectors(n_modes, size))
             assert len(built) == len(vectors)
             for counts, (index, inversions) in zip(vectors, built):
-                alone = arrangements(counts)
-                assert np.array_equal(index, alone.index) and np.array_equal(inversions, alone.inversions)
+                assert np.array_equal(inversions, arrangements(counts))
+                assert np.array_equal(index, class_index(counts))
                 if n_modes**size > 4**8:  # the recursive reference takes ~5 us a word
                     continue
                 reference = list(multiset_arrangements(counts)) or [()]
@@ -256,7 +273,7 @@ def test_a_class_past_the_block_is_tallied_across_blocks(monkeypatch):
     # the 81 words in blocks of 9, the last letter's three suffixes times three prefixes
     assert blocks == [9] * 9
     counts = table[list(_count_vectors(3, 4)).index((1, 1, 2))]  # 12 words, spread over the blocks
-    assert counts.sum() == 12 and np.array_equal(counts, np.bincount(arrangements((1, 1, 2)).inversions, minlength=7))
+    assert counts.sum() == 12 and np.array_equal(counts, np.bincount(arrangements((1, 1, 2)), minlength=7))
 
 
 def test_batched_passes_keep_the_zero_shape_and_the_int64_refusal():
@@ -269,7 +286,6 @@ def test_batched_passes_keep_the_zero_shape_and_the_int64_refusal():
         word_tallies(2, 64)
     with pytest.raises(DomainError, match="budget"):  # 2^63 words fit int64, not the budget
         word_tallies(2, 63)
-    assert arrangements((0, 63)).index.tolist() == [2**63 - 1]  # the word 2...2 still fits
 
 
 def test_the_kernel_consumers_are_refused_on_the_bytes_they_keep():
@@ -305,7 +321,7 @@ def test_each_tally_row_is_the_bincount_of_its_class(cap, monkeypatch):
             vectors = list(_count_vectors(n_modes, size))
             assert table.dtype == np.int64 and table.shape == (len(vectors), width)
             for counts, row in zip(vectors, table):
-                assert np.array_equal(row, np.bincount(arrangements(counts).inversions, minlength=width))
+                assert np.array_equal(row, np.bincount(arrangements(counts), minlength=width))
             if cap and n_modes**size > max(cap, n_modes):  # some class has words in two blocks
                 spread = np.concatenate(ranks)
                 assert len(ranks) > 1 and spread.size > np.unique(spread).size
@@ -350,8 +366,8 @@ def test_the_class_ranks_are_the_lex_order_of_the_counts():
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.999])
 def test_the_exchange_state_vector_equals_the_per_class_scatter(q):
-    # the class entries gathered at the keys are, bit for bit, each class's _state_entries
-    # scattered through its tensor indices
+    # the class entries gathered at the keys are, bit for bit, each class's entries from
+    # _state_table scattered through the reference's tensor indices
     params = DeformationParams(q)
     for n_modes, size in [(1, 5), (2, 9), (3, 6), (4, 5), (6, 4)]:
         gathered = np.take(class_entries(params, n_modes, size), word_keys(n_modes, size))
@@ -380,19 +396,19 @@ def test_norm_identity_tally_matches_the_reference(counts):
 
 def test_kernel_memory_follows_the_class_not_the_tensor_space():
     # (3, 2, 2, 2) has 9! / (3! 2! 2! 2!) = 7560 rows out of 4^9 = 262144
-    # words.  The last extension step holds about nine int64 arrays of one
-    # entry per row (the row and letter of each extension, old and new tensor
-    # indices and inversions, and their temporaries) plus a few rows of int8
-    # letter counts: some 70 bytes a row, 0.5 MB.  A table over the whole
-    # tensor space would need 2.1 MB for its int64 index alone.
+    # words.  The last extension step holds a few int64 arrays of one entry
+    # per row (each extension and its prefix, old and new inversions and
+    # their temporaries) plus a few rows of int8 letter counts, and the
+    # result keeps 8 bytes a row.  A table over the whole tensor space would
+    # need 2.1 MB for an int64 index alone.
     counts, rows = (3, 2, 2, 2), 7560
     tracemalloc.start()
     try:
-        index = arrangements(counts).index
+        inversions = arrangements(counts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert index.size == rows
+    assert inversions.size == rows and inversions.nbytes == 8 * rows
     nbytes = _class_cost(counts)[0]
     assert peak < nbytes < 8 * 4**9
     assert nbytes == pytest.approx(100 * rows + 632, rel=1e-12)  # the rows from the lgamma estimate
@@ -404,7 +420,7 @@ def test_letters_of_count_zero_cost_the_kernel_nothing(counts):
     # take 456 B a row over 208 modes and 140 B over 50, against the 100 B charged
     tracemalloc.start()
     try:
-        rows = arrangements(counts).inversions.size
+        rows = arrangements(counts).size
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -453,8 +469,7 @@ def test_a_long_class_over_few_letters_is_priced_by_its_prefix_extensions():
 def test_kernel_holds_counts_past_the_narrowest_type():
     # int8 holds -128 but not 128: the count type must hold N itself
     for size in (127, 128, 200):
-        arrangement = arrangements((size,))
-        assert arrangement.index.tolist() == [0] and arrangement.inversions.tolist() == [0]
+        assert arrangements((size,)).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,40 +521,63 @@ def test_size_bounds_are_enforced():
         bosonic_symmetrize(Word((1,) * 30, 2))
 
 
+@pytest.mark.parametrize("n_modes, size", [(4, 8), (6, 6), (2, 16)])
+def test_the_dense_states_peak_within_the_all_words_guard(n_modes, size):
+    # the guard the dense states pass is the all-words kernel's, with their n^N vector as
+    # the bytes kept beside it; the word is one of the class of most rows
+    letters = tuple(l for l, c in enumerate(_largest_class(n_modes, size), start=1) for _ in range(c))
+    word, params = Word(letters[::-1], n_modes), DeformationParams(0.5)
+    estimate = qsym._words_cost(n_modes, size)[0] + 8 * n_modes**size
+    for symmetrize in (lambda: q_symmetrize(word, params), lambda: bosonic_symmetrize(word)):
+        symmetrize()  # the power tables, which params keeps, are built once
+        tracemalloc.start()
+        try:
+            vector = symmetrize()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(vector) == round(_class_size(_largest_class(n_modes, size)))
+        assert peak <= estimate, (peak, estimate)
+
+
 # ---------------------------------------------------------------------------
 # exchange relation and deformed transpositions
 
 
-def size_states(classes: list[ArrangementClass], params: DeformationParams) -> np.ndarray:
+def size_states(classes: list, params: DeformationParams) -> np.ndarray:
     """The sorted-word states of the given classes of one size in one vector, as the sweep
-    fills it with every class of the size; the other words are 0."""
-    counts = classes[0].counts
+    fills it with every class of the size: each row's entry from its inversion count, at the
+    reference's tensor index of the row; the other words are 0."""
+    counts = classes[0][0]
     states = np.zeros(len(counts) ** sum(counts))
-    for arrangement in classes:
-        states[arrangement.index] = qsym._state_entries(arrangement, params)
+    for counts, inversions in classes:
+        states[class_index(counts)] = qsym._state_table(params, counts)[inversions]
     return states
 
 
-def exchange_rows(states: np.ndarray, classes: list[ArrangementClass], params: DeformationParams):
-    """The exchange kernel at every position of one size's vector, read at the rows of each
-    class: per class ``(factors, residuals)``, row r and column k - 1 for its r-th word at
-    position k; and the largest allowance.  One kernel call per position."""
-    counts = classes[0].counts
+def exchange_rows(states: np.ndarray, classes: list, params: DeformationParams):
+    """The exchange kernel at every position of one size's vector, read at the reference's
+    tensor indices of each class: per class ``(factors, residuals)``, row r and column k - 1
+    for its r-th word at position k; and the largest allowance.  One kernel call per
+    position."""
+    counts = classes[0][0]
     n_modes, size = len(counts), sum(counts)
-    rows = [tuple(np.empty((c.index.size, max(size - 1, 0))) for _ in range(2)) for c in classes]
+    indices = [class_index(counts) for counts, _ in classes]
+    rows = [tuple(np.empty((index.size, max(size - 1, 0))) for _ in range(2)) for index in indices]
     allowance = 0.0
     for k in range(1, size):
         factors, residuals, position_allowance = exchange_check(states, size, n_modes, k, params)
         allowance = max(allowance, position_allowance)
-        for arrangement, (class_factors, class_residuals) in zip(classes, rows):
-            class_factors[:, k - 1], class_residuals[:, k - 1] = factors[arrangement.index], residuals[arrangement.index]
+        for index, (class_factors, class_residuals) in zip(indices, rows):
+            class_factors[:, k - 1], class_residuals[:, k - 1] = factors[index], residuals[index]
         del factors, residuals  # before the next position's are formed
     return rows, allowance
 
 
-def class_exchange(arrangement: ArrangementClass, params: DeformationParams):
+def class_exchange(counts: tuple[int, ...], inversions: np.ndarray, params: DeformationParams):
     """``exchange_rows`` on a vector that holds one class: ``(factors, residuals, allowance)``."""
-    ((factors, residuals),), allowance = exchange_rows(size_states([arrangement], params), [arrangement], params)
+    classes = [(counts, inversions)]
+    ((factors, residuals),), allowance = exchange_rows(size_states(classes, params), classes, params)
     return factors, residuals, allowance
 
 
@@ -557,10 +595,10 @@ def test_exchange_relation_everywhere():
 def test_exchange_factor_orientation():
     params = DeformationParams(0.5)
     # ascending pair: swapping costs q^{-1}; descending: q^{+1}
-    factors, _, _ = exchange_check(size_states([arrangements((1, 1))], params), 2, 2, 1, params)
+    factors, _, _ = exchange_check(size_states([one_class((1, 1))], params), 2, 2, 1, params)
     assert factors[tensor_index((1, 2), 2)] == pytest.approx(2.0)
     assert factors[tensor_index((2, 1), 2)] == pytest.approx(0.5)
-    factors, residuals, allowance = class_exchange(arrangements((0, 2)), params)  # the one row (2, 2)
+    factors, residuals, allowance = class_exchange(*one_class((0, 2)), params)  # the one row (2, 2)
     assert factors[0, 0] == 1.0
     assert residuals[0, 0] == 0.0
     assert allowance == 4 * 2**-53 * 2  # 4u (|x| + |f x|), where x = f x = 1
@@ -588,7 +626,7 @@ def test_exchange_kernel_equals_the_per_word_reference(counts):
     n_modes = len(counts)
     for q in Q_GRID:
         params = DeformationParams(q)
-        factors, residuals, allowance = class_exchange(arrangements(counts), params)
+        factors, residuals, allowance = class_exchange(*one_class(counts), params)
         words = list(multiset_arrangements(counts)) if sum(counts) else []
         assert residuals.shape == (max(len(words), 1), max(sum(counts) - 1, 0))
         for row, letters in enumerate(words):
@@ -601,14 +639,14 @@ def test_exchange_kernel_equals_the_per_word_reference(counts):
                     assert residuals[row, k - 1] == 0.0
 
 
-def _assert_rows_within_the_table(factors, residuals, arrangement: ArrangementClass, params: DeformationParams):
+def _assert_rows_within_the_table(factors, residuals, counts, inversions, params: DeformationParams):
     """The table holds every row at every inversion level: level 0 is the kernel's residual,
     and every other level passes it by no more than the class's allowance, which the table
     route forms on its own.  Returns that allowance."""
-    table_factors, table_residuals, allowance = reference_exchange_table(arrangement, params)
+    table_factors, table_residuals, allowance = reference_exchange_table(counts, inversions, params)
     assert np.array_equal(factors, table_factors)
-    assert np.all(table_residuals >= residuals), (arrangement.counts, params.q)
-    assert np.all(table_residuals <= residuals + allowance), (arrangement.counts, params.q)
+    assert np.all(table_residuals >= residuals), (counts, params.q)
+    assert np.all(table_residuals <= residuals + allowance), (counts, params.q)
     return allowance
 
 
@@ -618,8 +656,8 @@ def _assert_sizes_within_the_table(shapes, params: DeformationParams) -> None:
     for n_modes, size in shapes:
         classes = list(size_classes(n_modes, size))
         rows, allowance = exchange_rows(size_states(classes, params), classes, params)
-        for arrangement, (factors, residuals) in zip(classes, rows):
-            assert _assert_rows_within_the_table(factors, residuals, arrangement, params) <= allowance
+        for (counts, inversions), (factors, residuals) in zip(classes, rows):
+            assert _assert_rows_within_the_table(factors, residuals, counts, inversions, params) <= allowance
 
 
 def test_exchange_kernel_stays_within_the_table_kernel_on_every_small_class():
@@ -640,9 +678,9 @@ def test_exchange_kernel_stays_within_the_table_kernel_on_large_classes(counts, 
     # scales every entry by a power of two, so the table then equals its level-0 column.
     # On a vector that holds the one class (4^12 words for (3, 3, 3, 3)), the kernel's
     # allowance is the class's
-    arrangement, params = arrangements(counts), DeformationParams(q)
-    factors, residuals, allowance = class_exchange(arrangement, params)
-    assert _assert_rows_within_the_table(factors, residuals, arrangement, params) == allowance
+    inversions, params = arrangements(counts), DeformationParams(q)
+    factors, residuals, allowance = class_exchange(counts, inversions, params)
+    assert _assert_rows_within_the_table(factors, residuals, counts, inversions, params) == allowance
 
 
 @pytest.mark.parametrize("counts, row", [((2, 1, 2), 7), ((1, 1, 1, 1), 10), ((0, 3, 1), 2)], ids=str)
@@ -651,15 +689,13 @@ def test_exchange_kernel_flags_a_row_with_a_wrong_inversion_count(counts, row):
     # position that swaps that word onto a word with other letters breaks the law on both
     # rows by (1 - q) of their entries (the two entries can be equal, so the bound holds only
     # within the allowance); every other row holds the law within the allowance
-    arrangement = arrangements(counts)
-    inversions = arrangement.inversions.copy()
+    inversions = arrangements(counts)
     inversions[row] += 1
-    corrupted = ArrangementClass(counts, arrangement.index, inversions)
     words = list(multiset_arrangements(counts))
     for q in Q_GRID:
         params = DeformationParams(q)
-        entries = qsym._state_entries(corrupted, params)
-        _, residuals, allowance = class_exchange(corrupted, params)
+        entries = qsym._state_table(params, counts)[inversions]
+        _, residuals, allowance = class_exchange(counts, inversions, params)
         broken = np.zeros_like(residuals, dtype=bool)
         letters = words[row]
         for k in range(1, len(letters)):
@@ -675,10 +711,8 @@ def test_exchange_kernel_flags_a_row_with_a_wrong_inversion_count(counts, row):
 def test_exchange_kernel_rejects_bad_classes():
     with pytest.raises(ValueError):
         arrangements((2, -1))
-    # 1560 words whose 3^40 > 2^63 tensor indices are not formed: their inversions still are
-    arrangement = arrangements((38, 1, 1))
-    assert arrangement.index is None
-    tally = np.bincount(arrangement.inversions)
+    # 1560 words whose tensor indices pass int64 (3^40 > 2^63): the kernel forms none
+    tally = np.bincount(arrangements((38, 1, 1)))
     assert {k: int(n) for k, n in enumerate(tally) if n} == reference_tally((38, 1, 1))
 
 
@@ -700,7 +734,7 @@ def test_exchange_kernel_peaks_within_its_estimate(counts):
     # the residuals and the factors, as the exchange sweep charges one call
     n_modes, size = len(counts), sum(counts)
     params = DeformationParams(0.5)
-    states = size_states([arrangements(counts)], params)
+    states = size_states([one_class(counts)], params)
     estimate = qsym._exchange_cost(n_modes, size, 1)[0]
     for k in (1, size // 2, size - 1):
         tracemalloc.start()
@@ -771,9 +805,8 @@ def test_transposition_bounds():
 def test_exchange_property(letters, k, q):
     word = Word(tuple(letters), 4)
     position = 1 + k % (word.size - 1)
-    arrangement = arrangements(word.counts)
-    _, residuals, _ = class_exchange(arrangement, DeformationParams(q))
-    row = int(np.searchsorted(arrangement.index, tensor_index(word.letters, word.n_modes)))
+    _, residuals, _ = class_exchange(*one_class(word.counts), DeformationParams(q))
+    row = int(np.searchsorted(class_index(word.counts), tensor_index(word.letters, word.n_modes)))
     assert residuals[row, position - 1] < 1e-12
 
 
@@ -818,10 +851,10 @@ def test_class_totals_equal_the_enumeration():
     for n_modes in range(1, 7):
         for size in range(9):
             classes = rows = 0
-            for arrangement in size_classes(n_modes, size):
+            for counts, inversions in size_classes(n_modes, size):
                 classes += 1
-                rows += arrangement.index.size
-                assert _class_size(arrangement.counts) == pytest.approx(arrangement.index.size, rel=1e-12)
+                rows += inversions.size
+                assert _class_size(counts) == pytest.approx(inversions.size, rel=1e-12)
             assert _class_totals(n_modes, size) == pytest.approx((classes, rows), rel=1e-12)
             largest = max(_class_size(counts) for counts in _count_vectors(n_modes, size))
             assert _class_size(_largest_class(n_modes, size)) == pytest.approx(largest, rel=1e-12)
@@ -856,10 +889,8 @@ def test_the_norm_is_taken_on_the_class_entries_of_q_symmetrize(q):
     for _ in range(150):
         n_modes = rng.randint(1, 6)
         letters = tuple(rng.randint(1, n_modes) for _ in range(rng.randint(1, 8)))
-        used = sorted(set(letters))
-        entries = qsym._state_entries(
-            arrangements([letters.count(l) for l in used]), params, inversion_count(letters)
-        )
+        counts = [letters.count(l) for l in sorted(set(letters))]
+        entries = qsym._state_table(params, counts, inversion_count(letters))[arrangements(counts)]
         vector = q_symmetrize(Word(letters, n_modes), params)
         assert entries.tobytes() == vector[np.flatnonzero(vector)].tobytes(), (letters, n_modes)
         assert fundamental_norm(Word(letters, n_modes), params) == float(entries @ entries)

@@ -6,7 +6,8 @@ another route, in text and in JSON, under ``sys.setprofile``.  A public name tha
 no run calls must be listed in ``KEPT`` with the reason it stays; a listed name
 that a run calls, or that no longer exists, fails too, so the list cannot go stale.
 Private functions are scanned at module level only, each cached one through the
-function it wraps; dunders are left out.
+function it wraps; dunders are left out.  A function is known by the file and first line
+of its code, which every supported Python gives (``co_qualname`` is 3.11 on).
 """
 
 import contextlib
@@ -56,13 +57,12 @@ KEPT = {
     "qsym.q_symmetrize": "scripts/classical_limit_scan.py and the tests' oracles call it; the benchmark's tracer wraps it",
     "qsym.sign_compare": "the tests' oracles build the exchange factors q^eps through it, a route independent of "
     "exchange_check's table",
-    "qsym.Word.counts": "q_symmetrize and bosonic_symmetrize read the class of a word through it, "
-    "as do the benchmark's tracer and the tests' oracles",
-    "qsym.Word.size": "q_symmetrize, bosonic_symmetrize and swap_adjacent size a word through it",
+    "qsym.Word.counts": "the benchmark's tracer and the tests' oracles read the class of a word through it",
+    "qsym.Word.size": "the dense states and swap_adjacent size a word through it",
     "qcore.q_number": "q_exp_series, scripts/classical_limit_scan.py and the oracles read the bracket through it",
     "qcore.q_factorial": "the scalar [n]! of the public API, which the tests check the factorial table against; "
     "the benchmark's tracer wraps it",
-    "qsym._dense_class": "the dense-vector guard that q_symmetrize and bosonic_symmetrize share",
+    "qsym._dense_state": "the one fill of the dense n^N states, which q_symmetrize and bosonic_symmetrize share",
     "fock.interior_indices": "the tests' oracles slice the interior through it, and check the corrupted entry "
     "against its interior search",
     "fock.occupation_table": "interior_indices and the tests' oracles read the occupations through it",
@@ -93,7 +93,7 @@ def _function(obj):
 
 def public_names() -> dict[str, tuple[str, str]]:
     """Each public function and method and each module-level private function the layer
-    modules define: name -> (file, qualified name)."""
+    modules define: name -> (file, first line)."""
     names = {}
     for module in LAYERS:
         layer = module.__name__.rsplit(".", 1)[1]
@@ -107,7 +107,7 @@ def public_names() -> dict[str, tuple[str, str]]:
                 function = _function(value)
                 if function is not None and not (member or "").startswith("_"):
                     key = f"{layer}.{name}" + (f".{member}" if member else "")
-                    names[key] = (function.__code__.co_filename, function.__code__.co_qualname)
+                    names[key] = (function.__code__.co_filename, function.__code__.co_firstlineno)
     return names
 
 
@@ -123,7 +123,7 @@ def reached():
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename in files:
-            calls.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+            calls.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     for output_format in ("text", "json"):
         for argv in RUNS:
