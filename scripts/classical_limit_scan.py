@@ -5,7 +5,8 @@ For each q the table shows
   * the worst interior deviation of [a_i, a_i^dag] from the identity,
     divided by 1 - q^2 (bounded ratio = linear approach),
   * the worst overlap gap between q-symmetrized sorted words and the
-    ordinary symmetric states (all words with at most --N letters), and
+    ordinary symmetric states (all words with at most --N letters), taken
+    on each word's class of arrangements alone, and
   * the bracket [N] against its classical value N.
 
 Usage:
@@ -14,6 +15,7 @@ Usage:
 
 import argparse
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -21,7 +23,7 @@ import scipy.sparse as sp
 
 from qmodes.fock import FockSpaceConfig, annihilator, creator, interior_indices
 from qmodes.qcore import DeformationParams, q_number
-from qmodes.qsym import Word, bosonic_symmetrize, q_symmetrize
+from qmodes.qsym import arrangements
 
 
 def commutator_ratio(params: DeformationParams, modes: int, cutoff: int) -> float:
@@ -36,14 +38,20 @@ def commutator_ratio(params: DeformationParams, modes: int, cutoff: int) -> floa
     return worst / (1.0 - params.q_sq)
 
 
+def overlap_gap(params: DeformationParams, counts: list[int]) -> float:
+    """1 - <w|s> for the sorted word w of the given letter counts, where |w> is its normalized
+    q-symmetrized state and |s> the symmetric state of its class C.  Both are supported on C,
+    |w> with weights q^R(u) and |s> uniform, so the overlap is
+    sum_u q^R(u) / sqrt(|C| sum_u q^2R(u)), read from the class's inversion counts."""
+    weights = params.q ** arrangements(counts).astype(float)
+    return 1.0 - float(weights.sum()) / math.sqrt(weights.size * float(weights @ weights))
+
+
 def worst_overlap_gap(params: DeformationParams, n_modes: int, max_size: int) -> float:
     gap = 0.0
     for size in range(1, max_size + 1):
-        for letters in itertools.combinations_with_replacement(range(1, n_modes + 1), size):
-            word = Word(letters, n_modes)
-            deformed = q_symmetrize(word, params)
-            deformed = deformed / np.linalg.norm(deformed)
-            gap = max(gap, 1.0 - float(deformed @ bosonic_symmetrize(word)))
+        for letters in itertools.combinations_with_replacement(range(n_modes), size):
+            gap = max(gap, overlap_gap(params, [letters.count(letter) for letter in range(n_modes)]))
     return gap
 
 

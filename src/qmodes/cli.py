@@ -150,6 +150,8 @@ class RunConfig:
         for q in self.q_values:
             if not 0.0 < q < 1.0:
                 raise ConfigError(f"q must lie strictly between 0 and 1, got {q}")
+            if q * q == 0.0:  # DeformationParams' rule, checked for every q before the first runs
+                raise ConfigError(f"q^2 underflows to 0 in double precision, got q={q}")
         if not self.q_values:
             raise ConfigError("at least one q value is required")
         if self.modes < 1:
@@ -822,7 +824,7 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
 
 
 # The exact tables the kernels cache while a request runs.
-_TABLES = (qpoly._factorial, qsym._prefix_extensions)
+_TABLES = (qpoly._factorial,)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

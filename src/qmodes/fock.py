@@ -124,17 +124,17 @@ def _shift_operator(
     CSR triple is assembled as it stands, with no sort and without the
     constructor's checks, which cost about as much as a build.  Zero
     amplitudes (underflow) are dropped first, as scipy's ``eliminate_zeros``
-    drops them.  Indices are int32 whenever they fit, as in scipy.
+    drops them.  Indices are int32, as scipy's are whenever they fit: the guard of
+    ``FockSpaceConfig`` admits no space near 2^31 states.
     """
     stored = amplitude != 0
     if not stored.all():
         rows, columns, amplitude = rows[stored], columns[stored], amplitude[stored]
-    index_type = np.int32 if dim < 2**31 else np.int64
-    indptr = np.zeros(dim + 1, dtype=index_type)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
     indptr[rows + 1] = 1
     np.cumsum(indptr, out=indptr)
     op = ShiftOperator.__new__(ShiftOperator)
-    op.data, op.indices, op.indptr = amplitude, columns.astype(index_type), indptr
+    op.data, op.indices, op.indptr = amplitude, columns.astype(np.int32), indptr
     op.shape = (dim, dim)
     return op
 

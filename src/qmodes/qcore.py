@@ -66,11 +66,11 @@ class SingularityError(ZeroDivisionError):
 class DeformationParams:
     """Deformation parameter q with its derived constants.
 
-    Requires 0 < q < 1 (strictly).  ``q_sq`` is q*q exactly as computed in
-    working precision and ``radius = 1/(1 - q_sq)`` is simultaneously the
-    convergence radius of the q-exponential series, the location of its
-    first pole, and the upper endpoint of the Jackson grid.  ``_powers`` holds the
-    power tables of :func:`_power_table`.
+    Requires 0 < q < 1 (strictly), with q*q > 0 in double.  ``q_sq`` is q*q
+    exactly as computed in working precision and ``radius = 1/(1 - q_sq)`` is
+    simultaneously the convergence radius of the q-exponential series, the
+    location of its first pole, and the upper endpoint of the Jackson grid.
+    ``_powers`` holds the power tables of :func:`_power_table`.
     """
 
     q: float
@@ -82,6 +82,8 @@ class DeformationParams:
         q = self.q
         if not isinstance(q, (int, float)) or not math.isfinite(q) or not 0.0 < q < 1.0:
             raise DomainError(f"q must lie strictly inside (0, 1), got {q!r}")
+        if float(q) * float(q) == 0.0:  # below about 1.57e-162; q^-1 or log(q^2) fail next
+            raise DomainError(f"q^2 underflows to 0 in double precision, got q={q!r}")
         object.__setattr__(self, "q", float(q))
         object.__setattr__(self, "q_sq", float(q) * float(q))
         object.__setattr__(self, "radius", 1.0 / (1.0 - float(q) * float(q)))

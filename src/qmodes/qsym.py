@@ -21,7 +21,6 @@ invariance).
 """
 
 import collections
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ __all__ = [
     "inversion_count",
     "sign_compare",
     "q_symmetrize",
-    "bosonic_symmetrize",
     "fundamental_norm",
     "exchange_check",
     "transposition_op",
@@ -330,13 +328,12 @@ def _largest_class(n_modes: int, size: int) -> tuple[int, ...]:
     return (a + 1,) * b + (a,) * (n_modes - b if a else 0)
 
 
-@functools.lru_cache(maxsize=1024)
 def _prefix_extensions(counts: tuple[int, ...]) -> int:
     """Prefixes the arrangement kernel's steps extend on the class of ``counts`` (nonzero, in
     increasing order): sum multinomial(b) over the sub-multisets b with 0 < |b| < N.  Its terms
     with |b| = k over the letters before the most common one, P_k, grow a letter at a time
     (j copies among k letters: C(k + j, j) ways), and c copies of the most common letter add
-    C(c + k + 1, k + 1).  Cached, as a norm sweep prices the same few classes again and again."""
+    C(c + k + 1, k + 1)."""
     if not counts:
         return 0
     *rest, top = counts
@@ -487,46 +484,32 @@ def _state_table(params: DeformationParams, counts: Sequence[int], word_inversio
     return powers[word_inversions] * _prefactors(params, size, [counts])[0] * powers
 
 
-def _dense_state(word: Word, params: DeformationParams | None = None) -> np.ndarray:
-    """The n^N vector that holds, at each arrangement u of the letters of ``word``, the entry
-    of |w>_q there (``_state_table``'s at R(u)), or 1 without ``params``, and 0 elsewhere.
-    The arrangements are the all-words kernel's words whose keys lie in the row of the
-    class's rank, which ``_rank_terms`` gives over the word's sorted letters.  The kernel's
-    guard, with the vector as the bytes kept beside it, is the one guard of the dense states,
-    and runs before the table is formed; the table has one entry per inversion count of the
-    class (one for a class of one letter), so it is never longer than the class."""
-    n_modes, size = word.n_modes, word.size
-    blocks = _word_blocks(n_modes, size, 8 * _class_totals(n_modes, size)[1])
-    vector = np.zeros(n_modes**size, dtype=np.float64)
-    # letter l + 1 at place t of the sorted word reads entry t n + l; no array outlives the rank
-    rank = int(_rank_terms(n_modes, size)[np.sort(word.letters) - 1 + np.arange(size) * n_modes].sum())
-    table = None
-    if params is not None:  # the counts of the letters the word uses, in letter order ([0]! = 1 drops out)
-        used = collections.Counter(word.letters)
-        table = _state_table(params, [used[l] for l in sorted(used)], inversion_count(word.letters))
-    width, start = size * (size - 1) // 2 + 1, 0
-    first = rank * width  # the class's keys are first + R(u)
-    for keys in blocks:
-        hit = np.flatnonzero((keys >= first) & (keys < first + width))
-        vector[start + hit] = 1.0 if table is None else table[keys[hit] - first]
-        start += keys.size
-    return vector
-
-
 def q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:
     """q-symmetrized state of a word as a dense vector of dimension n^N.
 
     The sum runs over the distinct arrangements of the letter multiset;
     each arrangement u carries the weight q^{R(word)} q^{R(u)} and the whole
-    sum is scaled by sqrt(prod [n_k]! / [N]!).
+    sum is scaled by sqrt(prod [n_k]! / [N]!): ``_state_table``'s entry at R(u).
+    The arrangements are the all-words kernel's words whose keys lie in the row of the
+    class's rank, which ``_rank_terms`` gives over the word's sorted letters.  The kernel's
+    guard, with the vector as the bytes kept beside it, is the one guard of the state, and
+    runs before the table is formed; the table has one entry per inversion count of the
+    class (one for a class of one letter), so it is never longer than the class.
     """
-    return _dense_state(word, params)
-
-
-def bosonic_symmetrize(word: Word) -> np.ndarray:
-    """Undeformed symmetric state: uniform over distinct arrangements, normalized."""
-    vector = _dense_state(word)
-    vector /= np.linalg.norm(vector)
+    n_modes, size = word.n_modes, word.size
+    blocks = _word_blocks(n_modes, size, 8 * _class_totals(n_modes, size)[1])
+    vector = np.zeros(n_modes**size, dtype=np.float64)
+    # letter l + 1 at place t of the sorted word reads entry t n + l; no array outlives the rank
+    rank = int(_rank_terms(n_modes, size)[np.sort(word.letters) - 1 + np.arange(size) * n_modes].sum())
+    # the counts of the letters the word uses, in letter order ([0]! = 1 drops out)
+    used = collections.Counter(word.letters)
+    table = _state_table(params, [used[l] for l in sorted(used)], inversion_count(word.letters))
+    width, start = size * (size - 1) // 2 + 1, 0
+    first = rank * width  # the class's keys are first + R(u)
+    for keys in blocks:
+        hit = np.flatnonzero((keys >= first) & (keys < first + width))
+        vector[start + hit] = table[keys[hit] - first]
+        start += keys.size
     return vector
 
 
@@ -592,12 +575,6 @@ def _exchange_factors(params: DeformationParams) -> np.ndarray:
     return np.array([params.q**-1, 1.0, params.q])
 
 
-def _index_type(words: int) -> type:
-    """The type of the word indices of a space of ``words`` words: int32 below 2^31 words,
-    where its arithmetic runs about 1.7 times as fast as in int64, else int64."""
-    return np.int32 if words < 2**31 else np.int64
-
-
 def transposition_op(
     size: int, n_modes: int, k: int, params: DeformationParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -609,9 +586,9 @@ def transposition_op(
     eigenvalue 1.  Each row holds one entry, so it comes back as the pair
     ``(swapped, weights)``: row w holds ``weights[w]`` at column
     ``swapped[w]``, and T x is ``weights * x[swapped]``.  The swapped words
-    come from index arithmetic on the letters (in ``_index_type``, int32 below
-    2^31 words); ``exchange_check`` swaps two axes instead, an independent
-    route to the same words.
+    come from index arithmetic on the letters, in int32: the guard admits
+    no space near 2^31 words.  ``exchange_check`` swaps two axes instead,
+    an independent route to the same words.
     """
     if size < 1 or n_modes < 1:
         raise ValueError("size and n_modes must be >= 1")
@@ -620,7 +597,7 @@ def transposition_op(
     check_budget("transposition_op on the {}^{} tensor space",
                  *_transposition_cost(n_modes, size, 1, 0), n_modes, size)
     # each word's index, until it is moved below
-    swapped = np.arange(n_modes**size, dtype=_index_type(n_modes**size))
+    swapped = np.arange(n_modes**size, dtype=np.int32)
     stride_right = n_modes ** (size - k - 1)  # position k+1
     stride_left = stride_right * n_modes  # position k
     step = swapped // stride_left % n_modes

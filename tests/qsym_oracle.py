@@ -7,6 +7,8 @@ inversions per word, and two dense n^N states per (word, position).  The
 tests compare the kernels against them on small shapes.
 ``class_index`` gives a class's tensor indices from the digits of the
 tensor indices themselves, so no kernel under test supplies them.
+``symmetric_state`` is the undeformed symmetric state, the q -> 1 limit of
+every q-symmetrized state of a class, built at ``class_index`` alone.
 ``reference_exchange_table`` is the class kernel that the level-0 check in
 ``qsym.exchange_check`` replaced: it forms every state of a class at every
 inversion level, and finds each swapped word in the class by its index.  ``reference_transposition`` assembles the deformed
@@ -113,6 +115,15 @@ def class_index(counts: Sequence[int]) -> np.ndarray:
         if (rest := tuple(c - h for c, h in zip(counts, head_counts))) in tails
     ]
     return np.sort(np.concatenate(parts))
+
+
+def symmetric_state(word: Word) -> np.ndarray:
+    """The ordinary symmetric state of a word: the unit vector uniform over the arrangements
+    of its letters, and 0 elsewhere."""
+    index = class_index(word.counts)
+    vector = np.zeros(word.n_modes**word.size, dtype=np.float64)
+    vector[index] = 1.0 / math.sqrt(index.size)
+    return vector
 
 
 def reference_q_symmetrize(word: Word, params: DeformationParams) -> np.ndarray:

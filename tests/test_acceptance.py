@@ -42,7 +42,6 @@ from qmodes.qcore import (
 from qmodes.qpoly import poly_insertion_sum, poly_q_number
 from qmodes.qsym import (
     Word,
-    bosonic_symmetrize,
     fundamental_norm,
     inversion_count,
     norm_identity_exact,
@@ -51,7 +50,7 @@ from qmodes.qsym import (
     transposition_op,
 )
 from fock_oracle import failing_families
-from qsym_oracle import multiset_arrangements, pair_matrix
+from qsym_oracle import multiset_arrangements, pair_matrix, symmetric_state
 
 Q_GRID = (0.3, 0.5, 0.9)
 
@@ -319,7 +318,7 @@ def test_criterion_09_classical_limit():
             word = Word(letters, slots)
             deformed = q_symmetrize(word, params)
             deformed = deformed / np.linalg.norm(deformed)
-            overlap = float(deformed @ bosonic_symmetrize(word))
+            overlap = float(deformed @ symmetric_state(word))
             worst_overlap = min(worst_overlap, overlap)
 
     # commutators drift from the undeformed ones linearly in 1 - q^2

@@ -561,7 +561,7 @@ def test_every_cache_of_the_layers_is_one_a_request_clears():
         for obj in vars(module).values():
             members = vars(obj).values() if isinstance(obj, type) else ()
             caches.update(value for value in (obj, *members) if callable(getattr(value, "cache_clear", None)))
-    assert cli._TABLES == (qpoly._factorial, qsym._prefix_extensions)
+    assert cli._TABLES == (qpoly._factorial,)
     assert caches == set(cli._TABLES)
 
 
@@ -584,6 +584,22 @@ def test_the_verbs_at_the_ends_of_q_finish_or_refuse_at_once(verb, q, capsys):
         assert failed <= {"qexp_functional_equation", "qexp_route_agreement"}, failed
     else:
         assert code == 0, err
+
+
+@pytest.mark.parametrize("verb", [command.split() for command in cli._verbs()], ids=" ".join)
+def test_a_q_whose_square_underflows_is_refused_naming_it(verb, capsys):
+    # below q ~ 1.57e-162, q * q is 0 in double: log(q^2) and 1/q would fail mid-run; a
+    # request of several q is refused before its first q runs
+    for q_values in (["1e-300"], ["5e-324"], ["0.5", "1e-300"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(verb + ["--q", *q_values], capsys)
+        seconds = time.perf_counter() - start
+        assert code == 2 and out == "" and seconds < 0.1, (q_values, code, seconds)
+        assert err.startswith("configuration error:") and f"q={q_values[-1]}" in err, err
+    # the smallest q tried whose square is positive runs every verb
+    for q in ("1.6e-162", "1e-160"):
+        code, out, err = run_cli(verb + ["--q", q], capsys)
+        assert code == 0, (q, err)
 
 
 def test_a_sweep_of_inner_rings_runs_where_the_outer_ones_overflow(capsys):
@@ -1408,6 +1424,7 @@ def test_runconfig_validate_rejects_bad_values():
     base = dict(command="verify algebra")
     for overrides in (
         {"q_values": (0.0,)},
+        {"q_values": (1e-300,)},
         {"q_values": ()},
         {"modes": 0},
         {"cutoff": 1},

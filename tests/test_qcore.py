@@ -74,6 +74,10 @@ def test_deformation_params_domain():
     for bad in (0.0, 1.0, -0.2, 1.5, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             DeformationParams(bad)
+    for tiny in (1e-300, 5e-324):  # q * q is 0 in double
+        with pytest.raises(DomainError, match=f"q={tiny!r}"):
+            DeformationParams(tiny)
+    assert DeformationParams(1.6e-162).q_sq > 0.0
     params = DeformationParams(0.5)
     assert params.q_sq == 0.25
     assert params.radius == pytest.approx(4.0 / 3.0, rel=1e-15)

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from qmodes.fock import FockSpaceConfig
 from qmodes.qcore import DeformationParams, DomainError, q_factorial
 from qmodes import qsym
 from qmodes.qpoly import QPolynomial
@@ -22,7 +23,6 @@ from qmodes.qsym import (
     _class_totals,
     _largest_class,
     arrangements,
-    bosonic_symmetrize,
     class_entries,
     exchange_check,
     fundamental_norm,
@@ -44,6 +44,7 @@ from qsym_oracle import (
     reference_transposition,
     reference_q_symmetrize,
     reference_tally,
+    symmetric_state,
     tensor_index,
 )
 
@@ -184,22 +185,6 @@ def test_kernel_takes_multiplicities_past_the_int8_range():
     assert arrangements((200,)).tolist() == [0]
     assert q_symmetrize(Word((1,) * 200, 1), DeformationParams(0.9)).tolist() == [1.0]
     assert word_keys(1, 300).tolist() == [0]  # past the uint8 letters, as one suffix
-
-
-def test_a_long_one_mode_word_has_a_state_of_one_entry_within_the_guard():
-    # the word's class has one arrangement, so its state's table has one entry, not one per
-    # inversion count of the size (2e8 of them here); the guard prices the kernel on its one
-    # word and the one-entry vector
-    word = Word((1,) * 20000, 1)
-    estimate = qsym._words_cost(1, word.size)[0] + 8
-    tracemalloc.start()
-    try:
-        vector = bosonic_symmetrize(word)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert vector.tolist() == [1.0]
-    assert peak <= estimate, (peak, estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +502,25 @@ def test_size_bounds_are_enforced():
         q_symmetrize(Word((1,) * 30, 2), params)
     with pytest.raises(DomainError, match="budget"):
         q_symmetrize(Word((1,), 10**9), params)
-    with pytest.raises(DomainError, match="budget"):
-        bosonic_symmetrize(Word((1,) * 30, 2))
 
 
 @pytest.mark.parametrize("n_modes, size", [(4, 8), (6, 6), (2, 16)])
 def test_the_dense_states_peak_within_the_all_words_guard(n_modes, size):
-    # the guard the dense states pass is the all-words kernel's, with their n^N vector as
-    # the bytes kept beside it; the word is one of the class of most rows
+    # the guard the dense state passes is the all-words kernel's, with its n^N vector as the
+    # bytes kept beside it; the word is one of the class of most rows, whose arrangements the
+    # oracle's symmetric state holds
     letters = tuple(l for l, c in enumerate(_largest_class(n_modes, size), start=1) for _ in range(c))
     word, params = Word(letters[::-1], n_modes), DeformationParams(0.5)
     estimate = qsym._words_cost(n_modes, size)[0] + 8 * n_modes**size
-    for symmetrize in (lambda: q_symmetrize(word, params), lambda: bosonic_symmetrize(word)):
-        symmetrize()  # the power tables, which params keeps, are built once
-        tracemalloc.start()
-        try:
-            vector = symmetrize()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.count_nonzero(vector) == round(_class_size(_largest_class(n_modes, size)))
-        assert peak <= estimate, (peak, estimate)
+    q_symmetrize(word, params)  # the power tables, which params keeps, are built once
+    tracemalloc.start()
+    try:
+        vector = q_symmetrize(word, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(np.flatnonzero(vector), np.flatnonzero(symmetric_state(word)))
+    assert peak <= estimate, (peak, estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +753,19 @@ def test_transposition_pair_equals_the_scipy_built_reference():
 
 
 def test_transposition_indices_are_int32_below_two_to_the_thirty_one_words():
-    assert qsym._index_type(2**31 - 1) is np.int32
-    assert qsym._index_type(2**31) is np.int64
-    swapped, weights = transposition_op(5, 3, 2, DeformationParams(0.5))
+    # the guards refuse 2^31 words or states before anything is allocated, so int32 holds
+    # every index the transposition and the Fock operators form
+    params = DeformationParams(0.5)
+    for refused in (lambda: transposition_op(31, 2, 1, params), lambda: FockSpaceConfig(31, 2, params)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="budget"):
+                refused()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5, peak
+    swapped, weights = transposition_op(5, 3, 2, params)
     assert swapped.dtype == np.int32 and weights.dtype == np.float64
 
 
@@ -860,21 +853,13 @@ def test_class_totals_equal_the_enumeration():
             assert _class_size(_largest_class(n_modes, size)) == pytest.approx(largest, rel=1e-12)
 
 
-def test_bosonic_symmetrize_is_uniform_unit_vector():
-    vector = bosonic_symmetrize(Word((1, 2, 2), 2))
-    support = vector[vector != 0]
-    assert len(support) == 3
-    np.testing.assert_allclose(support, support[0])
-    assert np.linalg.norm(vector) == pytest.approx(1.0)
-
-
 def test_weak_deformation_approaches_bosonic_states():
     params = DeformationParams(0.999)
     for letters in ((2, 1), (1, 3, 2), (2, 2, 1, 3), (3, 1, 2, 1)):
         word = Word(letters, 3)
         deformed = q_symmetrize(word, params)
         deformed = deformed / np.linalg.norm(deformed)
-        overlap = float(deformed @ bosonic_symmetrize(word))
+        overlap = float(deformed @ symmetric_state(word))
         assert overlap > 0.99
         # the gap closes linearly in 1 - q^2
         assert 1.0 - overlap < 50.0 * (1.0 - params.q_sq)

@@ -53,16 +53,14 @@ KEPT = {
     "qpoly.poly_insertion_sum": _TRACED,
     "fock.ShiftOperator.nnz": "the benchmark's tracer reads it to count operator entries",
     "fock.ShiftOperator.tocsr": "the one route to scipy sparse algebra, for the tests and their oracles",
-    "qsym.bosonic_symmetrize": "scripts/classical_limit_scan.py calls it",
-    "qsym.q_symmetrize": "scripts/classical_limit_scan.py and the tests' oracles call it; the benchmark's tracer wraps it",
+    "qsym.q_symmetrize": "the tests' oracles call it; the benchmark's tracer wraps it",
     "qsym.sign_compare": "the tests' oracles build the exchange factors q^eps through it, a route independent of "
     "exchange_check's table",
     "qsym.Word.counts": "the benchmark's tracer and the tests' oracles read the class of a word through it",
-    "qsym.Word.size": "the dense states and swap_adjacent size a word through it",
+    "qsym.Word.size": "q_symmetrize and swap_adjacent size a word through it",
     "qcore.q_number": "q_exp_series, scripts/classical_limit_scan.py and the oracles read the bracket through it",
     "qcore.q_factorial": "the scalar [n]! of the public API, which the tests check the factorial table against; "
     "the benchmark's tracer wraps it",
-    "qsym._dense_state": "the one fill of the dense n^N states, which q_symmetrize and bosonic_symmetrize share",
     "fock.interior_indices": "the tests' oracles slice the interior through it, and check the corrupted entry "
     "against its interior search",
     "fock.occupation_table": "interior_indices and the tests' oracles read the occupations through it",
