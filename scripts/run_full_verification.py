@@ -15,19 +15,11 @@ import pathlib
 import sys
 import time
 
-from qmodes.cli import main as qmodes_main
+from qmodes.cli import _verbs, main as qmodes_main
 
-COMMANDS = {
-    "verify-algebra": ["verify", "algebra"],
-    "qexp-eval": ["qexp", "eval"],
-    "jackson-moments": ["jackson", "moments"],
-    "coherent-check": ["coherent", "check"],
-    "qsym-exchange": ["qsym", "exchange"],
-    "qsym-norm": ["qsym", "norm"],
-    "qsym-identity": ["qsym", "identity"],
-    "qsym-appendix": ["qsym", "appendix"],
-    "negative-control": ["verify", "algebra", "--inject-corruption"],
-}
+# every verb of the harness's verb table, named with '-' for the space, then the negative control
+COMMANDS = {verb.replace(" ", "-"): verb.split() for verb in _verbs()}
+COMMANDS["negative-control"] = ["verify", "algebra", "--inject-corruption"]
 
 
 def main() -> int:

@@ -11,7 +11,7 @@ the statement is polynomial.
 Layers, bottom to top:
 
 - :mod:`qmodes.qcore`  — scalar q-analysis (brackets, q-exponential, Jackson)
-- :mod:`qmodes.qpoly`  — exact polynomials in q with integer coefficients
+- :mod:`qmodes.qpoly`  — exact polynomials in q^2 with integer coefficients
 - :mod:`qmodes.fock`   — weighted-shift ladder operators and relation certification
 - :mod:`qmodes.coherent` — coherent states, eigenvalue and completeness checks
 - :mod:`qmodes.qsym`   — q-symmetrized tensor words and exchange laws

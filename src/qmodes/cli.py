@@ -48,7 +48,6 @@ from .qcore import (
     disk_samples,
     q_exp_points,
     q_exp_via_product_points,
-    size_estimate,
 )
 from .qpoly import insertion_tallies, poly_q_multinomial, poly_q_number
 
@@ -147,11 +146,11 @@ class RunConfig:
     inject_corruption: bool = False
 
     def validate(self) -> None:
-        for q in self.q_values:
-            if not 0.0 < q < 1.0:
-                raise ConfigError(f"q must lie strictly between 0 and 1, got {q}")
-            if q * q == 0.0:  # DeformationParams' rule, checked for every q before the first runs
-                raise ConfigError(f"q^2 underflows to 0 in double precision, got q={q}")
+        for q in self.q_values:  # DeformationParams' rule, for every q before the first runs
+            try:
+                DeformationParams(q)
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from None
         if not self.q_values:
             raise ConfigError("at least one q value is required")
         if self.modes < 1:
@@ -599,10 +598,10 @@ _INSERTION_ROWS = 2**10
 
 def _even_coefficients(poly: qpoly.QPolynomial, top: int) -> np.ndarray | None:
     """The coefficients of q^0, q^2, ..., q^(2·top) of ``poly`` as an int64 array, or None
-    when it has a term at any other exponent or a coefficient that is not an int within
-    int64 (no tally can then equal it)."""
+    when it has a term past q^(2·top) or a coefficient outside int64 (no tally can then
+    equal it)."""
     coeffs = poly.coeffs
-    if any(e % 2 or e > 2 * top or type(c) is not int or not -(2**63) <= c < 2**63 for e, c in coeffs.items()):
+    if poly.degree > 2 * top or any(not -(2**63) <= c < 2**63 for c in coeffs.values()):
         return None
     dense = np.zeros(top + 1, dtype=np.int64)
     for e, c in coeffs.items():
@@ -612,12 +611,12 @@ def _even_coefficients(poly: qpoly.QPolynomial, top: int) -> np.ndarray | None:
 
 def run_qsym_appendix(config: RunConfig) -> tuple[list[CheckRecord], list[str]]:
     n, N = config.modes, config.particles
-    classes = size_estimate(math.lgamma(N + n + 1) - math.lgamma(N + 1) - math.lgamma(n + 1))
+    classes = qsym._class_totals(n + 1, N)[0]  # of every total up to N: of N over n + 1 modes
     vectors = max(1, _INSERTION_ROWS // n)
     # Bytes, fitted on a grid of n = 1 to 1000 and N = 0 to 600: one pass of the kernel on
     # the top total, whose (vector, slot) rows each hold n term bounds and three int64
     # tallies over N + 2 exponents, beside its (n, n) mask; the records.
-    rows = n * min(vectors, size_estimate(math.lgamma(N + n) - math.lgamma(N + 1) - math.lgamma(n)))
+    rows = n * min(vectors, qsym._class_totals(n, N)[0])
     nbytes = rows * (16 * (N + 2) + 9 * n + 80) + n * n
     nbytes += 400 * (N + 1) + 8_192
     # Work, in ns on the same grid (measured at 0.5 to 1.3 times this): every row's N + 2

@@ -1,26 +1,23 @@
-"""Exact polynomials in q over integer coefficients.
+"""Exact polynomials in q^2 over integer coefficients.
 
 The deformed identities that hold for every q in (0, 1) are really
-polynomial identities in q, so this module keeps a second, float-free route
-next to the numeric one in :mod:`qmodes.qcore`.  Coefficients are Python
-``int`` (arbitrary precision, so nothing overflows); a coefficient that is
-not integral is kept as a :class:`fractions.Fraction`, and one that is
-integral never is.  Exponents are plain powers of q (the identities
-themselves live in q^2, i.e. only even exponents occur, but the
-representation does not enforce that), and equality of two constructions is
-decided exactly.  Division is long division with an exactness assertion, so
-a failed divisibility claim surfaces as an error instead of a rounded
-answer.
+polynomial identities in q^2, so this module keeps a second, float-free route
+next to the numeric one in :mod:`qmodes.qcore`.  A polynomial is stored
+densely: one tuple of Python ``int`` (arbitrary precision, so nothing
+overflows) whose entry k is the coefficient of q^{2k}.  Equality of two
+constructions is decided exactly.  Division is integer long division, so a
+failed divisibility claim surfaces as an error instead of a rounded answer.
 
-The insertion sums are the one exception to Python ints: their coefficients
-are tallied for many count vectors at once in an int64 numpy table
-(:func:`insertion_tallies`).  That is exact, since each of the n bracket
-terms of a sum adds at most 1 to any coefficient, so no entry exceeds n.
+The insertion sums are tallied for many count vectors at once in an int64
+numpy table (:func:`insertion_tallies`).  That is exact, since each of the n
+bracket terms of a sum adds at most 1 to any coefficient, so no entry
+exceeds n.
 """
 
 import functools
-from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from itertools import zip_longest
+from numbers import Real
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,62 +30,35 @@ __all__ = [
     "insertion_tallies",
 ]
 
-Rational = Union[int, Fraction]
-
-
-def _normalise(value) -> Rational:
-    """The one coefficient normaliser: an integral value becomes an ``int``.
-
-    An ``int`` passes through; any other number (``Fraction``, numpy
-    integer, float) is converted to a ``Fraction`` exactly, and one whose
-    denominator is 1 is returned as its numerator.
-    """
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _exact_quotient(numerator: Rational, denominator: Rational) -> Rational:
-    """numerator / denominator without rounding: an ``int`` when it divides."""
-    if type(numerator) is int and type(denominator) is int:
-        quotient, rest = divmod(numerator, denominator)
-        if not rest:
-            return quotient
-    return _normalise(Fraction(numerator) / denominator)
-
-
-def _reduced(coeffs: dict[int, Rational]) -> dict[int, Rational]:
-    """Drop zeros and normalise ring-arithmetic results (a sum of Fractions may be integral)."""
-    return {e: _normalise(c) for e, c in coeffs.items() if c}
-
 
 class QPolynomial:
-    """Polynomial in q with exact coefficients, kept in canonical form.
+    """Polynomial in q^2 with Python-int coefficients.
 
-    Canonical means: no explicitly stored zero coefficients, all exponents
-    nonnegative integers, every coefficient an ``int`` unless it is not
-    integral (then a ``Fraction``).  Instances are treated as immutable; all
-    arithmetic returns new objects.
+    ``_dense[k]`` is the coefficient of q^{2k}, and the tuple ends in a nonzero
+    entry (the zero polynomial is the empty tuple).  The public surface speaks
+    in powers of q: ``coeffs`` maps 2k to the coefficient and ``degree`` is the
+    largest such exponent.  Instances are treated as immutable; all arithmetic
+    returns new objects.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_dense",)
 
-    def __init__(self, coeffs: Mapping[int, Rational] | None = None):
-        clean: dict[int, Rational] = {}
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        dense: list[int] = []
         for exponent, coefficient in (coeffs or {}).items():
-            if exponent < 0 or exponent != int(exponent):
-                raise ValueError(f"exponents must be nonnegative integers, got {exponent!r}")
-            value = _normalise(coefficient)
-            if value != 0:
-                clean[int(exponent)] = value
-        self._coeffs = clean
+            if not isinstance(exponent, int) or exponent < 0 or exponent % 2:
+                raise ValueError(f"exponents must be nonnegative even integers, got {exponent!r}")
+            if not isinstance(coefficient, int):
+                raise ValueError(f"coefficients must be ints, got {coefficient!r}")
+            dense.extend([0] * (exponent // 2 + 1 - len(dense)))
+            dense[exponent // 2] = int(coefficient)
+        self._dense = _stripped(dense)
 
     @classmethod
-    def _canonical(cls, coeffs: dict[int, Rational]) -> "QPolynomial":
-        """Wrap a dict that is already canonical (normalised values, no zeros)."""
+    def _from_dense(cls, dense: Sequence[int]) -> "QPolynomial":
+        """Wrap the ints of q^0, q^2, ... (trailing zeros are dropped)."""
         poly = object.__new__(cls)
-        poly._coeffs = coeffs
+        poly._dense = _stripped(dense)
         return poly
 
     # -- construction -------------------------------------------------
@@ -102,38 +72,39 @@ class QPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: Rational = 1) -> "QPolynomial":
+    def monomial(cls, exponent: int, coefficient: int = 1) -> "QPolynomial":
         return cls({exponent: coefficient})
 
     # -- inspection ---------------------------------------------------
 
     @property
-    def coeffs(self) -> dict[int, Rational]:
-        return dict(self._coeffs)
+    def coeffs(self) -> dict[int, int]:
+        return {2 * k: c for k, c in enumerate(self._dense) if c}
 
     @property
     def degree(self) -> int:
-        """Largest exponent with nonzero coefficient; -1 for the zero polynomial."""
-        return max(self._coeffs, default=-1)
+        """Largest exponent of q with nonzero coefficient; -1 for the zero polynomial."""
+        return 2 * len(self._dense) - 2 if self._dense else -1
 
-    def coefficient(self, exponent: int) -> Rational:
-        return self._coeffs.get(exponent, 0)
+    def coefficient(self, exponent: int) -> int:
+        half, odd = divmod(exponent, 2)
+        return self._dense[half] if not odd and 0 <= half < len(self._dense) else 0
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._dense
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._dense)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPolynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QPolynomial({0: other})
+            return self._dense == other._dense
+        if isinstance(other, int):
+            return self._dense == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._coeffs.items())))
+        return hash(self._dense)
 
     def __repr__(self) -> str:
         return f"QPolynomial({self.render()!r})"
@@ -143,33 +114,29 @@ class QPolynomial:
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for exponent, coefficient in other._coeffs.items():
-            merged[exponent] = merged.get(exponent, 0) + coefficient
-        return QPolynomial._canonical(_reduced(merged))
+        return QPolynomial._from_dense([a + b for a, b in zip_longest(self._dense, other._dense, fillvalue=0)])
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for exponent, coefficient in other._coeffs.items():
-            merged[exponent] = merged.get(exponent, 0) - coefficient
-        return QPolynomial._canonical(_reduced(merged))
+        return QPolynomial._from_dense([a - b for a, b in zip_longest(self._dense, other._dense, fillvalue=0)])
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial._canonical({e: -c for e, c in self._coeffs.items()})
+        return QPolynomial._from_dense([-c for c in self._dense])
 
-    def __mul__(self, other: "QPolynomial | Rational") -> "QPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return QPolynomial({e: c * other for e, c in self._coeffs.items()})
+    def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
+        if isinstance(other, int):
+            return QPolynomial._from_dense([c * other for c in self._dense])
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        product: dict[int, Rational] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                exponent = e1 + e2
-                product[exponent] = product.get(exponent, 0) + c1 * c2
-        return QPolynomial._canonical(_reduced(product))
+        if not self._dense or not other._dense:
+            return QPolynomial()
+        product = [0] * (len(self._dense) + len(other._dense) - 1)
+        for i, a in enumerate(self._dense):
+            if a:
+                for j, b in enumerate(other._dense, start=i):
+                    product[j] += a * b
+        return QPolynomial._from_dense(product)
 
     __rmul__ = __mul__
 
@@ -182,30 +149,29 @@ class QPolynomial:
         return result
 
     def divmod(self, other: "QPolynomial") -> tuple["QPolynomial", "QPolynomial"]:
-        """Long division: returns (quotient, remainder) with exact coefficients."""
+        """Integer long division: returns (quotient, remainder), or raises ValueError where
+        a quotient coefficient is not an integer (never for a monic divisor)."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        remainder = dict(self._coeffs)
-        quotient: dict[int, Rational] = {}
-        d_deg = other.degree
-        d_lead = other._coeffs[d_deg]
-        # each step cancels the top term and changes only exponents below it, so one
-        # walk down from the top meets every quotient term, in the order a rescan would
-        for r_deg in range(max(remainder, default=-1), d_deg - 1, -1):
-            if r_deg not in remainder:
+        divisor, lead = other._dense, other._dense[-1]
+        span = len(divisor) - 1
+        remainder = list(self._dense)
+        quotient = [0] * max(0, len(remainder) - span)
+        # each step cancels the top term and changes only terms below it
+        for shift in range(len(quotient) - 1, -1, -1):
+            top = remainder[shift + span]
+            if not top:
                 continue
-            # an int whenever d_lead divides it, as it always does for a monic divisor
-            factor = _exact_quotient(remainder[r_deg], d_lead)
-            shift = r_deg - d_deg
-            quotient[shift] = factor  # nonzero, and each shift comes up once
-            for e, c in other._coeffs.items():
-                target = e + shift
-                updated = remainder.get(target, 0) - factor * c
-                if not updated:
-                    remainder.pop(target, None)
-                else:
-                    remainder[target] = _normalise(updated)
-        return QPolynomial._canonical(quotient), QPolynomial._canonical(remainder)
+            factor, rest = divmod(top, lead)
+            if rest:
+                raise ValueError(
+                    f"{self.render()!r} / {other.render()!r} has a quotient coefficient "
+                    f"{top}/{lead} that is not an integer"
+                )
+            quotient[shift] = factor
+            for k, c in enumerate(divisor, start=shift):
+                remainder[k] -= factor * c
+        return QPolynomial._from_dense(quotient), QPolynomial._from_dense(remainder[:span])
 
     def divide_exact(self, other: "QPolynomial") -> "QPolynomial":
         """Exact division; raises ValueError when ``other`` does not divide self."""
@@ -219,33 +185,17 @@ class QPolynomial:
 
     # -- evaluation ---------------------------------------------------
 
-    def evaluate(self, q: Union[float, Fraction]) -> Union[float, Fraction]:
-        """Evaluate at q by Horner's rule grouped in powers of q^2.
+    def evaluate(self, q: Real) -> Real:
+        """Evaluate at q by Horner's rule in q^2.
 
-        A Fraction argument stays exact all the way through; a float argument
-        produces an ordinary float.
+        An exact rational argument stays exact all the way through; a float
+        argument produces an ordinary float.
         """
-        even: dict[int, Rational] = {}
-        odd: dict[int, Rational] = {}
-        for e, c in self._coeffs.items():
-            if e % 2 == 0:
-                even[e // 2] = c
-            else:
-                odd[(e - 1) // 2] = c
         y = q * q
-
-        def horner(table: dict[int, Rational]):
-            if not table:
-                return q * 0  # zero of the right type
-            acc = table[max(table)] * 1
-            for k in range(max(table) - 1, -1, -1):
-                acc = acc * y + table.get(k, 0)
-            return acc
-
-        result = horner(even) + q * horner(odd)
-        if isinstance(q, Fraction):
-            return Fraction(result)
-        return float(result)
+        value = q * 0  # zero of the right type
+        for c in reversed(self._dense):
+            value = value * y + c
+        return float(value) if isinstance(q, (int, float)) else value
 
     # -- canonical text form -------------------------------------------
 
@@ -255,23 +205,28 @@ class QPolynomial:
         Terms appear in ascending exponent order; unit coefficients are
         omitted in front of powers of q; the zero polynomial renders as "0".
         """
-        if not self._coeffs:
-            return "0"
         pieces: list[str] = []
-        for exponent in sorted(self._coeffs):
-            coefficient = self._coeffs[exponent]
-            sign = "-" if coefficient < 0 else "+"
-            magnitude = -coefficient if coefficient < 0 else coefficient
-            if exponent == 0:
+        for half, coefficient in enumerate(self._dense):
+            if not coefficient:
+                continue
+            magnitude = abs(coefficient)
+            if half == 0:
                 body = str(magnitude)
             else:
-                power = "q" if exponent == 1 else f"q^{exponent}"
-                body = power if magnitude == 1 else f"{magnitude}*{power}"
+                body = f"q^{2 * half}" if magnitude == 1 else f"{magnitude}*q^{2 * half}"
             if not pieces:
-                pieces.append(body if sign == "+" else f"-{body}")
+                pieces.append(body if coefficient > 0 else f"-{body}")
             else:
-                pieces.append(f"{sign} {body}")
-        return " ".join(pieces)
+                pieces.append(f"{'-' if coefficient < 0 else '+'} {body}")
+        return " ".join(pieces) or "0"
+
+
+def _stripped(dense: Sequence[int]) -> tuple[int, ...]:
+    """``dense`` as a tuple without its trailing zeros."""
+    top = len(dense)
+    while top and not dense[top - 1]:
+        top -= 1
+    return tuple(dense[:top])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +248,7 @@ def poly_q_factorial(n: int) -> QPolynomial:
 
 
 def _bracket(n: int) -> QPolynomial:
-    return QPolynomial({2 * k: 1 for k in range(n)})
+    return QPolynomial._from_dense((1,) * n)
 
 
 # Factorials are rebuilt for every multinomial; QPolynomial is immutable, so one shared
@@ -312,8 +267,9 @@ def _factorial(n: int) -> QPolynomial:
 
 def _factorial_bytes(top: int) -> int:
     """Bytes of the cached factorials [0]! to [top]! and a division: ~(120 + k) B a
-    coefficient of [k]!, whose ints grow with k (the peak measured at top = 30, 60 and 100
-    is 0.73 to 0.76 of this)."""
+    coefficient of [k]!.  A tuple slot and its int, which grows with k, take 45, 63 and 92 B
+    at k = 30, 60 and 100 (the peak of an identity sweep over one mode to N = 30, 60 and 100
+    is 0.38 to 0.42 of this)."""
     kept = range(max(0, top + 1 - _factorial.cache_parameters()["maxsize"]), top + 1)
     return sum((120 + k) * (k * (k - 1) // 2 + 1) for k in kept)
 
@@ -356,8 +312,7 @@ def poly_insertion_sum(counts: Sequence[int], slot: int) -> QPolynomial:
         raise ValueError(f"counts must be nonnegative, got {counts!r}")
     if not 1 <= slot <= len(counts):
         raise ValueError(f"slot must be in 1..{len(counts)}, got {slot}")
-    tally = insertion_tallies(np.array([counts]))[0, slot - 1].tolist()
-    return QPolynomial._canonical({2 * k: c for k, c in enumerate(tally) if c})
+    return QPolynomial._from_dense(insertion_tallies(np.array([counts]))[0, slot - 1].tolist())
 
 
 def insertion_tallies(counts: np.ndarray) -> np.ndarray:

@@ -629,6 +629,5 @@ def norm_identity_exact(counts: Sequence[int]):
     work = sum(_identity_cost(1, t) for t in range(size + 1))
     work += 70_000 + 30 * size**4 if sum(c > 0 for c in counts) > 1 else 0
     check_budget("norm_identity_exact on the class {}", _factorial_bytes(size), work, counts)
-    tally = np.bincount(arrangements(counts))
-    arrangement_sum = QPolynomial({2 * k: int(number) for k, number in enumerate(tally) if number})
+    arrangement_sum = QPolynomial._from_dense(np.bincount(arrangements(counts)).tolist())
     return arrangement_sum, poly_q_multinomial(counts)

@@ -5,9 +5,9 @@ coefficients, for many count vectors and slots at once, in one int64 table.
 The routine here is the plain route it replaced: one polynomial per term,
 q-shifted by multiplying with a monomial, and summed with polynomial
 addition.  ``QPolynomial.divmod`` walks the
-remainder's exponents down once; the reference division rescans the
-remainder for its top term at every step, in plain ``Fraction`` arithmetic.
-The tests compare each pair for equality.
+remainder's dense coefficients down once in integer arithmetic; the reference
+division rescans the remainder for its top term at every step, in plain
+``Fraction`` arithmetic.  The tests compare each pair for equality.
 """
 
 from fractions import Fraction
@@ -35,8 +35,12 @@ def reference_insertion_sum(counts: Sequence[int], slot: int) -> QPolynomial:
     return total
 
 
-def reference_divmod(dividend: QPolynomial, divisor: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
-    """Long division that looks up the remainder's top term afresh at every step."""
+def reference_divmod(dividend: QPolynomial, divisor: QPolynomial) -> tuple[dict, dict]:
+    """Long division that looks up the remainder's top term afresh at every step.
+
+    Returns the quotient and remainder as maps exponent -> ``Fraction``, since a
+    quotient over a non-monic divisor may have coefficients that are not integers.
+    """
     remainder = {e: Fraction(c) for e, c in dividend.coeffs.items()}
     quotient = {}
     lead = Fraction(divisor.coefficient(divisor.degree))
@@ -48,4 +52,4 @@ def reference_divmod(dividend: QPolynomial, divisor: QPolynomial) -> tuple[QPoly
         for e, c in divisor.coeffs.items():
             remainder[e + shift] = remainder.get(e + shift, Fraction(0)) - factor * c
         remainder = {e: c for e, c in remainder.items() if c}
-    return QPolynomial(quotient), QPolynomial(remainder)
+    return quotient, remainder

@@ -8,7 +8,6 @@ runtime budget.
 
 import itertools
 import json
-import math
 import time
 
 import numpy as np
@@ -37,7 +36,6 @@ from qmodes.qcore import (
     q_exp,
     q_exp_via_product_points,
     q_factorial,
-    q_number,
 )
 from qmodes.qpoly import poly_insertion_sum, poly_q_number
 from qmodes.qsym import (

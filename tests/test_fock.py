@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from qmodes import fock, qcore
