@@ -183,12 +183,30 @@ class CoherentState:
 
 
 def mode_coefficients(params: DeformationParams, z: complex, cutoff: int) -> np.ndarray:
-    """Single-mode coefficients z^m / sqrt([m]!) for m < cutoff."""
-    brackets = _bracket_array(params, cutoff).tolist()
-    coeff = np.zeros(cutoff, dtype=np.complex128)
-    coeff[0] = 1.0
-    for m in range(1, cutoff):
-        coeff[m] = coeff[m - 1] * z / math.sqrt(brackets[m])
+    """Single-mode coefficients z^m / sqrt([m]!) for m < cutoff.
+
+    c_m is c_{m-1} z divided by the float s = sqrt([m]), each step rounded as numpy's
+    complex scalars round it, so that the bits equal the oracle's, which steps a numpy
+    array, and so do those of every state built from them.  The product is CPython's,
+    t = (c.re z.re - c.im z.im, c.re z.im + c.im z.re); numpy divides a complex by a real
+    as by (s, 0) with Smith's ratio 0, but through the reciprocal:
+    c_m = ((t.re + t.im 0) (1 / s), (t.im - t.re 0) (1 / s)).  The loop takes these steps
+    on Python floats, from the reciprocals 1 / sqrt([m]) formed as one array, correctly
+    rounded as the scalar expressions are.
+    """
+    z = complex(z)
+    z_re, z_im = z.real, z.imag
+    re, im = 1.0, 0.0
+    reals, imags = [re], [im]
+    for scale in (1.0 / np.sqrt(_bracket_array(params, cutoff, 1))).tolist():
+        t_re = re * z_re - im * z_im
+        t_im = re * z_im + im * z_re
+        re = (t_re + t_im * 0.0) * scale
+        im = (t_im - t_re * 0.0) * scale
+        reals.append(re)
+        imags.append(im)
+    coeff = np.empty(cutoff, dtype=np.complex128)
+    coeff.real, coeff.imag = reals, imags
     return coeff
 
 
@@ -198,17 +216,17 @@ def mode_tail_bound(params: DeformationParams, z: complex, cutoff: int) -> float
     The mass terms t_m = |z|^{2m} / [m]! decay geometrically once
     [m + 1] > |z|^2; the bound is the geometric majorant of the dropped
     tail, already divided by the (>= 1) retained partial sum.  Returns inf
-    while the majorant does not yet apply.
+    while the majorant does not yet apply.  The terms and the partial sum are
+    running products and sums taken in order, bit for bit the loop over m.
     """
-    brackets = _bracket_array(params, cutoff + 2).tolist()
+    brackets = _bracket_array(params, cutoff + 2)
     x = abs(z) ** 2
-    term = 1.0
-    partial = 1.0
-    for m in range(1, cutoff):
-        term *= x / brackets[m]
-        partial += term
-    first_dropped = term * x / brackets[cutoff]
-    ratio = x / brackets[cutoff + 1]
+    terms = np.concatenate(([1.0], x / brackets[1:cutoff]))
+    with np.errstate(over="ignore"):  # as the loop's floats, a term past the range is inf
+        np.multiply.accumulate(terms, out=terms)
+    term, partial = float(terms[-1]), float(np.add.accumulate(terms)[-1])
+    first_dropped = term * x / float(brackets[cutoff])
+    ratio = x / float(brackets[cutoff + 1])
     if ratio >= 1.0:
         return math.inf
     return first_dropped / (1.0 - ratio) / partial

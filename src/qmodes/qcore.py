@@ -14,9 +14,7 @@ the test suite certifies, so neither is ever implemented in terms of the
 other.
 """
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -358,10 +356,24 @@ def _series_pass(params, k0, steps, numerators, magnitude, term, running, t_abs,
 # q-exponential: product route
 
 
-def _factor_coefficients(params: DeformationParams, size: int) -> np.ndarray:
-    """(1 - q^2) q^{2n}, the coefficient of x in the n-th product factor, for n < ``size``:
-    a fresh array derived from the power table of q^2."""
-    return (1.0 - params.q_sq) * _power_table(params, params.q_sq, size)
+def _factor_coefficients(params: DeformationParams, size: int, first: int = 0) -> np.ndarray:
+    """(1 - q^2) q^{2n}, the coefficient of x in the n-th product factor, for first <= n <
+    ``size``: a fresh array derived from the power table of q^2."""
+    return (1.0 - params.q_sq) * _power_table(params, params.q_sq, size)[first:]
+
+
+def _factor_parts(coefficients: np.ndarray, x_re, x_im) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of the factors 1 - c x, as CPython forms them: it
+    multiplies the float c by x as the complex (c, 0), so a factor is
+    (1 - (c x.re - 0 x.im), 0 - (c x.im + 0 x.re)).  ``x_re`` and ``x_im`` are floats or
+    arrays that broadcast against ``coefficients``."""
+    re = coefficients * x_re
+    re -= 0.0 * x_im
+    np.subtract(1.0, re, out=re)
+    im = coefficients * x_im
+    im += 0.0 * x_re
+    np.subtract(0.0, im, out=im)
+    return re, im
 
 
 def q_exp_product(params: DeformationParams, x: complex, factors: int) -> complex:
@@ -379,48 +391,102 @@ def _product_points(
 ) -> list[complex]:
     """prod_{n < counts[i]} 1 / (1 - (1-q^2) q^{2n} x_i) for every point, in their order.
 
-    CPython multiplies the float coefficient c by x as the complex (c, 0), so a
-    factor is (1 - (c x.re - 0 x.im), 0 - (c x.im + 0 x.re)).  The factors are
-    formed as float arrays for a block of points, sorted by count, of at most
-    ``_PRODUCT_ENTRIES`` factors; each point's are then divided out in turn by
-    CPython's own complex division.  So every value equals the one-point loop
-    bit for bit, and a pole raises SingularityError at the same first factor,
-    for the first such point.
+    Each value is 1 + 0j divided by its factors in turn, every step rounded as CPython's
+    complex division rounds it, so that it equals the one-point loop ``value /= factor`` of
+    the tests' oracle bit for bit.  The factors f are CPython's (:func:`_factor_parts`), and
+    CPython divides by Smith's rule (R. L. Smith, CACM Algorithm 116, 1962, as
+    ``_Py_c_quot`` applies it).  Where |f.re| >= |f.im| it takes r = f.im / f.re,
+    d = f.re + f.im r and a / f = ((a.re + a.im r) / d, (a.im - a.re r) / d); otherwise
+    r = f.re / f.im, d = f.re r + f.im and a / f = ((a.re r + a.im) / d, (a.im r - a.re) / d).
+    A product by 1 and a negated product are exact, and a sum does not depend on its order,
+    so with (s, t) = (1, r) or (r, 1) both branches read d = f.re s + f.im t and
+    a / f = ((a.re s + a.im t) / d, (a.re (-t) + a.im s) / d): one multiply by the step's
+    weights, one add and one division by d (never a product by 1 / d) take the step of
+    every point at once.  The points are sorted by count, so that those still dividing are
+    a prefix, and the factors and weights are formed for chunks of at most
+    ``_PRODUCT_ENTRIES`` (factor, point) entries.
+
+    A factor of modulus at most ``_POLE_TOL`` raises SingularityError, for the first such
+    factor of the first such point in their order.
     """
     if any(count < 1 for count in counts):
         raise DomainError(f"factors must be >= 1, got {min(counts)}")
-    order = sorted(range(len(xs)), key=counts.__getitem__)
-    values: list[complex] = [0j] * len(xs)
+    order = sorted(range(len(xs)), key=counts.__getitem__, reverse=True)
+    remaining = np.array([-counts[i] for i in order], dtype=np.int64)  # ascending: live ones lead
+    x = np.array([xs[i] for i in order], dtype=complex)
+    # every coefficient is at most 1 - q^2, so where (1 - q^2)|x| < 1 - 1e-6 each factor has a
+    # real part of at least 1e-6: only the other points can meet the pole rule
+    suspects = np.flatnonzero(np.abs(x) * (1.0 - params.q_sq) >= 1.0 - 1e-6)
+    value = np.zeros((2, len(order)))
+    value[0] = 1.0
     poles = []
-    first = 0
-    while first < len(order):
-        last = first + 1
-        while last < len(order) and (last + 1 - first) * counts[order[last]] <= _PRODUCT_ENTRIES:
-            last += 1
-        block, first = order[first:last], last
-        size = counts[block[-1]]
-        coefficients = _factor_coefficients(params, size)
-        x = np.array([xs[i] for i in block], dtype=complex)[:, None]
-        factors, scaled = np.empty((len(block), size), dtype=complex), np.empty((len(block), size))
-        np.multiply(coefficients, x.real, out=scaled)
-        scaled -= 0.0 * x.imag
-        np.subtract(1.0, scaled, out=factors.real)
-        np.multiply(coefficients, x.imag, out=scaled)
-        scaled += 0.0 * x.real
-        np.subtract(0.0, scaled, out=factors.imag)
-        vanishing = np.hypot(factors.real, factors.imag, out=scaled) <= _POLE_TOL
-        near_pole = bool(vanishing.any())
-        for row, i in enumerate(block):
-            count = counts[i]
-            if near_pole and vanishing[row, :count].any():
-                poles.append((i, int(vanishing[row, :count].argmax())))
-            else:
-                row_factors = factors[row, :count].tolist()
-                values[i] = functools.reduce(operator.truediv, row_factors, 1.0 + 0.0j)
+    n0, longest = 0, -int(remaining[0]) if order else 0
+    _power_table(params, params.q_sq, longest)  # grown once to what the chunks read
+    with np.errstate(all="ignore"):  # a point on a pole divides on, but it raises below
+        while n0 < longest:
+            live = int(np.searchsorted(remaining, -n0))
+            steps = min(max(1, _PRODUCT_ENTRIES // live), longest - n0)
+            coefficients = _factor_coefficients(params, n0 + steps, n0)[:, None]
+            re, im = _factor_parts(coefficients, x.real[:live], x.imag[:live])
+            near = suspects[suspects < live]
+            if near.size:
+                vanishing = np.hypot(re[:, near], im[:, near]) <= _POLE_TOL
+                vanishing &= np.arange(n0, n0 + steps)[:, None] < -remaining[near]
+                for k in np.flatnonzero(vanishing.any(axis=0)).tolist():
+                    poles.append((order[near[k]], n0 + int(vanishing[:, k].argmax())))
+            lives = np.searchsorted(remaining[:live], -np.arange(n0, n0 + steps)).tolist()
+            _divide_chunk(value, re, im, lives)
+            n0 += steps
     if poles:
         i, n = min(poles)
         raise SingularityError(f"product factor n={n} vanishes at x={xs[i]!r} (pole of exp_q)")
+    values: list[complex] = [0j] * len(xs)
+    for i, real, imag in zip(order, value[0].tolist(), value[1].tolist()):
+        values[i] = complex(real, imag)
     return values
+
+
+def _divide_chunk(value: np.ndarray, re: np.ndarray, im: np.ndarray, lives: list[int]) -> None:
+    """Divide the (re, im) rows of ``value`` in place by one chunk's factors (re, im), of
+    shape (steps, points): step j for the first lives[j] points, by the weights and
+    denominators of :func:`_product_points`.
+
+    The weights are formed for |re| >= |im| (s = 1, t = im / re), then mended where
+    |t| > 1.  That is exactly where |im| > |re|: then |im| >= |re| + ulp(re), so the
+    quotient passes 1 + 2^-53 and rounds to at least 1 + 2^-52; otherwise it rounds to at
+    most 1 (and NaN, which CPython's rule also turns to NaN, compares false).  Weight
+    [j, k, c] multiplies component k of the value in component c of step j's numerator:
+    [0, 0] and [1, 1] hold s, [1, 0] holds t and [0, 1] holds -t.  The denominators repeat
+    for both components, so that no step broadcasts them."""
+    weights = np.empty(re.shape[:1] + (2, 2) + re.shape[1:])
+    denominators = np.empty(re.shape[:1] + (2,) + re.shape[1:])
+    s, t, d = weights[:, 0, 0], weights[:, 1, 0], denominators[:, 0]
+    np.divide(im, re, out=t)
+    np.multiply(im, t, out=d)
+    d += re
+    s.fill(1.0)
+    swapped = np.abs(t) > 1.0
+    if swapped.any():
+        rows, columns = np.nonzero(swapped)
+        f_re, f_im = re[rows, columns], im[rows, columns]
+        ratio = f_re / f_im
+        s[rows, columns], t[rows, columns], d[rows, columns] = ratio, 1.0, f_re * ratio + f_im
+    np.negative(t, out=weights[:, 0, 1])
+    weights[:, 1, 1] = s
+    denominators[:, 1] = d
+    products = np.empty((2,) + value.shape)
+    j, steps = 0, len(lives)
+    while j < steps:  # a run of steps over the same points shares its views
+        live, end = lives[j], j + 1
+        while end < steps and lives[end] == live:
+            end += 1
+        a, p = value[:, :live], products[:, :, :live]
+        parts, left, right = a[:, None], p[0], p[1]
+        for step_weights, step_denominators in zip(weights[j:end, :, :, :live], denominators[j:end, :, :live]):
+            np.multiply(step_weights, parts, p)
+            np.add(left, right, a)
+            np.divide(a, step_denominators, a)
+        j = end
 
 
 def _q_exp_product_tail(params: DeformationParams, x: complex, factors: int) -> float:
@@ -448,7 +514,10 @@ def q_exp_via_product_points(
     """exp_q at every point of ``xs`` by the product form, in their order.
 
     Each point takes the factors that hold its relative tail below rel_tol, and
-    its tail bound is that relative bound times |value|.
+    its tail bound is that relative bound times |value|.  The values are divided out by
+    :func:`_product_points` in lockstep, each step rounded as CPython's complex division
+    (Smith's rule) rounds it: so every value equals the per-point loop of the tests'
+    oracle bit for bit, and a batch certifies exactly what one-point calls would.
     """
     xs = [complex(x) for x in xs]
     counts = [_factors_for(params, x, rel_tol) for x in xs]
@@ -495,14 +564,14 @@ def _qexp_cost(params: DeformationParams, points: int, x: complex | None = None)
     ~1.8 times as many terms, so the largest terms x points still live is charged 1.5
     times.  A pass takes ~64 B per entry it holds (at most ``_SERIES_ENTRIES``), a gather
     32 B per term of up to ``_GATHER`` points at twice the outer ring's terms, a count of
-    terms ~64 B per term of its chunk.  The product is charged at the outer ring: ~25 B
-    per factor of a block and 40 B per factor of one point as Python complex numbers,
-    each twice, since a block's arrays and its last point's factors are still bound while
-    the next block forms its own.  The power table of q^2, grown in steps, takes 8 B per
-    entry of up to twice the most a pass or block reads (2 terms and a count's chunk, or
-    the factors), the values ~600 B per point, the rest 8 KiB.  Fitted on a 2-core x86-64
-    machine: ~200 ns per series term, ~100 ns per product factor, ~20 us per point, ~0.5 ms
-    per call.
+    terms ~64 B per term of its chunk.  The product is charged at the outer ring: ~104 B
+    per entry of one chunk (the points times their steps, at most ``_PRODUCT_ENTRIES`` or
+    one step), its factors, weights and denominators.  The power table of q^2, grown in
+    steps, takes 8 B per entry of up to twice the most a pass reads (2 terms and a count's
+    chunk), or of the factors, to which the product grows it at once; the values ~600 B
+    per point, the rest 8 KiB.  Fitted on a 2-core x86-64 machine: ~200 ns per series
+    term, ~40 ns per product factor of each point and ~4 us per lockstep step, that is per
+    factor of the call, ~20 us per point, ~0.5 ms per call.
     """
     if x is None:
         moduli = [fraction * params.radius for fraction in _RINGS[:points]]
@@ -521,10 +590,9 @@ def _qexp_cost(params: DeformationParams, points: int, x: complex | None = None)
     live = 2 * points
     entries = live * min(max(1, _SERIES_ENTRIES // live), math.isqrt(_SERIES_ENTRIES))
     series = history + 64 * entries + 64 * terms * min(_GATHER, live)
-    block = max(factors, min(points * factors, _PRODUCT_ENTRIES))
-    product = 2 * (25 * block + 40 * factors)
+    product = 104 * min(max(points, _PRODUCT_ENTRIES), points * factors)
     table = 16 * max(2 * terms + _SERIES_ENTRIES // 8, factors)
-    work = points * (400 * terms + 100 * factors + 20_000) + 500_000
+    work = points * (400 * terms + 40 * factors + 20_000) + 4000 * factors + 500_000
     return max(series, product, 64 * (_SERIES_ENTRIES // 8)) + table + 600 * points + 8192, work
 
 
@@ -536,12 +604,20 @@ def q_exp_reciprocal(
     This is the numerically safe way to divide by the q-exponential: the
     product has zeros exactly where exp_q has poles and never requires the
     series.  Defined for all complex x.
+
+    The factors are formed as arrays by the float expressions of CPython's complex
+    arithmetic (:func:`_factor_parts`) and multiplied in order in one C-level pass,
+    ``math.prod`` of CPython's complex product (a.re b.re - a.im b.im, a.re b.im + a.im b.re),
+    each product rounded before the sum.  numpy's complex array product may fuse a product
+    into the sum, so it is not used: the value must equal the one-point loop
+    ``value *= factor`` of the tests' oracle bit for bit, real or complex x alike, since
+    the coherent states normalised by it are compared bit for bit too.
     """
     x = complex(x)
-    value = 1.0 + 0.0j
-    factors = _factors_for(params, x, rel_tol)
-    for coefficient in _factor_coefficients(params, factors).tolist():
-        value *= 1.0 - coefficient * x
+    coefficients = _factor_coefficients(params, _factors_for(params, x, rel_tol))
+    factors = np.empty(coefficients.size, dtype=complex)
+    factors.real, factors.imag = _factor_parts(coefficients, x.real, x.imag)
+    value = math.prod(factors.tolist(), start=1.0 + 0.0j)
     if x == complex(x.real, 0.0):
         return complex(value.real, 0.0)
     return value

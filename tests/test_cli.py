@@ -891,6 +891,27 @@ def test_qexp_sweep_reports_equal_the_per_point_route(q, points, monkeypatch, ca
     assert code == (1 if q == "0.98" else 0)
 
 
+@pytest.mark.parametrize(
+    ("kernel", "slowed", "other"),
+    [
+        ("q_exp_points", "qexp_functional_equation", "qexp_route_agreement"),
+        ("q_exp_via_product_points", "qexp_route_agreement", "qexp_functional_equation"),
+    ],
+)
+def test_each_qexp_record_is_timed_by_its_own_route(kernel, slowed, other, monkeypatch, capsys):
+    # 200 ms more in one route's kernel, per batch of samples, shows in its record alone
+    route = getattr(cli, kernel)
+
+    def delayed(params, xs):
+        time.sleep(0.2)
+        return route(params, xs)
+
+    monkeypatch.setattr(cli, kernel, delayed)
+    code, out, _ = run_cli(["qexp", "eval", "--q", "0.5", "--points", "7", "--format", "json"], capsys)
+    millis = {check["name"]: check["millis"] for check in json.loads(out)["checks"]}
+    assert code == 0 and millis[slowed] >= 200 > millis[other]
+
+
 def test_qexp_sweep_peaks_under_a_megabyte_whatever_its_points(capsys):
     # the kernels take a bounded batch of samples per call and keep a block's terms in numpy
     peaks = []
@@ -931,7 +952,8 @@ def _peak_and_estimate(argv, monkeypatch):
     return peak, max(estimates)
 
 
-# the points near q = 1 take one product block per point, past _PRODUCT_ENTRIES factors each
+# near q = 1 a product chunk holds only a few steps of the points still dividing, a lone point
+# _PRODUCT_ENTRIES steps
 @pytest.mark.parametrize(
     ("q", "points"),
     [(q, points) for q in ("0.3", "0.9", "0.98", "0.99") for points in ("50", "200", "400")]

@@ -292,6 +292,24 @@ def test_spec_grid_input_checks():
         spec_grid(params, modes=1, points=0)
 
 
+@pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+def test_mode_loops_keep_the_oracle_s_signs_and_signed_zeros(q):
+    params = DeformationParams(q)
+    r = math.sqrt(0.5 * params.radius)
+    amplitudes = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -r]
+    amplitudes += [complex(-r, -0.0), complex(-0.0, -r), complex(r, -0.0), complex(-0.3, 0.2) * r]
+    amplitudes += [complex(-0.6, -0.7) * r, 1e-300, -5e-324]
+    negative_zeros = 0
+    for z in amplitudes:
+        for cutoff in (1, 2, 40, 300):
+            expected = reference_mode_coefficients(params, z, cutoff)
+            assert mode_coefficients(params, z, cutoff).tobytes() == expected.tobytes()
+            assert mode_tail_bound(params, z, cutoff).hex() == reference_mode_tail_bound(params, z, cutoff).hex()
+            parts = expected.view(float)
+            negative_zeros += int(np.count_nonzero((parts == 0.0) & np.signbit(parts)))
+    assert negative_zeros > 0
+
+
 def test_tabled_mode_loops_equal_the_per_term_loops():
     for q in (0.2, 0.5, 0.9, 0.99):
         params = DeformationParams(q)

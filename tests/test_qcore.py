@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmodes import qcore
 from qmodes.qcore import (
     DeformationParams,
     DomainError,
@@ -32,6 +33,7 @@ from qmodes.qcore import (
     _power_table,
     _moment_deviations,
     _moments_cost,
+    _product_points,
     _q_exp_product_tail,
     _series_terms,
     check_budget,
@@ -280,6 +282,71 @@ def test_point_kernels_raise_the_errors_of_the_per_point_loops():
         q_exp_via_product_points(params, [first])
     with pytest.raises(SingularityError, match="product factor n=0 vanishes"):
         q_exp_product(params, radius, factors=5)
+
+
+def _complex_bits(value: complex) -> tuple:
+    return value.real.hex(), value.imag.hex()
+
+
+def _swapped_factors(params: DeformationParams, x: complex, factors: int) -> int:
+    """How many of the first ``factors`` factors at x divide by Smith's second branch,
+    |Im f| > |Re f|, in the per-point loop's own complex arithmetic."""
+    coefficients = [(1.0 - params.q_sq) * params.q_sq**n for n in range(factors)]
+    return sum(abs(f.imag) > abs(f.real) for f in (1.0 - c * x for c in coefficients))
+
+
+@pytest.mark.parametrize("q", [0.97, 0.98, 0.999])
+def test_lockstep_division_equals_the_per_point_loop_on_both_smith_branches(q):
+    params = DeformationParams(q)
+    # the outer rings, where the most factors are taken and where swapped ones occur
+    outer = [x for x in disk_samples(params, 60) if abs(x) > 0.5 * params.radius]
+    counts = [_factors_for(params, x, 1e-15) for x in outer]
+    assert sum(_swapped_factors(params, x, count) > 0 for x, count in zip(outer, counts)) > 0
+    expected = [_complex_bits(reference_q_exp_product(params, x, n)) for x, n in zip(outer, counts)]
+    assert [_complex_bits(v.value) for v in q_exp_via_product_points(params, outer)] == expected
+
+
+@pytest.mark.parametrize("entries", [1, 3, 7, 4096])
+@pytest.mark.parametrize("q", [0.35, 0.98])
+def test_lockstep_division_holds_across_chunks_signed_zeros_and_mixed_counts(q, entries, monkeypatch):
+    monkeypatch.setattr(qcore, "_PRODUCT_ENTRIES", entries)
+    params = DeformationParams(q)
+    radius = params.radius
+    xs = [complex(-0.5, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), -0.0, 0.0, -0.9 * radius]
+    xs += [complex(-0.3 * radius, -0.0), complex(-0.0, -0.6 * radius), 0.7j * radius, 1e-300]
+    xs += [complex(0.4, -0.45) * radius, complex(-0.45, 0.4) * radius, 5e-324j, complex(0.9, 0.5) * radius]
+    # one call over counts from 1 to several hundred, in no order, duplicates too
+    counts = [1, 2, 700, 3, 1, 64, 5, 129, 2, 300, 1, 17, 700, 300]
+    assert _swapped_factors(params, xs[-1], counts[-1]) > 0
+    expected = [_complex_bits(reference_q_exp_product(params, x, n)) for x, n in zip(xs, counts)]
+    assert [_complex_bits(v) for v in _product_points(params, xs, counts)] == expected
+    for x, n in zip(xs, counts):  # the one-point calls
+        assert _complex_bits(q_exp_product(params, x, n)) == _complex_bits(reference_q_exp_product(params, x, n))
+    assert _product_points(params, [], []) == []
+
+
+def test_a_pole_past_the_first_chunk_names_the_first_point_and_factor_in_their_order(monkeypatch):
+    monkeypatch.setattr(qcore, "_PRODUCT_ENTRIES", 4)
+    params = DeformationParams(0.5)
+    radius = params.radius
+    late, early = radius / params.q_sq**9, radius / params.q_sq**2  # the poles of factors 9 and 2
+    for xs, first, n in (([0.1, late, early], late, 9), ([early, 0.1, late], early, 2)):
+        message = f"product factor n={n} vanishes at x={complex(first)!r} (pole of exp_q)"
+        with pytest.raises(SingularityError, match=re.escape(message)):
+            _product_points(params, [complex(x) for x in xs], [12, 12, 12])
+    # a pole past a point's own count is not reached
+    assert _product_points(params, [complex(late)], [9]) == [reference_q_exp_product(params, late, 9)]
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+def test_reciprocal_equals_the_per_factor_loop_at_its_edges(q):
+    params = DeformationParams(q)
+    radius = params.radius
+    xs = [0.0, -0.0, 5e-324, 1e-300, 1e-12, radius * (1 - 1e-12), radius, 1.5 * radius, 10 * radius]
+    xs += [-1e-300, -0.5 * radius, -3 * radius, complex(-0.5, -0.0), complex(0.3, -0.0) * radius]
+    xs += [complex(-0.0, 0.4) * radius, complex(0.6, 0.8) * radius, complex(-2.0, -1.0) * radius]
+    for x in xs:
+        assert _complex_bits(q_exp_reciprocal(params, x)) == _complex_bits(reference_q_exp_reciprocal(params, x))
 
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.98, 0.99])
